@@ -471,16 +471,7 @@ let run_hotpath () =
     let a = List.sort compare l in
     List.nth a (List.length a / 2)
   in
-  let config_names =
-    [
-      "interp";
-      "simulate";
-      "profile";
-      "traced";
-      "traced-simulate";
-      "traced-profile";
-    ]
-  in
+  let config_names = [ "interp"; "simulate"; "profile" ] in
   let t =
     Table.create
       ~title:
@@ -537,42 +528,6 @@ let run_hotpath () =
             fun () ->
               ignore
                 (Profiler.profile
-                   ~config:{ Profiler.default_config with Profiler.seed }
-                   program
-                  : Profiler.result) );
-          (* The same three shapes under the trace-compiled engine. The
-             bare traced row is the headline: fused hot loops with no
-             hooks in the way. The hooked rows bound what tracing buys
-             when every access still pays a callback. *)
-          ( "traced",
-            fun () ->
-              let vmem = Vmem.create () in
-              let alloc = Jemalloc_sim.create vmem in
-              let e =
-                Engine.create ~kind:Engine.Traced ~seed ~program ~alloc ()
-              in
-              ignore (Engine.run e : int) );
-          ( "traced-simulate",
-            fun () ->
-              let vmem = Vmem.create () in
-              let alloc = Jemalloc_sim.create vmem in
-              let hier = Hierarchy.create () in
-              let hooks =
-                {
-                  Interp.no_hooks with
-                  Interp.on_access =
-                    (fun addr size _w -> Hierarchy.access hier addr size);
-                }
-              in
-              let e =
-                Engine.create ~kind:Engine.Traced ~seed ~hooks ~program ~alloc
-                  ()
-              in
-              ignore (Engine.run e : int) );
-          ( "traced-profile",
-            fun () ->
-              ignore
-                (Profiler.profile ~engine:Engine.Traced
                    ~config:{ Profiler.default_config with Profiler.seed }
                    program
                   : Profiler.result) );

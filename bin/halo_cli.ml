@@ -93,30 +93,6 @@ let affinity_arg =
     & info [ "affinity-distance" ] ~docv:"BYTES"
         ~doc:"Affinity distance A for profiling (default 128).")
 
-let engine_conv =
-  let parse s =
-    match Engine.of_string s with
-    | Some k -> Ok k
-    | None ->
-        Error
-          (`Msg
-             (Printf.sprintf "unknown engine %S (one of: %s)" s
-                (String.concat ", " (List.map Engine.to_string Engine.all))))
-  in
-  let print ppf k = Format.pp_print_string ppf (Engine.to_string k) in
-  Arg.conv (parse, print)
-
-let engine_arg =
-  Arg.(
-    value
-    & opt engine_conv Engine.Interp
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Execution engine: interp (baseline interpreter), traced \
-           (trace-compiled fast path), or selfcheck (traced with every fused \
-           region cross-checked against the interpreter). Engines are \
-           observably identical; they differ only in speed.")
-
 let pipeline_config ~chunk_size ~spare ~max_groups ~affinity =
   let c = Pipeline.default_config in
   let allocator =
@@ -632,13 +608,12 @@ let profile_cmd =
     ]
 
 let run_cmd =
-  let run w kind seed engine chunk_size spare max_groups affinity json_out
-      trace_out =
+  let run w kind seed chunk_size spare max_groups affinity json_out trace_out =
     let pc = pipeline_config ~chunk_size ~spare ~max_groups ~affinity in
-    let baseline = Runner.run ~engine ~seed w Runner.Jemalloc in
+    let baseline = Runner.run ~seed w Runner.Jemalloc in
     let measured obs =
-      if kind = Runner.Jemalloc then Runner.run ?obs ~engine ~seed w kind
-      else Runner.run ?obs ~engine ~seed ~pipeline_config:pc w kind
+      if kind = Runner.Jemalloc then Runner.run ?obs ~seed w kind
+      else Runner.run ?obs ~seed ~pipeline_config:pc w kind
     in
     let m =
       match trace_out with
@@ -664,9 +639,8 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Measure a workload under a configuration.")
     Term.(
-      const run $ workload_arg $ kind_arg $ seed_arg $ engine_arg
-      $ chunk_size_arg $ spare_arg $ max_groups_arg $ affinity_arg $ json_arg
-      $ trace_out_arg)
+      const run $ workload_arg $ kind_arg $ seed_arg $ chunk_size_arg $ spare_arg
+      $ max_groups_arg $ affinity_arg $ json_arg $ trace_out_arg)
 
 let top_arg =
   Arg.(
@@ -822,13 +796,13 @@ let sweep_cmd =
     Term.(const run $ distances_arg)
 
 let figures_cmd =
-  let run which jobs engine plan_cache trace_out =
+  let run which jobs plan_cache trace_out =
     let jobs = effective_jobs jobs in
     let cache = plan_cache_of plan_cache in
     let plan_source = Option.map Plan_cache.source cache in
     let obs = Option.map (fun _ -> Obs.create ()) trace_out in
     (match which with
-    | "all" -> Figures.print_all ~jobs ?obs ~engine ?plan_source ()
+    | "all" -> Figures.print_all ~jobs ?obs ?plan_source ()
     | "fig12" -> Table.print (Figures.fig12 ())
     | "drift" -> Table.print (Figures.drift_study ~jobs ())
     | "sec51" -> Table.print (Figures.sec51_baseline ())
@@ -840,7 +814,7 @@ let figures_cmd =
         Table.print (Figures.ablation_backend ());
         Table.print (Figures.ablation_sampling ())
     | "fig13" | "fig14" | "fig15" | "tab1" | "diag" ->
-        let suite = Figures.run_suite ~jobs ?obs ~engine ?plan_source () in
+        let suite = Figures.run_suite ~jobs ?obs ?plan_source () in
         let t =
           match which with
           | "fig13" -> Figures.fig13 suite
@@ -880,9 +854,7 @@ let figures_cmd =
   in
   Cmd.v
     (Cmd.info "figures" ~doc:"Regenerate the paper's tables and figures.")
-    Term.(
-      const run $ which_arg $ jobs_arg $ engine_arg $ plan_cache_arg
-      $ figures_trace_arg)
+    Term.(const run $ which_arg $ jobs_arg $ plan_cache_arg $ figures_trace_arg)
 
 let contexts_cmd =
   let run w =
@@ -932,16 +904,14 @@ let disasm_cmd =
     Term.(const run $ workload_arg $ scale_arg $ stats_arg)
 
 let fuzz_cmd =
-  let run seeds seed_base ref_scale engine time_budget replay corpus
-      shrink_steps jobs trace_out plan_cache digests_out digests_check =
+  let run seeds seed_base ref_scale time_budget replay corpus shrink_steps
+      jobs trace_out plan_cache digests_out digests_check =
     let cache = plan_cache_of plan_cache in
     match (replay, digests_out, digests_check) with
     | None, Some path, _ ->
         (* Record the seed set's semantics: reference digests, plan shape
            and allocator-stat totals, one JSON record per seed. *)
-        let records =
-          Fuzz_harness.digest_sweep ~ref_scale ~seed_base ~engine ~seeds ()
-        in
+        let records = Fuzz_harness.digest_sweep ~ref_scale ~seed_base ~seeds () in
         let failing = List.filter (fun r -> r.Fuzz_harness.d_failures > 0) records in
         if failing <> [] then begin
           List.iter
@@ -966,7 +936,7 @@ let fuzz_cmd =
                   (match expected with
                   | r :: _ -> r.Fuzz_harness.d_seed
                   | [] -> 1)
-                ~engine ~seeds:(List.length expected) ()
+                ~seeds:(List.length expected) ()
             in
             match Fuzz_harness.check_digests ~expected got with
             | [] ->
@@ -980,7 +950,7 @@ let fuzz_cmd =
                   (List.length mismatches) path;
                 exit 1))
     | Some seed, _, _ ->
-        let case, result = Fuzz_harness.replay ~ref_scale ~engine seed in
+        let case, result = Fuzz_harness.replay ~ref_scale seed in
         Printf.printf "seed %d: %d trace decisions, %d IR statements (ref)\n"
           seed
           (Array.length case.Fuzz_gen.trace)
@@ -1012,7 +982,6 @@ let fuzz_cmd =
                   time_budget;
                   corpus_dir = corpus;
                   shrink_steps;
-                  engine;
                   plan_source = Option.map Plan_cache.source cache;
                   jobs = effective_jobs jobs;
                   obs = Some obs;
@@ -1113,9 +1082,9 @@ let fuzz_cmd =
           configurations, heap invariants and plan well-formedness; shrink \
           and report any failure.")
     Term.(
-      const run $ seeds_arg $ seed_base_arg $ ref_scale_arg $ engine_arg
-      $ budget_arg $ replay_arg $ corpus_arg $ shrink_arg $ jobs_arg
-      $ trace_out_arg $ plan_cache_arg $ digests_out_arg $ digests_check_arg)
+      const run $ seeds_arg $ seed_base_arg $ ref_scale_arg $ budget_arg
+      $ replay_arg $ corpus_arg $ shrink_arg $ jobs_arg $ trace_out_arg
+      $ plan_cache_arg $ digests_out_arg $ digests_check_arg)
 
 (* ---------------- continuous-profiling service mode ---------------- *)
 
@@ -1351,7 +1320,7 @@ let traffic_schedule ~spec ~workloads ~ticks_per_phase ~rate ~phases ~drift =
 
 let traffic_run_cmd =
   let run spec workloads ticks_per_phase rate phases drift seed plan_budget
-      reprofile_every window engine tenants trace_out json_out =
+      reprofile_every window tenants trace_out json_out =
     let sched =
       traffic_schedule ~spec ~workloads ~ticks_per_phase ~rate ~phases ~drift
     in
@@ -1361,7 +1330,6 @@ let traffic_run_cmd =
         Traffic_mix.plan_budget;
         reprofile_every;
         window;
-        engine;
       }
     in
     let r =
@@ -1422,7 +1390,7 @@ let traffic_run_cmd =
       const run $ traffic_spec_arg $ traffic_workloads_arg $ traffic_ticks_arg
       $ traffic_rate_arg $ traffic_phases_arg $ traffic_drift_arg
       $ traffic_seed_arg $ plan_budget_arg $ reprofile_arg $ window_arg
-      $ engine_arg $ tenants_arg $ trace_out_arg $ json_arg)
+      $ tenants_arg $ trace_out_arg $ json_arg)
 
 let traffic_study_cmd =
   let run drifts cadences phases ticks_per_phase rate workloads seed jobs

@@ -74,10 +74,10 @@ type plan_source = {
 let constant_source plan =
   { lookup = (fun _ _ _ -> Some plan); store = (fun _ _ _ _ -> ()) }
 
-let plan ?obs ?source ?engine ?config ?group_fn program =
+let plan ?obs ?source ?config ?group_fn program =
   let compute () =
     let cfg = Option.value config ~default:default_config in
-    let profile = Profiler.profile ?obs ?engine ~config:cfg.profiler program in
+    let profile = Profiler.profile ?obs ~config:cfg.profiler program in
     derive ?obs ~config:cfg ?group_fn profile
   in
   match (source, group_fn) with

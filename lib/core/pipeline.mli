@@ -61,15 +61,12 @@ val derive :
 val plan :
   ?obs:Obs.t ->
   ?source:plan_source ->
-  ?engine:Engine.kind ->
   ?config:config ->
   ?group_fn:(Affinity_graph.t -> Grouping.params -> Grouping.t) ->
   Ir.program ->
   plan
 (** The record phase plus {!derive}: profile the (test-scale) program and
-    derive the plan. [engine] picks the profiling run's execution engine
-    (default the interpreter); engines are observably identical, so it
-    is deliberately not part of any plan-cache key. [source] short-circuits both phases when it already
+    derive the plan. [source] short-circuits both phases when it already
     holds a plan for this program/config pair, and receives the computed
     plan otherwise; it is consulted only when [group_fn] is not given (a
     custom clusterer is not part of any cache key). [obs] adds the

@@ -9,7 +9,7 @@ type suite = {
 let suite_kinds = [ Runner.Jemalloc; Runner.Halo; Runner.Hds; Runner.Random_pools 4 ]
 
 let run_suite ?(seeds = [ 2 ]) ?workloads ?(progress = fun _ -> ()) ?jobs ?obs
-    ?engine ?plan_source () =
+    ?plan_source () =
   let workloads = Option.value workloads ~default:Workloads.all in
   (* One task per workload×kind×seed cell. Each cell builds its own Vmem,
      allocator and interpreter, so cells are independent; Par.map returns
@@ -31,7 +31,7 @@ let run_suite ?(seeds = [ 2 ]) ?workloads ?(progress = fun _ -> ()) ?jobs ?obs
   let measurements =
     Par.map_obs ?obs ~name:"suite" ?jobs
       (fun wobs (w, kind, seed) ->
-        let m = Runner.run ?obs:wobs ?engine ~seed ?plan_source w kind in
+        let m = Runner.run ?obs:wobs ~seed ?plan_source w kind in
         progress
           (Printf.sprintf "%s/%s (seed %d) done" w.Workload.name
              (Runner.kind_name kind) seed);
@@ -573,10 +573,10 @@ let drift_study ?jobs () =
   in
   Traffic_study.table (Traffic_study.run ?jobs params)
 
-let print_all ?jobs ?obs ?engine ?plan_source () =
+let print_all ?jobs ?obs ?plan_source () =
   let progress line = Printf.eprintf "  [suite] %s\n%!" line in
   print_endline "Running the full measurement suite (11 workloads x 4 configs)...";
-  let suite = run_suite ~progress ?jobs ?obs ?engine ?plan_source () in
+  let suite = run_suite ~progress ?jobs ?obs ?plan_source () in
   Table.print (fig13 suite);
   print_newline ();
   Table.print (fig14 suite);

@@ -28,14 +28,11 @@ val run_suite :
   ?progress:(string -> unit) ->
   ?jobs:int ->
   ?obs:Obs.t ->
-  ?engine:Engine.kind ->
   ?plan_source:Pipeline.plan_source ->
   unit ->
   suite
 (** Run jemalloc / HALO / HDS / random-4 over the workloads (default: all
-    11) for each seed (default [[2]]). [engine] selects the execution
-    engine for every measurement and profiling run (default the
-    interpreter). [progress] is called with a line
+    11) for each seed (default [[2]]). [progress] is called with a line
     per configuration as it completes (from worker domains when parallel,
     serialised). [jobs] fans the workload×kind×seed cells out over a
     {!Par} domain pool (default {!Par.default_jobs}); every cell is an
@@ -136,12 +133,7 @@ val drift_study : ?jobs:int -> unit -> Table.t
     [halo traffic study] exposes the full-size sweep. *)
 
 val print_all :
-  ?jobs:int ->
-  ?obs:Obs.t ->
-  ?engine:Engine.kind ->
-  ?plan_source:Pipeline.plan_source ->
-  unit ->
-  unit
+  ?jobs:int -> ?obs:Obs.t -> ?plan_source:Pipeline.plan_source -> unit -> unit
 (** Run everything in order and print each table — the body of
     [bench/main.exe]'s experiment mode. [jobs] parallelises the
     suite-backed tables; the sweeps and ablations stay sequential. [obs]

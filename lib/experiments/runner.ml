@@ -49,8 +49,7 @@ type measurement = {
   hds : hds_details option;
 }
 
-let measure ?obs ?(engine = Engine.Interp) ~w ~kind ~seed ~alloc ~patches
-    ?env ~halo ~hds () =
+let measure ?obs ~w ~kind ~seed ~alloc ~patches ?env ~halo ~hds () =
   let program = w.Workload.make Workload.Ref in
   let hier = Hierarchy.create ?obs () in
   let hooks =
@@ -59,15 +58,12 @@ let measure ?obs ?(engine = Engine.Interp) ~w ~kind ~seed ~alloc ~patches
       Interp.on_access = (fun addr size _write -> Hierarchy.access hier addr size);
     }
   in
-  let interp =
-    Engine.create ~kind:engine ~seed ~hooks ~patches ?env ?obs ~program ~alloc
-      ()
-  in
+  let interp = Interp.create ~seed ~hooks ~patches ?env ?obs ~program ~alloc () in
   Obs.span obs "measurement"
     ~attrs:[ ("stage", Json.String "measurement") ]
-    ~instructions:(fun () -> Engine.instructions interp)
+    ~instructions:(fun () -> Interp.instructions interp)
     (fun () ->
-      ignore (Engine.run interp : int);
+      ignore (Interp.run interp : int);
       let c = Hierarchy.counters hier in
       Obs.add_attrs obs
         [
@@ -82,7 +78,7 @@ let measure ?obs ?(engine = Engine.Interp) ~w ~kind ~seed ~alloc ~patches
       Obs.count obs "cache.l3.misses" c.Hierarchy.l3_misses;
       Obs.count obs "cache.tlb.misses" c.Hierarchy.tlb_misses);
   let counters = Hierarchy.counters hier in
-  let instructions = Engine.instructions interp in
+  let instructions = Interp.instructions interp in
   let model = Timing.skylake_sp in
   let cycles = Timing.cycles model ~instructions counters in
   let seconds = Timing.seconds model ~instructions counters in
@@ -106,17 +102,16 @@ let halo_pipeline_config pipeline_config w =
     allocator = w.Workload.halo_allocator base.Pipeline.allocator;
   }
 
-let run_kind ?obs ?engine ~seed ?pipeline_config ?group_fn ?plan_source w
-    kind =
+let run_kind ?obs ~seed ?pipeline_config ?group_fn ?plan_source w kind =
   let no_halo () = None in
   match kind with
   | Jemalloc ->
       let vmem = Vmem.create () in
-      measure ?obs ?engine ~w ~kind ~seed ~alloc:(Jemalloc_sim.create vmem) ~patches:[]
+      measure ?obs ~w ~kind ~seed ~alloc:(Jemalloc_sim.create vmem) ~patches:[]
         ~halo:no_halo ~hds:None ()
   | Ptmalloc ->
       let vmem = Vmem.create () in
-      measure ?obs ?engine ~w ~kind ~seed ~alloc:(Ptmalloc_sim.create vmem) ~patches:[]
+      measure ?obs ~w ~kind ~seed ~alloc:(Ptmalloc_sim.create vmem) ~patches:[]
         ~halo:no_halo ~hds:None ()
   | Random_pools pools ->
       (* Figure 15's strawman is "a variant of HALO with an extremely poor
@@ -130,12 +125,12 @@ let run_kind ?obs ?engine ~seed ?pipeline_config ?group_fn ?plan_source w
       let galloc =
         Group_alloc.create ~config:alloc_cfg ?obs ~classify ~fallback vmem
       in
-      measure ?obs ?engine ~w ~kind ~seed ~alloc:(Group_alloc.iface galloc) ~patches:[]
+      measure ?obs ~w ~kind ~seed ~alloc:(Group_alloc.iface galloc) ~patches:[]
         ~halo:no_halo ~hds:None ()
   | Halo | Halo_no_alloc ->
       let config = halo_pipeline_config pipeline_config w in
       let plan =
-        Pipeline.plan ?obs ?source:plan_source ?engine ~config ?group_fn
+        Pipeline.plan ?obs ?source:plan_source ~config ?group_fn
           (w.Workload.make Workload.Test)
       in
       let vmem = Vmem.create () in
@@ -144,7 +139,7 @@ let run_kind ?obs ?engine ~seed ?pipeline_config ?group_fn ?plan_source w
         (* Instrumented binary, default allocator: measures the overhead of
            the inserted set/unset-bit instructions alone. *)
         let env = Exec_env.create ~group_bits:(max plan.Pipeline.rewrite.Rewrite.nbits 1) () in
-        measure ?obs ?engine ~w ~kind ~seed ~alloc:fallback
+        measure ?obs ~w ~kind ~seed ~alloc:fallback
           ~patches:plan.Pipeline.rewrite.Rewrite.patches ~env ~halo:no_halo
           ~hds:None ()
       else begin
@@ -164,13 +159,13 @@ let run_kind ?obs ?engine ~seed ?pipeline_config ?group_fn ?plan_source w
               chunk_reuses = Group_alloc.reuses galloc;
             }
         in
-        measure ?obs ?engine ~w ~kind ~seed ~alloc:(Group_alloc.iface galloc)
+        measure ?obs ~w ~kind ~seed ~alloc:(Group_alloc.iface galloc)
           ~patches:rt.Pipeline.patches ~env:rt.Pipeline.env ~halo ~hds:None ()
       end
   | Ident_window window ->
       let config = halo_pipeline_config pipeline_config w in
       let profile =
-        Profiler.profile ?obs ?engine ~config:config.Pipeline.profiler
+        Profiler.profile ?obs ~config:config.Pipeline.profiler
           (w.Workload.make Workload.Test)
       in
       let min_edge_weight =
@@ -189,7 +184,7 @@ let run_kind ?obs ?engine ~seed ?pipeline_config ?group_fn ?plan_source w
         Group_alloc.create ~config:config.Pipeline.allocator ?obs ~classify
           ~fallback vmem
       in
-      measure ?obs ?engine ~w ~kind ~seed ~alloc:(Group_alloc.iface galloc) ~patches:[]
+      measure ?obs ~w ~kind ~seed ~alloc:(Group_alloc.iface galloc) ~patches:[]
         ~env ~halo:(fun () -> None) ~hds:None ()
   | Hds | Hds_merged_packing ->
       let hconfig =
@@ -221,11 +216,10 @@ let run_kind ?obs ?engine ~seed ?pipeline_config ?group_fn ?plan_source w
             hds_coverage = hplan.Hds_pipeline.coverage;
           }
       in
-      measure ?obs ?engine ~w ~kind ~seed ~alloc:(Group_alloc.iface galloc) ~patches:[]
+      measure ?obs ~w ~kind ~seed ~alloc:(Group_alloc.iface galloc) ~patches:[]
         ~env ~halo:no_halo ~hds ()
 
-let run ?obs ?engine ?(seed = 2) ?pipeline_config ?group_fn ?plan_source w
-    kind =
+let run ?obs ?(seed = 2) ?pipeline_config ?group_fn ?plan_source w kind =
   Obs.span obs "run"
     ~attrs:
       [
@@ -233,9 +227,7 @@ let run ?obs ?engine ?(seed = 2) ?pipeline_config ?group_fn ?plan_source w
         ("configuration", Json.String (kind_name kind));
         ("seed", Json.Int seed);
       ]
-    (fun () ->
-      run_kind ?obs ?engine ~seed ?pipeline_config ?group_fn ?plan_source w
-        kind)
+    (fun () -> run_kind ?obs ~seed ?pipeline_config ?group_fn ?plan_source w kind)
 
 let to_json ?baseline m =
   let counters c =

@@ -60,7 +60,6 @@ type measurement = {
 
 val run :
   ?obs:Obs.t ->
-  ?engine:Engine.kind ->
   ?seed:int ->
   ?pipeline_config:Pipeline.config ->
   ?group_fn:(Affinity_graph.t -> Grouping.params -> Grouping.t) ->
@@ -68,10 +67,8 @@ val run :
   Workload.t ->
   kind ->
   measurement
-(** [run w kind] measures one configuration. [engine] picks the
-    execution engine for the measurement run and any embedded profiling
-    run (default the interpreter; all engines are observably identical).
-    [seed] (default 2) seeds the measurement input; profiling always uses the pipeline config's seed
+(** [run w kind] measures one configuration. [seed] (default 2) seeds the
+    measurement input; profiling always uses the pipeline config's seed
     (default 1). [pipeline_config] overrides HALO's pipeline parameters
     (the Figure 12 sweep varies the affinity distance through it);
     workload-specific overrides from the registry are applied on top.

@@ -7,8 +7,6 @@ type config = {
   shrink_steps : int;
   extra : (string * (Vmem.t -> Alloc_iface.t)) list;
   plan_source : Pipeline.plan_source option;
-  engine : Engine.kind;
-  traced_config : bool;
   jobs : int;
   obs : Obs.t option;
   log : (string -> unit) option;
@@ -24,11 +22,6 @@ let default =
     shrink_steps = 2000;
     extra = [];
     plan_source = None;
-    engine = Engine.Interp;
-    (* Campaigns cross-check the trace engine by default; the golden
-       digest corpus (digest_sweep) does not, to keep its recorded
-       6-config shape. *)
-    traced_config = true;
     jobs = 1;
     obs = None;
     log = None;
@@ -88,11 +81,9 @@ let save_corpus ~dir r =
     (fun () -> Json.to_channel oc (report_json r));
   path
 
-(* [traced_config] defaults to the campaign's default, keeping replay
-   bit-for-bit the campaign's view of the seed. *)
-let replay ?(ref_scale = 3) ?(extra = []) ?engine ?(traced_config = true) seed =
+let replay ?(ref_scale = 3) ?(extra = []) seed =
   let case = Fuzz_gen.generate ~ref_scale ~seed () in
-  (case, Fuzz_oracle.run_case ~extra ?engine ~traced_config case)
+  (case, Fuzz_oracle.run_case ~extra case)
 
 (* ------------------------------------------------------------------ *)
 (* Semantic digest corpus: a fixed seed set's oracle observables,      *)
@@ -108,11 +99,11 @@ type digest_record = {
   d_stats : Fuzz_oracle.stats;
 }
 
-let digest_sweep ?(ref_scale = 3) ?(seed_base = 1) ?engine ~seeds () =
+let digest_sweep ?(ref_scale = 3) ?(seed_base = 1) ~seeds () =
   List.init seeds (fun k ->
       let seed = seed_base + k in
       let case = Fuzz_gen.generate ~ref_scale ~seed () in
-      let r = Fuzz_oracle.run_case ?engine case in
+      let r = Fuzz_oracle.run_case case in
       {
         d_seed = seed;
         d_failures = List.length r.Fuzz_oracle.failures;
@@ -331,7 +322,7 @@ let run cfg =
         let case = Fuzz_gen.generate ~ref_scale:cfg.ref_scale ~seed:s () in
         let result =
           Fuzz_oracle.run_case ~extra:cfg.extra ?plan_source:cfg.plan_source
-            ~engine:cfg.engine ~traced_config:cfg.traced_config case
+            case
         in
         let report =
           match result.Fuzz_oracle.failures with
@@ -342,9 +333,7 @@ let run cfg =
                  reason may shift as the program shrinks, which is fine:
                  any failing case is a bug to report. *)
               let failing c =
-                (Fuzz_oracle.run_case ~extra:cfg.extra ~engine:cfg.engine
-                   ~traced_config:cfg.traced_config c)
-                  .Fuzz_oracle.failures
+                (Fuzz_oracle.run_case ~extra:cfg.extra c).Fuzz_oracle.failures
                 <> []
               in
               let sh =

@@ -33,15 +33,6 @@ type config = {
           persistent store's plan cache). Shrinking always re-plans
           in-process: shrunk programs are throwaway variants that would
           only pollute a cache. *)
-  engine : Engine.kind;
-      (** Engine running every oracle configuration. [Selfcheck] turns
-          each case into a trace-vs-interpreter cross-check that raises
-          on the first divergent region. *)
-  traced_config : bool;
-      (** Add the "traced" differential configuration (reference
-          allocator under {!Engine.Traced}) to each case's battery.
-          On by default for campaigns; {!digest_sweep} leaves it off so
-          the golden digest corpus keeps its historical config count. *)
   jobs : int;
       (** Worker domains for the sweep (see {!Par}). Each case is
           self-contained — its own decision stream, RNG, heaps and
@@ -84,14 +75,10 @@ val run : config -> summary
 val replay :
   ?ref_scale:int ->
   ?extra:(string * (Vmem.t -> Alloc_iface.t)) list ->
-  ?engine:Engine.kind ->
-  ?traced_config:bool ->
   int ->
   Fuzz_gen.case * Fuzz_oracle.result
 (** [replay seed] rebuilds one case and runs the oracle once —
-    bit-for-bit identical to the campaign's run of that seed
-    ([traced_config] therefore defaults to [true], the campaign
-    default). *)
+    bit-for-bit identical to the campaign's run of that seed. *)
 
 val report_json : case_report -> Json.t
 (** The corpus-file shape; stable keys, replayable from [seed]/[trace]. *)
@@ -114,17 +101,9 @@ type digest_record = {
 }
 
 val digest_sweep :
-  ?ref_scale:int ->
-  ?seed_base:int ->
-  ?engine:Engine.kind ->
-  seeds:int ->
-  unit ->
-  digest_record list
+  ?ref_scale:int -> ?seed_base:int -> seeds:int -> unit -> digest_record list
 (** Run the full oracle battery over consecutive seeds and collect one
-    record per case. Deterministic: equal arguments, equal records.
-    [engine] swaps the execution engine under every configuration —
-    running a recorded corpus under [Traced] pins the trace engine
-    bit-for-bit against the interpreter-recorded digests. *)
+    record per case. Deterministic: equal arguments, equal records. *)
 
 val digests_json : ref_scale:int -> digest_record list -> Json.t
 val digests_of_json : Json.t -> (int * digest_record list, string) Stdlib.result

@@ -41,7 +41,7 @@ let interp_seed = 2
 
 let empty_digest = Fuzz_observe.digest (Fuzz_observe.create ())
 
-let run_config ?(engine = Engine.Interp) ~program ~name build =
+let run_config ~program ~name build =
   let vmem = Vmem.create () in
   match build vmem with
   | exception e ->
@@ -58,14 +58,14 @@ let run_config ?(engine = Engine.Interp) ~program ~name build =
         }
       in
       match
-        Engine.create ~kind:engine ~seed:interp_seed
+        Interp.create ~seed:interp_seed
           ~hooks:(Fuzz_observe.hooks recorder)
           ~patches:setup.patches ?env:setup.env ~memcheck:vmem ~program
           ~alloc:checked ()
       with
       | exception e -> finish (Error (Printexc.to_string e))
       | interp -> (
-          match Engine.run interp with
+          match Interp.run interp with
           | v -> finish (Ok v)
           | exception e -> finish (Error (Printexc.to_string e))))
 
@@ -109,48 +109,37 @@ let divergence_failure ~reference run =
         }
   | _ -> None (* crashes are reported separately; nothing to compare *)
 
-let run_case ?(extra = []) ?plan_source ?engine ?(traced_config = false)
-    (case : Fuzz_gen.case) =
+let run_case ?(extra = []) ?plan_source (case : Fuzz_gen.case) =
   let program = case.Fuzz_gen.ref_ in
   let runs = ref [] in
   let push r = runs := r :: !runs in
 
   let reference =
-    run_config ?engine ~program ~name:"jemalloc" (fun vmem ->
+    run_config ~program ~name:"jemalloc" (fun vmem ->
         plain (Jemalloc_sim.create vmem))
   in
   push reference;
   push
-    (run_config ?engine ~program ~name:"bump" (fun vmem ->
-         plain (Bump.create vmem)));
+    (run_config ~program ~name:"bump" (fun vmem -> plain (Bump.create vmem)));
   push
-    (run_config ?engine ~program ~name:"ptmalloc" (fun vmem ->
+    (run_config ~program ~name:"ptmalloc" (fun vmem ->
          plain (Ptmalloc_sim.create vmem)));
   push
-    (run_config ?engine ~program ~name:"random-4" (fun vmem ->
+    (run_config ~program ~name:"random-4" (fun vmem ->
          plain
            (Random_pool.create
               ~rng:(Rng.create ~seed:((case.Fuzz_gen.seed * 31) + 7))
               ~fallback:(Jemalloc_sim.create vmem) vmem)));
-  (* The trace-engine differential config: same allocator as the
-     reference, executed by the fused-trace engine — any engine bug
-     shows up as a divergence against the interpreter-run reference.
-     Opt-in so the golden digest corpus keeps its historical 6-config
-     shape. *)
-  if traced_config then
-    push
-      (run_config ~engine:Engine.Traced ~program ~name:"traced" (fun vmem ->
-           plain (Jemalloc_sim.create vmem)));
   List.iter
     (fun (name, build) ->
-      push (run_config ?engine ~program ~name (fun vmem -> plain (build vmem))))
+      push (run_config ~program ~name (fun vmem -> plain (build vmem))))
     extra;
 
   (* HALO: plan on the test-scale program, measure on ref — structural
      pairing guarantees the patch sites exist in both. *)
   let plan_failures = ref [] in
   let groups = ref 0 and monitored = ref 0 and contexts = ref 0 in
-  (match Pipeline.plan ?source:plan_source ?engine case.Fuzz_gen.test with
+  (match Pipeline.plan ?source:plan_source case.Fuzz_gen.test with
   | exception e ->
       plan_failures :=
         [ { config = "plan"; reason = "crash: " ^ Printexc.to_string e } ]
@@ -164,14 +153,14 @@ let run_case ?(extra = []) ?plan_source ?engine ?(traced_config = false)
           (Plan_check.check ~program:case.Fuzz_gen.test plan);
       let nbits = max plan.Pipeline.rewrite.Rewrite.nbits 1 in
       push
-        (run_config ?engine ~program ~name:"halo-noalloc" (fun vmem ->
+        (run_config ~program ~name:"halo-noalloc" (fun vmem ->
              {
                alloc = Jemalloc_sim.create vmem;
                patches = plan.Pipeline.rewrite.Rewrite.patches;
                env = Some (Exec_env.create ~group_bits:nbits ());
              }));
       push
-        (run_config ?engine ~program ~name:"halo" (fun vmem ->
+        (run_config ~program ~name:"halo" (fun vmem ->
              let fallback = Jemalloc_sim.create vmem in
              let rt = Pipeline.instantiate plan ~fallback vmem in
              {

@@ -49,8 +49,6 @@ type result = {
 val run_case :
   ?extra:(string * (Vmem.t -> Alloc_iface.t)) list ->
   ?plan_source:Pipeline.plan_source ->
-  ?engine:Engine.kind ->
-  ?traced_config:bool ->
   Fuzz_gen.case ->
   result
 (** Deterministic: equal cases yield equal results. Never raises on
@@ -58,12 +56,4 @@ val run_case :
     allocator [Failure]s, pipeline exceptions) become failures.
     [plan_source] (the persistent store's plan cache) answers the HALO
     plan call — generated programs are cache-keyed like any other, so a
-    re-run campaign skips re-profiling unchanged cases. [engine]
-    (default [Interp]) selects the execution engine for every
-    configuration, including the reference — engines are
-    behaviour-identical, so the oracle's invariants are engine-blind.
-    [traced_config] (default [false], to preserve the golden corpus's
-    6-config shape) adds a ["traced"] configuration: the reference
-    allocator executed by the fused-trace engine, diffed against the
-    interpreter-run reference like any other config — the differential
-    harness doubles as the trace engine's oracle. *)
+    re-run campaign skips re-profiling unchanged cases. *)

@@ -30,7 +30,7 @@ type result = {
 let depth_sample = 64
 let series_sample = 4096
 
-let profile ?obs ?(engine = Engine.Interp) ?(config = default_config) program =
+let profile ?obs ?(config = default_config) program =
   (* One count per full-instrumentation run: the plan cache's "a warmed
      cache re-profiles nothing" guarantee is asserted against it. *)
   Obs.count obs "profile.runs" 1;
@@ -121,14 +121,12 @@ let profile ?obs ?(engine = Engine.Interp) ?(config = default_config) program =
         (fun addr -> ignore (Heap_model.on_free heap ~addr : Heap_model.obj option));
     }
   in
-  let interp =
-    Engine.create ~kind:engine ~seed:config.seed ~hooks ?obs ~program ~alloc ()
-  in
+  let interp = Interp.create ~seed:config.seed ~hooks ?obs ~program ~alloc () in
   Obs.span obs "profile"
     ~attrs:[ ("stage", Json.String "profile") ]
-    ~instructions:(fun () -> Engine.instructions interp)
+    ~instructions:(fun () -> Interp.instructions interp)
     (fun () ->
-      ignore (Engine.run interp : int);
+      ignore (Interp.run interp : int);
       Obs.add_attrs obs
         [
           ("tracked_allocs", Json.Int !tracked_allocs);
@@ -156,5 +154,5 @@ let profile ?obs ?(engine = Engine.Interp) ?(config = default_config) program =
     contexts;
     total_accesses = Affinity_queue.accesses queue;
     tracked_allocs = !tracked_allocs;
-    instructions = Engine.instructions interp;
+    instructions = Interp.instructions interp;
   }

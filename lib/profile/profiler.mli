@@ -42,13 +42,8 @@ type result = {
   instructions : int;  (** Instructions retired by the profiling run. *)
 }
 
-val profile :
-  ?obs:Obs.t -> ?engine:Engine.kind -> ?config:config -> Ir.program -> result
-(** Profile one complete run of the program. [engine] picks the
-    execution engine for the profiling run (default [Interp]; [Traced]
-    is bit-identical and faster, [Selfcheck] cross-checks). It is a
-    per-call knob, not a [config] field, so stored profile configs and
-    their codec stay unchanged. [obs] opens the [profile] and
+val profile : ?obs:Obs.t -> ?config:config -> Ir.program -> result
+(** Profile one complete run of the program. [obs] opens the [profile] and
     [affinity-graph] spans, threads telemetry into the interpreter, and
     samples the [profile.affinity_queue.depth] histogram (every 64 macro
     accesses) plus a trace series point every 4096; omitted, the profiling

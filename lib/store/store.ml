@@ -728,10 +728,20 @@ let handle_profile_line st ~line tag j =
    binary cursors. [Wire.Error] is mapped to [Malformed] by the payload
    walkers below. *)
 
-let rlen_nonneg ~line n = if n < 0 then fail line "negative length" else n
+(* A decoded element count. Every element takes at least one byte, so a
+   count beyond the frame's remaining bytes is rejected before anything
+   is allocated for it. *)
+let read_len ~line d =
+  let n = Wire.read_varint d in
+  if n < 0 then fail line "negative length"
+  else if n > Wire.remaining d then
+    fail line
+      (Printf.sprintf "length %d exceeds the %d bytes left in the record" n
+         (Wire.remaining d))
+  else n
 
 let rint_list ~line d =
-  let n = rlen_nonneg ~line (Wire.read_varint d) in
+  let n = read_len ~line d in
   let rec go i acc =
     if i = n then List.rev acc else go (i + 1) (Wire.read_varint d :: acc)
   in
@@ -753,7 +763,7 @@ let handle_profile_record st ~line tag d =
   end
   else if tag = tag_ctx then begin
     let id = Wire.read_varint d in
-    let n = rlen_nonneg ~line (Wire.read_varint d) in
+    let n = read_len ~line d in
     let sites = Array.make n 0 in
     for i = 0 to n - 1 do
       sites.(i) <- Wire.read_varint d
@@ -1531,9 +1541,7 @@ let read_plan ?obs ?expect_program ?expect_config path =
                       else if tag = tag_grouping then begin
                         if !grouping <> None then
                           fail line "duplicate grouping record";
-                        let ngroups =
-                          rlen_nonneg ~line (Wire.read_varint d)
-                        in
+                        let ngroups = read_len ~line d in
                         let groups = Array.make ngroups [] in
                         for i = 0 to ngroups - 1 do
                           groups.(i) <- rint_list ~line d
@@ -1557,7 +1565,7 @@ let read_plan ?obs ?expect_program ?expect_config path =
                       end
                       else if tag = tag_selector then begin
                         let group = Wire.read_varint d in
-                        let n = rlen_nonneg ~line (Wire.read_varint d) in
+                        let n = read_len ~line d in
                         let rec disjuncts i acc =
                           if i = n then List.rev acc
                           else disjuncts (i + 1) (rint_list ~line d :: acc)
@@ -1570,7 +1578,7 @@ let read_plan ?obs ?expect_program ?expect_config path =
                         if !rewrite <> None then
                           fail line "duplicate rewrite record";
                         let nbits = Wire.read_varint d in
-                        let np = rlen_nonneg ~line (Wire.read_varint d) in
+                        let np = read_len ~line d in
                         let rec patches i acc =
                           if i = np then List.rev acc
                           else
@@ -1579,12 +1587,12 @@ let read_plan ?obs ?expect_program ?expect_config path =
                             patches (i + 1) ((site, bit) :: acc)
                         in
                         let patches = patches 0 [] in
-                        let ns = rlen_nonneg ~line (Wire.read_varint d) in
+                        let ns = read_len ~line d in
                         let rec compiled i acc =
                           if i = ns then List.rev acc
                           else begin
                             let group = Wire.read_varint d in
-                            let nc = rlen_nonneg ~line (Wire.read_varint d) in
+                            let nc = read_len ~line d in
                             let rec conjs k acc =
                               if k = nc then List.rev acc
                               else conjs (k + 1) (rint_list ~line d :: acc)

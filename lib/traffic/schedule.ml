@@ -101,13 +101,36 @@ let drifting ?workloads ?(ticks_per_phase = 1) ?(rate = 100.0) ~phases ~drift ()
 (* Validation                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let validate_curve what = function
+let ( let* ) = Result.bind
+
+(* Rates lower to integer job counts through [int_of_float]. NaN and
+   infinities lower to nothing meaningful, and past 2^53 a float no
+   longer holds every integer, so such values are rejected up front. *)
+let max_value = 0x1p53
+
+let validate_value what v =
+  if Float.is_nan v || Float.abs v > max_value then
+    Error (Printf.sprintf "%s: %g is not finite or exceeds 2^53" what v)
+  else Ok ()
+
+(* Linear and exp curves are monotone, so an endpoint is the peak. *)
+let peak = function
+  | Const v -> v
+  | Linear { from_; to_ } | Exp { from_; to_ } -> Float.max from_ to_
+
+let validate_curve what c =
+  let* () =
+    match c with
+    | Const v -> validate_value what v
+    | Linear { from_; to_ } | Exp { from_; to_ } ->
+        let* () = validate_value what from_ in
+        validate_value what to_
+  in
+  match c with
   | Const v when v < 0.0 -> Error (Printf.sprintf "%s: negative constant" what)
   | Exp { from_; to_ } when from_ <= 0.0 || to_ <= 0.0 ->
       Error (Printf.sprintf "%s: exp endpoints must be positive" what)
   | _ -> Ok ()
-
-let ( let* ) = Result.bind
 
 let validate_phase i p =
   let where what = Printf.sprintf "phase %d (%s): %s" i p.p_label what in
@@ -124,7 +147,9 @@ let validate_phase i p =
         if b.period <= 0 || b.width <= 0 || b.width > b.period then
           Error (where "burst needs 0 < width <= period")
         else if b.gain < 0.0 then Error (where "burst gain must be >= 0")
-        else Ok ()
+        else
+          Result.map_error where
+            (validate_value "burst rate" (peak p.p_rate *. b.gain))
   in
   let* () =
     let names = List.map (fun t -> t.t_name) p.p_tenants in
@@ -432,18 +457,15 @@ let of_spec text =
         in
         match tokens with
         | [] -> Ok acc
-        | "phase" :: rest ->
+        | (("phase" | "pause") as directive) :: rest ->
             let* p =
               Result.map_error
                 (Printf.sprintf "line %d: %s" lineno)
-                (parse_phase_line ~pause_only:false rest)
-            in
-            Ok (p :: acc)
-        | "pause" :: rest ->
-            let* p =
-              Result.map_error
-                (Printf.sprintf "line %d: %s" lineno)
-                (parse_phase_line ~pause_only:true rest)
+                (let* p =
+                   parse_phase_line ~pause_only:(directive = "pause") rest
+                 in
+                 let* () = validate_phase (List.length acc) p in
+                 Ok p)
             in
             Ok (p :: acc)
         | tok :: _ ->
@@ -452,9 +474,7 @@ let of_spec text =
       (Ok [])
       (List.mapi (fun i l -> (i + 1, l)) lines)
   in
-  let s = List.rev phases in
-  let* () = validate s in
-  Ok s
+  Ok (List.rev phases)
 
 let to_spec s =
   let buf = Buffer.create 256 in

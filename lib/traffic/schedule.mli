@@ -97,9 +97,10 @@ type event = {
 }
 
 val validate : t -> (unit, string) result
-(** Checks phase ticks are positive, burst fields sane, [Exp] endpoints
-    positive, tenant names unique within a phase, and every tenant's
-    workload resolvable via {!Workloads.lookup}. *)
+(** Checks phase ticks are positive, burst fields sane, curve values
+    finite and at most 2^53 (a burst's peak rate included), [Exp]
+    endpoints positive, tenant names unique within a phase, and every
+    tenant's workload resolvable via {!Workloads.lookup}. *)
 
 val events : seed:int -> t -> event list
 (** Lower the schedule to its deterministic event stream. Within a tick,
@@ -123,7 +124,8 @@ val digest : event list -> string
     [workload\[@name\]\[:curve\]]; bursts are [period:width:gain]. *)
 
 val of_spec : string -> (t, string) result
-(** Parse and {!validate}; errors carry the offending line number. *)
+(** Parse and {!validate} each phase as it is read; every error carries
+    the offending line number. *)
 
 val to_spec : t -> string
 (** Render back to the text format ([of_spec (to_spec s)] re-reads to an

@@ -4,7 +4,6 @@ type config = {
   window : int;
   scale : Workload.scale;
   pipeline : Pipeline.config;
-  engine : Engine.kind;
 }
 
 let default_config =
@@ -14,7 +13,6 @@ let default_config =
     window = 4;
     scale = Workload.Test;
     pipeline = Pipeline.default_config;
-    engine = Engine.Interp;
   }
 
 type tenant_stats = {
@@ -177,8 +175,7 @@ let run ?obs ?(config = default_config) ~seed sched =
           let w, _ = program_for name in
           let pconfig = workload_pipeline_config config.pipeline w in
           let plan =
-            Pipeline.plan ?obs ~engine:config.engine ~config:pconfig
-              (w.Workload.make Workload.Test)
+            Pipeline.plan ?obs ~config:pconfig (w.Workload.make Workload.Test)
           in
           incr profile_runs;
           profile_accesses :=
@@ -223,18 +220,18 @@ let run ?obs ?(config = default_config) ~seed sched =
           let interp =
             match plan with
             | Some (rt, _) ->
-                Engine.create ~kind:config.engine ~seed:e.Schedule.ev_seed
-                  ~hooks ~patches:rt.Pipeline.patches ~env:rt.Pipeline.env ?obs
+                Interp.create ~seed:e.Schedule.ev_seed ~hooks
+                  ~patches:rt.Pipeline.patches ~env:rt.Pipeline.env ?obs
                   ~program
                   ~alloc:(Group_alloc.iface rt.Pipeline.galloc)
                   ()
             | None ->
-                Engine.create ~kind:config.engine ~seed:e.Schedule.ev_seed
-                  ~hooks ~patches:[] ?obs ~program ~alloc:fallback ()
+                Interp.create ~seed:e.Schedule.ev_seed ~hooks ~patches:[] ?obs
+                  ~program ~alloc:fallback ()
           in
-          ignore (Engine.run interp : int);
+          ignore (Interp.run interp : int);
           let after = Hierarchy.counters hier in
-          let d_instr = Engine.instructions interp in
+          let d_instr = Interp.instructions interp in
           let d_acc = after.Hierarchy.accesses - before.Hierarchy.accesses in
           let d_l1 = after.Hierarchy.l1_misses - before.Hierarchy.l1_misses in
           incr jobs;

@@ -34,10 +34,6 @@ type config = {
           that vote on the hot set. *)
   scale : Workload.scale;  (** Job program scale. *)
   pipeline : Pipeline.config;
-  engine : Engine.kind;
-      (** Execution engine running every job (and, via the pipeline,
-          profiling). Engines are observably identical, so the traffic
-          digests and counters do not depend on this knob. *)
 }
 
 val default_config : config

@@ -37,9 +37,6 @@ let split ?label t =
          reordering. The same label twice yields the same stream. *)
       { state = mix64 (Int64.logxor t.state (hash_label label)) }
 
-let save t = t.state
-let restore t state = t.state <- state
-
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Rejection-free modulo is fine here: bounds are tiny relative to 2^62 so

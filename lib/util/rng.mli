@@ -27,14 +27,6 @@ val split : ?label:string -> t -> t
 val next : t -> int64
 (** Next raw 64-bit output. *)
 
-val save : t -> int64
-(** Opaque snapshot of the generator state. *)
-
-val restore : t -> int64 -> unit
-(** [restore t (save t)] rewinds [t] so it replays exactly the draws made
-    since the snapshot. Used by the trace engine's selfcheck mode to run a
-    region twice (shadow, then interpreter) over one random stream. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in \[0, bound). Raises [Invalid_argument] if
     [bound <= 0]. *)

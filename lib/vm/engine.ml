@@ -1,43 +1,9 @@
-type kind = Interp | Traced | Selfcheck
+type kind = Interp
+type t = Interp.t
 
-let to_string = function
-  | Interp -> "interp"
-  | Traced -> "traced"
-  | Selfcheck -> "selfcheck"
+let create ?kind:(_ : kind option) ?seed ?hooks ?patches ?env ?memcheck ?obs
+    ~program ~alloc () =
+  Interp.create ?seed ?hooks ?patches ?env ?memcheck ?obs ~program ~alloc ()
 
-let of_string = function
-  | "interp" -> Some Interp
-  | "traced" -> Some Traced
-  | "selfcheck" -> Some Selfcheck
-  | _ -> None
-
-let all = [ Interp; Traced; Selfcheck ]
-
-type t = I of Interp.t | T of Trace_compile.t
-
-let create ?(kind = Interp) ?threshold ?seed ?hooks ?patches ?env ?memcheck
-    ?obs ~program ~alloc () =
-  match kind with
-  | Interp ->
-      I (Interp.create ?seed ?hooks ?patches ?env ?memcheck ?obs ~program
-           ~alloc ())
-  | Traced ->
-      T
-        (Trace_compile.create ~mode:Trace_compile.Fast ?threshold ?seed ?hooks
-           ?patches ?env ?memcheck ?obs ~program ~alloc ())
-  | Selfcheck ->
-      T
-        (Trace_compile.create ~mode:Trace_compile.Selfcheck ?threshold ?seed
-           ?hooks ?patches ?env ?memcheck ?obs ~program ~alloc ())
-
-let run = function I t -> Interp.run t | T t -> Trace_compile.run t
-
-let instructions = function
-  | I t -> Interp.instructions t
-  | T t -> Trace_compile.instructions t
-
-let env = function I t -> Interp.env t | T t -> Trace_compile.env t
-
-let load_store_counts = function
-  | I t -> Interp.load_store_counts t
-  | T t -> Trace_compile.load_store_counts t
+let run = Interp.run
+let instructions = Interp.instructions

@@ -1,33 +1,13 @@
-(** Execution-engine selection.
+(** Compatibility shim over {!Interp}, kept only for the benchmark
+    directory ([halobench/]), which calls [Engine.create ~kind:Interp],
+    [Engine.run] and [Engine.instructions]. {!Interp} is the only
+    execution engine; everything else calls it directly. *)
 
-    Uniform front door over the two execution engines so that every
-    consumer (runner, profiler, fuzz oracle, traffic generator, CLI)
-    takes one [kind] knob instead of hard-wiring {!Interp}:
-
-    - [Interp]: the baseline closure-threaded interpreter;
-    - [Traced]: {!Trace_compile} in [Fast] mode — hot regions fused;
-    - [Selfcheck]: {!Trace_compile} in [Selfcheck] mode — every fused
-      region cross-checked against the interpreter, raising
-      {!Trace_compile.Divergence} on the first disagreement.
-
-    All three produce bit-identical program results, counters, and heap
-    contents; they differ only in speed (and [Selfcheck]'s oracle
-    raises). *)
-
-type kind = Interp | Traced | Selfcheck
-
-val to_string : kind -> string
-
-val of_string : string -> kind option
-(** Parses ["interp" | "traced" | "selfcheck"]. *)
-
-val all : kind list
-
+type kind = Interp
 type t
 
 val create :
   ?kind:kind ->
-  ?threshold:int ->
   ?seed:int ->
   ?hooks:Interp.hooks ->
   ?patches:(Ir.site * int) list ->
@@ -38,11 +18,7 @@ val create :
   alloc:Alloc_iface.t ->
   unit ->
   t
-(** Same contract as {!Interp.create} (the default [kind]).
-    [threshold] is {!Trace_compile}'s promotion threshold and is ignored
-    by the [Interp] engine. *)
+(** {!Interp.create}; [kind] is ignored. *)
 
 val run : t -> int
 val instructions : t -> int
-val env : t -> Exec_env.t
-val load_store_counts : t -> int * int

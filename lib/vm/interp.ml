@@ -393,10 +393,7 @@ let compile_func rt c_globals patches cfuncs (f : Ir.func) =
       0
     with Ret v -> v
 
-(* Shared with the trace engine: validate patches, number globals, and
-   build the runtime state. Returns the patch and global tables so a
-   second compiler can build [compile_ctx]s against the same [rt]. *)
-let make_rt ?(seed = 1) ?(hooks = no_hooks) ?(patches = []) ?env ?memcheck ?obs
+let create ?(seed = 1) ?(hooks = no_hooks) ?(patches = []) ?env ?memcheck ?obs
     ~program ~alloc () =
   let env = match env with Some e -> e | None -> Exec_env.create () in
   let patch_tbl = Hashtbl.create 16 in
@@ -454,26 +451,16 @@ let make_rt ?(seed = 1) ?(hooks = no_hooks) ?(patches = []) ?env ?memcheck ?obs
       stores = 0;
     }
   in
-  (rt, patch_tbl, c_globals)
-
-let check_main program =
-  let main_name = Ir.main program in
-  (match Ir.find_func program main_name with
-  | Some f when f.Ir.params <> [] ->
-      invalid_arg "Interp.create: main must take no parameters"
-  | _ -> ());
-  main_name
-
-let create ?seed ?hooks ?patches ?env ?memcheck ?obs ~program ~alloc () =
-  let rt, patch_tbl, c_globals =
-    make_rt ?seed ?hooks ?patches ?env ?memcheck ?obs ~program ~alloc ()
-  in
   let cfuncs = Hashtbl.create 64 in
   List.iter
     (fun f ->
       Hashtbl.replace cfuncs f.Ir.fname (compile_func rt c_globals patch_tbl cfuncs f))
     (Ir.funcs program);
-  let main_name = check_main program in
+  let main_name = Ir.main program in
+  (match Ir.find_func program main_name with
+  | Some f when f.Ir.params <> [] ->
+      invalid_arg "Interp.create: main must take no parameters"
+  | _ -> ());
   let main () = (Hashtbl.find cfuncs main_name) [||] in
   { rt; main; ran = false }
 

@@ -74,100 +74,3 @@ val load_store_counts : t -> int * int
     (one per [Load]/[Store] statement retired, regardless of the access
     width in bytes). Drives the hot-path throughput benchmark and test
     sanity checks. *)
-
-(** {2 Engine seam}
-
-    The pieces below are the compiler's internals, exposed so that
-    {!Trace_compile} can build a second execution engine over the same
-    runtime state and delegate every statement it does not fuse to the
-    exact closures the interpreter would have run. They are not a stable
-    API for anything else. *)
-
-val cost_malloc : int
-val cost_free : int
-val cost_realloc : int
-val cost_call : int
-(** Instruction surcharges of the timing model (identical across
-    engines and configurations by construction). *)
-
-(** Pre-resolved metric handles; [None] disables the instrumented
-    closures entirely. *)
-type rt_obs = {
-  h_shadow_depth : Metrics.histogram;
-  m_calls : Metrics.counter;
-  m_allocs : Metrics.counter;
-}
-
-(** The mutable machine state every compiled closure runs against. *)
-type rt = {
-  alloc : Alloc_iface.t;
-  hooks : hooks;
-  memcheck : Vmem.t option;
-  env : Exec_env.t;
-  shadow : Shadow_stack.t;
-  mem : Paged_mem.t;
-  rng : Rng.t;
-  patch_depth : int array;
-  globals : int array;
-  obs : rt_obs option;
-  mutable instructions : int;
-  mutable loads : int;
-  mutable stores : int;
-}
-
-exception Ret of int
-(** Raised by compiled [Return] statements; caught by function wrappers. *)
-
-(** Per-function compilation context: slot numbering for locals, the
-    program-wide global numbering and patch table, and the table of
-    compiled functions for call resolution. *)
-type compile_ctx = {
-  c_rt : rt;
-  locals : (string, int) Hashtbl.t;
-  c_globals : (string, int) Hashtbl.t;
-  patches : (Ir.site, int) Hashtbl.t;
-  cfuncs : (string, int array -> int) Hashtbl.t;
-  fname : string;
-  nslots : int ref;
-}
-
-val local_slot : compile_ctx -> string -> int
-(** Slot of a local, allocating a fresh slot on first sight. *)
-
-val local_slot_read : compile_ctx -> string -> int
-(** Slot of a local that must already exist (reads). *)
-
-val global_slot : compile_ctx -> string -> int
-(** Slot of a global collected by {!make_rt}. *)
-
-val bit_of_site : compile_ctx -> Ir.site -> int option
-(** The patch bit attached to a site, if any. *)
-
-val prescan_stmt : compile_ctx -> Ir.stmt -> unit
-(** Assign slots for every lvalue in a statement tree (run over a whole
-    body before compiling, so loop-carried reads resolve). *)
-
-val compile_expr : compile_ctx -> Ir.expr -> int array -> int
-val compile_stmt : compile_ctx -> Ir.stmt -> int array -> unit
-val compile_block : compile_ctx -> Ir.stmt list -> int array -> unit
-(** The interpreter's own statement/expression compilers — the baseline
-    closures that fused traces deoptimise back into. *)
-
-val make_rt :
-  ?seed:int ->
-  ?hooks:hooks ->
-  ?patches:(Ir.site * int) list ->
-  ?env:Exec_env.t ->
-  ?memcheck:Vmem.t ->
-  ?obs:Obs.t ->
-  program:Ir.program ->
-  alloc:Alloc_iface.t ->
-  unit ->
-  rt * (Ir.site, int) Hashtbl.t * (string, int) Hashtbl.t
-(** Validate patches, number the program's globals, and build the
-    runtime state. Returns [(rt, patch_table, global_table)]; the same
-    construction {!create} performs before compiling. *)
-
-val check_main : Ir.program -> string
-(** Validate that the entry function takes no parameters and return its
-    name. *)

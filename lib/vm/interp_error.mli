@@ -1,4 +1,4 @@
-(** Typed runtime errors raised by the execution engines.
+(** Typed runtime errors raised by the interpreter.
 
     Replaces the interpreter's historical [Failure "Interp: ..."] strings
     with a structured exception carrying the function being executed and,

@@ -667,6 +667,69 @@ let reject_v2_version_skew () =
   | e -> Alcotest.fail ("wanted Version_skew, got " ^ Store.error_to_string e));
   Sys.remove path
 
+(* Rebuild a v2 artifact with the first ctx record's site count replaced
+   by [count n], re-framing it and recomputing the trailer so the
+   checksum is valid: only the decoder's own bounds stand between the
+   claimed count and an allocation of that size. *)
+let forge_ctx_count data count =
+  let hlen = u32_at data 9 in
+  let start = 13 + hlen in
+  let rec frames pos acc =
+    let len = u32_at data pos in
+    if len = 0 then List.rev acc
+    else frames (pos + 4 + len) (String.sub data (pos + 4) len :: acc)
+  in
+  let forged = ref false in
+  let forge p =
+    if !forged || Char.code p.[0] <> 0x02 then p
+    else begin
+      forged := true;
+      let d = Wire.dec ~pos:1 p in
+      ignore (Wire.read_varint d : int);
+      let id_end = Wire.pos d in
+      let n = Wire.read_varint d in
+      let rest = Wire.pos d in
+      let b = Buffer.create (String.length p + 8) in
+      Buffer.add_string b (String.sub p 0 id_end);
+      Wire.varint b (count n);
+      Buffer.add_string b (String.sub p rest (String.length p - rest));
+      Buffer.contents b
+    end
+  in
+  let payloads = List.map forge (frames start []) in
+  checkb "found a ctx record" true !forged;
+  let b = Buffer.create (String.length data) in
+  Buffer.add_string b (String.sub data 0 start);
+  let h = ref fnv_offset in
+  List.iter
+    (fun p ->
+      let f = Buffer.create (4 + String.length p) in
+      Wire.u32 f (String.length p);
+      Buffer.add_string f p;
+      let f = Buffer.contents f in
+      h := fnv_sub !h f 0 (String.length f);
+      Buffer.add_string b f)
+    payloads;
+  Wire.u32 b 0;
+  Wire.varint b (List.length payloads);
+  Wire.i64 b !h;
+  Buffer.contents b
+
+let reject_v2_oversized_count () =
+  let path = recorded_v2 () in
+  let data = read_file path in
+  (* The re-framing itself is faithful: an unchanged count still reads. *)
+  write_file path (forge_ctx_count data Fun.id);
+  ignore (ok (Store.read_profile path) : Store.profile_artifact);
+  List.iter
+    (fun n ->
+      write_file path (forge_ctx_count data (fun _ -> n));
+      match err "ctx claims more sites than bytes" (Store.read_profile path) with
+      | Store.Malformed _ -> ()
+      | e -> Alcotest.fail ("wanted Malformed, got " ^ Store.error_to_string e))
+    [ 1 lsl 40; max_int ];
+  Sys.remove path
+
 (* ---------------- migration ---------------- *)
 
 let migrate_profile_bit_equivalence () =
@@ -1107,6 +1170,7 @@ let suite =
     tc "v2 rejects truncation" reject_v2_truncated;
     tc "v2 rejects checksum mismatch" reject_v2_bad_checksum;
     tc "v2 rejects version skew" reject_v2_version_skew;
+    tc "v2 rejects a count beyond the record" reject_v2_oversized_count;
     tc "migrate: profile bit-equivalence" migrate_profile_bit_equivalence;
     tc "migrate: plan bit-equivalence" migrate_plan_bit_equivalence;
     slow "sharded merge is byte-identical at any jobs" sharded_merge_byte_identity;

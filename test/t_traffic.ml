@@ -243,18 +243,32 @@ let spec_parses_golden () =
       checks "spec and combinators agree" golden_digest
         (Schedule.digest (Schedule.events ~seed:1 s))
 
+let spec_error spec =
+  match Schedule.of_spec spec with
+  | Ok _ -> Alcotest.fail ("accepted bad spec: " ^ spec)
+  | Error e -> e
+
 let spec_errors_located () =
-  let err spec =
-    match Schedule.of_spec spec with
-    | Ok _ -> Alcotest.fail ("accepted bad spec: " ^ spec)
-    | Error e -> e
-  in
   checkb "unknown directive carries its line" true
-    (contains (err "phase p ticks=2 rate=1 tenants=health\njunk here") "line 2");
-  checkb "bad curve reported" true (contains (err "phase p ticks=2 rate=wat tenants=health") "line 1");
-  checkb "missing key reported" true (contains (err "phase p rate=1 tenants=health") "line 1");
+    (contains (spec_error "phase p ticks=2 rate=1 tenants=health\njunk here") "line 2");
+  checkb "bad curve reported" true (contains (spec_error "phase p ticks=2 rate=wat tenants=health") "line 1");
+  checkb "missing key reported" true (contains (spec_error "phase p rate=1 tenants=health") "line 1");
   checkb "validation failures surface" true
-    (contains (err "phase p ticks=2 rate=1 tenants=nosuch") "nosuch")
+    (contains (spec_error "phase p ticks=2 rate=1 tenants=nosuch") "nosuch");
+  checkb "validation failures carry their line" true
+    (contains (spec_error "pause q ticks=1\nphase p ticks=2 rate=1 tenants=nosuch") "line 2")
+
+(* A rate that lowers to no integer count must not pass as an empty
+   stream. *)
+let spec_rejects_unlowerable_rates () =
+  List.iter
+    (fun rate ->
+      let spec = "phase p ticks=2 rate=" ^ rate ^ " tenants=health" in
+      checkb ("rate=" ^ rate ^ " rejected on its line") true
+        (contains (spec_error spec) "line 1"))
+    [ "nan"; "inf"; "1e30" ];
+  checkb "burst peak beyond 2^53 rejected" true
+    (contains (spec_error "phase p ticks=2 rate=1e10 burst=2:1:1e10 tenants=health") "line 1")
 
 (* ---------------- drifting shape ---------------- *)
 
@@ -389,6 +403,7 @@ let suite =
     tc "spec: golden round-trips through to_spec" spec_roundtrip;
     tc "spec: text and combinators agree" spec_parses_golden;
     tc "spec: errors carry line numbers" spec_errors_located;
+    tc "spec: non-finite or huge rates rejected" spec_rejects_unlowerable_rates;
     tc "drifting: rotation is error-diffused" drifting_rotation_is_error_diffused;
     tc "mix: executor invariants" mix_executor_invariants;
     tc "mix: execution digest reproducible" mix_executor_deterministic;

@@ -118,6 +118,23 @@ let interp_div_by_zero () =
      | Interp_error.Error { fname = "main"; cause = Division_by_zero; _ } ->
          true)
 
+let interp_calloc_overflow () =
+  checkb "typed error" true
+    (try
+       ignore (run_main [ calloc "z" (i max_int) (i 8); return_ (i 0) ]);
+       false
+     with
+     | Interp_error.Error { fname = "main"; cause = Calloc_overflow _; _ } ->
+         true)
+
+let interp_rand_bound () =
+  checkb "typed error" true
+    (try
+       ignore (run_main [ let_ "r" (rand (i 0)); return_ (v "r") ]);
+       false
+     with
+     | Interp_error.Error { fname = "main"; cause = Rand_bound 0; _ } -> true)
+
 let interp_if () =
   checki "then" 1 (run_main [ if_ (i 1) [ return_ (i 1) ] [ return_ (i 2) ] ]);
   checki "else" 2 (run_main [ if_ (i 0) [ return_ (i 1) ] [ return_ (i 2) ] ])
@@ -703,6 +720,8 @@ let suite =
     tc "ir: alloc sites listed" ir_alloc_sites;
     tc "interp: arithmetic" interp_arith;
     tc "interp: division by zero crashes" interp_div_by_zero;
+    tc "interp: calloc overflow is a typed error" interp_calloc_overflow;
+    tc "interp: rand bound 0 is a typed error" interp_rand_bound;
     tc "interp: if/else" interp_if;
     tc "interp: counted loop" interp_while_loop;
     tc "interp: call, args, return" interp_call_args_return;

@@ -15,7 +15,6 @@ let () =
       ("alloc", T_alloc.suite);
       ("cachesim", T_cachesim.suite);
       ("vm", T_vm.suite);
-      ("trace", T_trace.suite);
       ("profile", T_profile.suite);
       ("core", T_core.suite);
       ("store", T_store.suite);
