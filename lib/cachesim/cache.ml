@@ -11,22 +11,27 @@ type t = {
   assoc : int;
   (* tags.(set * assoc + way); recency.(set * assoc + way) — larger is more
      recently used. A global stamp gives O(assoc) LRU with no list
-     shuffling. *)
+     shuffling. Tags come from [lsr] with [line_bits >= 1], so they are
+     never negative and [-1] marks an invalid way. *)
   tags : int array;
   recency : int array;
-  valid : bool array;
+  (* Line number of the last access or fill, [-1] before one or after a
+     flush. That line is resident and holds the newest stamp, so repeating
+     it is a hit that may skip the stamp bump: stamps are only compared
+     within a set, and leaving the newest one in place keeps every
+     relative order. *)
+  mutable last_line : int;
   mutable stamp : int;
   mutable hits : int;
   mutable misses : int;
 }
 
-let log2_exact n =
-  if not (Addr.is_power_of_two n) then invalid_arg "Cache: not a power of two";
-  let rec go acc n = if n = 1 then acc else go (acc + 1) (n lsr 1) in
-  go 0 n
+let invalid = -1
 
 let create ~name ~size_bytes ~assoc ~line_bytes =
   if assoc <= 0 then invalid_arg "Cache.create: non-positive associativity";
+  if line_bytes < 2 || not (Addr.is_power_of_two line_bytes) then
+    invalid_arg "Cache.create: line size must be a power of two >= 2";
   if size_bytes mod (assoc * line_bytes) <> 0 then
     invalid_arg "Cache.create: size not divisible by assoc * line";
   let sets = size_bytes / (assoc * line_bytes) in
@@ -35,96 +40,86 @@ let create ~name ~size_bytes ~assoc ~line_bytes =
   {
     name;
     line_bytes;
-    line_bits = log2_exact line_bytes;
+    line_bits = Addr.log2 line_bytes;
     sets;
-    set_bits = (if pow2 then log2_exact sets else 0);
+    set_bits = (if pow2 then Addr.log2 sets else 0);
     set_mask = (if pow2 then sets - 1 else -1);
     assoc;
-    tags = Array.make (sets * assoc) 0;
+    tags = Array.make (sets * assoc) invalid;
     recency = Array.make (sets * assoc) 0;
-    valid = Array.make (sets * assoc) false;
+    last_line = invalid;
     stamp = 0;
     hits = 0;
     misses = 0;
   }
 
-let access t addr =
-  let line = addr lsr t.line_bits in
-  let set = if t.set_mask >= 0 then line land t.set_mask else line mod t.sets in
-  let tag = if t.set_mask >= 0 then line lsr t.set_bits else line / t.sets in
-  let base = set * t.assoc in
-  t.stamp <- t.stamp + 1;
-  let found = ref (-1) in
-  let victim = ref base in
-  let oldest = ref max_int in
-  for w = base to base + t.assoc - 1 do
-    if !found < 0 then begin
-      if t.valid.(w) && t.tags.(w) = tag then found := w
-      else if (not t.valid.(w)) && !oldest > min_int then begin
-        (* Prefer an invalid way as the victim. *)
-        victim := w;
-        oldest := min_int
-      end
-      else if t.valid.(w) && t.recency.(w) < !oldest then begin
-        victim := w;
-        oldest := t.recency.(w)
-      end
+let set_of t line = if t.set_mask >= 0 then line land t.set_mask else line mod t.sets
+let tag_of t line = if t.set_mask >= 0 then line lsr t.set_bits else line / t.sets
+
+(* The way in [base, stop) holding [tag], or -1. *)
+let rec find (tags : int array) (tag : int) w stop =
+  if w = stop then -1 else if Array.unsafe_get tags w = tag then w else find tags tag (w + 1) stop
+
+(* Replacement victim in [base, base + assoc): the first invalid way, else
+   the first way with the smallest stamp. *)
+let victim t base =
+  let v = ref base and oldest = ref max_int and w = ref base in
+  let stop = base + t.assoc in
+  while !w < stop do
+    if Array.unsafe_get t.tags !w = invalid then begin
+      v := !w;
+      w := stop
+    end
+    else begin
+      let r = Array.unsafe_get t.recency !w in
+      if r < !oldest then begin
+        v := !w;
+        oldest := r
+      end;
+      incr w
     end
   done;
-  if !found >= 0 then begin
-    t.recency.(!found) <- t.stamp;
+  !v
+
+(* Look up [line], making it most recently used; [true] on hit. *)
+let touch t line =
+  t.last_line <- line;
+  let tag = tag_of t line in
+  let base = set_of t line * t.assoc in
+  t.stamp <- t.stamp + 1;
+  let w = find t.tags tag base (base + t.assoc) in
+  if w >= 0 then begin
+    Array.unsafe_set t.recency w t.stamp;
+    true
+  end
+  else begin
+    let v = victim t base in
+    Array.unsafe_set t.tags v tag;
+    Array.unsafe_set t.recency v t.stamp;
+    false
+  end
+
+let access t addr =
+  let line = addr lsr t.line_bits in
+  if line = t.last_line || touch t line then begin
     t.hits <- t.hits + 1;
     true
   end
   else begin
-    t.tags.(!victim) <- tag;
-    t.valid.(!victim) <- true;
-    t.recency.(!victim) <- t.stamp;
     t.misses <- t.misses + 1;
     false
   end
 
 let locate t addr =
   let line = addr lsr t.line_bits in
-  if t.set_mask >= 0 then (line land t.set_mask, line lsr t.set_bits)
-  else (line mod t.sets, line / t.sets)
+  (set_of t line, tag_of t line)
 
 let contains t addr =
   let set, tag = locate t addr in
   let base = set * t.assoc in
-  let rec go w =
-    if w >= base + t.assoc then false
-    else (t.valid.(w) && t.tags.(w) = tag) || go (w + 1)
-  in
-  go base
+  find t.tags tag base (base + t.assoc) >= 0
 
-let fill t addr =
-  let set, tag = locate t addr in
-  let base = set * t.assoc in
-  t.stamp <- t.stamp + 1;
-  let found = ref (-1) in
-  let victim = ref base in
-  let oldest = ref max_int in
-  for w = base to base + t.assoc - 1 do
-    if !found < 0 then begin
-      if t.valid.(w) && t.tags.(w) = tag then found := w
-      else if (not t.valid.(w)) && !oldest > min_int then begin
-        victim := w;
-        oldest := min_int
-      end
-      else if t.valid.(w) && t.recency.(w) < !oldest then begin
-        victim := w;
-        oldest := t.recency.(w)
-      end
-    end
-  done;
-  if !found >= 0 then t.recency.(!found) <- t.stamp
-  else begin
-    t.tags.(!victim) <- tag;
-    t.valid.(!victim) <- true;
-    t.recency.(!victim) <- t.stamp
-  end
-
+let fill t addr = ignore (touch t (addr lsr t.line_bits) : bool)
 let line_bytes t = t.line_bytes
 let sets t = t.sets
 let assoc t = t.assoc
@@ -137,7 +132,8 @@ let reset_counters t =
   t.misses <- 0
 
 let flush t =
-  Array.fill t.valid 0 (Array.length t.valid) false;
+  Array.fill t.tags 0 (Array.length t.tags) invalid;
+  t.last_line <- invalid;
   reset_counters t
 
 let name t = t.name

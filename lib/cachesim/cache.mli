@@ -12,7 +12,8 @@ type t
 
 val create : name:string -> size_bytes:int -> assoc:int -> line_bytes:int -> t
 (** [create ~name ~size_bytes ~assoc ~line_bytes]. [size_bytes] must be
-    divisible by [assoc * line_bytes] and [line_bytes] a power of two.
+    divisible by [assoc * line_bytes] and [line_bytes] a power of two of
+    at least 2; otherwise [Invalid_argument].
     When the resulting set count is itself a power of two (every level
     of the modelled Xeon except its 11-way L3), set/tag extraction on
     the per-access path is a precomputed mask and shift; other set

@@ -44,12 +44,16 @@ type t = {
   l3 : Cache.t;
   tlb : Tlb.t;
   obs : hobs option;
+  line_bits : int;
+  page_bits : int;
+  mutable last_page : int;  (* Page index ([asr]) last looked up; [min_int] before any. *)
   mutable accesses : int;
   mutable prefetches : int;
 }
 
 let create ?(config = xeon_w2195) ?obs ?(sample_every = 4096) () =
   if sample_every < 1 then invalid_arg "Hierarchy.create: sample_every must be >= 1";
+  let tlb = Tlb.create ~entries:config.tlb_entries ~assoc:config.tlb_assoc () in
   {
     cfg = config;
     obs =
@@ -65,7 +69,10 @@ let create ?(config = xeon_w2195) ?obs ?(sample_every = 4096) () =
     l3 =
       Cache.create ~name:"L3" ~size_bytes:config.l3_size ~assoc:config.l3_assoc
         ~line_bytes:config.line_bytes;
-    tlb = Tlb.create ~entries:config.tlb_entries ~assoc:config.tlb_assoc ();
+    tlb;
+    line_bits = Addr.log2 config.line_bytes;
+    page_bits = Addr.log2 (Tlb.page_bytes tlb);
+    last_page = min_int;
     accesses = 0;
     prefetches = 0;
   }
@@ -85,6 +92,8 @@ let emit_samples t ho =
 
 let access t addr size =
   if size <= 0 then invalid_arg "Hierarchy.access: non-positive size";
+  if addr > max_int - (size - 1) then
+    invalid_arg "Hierarchy.access: access wraps past max_int";
   t.accesses <- t.accesses + 1;
   (match t.obs with
   | None -> ()
@@ -94,32 +103,35 @@ let access t addr size =
         ho.until_sample <- ho.sample_every;
         emit_samples t ho
       end);
-  let line = t.cfg.line_bytes in
-  let first = Addr.align_down addr line in
-  let last = Addr.align_down (addr + size - 1) line in
-  let a = ref first in
-  while !a <= last do
-    if not (Cache.access t.l1 !a) then begin
-      if not (Cache.access t.l2 !a) then ignore (Cache.access t.l3 !a : bool);
+  (* Walk the covered lines and pages in address order with [asr], so an
+     access straddling address 0 visits the line below it first. *)
+  let fin = addr + size - 1 in
+  let lb = t.line_bits in
+  for i = addr asr lb to fin asr lb do
+    let a = i lsl lb in
+    if not (Cache.access t.l1 a) then begin
+      if not (Cache.access t.l2 a) then ignore (Cache.access t.l3 a : bool);
       if t.cfg.prefetch then begin
         (* Next-line prefetch: fill L1/L2 without charging a miss. *)
-        let nxt = !a + line in
+        let nxt = a + t.cfg.line_bytes in
         if not (Cache.contains t.l1 nxt) then begin
           Cache.fill t.l1 nxt;
           Cache.fill t.l2 nxt;
           t.prefetches <- t.prefetches + 1
         end
       end
-    end;
-    a := !a + line
+    end
   done;
-  let page = Tlb.page_bytes t.tlb in
-  let firstp = Addr.align_down addr page in
-  let lastp = Addr.align_down (addr + size - 1) page in
-  let p = ref firstp in
-  while !p <= lastp do
-    ignore (Tlb.access t.tlb !p : bool);
-    p := !p + page
+  (* Most accesses stay on the page the previous one ended on. Nothing
+     else touches this TLB, so that page is still its most recent entry
+     and looking it up again would change no counter the hierarchy
+     reports. *)
+  let pb = t.page_bits in
+  for i = addr asr pb to fin asr pb do
+    if i <> t.last_page then begin
+      t.last_page <- i;
+      ignore (Tlb.access t.tlb (i lsl pb) : bool)
+    end
   done
 
 let counters t =

@@ -51,7 +51,9 @@ val access : t -> Addr.t -> int -> unit
 (** [access t addr size] simulates one program-level load or store of
     [size] bytes at [addr]. Accesses that straddle line boundaries touch
     every covered line (and page, for the TLB). Misses propagate down the
-    hierarchy: an L1 miss probes L2, an L2 miss probes L3. *)
+    hierarchy: an L1 miss probes L2, an L2 miss probes L3. Raises
+    [Invalid_argument] if [size <= 0] or if the access would wrap past
+    [max_int] ([addr + size - 1 > max_int]); neither is counted. *)
 
 val counters : t -> counters
 val reset_counters : t -> unit

@@ -1,6 +1,7 @@
 type t = { cache : Cache.t; page_bytes : int }
 
 let create ?(entries = 64) ?(assoc = 4) ?(page_bytes = 4096) () =
+  if assoc <= 0 then invalid_arg "Tlb.create: non-positive associativity";
   if entries mod assoc <> 0 then invalid_arg "Tlb.create: entries not divisible by assoc";
   (* A TLB entry "line" is one page: reuse the cache machinery with
      line_bytes = page_bytes. *)

@@ -9,7 +9,9 @@
 type t
 
 val create : ?entries:int -> ?assoc:int -> ?page_bytes:int -> unit -> t
-(** Default: 64 entries, 4-way, 4 KiB pages (Skylake-SP L1 DTLB). *)
+(** Default: 64 entries, 4-way, 4 KiB pages (Skylake-SP L1 DTLB).
+    [Invalid_argument] unless [assoc > 0] divides [entries > 0] and
+    [page_bytes] is a power of two of at least 2. *)
 
 val access : t -> Addr.t -> bool
 (** Translate the page containing [addr]; [true] on TLB hit. *)

@@ -7,6 +7,11 @@ let check_pow2 name n =
   if not (is_power_of_two n) then
     invalid_arg (Printf.sprintf "%s: alignment %d is not a positive power of two" name n)
 
+let log2 n =
+  if not (is_power_of_two n) then invalid_arg "Addr.log2: not a positive power of two";
+  let rec go acc n = if n = 1 then acc else go (acc + 1) (n lsr 1) in
+  go 0 n
+
 let align_up a n =
   check_pow2 "Addr.align_up" n;
   (a + n - 1) land lnot (n - 1)

@@ -168,6 +168,85 @@ let hierarchy_l2_catches_l1_evictions () =
   checkb "L1 misses on sweep" true (c.Hierarchy.l1_misses > 0);
   checki "but L2 absorbs everything" 0 c.Hierarchy.l2_misses
 
+let raises_invalid_arg f =
+  try
+    ignore (f ());
+    false
+  with Invalid_argument _ -> true
+
+let constructors_reject_bad_geometry () =
+  let cache ~line_bytes () = Cache.create ~name:"bad" ~size_bytes:1024 ~assoc:2 ~line_bytes in
+  checkb "line_bytes 0" true (raises_invalid_arg (cache ~line_bytes:0));
+  checkb "line_bytes 1" true (raises_invalid_arg (cache ~line_bytes:1));
+  checkb "line_bytes 48" true (raises_invalid_arg (cache ~line_bytes:48));
+  checkb "assoc 0" true
+    (raises_invalid_arg (fun () -> Cache.create ~name:"bad" ~size_bytes:1024 ~assoc:0 ~line_bytes:64));
+  checkb "tlb page_bytes 0" true (raises_invalid_arg (fun () -> Tlb.create ~page_bytes:0 ()));
+  checkb "tlb assoc 0" true (raises_invalid_arg (fun () -> Tlb.create ~assoc:0 ()));
+  checkb "tlb entries 0" true (raises_invalid_arg (fun () -> Tlb.create ~entries:0 ()))
+
+let cache_invalid_ways () =
+  (* One set, four ways: after one access three ways are still invalid. *)
+  let c = Cache.create ~name:"t4" ~size_bytes:256 ~assoc:4 ~line_bytes:64 in
+  checkb "cold" false (Cache.access c 0);
+  checkb "resident" true (Cache.contains c 0);
+  checkb "absent" false (Cache.contains c 64);
+  Cache.fill c 64;
+  Cache.fill c 128;
+  checki "fills leave the counters alone" 1 (Cache.accesses c);
+  checkb "fill took an invalid way" true (Cache.contains c 0 && Cache.contains c 64);
+  Cache.fill c 0;
+  (* 0 is most recent again; 192 takes the last invalid way, then 256
+     evicts the least recent line, 64. *)
+  ignore (Cache.access c 192 : bool);
+  ignore (Cache.access c 256 : bool);
+  checkb "LRU line evicted" false (Cache.contains c 64);
+  checkb "refilled line kept" true (Cache.contains c 0);
+  Cache.flush c;
+  checkb "flush invalidates" false (Cache.contains c 0);
+  checki "flush zeroes counters" 0 (Cache.accesses c);
+  checkb "the last line misses after a flush" false (Cache.access c 256);
+  Cache.fill c 0;
+  checkb "fill after flush" true (Cache.access c 0)
+
+let cache_repeat_after_fill () =
+  (* A direct-mapped single line: a fill between two accesses to the same
+     line evicts it, so the second access must miss. *)
+  let c = Cache.create ~name:"t1" ~size_bytes:64 ~assoc:1 ~line_bytes:64 in
+  checkb "cold" false (Cache.access c 0);
+  Cache.fill c 64;
+  checkb "evicted by the fill" false (Cache.access c 0);
+  checkb "repeat hits" true (Cache.access c 8);
+  checki "hits" 1 (Cache.hits c);
+  checki "misses" 2 (Cache.misses c)
+
+let hierarchy_straddles_zero () =
+  (* Bytes -1..6 cover the line and the page just below address 0 as well
+     as the ones starting at 0. *)
+  let h = Hierarchy.create () in
+  Hierarchy.access h (-1) 8;
+  let c = Hierarchy.counters h in
+  checki "two lines" 2 c.Hierarchy.l1_misses;
+  checki "two pages" 2 c.Hierarchy.tlb_misses;
+  Hierarchy.access h (-8) 8;
+  Hierarchy.access h 0 8;
+  let c = Hierarchy.counters h in
+  checki "both lines resident" 2 c.Hierarchy.l1_misses;
+  checki "both pages resident" 2 c.Hierarchy.tlb_misses
+
+let hierarchy_rejects_wrapping_access () =
+  let h = Hierarchy.create () in
+  checkb "wraps past max_int" true
+    (raises_invalid_arg (fun () -> Hierarchy.access h (max_int - 3) 8));
+  checkb "non-positive size" true (raises_invalid_arg (fun () -> Hierarchy.access h 0 0));
+  checki "nothing counted" 0 (Hierarchy.counters h).Hierarchy.accesses;
+  (* The last 8 bytes of the address space do not wrap. *)
+  Hierarchy.access h (max_int - 7) 8;
+  let c = Hierarchy.counters h in
+  checki "one access" 1 c.Hierarchy.accesses;
+  checki "one line" 1 c.Hierarchy.l1_misses;
+  checki "one page" 1 c.Hierarchy.tlb_misses
+
 let timing_monotone_in_misses () =
   let m = Timing.skylake_sp in
   let base =
@@ -252,6 +331,11 @@ let suite =
     tc "timing: speedup signs" timing_speedup_signs;
     tc "timing: miss reduction" timing_miss_reduction;
     tc "timing: seconds scale" timing_seconds_scale;
+    tc "cache/tlb: constructors reject bad geometry" constructors_reject_bad_geometry;
+    tc "cache: fill/contains/flush with invalid ways" cache_invalid_ways;
+    tc "cache: repeated line after an evicting fill" cache_repeat_after_fill;
+    tc "hierarchy: access straddling address 0" hierarchy_straddles_zero;
+    tc "hierarchy: wrapping access rejected" hierarchy_rejects_wrapping_access;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_cache_accounting; prop_cache_repeat_hits; prop_hierarchy_counter_order ]

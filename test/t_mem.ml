@@ -23,12 +23,19 @@ let addr_pow2 () =
   checkb "64" true (Addr.is_power_of_two 64);
   checkb "63" false (Addr.is_power_of_two 63);
   checkb "0" false (Addr.is_power_of_two 0);
-  checkb "neg" false (Addr.is_power_of_two (-2))
+  checkb "neg" false (Addr.is_power_of_two (-2));
+  List.iter
+    (fun (n, k) -> Alcotest.check Alcotest.int (Printf.sprintf "log2 %d" n) k (Addr.log2 n))
+    [ (1, 0); (2, 1); (64, 6); (4096, 12); (1 lsl 61, 61) ]
 
 let addr_rejects_bad_alignment () =
   Alcotest.check_raises "align_up 3"
     (Invalid_argument "Addr.align_up: alignment 3 is not a positive power of two")
-    (fun () -> ignore (Addr.align_up 10 3))
+    (fun () -> ignore (Addr.align_up 10 3));
+  Alcotest.check_raises "log2 48" (Invalid_argument "Addr.log2: not a positive power of two")
+    (fun () -> ignore (Addr.log2 48));
+  Alcotest.check_raises "log2 0" (Invalid_argument "Addr.log2: not a positive power of two")
+    (fun () -> ignore (Addr.log2 0))
 
 let addr_hex () = Alcotest.check Alcotest.string "hex" "0xff" (Addr.to_hex 255)
 

@@ -106,10 +106,20 @@ module Ref_cache = struct
 
   let create ~sets ~assoc ~line = { sets = Array.make sets []; assoc; nsets = sets; line }
 
+  (* Addresses are unsigned: a negative one lies 2^63 above its value. *)
+  let lineno t addr =
+    if addr >= 0 then addr / t.line else ((addr - min_int) / t.line) - (min_int / t.line)
+
+  let locate t addr =
+    let l = lineno t addr in
+    (l mod t.nsets, l / t.nsets)
+
+  let contains t addr =
+    let set, tag = locate t addr in
+    List.mem tag t.sets.(set)
+
   let access t addr =
-    let lineno = addr / t.line in
-    let set = lineno mod t.nsets in
-    let tag = lineno / t.nsets in
+    let set, tag = locate t addr in
     let cur = t.sets.(set) in
     let hit = List.mem tag cur in
     let without = List.filter (fun x -> x <> tag) cur in
@@ -119,6 +129,9 @@ module Ref_cache = struct
          List.filteri (fun i _ -> i < t.assoc) updated
        else updated);
     hit
+
+  let fill t addr = ignore (access t addr : bool)
+  let flush t = Array.fill t.sets 0 t.nsets []
 end
 
 let prop_cache_matches_reference =
@@ -130,6 +143,157 @@ let prop_cache_matches_reference =
       let c = Cache.create ~name:"dut" ~size_bytes:1024 ~assoc:2 ~line_bytes:64 in
       let r = Ref_cache.create ~sets:8 ~assoc:2 ~line:64 in
       List.for_all (fun a -> Cache.access c a = Ref_cache.access r a) addrs)
+
+(* Accesses, prefetch fills, probes and rare flushes on a 4-set 2-way
+   cache: sets often hold invalid ways, and a fill often demotes the line
+   the previous access touched. *)
+let prop_cache_ops_match_reference =
+  QCheck2.Test.make
+    ~name:"cache: access/fill/contains/flush match the MRU-list reference"
+    ~count:200
+    QCheck2.Gen.(
+      list_size (int_range 1 400)
+        (pair
+           (frequency
+              [ (6, return `Access); (2, return `Fill); (2, return `Contains); (1, return `Flush) ])
+           (int_range 0 2047)))
+    (fun ops ->
+      let c = Cache.create ~name:"dut" ~size_bytes:512 ~assoc:2 ~line_bytes:64 in
+      let r = Ref_cache.create ~sets:4 ~assoc:2 ~line:64 in
+      let hits = ref 0 and misses = ref 0 in
+      List.for_all
+        (fun (op, a) ->
+          let same =
+            match op with
+            | `Access ->
+                let hit = Ref_cache.access r a in
+                if hit then incr hits else incr misses;
+                Cache.access c a = hit
+            | `Fill ->
+                Cache.fill c a;
+                Ref_cache.fill r a;
+                true
+            | `Contains -> Cache.contains c a = Ref_cache.contains r a
+            | `Flush ->
+                Cache.flush c;
+                Ref_cache.flush r;
+                hits := 0;
+                misses := 0;
+                true
+          in
+          same && Cache.hits c = !hits && Cache.misses c = !misses)
+        ops)
+
+(* ------------------------------------------------------------------ *)
+(* Reference hierarchy: three reference caches and a reference TLB.     *)
+(* ------------------------------------------------------------------ *)
+
+module Ref_hierarchy = struct
+  type t = {
+    cfg : Hierarchy.config;
+    l1 : Ref_cache.t;
+    l2 : Ref_cache.t;
+    l3 : Ref_cache.t;
+    tlb : Ref_cache.t;
+    mutable c : Hierarchy.counters;
+  }
+
+  let page = 4096
+
+  let create (cfg : Hierarchy.config) =
+    let level size assoc =
+      Ref_cache.create ~sets:(size / (assoc * cfg.line_bytes)) ~assoc ~line:cfg.line_bytes
+    in
+    {
+      cfg;
+      l1 = level cfg.l1_size cfg.l1_assoc;
+      l2 = level cfg.l2_size cfg.l2_assoc;
+      l3 = level cfg.l3_size cfg.l3_assoc;
+      tlb = Ref_cache.create ~sets:(cfg.tlb_entries / cfg.tlb_assoc) ~assoc:cfg.tlb_assoc ~line:page;
+      c =
+        { Hierarchy.accesses = 0; l1_misses = 0; l2_misses = 0; l3_misses = 0; tlb_misses = 0;
+          prefetches = 0 };
+    }
+
+  let floor_div a b = if a >= 0 then a / b else (a - b + 1) / b
+
+  (* Every line, then every page, the bytes [addr, addr + size) cover, in
+     address order. A demand L1 miss probes L2, an L2 miss probes L3; with
+     prefetch on, it also fills the next line into L1 and L2 unless L1
+     already holds it. *)
+  let access t addr size =
+    let c = t.c in
+    let line = t.cfg.line_bytes in
+    let l1 = ref c.l1_misses and l2 = ref c.l2_misses and l3 = ref c.l3_misses in
+    let tlb = ref c.tlb_misses and pf = ref c.prefetches in
+    for i = floor_div addr line to floor_div (addr + size - 1) line do
+      let a = i * line in
+      if not (Ref_cache.access t.l1 a) then begin
+        incr l1;
+        if not (Ref_cache.access t.l2 a) then begin
+          incr l2;
+          if not (Ref_cache.access t.l3 a) then incr l3
+        end;
+        if t.cfg.prefetch && not (Ref_cache.contains t.l1 (a + line)) then begin
+          Ref_cache.fill t.l1 (a + line);
+          Ref_cache.fill t.l2 (a + line);
+          incr pf
+        end
+      end
+    done;
+    for p = floor_div addr page to floor_div (addr + size - 1) page do
+      if not (Ref_cache.access t.tlb (p * page)) then incr tlb
+    done;
+    t.c <-
+      { Hierarchy.accesses = c.accesses + 1; l1_misses = !l1; l2_misses = !l2; l3_misses = !l3;
+        tlb_misses = !tlb; prefetches = !pf }
+end
+
+(* 2-set L1, 4-set L2 and a 6-set (not a power of two) L3, with an
+   8-entry TLB: small enough that every level evicts. *)
+let tiny_hierarchy =
+  { Hierarchy.xeon_w2195 with
+    Hierarchy.l1_size = 256; l1_assoc = 2; l2_size = 1024; l2_assoc = 4;
+    l3_size = 1536; l3_assoc = 4; tlb_entries = 8; tlb_assoc = 2 }
+
+(* Streams biased towards the previous line and page, with 1-100-byte
+   sizes, addresses around 0 and accesses ending at max_int. *)
+let gen_hierarchy_stream =
+  QCheck2.Gen.(
+    let size = int_range 1 100 in
+    let step =
+      frequency
+        [
+          (5, map2 (fun d s -> (`Near d, s)) (int_range (-8) 72) size);
+          (2, map2 (fun a s -> (`At a, s)) (int_range (-300) 300) size);
+          (3, map2 (fun a s -> (`At a, s)) (int_range 0 (1 lsl 16)) size);
+          (1, map2 (fun k s -> (`At (max_int - s + 1 - k), s)) (int_range 0 200) size);
+        ]
+    in
+    triple bool bool (list_size (int_range 1 300) step))
+
+let prop_hierarchy_matches_reference =
+  QCheck2.Test.make
+    ~name:"hierarchy: counters match a reference hierarchy after every access"
+    ~count:300 gen_hierarchy_stream
+    (fun (prefetch, tiny, steps) ->
+      let base = if tiny then tiny_hierarchy else Hierarchy.xeon_w2195 in
+      let config = { base with Hierarchy.prefetch } in
+      let h = Hierarchy.create ~config () in
+      let r = Ref_hierarchy.create config in
+      let prev = ref 0 in
+      List.for_all
+        (fun (where, size) ->
+          let addr =
+            match where with
+            | `At a -> a
+            | `Near d -> if !prev > 1 lsl 40 then d else !prev + d
+          in
+          prev := addr;
+          Hierarchy.access h addr size;
+          Ref_hierarchy.access r addr size;
+          Hierarchy.counters h = r.Ref_hierarchy.c)
+        steps)
 
 (* ------------------------------------------------------------------ *)
 (* Reference score function: Figure 7 computed from the edge list.      *)
@@ -200,4 +364,6 @@ let suite =
       prop_cache_matches_reference;
       prop_score_matches_reference;
       prop_selector_eval_is_dnf;
+      prop_cache_ops_match_reference;
+      prop_hierarchy_matches_reference;
     ]
