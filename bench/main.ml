@@ -676,8 +676,8 @@ let run_traffic () =
     (List.length study_times)
 
 (* ------------------------------------------------------------------ *)
-(* Store codec benchmark: encode/decode throughput of both containers  *)
-(* and sharded-merge throughput over a synthetic fleet of >= 1000      *)
+(* Store codec benchmark: encode and decode+merge throughput, and      *)
+(* sharded-merge throughput over a synthetic fleet of >= 1000          *)
 (* profiles, with the byte-identity acceptance asserted inline. Rows   *)
 (* feed the --check gate as store/<row> hotpath entries.               *)
 (* ------------------------------------------------------------------ *)
@@ -726,11 +726,10 @@ let run_store () =
   in
   let nbase = List.length base in
   let reps = n_profiles / nbase in
-  let tmp fmt i =
+  let tmp i =
     Filename.concat
       (Filename.get_temp_dir_name ())
-      (Printf.sprintf "halo-bench-store-%d-%d.%s" (Unix.getpid ()) i
-         (Store.format_to_string fmt))
+      (Printf.sprintf "halo-bench-store-%d-%d.bin" (Unix.getpid ()) i)
   in
   let rows = ref [] in
   let row name events eps =
@@ -738,60 +737,45 @@ let run_store () =
     hotpath_records := ("store", name, events, eps, [ eps ]) :: !hotpath_records;
     rows := (name, events, eps) :: !rows
   in
-  (* Encode: every base artifact written [reps] times per codec;
-     events = bytes on disk, so the row reads as bytes/s. *)
-  let encode fmt =
-    let bytes = ref 0 in
-    let t0 = Unix.gettimeofday () in
-    List.iteri
-      (fun i (config, result) ->
-        let path = tmp fmt i in
-        for _ = 1 to reps do
-          rok
-            (Store.write_profile ~format:fmt ~created:0.0 ~producer:"bench"
-               ~path ~program_digest:digest ~config result)
-        done;
-        bytes := !bytes + ((Unix.stat path).Unix.st_size * reps))
-      base;
-    let dt = Unix.gettimeofday () -. t0 in
-    row
-      (Printf.sprintf "encode-%s" (Store.format_to_string fmt))
-      !bytes
-      (float_of_int !bytes /. dt)
+  (* Encode: every base artifact written [reps] times; events = bytes on
+     disk, so the row reads as bytes/s. *)
+  let bytes = ref 0 in
+  let t0 = Unix.gettimeofday () in
+  List.iteri
+    (fun i (config, result) ->
+      let path = tmp i in
+      for _ = 1 to reps do
+        rok
+          (Store.write_profile ~created:0.0 ~producer:"bench" ~path
+             ~program_digest:digest ~config result)
+      done;
+      bytes := !bytes + ((Unix.stat path).Unix.st_size * reps))
+    base;
+  let dt = Unix.gettimeofday () -. t0 in
+  row "encode-v2" !bytes (float_of_int !bytes /. dt);
+  (* Decode + sequential merge: the fleet-aggregation inner loop;
+     events = profiles folded. *)
+  let t0 = Unix.gettimeofday () in
+  let arts =
+    List.init n_profiles (fun k ->
+        (rok (Store.read_profile (tmp (k mod nbase))), 1.0))
   in
-  encode Store.V1;
-  encode Store.V2;
-  (* Decode + sequential merge: the fleet-aggregation inner loop, per
-     codec; events = profiles folded. *)
-  let decode_merge fmt =
-    let t0 = Unix.gettimeofday () in
-    let arts =
-      List.init n_profiles (fun k ->
-          (rok (Store.read_profile (tmp fmt (k mod nbase))), 1.0))
-    in
-    let merged = rok (Store.merge_profiles_sharded ~jobs:1 arts) in
-    let dt = Unix.gettimeofday () -. t0 in
-    row
-      (Printf.sprintf "decode-merge-%s" (Store.format_to_string fmt))
-      n_profiles
-      (float_of_int n_profiles /. dt);
-    (arts, merged, dt)
-  in
-  let _, merged_v1, dt_v1 = decode_merge Store.V1 in
-  let arts_v2, merged_v2, dt_v2 = decode_merge Store.V2 in
+  let merged_seq = rok (Store.merge_profiles_sharded ~jobs:1 arts) in
+  let dt_seq = Unix.gettimeofday () -. t0 in
+  row "decode-merge-v2" n_profiles (float_of_int n_profiles /. dt_seq);
   (* Sharded merge over the decoded fleet at the full worker count. *)
   let t0 = Unix.gettimeofday () in
   let merged_sharded =
-    rok (Store.merge_profiles_sharded ~jobs:(jobs ()) arts_v2)
+    rok (Store.merge_profiles_sharded ~jobs:(jobs ()) arts)
   in
   let dt_sharded = Unix.gettimeofday () -. t0 in
   let sharded_eps = float_of_int n_profiles /. dt_sharded in
   row "sharded-merge" n_profiles sharded_eps;
   Hashtbl.replace suite_eps "store" sharded_eps;
-  (* Acceptance: the sharded fold and both codecs produce one merged
+  (* Acceptance: the sharded and sequential folds produce one merged
      artifact, byte for byte. *)
   let merged_bytes (config, result) =
-    let path = tmp Store.V1 99 in
+    let path = tmp 99 in
     rok
       (Store.write_profile ~created:0.0 ~producer:"bench" ~path
          ~program_digest:digest ~config result);
@@ -799,17 +783,13 @@ let run_store () =
     Sys.remove path;
     b
   in
-  let b_seq = merged_bytes merged_v1 in
-  if not (String.equal b_seq (merged_bytes merged_v2)) then
-    failwith "store bench: v1 and v2 decode+merge disagree";
-  if not (String.equal b_seq (merged_bytes merged_sharded)) then
-    failwith "store bench: sharded merge is not byte-identical to sequential";
-  List.iteri (fun i _ -> Sys.remove (tmp Store.V1 i)) base;
-  List.iteri (fun i _ -> Sys.remove (tmp Store.V2 i)) base;
+  if not (String.equal (merged_bytes merged_seq) (merged_bytes merged_sharded))
+  then failwith "store bench: sharded merge is not byte-identical to sequential";
+  List.iteri (fun i _ -> Sys.remove (tmp i)) base;
   let t =
     Table.create
       ~title:
-        (Printf.sprintf "store codecs: %d synthetic profiles, %d jobs"
+        (Printf.sprintf "store codec: %d synthetic profiles, %d jobs"
            n_profiles (jobs ()))
       ~headers:[ "row"; "events"; "rate" ] ()
   in
@@ -825,9 +805,9 @@ let run_store () =
     (List.rev !rows);
   Table.print t;
   Printf.eprintf
-    "  [store] v2 decode+merge %.1fx v1 (%.2fs vs %.2fs), sharded %.0f \
-     profiles/s, byte-identity ok\n%!"
-    (dt_v1 /. dt_v2) dt_v2 dt_v1 sharded_eps
+    "  [store] decode+merge %.2fs, sharded %.0f profiles/s, byte-identity \
+     ok\n%!"
+    dt_seq sharded_eps
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch.                                                           *)

@@ -263,26 +263,8 @@ let profile_out_arg =
     & opt (some string) None
     & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Artifact file to write.")
 
-let format_conv =
-  let parse s =
-    match Store.format_of_string s with
-    | Some f -> Ok f
-    | None ->
-        Error (`Msg (Printf.sprintf "unknown store format %S (want v1 or v2)" s))
-  in
-  Arg.conv (parse, fun ppf f -> Format.pp_print_string ppf (Store.format_to_string f))
-
-let format_arg =
-  Arg.(
-    value & opt format_conv Store.V2
-    & info [ "format" ] ~docv:"FMT"
-        ~doc:
-          "Artifact container codec: $(b,v2) (compact binary, the \
-           default) or $(b,v1) (JSONL). Readers auto-detect, so either \
-           output feeds every other subcommand.")
-
 let profile_record_cmd =
-  let run w prof_seed affinity out format =
+  let run w prof_seed affinity out =
     let config =
       {
         Profiler.default_config with
@@ -295,16 +277,15 @@ let profile_record_cmd =
     let program = w.Workload.make Workload.Test in
     let result = Profiler.profile ~config program in
     or_die
-      (Store.write_profile ~format ~path:out
+      (Store.write_profile ~path:out
          ~program_digest:(Ir_digest.program program)
          ~config ~producer:"halo_cli"
          ~extra_meta:[ ("workload", Json.String w.Workload.name) ]
          result);
     Printf.printf
-      "recorded %s (seed %d) to %s (%s): %d contexts, %d tracked allocs, %d \
+      "recorded %s (seed %d) to %s: %d contexts, %d tracked allocs, %d \
        macro accesses, %d graph nodes\n"
       w.Workload.name config.Profiler.seed out
-      (Store.format_to_string format)
       (Context.count result.Profiler.contexts)
       result.Profiler.tracked_allocs result.Profiler.total_accesses
       (List.length (Affinity_graph.nodes result.Profiler.graph))
@@ -320,8 +301,7 @@ let profile_record_cmd =
          "Profile a workload's test-scale program and persist the result \
           as a versioned artifact (the pipeline's record phase).")
     Term.(
-      const run $ workload_arg $ prof_seed_arg $ affinity_arg $ profile_out_arg
-      $ format_arg)
+      const run $ workload_arg $ prof_seed_arg $ affinity_arg $ profile_out_arg)
 
 let profile_files_arg =
   Arg.(
@@ -329,7 +309,7 @@ let profile_files_arg =
     & info [] ~docv:"ARTIFACT" ~doc:"Recorded profile artifacts.")
 
 let profile_merge_cmd =
-  let run files weights out format jobs =
+  let run files weights out jobs =
     let artifacts = List.map (fun f -> or_die (Store.read_profile f)) files in
     let weights =
       match weights with
@@ -347,7 +327,7 @@ let profile_merge_cmd =
     in
     let first = List.hd artifacts in
     or_die
-      (Store.write_profile ~format ~path:out
+      (Store.write_profile ~path:out
          ~program_digest:first.Store.header.Store.program_digest ~config
          ~producer:"halo_cli"
          ~extra_meta:
@@ -357,11 +337,9 @@ let profile_merge_cmd =
            ]
          merged);
     Printf.printf
-      "merged %d runs into %s (%s, %d jobs): %d contexts, %d macro accesses, \
+      "merged %d runs into %s (%d jobs): %d contexts, %d macro accesses, \
        %d graph nodes\n"
-      (List.length artifacts) out
-      (Store.format_to_string format)
-      jobs
+      (List.length artifacts) out jobs
       (Context.count merged.Profiler.contexts)
       merged.Profiler.total_accesses
       (List.length (Affinity_graph.nodes merged.Profiler.graph))
@@ -382,29 +360,7 @@ let profile_merge_cmd =
           single weighted profile artifact. The fold shards over worker \
           domains; the merged artifact is byte-identical at any $(b,--jobs).")
     Term.(
-      const run $ profile_files_arg $ weights_arg $ profile_out_arg
-      $ format_arg $ jobs_arg)
-
-let profile_migrate_cmd =
-  let run src out format =
-    let h = or_die (Store.migrate ~format ~src out) in
-    Printf.printf "migrated %s %s to %s (%s v%d)\n" h.Store.kind src out
-      (Store.format_to_string format)
-      h.Store.version
-  in
-  let src_arg =
-    Arg.(
-      required & pos 0 (some file) None
-      & info [] ~docv:"ARTIFACT"
-          ~doc:"Artifact to re-encode (profile or plan, either codec).")
-  in
-  Cmd.v
-    (Cmd.info "migrate"
-       ~doc:
-         "Re-encode an artifact into the other container codec, preserving \
-          its header metadata — v1 to v2 to v1 round-trips byte for byte, \
-          and both encodings decode and merge identically.")
-    Term.(const run $ src_arg $ profile_out_arg $ format_arg)
+      const run $ profile_files_arg $ weights_arg $ profile_out_arg $ jobs_arg)
 
 (* `profile inspect --stats DIR`: the plan cache's cumulative ledger,
    read from the directory alone — no daemon, no profiling. *)
@@ -597,13 +553,11 @@ let profile_cmd =
     (Cmd.info "profile"
        ~doc:
          "Persistent profiling artifacts: record runs, merge them across \
-          inputs, inspect them, migrate them between codecs, and apply \
-          them without re-profiling.")
+          inputs, inspect them, and apply them without re-profiling.")
     [
       profile_record_cmd;
       profile_merge_cmd;
       profile_inspect_cmd;
-      profile_migrate_cmd;
       profile_apply_cmd;
     ]
 

@@ -118,7 +118,7 @@ type t = {
 
 (* {2 Aggregate persistence}
 
-   Per-program aggregates survive restarts as v2 profile artifacts under
+   Per-program aggregates survive restarts as profile artifacts under
    [<cache_dir>/aggregates/<digest>.profile.bin]. Saving snapshots the
    merged counts with the aggregate's mass and profile count in the
    header meta; loading adopts them unscaled ({!Store.merge_adopt}), so
@@ -173,8 +173,7 @@ let save_aggregates t =
                            try Sys.remove tmp with Sys_error _ -> ()
                          in
                          match
-                           Store.write_profile ?obs:t.obs ~format:Store.V2
-                             ~created:0.0 ~producer:"halo-serve" ~extra_meta
+                           Store.write_profile ?obs:t.obs ~created:0.0 ~producer:"halo-serve" ~extra_meta
                              ~path:tmp ~program_digest:digest ~config result
                          with
                          | Error _ ->

@@ -24,7 +24,7 @@
     [--jobs] count (given equal starting cache/aggregate state).
 
     {b Persistence}: when a plan cache is configured, per-program
-    aggregates are saved on exit as v2 profile artifacts under
+    aggregates are saved on exit as profile artifacts under
     [<cache_dir>/aggregates/<digest>.profile.bin], carrying the
     aggregate's workload, profile mass and profile count in the header
     meta. {!create} reloads them (via {!Store.merge_adopt}), so a

@@ -17,7 +17,7 @@
       fleet the profile bytes arrive over the wire; here the daemon
       regenerates them deterministically from (workload, seed, scale) —
       the simulator's stand-in for a client upload.
-    - [{"job":"profile-record","id":2,"artifact":"ft.prof.jsonl",
+    - [{"job":"profile-record","id":2,"artifact":"ft.prof.bin",
        "weight":2.0}] — ingest a recorded profile artifact from disk
       (the operator path: artifacts made by [halo_cli profile record]).
     - [{"job":"plan-request","id":3,"workload":"ft"}] — return the

@@ -1,6 +1,5 @@
 type t = {
   dir : string;
-  format : Store.format;
   max_entries : int option;
   mu : Mutex.t;
   saved : int * int * int * int;
@@ -43,11 +42,10 @@ let load_stats dir =
             Some { hits; misses; stores; evictions }
         | _ -> None)
 
-let create ?max_entries ?(format = Store.V2) dir =
+let create ?max_entries dir =
   mkdir_p dir;
   {
     dir;
-    format;
     max_entries;
     mu = Mutex.create ();
     saved =
@@ -104,29 +102,17 @@ let save_stats t =
         Sys.rename tmp (stats_file t.dir)
       with Sys_error _ -> ( try Sys.remove tmp with Sys_error _ -> ()))
 
-(* One suffix per codec: the cache's configured format names new
-   entries, but lookups accept either, so a directory written by an
-   older (or differently configured) process keeps serving hits. *)
-let suffix_of = function
-  | Store.V1 -> ".plan.jsonl"
-  | Store.V2 -> ".plan.bin"
+let suffix = ".plan.bin"
 
-let suffixes = [ suffix_of Store.V1; suffix_of Store.V2 ]
-
-let entry_path_as t fmt ~program ~config =
-  Filename.concat t.dir (program ^ "-" ^ config ^ suffix_of fmt)
-
-let entry_path t ~program ~config = entry_path_as t t.format ~program ~config
-
-let other_format = function Store.V1 -> Store.V2 | Store.V2 -> Store.V1
+let entry_path t ~program ~config =
+  Filename.concat t.dir (program ^ "-" ^ config ^ suffix)
 
 let entries t =
   match Sys.readdir t.dir with
   | exception Sys_error _ -> []
   | names ->
       Array.to_list names
-      |> List.filter (fun n ->
-             List.exists (fun s -> Filename.check_suffix n s) suffixes)
+      |> List.filter (fun n -> Filename.check_suffix n suffix)
       |> List.map (fun n -> Filename.concat t.dir n)
 
 let entry_names t = List.sort compare (List.map Filename.basename (entries t))
@@ -164,7 +150,8 @@ let source t =
   in
   let lookup obs program config =
     let pd, cd = key program config in
-    let read path =
+    let path = entry_path t ~program:pd ~config:cd in
+    let found =
       if Sys.file_exists path then
         match
           Store.read_plan ?obs ~expect_program:pd ~expect_config:cd path
@@ -172,12 +159,6 @@ let source t =
         | Ok (_, plan) -> Some plan
         | Error _ -> None (* corrupt/stale entry: treat as a miss *)
       else None
-    in
-    let found =
-      match read (entry_path_as t t.format ~program:pd ~config:cd) with
-      | Some _ as hit -> hit
-      | None ->
-          read (entry_path_as t (other_format t.format) ~program:pd ~config:cd)
     in
     (match found with
     | Some _ ->
@@ -195,17 +176,10 @@ let source t =
     let pd, cd = key program config in
     let tmp = Filename.temp_file ~temp_dir:t.dir "plan-" ".tmp" in
     match
-      Store.write_plan ?obs ~format:t.format ~path:tmp ~program_digest:pd plan
+      Store.write_plan ?obs ~path:tmp ~program_digest:pd plan
     with
     | Ok () ->
         Sys.rename tmp (entry_path t ~program:pd ~config:cd);
-        (* A twin in the other codec is now stale: drop it so the entry
-           count (and the eviction order) sees one entry per key. Not an
-           eviction — the logical entry survives. *)
-        let twin =
-          entry_path_as t (other_format t.format) ~program:pd ~config:cd
-        in
-        (try Sys.remove twin with Sys_error _ -> ());
         Obs.count obs "store.cache.stores" 1;
         locked t (fun () -> t.stores <- t.stores + 1);
         evict t obs

@@ -20,15 +20,14 @@ type t
 
 type stats = { hits : int; misses : int; stores : int; evictions : int }
 
-val create : ?max_entries:int -> ?format:Store.format -> string -> t
+val create : ?max_entries:int -> string -> t
 (** Open (creating directories as needed) a cache rooted at the given
     directory. [max_entries] bounds the entry count: after each store,
     oldest entries (by modification time, ties broken by entry name so
     eviction is deterministic within an mtime second) beyond the bound
-    are evicted. [format] (default {!Store.V2}) is the codec new entries
-    are written in — [.plan.bin] for v2, [.plan.jsonl] for v1; lookups
-    accept entries in either codec, and a store replaces the other
-    codec's twin, so a directory migrates in place as it is rewritten. *)
+    are evicted. Only [<program>-<config>.plan.bin] files are entries;
+    any other file in the directory is never read, counted or
+    evicted. *)
 
 val dir : t -> string
 
@@ -47,8 +46,7 @@ val hit_rate : stats -> float
 
 val entry_names : t -> string list
 (** Base names of the plan artifacts currently in the cache directory,
-    sorted — each is [<program>-<config>.plan.bin] (v2) or
-    [<program>-<config>.plan.jsonl] (v1). *)
+    sorted — each is [<program>-<config>.plan.bin]. *)
 
 val lifetime_stats : t -> stats
 (** {!stats} plus the totals saved in the directory by earlier processes

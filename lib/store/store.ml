@@ -1,21 +1,10 @@
 let format_name = "halo/store"
-let version = 1
-let version_v2 = 2
+let version = 2
 
-(* v2 binary container: first 8 bytes of the file. A v1 artifact starts
-   with '{', so the two containers are sniffable from the first byte. *)
+(* First 8 bytes of every artifact. *)
 let magic = "HALOSTOR"
 
-type format = V1 | V2
-
-let format_version = function V1 -> version | V2 -> version_v2
-let format_of_version = function 1 -> Some V1 | 2 -> Some V2 | _ -> None
-let format_to_string = function V1 -> "v1" | V2 -> "v2"
-
-let format_of_string = function
-  | "v1" | "1" | "jsonl" -> Some V1
-  | "v2" | "2" | "binary" -> Some V2
-  | _ -> None
+type format = V2
 
 type header = {
   version : int;
@@ -57,8 +46,8 @@ exception Decode of error
 
 let fail line reason = raise (Decode (Malformed { line; reason }))
 
-(* Strict per-line field access: a [Json] accessor error becomes a
-   [Malformed] carrying the 1-based artifact line. *)
+(* Strict field access: a [Json] accessor error becomes a [Malformed]
+   carrying the 1-based record ordinal (the header is 1). *)
 let jint ~line k j =
   match Json.get_int k j with Ok v -> v | Error e -> fail line e
 
@@ -71,18 +60,8 @@ let jstring ~line k j =
 let jbool ~line k j =
   match Json.get_bool k j with Ok v -> v | Error e -> fail line e
 
-let jlist ~line k j =
-  match Json.get_list k j with Ok v -> v | Error e -> fail line e
-
 let jobj ~line k j =
   match Json.get_obj k j with Ok v -> v | Error e -> fail line e
-
-let jints ~line k j =
-  List.map
-    (function
-      | Json.Int i -> i
-      | _ -> fail line (Printf.sprintf "field %S must hold integers" k))
-    (jlist ~line k j)
 
 (* {1 Config codecs} *)
 
@@ -204,22 +183,15 @@ let profile_config_digest c =
 
 let plan_config_digest c = md5_json (json_of_pipeline_config c)
 
-(* {1 Payload checksum: FNV-1a 64 over payload bytes}
 
-    Chosen over [Digest] because it feeds incrementally, so both ends
-    stream line by line; this is an integrity check against torn or edited
-    files, not an authenticity measure. *)
+(* {1 Payload checksum: FNV-1a 64 over record frames}
+
+    Chosen over [Digest] because it feeds incrementally, so the writer
+    hashes each frame as it streams out; this is an integrity check
+    against torn or edited files, not an authenticity measure. *)
 
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
-
-let fnv_add h s =
-  let h = ref h in
-  String.iter
-    (fun ch ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code ch))) fnv_prime)
-    s;
-  !h
 
 let fnv_sub h s pos len =
   let h = ref h in
@@ -233,47 +205,7 @@ let fnv_sub h s pos len =
 
 let fnv_hex h = Printf.sprintf "%016Lx" h
 
-(* {1 Writer} *)
-
-type writer = { oc : out_channel; mutable hash : int64; mutable lines : int }
-
-let header_json h =
-  Json.Obj
-    [
-      ("format", Json.String format_name);
-      ("version", Json.Int h.version);
-      ("kind", Json.String h.kind);
-      ("program", Json.String h.program_digest);
-      ("config", Json.String h.config_digest);
-      ("created", Json.Float h.created);
-      ("producer", Json.String h.producer);
-      ("meta", Json.Obj h.meta);
-    ]
-
-let start_writer oc h =
-  output_string oc (Json.to_string ~pretty:false (header_json h));
-  output_char oc '\n';
-  { oc; hash = fnv_offset; lines = 0 }
-
-let wline w j =
-  let s = Json.to_string ~pretty:false j in
-  output_string w.oc s;
-  output_char w.oc '\n';
-  w.hash <- fnv_add (fnv_add w.hash s) "\n";
-  w.lines <- w.lines + 1
-
-let finish_writer w =
-  output_string w.oc
-    (Json.to_string ~pretty:false
-       (Json.Obj
-          [
-            ("end", Json.Bool true);
-            ("lines", Json.Int w.lines);
-            ("checksum", Json.String (fnv_hex w.hash));
-          ]));
-  output_char w.oc '\n'
-
-(* {1 v2 binary container}
+(* {1 Container}
 
    Layout, all integers little-endian:
 
@@ -281,22 +213,23 @@ let finish_writer w =
    magic    8 bytes   "HALOSTOR"
    version  u8        2
    hlen     u32       byte length of the header JSON
-   header   hlen      the same JSON object a v1 header line carries
+   header   hlen      canonical header JSON object
    record*            u32 frame length (>= 1), then that many bytes:
                       a tag byte and a tag-specific binary body
    sentinel u32       0 (no record is empty, so 0 terminates the stream)
    count    varint    number of records
    checksum i64       FNV-1a 64 over every record frame (length prefix
-                      included), the v1 trailer's integrity check
+                      included)
    v}
 
    The reader loads the image once and decodes records in place through
    {!Wire.dec} windows — no per-record copies, which is what makes the
-   layout mmap-friendly. Record ordinals map onto the v1 error
-   vocabulary: the header is "line" 1, the first record line 2. *)
+   layout mmap-friendly. Errors locate a record by its 1-based ordinal,
+   reported as its "line": the header is line 1, the first record
+   line 2. *)
 
 (* Record tags. Profile and plan records share a namespace so the plan
-   decoder can reuse the profile handler, exactly like the v1 "p" tags. *)
+   decoder can reuse the profile handler. *)
 let tag_meta = 0x01
 let tag_ctx = 0x02
 let tag_total = 0x03
@@ -311,18 +244,33 @@ let tag_rewrite = 0x13
 let gr_raw = 0
 let gr_filtered = 1
 
-type bwriter = {
-  b_oc : out_channel;
-  b_buf : Buffer.t;
-  mutable b_hash : int64;
-  mutable b_records : int;
+let header_json h =
+  Json.Obj
+    [
+      ("format", Json.String format_name);
+      ("version", Json.Int h.version);
+      ("kind", Json.String h.kind);
+      ("program", Json.String h.program_digest);
+      ("config", Json.String h.config_digest);
+      ("created", Json.Float h.created);
+      ("producer", Json.String h.producer);
+      ("meta", Json.Obj h.meta);
+    ]
+
+(* {1 Writer} *)
+
+type writer = {
+  oc : out_channel;
+  buf : Buffer.t;
+  mutable hash : int64;
+  mutable records : int;
 }
 
 (* Build one framed record in the scratch buffer (4 zero bytes reserved
    for the length prefix, patched after the body is known), hash the
    whole frame, stream it out. *)
-let brecord w fill =
-  let b = w.b_buf in
+let record w fill =
+  let b = w.buf in
   Buffer.clear b;
   Buffer.add_string b "\000\000\000\000";
   fill b;
@@ -333,34 +281,34 @@ let brecord w fill =
   Bytes.set frame 2 (Char.chr ((body_len lsr 16) land 0xff));
   Bytes.set frame 3 (Char.chr ((body_len lsr 24) land 0xff));
   let frame = Bytes.unsafe_to_string frame in
-  w.b_hash <- fnv_sub w.b_hash frame 0 (String.length frame);
-  output_string w.b_oc frame;
-  w.b_records <- w.b_records + 1
+  w.hash <- fnv_sub w.hash frame 0 (String.length frame);
+  output_string w.oc frame;
+  w.records <- w.records + 1
 
-let start_bwriter oc h =
+let start_writer oc h =
   output_string oc magic;
-  output_char oc (Char.chr version_v2);
+  output_char oc (Char.chr version);
   let hs = Json.to_string ~pretty:false (header_json h) in
   let b = Buffer.create 16 in
   Wire.u32 b (String.length hs);
   output_string oc (Buffer.contents b);
   output_string oc hs;
-  { b_oc = oc; b_buf = Buffer.create 256; b_hash = fnv_offset; b_records = 0 }
+  { oc; buf = Buffer.create 256; hash = fnv_offset; records = 0 }
 
-let finish_bwriter w =
+let finish_writer w =
   let b = Buffer.create 24 in
   Wire.u32 b 0;
-  Wire.varint b w.b_records;
-  Wire.i64 b w.b_hash;
-  output_string w.b_oc (Buffer.contents b)
+  Wire.varint b w.records;
+  Wire.i64 b w.hash;
+  output_string w.oc (Buffer.contents b)
 
-let with_artifact ?obs ~format ~path ~header ~emit_v1 ~emit_v2 () =
+let with_artifact ?obs ~path ~header emit =
   Obs.span obs "store.encode"
     ~attrs:
       [
         ("kind", Json.String header.kind);
         ("path", Json.String path);
-        ("format", Json.Int (format_version format));
+        ("format", Json.Int version);
       ]
     (fun () ->
       try
@@ -368,21 +316,11 @@ let with_artifact ?obs ~format ~path ~header ~emit_v1 ~emit_v2 () =
         Fun.protect
           ~finally:(fun () -> close_out_noerr oc)
           (fun () ->
-            (match format with
-            | V1 ->
-                let w = start_writer oc header in
-                emit_v1 w;
-                finish_writer w;
-                Obs.add_attrs obs [ ("payload_lines", Json.Int w.lines) ]
-            | V2 ->
-                let w = start_bwriter oc header in
-                emit_v2 w;
-                finish_bwriter w;
-                Obs.add_attrs obs
-                  [ ("payload_records", Json.Int w.b_records) ]);
-            Obs.count obs
-              (Printf.sprintf "store.codec.%s.encodes" (format_to_string format))
-              1;
+            let w = start_writer oc header in
+            emit w;
+            finish_writer w;
+            Obs.add_attrs obs [ ("payload_records", Json.Int w.records) ];
+            Obs.count obs "store.codec.v2.encodes" 1;
             Obs.observe obs "store.codec.encode_bytes"
               (float_of_int (pos_out oc)));
         Ok ()
@@ -392,77 +330,17 @@ let with_artifact ?obs ~format ~path ~header ~emit_v1 ~emit_v2 () =
    go in id order (so re-interning reproduces the ids), nodes ascending,
    edges sorted by endpoint pair. *)
 
-let emit_graph w tag g =
+let emit_graph w gtag g =
   (match Affinity_graph.reported_total g with
   | None -> ()
   | Some v ->
-      wline w
-        (Json.Obj
-           [ ("p", Json.String "total"); ("g", Json.String tag); ("v", Json.Int v) ]));
-  List.iter
-    (fun id ->
-      wline w
-        (Json.Obj
-           [
-             ("p", Json.String "node");
-             ("g", Json.String tag);
-             ("id", Json.Int id);
-             ("n", Json.Int (Affinity_graph.node_accesses g id));
-           ]))
-    (Affinity_graph.nodes g);
-  List.iter
-    (fun (x, y, wt) ->
-      wline w
-        (Json.Obj
-           [
-             ("p", Json.String "edge");
-             ("g", Json.String tag);
-             ("x", Json.Int x);
-             ("y", Json.Int y);
-             ("w", Json.Int wt);
-           ]))
-    (List.sort compare (Affinity_graph.edges g))
-
-let emit_profile w (r : Profiler.result) =
-  wline w
-    (Json.Obj
-       [
-         ("p", Json.String "meta");
-         ("total_accesses", Json.Int r.Profiler.total_accesses);
-         ("tracked_allocs", Json.Int r.Profiler.tracked_allocs);
-         ("instructions", Json.Int r.Profiler.instructions);
-       ]);
-  let tbl = r.Profiler.contexts in
-  for id = 0 to Context.count tbl - 1 do
-    wline w
-      (Json.Obj
-         [
-           ("p", Json.String "ctx");
-           ("id", Json.Int id);
-           ( "sites",
-             Json.List
-               (Array.to_list
-                  (Array.map (fun s -> Json.Int s) (Context.sites tbl id))) );
-         ])
-  done;
-  emit_graph w "raw" r.Profiler.raw_graph;
-  emit_graph w "graph" r.Profiler.graph
-
-(* v2 emitters mirror the v1 payload record for record and in the same
-   canonical order, so both codecs share one equal-values-equal-bytes
-   contract. *)
-
-let bemit_graph w gtag g =
-  (match Affinity_graph.reported_total g with
-  | None -> ()
-  | Some v ->
-      brecord w (fun b ->
+      record w (fun b ->
           Wire.u8 b tag_total;
           Wire.u8 b gtag;
           Wire.varint b v));
   List.iter
     (fun id ->
-      brecord w (fun b ->
+      record w (fun b ->
           Wire.u8 b tag_node;
           Wire.u8 b gtag;
           Wire.varint b id;
@@ -470,7 +348,7 @@ let bemit_graph w gtag g =
     (Affinity_graph.nodes g);
   List.iter
     (fun (x, y, wt) ->
-      brecord w (fun b ->
+      record w (fun b ->
           Wire.u8 b tag_edge;
           Wire.u8 b gtag;
           Wire.varint b x;
@@ -478,36 +356,34 @@ let bemit_graph w gtag g =
           Wire.varint b wt))
     (List.sort compare (Affinity_graph.edges g))
 
-let bemit_profile w (r : Profiler.result) =
-  brecord w (fun b ->
+let emit_profile w (r : Profiler.result) =
+  record w (fun b ->
       Wire.u8 b tag_meta;
       Wire.varint b r.Profiler.total_accesses;
       Wire.varint b r.Profiler.tracked_allocs;
       Wire.varint b r.Profiler.instructions);
   let tbl = r.Profiler.contexts in
   for id = 0 to Context.count tbl - 1 do
-    brecord w (fun b ->
+    record w (fun b ->
         Wire.u8 b tag_ctx;
         Wire.varint b id;
         let sites = Context.sites tbl id in
         Wire.varint b (Array.length sites);
         Array.iter (Wire.varint b) sites)
   done;
-  bemit_graph w gr_raw r.Profiler.raw_graph;
-  bemit_graph w gr_filtered r.Profiler.graph
+  emit_graph w gr_raw r.Profiler.raw_graph;
+  emit_graph w gr_filtered r.Profiler.graph
 
-(* {1 Reader core} *)
+(* {1 Reader} *)
 
-(* [expect] is the container's version: a JSONL file must carry a
-   version-1 header, a binary file a version-2 one — a mismatch is skew
-   even when the stated version is one this build could read in its
-   proper container. *)
-let parse_header ~line ~expect j =
+let parse_header j =
+  let line = 1 in
   let fmt = jstring ~line "format" j in
   if fmt <> format_name then
     fail line (Printf.sprintf "not a %s artifact (format %S)" format_name fmt);
   let v = jint ~line "version" j in
-  if v <> expect then raise (Decode (Version_skew { found = v; supported = expect }));
+  if v <> version then
+    raise (Decode (Version_skew { found = v; supported = version }));
   {
     version = v;
     kind = jstring ~line "kind" j;
@@ -518,95 +394,50 @@ let parse_header ~line ~expect j =
     meta = jobj ~line "meta" j;
   }
 
-(* Logical lines of a v1 artifact. Tolerant of the two ways a file
-   survives transport intact but byte-shifted: CRLF line endings (each
-   line's trailing '\r' is stripped before parsing and checksumming, so
-   the checksum is over the canonical LF form the writer hashed) and a
-   final line with no trailing newline (still a line — [Truncated] is
-   reserved for a genuinely missing trailer). *)
-let v1_lines data =
-  let n = String.length data in
-  let rec go pos acc =
-    if pos >= n then List.rev acc
-    else
-      let nl =
-        match String.index_from_opt data pos '\n' with
-        | Some i -> i
-        | None -> n
-      in
-      let stop = if nl > pos && data.[nl - 1] = '\r' then nl - 1 else nl in
-      go (nl + 1) (String.sub data pos (stop - pos) :: acc)
-  in
-  go 0 []
+let header_of_string s =
+  match Json.of_string s with Ok j -> parse_header j | Error e -> fail 1 e
 
-(* Verify a whole v1 image: header, payload lines (parsed, counted,
-   checksummed), trailer. Returns the payload as (1-based line, value). *)
-let read_lines_v1 data =
-  match v1_lines data with
-  | [] -> raise (Decode Truncated)
-  | header_line :: rest ->
-      let hj =
-        match Json.of_string header_line with Ok j -> j | Error e -> fail 1 e
-      in
-      let header = parse_header ~line:1 ~expect:version hj in
-      let payload = ref [] in
-      let hash = ref fnv_offset in
-      let count = ref 0 in
-      let rec loop = function
-        | [] -> raise (Decode Truncated)
-        | raw :: rest -> (
-            let line = !count + 2 in
-            let j =
-              match Json.of_string raw with Ok j -> j | Error e -> fail line e
-            in
-            match Json.mem "end" j with
-            | Some _ ->
-                let stated_lines = jint ~line "lines" j in
-                if stated_lines <> !count then
-                  fail line
-                    (Printf.sprintf "trailer declares %d payload lines, found %d"
-                       stated_lines !count);
-                let stated = jstring ~line "checksum" j in
-                let computed = fnv_hex !hash in
-                if not (String.equal stated computed) then
-                  raise (Decode (Bad_checksum { stated; computed }));
-                if rest <> [] then fail (line + 1) "data after trailer line"
-            | None ->
-                hash := fnv_add (fnv_add !hash raw) "\n";
-                incr count;
-                payload := (line, j) :: !payload;
-                loop rest)
-      in
-      loop rest;
-      (header, List.rev !payload)
+let u32_le s pos =
+  let g i = Char.code (String.unsafe_get s (pos + i)) in
+  g 0 lor (g 1 lsl 8) lor (g 2 lsl 16) lor (g 3 lsl 24)
 
+let prefix_len = String.length magic + 5
 
-(* Scan a v2 image: header, then every record frame (counted,
+(* Check the fixed prefix — magic, version byte, header length — of a
+   [total]-byte image whose first [min total prefix_len] bytes are
+   [prefix]. The header length is checked against [total] before anything
+   is read or allocated for it. Returns that length. *)
+let check_prefix prefix ~total =
+  let m = String.length magic in
+  if total < m then raise (Decode Truncated);
+  if not (String.equal (String.sub prefix 0 m) magic) then
+    fail 0
+      (Printf.sprintf "missing the %S magic: not a %s artifact" magic
+         format_name);
+  if total = m then raise (Decode Truncated);
+  let v = Char.code prefix.[m] in
+  if v <> version then
+    raise (Decode (Version_skew { found = v; supported = version }));
+  if total < prefix_len then raise (Decode Truncated);
+  let hlen = u32_le prefix (m + 1) in
+  if prefix_len + hlen > total then raise (Decode Truncated);
+  hlen
+
+(* Scan a whole image: header, then every record frame (counted,
    checksummed, bounds-checked), then the trailer. Records come back as
    (1-based ordinal, in-place cursor) — no payload bytes are copied. *)
-let read_records_v2 data =
+let read_records data =
   let total = String.length data in
-  if total < 9 then raise (Decode Truncated);
-  let v = Char.code data.[8] in
-  if v <> version_v2 then
-    raise (Decode (Version_skew { found = v; supported = version_v2 }));
+  let hlen = check_prefix data ~total in
+  let header = header_of_string (String.sub data prefix_len hlen) in
   let u32_at pos =
     if pos + 4 > total then raise (Decode Truncated);
-    let g i = Char.code (String.unsafe_get data (pos + i)) in
-    g 0 lor (g 1 lsl 8) lor (g 2 lsl 16) lor (g 3 lsl 24)
+    u32_le data pos
   in
-  let hlen = u32_at 9 in
-  if 13 + hlen > total then raise (Decode Truncated);
-  let hj =
-    match Json.of_string (String.sub data 13 hlen) with
-    | Ok j -> j
-    | Error e -> fail 1 e
-  in
-  let header = parse_header ~line:1 ~expect:version_v2 hj in
   let rec loop pos count hash acc =
     let rlen = u32_at pos in
+    let line = count + 2 in
     if rlen = 0 then begin
-      let line = count + 2 in
       let stated_records, stated_sum =
         try
           let d = Wire.dec ~pos:(pos + 4) data in
@@ -630,27 +461,13 @@ let read_records_v2 data =
     else if pos + 4 + rlen > total then raise (Decode Truncated)
     else
       let hash = fnv_sub hash data pos (4 + rlen) in
-      let line = count + 2 in
       let d = Wire.dec ~pos:(pos + 4) ~len:rlen data in
       loop (pos + 4 + rlen) (count + 1) hash ((line, d) :: acc)
   in
-  loop (13 + hlen) 0 fnv_offset []
-
-(* A decoded artifact body, container-agnostic: v1 carries parsed JSON
-   lines, v2 carries in-place binary cursors. *)
-type payload = Lines of (int * Json.t) list | Records of (int * Wire.dec) list
-
-let is_v2_image data =
-  String.length data >= 8 && String.equal (String.sub data 0 8) magic
+  loop (prefix_len + hlen) 0 fnv_offset []
 
 let read_artifact path =
-  let data = In_channel.with_open_bin path In_channel.input_all in
-  if is_v2_image data then
-    let header, records = read_records_v2 data in
-    (V2, header, Records records)
-  else
-    let header, lines = read_lines_v1 data in
-    (V1, header, Lines lines)
+  read_records (In_channel.with_open_bin path In_channel.input_all)
 
 let check_expect ~field ~found = function
   | Some expected when expected <> found ->
@@ -662,6 +479,45 @@ let wrap f =
   | v -> Ok v
   | exception Decode e -> Error e
   | exception Sys_error m -> Error (Io m)
+  | exception End_of_file -> Error Truncated
+
+let note_decode obs =
+  Obs.add_attrs obs [ ("format", Json.Int version) ];
+  Obs.count obs "store.codec.v2.decodes" 1
+
+(* Decode every record through [handle], which returns [false] on tags it
+   does not own. [Wire.Error] becomes [Malformed] at the record's
+   ordinal. *)
+let decode_records records handle =
+  List.iter
+    (fun (line, d) ->
+      try
+        let tag = Wire.read_u8 d in
+        if not (handle ~line tag d) then
+          fail line (Printf.sprintf "unknown record tag 0x%02x" tag);
+        Wire.expect_end d
+      with Wire.Error r -> fail line r)
+    records
+
+(* A decoded element count. Every element takes at least one byte, so a
+   count beyond the frame's remaining bytes is rejected before anything
+   is allocated for it. *)
+let read_len ~line d =
+  let n = Wire.read_varint d in
+  if n < 0 then fail line "negative length"
+  else if n > Wire.remaining d then
+    fail line
+      (Printf.sprintf "length %d exceeds the %d bytes left in the record" n
+         (Wire.remaining d))
+  else n
+
+(* A length-prefixed list of elements, each decoded by [read]. *)
+let read_list ~line d read =
+  let n = read_len ~line d in
+  let rec go i acc = if i = n then List.rev acc else go (i + 1) (read d :: acc) in
+  go 0 []
+
+let rint_list ~line d = read_list ~line d Wire.read_varint
 
 (* {1 Profile payload} *)
 
@@ -680,78 +536,26 @@ let new_profile_state () =
     pmeta = None;
   }
 
-let graph_of st ~line = function
-  | "raw" -> st.raw
-  | "graph" -> st.filtered
-  | g -> fail line (Printf.sprintf "unknown graph tag %S" g)
-
-(* Shared between profile and plan decoding; returns [false] on tags it
-   does not own so the plan decoder can layer its own. *)
-let handle_profile_line st ~line tag j =
-  match tag with
-  | "meta" ->
-      if st.pmeta <> None then fail line "duplicate meta line";
-      st.pmeta <-
-        Some
-          ( jint ~line "total_accesses" j,
-            jint ~line "tracked_allocs" j,
-            jint ~line "instructions" j );
-      true
-  | "ctx" ->
-      let id = jint ~line "id" j in
-      let sites = Array.of_list (jints ~line "sites" j) in
-      let got = Context.intern st.ctxs sites in
-      if got <> id then
-        fail line
-          (Printf.sprintf
-             "context %d interned as %d: ids must be dense, in order, distinct"
-             id got);
-      true
-  | "total" ->
-      let g = graph_of st ~line (jstring ~line "g" j) in
-      if Affinity_graph.reported_total g <> None then
-        fail line "duplicate graph total line";
-      Affinity_graph.set_reported_total g (Some (jint ~line "v" j));
-      true
-  | "node" ->
-      let g = graph_of st ~line (jstring ~line "g" j) in
-      Affinity_graph.add_access_n g (jint ~line "id" j) (jint ~line "n" j);
-      true
-  | "edge" ->
-      let g = graph_of st ~line (jstring ~line "g" j) in
-      Affinity_graph.add_affinity_n g (jint ~line "x" j) (jint ~line "y" j)
-        (jint ~line "w" j);
-      true
-  | _ -> false
-
-(* v2 twins of the line handlers, reading the same logical records from
-   binary cursors. [Wire.Error] is mapped to [Malformed] by the payload
-   walkers below. *)
-
-(* A decoded element count. Every element takes at least one byte, so a
-   count beyond the frame's remaining bytes is rejected before anything
-   is allocated for it. *)
-let read_len ~line d =
-  let n = Wire.read_varint d in
-  if n < 0 then fail line "negative length"
-  else if n > Wire.remaining d then
-    fail line
-      (Printf.sprintf "length %d exceeds the %d bytes left in the record" n
-         (Wire.remaining d))
-  else n
-
-let rint_list ~line d =
-  let n = read_len ~line d in
-  let rec go i acc =
-    if i = n then List.rev acc else go (i + 1) (Wire.read_varint d :: acc)
-  in
-  go 0 []
-
-let bgraph_of st ~line g =
+let graph_of st ~line g =
   if g = gr_raw then st.raw
   else if g = gr_filtered then st.filtered
   else fail line (Printf.sprintf "unknown graph tag %d" g)
 
+(* A graph endpoint must name a context decoded earlier: the canonical
+   order puts every ctx record before the graphs, and consumers index
+   per-context tables by these ids. *)
+let read_node st ~line d =
+  let id = Wire.read_varint d in
+  if id < 0 || id >= Context.count st.ctxs then
+    fail line (Printf.sprintf "graph node %d is not a decoded context" id);
+  id
+
+let read_count ~line what d =
+  let n = Wire.read_varint d in
+  if n < 0 then fail line (Printf.sprintf "negative %s %d" what n);
+  n
+
+(* Shared between profile and plan decoding. *)
 let handle_profile_record st ~line tag d =
   if tag = tag_meta then begin
     if st.pmeta <> None then fail line "duplicate meta record";
@@ -764,10 +568,8 @@ let handle_profile_record st ~line tag d =
   else if tag = tag_ctx then begin
     let id = Wire.read_varint d in
     let n = read_len ~line d in
-    let sites = Array.make n 0 in
-    for i = 0 to n - 1 do
-      sites.(i) <- Wire.read_varint d
-    done;
+    if n = 0 then fail line "context with no sites";
+    let sites = Array.init n (fun _ -> Wire.read_varint d) in
     let got = Context.intern st.ctxs sites in
     if got <> id then
       fail line
@@ -777,23 +579,23 @@ let handle_profile_record st ~line tag d =
     true
   end
   else if tag = tag_total then begin
-    let g = bgraph_of st ~line (Wire.read_u8 d) in
+    let g = graph_of st ~line (Wire.read_u8 d) in
     if Affinity_graph.reported_total g <> None then
       fail line "duplicate graph total record";
     Affinity_graph.set_reported_total g (Some (Wire.read_varint d));
     true
   end
   else if tag = tag_node then begin
-    let g = bgraph_of st ~line (Wire.read_u8 d) in
-    let id = Wire.read_varint d in
-    Affinity_graph.add_access_n g id (Wire.read_varint d);
+    let g = graph_of st ~line (Wire.read_u8 d) in
+    let id = read_node st ~line d in
+    Affinity_graph.add_access_n g id (read_count ~line "access count" d);
     true
   end
   else if tag = tag_edge then begin
-    let g = bgraph_of st ~line (Wire.read_u8 d) in
-    let x = Wire.read_varint d in
-    let y = Wire.read_varint d in
-    Affinity_graph.add_affinity_n g x y (Wire.read_varint d);
+    let g = graph_of st ~line (Wire.read_u8 d) in
+    let x = read_node st ~line d in
+    let y = read_node st ~line d in
+    Affinity_graph.add_affinity_n g x y (read_count ~line "edge weight" d);
     true
   end
   else false
@@ -819,14 +621,15 @@ type profile_artifact = {
   result : Profiler.result;
 }
 
-let write_profile ?obs ?(format = V1) ?created ?(producer = "halo")
-    ?(extra_meta = []) ~path ~program_digest ~config result =
+let write_profile ?obs ?format:(_ : format option) ?created
+    ?(producer = "halo") ?(extra_meta = []) ~path ~program_digest ~config
+    result =
   let created =
     match created with Some t -> t | None -> Unix.gettimeofday ()
   in
   let header =
     {
-      version = format_version format;
+      version;
       kind = "profile";
       program_digest;
       config_digest = profile_config_digest config;
@@ -835,46 +638,15 @@ let write_profile ?obs ?(format = V1) ?created ?(producer = "halo")
       meta = ("profiler_config", json_of_profiler_config config) :: extra_meta;
     }
   in
-  with_artifact ?obs ~format ~path ~header
-    ~emit_v1:(fun w -> emit_profile w result)
-    ~emit_v2:(fun w -> bemit_profile w result)
-    ()
-
-let decode_profile_payload payload =
-  let st = new_profile_state () in
-  (match payload with
-  | Lines lines ->
-      List.iter
-        (fun (line, j) ->
-          let tag = jstring ~line "p" j in
-          if not (handle_profile_line st ~line tag j) then
-            fail line (Printf.sprintf "unknown payload tag %S" tag))
-        lines
-  | Records records ->
-      List.iter
-        (fun (line, d) ->
-          try
-            let tag = Wire.read_u8 d in
-            if not (handle_profile_record st ~line tag d) then
-              fail line (Printf.sprintf "unknown record tag 0x%02x" tag);
-            Wire.expect_end d
-          with Wire.Error r -> fail line r)
-        records);
-  st
-
-let note_decode obs fmt =
-  Obs.add_attrs obs [ ("format", Json.Int (format_version fmt)) ];
-  Obs.count obs
-    (Printf.sprintf "store.codec.%s.decodes" (format_to_string fmt))
-    1
+  with_artifact ?obs ~path ~header (fun w -> emit_profile w result)
 
 let read_profile ?obs ?expect_program path =
   Obs.span obs "store.decode"
     ~attrs:[ ("kind", Json.String "profile"); ("path", Json.String path) ]
     (fun () ->
       wrap (fun () ->
-          let fmt, header, payload = read_artifact path in
-          note_decode obs fmt;
+          let header, records = read_artifact path in
+          note_decode obs;
           if header.kind <> "profile" then
             raise
               (Decode (Wrong_kind { found = header.kind; expected = "profile" }));
@@ -895,7 +667,8 @@ let read_profile ?obs ?expect_program path =
                       found = header.config_digest;
                       expected = self;
                     }));
-          let st = decode_profile_payload payload in
+          let st = new_profile_state () in
+          decode_records records (handle_profile_record st);
           { header; config; result = finish_profile st }))
 
 (* Incremental weighted merging: one mutable accumulator per program,
@@ -1271,90 +1044,18 @@ let merge_by_program ?obs ?jobs inputs =
         results)
   end
 
+
 (* {1 Plans} *)
 
 let emit_plan w (plan : Pipeline.plan) =
-  let cfg = json_of_pipeline_config plan.Pipeline.config in
-  (match cfg with
-  | Json.Obj fields -> wline w (Json.Obj (("p", Json.String "config") :: fields))
-  | _ -> assert false);
-  emit_profile w plan.Pipeline.profile;
-  let g = plan.Pipeline.grouping in
-  wline w
-    (Json.Obj
-       [
-         ("p", Json.String "grouping");
-         ( "groups",
-           Json.List
-             (Array.to_list
-                (Array.map
-                   (fun members ->
-                     Json.List (List.map (fun c -> Json.Int c) members))
-                   g.Grouping.groups)) );
-         ( "accesses",
-           Json.List
-             (Array.to_list
-                (Array.map (fun n -> Json.Int n) g.Grouping.group_accesses)) );
-         ( "weights",
-           Json.List
-             (Array.to_list
-                (Array.map (fun n -> Json.Int n) g.Grouping.group_weights)) );
-         ( "ungrouped",
-           Json.List (List.map (fun c -> Json.Int c) g.Grouping.ungrouped) );
-       ]);
-  List.iter
-    (fun (sel : Identify.selector) ->
-      wline w
-        (Json.Obj
-           [
-             ("p", Json.String "selector");
-             ("group", Json.Int sel.Identify.group);
-             ( "disjuncts",
-               Json.List
-                 (List.map
-                    (fun conj ->
-                      Json.List (List.map (fun s -> Json.Int s) conj))
-                    sel.Identify.disjuncts) );
-           ]))
-    plan.Pipeline.selectors;
-  let r = plan.Pipeline.rewrite in
-  wline w
-    (Json.Obj
-       [
-         ("p", Json.String "rewrite");
-         ("nbits", Json.Int r.Rewrite.nbits);
-         ( "patches",
-           Json.List
-             (List.map
-                (fun (site, bit) -> Json.List [ Json.Int site; Json.Int bit ])
-                r.Rewrite.patches) );
-         ( "selectors",
-           Json.List
-             (List.map
-                (fun (c : Rewrite.compiled) ->
-                  Json.Obj
-                    [
-                      ("group", Json.Int c.Rewrite.group);
-                      ( "conjs",
-                        Json.List
-                          (List.map
-                             (fun conj ->
-                               Json.List
-                                 (List.map (fun b -> Json.Int b) conj))
-                             c.Rewrite.conjs) );
-                    ])
-                r.Rewrite.selectors) );
-       ])
-
-let bemit_plan w (plan : Pipeline.plan) =
-  brecord w (fun b ->
+  record w (fun b ->
       Wire.u8 b tag_config;
       Wire.bytes b
         (Json.to_string ~pretty:false
            (json_of_pipeline_config plan.Pipeline.config)));
-  bemit_profile w plan.Pipeline.profile;
+  emit_profile w plan.Pipeline.profile;
   let g = plan.Pipeline.grouping in
-  brecord w (fun b ->
+  record w (fun b ->
       Wire.u8 b tag_grouping;
       Wire.varint b (Array.length g.Grouping.groups);
       Array.iter
@@ -1368,7 +1069,7 @@ let bemit_plan w (plan : Pipeline.plan) =
       List.iter (Wire.varint b) g.Grouping.ungrouped);
   List.iter
     (fun (sel : Identify.selector) ->
-      brecord w (fun b ->
+      record w (fun b ->
           Wire.u8 b tag_selector;
           Wire.varint b sel.Identify.group;
           Wire.varint b (List.length sel.Identify.disjuncts);
@@ -1379,7 +1080,7 @@ let bemit_plan w (plan : Pipeline.plan) =
             sel.Identify.disjuncts))
     plan.Pipeline.selectors;
   let r = plan.Pipeline.rewrite in
-  brecord w (fun b ->
+  record w (fun b ->
       Wire.u8 b tag_rewrite;
       Wire.varint b r.Rewrite.nbits;
       Wire.varint b (List.length r.Rewrite.patches);
@@ -1400,14 +1101,14 @@ let bemit_plan w (plan : Pipeline.plan) =
             c.Rewrite.conjs)
         r.Rewrite.selectors)
 
-let write_plan ?obs ?(format = V1) ?created ?(producer = "halo")
+let write_plan ?obs ?format:(_ : format option) ?created ?(producer = "halo")
     ?(extra_meta = []) ~path ~program_digest (plan : Pipeline.plan) =
   let created =
     match created with Some t -> t | None -> Unix.gettimeofday ()
   in
   let header =
     {
-      version = format_version format;
+      version;
       kind = "plan";
       program_digest;
       config_digest = plan_config_digest plan.Pipeline.config;
@@ -1416,30 +1117,15 @@ let write_plan ?obs ?(format = V1) ?created ?(producer = "halo")
       meta = extra_meta;
     }
   in
-  with_artifact ?obs ~format ~path ~header
-    ~emit_v1:(fun w -> emit_plan w plan)
-    ~emit_v2:(fun w -> bemit_plan w plan)
-    ()
-
-let int_lists ~line k j =
-  List.map
-    (function
-      | Json.List l ->
-          List.map
-            (function
-              | Json.Int i -> i
-              | _ -> fail line (Printf.sprintf "field %S must hold integer lists" k))
-            l
-      | _ -> fail line (Printf.sprintf "field %S must hold lists" k))
-    (jlist ~line k j)
+  with_artifact ?obs ~path ~header (fun w -> emit_plan w plan)
 
 let read_plan ?obs ?expect_program ?expect_config path =
   Obs.span obs "store.decode"
     ~attrs:[ ("kind", Json.String "plan"); ("path", Json.String path) ]
     (fun () ->
       wrap (fun () ->
-          let fmt, header, payload = read_artifact path in
-          note_decode obs fmt;
+          let header, records = read_artifact path in
+          note_decode obs;
           if header.kind <> "plan" then
             raise
               (Decode (Wrong_kind { found = header.kind; expected = "plan" }));
@@ -1452,169 +1138,52 @@ let read_plan ?obs ?expect_program ?expect_config path =
           let grouping = ref None in
           let selectors = ref [] in
           let rewrite = ref None in
-          (match payload with
-          | Lines lines ->
-              List.iter
-                (fun (line, j) ->
-                  let tag = jstring ~line "p" j in
-                  if not (handle_profile_line st ~line tag j) then
-                    match tag with
-                    | "config" ->
-                        if !config <> None then fail line "duplicate config line";
-                        config := Some (pipeline_config_of_json ~line j)
-                    | "grouping" ->
-                        if !grouping <> None then
-                          fail line "duplicate grouping line";
-                        let groups =
-                          Array.of_list (int_lists ~line "groups" j)
-                        in
-                        let accesses =
-                          Array.of_list (jints ~line "accesses" j)
-                        in
-                        let weights = Array.of_list (jints ~line "weights" j) in
-                        if
-                          Array.length accesses <> Array.length groups
-                          || Array.length weights <> Array.length groups
-                        then
-                          fail line
-                            "grouping arrays (groups, accesses, weights) differ in length";
-                        grouping :=
-                          Some
-                            {
-                              Grouping.groups;
-                              group_accesses = accesses;
-                              group_weights = weights;
-                              ungrouped = jints ~line "ungrouped" j;
-                            }
-                    | "selector" ->
-                        selectors :=
-                          {
-                            Identify.group = jint ~line "group" j;
-                            disjuncts = int_lists ~line "disjuncts" j;
-                          }
-                          :: !selectors
-                    | "rewrite" ->
-                        if !rewrite <> None then
-                          fail line "duplicate rewrite line";
-                        let patches =
-                          List.map
-                            (function
-                              | [ site; bit ] -> (site, bit)
-                              | _ -> fail line "patches must be [site, bit] pairs")
-                            (int_lists ~line "patches" j)
-                        in
-                        let compiled =
-                          List.map
-                            (fun sj ->
-                              {
-                                Rewrite.group = jint ~line "group" sj;
-                                conjs = int_lists ~line "conjs" sj;
-                              })
-                            (jlist ~line "selectors" j)
-                        in
-                        rewrite :=
-                          Some
-                            {
-                              Rewrite.patches;
-                              selectors = compiled;
-                              nbits = jint ~line "nbits" j;
-                            }
-                    | tag ->
-                        fail line (Printf.sprintf "unknown payload tag %S" tag))
-                lines
-          | Records records ->
-              List.iter
-                (fun (line, d) ->
-                  try
-                    let tag = Wire.read_u8 d in
-                    if not (handle_profile_record st ~line tag d) then
-                      if tag = tag_config then begin
-                        if !config <> None then
-                          fail line "duplicate config record";
-                        let j =
-                          match Json.of_string (Wire.read_bytes d) with
-                          | Ok j -> j
-                          | Error e -> fail line e
-                        in
-                        config := Some (pipeline_config_of_json ~line j)
-                      end
-                      else if tag = tag_grouping then begin
-                        if !grouping <> None then
-                          fail line "duplicate grouping record";
-                        let ngroups = read_len ~line d in
-                        let groups = Array.make ngroups [] in
-                        for i = 0 to ngroups - 1 do
-                          groups.(i) <- rint_list ~line d
-                        done;
-                        let accesses = Array.make ngroups 0 in
-                        for i = 0 to ngroups - 1 do
-                          accesses.(i) <- Wire.read_varint d
-                        done;
-                        let weights = Array.make ngroups 0 in
-                        for i = 0 to ngroups - 1 do
-                          weights.(i) <- Wire.read_varint d
-                        done;
-                        grouping :=
-                          Some
-                            {
-                              Grouping.groups;
-                              group_accesses = accesses;
-                              group_weights = weights;
-                              ungrouped = rint_list ~line d;
-                            }
-                      end
-                      else if tag = tag_selector then begin
-                        let group = Wire.read_varint d in
-                        let n = read_len ~line d in
-                        let rec disjuncts i acc =
-                          if i = n then List.rev acc
-                          else disjuncts (i + 1) (rint_list ~line d :: acc)
-                        in
-                        selectors :=
-                          { Identify.group; disjuncts = disjuncts 0 [] }
-                          :: !selectors
-                      end
-                      else if tag = tag_rewrite then begin
-                        if !rewrite <> None then
-                          fail line "duplicate rewrite record";
-                        let nbits = Wire.read_varint d in
-                        let np = read_len ~line d in
-                        let rec patches i acc =
-                          if i = np then List.rev acc
-                          else
-                            let site = Wire.read_varint d in
-                            let bit = Wire.read_varint d in
-                            patches (i + 1) ((site, bit) :: acc)
-                        in
-                        let patches = patches 0 [] in
-                        let ns = read_len ~line d in
-                        let rec compiled i acc =
-                          if i = ns then List.rev acc
-                          else begin
-                            let group = Wire.read_varint d in
-                            let nc = read_len ~line d in
-                            let rec conjs k acc =
-                              if k = nc then List.rev acc
-                              else conjs (k + 1) (rint_list ~line d :: acc)
-                            in
-                            compiled (i + 1)
-                              ({ Rewrite.group; conjs = conjs 0 [] } :: acc)
-                          end
-                        in
-                        rewrite :=
-                          Some
-                            {
-                              Rewrite.patches;
-                              selectors = compiled 0 [];
-                              nbits;
-                            }
-                      end
-                      else
-                        fail line
-                          (Printf.sprintf "unknown record tag 0x%02x" tag);
-                    Wire.expect_end d
-                  with Wire.Error r -> fail line r)
-                records);
+          let handle ~line tag d =
+            if handle_profile_record st ~line tag d then true
+            else if tag = tag_config then begin
+              if !config <> None then fail line "duplicate config record";
+              (match Json.of_string (Wire.read_bytes d) with
+              | Ok j -> config := Some (pipeline_config_of_json ~line j)
+              | Error e -> fail line e);
+              true
+            end
+            else if tag = tag_grouping then begin
+              if !grouping <> None then fail line "duplicate grouping record";
+              let groups = Array.of_list (read_list ~line d (rint_list ~line)) in
+              let n = Array.length groups in
+              let group_accesses = Array.init n (fun _ -> Wire.read_varint d) in
+              let group_weights = Array.init n (fun _ -> Wire.read_varint d) in
+              let ungrouped = rint_list ~line d in
+              grouping :=
+                Some
+                  { Grouping.groups; group_accesses; group_weights; ungrouped };
+              true
+            end
+            else if tag = tag_selector then begin
+              let group = Wire.read_varint d in
+              let disjuncts = read_list ~line d (rint_list ~line) in
+              selectors := { Identify.group; disjuncts } :: !selectors;
+              true
+            end
+            else if tag = tag_rewrite then begin
+              if !rewrite <> None then fail line "duplicate rewrite record";
+              let nbits = Wire.read_varint d in
+              let patches =
+                read_list ~line d (fun d ->
+                    let site = Wire.read_varint d in
+                    (site, Wire.read_varint d))
+              in
+              let selectors =
+                read_list ~line d (fun d ->
+                    let group = Wire.read_varint d in
+                    { Rewrite.group; conjs = read_list ~line d (rint_list ~line) })
+              in
+              rewrite := Some { Rewrite.patches; selectors; nbits };
+              true
+            end
+            else false
+          in
+          decode_records records handle;
           let require what = function
             | Some v -> v
             | None -> fail 0 (Printf.sprintf "artifact has no %s line" what)
@@ -1641,86 +1210,11 @@ let read_plan ?obs ?expect_program ?expect_config path =
 
 (* {1 Inspection} *)
 
+(* Only the fixed prefix and the header are read, never the payload. *)
 let read_header path =
   wrap (fun () ->
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          (* Sniff the container from the first bytes; neither path needs
-             the payload, so only the header region is read. *)
-          let start =
-            let b = Bytes.create 8 in
-            let n = input ic b 0 8 in
-            Bytes.sub_string b 0 n
-          in
-          if String.equal start magic then begin
-            let v =
-              match input_char ic with
-              | c -> Char.code c
-              | exception End_of_file -> raise (Decode Truncated)
-            in
-            if v <> version_v2 then
-              raise (Decode (Version_skew { found = v; supported = version_v2 }));
-            let hlen =
-              match really_input_string ic 4 with
-              | s -> (
-                  match Wire.read_u32 (Wire.dec s) with
-                  | v -> v
-                  | exception Wire.Error _ -> raise (Decode Truncated))
-              | exception End_of_file -> raise (Decode Truncated)
-            in
-            let hs =
-              try really_input_string ic hlen
-              with End_of_file -> raise (Decode Truncated)
-            in
-            match Json.of_string hs with
-            | Ok j -> parse_header ~line:1 ~expect:version_v2 j
-            | Error e -> fail 1 e
-          end
-          else begin
-            seek_in ic 0;
-            let line =
-              try input_line ic with End_of_file -> raise (Decode Truncated)
-            in
-            let line =
-              (* CRLF tolerance, matching the full reader. *)
-              let n = String.length line in
-              if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1)
-              else line
-            in
-            match Json.of_string line with
-            | Ok j -> parse_header ~line:1 ~expect:version j
-            | Error e -> fail 1 e
-          end))
-
-(* {1 Migration} *)
-
-let migrate ?obs ~format ~src dst =
-  match read_header src with
-  | Error e -> Error e
-  | Ok h when h.kind = "profile" -> (
-      match read_profile ?obs src with
-      | Error e -> Error e
-      | Ok a -> (
-          let extra_meta =
-            List.filter (fun (k, _) -> k <> "profiler_config") a.header.meta
-          in
-          match
-            write_profile ?obs ~format ~created:a.header.created
-              ~producer:a.header.producer ~extra_meta ~path:dst
-              ~program_digest:a.header.program_digest ~config:a.config a.result
-          with
-          | Error e -> Error e
-          | Ok () -> Ok { a.header with version = format_version format }))
-  | Ok h when h.kind = "plan" -> (
-      match read_plan ?obs src with
-      | Error e -> Error e
-      | Ok (h, plan) -> (
-          match
-            write_plan ?obs ~format ~created:h.created ~producer:h.producer
-              ~extra_meta:h.meta ~path:dst ~program_digest:h.program_digest plan
-          with
-          | Error e -> Error e
-          | Ok () -> Ok { h with version = format_version format }))
-  | Ok h -> Error (Wrong_kind { found = h.kind; expected = "profile or plan" })
+      In_channel.with_open_bin path (fun ic ->
+          let total = Int64.to_int (In_channel.length ic) in
+          let prefix = really_input_string ic (min total prefix_len) in
+          let hlen = check_prefix prefix ~total in
+          header_of_string (really_input_string ic hlen)))

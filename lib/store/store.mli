@@ -1,68 +1,42 @@
 (** Persistent, versioned artifact store for profiles and plans.
 
     The pipeline's record and apply phases communicate through on-disk
-    artifacts in one of two containers, auto-detected on read from the
-    first bytes of the file:
+    artifacts in one binary container, version {!version}:
 
-    {b v1 (JSONL)}, version {!version}:
-
-    - line 1 is a self-describing {e header} — format name, format
-      version, artifact kind, structural program digest ({!Ir_digest}),
-      configuration digest, creation metadata;
-    - every following line but the last is a {e payload} line, a JSON
-      object tagged with a ["p"] discriminator, emitted in a canonical
-      order (sorted nodes and edges, contexts in id order) so equal values
-      encode to equal bytes;
-    - the last line is a {e trailer} carrying the payload line count and an
-      FNV-1a 64 checksum of the payload bytes, written after the fact so
+    - an 8-byte magic ["HALOSTOR"] and a version byte;
+    - a length-prefixed, self-describing {e header} JSON object — format
+      name, format version, artifact kind, structural program digest
+      ({!Ir_digest}), configuration digest, creation metadata;
+    - length-prefixed binary {e records} (zigzag-LEB128 varints via
+      {!Wire}), emitted in a canonical order (contexts in id order,
+      sorted nodes and edges) so equal values encode to equal bytes;
+    - a zero sentinel and a {e trailer} carrying the record count and an
+      FNV-1a 64 checksum of the record frames, written after the fact so
       the writer streams.
 
-    The v1 reader accepts CRLF line endings and a final line with no
-    trailing newline: lines are canonicalised (trailing ['\r'] stripped)
-    before parsing and checksumming, so a byte-shifted but intact file
-    still verifies. [Truncated] means the trailer is genuinely missing.
-
-    {b v2 (binary)}, version [2]: an 8-byte magic ["HALOSTOR"], a version
-    byte, the same header JSON length-prefixed, then length-prefixed
-    binary records (zigzag-LEB128 varints via {!Wire}) mirroring the v1
-    payload record for record and in the same canonical order, a zero
-    sentinel, the record count and the same FNV-1a 64 checksum over the
-    record frames. The reader loads the image once and decodes records
-    in place — several times faster than v1 and roughly a third of the
-    bytes. Writers default to v1; pass [~format:V2] to opt in.
-
-    Decoding is strict for both containers: any unknown tag, missing
-    field, type mismatch, count mismatch, version skew or checksum
-    failure is a typed {!error}, never a silent partial artifact.
+    The reader loads the image once and decodes records in place.
+    Decoding is strict: a missing magic, unknown tag, missing field,
+    type mismatch, out-of-range value, count mismatch, version skew or
+    checksum failure is a typed {!error}, never a silent partial
+    artifact and never another exception.
 
     Observability: encode/decode spans carry a [format] attribute, and
-    the [store.codec.v1.encodes] / [store.codec.v2.encodes] /
-    [store.codec.v1.decodes] / [store.codec.v2.decodes] counters and
-    [store.codec.encode_bytes] histogram account codec traffic;
-    sharded merging reports under [store.shard.*] (see
+    the [store.codec.v2.encodes] / [store.codec.v2.decodes] counters and
+    [store.codec.encode_bytes] histogram account codec traffic; sharded
+    merging reports under [store.shard.*] (see
     {!merge_profiles_sharded}). *)
 
 val format_name : string
 (** ["halo/store"], the header's [format] field. *)
 
 val version : int
-(** The JSONL container's artifact format version: 1. *)
+(** The artifact format version: 2, the only one this build reads or
+    writes. *)
 
-val version_v2 : int
-(** The binary container's artifact format version: 2. *)
-
-type format = V1 | V2
-
-val format_version : format -> int
-(** [V1 -> 1], [V2 -> 2]. *)
-
-val format_of_version : int -> format option
-
-val format_to_string : format -> string
-(** ["v1"] / ["v2"] — the CLI's [--format] vocabulary. *)
-
-val format_of_string : string -> format option
-(** Accepts ["v1"]/["1"]/["jsonl"] and ["v2"]/["2"]/["binary"]. *)
+type format = V2
+(** Kept only for the benchmark directory ([halobench/]), which passes
+    [~format:V2] to {!write_profile} and {!write_plan}; the argument is
+    ignored. Delete both once that directory may change. *)
 
 type header = {
   version : int;
@@ -79,12 +53,13 @@ type header = {
 type error =
   | Io of string
   | Malformed of { line : int; reason : string }
-      (** [line] is 1-based; 0 means the artifact as a whole. *)
+      (** [line] is the 1-based ordinal of the offending unit — 1 is the
+          header, 2 the first record; 0 means the artifact as a whole. *)
   | Version_skew of { found : int; supported : int }
   | Wrong_kind of { found : string; expected : string }
   | Digest_mismatch of { field : string; found : string; expected : string }
   | Bad_checksum of { stated : string; computed : string }
-  | Truncated  (** EOF before the trailer line. *)
+  | Truncated  (** EOF before the end of the trailer. *)
 
 val error_to_string : error -> string
 
@@ -128,21 +103,21 @@ val write_profile :
   config:Profiler.config ->
   Profiler.result ->
   (unit, error) result
-(** Encode one profiling run. [format] picks the container (default
-    {!V1}); [created] and [producer] default to [Unix.gettimeofday ()]
-    and ["halo"]; golden tests pin them. [obs] records the
-    [store.encode] span. *)
+(** Encode one profiling run. [format] is ignored (see {!format});
+    [created] and [producer] default to [Unix.gettimeofday ()] and
+    ["halo"]; golden tests pin them. [obs] records the [store.encode]
+    span. *)
 
 val read_profile :
   ?obs:Obs.t ->
   ?expect_program:string ->
   string ->
   (profile_artifact, error) result
-(** Decode a profile artifact in either container (auto-detected).
-    [expect_program] rejects artifacts recorded from a structurally
-    different program with [Digest_mismatch]. The decoded result
-    round-trips: graphs, contexts (same ids), totals are structurally
-    equal to what was written. [obs] records the [store.decode] span. *)
+(** Decode a profile artifact. [expect_program] rejects artifacts
+    recorded from a structurally different program with
+    [Digest_mismatch]. The decoded result round-trips: graphs, contexts
+    (same ids), totals are structurally equal to what was written. [obs]
+    records the [store.decode] span. *)
 
 val merge_profiles :
   (profile_artifact * float) list ->
@@ -272,9 +247,8 @@ val write_plan :
   Pipeline.plan ->
   (unit, error) result
 (** Encode a complete plan: pipeline config, embedded profile, grouping,
-    selectors and rewrite. [format] picks the container (default
-    {!V1}). The header's config digest is
-    [plan_config_digest plan.config]. *)
+    selectors and rewrite. [format] is ignored (see {!format}). The
+    header's config digest is [plan_config_digest plan.config]. *)
 
 val read_plan :
   ?obs:Obs.t ->
@@ -282,23 +256,16 @@ val read_plan :
   ?expect_config:string ->
   string ->
   (header * Pipeline.plan, error) result
-(** Decode a plan artifact in either container (auto-detected);
-    [expect_config] compares against the header's config digest (the
+(** Decode a plan artifact; [expect_config] compares against the header's config digest (the
     cache's key check). The decoded plan's config is re-digested and
     verified against the header — a tampered config body is a
     [Digest_mismatch], not a silently different plan. *)
 
-(** {1 Inspection and migration} *)
+(** {1 Inspection} *)
 
 val read_header : string -> (header, error) result
-(** Read and validate the header only (either container) — kind sniffing
-    for [profile inspect] without decoding the payload. *)
-
-val migrate :
-  ?obs:Obs.t -> format:format -> src:string -> string -> (header, error) result
-(** [migrate ~format ~src dst] re-encodes the artifact at [src] (either
-    kind, either container) into [format] at [dst], preserving the
-    header's creation time, producer and metadata — so
-    v1 → v2 → v1 reproduces the original file byte for byte, and both
-    encodings of one artifact decode and merge identically. Returns the
-    migrated header. *)
+(** Read and validate the header only — kind sniffing for
+    [profile inspect] without decoding the payload. A file without the
+    magic is [Malformed] at line 0; one shorter than the magic, or whose
+    stated header length runs past the end of the file, is [Truncated]
+    (checked before the header is read). *)

@@ -189,6 +189,21 @@ let handle_line_recovers () =
     (Json.get_bool "ok" unknown = Ok false);
   checkb "id recovered" true (Json.get_int "id" unknown = Ok 9)
 
+let handle_line_hostile_artifact () =
+  (* A checksum-valid profile artifact carrying a negative node count:
+     the decoder's typed error becomes an error response, not an
+     exception that would end the daemon's connection loop. *)
+  let path = T_store.hostile_profile () in
+  let engine = Serve.create (config ()) in
+  let r =
+    Serve.handle_line engine
+      (Printf.sprintf {|{"job":"profile-record","id":1,"artifact":%S}|} path)
+  in
+  Sys.remove path;
+  checkb "hostile artifact is an error response" true
+    (Json.get_bool "ok" r = Ok false);
+  checkb "id recovered" true (Json.get_int "id" r = Ok 1)
+
 (* ---------------- fleet simulator ---------------- *)
 
 let sim_stream_deterministic () =
@@ -383,6 +398,7 @@ let suite =
     slow "cache: warm engine never profiles" warm_cache_serves_without_profiling;
     tc "shutdown: later jobs refused" shutdown_semantics;
     tc "lines: parse failures become error responses" handle_line_recovers;
+    tc "lines: a hostile artifact is an error response" handle_line_hostile_artifact;
     tc "sim: schedule is deterministic" sim_stream_deterministic;
     slow "sim: small fleet smoke" sim_run_smoke;
     tc "line reader: one-byte short reads" line_reader_one_byte_reads;

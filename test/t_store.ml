@@ -1,8 +1,9 @@
 (* Tests for the persistent profile/plan store: canonical round-trips
-   (property-tested over generated programs), a golden pin of the v1
-   header bytes, one test per decode-rejection path, the structural
-   program digest's scale-insensitivity, weighted cross-run merging, and
-   the content-addressed plan cache's record/apply and warmed-run
+   (property-tested over generated programs), a golden pin of the
+   container bytes, one test per decode-rejection path plus a
+   byte-mutation property over the decoder, the structural program
+   digest's scale-insensitivity, weighted cross-run merging, and the
+   content-addressed plan cache's record/apply and warmed-run
    guarantees. *)
 
 let checkb = Alcotest.check Alcotest.bool
@@ -53,7 +54,7 @@ let graphs_equal a b =
 
 let profile_round_trip () =
   let prog, config, result = profiled "ft" in
-  let path = tmp ".jsonl" in
+  let path = tmp ".bin" in
   let digest = Ir_digest.program prog in
   ok
     (Store.write_profile ~created:1.0 ~producer:"t" ~path ~program_digest:digest
@@ -82,7 +83,7 @@ let profile_round_trip () =
     = Affinity_graph.reported_total a.Store.result.Profiler.graph);
   (* Canonical form: re-encoding the decoded artifact reproduces the
      bytes exactly. *)
-  let path2 = tmp ".jsonl" in
+  let path2 = tmp ".bin" in
   ok
     (Store.write_profile ~created:1.0 ~producer:"t" ~path:path2
        ~program_digest:digest ~config a.Store.result);
@@ -90,16 +91,17 @@ let profile_round_trip () =
   Sys.remove path;
   Sys.remove path2
 
-let plan_round_trip_prop_as format name =
-  QCheck2.Test.make ~name ~count:8
+let plan_round_trip_prop =
+  QCheck2.Test.make ~name:"store: decode(encode plan) is structurally equal"
+    ~count:8
     QCheck2.Gen.(int_range 1 1_000_000)
     (fun seed ->
       let case = Fuzz_gen.generate ~seed () in
       let plan = Pipeline.plan case.Fuzz_gen.test in
       let digest = Ir_digest.program case.Fuzz_gen.test in
-      let path = tmp ".jsonl" in
+      let path = tmp ".bin" in
       ok
-        (Store.write_plan ~format ~created:2.0 ~producer:"t" ~path
+        (Store.write_plan ~created:2.0 ~producer:"t" ~path
            ~program_digest:digest plan);
       let _header, decoded = ok (Store.read_plan ~expect_program:digest path) in
       let structurally_equal =
@@ -113,46 +115,16 @@ let plan_round_trip_prop_as format name =
              plan.Pipeline.profile.Profiler.raw_graph
       in
       (* And the canonical form is a fixed point of encode∘decode. *)
-      let path2 = tmp ".jsonl" in
+      let path2 = tmp ".bin" in
       ok
-        (Store.write_plan ~format ~created:2.0 ~producer:"t" ~path:path2
+        (Store.write_plan ~created:2.0 ~producer:"t" ~path:path2
            ~program_digest:digest decoded);
       let byte_stable = String.equal (read_file path) (read_file path2) in
       Sys.remove path;
       Sys.remove path2;
       structurally_equal && byte_stable)
 
-let plan_round_trip_prop =
-  plan_round_trip_prop_as Store.V1
-    "store: decode(encode plan) is structurally equal"
-
-let plan_round_trip_v2_prop =
-  plan_round_trip_prop_as Store.V2
-    "store: decode(encode plan) is structurally equal (v2 binary)"
-
-(* ---------------- golden v1 header ---------------- *)
-
-let golden_header () =
-  let prog, config, result = profiled "ft" in
-  let path = tmp ".jsonl" in
-  ok
-    (Store.write_profile ~created:1700000000.0 ~producer:"golden" ~path
-       ~program_digest:(Ir_digest.program prog) ~config result);
-  let header_line =
-    match String.split_on_char '\n' (read_file path) with
-    | l :: _ -> l
-    | [] -> Alcotest.fail "empty artifact"
-  in
-  Sys.remove path;
-  checks "v1 header bytes"
-    ("{\"format\":\"halo/store\",\"version\":1,\"kind\":\"profile\",\
-      \"program\":\"" ^ Ir_digest.program prog
-   ^ "\",\"config\":\"a44f7ef8caf217822d7a520db0a30566\",\
-      \"created\":1700000000.0,\"producer\":\"golden\",\
-      \"meta\":{\"profiler_config\":{\"affinity_distance\":128,\
-      \"max_tracked_size\":4096,\"node_coverage\":0.90000000000000002,\
-      \"seed\":1,\"sample_period\":1}}}")
-    header_line
+(* ---------------- golden digests ---------------- *)
 
 let golden_digests () =
   (* Pinned digest values: a change here is a format break and must bump
@@ -169,19 +141,25 @@ let golden_digests () =
 (* A small recorded artifact to corrupt, one fresh copy per test. *)
 let recorded () =
   let prog, config, result = profiled "ft" in
-  let path = tmp ".jsonl" in
+  let path = tmp ".bin" in
   ok
     (Store.write_profile ~created:1.0 ~producer:"t" ~path
        ~program_digest:(Ir_digest.program prog) ~config result);
   path
 
-let lines_of path =
-  (* Content always ends with a newline, so drop the trailing "". *)
-  match List.rev (String.split_on_char '\n' (read_file path)) with
-  | "" :: rev -> List.rev rev
-  | rev -> List.rev rev
+(* The same for a plan. *)
+let planned () =
+  let prog = (w "ft").Workload.make Workload.Test in
+  let path = tmp ".bin" in
+  ok
+    (Store.write_plan ~created:1.0 ~producer:"t" ~path
+       ~program_digest:(Ir_digest.program prog) (Pipeline.plan prog));
+  path
 
-let unlines ls = String.concat "\n" ls ^ "\n"
+let contains ~sub s =
+  let n = String.length s and m = String.length sub in
+  let rec find i = i + m <= n && (String.sub s i m = sub || find (i + 1)) in
+  find 0
 
 let replace_once ~sub ~by s =
   let n = String.length s and m = String.length sub in
@@ -194,50 +172,155 @@ let replace_once ~sub ~by s =
   | None -> s
   | Some i -> String.sub s 0 i ^ by ^ String.sub s (i + m) (n - (i + m))
 
+(* Independent FNV-1a-64 (the constants re-stated here on purpose: a
+   drift in the library's constants must fail this pin). *)
+let fnv_prime = 0x100000001b3L
+let fnv_offset = 0xcbf29ce484222325L
+
+let fnv_sub h s pos len =
+  let h = ref h in
+  for i = pos to pos + len - 1 do
+    h :=
+      Int64.mul (Int64.logxor !h (Int64.of_int (Char.code s.[i]))) fnv_prime
+  done;
+  !h
+
+let u32_at s pos =
+  let g i = Char.code s.[pos + i] in
+  g 0 lor (g 1 lsl 8) lor (g 2 lsl 16) lor (g 3 lsl 24)
+
+let i64_at s pos =
+  let v = ref 0L in
+  for i = 7 downto 0 do
+    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code s.[pos + i]))
+  done;
+  !v
+
+(* Container surgery. [split] cuts a valid image into its prefix (magic,
+   version, header length, header) and its record bodies; [seal]
+   reassembles them, re-framing every body and recomputing the trailer
+   ([count] overrides the stated record count), so an edited body
+   reaches the record decoders instead of stopping at the checksum. *)
+let split data =
+  let start = 13 + u32_at data 9 in
+  let rec frames pos acc =
+    let len = u32_at data pos in
+    if len = 0 then List.rev acc
+    else frames (pos + 4 + len) (String.sub data (pos + 4) len :: acc)
+  in
+  (String.sub data 0 start, frames start [])
+
+let seal ?count prefix bodies =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b prefix;
+  let h = ref fnv_offset in
+  List.iter
+    (fun p ->
+      let f = Buffer.create (4 + String.length p) in
+      Wire.u32 f (String.length p);
+      Buffer.add_string f p;
+      let f = Buffer.contents f in
+      h := fnv_sub !h f 0 (String.length f);
+      Buffer.add_string b f)
+    bodies;
+  Wire.u32 b 0;
+  Wire.varint b (Option.value count ~default:(List.length bodies));
+  Wire.i64 b !h;
+  Buffer.contents b
+
+(* Rewrite the first record tagged [tag] through [f], then re-seal. *)
+let forge_first ~tag f data =
+  let prefix, bodies = split data in
+  let forged = ref false in
+  let bodies =
+    List.map
+      (fun p ->
+        if !forged || Char.code p.[0] <> tag then p
+        else begin
+          forged := true;
+          f p
+        end)
+      bodies
+  in
+  checkb (Printf.sprintf "found a 0x%02x record" tag) true !forged;
+  seal prefix bodies
+
+(* Re-encode a record body whose fields after its first [skip] bytes are
+   all varints, mapping the decoded field list through [f]. *)
+let revarint ~skip f body =
+  let d = Wire.dec ~pos:skip body in
+  let rec fields acc =
+    if Wire.eof d then List.rev acc else fields (Wire.read_varint d :: acc)
+  in
+  let b = Buffer.create (String.length body) in
+  Buffer.add_string b (String.sub body 0 skip);
+  List.iter (Wire.varint b) (f (fields []));
+  Buffer.contents b
+
 let reject_truncated () =
   let path = recorded () in
-  let ls = lines_of path in
-  write_file path (unlines (List.filteri (fun i _ -> i < List.length ls - 1) ls));
-  (match err "trailer dropped" (Store.read_profile path) with
-  | Store.Truncated -> ()
-  | e -> Alcotest.fail ("wanted Truncated, got " ^ Store.error_to_string e));
+  let data = read_file path in
+  let prefix, bodies = split data in
+  let trailer_len =
+    let b = Buffer.create 8 in
+    Wire.varint b (List.length bodies);
+    4 + Buffer.length b + 8
+  in
+  let truncated what s =
+    write_file path s;
+    (match err what (Store.read_profile path) with
+    | Store.Truncated -> ()
+    | e -> Alcotest.fail (what ^ ": wanted Truncated, got " ^ Store.error_to_string e));
+    if String.length s < String.length prefix then
+      match err what (Store.read_header path) with
+      | Store.Truncated -> ()
+      | e ->
+          Alcotest.fail
+            (what ^ ": header read wanted Truncated, got " ^ Store.error_to_string e)
+  in
+  truncated "trailer dropped" (String.sub data 0 (String.length data - trailer_len));
+  truncated "header cut short" (String.sub data 0 (String.length prefix - 1));
+  truncated "header length cut short" (String.sub data 0 11);
+  truncated "bare magic" "HALOSTOR";
+  truncated "shorter than the magic" "HALO";
+  truncated "empty file" "";
   Sys.remove path
 
 let reject_bad_checksum () =
   let path = recorded () in
-  let ls = lines_of path in
-  (* Flip one digit inside the first payload line; the line count is
-     unchanged, so the checksum is what must catch it. *)
-  let flipped =
-    List.mapi
-      (fun i l ->
-        if i <> 1 then l
-        else
-          String.map
-            (fun ch -> if ch = '0' then '9' else if ch = '9' then '0' else ch)
-            l)
-      ls
-  in
-  write_file path (unlines flipped);
-  (match err "payload bit-flip" (Store.read_profile path) with
+  let data = read_file path in
+  (* Edit the trailer's stated checksum: every frame still walks. *)
+  let b = Bytes.of_string data in
+  let last = Bytes.length b - 1 in
+  Bytes.set b last (Char.chr (Char.code (Bytes.get b last) lxor 0x01));
+  write_file path (Bytes.to_string b);
+  (match err "trailer checksum edited" (Store.read_profile path) with
   | Store.Bad_checksum _ -> ()
   | e -> Alcotest.fail ("wanted Bad_checksum, got " ^ Store.error_to_string e));
   Sys.remove path
 
 let reject_version_skew () =
   let path = recorded () in
-  let ls = lines_of path in
-  let skewed =
-    List.mapi
-      (fun i l ->
-        if i = 0 then
-          replace_once ~sub:"\"version\":1," ~by:"\"version\":99," l
-        else l)
-      ls
+  let data = read_file path in
+  (* The header JSON states a future version under a current container
+     byte; the header length is re-stated to match. *)
+  let hlen = u32_at data 9 in
+  let h =
+    replace_once ~sub:"\"version\":2," ~by:"\"version\":99,"
+      (String.sub data 13 hlen)
   in
-  write_file path (unlines skewed);
-  (match err "version 99" (Store.read_header path) with
-  | Store.Version_skew { found = 99; supported = 1 } -> ()
+  let b = Buffer.create (String.length data + 1) in
+  Buffer.add_string b (String.sub data 0 9);
+  Wire.u32 b (String.length h);
+  Buffer.add_string b h;
+  Buffer.add_string b
+    (String.sub data (13 + hlen) (String.length data - 13 - hlen));
+  write_file path (Buffer.contents b);
+  (match err "header version 99" (Store.read_header path) with
+  | Store.Version_skew { found = 99; supported = 2 } -> ()
+  | e -> Alcotest.fail ("wanted Version_skew, got " ^ Store.error_to_string e));
+  (match err "payload under header version 99" (Store.read_profile path) with
+  | Store.Version_skew { found = 99; supported = 2 } -> ()
   | e -> Alcotest.fail ("wanted Version_skew, got " ^ Store.error_to_string e));
   Sys.remove path
 
@@ -260,18 +343,115 @@ let reject_digest_mismatch () =
 
 let reject_malformed_count () =
   let path = recorded () in
-  let ls = lines_of path in
-  (* Drop one payload line: the trailer's line count no longer matches. *)
-  write_file path (unlines (List.filteri (fun i _ -> i <> 1) ls));
-  (match err "payload line dropped" (Store.read_profile path) with
-  | Store.Malformed _ -> ()
-  | e -> Alcotest.fail ("wanted Malformed, got " ^ Store.error_to_string e));
+  let prefix, bodies = split (read_file path) in
+  let n = List.length bodies in
+  (* Checksum-valid trailers whose record count disagrees with the
+     records present: one too many declared, then one record dropped. *)
+  List.iter
+    (fun (what, image) ->
+      write_file path image;
+      match err what (Store.read_profile path) with
+      | Store.Malformed _ -> ()
+      | e -> Alcotest.fail ("wanted Malformed, got " ^ Store.error_to_string e))
+    [
+      ("count one too high", seal ~count:(n + 1) prefix bodies);
+      ( "record dropped",
+        seal ~count:n prefix (List.filteri (fun i _ -> i <> 1) bodies) );
+    ];
   Sys.remove path
 
 let reject_io () =
-  match err "missing file" (Store.read_profile (tmp_dir () ^ "/nope.jsonl")) with
+  match err "missing file" (Store.read_profile (tmp_dir () ^ "/nope.bin")) with
   | Store.Io _ -> ()
   | e -> Alcotest.fail ("wanted Io, got " ^ Store.error_to_string e)
+
+let reject_no_magic () =
+  let path = tmp ".bin" in
+  (* A JSONL artifact in the retired line format, and plain text. *)
+  let legacy =
+    "{\"format\":\"halo/store\",\"version\":1,\"kind\":\"profile\"}\n\
+     {\"end\":true,\"lines\":0,\"checksum\":\"cbf29ce484222325\"}\n"
+  in
+  List.iter
+    (fun (what, s) ->
+      write_file path s;
+      let check reader r =
+        match r with
+        | Error (Store.Malformed { line = 0; reason })
+          when contains ~sub:"HALOSTOR" reason ->
+            ()
+        | Error e ->
+            Alcotest.fail
+              (Printf.sprintf "%s via %s: wanted Malformed at line 0 naming \
+                               the magic, got %s"
+                 what reader (Store.error_to_string e))
+        | Ok _ -> Alcotest.fail (what ^ " decoded via " ^ reader)
+      in
+      check "read_header" (Result.map ignore (Store.read_header path));
+      check "read_profile" (Result.map ignore (Store.read_profile path));
+      check "read_plan" (Result.map ignore (Store.read_plan path)))
+    [ ("legacy JSONL", legacy); ("plain text", "not an artifact at all\n") ];
+  Sys.remove path
+
+let reject_huge_header_length () =
+  (* Magic, version 2, a header length of 2^31 - 1, then two bytes. *)
+  let path = tmp ".bin" in
+  write_file path "HALOSTOR\x02\xff\xff\xff\x7f{}";
+  let before = Gc.allocated_bytes () in
+  let r = Store.read_header path in
+  let allocated = Gc.allocated_bytes () -. before in
+  (match err "header length past the end" r with
+  | Store.Truncated -> ()
+  | e -> Alcotest.fail ("wanted Truncated, got " ^ Store.error_to_string e));
+  checkb
+    (Printf.sprintf "less than 1 MiB allocated (%.0f bytes)" allocated)
+    true (allocated < 1048576.0);
+  (match err "whole-file read" (Store.read_profile path) with
+  | Store.Truncated -> ()
+  | e -> Alcotest.fail ("wanted Truncated, got " ^ Store.error_to_string e));
+  Sys.remove path
+
+(* Checksum-valid records whose values the graph and context tables
+   reject: each must decode to [Malformed] at its record, from a profile
+   and from the profile embedded in a plan. *)
+let hostile_records =
+  [
+    ("node count -1", 0x04, revarint ~skip:2 (function [ id; _ ] -> [ id; -1 ] | l -> l));
+    ("edge weight -1", 0x05, revarint ~skip:2 (function [ x; y; _ ] -> [ x; y; -1 ] | l -> l));
+    ("ctx with zero sites", 0x02, revarint ~skip:1 (function id :: _ -> [ id; 0 ] | l -> l));
+    ( "node naming no context",
+      0x04,
+      revarint ~skip:2 (function [ _; n ] -> [ 1_000_000; n ] | l -> l) );
+  ]
+
+(* A checksum-valid profile artifact with a negative node count. *)
+let hostile_profile () =
+  let path = recorded () in
+  let _, tag, f = List.hd hostile_records in
+  write_file path (forge_first ~tag f (read_file path));
+  path
+
+let reject_hostile_records () =
+  List.iter
+    (fun (kind, path) ->
+      let data = read_file path in
+      List.iter
+        (fun (what, tag, f) ->
+          write_file path (forge_first ~tag f data);
+          let what = kind ^ ": " ^ what in
+          let r =
+            if kind = "profile" then Result.map ignore (Store.read_profile path)
+            else Result.map ignore (Store.read_plan path)
+          in
+          match err what r with
+          | Store.Malformed { line; _ } when line >= 2 -> ()
+          | e ->
+              Alcotest.fail
+                (what ^ ": wanted Malformed at a record, got "
+               ^ Store.error_to_string e))
+        hostile_records;
+      Sys.remove path)
+    [ ("profile", recorded ()); ("plan", planned ()) ]
 
 (* ---------------- structural digest ---------------- *)
 
@@ -312,7 +492,7 @@ let artifact_of ?config name =
     | Some c -> profiled ~config:c name
     | None -> profiled name
   in
-  let path = tmp ".jsonl" in
+  let path = tmp ".bin" in
   ok
     (Store.write_profile ~created:1.0 ~producer:"t" ~path
        ~program_digest:(Ir_digest.program prog) ~config result);
@@ -452,68 +632,14 @@ let merge_incremental_rejects () =
   | e -> Alcotest.fail ("wanted Digest_mismatch, got " ^ Store.error_to_string e));
   checki "rejected add leaves the fold untouched" 1 (Store.merge_count st)
 
-(* ---------------- v1 line-ending tolerance ---------------- *)
-
-(* Hand-crafted byte-level variants of a recorded v1 artifact: CRLF line
-   endings and a missing final newline must decode identically — the
-   reader canonicalises lines before parsing and checksumming. *)
-
-let crlf s = String.concat "\r\n" (String.split_on_char '\n' s)
-
-let v1_tolerates_crlf () =
-  let path = recorded () in
-  let orig = ok (Store.read_profile path) in
-  write_file path (crlf (read_file path));
-  let a = ok (Store.read_profile path) in
-  checkb "CRLF artifact decodes identically" true
-    (graphs_equal orig.Store.result.Profiler.graph a.Store.result.Profiler.graph
-    && orig.Store.result.Profiler.total_accesses
-       = a.Store.result.Profiler.total_accesses);
-  Sys.remove path
-
-let v1_tolerates_missing_final_newline () =
-  let path = recorded () in
-  let data = read_file path in
-  let orig = ok (Store.read_profile path) in
-  let n = String.length data in
-  checkb "fixture ends with a newline" true (data.[n - 1] = '\n');
-  write_file path (String.sub data 0 (n - 1));
-  (match Store.read_profile path with
-  | Ok a ->
-      checki "no-final-newline decodes identically"
-        orig.Store.result.Profiler.total_accesses
-        a.Store.result.Profiler.total_accesses
-  | Error e ->
-      Alcotest.fail ("no-final-newline rejected: " ^ Store.error_to_string e));
-  (* CRLF and a chopped final newline at once: the last line ends in a
-     bare '\r', which the canonicaliser must also strip. *)
-  let c = crlf data in
-  write_file path (String.sub c 0 (String.length c - 1));
-  (match Store.read_profile path with
-  | Ok a ->
-      checki "CRLF+no-newline decodes identically"
-        orig.Store.result.Profiler.total_accesses
-        a.Store.result.Profiler.total_accesses
-  | Error e ->
-      Alcotest.fail ("CRLF+no-newline rejected: " ^ Store.error_to_string e));
-  Sys.remove path
-
 (* ---------------- v2 binary codec ---------------- *)
-
-let recorded_v2 () =
-  let prog, config, result = profiled "ft" in
-  let path = tmp ".bin" in
-  ok
-    (Store.write_profile ~format:Store.V2 ~created:1.0 ~producer:"t" ~path
-       ~program_digest:(Ir_digest.program prog) ~config result);
-  path
 
 let profile_round_trip_v2 () =
   let prog, config, result = profiled "ft" in
   let digest = Ir_digest.program prog in
   let path = tmp ".bin" in
   ok
-    (Store.write_profile ~format:Store.V2 ~created:1.0 ~producer:"t" ~path
+    (Store.write_profile ~created:1.0 ~producer:"t" ~path
        ~program_digest:digest ~config result);
   let h = ok (Store.read_header path) in
   checki "header says v2" 2 h.Store.version;
@@ -536,49 +662,17 @@ let profile_round_trip_v2 () =
     (graphs_equal result.Profiler.raw_graph a.Store.result.Profiler.raw_graph);
   let path2 = tmp ".bin" in
   ok
-    (Store.write_profile ~format:Store.V2 ~created:1.0 ~producer:"t"
+    (Store.write_profile ~created:1.0 ~producer:"t"
        ~path:path2 ~program_digest:digest ~config a.Store.result);
   checks "byte-stable re-encode" (read_file path) (read_file path2);
-  (* The compaction claim: same payload, meaningfully fewer bytes. *)
-  let v1path = tmp ".jsonl" in
-  ok
-    (Store.write_profile ~created:1.0 ~producer:"t" ~path:v1path
-       ~program_digest:digest ~config result);
-  checkb "v2 is smaller than v1" true
-    ((Unix.stat path).Unix.st_size < (Unix.stat v1path).Unix.st_size);
   Sys.remove path;
-  Sys.remove path2;
-  Sys.remove v1path
-
-(* Independent FNV-1a-64 (the constants re-stated here on purpose: a
-   drift in the library's constants must fail this pin). *)
-let fnv_prime = 0x100000001b3L
-let fnv_offset = 0xcbf29ce484222325L
-
-let fnv_sub h s pos len =
-  let h = ref h in
-  for i = pos to pos + len - 1 do
-    h :=
-      Int64.mul (Int64.logxor !h (Int64.of_int (Char.code s.[i]))) fnv_prime
-  done;
-  !h
-
-let u32_at s pos =
-  let g i = Char.code s.[pos + i] in
-  g 0 lor (g 1 lsl 8) lor (g 2 lsl 16) lor (g 3 lsl 24)
-
-let i64_at s pos =
-  let v = ref 0L in
-  for i = 7 downto 0 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code s.[pos + i]))
-  done;
-  !v
+  Sys.remove path2
 
 let golden_v2_container () =
   let prog, config, result = profiled "ft" in
   let path = tmp ".bin" in
   ok
-    (Store.write_profile ~format:Store.V2 ~created:1700000000.0
+    (Store.write_profile ~created:1700000000.0
        ~producer:"golden" ~path
        ~program_digest:(Ir_digest.program prog) ~config result);
   let data = read_file path in
@@ -624,7 +718,7 @@ let golden_v2_container () =
   checki "file ends right after the checksum" (String.length data) (!p + 8)
 
 let reject_v2_truncated () =
-  let path = recorded_v2 () in
+  let path = recorded () in
   let data = read_file path in
   (* Chop into the trailer checksum... *)
   write_file path (String.sub data 0 (String.length data - 6));
@@ -639,7 +733,7 @@ let reject_v2_truncated () =
   Sys.remove path
 
 let reject_v2_bad_checksum () =
-  let path = recorded_v2 () in
+  let path = recorded () in
   let data = read_file path in
   let hlen = u32_at data 9 in
   (* Flip the first record's tag byte: frame lengths stay intact, so the
@@ -654,7 +748,7 @@ let reject_v2_bad_checksum () =
   Sys.remove path
 
 let reject_v2_version_skew () =
-  let path = recorded_v2 () in
+  let path = recorded () in
   let data = read_file path in
   let b = Bytes.of_string data in
   Bytes.set b 8 (Char.chr 9);
@@ -667,56 +761,16 @@ let reject_v2_version_skew () =
   | e -> Alcotest.fail ("wanted Version_skew, got " ^ Store.error_to_string e));
   Sys.remove path
 
-(* Rebuild a v2 artifact with the first ctx record's site count replaced
-   by [count n], re-framing it and recomputing the trailer so the
-   checksum is valid: only the decoder's own bounds stand between the
-   claimed count and an allocation of that size. *)
+(* The first ctx record's site count replaced by [count n], re-sealed:
+   only the decoder's own bounds stand between the claimed count and an
+   allocation of that size. *)
 let forge_ctx_count data count =
-  let hlen = u32_at data 9 in
-  let start = 13 + hlen in
-  let rec frames pos acc =
-    let len = u32_at data pos in
-    if len = 0 then List.rev acc
-    else frames (pos + 4 + len) (String.sub data (pos + 4) len :: acc)
-  in
-  let forged = ref false in
-  let forge p =
-    if !forged || Char.code p.[0] <> 0x02 then p
-    else begin
-      forged := true;
-      let d = Wire.dec ~pos:1 p in
-      ignore (Wire.read_varint d : int);
-      let id_end = Wire.pos d in
-      let n = Wire.read_varint d in
-      let rest = Wire.pos d in
-      let b = Buffer.create (String.length p + 8) in
-      Buffer.add_string b (String.sub p 0 id_end);
-      Wire.varint b (count n);
-      Buffer.add_string b (String.sub p rest (String.length p - rest));
-      Buffer.contents b
-    end
-  in
-  let payloads = List.map forge (frames start []) in
-  checkb "found a ctx record" true !forged;
-  let b = Buffer.create (String.length data) in
-  Buffer.add_string b (String.sub data 0 start);
-  let h = ref fnv_offset in
-  List.iter
-    (fun p ->
-      let f = Buffer.create (4 + String.length p) in
-      Wire.u32 f (String.length p);
-      Buffer.add_string f p;
-      let f = Buffer.contents f in
-      h := fnv_sub !h f 0 (String.length f);
-      Buffer.add_string b f)
-    payloads;
-  Wire.u32 b 0;
-  Wire.varint b (List.length payloads);
-  Wire.i64 b !h;
-  Buffer.contents b
+  forge_first ~tag:0x02
+    (revarint ~skip:1 (function id :: n :: sites -> id :: count n :: sites | l -> l))
+    data
 
 let reject_v2_oversized_count () =
-  let path = recorded_v2 () in
+  let path = recorded () in
   let data = read_file path in
   (* The re-framing itself is faithful: an unchanged count still reads. *)
   write_file path (forge_ctx_count data Fun.id);
@@ -730,56 +784,130 @@ let reject_v2_oversized_count () =
     [ 1 lsl 40; max_int ];
   Sys.remove path
 
-(* ---------------- migration ---------------- *)
+(* ---------------- byte-mutation property ---------------- *)
 
-let migrate_profile_bit_equivalence () =
-  let prog, config, result = profiled "ft" in
-  let digest = Ir_digest.program prog in
-  let v1 = tmp ".jsonl" and v2 = tmp ".bin" and v1b = tmp ".jsonl" in
-  let v2direct = tmp ".bin" in
-  ok
-    (Store.write_profile ~created:5.0 ~producer:"mig" ~path:v1
-       ~program_digest:digest ~config result);
-  let h2 = ok (Store.migrate ~format:Store.V2 ~src:v1 v2) in
-  checki "migrated header says v2" 2 h2.Store.version;
-  (* Migration preserves creation metadata, so a direct v2 encode of the
-     same artifact is byte-identical to the migrated one. *)
-  ok
-    (Store.write_profile ~format:Store.V2 ~created:5.0 ~producer:"mig"
-       ~path:v2direct ~program_digest:digest ~config result);
-  checks "migrated v2 equals direct v2 encode" (read_file v2direct)
-    (read_file v2);
-  let h1 = ok (Store.migrate ~format:Store.V1 ~src:v2 v1b) in
-  checki "migrated-back header says v1" 1 h1.Store.version;
-  checks "v1 -> v2 -> v1 reproduces the bytes" (read_file v1) (read_file v1b);
-  let a1 = ok (Store.read_profile v1) and a2 = ok (Store.read_profile v2) in
-  let _, m1 = ok (Store.merge_profiles [ (a1, 1.0) ]) in
-  let _, m2 = ok (Store.merge_profiles [ (a2, 1.0) ]) in
-  checkb "decode+merge agrees across codecs" true
-    (graphs_equal m1.Profiler.graph m2.Profiler.graph
-    && graphs_equal m1.Profiler.raw_graph m2.Profiler.raw_graph
-    && m1.Profiler.total_accesses = m2.Profiler.total_accesses);
-  List.iter Sys.remove [ v1; v2; v1b; v2direct ]
+(* The decoder's contract on any input: [Ok] or a typed [Store.error],
+   never another exception. Mutations start from a valid profile and a
+   valid plan; the re-sealed variant edits one record body and
+   recomputes the frame lengths and trailer, so the edit reaches the
+   record decoders instead of stopping at [Bad_checksum]. *)
 
-let migrate_plan_bit_equivalence () =
-  let prog = (w "ft").Workload.make Workload.Test in
-  let plan = Pipeline.plan prog in
-  let digest = Ir_digest.program prog in
-  let v1 = tmp ".jsonl" and v2 = tmp ".bin" and v1b = tmp ".jsonl" in
-  ok
-    (Store.write_plan ~created:5.0 ~producer:"mig" ~path:v1
-       ~program_digest:digest plan);
-  ignore (ok (Store.migrate ~format:Store.V2 ~src:v1 v2) : Store.header);
-  let _, p2 = ok (Store.read_plan ~expect_program:digest v2) in
-  checkb "plan payload survives v2" true
-    (p2.Pipeline.grouping = plan.Pipeline.grouping
-    && p2.Pipeline.selectors = plan.Pipeline.selectors
-    && p2.Pipeline.rewrite = plan.Pipeline.rewrite
-    && p2.Pipeline.config = plan.Pipeline.config);
-  ignore (ok (Store.migrate ~format:Store.V1 ~src:v2 v1b) : Store.header);
-  checks "plan v1 -> v2 -> v1 reproduces the bytes" (read_file v1)
-    (read_file v1b);
-  List.iter Sys.remove [ v1; v2; v1b ]
+type mutation =
+  | Flip of int * int
+  | Truncate of int
+  | Splice of int * int * int
+  | Insert of int * string
+  | Inflate of int * int
+
+let show_mutation = function
+  | Flip (p, x) -> Printf.sprintf "flip(%d,0x%02x)" p x
+  | Truncate p -> Printf.sprintf "truncate(%d)" p
+  | Splice (a, b, l) -> Printf.sprintf "splice(%d,%d,%d)" a b l
+  | Insert (p, s) -> Printf.sprintf "insert(%d,%S)" p s
+  | Inflate (p, k) -> Printf.sprintf "inflate(%d,%d)" p k
+
+(* Positions are taken modulo the current length. *)
+let mutate s m =
+  let n = String.length s in
+  match m with
+  | _ when n = 0 -> s
+  | Flip (p, x) ->
+      let b = Bytes.of_string s in
+      let i = p mod n in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor x));
+      Bytes.to_string b
+  | Truncate p -> String.sub s 0 (p mod (n + 1))
+  | Splice (src, dst, len) ->
+      let src = src mod n and dst = dst mod n in
+      let len = min len (min (n - src) (n - dst)) in
+      let b = Bytes.of_string s in
+      Bytes.blit_string s src b dst len;
+      Bytes.to_string b
+  | Insert (p, ins) ->
+      let p = p mod (n + 1) in
+      String.sub s 0 p ^ ins ^ String.sub s p (n - p)
+  | Inflate (p, k) ->
+      (* The byte at [p] becomes an overlong varint: continuation bit
+         set, [k] padding bytes, a zero terminator — the same value while
+         the shift fits, an overflow once it passes 63 bits. *)
+      let p = p mod n in
+      let c = Char.code s.[p] land 0x7f in
+      String.sub s 0 p
+      ^ String.make 1 (Char.chr (c lor 0x80))
+      ^ String.make k '\x80' ^ "\x00"
+      ^ String.sub s (p + 1) (n - p - 1)
+
+let mutation_gen =
+  let open QCheck2.Gen in
+  let pos = int_bound 1_000_000 in
+  oneof
+    [
+      map2 (fun p x -> Flip (p, x)) pos (int_range 1 255);
+      map (fun p -> Truncate p) pos;
+      map3 (fun a b l -> Splice (a, b, l)) pos pos (int_range 1 16);
+      map2 (fun p s -> Insert (p, s)) pos (string_size ~gen:char (int_range 1 8));
+      map2 (fun p k -> Inflate (p, k)) pos (int_range 0 10);
+    ]
+
+let seed_images =
+  lazy
+    (let a = recorded () and b = planned () in
+     let images = [| read_file a; read_file b |] in
+     Sys.remove a;
+     Sys.remove b;
+     images)
+
+(* (image, re-sealed?, record pick, mutations) to the mutated bytes. In
+   the re-sealed variant the pick selects a record tag first, then a
+   record carrying it, so rare records (meta, grouping, rewrite) are
+   reached as often as the many node and edge records. *)
+let mutated (image, resealed, pick, muts) =
+  let data = (Lazy.force seed_images).(image) in
+  if not resealed then List.fold_left mutate data muts
+  else
+    let prefix, bodies = split data in
+    let tags = List.sort_uniq compare (List.map (fun b -> b.[0]) bodies) in
+    let tag = List.nth tags (pick mod List.length tags) in
+    let holders = List.length (List.filter (fun b -> b.[0] = tag) bodies) in
+    let target = pick / List.length tags mod holders in
+    let seen = ref (-1) in
+    seal prefix
+      (List.map
+         (fun b ->
+           if b.[0] <> tag then b
+           else begin
+             incr seen;
+             if !seen = target then List.fold_left mutate b muts else b
+           end)
+         bodies)
+
+let decoder_mutation_prop =
+  QCheck2.Test.make ~name:"store: decoders survive byte mutations" ~count:400
+    ~print:(fun ((image, resealed, pick, muts) : int * bool * int * mutation list) ->
+      Printf.sprintf "%s%s pick %d: %s"
+        (if image = 0 then "profile" else "plan")
+        (if resealed then " (re-sealed)" else "")
+        pick
+        (String.concat " " (List.map show_mutation muts)))
+    QCheck2.Gen.(
+      quad (int_bound 1) bool (int_bound 1_000_000)
+        (list_size (int_range 1 3) mutation_gen))
+    (fun case ->
+      let path = tmp ".bin" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          write_file path (mutated case);
+          let survives name read =
+            match read () with
+            | Ok _ | Error (_ : Store.error) -> true
+            | exception e ->
+                QCheck2.Test.fail_reportf "%s raised %s" name
+                  (Printexc.to_string e)
+          in
+          survives "read_header" (fun () -> Store.read_header path)
+          && survives "read_profile" (fun () -> Store.read_profile path)
+          && survives "read_plan" (fun () -> Store.read_plan path)))
 
 (* ---------------- sharded merging ---------------- *)
 
@@ -789,7 +917,7 @@ let artifact_seeded name seed =
     name
 
 let merged_bytes digest merged =
-  let path = tmp ".jsonl" in
+  let path = tmp ".bin" in
   let config, result = merged in
   ok
     (Store.write_profile ~created:9.0 ~producer:"t" ~path
@@ -871,7 +999,7 @@ let merge_adopt_resumes () =
   let config, result = ok (Store.merge_result st) in
   let path = tmp ".bin" in
   ok
-    (Store.write_profile ~format:Store.V2 ~created:0.0 ~producer:"t" ~path
+    (Store.write_profile ~created:0.0 ~producer:"t" ~path
        ~program_digest:digest ~config result);
   let saved = ok (Store.read_profile path) in
   Sys.remove path;
@@ -893,9 +1021,7 @@ let run_json m = Json.to_string (Runner.to_json m)
 let profile_runs obs =
   Metrics.counter_value (Metrics.counter (Obs.metrics obs) "profile.runs")
 
-(* Cache entries may be in either codec (v2 [.plan.bin] by default). *)
-let is_plan_entry f =
-  Filename.check_suffix f ".plan.bin" || Filename.check_suffix f ".plan.jsonl"
+let is_plan_entry f = Filename.check_suffix f ".plan.bin"
 
 let cache_record_apply_equivalence () =
   let hw = w "ft" in
@@ -1093,37 +1219,37 @@ let cache_eviction_name_tie_break () =
     (List.mem (List.nth names 2) survivors);
   checki "evictions counted" 2 (Plan_cache.stats bounded).Plan_cache.evictions
 
-let cache_codec_interop () =
-  (* A v1-written directory keeps serving hits to a v2-configured cache,
-     and a re-store migrates the entry in place (one entry, new suffix). *)
+let cache_ignores_stray_jsonl () =
+  (* A [.plan.jsonl] file under the very key a lookup wants, older than
+     every entry in a one-entry cache: it is never read, listed, counted
+     or evicted. *)
   let program = (w "ft").Workload.make Workload.Test in
   let dir = tmp_dir () in
+  let cache = Plan_cache.create ~max_entries:1 dir in
+  let src = Plan_cache.source cache in
   let c = Pipeline.default_config in
-  let plan = Pipeline.plan ~config:c program in
-  let v1cache = Plan_cache.create ~format:Store.V1 dir in
-  let v1src = Plan_cache.source v1cache in
-  v1src.Pipeline.store None program c plan;
-  checkb "v1 entry written" true
-    (List.exists
-       (fun n -> Filename.check_suffix n ".plan.jsonl")
-       (Plan_cache.entry_names v1cache));
-  let v2cache = Plan_cache.create dir in
-  let v2src = Plan_cache.source v2cache in
-  checkb "v2-configured cache hits the v1 entry" true
-    (Option.is_some (v2src.Pipeline.lookup None program c));
-  checki "cross-codec lookup is a hit" 1
-    (Plan_cache.stats v2cache).Plan_cache.hits;
-  v2src.Pipeline.store None program c plan;
-  (match Plan_cache.entry_names v2cache with
-  | [ n ] ->
-      checkb "single entry after re-store, in the v2 codec" true
-        (Filename.check_suffix n ".plan.bin")
-  | l ->
-      Alcotest.fail
-        (Printf.sprintf "expected 1 entry after re-store, found %d"
-           (List.length l)));
-  checkb "migrated entry still hits" true
-    (Option.is_some (v2src.Pipeline.lookup None program c))
+  let stray =
+    Filename.concat dir
+      (Ir_digest.program program ^ "-" ^ Store.plan_config_digest c
+     ^ ".plan.jsonl")
+  in
+  let stray_bytes = "{\"format\":\"halo/store\",\"version\":1}\n" in
+  write_file stray stray_bytes;
+  Unix.utimes stray 1000.0 1000.0;
+  checkb "stray file is not listed" true (Plan_cache.entry_names cache = []);
+  checkb "lookup under the stray file's key misses" true
+    (Option.is_none (src.Pipeline.lookup None program c));
+  checki "counted as a miss" 1 (Plan_cache.stats cache).Plan_cache.misses;
+  let result = Profiler.profile ~config:c.Pipeline.profiler program in
+  let c2 = { c with Pipeline.min_edge_frac = 2e-4 } in
+  List.iter
+    (fun c -> src.Pipeline.store None program c (Pipeline.derive ~config:c result))
+    [ c; c2 ];
+  checki "one entry listed" 1 (List.length (Plan_cache.entry_names cache));
+  checki "one eviction, of a .plan.bin entry" 1
+    (Plan_cache.stats cache).Plan_cache.evictions;
+  checkb "stray file survives eviction untouched" true
+    (Sys.file_exists stray && read_file stray = stray_bytes)
 
 let suite_warmed_equivalence () =
   (* The acceptance bar: a warmed cache runs the whole figure suite with
@@ -1154,7 +1280,6 @@ let suite =
   let slow name f = Alcotest.test_case name `Slow f in
   [
     tc "profile round-trips" profile_round_trip;
-    tc "golden v1 header" golden_header;
     tc "golden digests" golden_digests;
     tc "rejects truncated artifact" reject_truncated;
     tc "rejects checksum mismatch" reject_bad_checksum;
@@ -1163,16 +1288,15 @@ let suite =
     tc "rejects digest mismatch" reject_digest_mismatch;
     tc "rejects payload count mismatch" reject_malformed_count;
     tc "missing file is an io error" reject_io;
-    tc "v1 tolerates CRLF line endings" v1_tolerates_crlf;
-    tc "v1 tolerates a missing final newline" v1_tolerates_missing_final_newline;
+    tc "rejects input without the magic" reject_no_magic;
+    tc "header read bounds the header length" reject_huge_header_length;
+    tc "rejects out-of-range record values" reject_hostile_records;
     tc "v2 profile round-trips" profile_round_trip_v2;
     tc "golden v2 container" golden_v2_container;
     tc "v2 rejects truncation" reject_v2_truncated;
     tc "v2 rejects checksum mismatch" reject_v2_bad_checksum;
     tc "v2 rejects version skew" reject_v2_version_skew;
     tc "v2 rejects a count beyond the record" reject_v2_oversized_count;
-    tc "migrate: profile bit-equivalence" migrate_profile_bit_equivalence;
-    tc "migrate: plan bit-equivalence" migrate_plan_bit_equivalence;
     slow "sharded merge is byte-identical at any jobs" sharded_merge_byte_identity;
     tc "sharded merge rejects like sequential" sharded_merge_rejects_like_sequential;
     tc "merge_by_program partitions by digest" merge_by_program_partitions;
@@ -1195,8 +1319,8 @@ let suite =
     slow "cache: concurrent stats agree with obs" cache_concurrent_stats_obs_agree;
     slow "cache: stats persist across processes" cache_stats_persist_across_processes;
     slow "cache: eviction ties break on entry name" cache_eviction_name_tie_break;
-    slow "cache: v1/v2 entries interoperate" cache_codec_interop;
+    slow "cache: stray .plan.jsonl is ignored" cache_ignores_stray_jsonl;
     slow "suite: warmed-cache equivalence" suite_warmed_equivalence;
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ plan_round_trip_prop; plan_round_trip_v2_prop ]
+      [ plan_round_trip_prop; decoder_mutation_prop ]
