@@ -304,11 +304,16 @@ let logf cfg fmt =
   Printf.ksprintf (fun s -> match cfg.log with Some f -> f s | None -> ()) fmt
 
 let run cfg =
-  let t0 = Unix.gettimeofday () in
-  let over_budget () =
+  let t0 = Obs_clock.now () in
+  (* The first seed always runs: setting up a large campaign can itself
+     outlast a small budget, and a budgeted campaign must still do some
+     work. *)
+  let over_budget s =
+    s <> cfg.seed_base
+    &&
     match cfg.time_budget with
     | None -> false
-    | Some b -> Unix.gettimeofday () -. t0 >= b
+    | Some b -> Obs_clock.now () -. t0 >= b
   in
   (* One task per campaign seed, fanned out over a Par pool. Every case
      derives all of its decisions from its own seed (Fuzz_gen builds a
@@ -358,7 +363,7 @@ let run cfg =
   let seed_list = List.init cfg.seeds (fun k -> cfg.seed_base + k) in
   let outcomes =
     Par.map_obs ?obs:cfg.obs ~name:"fuzz" ~jobs:cfg.jobs
-      (fun wobs s -> if over_budget () then None else Some (run_case wobs s))
+      (fun wobs s -> if over_budget s then None else Some (run_case wobs s))
       seed_list
   in
   (* Single-writer epilogue on the calling domain, in seed order: corpus
@@ -407,5 +412,5 @@ let run cfg =
     reports;
     allocs = !allocs;
     accesses = !accesses;
-    elapsed_s = Unix.gettimeofday () -. t0;
+    elapsed_s = Obs_clock.now () -. t0;
   }

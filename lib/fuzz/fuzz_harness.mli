@@ -2,7 +2,7 @@
 
     This is the engine behind [halo_cli fuzz]. A campaign walks seeds
     [seed_base .. seed_base + seeds - 1] (optionally stopping early on a
-    wall-clock budget), builds each case with {!Fuzz_gen.generate}, runs
+    time budget), builds each case with {!Fuzz_gen.generate}, runs
     the full {!Fuzz_oracle} battery, and on any failure delta-debugs the
     case with {!Fuzz_shrink} before reporting it. Failing cases can be
     persisted to a corpus directory as JSON (via {!Json}) — a corpus
@@ -22,7 +22,9 @@ type config = {
   seeds : int;  (** Number of seeds to sweep. *)
   seed_base : int;  (** First seed (campaign seeds are consecutive). *)
   ref_scale : int;  (** Loop-scale multiplier for measurement programs. *)
-  time_budget : float option;  (** Stop starting new cases after [s]. *)
+  time_budget : float option;
+      (** Stop starting new cases [s] seconds after the campaign starts
+          (on {!Obs_clock}); the first seed always runs. *)
   corpus_dir : string option;  (** Save failing cases here as JSON. *)
   shrink_steps : int;  (** Shrink budget per failing case. *)
   extra : (string * (Vmem.t -> Alloc_iface.t)) list;

@@ -22,7 +22,8 @@ val create : unit -> t
 val on_alloc : t -> addr:Addr.t -> size:int -> ctx:Context.id -> obj
 (** Track a new allocation. The sequence number advances even for
     allocations a caller later decides not to model, so chronology matches
-    the program's real allocation order. *)
+    the program's real allocation order. Context ids are dense
+    ({!Context.intern}); a negative one raises [Invalid_argument]. *)
 
 val on_free : t -> addr:Addr.t -> obj option
 (** Stop tracking the object based at [addr]; [None] if the address is not
@@ -30,7 +31,8 @@ val on_free : t -> addr:Addr.t -> obj option
 
 val find : t -> Addr.t -> obj option
 (** The live tracked object whose [addr, addr+size) interval contains the
-    given address, if any. *)
+    given address, if any (a 0-byte object covers its base). Allocation-free:
+    a hit returns the object's one [Some] cell. *)
 
 val live_count : t -> int
 val allocs_total : t -> int
@@ -46,8 +48,9 @@ type log
 
 val ctx_log : t -> Context.id -> log
 (** The log for [ctx] (created empty if the context has not allocated
-    yet). The affinity queue resolves this once per queue entry instead
-    of once per co-allocatability test. *)
+    yet): an index into a dense per-context array. The affinity queue
+    reads it only when its successor memo misses. Raises
+    [Invalid_argument] on a negative context id. *)
 
 val log_allocs_in_range : log -> lo:int -> hi:int -> bool
 (** [ctx_allocs_in_range] on a pre-resolved log: a pure binary search,

@@ -75,14 +75,32 @@ let json_of_profiler_config (c : Profiler.config) =
       ("sample_period", Json.Int c.Profiler.sample_period);
     ]
 
+(* A profiler config no later stage would reject: the profiler raises on
+   a non-positive distance or period, and the noise filter on a coverage
+   outside (0, 1]. *)
+let check_profiler_config ~line (c : Profiler.config) =
+  let cov = c.Profiler.node_coverage in
+  if not (Float.is_finite cov && cov > 0.0 && cov <= 1.0) then
+    fail line (Printf.sprintf "node_coverage %g is outside (0, 1]" cov);
+  if c.Profiler.affinity_distance <= 0 then
+    fail line (Printf.sprintf "affinity_distance %d is not positive" c.Profiler.affinity_distance);
+  if c.Profiler.sample_period < 1 then
+    fail line (Printf.sprintf "sample_period %d is below 1" c.Profiler.sample_period);
+  if c.Profiler.max_tracked_size < 0 then
+    fail line (Printf.sprintf "max_tracked_size %d is negative" c.Profiler.max_tracked_size)
+
 let profiler_config_of_json ~line j =
-  {
-    Profiler.affinity_distance = jint ~line "affinity_distance" j;
-    max_tracked_size = jint ~line "max_tracked_size" j;
-    node_coverage = jfloat ~line "node_coverage" j;
-    seed = jint ~line "seed" j;
-    sample_period = jint ~line "sample_period" j;
-  }
+  let c =
+    {
+      Profiler.affinity_distance = jint ~line "affinity_distance" j;
+      max_tracked_size = jint ~line "max_tracked_size" j;
+      node_coverage = jfloat ~line "node_coverage" j;
+      seed = jint ~line "seed" j;
+      sample_period = jint ~line "sample_period" j;
+    }
+  in
+  check_profiler_config ~line c;
+  c
 
 let json_of_grouping_params (p : Grouping.params) =
   Json.Obj
@@ -708,6 +726,7 @@ let merge_add st ((a : profile_artifact), w) =
   if (not (Float.is_finite w)) || w <= 0.0 then
     invalid_arg "Store.merge_add: weights must be positive and finite";
   wrap (fun () ->
+      check_profiler_config ~line:1 a.config;
       (match st.m_first with
       | None ->
           st.m_first <-

@@ -116,8 +116,12 @@ val read_profile :
 (** Decode a profile artifact. [expect_program] rejects artifacts
     recorded from a structurally different program with
     [Digest_mismatch]. The decoded result round-trips: graphs, contexts
-    (same ids), totals are structurally equal to what was written. [obs]
-    records the [store.decode] span. *)
+    (same ids), totals are structurally equal to what was written. A
+    header profiler config that the profiler or the noise filter would
+    reject ([node_coverage] outside (0, 1] or non-finite,
+    [affinity_distance <= 0], [sample_period < 1],
+    [max_tracked_size < 0]) is [Malformed]. [obs] records the
+    [store.decode] span. *)
 
 val merge_profiles :
   (profile_artifact * float) list ->
@@ -154,7 +158,8 @@ val merge_add : merge_state -> profile_artifact * float -> (unit, error) result
 (** Fold one weighted artifact into the accumulator: contexts are
     re-interned into the shared table, scaled node/edge counts added to
     the running raw graph, totals accumulated. [Digest_mismatch] when the
-    artifact disagrees with the first one on program or config digest
+    artifact disagrees with the first one on program or config digest,
+    [Malformed] when its config is one {!read_profile} would reject
     (the state is unchanged on error); raises [Invalid_argument] on a
     non-positive or non-finite weight, as {!merge_profiles} does. *)
 

@@ -380,6 +380,15 @@ let harness_time_budget_stops () =
   checkb "stopped early" true (s.Fuzz_harness.cases < 1_000_000);
   checkb "did some work" true (s.Fuzz_harness.cases > 0)
 
+(* A budget that has run out before any case starts still runs the
+   first seed, and only that one. *)
+let harness_spent_budget_runs_first_case () =
+  let s =
+    Fuzz_harness.run
+      { Fuzz_harness.default with Fuzz_harness.seeds = 1_000; time_budget = Some 0.0 }
+  in
+  Alcotest.check Alcotest.int "exactly the first case" 1 s.Fuzz_harness.cases
+
 (* ---------------- Semantic digest pinning ---------------- *)
 
 (* Golden observables for seeds 1-3 at ref-scale 8 (same parameters as
@@ -516,6 +525,7 @@ let suite =
       harness_evil_campaign_saves_corpus;
     tc "harness: verdicts independent of jobs" harness_jobs_equivalence;
     tc "harness: time budget stops campaign" harness_time_budget_stops;
+    tc "harness: spent budget still runs the first case" harness_spent_budget_runs_first_case;
     tc "digests: corpus semantics pinned" digest_corpus_pinned;
     tc "digests: json roundtrip" digest_json_roundtrip;
   ]

@@ -416,6 +416,47 @@ let prop_queue_window =
           Affinity_queue.length q <= (a / 8) + 2)
         accesses)
 
+(* ---------------- Profiler golden digests ---------------- *)
+
+(* One digest per workload of everything [Profiler.profile] produces at
+   Test scale under the default config: raw-graph nodes with their access
+   counts, edges with their weights, macro accesses and tracked
+   allocations. Hard literals, on purpose: a heap-model or affinity-queue
+   rewrite that changes any reported pair, access or allocation flips a
+   digest here. Re-record only when profiler semantics are meant to
+   change. *)
+let profile_digest (r : Profiler.result) =
+  let g = r.Profiler.raw_graph in
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun x -> Printf.bprintf b "n%d:%d;" x (Affinity_graph.node_accesses g x))
+    (List.sort compare (Affinity_graph.nodes g));
+  List.iter
+    (fun (x, y, w) -> Printf.bprintf b "e%d,%d:%d;" x y w)
+    (List.sort compare (Affinity_graph.edges g));
+  Printf.bprintf b "m%d;t%d" r.Profiler.total_accesses r.Profiler.tracked_allocs;
+  String.sub (Digest.to_hex (Digest.string (Buffer.contents b))) 0 16
+
+let profiler_golden =
+  [
+    ("health", "cb2f33f26e914afb");
+    ("ft", "a66c28dbab903dd2");
+    ("analyzer", "c05b4111ddec422c");
+    ("ammp", "befb6284f2d0bc08");
+    ("art", "6555f03b0fb28907");
+    ("equake", "bfd7738eabe7ff88");
+    ("povray", "c089734ebd8c4c4c");
+    ("omnetpp", "d5aee7556804a5f6");
+    ("xalanc", "262d122927d9a857");
+    ("leela", "67b739b49382a7b4");
+    ("roms", "25f48f78ad5face9");
+  ]
+
+let profiler_golden_digest name expected () =
+  let w = Option.get (Workloads.find name) in
+  Alcotest.check Alcotest.string (name ^ " profile digest") expected
+    (profile_digest (Profiler.profile (w.Workload.make Workload.Test)))
+
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   [
@@ -451,3 +492,7 @@ let suite =
     tc "profiler: deterministic" profiler_deterministic;
   ]
   @ [ QCheck_alcotest.to_alcotest prop_queue_window ]
+  @ List.map
+      (fun (name, d) ->
+        tc ("profiler: golden digest " ^ name) (profiler_golden_digest name d))
+      profiler_golden

@@ -7,95 +7,252 @@
    code, directly off the paper text / textbook definition. *)
 
 (* ------------------------------------------------------------------ *)
-(* Reference affinity queue: a plain list of all past accesses, scanned *)
-(* in full on every add, applying the four constraints literally.       *)
+(* Reference affinity queue: a plain list of all past accesses, walked  *)
+(* newest first, applying the four constraints literally.               *)
 (* ------------------------------------------------------------------ *)
 
 module Ref_queue = struct
+  (* Every allocation is recorded in a growable seq -> ctx array: the
+     co-allocatability test scans the open interval literally, and the
+     window walk stops once the accumulated size reaches [A] (sizes are
+     positive, so nothing older can be inside it). *)
   type entry = { oid : int; ctx : int; bytes : int; seq : int }
 
   type t = {
     a : int;
-    mutable entries : entry list; (* newest first; never trimmed *)
-    mutable pairs : (int * int) list; (* reported (x, y), newest first *)
+    mutable entries : entry list; (* newest first *)
+    mutable pairs : (int * int) list;
     mutable accesses : int;
-    allocs : (int * int) list; (* (seq, ctx) for every allocation, any order *)
+    mutable ctx_of_seq : int array;
+    mutable allocs : int;
   }
 
-  let create ~a ~allocs = { a; entries = []; pairs = []; accesses = 0; allocs }
+  let create ~a =
+    { a; entries = []; pairs = []; accesses = 0; ctx_of_seq = Array.make 16 0; allocs = 0 }
+
+  let on_alloc t ~seq ~ctx =
+    assert (seq = t.allocs);
+    if seq = Array.length t.ctx_of_seq then begin
+      let bigger = Array.make (2 * seq) 0 in
+      Array.blit t.ctx_of_seq 0 bigger 0 seq;
+      t.ctx_of_seq <- bigger
+    end;
+    t.ctx_of_seq.(seq) <- ctx;
+    t.allocs <- seq + 1
 
   let co_allocatable t u v =
     let lo = min u.seq v.seq and hi = max u.seq v.seq in
-    not
-      (List.exists
-         (fun (seq, ctx) ->
-           seq > lo && seq < hi && (ctx = u.ctx || ctx = v.ctx))
-         t.allocs)
+    let rec clear s =
+      s >= hi || ((t.ctx_of_seq.(s) <> u.ctx && t.ctx_of_seq.(s) <> v.ctx) && clear (s + 1))
+    in
+    clear (lo + 1)
 
   let add t ~oid ~ctx ~bytes ~seq =
     match t.entries with
-    | e :: _ when e.oid = oid -> () (* dedup: same macro access *)
-    | _ ->
+    | e :: _ when e.oid = oid -> ()
+    | older ->
         t.accesses <- t.accesses + 1;
         let u = { oid; ctx; bytes; seq } in
-        (* Walk older entries, accumulating sizes from the entry next to u
-           (inclusive of the candidate). *)
-        let acc = ref 0 in
         let seen = Hashtbl.create 8 in
-        List.iter
-          (fun v ->
-            acc := !acc + v.bytes;
-            if !acc < t.a then
-              if v.oid <> u.oid && not (Hashtbl.mem seen v.oid) then begin
-                Hashtbl.replace seen v.oid ();
-                if co_allocatable t u v then t.pairs <- (u.ctx, v.ctx) :: t.pairs
-              end)
-          t.entries;
-        t.entries <- u :: t.entries
+        let rec walk acc = function
+          | [] -> ()
+          | v :: rest ->
+              let acc = acc + v.bytes in
+              if acc < t.a then begin
+                if v.oid <> u.oid && not (Hashtbl.mem seen v.oid) then begin
+                  Hashtbl.replace seen v.oid ();
+                  if co_allocatable t u v then t.pairs <- (u.ctx, v.ctx) :: t.pairs
+                end;
+                walk acc rest
+              end
+        in
+        walk 0 older;
+        t.entries <- u :: older
 end
+
+(* Interleaved allocations, frees and accesses against a reference
+   that sees every allocation in order: contexts allocate after objects
+   were accessed, so co-allocatability is often asked before a context's
+   next allocation exists (the successor memo's watermark case). Bursts
+   push the object count past 1024, contexts range past 16 and [A] up to
+   4096 bytes, so every growable array in the queue grows. *)
+
+type queue_op =
+  | Q_alloc of int * int (* burst length, first context *)
+  | Q_free of int
+  | Q_access of int * int (* object pick, bytes *)
+
+let gen_queue_case =
+  QCheck2.Gen.(
+    let* a = frequency [ (4, int_range 8 128); (1, int_range 129 4096) ] in
+    let* nctx = frequency [ (3, int_range 1 8); (1, int_range 17 40) ] in
+    let op =
+      frequency
+        [
+          ( 2,
+            map2
+              (fun n c -> Q_alloc (n, c))
+              (frequency [ (6, return 1); (1, int_range 2 400) ])
+              (int_range 0 (nctx - 1)) );
+          (1, map (fun k -> Q_free k) nat);
+          (8, map2 (fun k b -> Q_access (k, b)) nat (oneofl [ 1; 4; 8; 16; 64 ]));
+        ]
+    in
+    let* ops = list_size (int_range 1 300) op in
+    return (a, nctx, ops))
+
+let print_queue_case (a, nctx, ops) =
+  Printf.sprintf "A=%d nctx=%d ops=[%s]" a nctx
+    (String.concat "; "
+       (List.map
+          (function
+            | Q_alloc (n, c) -> Printf.sprintf "alloc %dx ctx%d" n c
+            | Q_free k -> Printf.sprintf "free %d" k
+            | Q_access (k, b) -> Printf.sprintf "access %d %dB" k b)
+          ops))
 
 let prop_affinity_queue_matches_reference =
   QCheck2.Test.make
-    ~name:"affinity queue: matches the brute-force reference on random traces"
-    ~count:200
-    QCheck2.Gen.(
-      triple (int_range 8 128)
-        (list_size (int_range 1 25) (int_range 0 7)) (* allocation ctxs *)
-        (list_size (int_range 0 120) (pair (int_range 0 24) (int_range 0 2))))
-    (fun (a, alloc_ctxs, accesses) ->
-      (* Allocate objects 0..n-1 with the given contexts (in order), then
-         replay accesses of sizes 4/8/16. *)
+    ~name:"affinity queue: matches the brute-force reference under interleaved allocs and frees"
+    ~count:200 ~long_factor:50 ~print:print_queue_case gen_queue_case
+    (fun (a, nctx, ops) ->
       let heap = Heap_model.create () in
-      let objs =
-        List.mapi
-          (fun k ctx ->
-            Heap_model.on_alloc heap ~addr:(0x1000 + (k * 64)) ~size:8 ~ctx)
-          alloc_ctxs
+      let got = ref [] in
+      let q =
+        Affinity_queue.create ~affinity_distance:a ~heap
+          ~on_affinity:(fun x y -> got := (x, y) :: !got)
+          ()
       in
-      let objs = Array.of_list objs in
-      if Array.length objs = 0 then true
-      else begin
-        let got = ref [] in
-        let q =
-          Affinity_queue.create ~affinity_distance:a ~heap
-            ~on_affinity:(fun x y -> got := (x, y) :: !got)
-            ()
-        in
-        let refq =
-          Ref_queue.create ~a
-            ~allocs:(List.mapi (fun k ctx -> (k, ctx)) alloc_ctxs)
-        in
-        List.iter
-          (fun (obj_idx, size_k) ->
-            let o = objs.(obj_idx mod Array.length objs) in
-            let bytes = [| 4; 8; 16 |].(size_k) in
-            ignore (Affinity_queue.add q o ~bytes : bool);
-            Ref_queue.add refq ~oid:o.Heap_model.oid ~ctx:o.Heap_model.ctx
-              ~bytes ~seq:o.Heap_model.seq)
-          accesses;
-        !got = refq.Ref_queue.pairs
-        && Affinity_queue.accesses q = refq.Ref_queue.accesses
-      end)
+      let r = Ref_queue.create ~a in
+      let live = ref [||] and next_addr = ref 0x1000 in
+      List.iter
+        (function
+          | Q_alloc (n, c) ->
+              let fresh =
+                Array.init n (fun j ->
+                    let ctx = (c + (j * 7)) mod nctx in
+                    let o = Heap_model.on_alloc heap ~addr:!next_addr ~size:8 ~ctx in
+                    next_addr := !next_addr + 16;
+                    Ref_queue.on_alloc r ~seq:o.Heap_model.seq ~ctx;
+                    o)
+              in
+              live := Array.append !live fresh
+          | Q_free k ->
+              let n = Array.length !live in
+              if n > 0 then begin
+                let o = !live.(k mod n) in
+                ignore (Heap_model.on_free heap ~addr:o.Heap_model.addr : Heap_model.obj option);
+                live := Array.of_list (List.filter (fun o' -> o' != o) (Array.to_list !live))
+              end
+          | Q_access (k, bytes) ->
+              let n = Array.length !live in
+              if n > 0 then begin
+                let o = !live.(k mod n) in
+                ignore (Affinity_queue.add q o ~bytes : bool);
+                Ref_queue.add r ~oid:o.Heap_model.oid ~ctx:o.Heap_model.ctx ~bytes
+                  ~seq:o.Heap_model.seq
+              end)
+        ops;
+      !got = r.Ref_queue.pairs && Affinity_queue.accesses q = r.Ref_queue.accesses)
+
+(* ------------------------------------------------------------------ *)
+(* Reference heap model: a plain list of live objects.                  *)
+(* ------------------------------------------------------------------ *)
+
+type heap_op =
+  | H_alloc of int * int (* offset into the arena, size *)
+  | H_free of int
+  | H_realloc_same of int * int (* live pick, new size at the same base *)
+  | H_find of int * int (* live pick, delta from its base *)
+  | H_probe of int (* arena offset *)
+
+(* A 64 KiB arena at 0x10000. Offsets are 16-byte aligned half the time
+   and arbitrary otherwise, so distinct objects sometimes share a
+   16-byte page; sizes 0-2048 straddle the side table's 1 KiB span cap. *)
+let gen_heap_ops =
+  QCheck2.Gen.(
+    let size = frequency [ (3, int_range 0 64); (2, int_range 65 2048); (1, oneofl [ 0; 1; 1008; 1009; 1024; 1025 ]) ] in
+    let offset =
+      frequency [ (1, map (fun k -> k * 16) (int_range 0 4095)); (1, int_range 0 65535) ]
+    in
+    list_size (int_range 1 400)
+      (frequency
+         [
+           (4, map2 (fun o s -> H_alloc (o, s)) offset size);
+           (2, map (fun k -> H_free k) nat);
+           (1, map2 (fun k s -> H_realloc_same (k, s)) nat size);
+           (6, map2 (fun k d -> H_find (k, d)) nat (int_range (-20) 2100));
+           (2, map (fun o -> H_probe o) (int_range (-16) 65600));
+         ]))
+
+let print_heap_ops ops =
+  String.concat "; "
+    (List.map
+       (function
+         | H_alloc (o, s) -> Printf.sprintf "alloc +%d %dB" o s
+         | H_free k -> Printf.sprintf "free %d" k
+         | H_realloc_same (k, s) -> Printf.sprintf "realloc %d %dB" k s
+         | H_find (k, d) -> Printf.sprintf "find %d%+d" k d
+         | H_probe o -> Printf.sprintf "probe +%d" o)
+       ops)
+
+let prop_heap_model_find_matches_reference =
+  QCheck2.Test.make
+    ~name:"heap model: find matches a live-object list under alloc, free and re-alloc"
+    ~count:200 ~long_factor:50 ~print:print_heap_ops gen_heap_ops
+    (fun ops ->
+      let base = 0x10000 in
+      let h = Heap_model.create () in
+      (* Newest first; objects never overlap, a 0-byte one covers its base. *)
+      let live = ref [] in
+      let span (o : Heap_model.obj) = max o.Heap_model.size 1 in
+      let covers a (o : Heap_model.obj) = a >= o.Heap_model.addr && a < o.Heap_model.addr + span o in
+      let fits addr size others =
+        List.for_all
+          (fun (o : Heap_model.obj) ->
+            addr + max size 1 <= o.Heap_model.addr || o.Heap_model.addr + span o <= addr)
+          others
+      in
+      let pick k = match !live with [] -> None | l -> Some (List.nth l (k mod List.length l)) in
+      let expect a = List.find_opt (covers a) !live in
+      let same got want =
+        match (got, want) with
+        | None, None -> true
+        | Some (g : Heap_model.obj), Some w -> g == w
+        | _ -> false
+      in
+      let ctx = ref 0 in
+      let alloc addr size =
+        incr ctx;
+        live := Heap_model.on_alloc h ~addr ~size ~ctx:(!ctx mod 5) :: !live
+      in
+      let free (o : Heap_model.obj) =
+        live := List.filter (fun o' -> o' != o) !live;
+        same (Heap_model.on_free h ~addr:o.Heap_model.addr) (Some o)
+      in
+      let find a = same (Heap_model.find h a) (expect a) in
+      List.for_all
+        (fun op ->
+          let ok =
+            match op with
+            | H_alloc (off, size) ->
+                if fits (base + off) size !live then alloc (base + off) size;
+                true
+            | H_free k -> ( match pick k with None -> true | Some o -> free o)
+            | H_realloc_same (k, size) -> (
+                match pick k with
+                | None -> true
+                | Some o ->
+                    let addr = o.Heap_model.addr in
+                    let freed = free o in
+                    if fits addr size !live then alloc addr size;
+                    freed)
+            | H_find (k, d) -> (
+                match pick k with None -> true | Some o -> find (o.Heap_model.addr + d))
+            | H_probe off -> find (base + off)
+          in
+          ok && Heap_model.live_count h = List.length !live)
+        ops)
 
 (* ------------------------------------------------------------------ *)
 (* Reference cache: sets as explicit MRU-ordered lists.                 *)
@@ -366,4 +523,5 @@ let suite =
       prop_selector_eval_is_dnf;
       prop_cache_ops_match_reference;
       prop_hierarchy_matches_reference;
+      prop_heap_model_find_matches_reference;
     ]

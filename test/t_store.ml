@@ -784,6 +784,81 @@ let reject_v2_oversized_count () =
     [ 1 lsl 40; max_int ];
   Sys.remove path
 
+(* [data] with its header's [key] set to the JSON text [value] and the
+   config digest restamped for [config], re-sealed: the edit reaches the
+   config checks instead of stopping at [Digest_mismatch]. *)
+let forge_header data ~key ~value config =
+  let prefix, bodies = split data in
+  let hdr = String.sub prefix 13 (String.length prefix - 13) in
+  let set_field hdr key value =
+    let k = Printf.sprintf "\"%s\":" key in
+    let rec find i =
+      if String.sub hdr i (String.length k) = k then i + String.length k else find (i + 1)
+    in
+    let start = find 0 in
+    let rec stop i = if hdr.[i] = ',' || hdr.[i] = '}' then i else stop (i + 1) in
+    let stop = stop start in
+    String.sub hdr 0 start ^ value ^ String.sub hdr stop (String.length hdr - stop)
+  in
+  let hdr = set_field hdr key value in
+  let hdr = set_field hdr "config" (Printf.sprintf "%S" (Store.profile_config_digest config)) in
+  let b = Buffer.create (String.length prefix + 64) in
+  Buffer.add_string b (String.sub prefix 0 9);
+  Wire.u32 b (String.length hdr);
+  Buffer.add_string b hdr;
+  seal (Buffer.contents b) bodies
+
+(* A header profiler config that the profiler or the noise filter would
+   reject is [Malformed] at decode time, and an in-memory artifact
+   carrying one is refused by the merge instead of raising from
+   [Affinity_graph.filter_top]. *)
+let reject_bad_profiler_config () =
+  let path = recorded () in
+  let data = read_file path in
+  let good = ok (Store.read_profile path) in
+  let c = good.Store.config in
+  let cases =
+    [
+      ("node_coverage", "0.0", { c with Profiler.node_coverage = 0.0 });
+      ("node_coverage", "-0.5", { c with Profiler.node_coverage = -0.5 });
+      ("node_coverage", "1.5", { c with Profiler.node_coverage = 1.5 });
+      ("node_coverage", "1e999", { c with Profiler.node_coverage = infinity });
+      ("node_coverage", "-1e999", { c with Profiler.node_coverage = neg_infinity });
+      ("affinity_distance", "0", { c with Profiler.affinity_distance = 0 });
+      ("affinity_distance", "-4", { c with Profiler.affinity_distance = -4 });
+      ("sample_period", "0", { c with Profiler.sample_period = 0 });
+      ("max_tracked_size", "-1", { c with Profiler.max_tracked_size = -1 });
+    ]
+  in
+  (* The forging itself is faithful: the valid values still read. *)
+  write_file path (forge_header data ~key:"node_coverage" ~value:"0.9" c);
+  ignore (ok (Store.read_profile path) : Store.profile_artifact);
+  let malformed what = function
+    | Error (Store.Malformed _) -> ()
+    | Error e -> Alcotest.fail (what ^ ": wanted Malformed, got " ^ Store.error_to_string e)
+    | Ok _ -> Alcotest.fail (what ^ ": decoded Ok")
+  in
+  List.iter
+    (fun (key, value, bad) ->
+      let what = Printf.sprintf "%s = %s" key value in
+      write_file path (forge_header data ~key ~value bad);
+      malformed ("read " ^ what) (Store.read_profile path);
+      let forged =
+        {
+          good with
+          Store.config = bad;
+          header = { good.Store.header with Store.config_digest = Store.profile_config_digest bad };
+        }
+      in
+      malformed ("merge " ^ what) (Store.merge_profiles [ (forged, 1.0) ]);
+      malformed ("merge after a good one " ^ what)
+        (Store.merge_profiles [ (good, 1.0); (forged, 1.0) ]))
+    cases;
+  (* JSON has no NaN; only an in-memory artifact can carry one. *)
+  let forged = { good with Store.config = { c with Profiler.node_coverage = nan } } in
+  malformed "merge node_coverage = nan" (Store.merge_profiles [ (forged, 1.0) ]);
+  Sys.remove path
+
 (* ---------------- byte-mutation property ---------------- *)
 
 (* The decoder's contract on any input: [Ok] or a typed [Store.error],
@@ -1291,6 +1366,7 @@ let suite =
     tc "rejects input without the magic" reject_no_magic;
     tc "header read bounds the header length" reject_huge_header_length;
     tc "rejects out-of-range record values" reject_hostile_records;
+    tc "rejects out-of-range profiler configs" reject_bad_profiler_config;
     tc "v2 profile round-trips" profile_round_trip_v2;
     tc "golden v2 container" golden_v2_container;
     tc "v2 rejects truncation" reject_v2_truncated;
