@@ -314,6 +314,48 @@ let hds_classifier_uses_cur_site () =
   env.Exec_env.cur_alloc_site <- 0x999;
   checkb "unknown site ungrouped" true (classify ~size:32 = None)
 
+(* ---------------- Hds_pipeline golden digests ---------------- *)
+
+(* One digest per workload of everything [Hds_pipeline.plan] returns at
+   Test scale under the default config: the groups in selection order,
+   the candidate and selected stream counts, the trace length, the
+   grammar's rule count and the coverage (as an exact hex float). Hard
+   literals, on purpose: a SEQUITUR, hot-stream or set-packing change
+   that alters any plan flips a digest here. Re-record only when HDS
+   semantics are meant to change. *)
+let hds_plan_digest (p : Hds_pipeline.plan) =
+  let b = Buffer.create 1024 in
+  Array.iter
+    (fun sites ->
+      Buffer.add_char b 'g';
+      List.iter (fun s -> Printf.bprintf b "%d," s) sites;
+      Buffer.add_char b ';')
+    p.Hds_pipeline.groups;
+  Printf.bprintf b "c%d;s%d;t%d;r%d;v%h" p.Hds_pipeline.stream_count
+    p.Hds_pipeline.selected_streams p.Hds_pipeline.trace_length
+    p.Hds_pipeline.grammar_rules p.Hds_pipeline.coverage;
+  String.sub (Digest.to_hex (Digest.string (Buffer.contents b))) 0 16
+
+let hds_golden =
+  [
+    ("health", "5cf4045c32bcf154");
+    ("ft", "919b5dea810ddde4");
+    ("analyzer", "7752e5c5c64693b7");
+    ("ammp", "c972768a31aeac63");
+    ("art", "a2efe3c2af6e2789");
+    ("equake", "14236dd2f296597f");
+    ("povray", "7a0df1b3c631f7e8");
+    ("omnetpp", "26d5ae1b57170fa1");
+    ("xalanc", "99c82f81aed8f753");
+    ("leela", "3961de36afe551f9");
+    ("roms", "8031c4d3226c646b");
+  ]
+
+let hds_golden_digest name expected () =
+  let w = Option.get (Workloads.find name) in
+  Alcotest.check Alcotest.string (name ^ " hds plan digest") expected
+    (hds_plan_digest (Hds_pipeline.plan (w.Workload.make Workload.Test)))
+
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   [
@@ -343,3 +385,7 @@ let suite =
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_seq_roundtrip; prop_seq_invariants; prop_seq_binary_chains;
         prop_packing_disjoint ]
+  @ List.map
+      (fun (name, d) ->
+        tc ("hds pipeline: golden digest " ^ name) (hds_golden_digest name d))
+      hds_golden
