@@ -187,16 +187,9 @@ let run_kind ?obs ~seed ?pipeline_config ?group_fn ?plan_source w kind =
       measure ?obs ~w ~kind ~seed ~alloc:(Group_alloc.iface galloc) ~patches:[]
         ~env ~halo:(fun () -> None) ~hds:None ()
   | Hds | Hds_merged_packing ->
-      let hconfig =
-        if kind = Hds_merged_packing then
-          (* plan applies merging internally when asked *)
-          { Hds_pipeline.default_config with Hds_pipeline.max_sets = None }
-        else Hds_pipeline.default_config
-      in
       let merge = kind = Hds_merged_packing in
       let hplan =
-        Hds_pipeline.plan ~config:hconfig ~merge_identical:merge
-          (w.Workload.make Workload.Test)
+        Hds_pipeline.plan ~merge_identical:merge (w.Workload.make Workload.Test)
       in
       let vmem = Vmem.create () in
       let fallback = Jemalloc_sim.create vmem in

@@ -24,7 +24,17 @@ type plan = {
   coverage : float;
 }
 
+let check_config config =
+  Hot_streams.check_config config.streams;
+  if config.max_trace < 0 then invalid_arg "Hds_pipeline: max_trace < 0";
+  if config.max_tracked_size < 0 then
+    invalid_arg "Hds_pipeline: max_tracked_size < 0";
+  match config.max_sets with
+  | Some n when n < 0 -> invalid_arg "Hds_pipeline: max_sets < 0"
+  | _ -> ()
+
 let plan ?(config = default_config) ?(merge_identical = false) program =
+  check_config config;
   let vmem = Vmem.create () in
   let alloc = Jemalloc_sim.create vmem in
   let contexts = Context.create () in

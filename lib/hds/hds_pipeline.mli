@@ -35,7 +35,12 @@ type plan = {
 val plan : ?config:config -> ?merge_identical:bool -> Ir.program -> plan
 (** Profile the (test-scale) program and derive co-allocation sets.
     [merge_identical] (default false) is forwarded to {!Set_packing.pack}
-    — the ablation knob. *)
+    — the ablation knob.
+
+    The config is validated before anything is interpreted: stream
+    bounds that {!Hot_streams.check_config} rejects, a negative
+    [max_trace] or [max_tracked_size], and [max_sets = Some n] with
+    [n < 0] raise [Invalid_argument]. *)
 
 val classifier : plan -> env:Exec_env.t -> size:int -> int option
 (** Runtime identification: the group whose site set contains the

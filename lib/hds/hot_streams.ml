@@ -31,11 +31,14 @@ let chunk config (r : Sequitur.rule_info) =
   in
   go 0 []
 
-let extract ?(config = default_config) grammar =
+let check_config config =
   if config.min_elems < 1 || config.max_elems < config.min_elems then
-    invalid_arg "Hot_streams.extract: bad element bounds";
-  if config.coverage <= 0.0 || config.coverage > 1.0 then
-    invalid_arg "Hot_streams.extract: coverage must be in (0,1]";
+    invalid_arg "Hot_streams: bad element bounds";
+  if not (config.coverage > 0.0 && config.coverage <= 1.0) then
+    invalid_arg "Hot_streams: coverage must be in (0,1]"
+
+let extract ?(config = default_config) grammar =
+  check_config config;
   let trace_length = Sequitur.input_length grammar in
   let rules = Sequitur.rules grammar in
   let start_id = match rules with r :: _ -> r.Sequitur.rule_id | [] -> -1 in

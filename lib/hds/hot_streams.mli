@@ -35,4 +35,10 @@ type result = {
   trace_length : int;
 }
 
+val check_config : config -> unit
+(** Raise [Invalid_argument] unless [1 <= min_elems <= max_elems] and
+    [coverage] is in (0, 1] (NaN is rejected). *)
+
 val extract : ?config:config -> Sequitur.t -> result
+(** Select hot streams from the grammar. Raises [Invalid_argument] on a
+    config {!check_config} rejects. *)

@@ -1,122 +1,285 @@
 (* Classic imperative SEQUITUR (after the reference implementation by
    Nevill-Manning & Witten): doubly-linked symbol lists per rule with a
    circular guard, a digram index enforcing digram uniqueness, and rule
-   utility enforced by expanding rules whose use count falls to one. *)
+   utility enforced by expanding rules whose use count falls to one.
 
-type value = Term of int | NonTerm of rule | Guard of rule
+   The grammar lives in an arena of plain ints, so [push] allocates
+   nothing once the arrays have grown to the grammar's size:
 
-and sym = { mutable v : value; mutable prev : sym; mutable next : sym }
+   - A symbol is an index into the parallel [value]/[prev]/[next]
+     arrays. One int encodes its kind: terminal [t] is [t] itself
+     (>= 0), a nonterminal of rule [r] is [-(2r+2)] and the guard of
+     rule [r] is [-(2r+1)]. Digram keys are therefore the two symbols'
+     values, with no tagging.
+   - A rule is an id indexing [guard] (its guard symbol) and [refs] (its
+     use count). Ids are handed out in creation order and never reused;
+     rule 0 is the start rule.
+   - Deleted symbols go on a free list, but a slot freed during a push is
+     recycled only from the next push on. Within one push a deleted
+     symbol keeps its fields, exactly as a discarded record would, so
+     the recursion in [check]/[substitute] can never observe a slot that
+     was reused under it. Between pushes nothing refers to a deleted
+     symbol: the digram index drops an entry whenever its symbol's
+     digram changes or the symbol is deleted.
+   - The digram index is open-addressed over two int key arrays and a
+     symbol array, with the scheme of [Heap_model]'s side table: linear
+     probing, Fibonacci hashing, backward-shift deletion, at most half
+     full. The guard value [-1] (rule 0) never occurs in a digram and
+     marks an empty slot.
 
-and rule = { id : int; guard : sym; mutable refs : int }
-
-type key = int * int * int * int
+   The arrays grow by doubling. [check], [process_match], [substitute]
+   and [expand_sym] are a line-for-line port of the record-based
+   implementation, which the tests keep as a reference model, so the
+   grammar (rule ids, right-hand sides, uses and [rules] order) is the
+   same rule for rule. *)
 
 type t = {
-  start : rule;
-  index : (key, sym) Hashtbl.t;
+  mutable value : int array;
+  mutable prev : int array;
+  mutable next : int array;
+  mutable nsyms : int; (* slots ever handed out *)
+  mutable free : int array; (* stack of freed slots *)
+  mutable nfree : int;
+  mutable nready : int; (* free.(0 .. nready-1) were freed by earlier pushes *)
+  mutable guard : int array; (* rule id -> guard symbol *)
+  mutable refs : int array; (* rule id -> uses *)
   mutable next_rule_id : int;
   mutable input_len : int;
   mutable nrules : int;
+  mutable dkey1 : int array; (* digram index: first value, or [no_key] *)
+  mutable dkey2 : int array; (* second value *)
+  mutable dsym : int array; (* the indexed occurrence *)
+  mutable dshift : int; (* 63 - log2 (Array.length dkey1) *)
+  mutable dcount : int;
 }
 
-let is_guard s = match s.v with Guard _ -> true | _ -> false
+let guard_v r = -((2 * r) + 1)
+let nonterm_v r = -((2 * r) + 2)
+let is_guard_v v = v < 0 && v land 1 = 1
+let is_nonterm_v v = v < 0 && v land 1 = 0
+let rule_of_v v = (-v - 1) / 2 (* for guard and nonterminal values alike *)
+let no_key = guard_v 0
 
-let val_key = function
-  | Term i -> (0, i)
-  | NonTerm r -> (1, r.id)
-  | Guard _ -> invalid_arg "Sequitur: guard in digram"
+let is_guard t s = is_guard_v t.value.(s)
 
-let digram_key s =
-  let a, b = val_key s.v and c, d = val_key s.next.v in
-  (a, b, c, d)
+(* ---------------- Arena ---------------- *)
 
-let raw_rule id =
-  let rec guard = { v = Term (-1); prev = guard; next = guard } in
-  let r = { id; guard; refs = 0 } in
-  guard.v <- Guard r;
-  r
+let init_bits = 12
+
+let grow a fill =
+  let b = Array.make (2 * Array.length a) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let new_sym t v p n =
+  let s =
+    if t.nready > 0 then begin
+      t.nready <- t.nready - 1;
+      t.nfree <- t.nfree - 1;
+      let s = t.free.(t.nready) in
+      t.free.(t.nready) <- t.free.(t.nfree);
+      s
+    end
+    else begin
+      if t.nsyms = Array.length t.value then begin
+        t.value <- grow t.value 0;
+        t.prev <- grow t.prev 0;
+        t.next <- grow t.next 0
+      end;
+      t.nsyms <- t.nsyms + 1;
+      t.nsyms - 1
+    end
+  in
+  t.value.(s) <- v;
+  t.prev.(s) <- p;
+  t.next.(s) <- n;
+  s
+
+let release t s =
+  if t.nfree = Array.length t.free then t.free <- grow t.free 0;
+  t.free.(t.nfree) <- s;
+  t.nfree <- t.nfree + 1
+
+(* ---------------- Digram index ---------------- *)
+
+let fib = 0x278DDE6E5FD29F05
+
+(* The top bits of the 63-bit product: nearby digrams scatter. *)
+let digram_home t a b = (((a * fib) lxor b) * fib) lsr t.dshift
+
+(* The slot holding digram (a, b), or the empty slot ending its probe
+   run. *)
+let digram_probe t a b =
+  let k1 = t.dkey1 and k2 = t.dkey2 in
+  let mask = Array.length k1 - 1 in
+  let i = ref (digram_home t a b) in
+  while k1.(!i) <> no_key && (k1.(!i) <> a || k2.(!i) <> b) do
+    i := (!i + 1) land mask
+  done;
+  !i
+
+let rec digram_set t a b s =
+  let i = digram_probe t a b in
+  if t.dkey1.(i) <> no_key then t.dsym.(i) <- s
+  else if 2 * (t.dcount + 1) > Array.length t.dkey1 then begin
+    digram_grow t;
+    digram_set t a b s
+  end
+  else begin
+    t.dkey1.(i) <- a;
+    t.dkey2.(i) <- b;
+    t.dsym.(i) <- s;
+    t.dcount <- t.dcount + 1
+  end
+
+and digram_grow t =
+  let k1 = t.dkey1 and k2 = t.dkey2 and syms = t.dsym in
+  let cap = 2 * Array.length k1 in
+  t.dkey1 <- Array.make cap no_key;
+  t.dkey2 <- Array.make cap 0;
+  t.dsym <- Array.make cap 0;
+  t.dshift <- t.dshift - 1;
+  t.dcount <- 0;
+  Array.iteri (fun i a -> if a <> no_key then digram_set t a k2.(i) syms.(i)) k1
+
+(* Empty slot [hole], then pull back every later entry of its probe run
+   that may legally sit there, so probes never stop early on a gap. *)
+let digram_remove t hole =
+  let k1 = t.dkey1 and k2 = t.dkey2 and syms = t.dsym in
+  let mask = Array.length k1 - 1 in
+  let hole = ref hole and j = ref ((hole + 1) land mask) in
+  while k1.(!j) <> no_key do
+    let home = digram_home t k1.(!j) k2.(!j) in
+    if (!j - home) land mask >= (!j - !hole) land mask then begin
+      k1.(!hole) <- k1.(!j);
+      k2.(!hole) <- k2.(!j);
+      syms.(!hole) <- syms.(!j);
+      hole := !j
+    end;
+    j := (!j + 1) land mask
+  done;
+  k1.(!hole) <- no_key;
+  t.dcount <- t.dcount - 1
+
+(* Index the digram starting at [s] at [s]. *)
+let index_digram t s =
+  let a = t.value.(s) and b = t.value.(t.next.(s)) in
+  if is_guard_v a || is_guard_v b then invalid_arg "Sequitur: guard in digram";
+  digram_set t a b s
+
+(* ---------------- Grammar ---------------- *)
 
 let mk_rule t =
-  let r = raw_rule t.next_rule_id in
-  t.next_rule_id <- t.next_rule_id + 1;
+  let r = t.next_rule_id in
+  if r = Array.length t.guard then begin
+    t.guard <- grow t.guard 0;
+    t.refs <- grow t.refs 0
+  end;
+  let g = new_sym t (guard_v r) 0 0 in
+  t.prev.(g) <- g;
+  t.next.(g) <- g;
+  t.guard.(r) <- g;
+  t.refs.(r) <- 0;
+  t.next_rule_id <- r + 1;
   t.nrules <- t.nrules + 1;
   r
 
 let create () =
-  {
-    start = raw_rule 0;
-    index = Hashtbl.create 4096;
-    next_rule_id = 1;
-    input_len = 0;
-    nrules = 1;
-  }
+  let cap = 1 lsl init_bits in
+  let t =
+    {
+      value = Array.make cap 0;
+      prev = Array.make cap 0;
+      next = Array.make cap 0;
+      nsyms = 0;
+      free = Array.make cap 0;
+      nfree = 0;
+      nready = 0;
+      guard = Array.make 64 0;
+      refs = Array.make 64 0;
+      next_rule_id = 0;
+      input_len = 0;
+      nrules = 0;
+      dkey1 = Array.make cap no_key;
+      dkey2 = Array.make cap 0;
+      dsym = Array.make cap 0;
+      dshift = 63 - init_bits;
+      dcount = 0;
+    }
+  in
+  ignore (mk_rule t : int);
+  t
 
 (* Remove the index entry for the digram starting at [s], if it is the
-   indexed occurrence (physical equality guards against unrelated pairs
+   indexed occurrence (the symbol check guards against unrelated pairs
    with equal values). *)
 let delete_digram t s =
-  if (not (is_guard s)) && not (is_guard s.next) then begin
-    let k = digram_key s in
-    match Hashtbl.find_opt t.index k with
-    | Some m when m == s -> Hashtbl.remove t.index k
-    | _ -> ()
+  let n = t.next.(s) in
+  if (not (is_guard t s)) && not (is_guard t n) then begin
+    let i = digram_probe t t.value.(s) t.value.(n) in
+    if t.dkey1.(i) <> no_key && t.dsym.(i) = s then digram_remove t i
   end
 
 (* Link left -> right, un-indexing the digram that used to start at
    [left]. *)
 let join t left right =
   delete_digram t left;
-  left.next <- right;
-  right.prev <- left
+  t.next.(left) <- right;
+  t.prev.(right) <- left
 
 let insert_after t s fresh =
-  join t fresh s.next;
+  join t fresh t.next.(s);
   join t s fresh
 
-let deuse = function NonTerm r -> r.refs <- r.refs - 1 | _ -> ()
-let reuse = function NonTerm r -> r.refs <- r.refs + 1 | _ -> ()
+let deuse t v = if is_nonterm_v v then t.refs.(rule_of_v v) <- t.refs.(rule_of_v v) - 1
+let reuse t v = if is_nonterm_v v then t.refs.(rule_of_v v) <- t.refs.(rule_of_v v) + 1
 
 (* Unlink and discard a (non-guard) symbol. *)
 let delete_sym t s =
-  join t s.prev s.next;
+  join t t.prev.(s) t.next.(s);
   delete_digram t s;
-  deuse s.v
+  deuse t t.value.(s);
+  release t s
 
-let new_nonterm r =
-  r.refs <- r.refs + 1;
-  NonTerm r
+let new_nonterm t r =
+  t.refs.(r) <- t.refs.(r) + 1;
+  nonterm_v r
 
-let rule_of_guard s =
-  match s.v with Guard r -> r | _ -> invalid_arg "Sequitur: not a guard"
+let rule_of_guard t s =
+  let v = t.value.(s) in
+  if is_guard_v v then rule_of_v v else invalid_arg "Sequitur: not a guard"
 
-let first r = r.guard.next
-let last r = r.guard.prev
+let first t r = t.next.(t.guard.(r))
+let last t r = t.prev.(t.guard.(r))
 
-(* Forward declarations for the mutually recursive check / match /
-   substitute / expand. *)
 let rec check t s =
-  if is_guard s || is_guard s.next then false
+  let n = t.next.(s) in
+  if is_guard t s || is_guard t n then false
   else begin
-    let k = digram_key s in
-    match Hashtbl.find_opt t.index k with
-    | None ->
-        Hashtbl.replace t.index k s;
-        false
-    | Some m when m == s || m.next == s || s.next == m ->
+    let a = t.value.(s) and b = t.value.(n) in
+    let i = digram_probe t a b in
+    if t.dkey1.(i) = no_key then begin
+      digram_set t a b s;
+      false
+    end
+    else
+      let m = t.dsym.(i) in
+      if m = s || t.next.(m) = s || n = m then
         (* Already indexed here, or the occurrences overlap (aaa) in either
            direction — the right-overlap case arises only from the extra
            chain probes in [substitute]. *)
         false
-    | Some m ->
+      else begin
         process_match t s m;
         true
+      end
   end
 
 and process_match t s m =
   let r =
-    if is_guard m.prev && is_guard m.next.next then begin
+    if is_guard t t.prev.(m) && is_guard t t.next.(t.next.(m)) then begin
       (* The earlier occurrence is a complete rule body: reuse the rule. *)
-      let r = rule_of_guard m.prev in
+      let r = rule_of_guard t t.prev.(m) in
       substitute t s r;
       r
     end
@@ -124,29 +287,30 @@ and process_match t s m =
       (* Create a new rule for the digram and substitute both
          occurrences. *)
       let r = mk_rule t in
-      let c1 = { v = s.v; prev = r.guard; next = r.guard } in
-      reuse c1.v;
-      insert_after t (last r) c1;
-      let c2 = { v = s.next.v; prev = r.guard; next = r.guard } in
-      reuse c2.v;
-      insert_after t (last r) c2;
+      let g = t.guard.(r) in
+      let c1 = new_sym t t.value.(s) g g in
+      reuse t t.value.(c1);
+      insert_after t (last t r) c1;
+      let c2 = new_sym t t.value.(t.next.(s)) g g in
+      reuse t t.value.(c2);
+      insert_after t (last t r) c2;
       substitute t m r;
       substitute t s r;
-      Hashtbl.replace t.index (digram_key (first r)) (first r);
+      index_digram t (first t r);
       r
     end
   in
   (* Rule utility: if the rule's first symbol is a nonterminal used only
      once, inline it. *)
-  match (first r).v with
-  | NonTerm r2 when r2.refs = 1 -> expand_sym t (first r)
-  | _ -> ()
+  let f = first t r in
+  let v = t.value.(f) in
+  if is_nonterm_v v && t.refs.(rule_of_v v) = 1 then expand_sym t f
 
 and substitute t s r =
-  let q = s.prev in
-  delete_sym t s.next;
+  let q = t.prev.(s) in
+  delete_sym t t.next.(s);
   delete_sym t s;
-  let fresh = { v = new_nonterm r; prev = q; next = q } in
+  let fresh = new_sym t (new_nonterm t r) q q in
   insert_after t q fresh;
   (* Re-check digrams around the replacement. Beyond the canonical
      (q, fresh) and (fresh, q.next.next) checks, equal-symbol chains
@@ -155,56 +319,64 @@ and substitute t s r =
      right of [fresh], because overlapping occurrences share a key and only
      one occurrence is ever indexed. A check () on an indexed digram is a
      no-op, so the extra probes are harmless otherwise. Each check can
-     itself substitute (invalidating saved pointers), so stop at the first
-     that does — its own recursion re-checks the new neighbourhood. *)
-  if not (check t q.prev) then
+     itself substitute (invalidating saved positions), so stop at the
+     first that does — its own recursion re-checks the new
+     neighbourhood. *)
+  if not (check t t.prev.(q)) then
     if not (check t q) then
-      if not (check t q.next) then ignore (check t q.next.next : bool)
+      if not (check t t.next.(q)) then
+        ignore (check t t.next.(t.next.(q)) : bool)
 
 and expand_sym t s =
   (* [s] is a nonterminal whose rule is used exactly once: splice the rule
      body in place of [s] and delete the rule. *)
-  let r = match s.v with NonTerm r -> r | _ -> invalid_arg "expand_sym" in
-  let left = s.prev and right = s.next in
-  let f = first r and l = last r in
+  let v = t.value.(s) in
+  if not (is_nonterm_v v) then invalid_arg "expand_sym";
+  let r = rule_of_v v in
+  let left = t.prev.(s) and right = t.next.(s) in
+  let f = first t r and l = last t r in
   delete_digram t s;
   join t left f;
   join t l right;
-  Hashtbl.replace t.index (digram_key l) l;
-  t.nrules <- t.nrules - 1
+  index_digram t l;
+  t.nrules <- t.nrules - 1;
+  release t s;
+  release t t.guard.(r)
 
 let push t terminal =
   if terminal < 0 then invalid_arg "Sequitur.push: negative terminal";
-  let g = t.start.guard in
-  let fresh = { v = Term terminal; prev = g; next = g } in
-  insert_after t g.prev fresh;
+  t.nready <- t.nfree;
+  let g = t.guard.(0) in
+  let fresh = new_sym t terminal g g in
+  insert_after t t.prev.(g) fresh;
   t.input_len <- t.input_len + 1;
-  if t.input_len > 1 then ignore (check t fresh.prev : bool)
+  if t.input_len > 1 then ignore (check t t.prev.(fresh) : bool)
 
 let input_length t = t.input_len
 
-let iter_rhs r f =
-  let s = ref (first r) in
-  while not (is_guard !s) do
-    f !s;
-    s := !s.next
+(* ---------------- Reading the grammar ---------------- *)
+
+let iter_rhs t r f =
+  let s = ref (first t r) in
+  while not (is_guard t !s) do
+    f t.value.(!s);
+    s := t.next.(!s)
   done
 
 let all_rules t =
   (* Collect reachable rules from the start rule (all rules are reachable
      by construction). *)
-  let seen = Hashtbl.create 64 in
+  let seen = Array.make t.next_rule_id false in
   let order = ref [] in
   let rec visit r =
-    if not (Hashtbl.mem seen r.id) then begin
-      Hashtbl.replace seen r.id r;
-      iter_rhs r (fun s ->
-          match s.v with NonTerm r2 -> visit r2 | _ -> ());
+    if not seen.(r) then begin
+      seen.(r) <- true;
+      iter_rhs t r (fun v -> if is_nonterm_v v then visit (rule_of_v v));
       order := r :: !order
     end
   in
-  visit t.start;
-  (* [order] is reverse-topological: children before parents. *)
+  visit 0;
+  (* [order] is reverse-topological: parents before children. *)
   !order
 
 type rule_info = {
@@ -215,53 +387,57 @@ type rule_info = {
 }
 
 let rules t =
-  let topo = all_rules t in
-  (* children-first list reversed = parents first *)
-  let parents_first = topo in
+  let parents_first = all_rules t in
   (* uses: start = 1; each nonterminal occurrence contributes the
      containing rule's uses. Process parents before children. *)
-  let uses = Hashtbl.create 64 in
-  Hashtbl.replace uses t.start.id 1;
+  let uses = Array.make t.next_rule_id 0 in
+  uses.(0) <- 1;
   List.iter
     (fun r ->
-      let u = try Hashtbl.find uses r.id with Not_found -> 0 in
-      iter_rhs r (fun s ->
-          match s.v with
-          | NonTerm r2 ->
-              let cur = try Hashtbl.find uses r2.id with Not_found -> 0 in
-              Hashtbl.replace uses r2.id (cur + u)
-          | _ -> ()))
+      iter_rhs t r (fun v ->
+          if is_nonterm_v v then
+            let r2 = rule_of_v v in
+            uses.(r2) <- uses.(r2) + uses.(r)))
     parents_first;
   (* expansions: children before parents, memoised. *)
-  let expansions = Hashtbl.create 64 in
-  let expansion_of r =
-    let buf = ref [] in
-    iter_rhs r (fun s ->
-        match s.v with
-        | Term i -> buf := [| i |] :: !buf
-        | NonTerm r2 -> buf := Hashtbl.find expansions r2.id :: !buf
-        | Guard _ -> ());
-    Array.concat (List.rev !buf)
-  in
+  let expansions = Array.make t.next_rule_id [||] in
   List.iter
-    (fun r -> Hashtbl.replace expansions r.id (expansion_of r))
+    (fun r ->
+      let len = ref 0 in
+      iter_rhs t r (fun v ->
+          len := !len + if is_nonterm_v v then Array.length expansions.(rule_of_v v) else 1);
+      let e = Array.make !len 0 and pos = ref 0 in
+      iter_rhs t r (fun v ->
+          if is_nonterm_v v then begin
+            let sub = expansions.(rule_of_v v) in
+            Array.blit sub 0 e !pos (Array.length sub);
+            pos := !pos + Array.length sub
+          end
+          else begin
+            e.(!pos) <- v;
+            incr pos
+          end);
+      expansions.(r) <- e)
     (List.rev parents_first);
   List.map
     (fun r ->
       let rhs_length = ref 0 in
-      iter_rhs r (fun _ -> incr rhs_length);
-      {
-        rule_id = r.id;
-        expansion = Hashtbl.find expansions r.id;
-        uses = (try Hashtbl.find uses r.id with Not_found -> 0);
-        rhs_length = !rhs_length;
-      })
+      iter_rhs t r (fun _ -> incr rhs_length);
+      { rule_id = r; expansion = expansions.(r); uses = uses.(r); rhs_length = !rhs_length })
     parents_first
 
 let expand t =
-  match List.find_opt (fun ri -> ri.rule_id = t.start.id) (rules t) with
-  | Some ri -> ri.expansion
-  | None -> [||]
+  let out = Array.make t.input_len 0 and pos = ref 0 in
+  let rec go r =
+    iter_rhs t r (fun v ->
+        if is_nonterm_v v then go (rule_of_v v)
+        else begin
+          out.(!pos) <- v;
+          incr pos
+        end)
+  in
+  go 0;
+  out
 
 let rule_count t = t.nrules
 
@@ -276,38 +452,36 @@ let check_invariants t =
      of the same digram is not the immediately preceding symbol. *)
   List.iter
     (fun r ->
-      let s = ref (first r) in
-      while not (is_guard !s) do
-        if not (is_guard !s.next) then begin
-          let k = digram_key !s in
+      let s = ref (first t r) in
+      while not (is_guard t !s) do
+        let n = t.next.(!s) in
+        if not (is_guard t n) then begin
+          let k = (t.value.(!s), t.value.(n)) in
           (match Hashtbl.find_opt digrams k with
-          | Some prev when prev.next != !s ->
-              fail (Printf.sprintf "digram repeated in rule %d" r.id)
+          | Some prev when t.next.(prev) <> !s ->
+              fail (Printf.sprintf "digram repeated in rule %d" r)
           | _ -> ());
           Hashtbl.replace digrams k !s
         end;
-        s := !s.next
+        s := n
       done)
     rl;
   (* Rule utility and refcount consistency. *)
-  let counted = Hashtbl.create 64 in
+  let counted = Array.make t.next_rule_id 0 in
   List.iter
     (fun r ->
-      iter_rhs r (fun s ->
-          match s.v with
-          | NonTerm r2 ->
-              Hashtbl.replace counted r2.id
-                (1 + try Hashtbl.find counted r2.id with Not_found -> 0)
-          | _ -> ()))
+      iter_rhs t r (fun v ->
+          if is_nonterm_v v then
+            counted.(rule_of_v v) <- counted.(rule_of_v v) + 1))
     rl;
   List.iter
     (fun r ->
-      if r.id <> t.start.id then begin
-        let actual = try Hashtbl.find counted r.id with Not_found -> 0 in
-        if actual <> r.refs then
-          fail (Printf.sprintf "rule %d refcount %d but %d occurrences" r.id r.refs actual);
+      if r <> 0 then begin
+        let actual = counted.(r) in
+        if actual <> t.refs.(r) then
+          fail (Printf.sprintf "rule %d refcount %d but %d occurrences" r t.refs.(r) actual);
         if actual < 2 then
-          fail (Printf.sprintf "rule %d used %d time(s): utility violated" r.id actual)
+          fail (Printf.sprintf "rule %d used %d time(s): utility violated" r actual)
       end)
     rl;
   match !err with None -> Ok () | Some m -> Error m

@@ -44,7 +44,6 @@ let pack ?(merge_identical = false) ?max_sets candidates =
       if
         !count < limit
         && List.for_all (fun s -> not (Hashtbl.mem used s)) sites
-        && not (List.mem sites !selected)
       then begin
         List.iter (fun s -> Hashtbl.replace used s ()) sites;
         selected := sites :: !selected;

@@ -101,6 +101,26 @@ let seq_rejects_negative () =
        false
      with Invalid_argument _ -> true)
 
+let seq_push_allocates_nothing () =
+  (* A warmed-up grammar keeps its arena, digram table and free list big
+     enough for a periodic trace, so pushing allocates no minor words. *)
+  let t = Sequitur.create () in
+  let period = 97 in
+  for i = 0 to 19_999 do
+    Sequitur.push t (i mod period)
+  done;
+  let n = 100_000 in
+  let before = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    Sequitur.push t (i mod period)
+  done;
+  let words = Gc.minor_words () -. before in
+  checkb
+    (Printf.sprintf "%.0f minor words over %d pushes" words n)
+    true
+    (words < float_of_int n);
+  checkb "invariants" true (Sequitur.check_invariants t = Ok ())
+
 let prop_seq_roundtrip =
   QCheck2.Test.make ~name:"sequitur: expansion reproduces the input" ~count:300
     QCheck2.Gen.(list_size (int_range 0 400) (int_range 0 6))
@@ -294,6 +314,40 @@ let hds_blind_to_wrappers () =
   in
   checkb "at most one identifiable site" true (List.length distinct_sites <= 1)
 
+(* Bad configs are rejected before the program is interpreted: this
+   program's main takes a parameter, so interpreting it raises Interp's
+   own error instead. *)
+let unrunnable_program () =
+  Ir.finalize ~main:"main" [ { Ir.fname = "main"; params = [ "x" ]; body = [] } ]
+
+let plan_error config =
+  match Hds_pipeline.plan ~config (unrunnable_program ()) with
+  | _ -> "no error"
+  | exception Invalid_argument msg -> msg
+
+let from_interp msg = String.length msg >= 6 && String.sub msg 0 6 = "Interp"
+
+let hds_good_config_reaches_interp () =
+  checkb "a good config reaches the interpreter" true
+    (from_interp (plan_error Hds_pipeline.default_config))
+
+let bad_hds_configs =
+  let d = Hds_pipeline.default_config and streams = Hot_streams.default_config in
+  [
+    ("min_elems < 1", { d with streams = { streams with min_elems = 0 } });
+    ("max_elems < min_elems", { d with streams = { streams with max_elems = 1 } });
+    ("coverage 0", { d with streams = { streams with coverage = 0.0 } });
+    ("coverage > 1", { d with streams = { streams with coverage = 1.5 } });
+    ("coverage NaN", { d with streams = { streams with coverage = Float.nan } });
+    ("max_sets < 0", { d with max_sets = Some (-1) });
+    ("max_trace < 0", { d with max_trace = -1 });
+    ("max_tracked_size < 0", { d with max_tracked_size = -1 });
+  ]
+
+let hds_rejects_bad_config config () =
+  let msg = plan_error config in
+  checkb msg true (msg <> "no error" && not (from_interp msg))
+
 let hds_classifier_uses_cur_site () =
   let plan =
     {
@@ -369,6 +423,7 @@ let suite =
     tc "sequitur: chain regression 2" seq_chain_regression2;
     tc "sequitur: uses accounting" seq_uses_accounting;
     tc "sequitur: negative terminal rejected" seq_rejects_negative;
+    tc "sequitur: push allocates nothing once warm" seq_push_allocates_nothing;
     tc "hot streams: periodic trace" streams_periodic;
     tc "hot streams: chunks cover the period" streams_chunking_covers_period;
     tc "hot streams: no repetition, no streams" streams_no_repeats_no_streams;
@@ -381,7 +436,13 @@ let suite =
     tc "hds pipeline: identifies direct sites" hds_identifies_direct_sites;
     tc "hds pipeline: blind to wrappers" hds_blind_to_wrappers;
     tc "hds pipeline: classifier reads current site" hds_classifier_uses_cur_site;
+    tc "hds pipeline: a good config reaches the interpreter" hds_good_config_reaches_interp;
   ]
+  @ List.map
+      (fun (what, config) ->
+        tc ("hds pipeline: rejects " ^ what ^ " before profiling")
+          (hds_rejects_bad_config config))
+      bad_hds_configs
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_seq_roundtrip; prop_seq_invariants; prop_seq_binary_chains;
         prop_packing_disjoint ]

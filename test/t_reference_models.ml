@@ -4,7 +4,9 @@
    set-associative cache with stamp-based LRU) are checked against naive,
    obviously-correct re-implementations of their specifications on random
    inputs. These oracles are written independently from the production
-   code, directly off the paper text / textbook definition. *)
+   code, directly off the paper text / textbook definition. The arena
+   SEQUITUR is instead held to the record-based implementation it was
+   ported from, which must produce the same grammar rule for rule. *)
 
 (* ------------------------------------------------------------------ *)
 (* Reference affinity queue: a plain list of all past accesses, walked  *)
@@ -514,6 +516,372 @@ let prop_selector_eval_is_dnf =
       in
       Identify.eval live sel = expected)
 
+(* ------------------------------------------------------------------ *)
+(* Reference SEQUITUR: the record-based implementation the arena       *)
+(* version was ported from (boxed symbols, a polymorphic digram key).   *)
+(* ------------------------------------------------------------------ *)
+
+module Ref_sequitur = struct
+  (* Classic imperative SEQUITUR (after the reference implementation by
+     Nevill-Manning & Witten): doubly-linked symbol lists per rule with a
+     circular guard, a digram index enforcing digram uniqueness, and rule
+     utility enforced by expanding rules whose use count falls to one. *)
+
+  type value = Term of int | NonTerm of rule | Guard of rule
+
+  and sym = { mutable v : value; mutable prev : sym; mutable next : sym }
+
+  and rule = { id : int; guard : sym; mutable refs : int }
+
+  type key = int * int * int * int
+
+  type t = {
+    start : rule;
+    index : (key, sym) Hashtbl.t;
+    mutable next_rule_id : int;
+    mutable input_len : int;
+    mutable nrules : int;
+  }
+
+  let is_guard s = match s.v with Guard _ -> true | _ -> false
+
+  let val_key = function
+    | Term i -> (0, i)
+    | NonTerm r -> (1, r.id)
+    | Guard _ -> invalid_arg "Sequitur: guard in digram"
+
+  let digram_key s =
+    let a, b = val_key s.v and c, d = val_key s.next.v in
+    (a, b, c, d)
+
+  let raw_rule id =
+    let rec guard = { v = Term (-1); prev = guard; next = guard } in
+    let r = { id; guard; refs = 0 } in
+    guard.v <- Guard r;
+    r
+
+  let mk_rule t =
+    let r = raw_rule t.next_rule_id in
+    t.next_rule_id <- t.next_rule_id + 1;
+    t.nrules <- t.nrules + 1;
+    r
+
+  let create () =
+    {
+      start = raw_rule 0;
+      index = Hashtbl.create 4096;
+      next_rule_id = 1;
+      input_len = 0;
+      nrules = 1;
+    }
+
+  (* Remove the index entry for the digram starting at [s], if it is the
+     indexed occurrence (physical equality guards against unrelated pairs
+     with equal values). *)
+  let delete_digram t s =
+    if (not (is_guard s)) && not (is_guard s.next) then begin
+      let k = digram_key s in
+      match Hashtbl.find_opt t.index k with
+      | Some m when m == s -> Hashtbl.remove t.index k
+      | _ -> ()
+    end
+
+  (* Link left -> right, un-indexing the digram that used to start at
+     [left]. *)
+  let join t left right =
+    delete_digram t left;
+    left.next <- right;
+    right.prev <- left
+
+  let insert_after t s fresh =
+    join t fresh s.next;
+    join t s fresh
+
+  let deuse = function NonTerm r -> r.refs <- r.refs - 1 | _ -> ()
+  let reuse = function NonTerm r -> r.refs <- r.refs + 1 | _ -> ()
+
+  (* Unlink and discard a (non-guard) symbol. *)
+  let delete_sym t s =
+    join t s.prev s.next;
+    delete_digram t s;
+    deuse s.v
+
+  let new_nonterm r =
+    r.refs <- r.refs + 1;
+    NonTerm r
+
+  let rule_of_guard s =
+    match s.v with Guard r -> r | _ -> invalid_arg "Sequitur: not a guard"
+
+  let first r = r.guard.next
+  let last r = r.guard.prev
+
+  (* Forward declarations for the mutually recursive check / match /
+     substitute / expand. *)
+  let rec check t s =
+    if is_guard s || is_guard s.next then false
+    else begin
+      let k = digram_key s in
+      match Hashtbl.find_opt t.index k with
+      | None ->
+          Hashtbl.replace t.index k s;
+          false
+      | Some m when m == s || m.next == s || s.next == m ->
+          (* Already indexed here, or the occurrences overlap (aaa) in either
+             direction — the right-overlap case arises only from the extra
+             chain probes in [substitute]. *)
+          false
+      | Some m ->
+          process_match t s m;
+          true
+    end
+
+  and process_match t s m =
+    let r =
+      if is_guard m.prev && is_guard m.next.next then begin
+        (* The earlier occurrence is a complete rule body: reuse the rule. *)
+        let r = rule_of_guard m.prev in
+        substitute t s r;
+        r
+      end
+      else begin
+        (* Create a new rule for the digram and substitute both
+           occurrences. *)
+        let r = mk_rule t in
+        let c1 = { v = s.v; prev = r.guard; next = r.guard } in
+        reuse c1.v;
+        insert_after t (last r) c1;
+        let c2 = { v = s.next.v; prev = r.guard; next = r.guard } in
+        reuse c2.v;
+        insert_after t (last r) c2;
+        substitute t m r;
+        substitute t s r;
+        Hashtbl.replace t.index (digram_key (first r)) (first r);
+        r
+      end
+    in
+    (* Rule utility: if the rule's first symbol is a nonterminal used only
+       once, inline it. *)
+    match (first r).v with
+    | NonTerm r2 when r2.refs = 1 -> expand_sym t (first r)
+    | _ -> ()
+
+  and substitute t s r =
+    let q = s.prev in
+    delete_sym t s.next;
+    delete_sym t s;
+    let fresh = { v = new_nonterm r; prev = q; next = q } in
+    insert_after t q fresh;
+    (* Re-check digrams around the replacement. Beyond the canonical
+       (q, fresh) and (fresh, q.next.next) checks, equal-symbol chains
+       ("aaa") need two more: deleting the pair can orphan the index slot of
+       a chain digram one position to the left of [q] or one position to the
+       right of [fresh], because overlapping occurrences share a key and only
+       one occurrence is ever indexed. A check () on an indexed digram is a
+       no-op, so the extra probes are harmless otherwise. Each check can
+       itself substitute (invalidating saved pointers), so stop at the first
+       that does — its own recursion re-checks the new neighbourhood. *)
+    if not (check t q.prev) then
+      if not (check t q) then
+        if not (check t q.next) then ignore (check t q.next.next : bool)
+
+  and expand_sym t s =
+    (* [s] is a nonterminal whose rule is used exactly once: splice the rule
+       body in place of [s] and delete the rule. *)
+    let r = match s.v with NonTerm r -> r | _ -> invalid_arg "expand_sym" in
+    let left = s.prev and right = s.next in
+    let f = first r and l = last r in
+    delete_digram t s;
+    join t left f;
+    join t l right;
+    Hashtbl.replace t.index (digram_key l) l;
+    t.nrules <- t.nrules - 1
+
+  let push t terminal =
+    if terminal < 0 then invalid_arg "Sequitur.push: negative terminal";
+    let g = t.start.guard in
+    let fresh = { v = Term terminal; prev = g; next = g } in
+    insert_after t g.prev fresh;
+    t.input_len <- t.input_len + 1;
+    if t.input_len > 1 then ignore (check t fresh.prev : bool)
+
+  let input_length t = t.input_len
+
+  let iter_rhs r f =
+    let s = ref (first r) in
+    while not (is_guard !s) do
+      f !s;
+      s := !s.next
+    done
+
+  let all_rules t =
+    (* Collect reachable rules from the start rule (all rules are reachable
+       by construction). *)
+    let seen = Hashtbl.create 64 in
+    let order = ref [] in
+    let rec visit r =
+      if not (Hashtbl.mem seen r.id) then begin
+        Hashtbl.replace seen r.id r;
+        iter_rhs r (fun s ->
+            match s.v with NonTerm r2 -> visit r2 | _ -> ());
+        order := r :: !order
+      end
+    in
+    visit t.start;
+    (* [order] is reverse-topological: children before parents. *)
+    !order
+
+  type rule_info = Sequitur.rule_info = {
+    rule_id : int;
+    expansion : int array;
+    uses : int;
+    rhs_length : int;
+  }
+
+  let rules t =
+    let topo = all_rules t in
+    (* children-first list reversed = parents first *)
+    let parents_first = topo in
+    (* uses: start = 1; each nonterminal occurrence contributes the
+       containing rule's uses. Process parents before children. *)
+    let uses = Hashtbl.create 64 in
+    Hashtbl.replace uses t.start.id 1;
+    List.iter
+      (fun r ->
+        let u = try Hashtbl.find uses r.id with Not_found -> 0 in
+        iter_rhs r (fun s ->
+            match s.v with
+            | NonTerm r2 ->
+                let cur = try Hashtbl.find uses r2.id with Not_found -> 0 in
+                Hashtbl.replace uses r2.id (cur + u)
+            | _ -> ()))
+      parents_first;
+    (* expansions: children before parents, memoised. *)
+    let expansions = Hashtbl.create 64 in
+    let expansion_of r =
+      let buf = ref [] in
+      iter_rhs r (fun s ->
+          match s.v with
+          | Term i -> buf := [| i |] :: !buf
+          | NonTerm r2 -> buf := Hashtbl.find expansions r2.id :: !buf
+          | Guard _ -> ());
+      Array.concat (List.rev !buf)
+    in
+    List.iter
+      (fun r -> Hashtbl.replace expansions r.id (expansion_of r))
+      (List.rev parents_first);
+    List.map
+      (fun r ->
+        let rhs_length = ref 0 in
+        iter_rhs r (fun _ -> incr rhs_length);
+        {
+          rule_id = r.id;
+          expansion = Hashtbl.find expansions r.id;
+          uses = (try Hashtbl.find uses r.id with Not_found -> 0);
+          rhs_length = !rhs_length;
+        })
+      parents_first
+
+  let expand t =
+    match List.find_opt (fun ri -> ri.rule_id = t.start.id) (rules t) with
+    | Some ri -> ri.expansion
+    | None -> [||]
+
+  let rule_count t = t.nrules
+
+  let check_invariants t =
+    let rl = all_rules t in
+    let digrams = Hashtbl.create 256 in
+    let err = ref None in
+    let fail msg = if !err = None then err := Some msg in
+    (* Digram uniqueness across all rule bodies. Overlapping occurrences
+       (chains like "aaa") are legal: SEQUITUR only rewrites non-overlapping
+       repeats, so a repeat is a violation only when the previous occurrence
+       of the same digram is not the immediately preceding symbol. *)
+    List.iter
+      (fun r ->
+        let s = ref (first r) in
+        while not (is_guard !s) do
+          if not (is_guard !s.next) then begin
+            let k = digram_key !s in
+            (match Hashtbl.find_opt digrams k with
+            | Some prev when prev.next != !s ->
+                fail (Printf.sprintf "digram repeated in rule %d" r.id)
+            | _ -> ());
+            Hashtbl.replace digrams k !s
+          end;
+          s := !s.next
+        done)
+      rl;
+    (* Rule utility and refcount consistency. *)
+    let counted = Hashtbl.create 64 in
+    List.iter
+      (fun r ->
+        iter_rhs r (fun s ->
+            match s.v with
+            | NonTerm r2 ->
+                Hashtbl.replace counted r2.id
+                  (1 + try Hashtbl.find counted r2.id with Not_found -> 0)
+            | _ -> ()))
+      rl;
+    List.iter
+      (fun r ->
+        if r.id <> t.start.id then begin
+          let actual = try Hashtbl.find counted r.id with Not_found -> 0 in
+          if actual <> r.refs then
+            fail (Printf.sprintf "rule %d refcount %d but %d occurrences" r.id r.refs actual);
+          if actual < 2 then
+            fail (Printf.sprintf "rule %d used %d time(s): utility violated" r.id actual)
+        end)
+      rl;
+    match !err with None -> Ok () | Some m -> Error m
+end
+
+(* Mixed inputs built from pieces that stress different parts of the
+   algorithm: random strings over a 2-4-symbol alphabet, long runs of one
+   symbol (overlapping "aaa" digrams), and a short pattern repeated many
+   times (deep rule hierarchies, rule reuse and expansion). Every symbol
+   is [base + k] for a small [k], with [base] either 0 or just below
+   [max_int], so the arena's value encoding is exercised at both ends of
+   the terminal range. *)
+let gen_sequitur_input =
+  QCheck2.Gen.(
+    let* k = int_range 2 4 in
+    let* base = oneofl [ 0; max_int - 3 ] in
+    let sym = int_range 0 (k - 1) in
+    let piece =
+      frequency
+        [
+          (3, list_size (int_range 1 60) sym);
+          (2, map2 (fun s n -> List.init n (fun _ -> s)) sym (int_range 2 80));
+          ( 2,
+            map2
+              (fun p n -> List.concat (List.init n (fun _ -> p)))
+              (list_size (int_range 1 6) sym)
+              (int_range 2 40) );
+        ]
+    in
+    let* pieces = list_size (int_range 0 12) piece in
+    return (List.map (fun x -> base + x) (List.concat pieces)))
+
+let print_sequitur_input l = String.concat " " (List.map string_of_int l)
+
+let prop_sequitur_matches_reference =
+  QCheck2.Test.make
+    ~name:"sequitur: arena grammar matches the record-based reference rule for rule"
+    ~count:200 ~long_factor:50 ~print:print_sequitur_input gen_sequitur_input
+    (fun input ->
+      let t = Sequitur.create () and r = Ref_sequitur.create () in
+      List.iter
+        (fun x ->
+          Sequitur.push t x;
+          Ref_sequitur.push r x)
+        input;
+      Sequitur.rules t = Ref_sequitur.rules r
+      && Sequitur.rule_count t = Ref_sequitur.rule_count r
+      && Sequitur.input_length t = Ref_sequitur.input_length r
+      && Sequitur.check_invariants t = Ok ())
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -524,4 +892,5 @@ let suite =
       prop_cache_ops_match_reference;
       prop_hierarchy_matches_reference;
       prop_heap_model_find_matches_reference;
+      prop_sequitur_matches_reference;
     ]
