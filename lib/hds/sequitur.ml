@@ -53,14 +53,14 @@ type t = {
   mutable dcount : int;
 }
 
-let guard_v r = -((2 * r) + 1)
-let nonterm_v r = -((2 * r) + 2)
-let is_guard_v v = v < 0 && v land 1 = 1
-let is_nonterm_v v = v < 0 && v land 1 = 0
-let rule_of_v v = (-v - 1) / 2 (* for guard and nonterminal values alike *)
+let[@inline] guard_v r = -((2 * r) + 1)
+let[@inline] nonterm_v r = -((2 * r) + 2)
+let[@inline] is_guard_v v = v < 0 && v land 1 = 1
+let[@inline] is_nonterm_v v = v < 0 && v land 1 = 0
+let[@inline] rule_of_v v = (-v - 1) / 2 (* for guard and nonterminal values alike *)
 let no_key = guard_v 0
 
-let is_guard t s = is_guard_v t.value.(s)
+let[@inline] is_guard t s = is_guard_v t.value.(s)
 
 (* ---------------- Arena ---------------- *)
 
@@ -71,7 +71,7 @@ let grow a fill =
   Array.blit a 0 b 0 (Array.length a);
   b
 
-let new_sym t v p n =
+let[@inline] new_sym t v p n =
   let s =
     if t.nready > 0 then begin
       t.nready <- t.nready - 1;
@@ -95,7 +95,7 @@ let new_sym t v p n =
   t.next.(s) <- n;
   s
 
-let release t s =
+let[@inline] release t s =
   if t.nfree = Array.length t.free then t.free <- grow t.free 0;
   t.free.(t.nfree) <- s;
   t.nfree <- t.nfree + 1
@@ -105,11 +105,11 @@ let release t s =
 let fib = 0x278DDE6E5FD29F05
 
 (* The top bits of the 63-bit product: nearby digrams scatter. *)
-let digram_home t a b = (((a * fib) lxor b) * fib) lsr t.dshift
+let[@inline] digram_home t a b = (((a * fib) lxor b) * fib) lsr t.dshift
 
 (* The slot holding digram (a, b), or the empty slot ending its probe
    run. *)
-let digram_probe t a b =
+let[@inline] digram_probe t a b =
   let k1 = t.dkey1 and k2 = t.dkey2 in
   let mask = Array.length k1 - 1 in
   let i = ref (digram_home t a b) in
@@ -213,7 +213,7 @@ let create () =
 (* Remove the index entry for the digram starting at [s], if it is the
    indexed occurrence (the symbol check guards against unrelated pairs
    with equal values). *)
-let delete_digram t s =
+let[@inline] delete_digram t s =
   let n = t.next.(s) in
   if (not (is_guard t s)) && not (is_guard t n) then begin
     let i = digram_probe t t.value.(s) t.value.(n) in
@@ -222,17 +222,17 @@ let delete_digram t s =
 
 (* Link left -> right, un-indexing the digram that used to start at
    [left]. *)
-let join t left right =
+let[@inline] join t left right =
   delete_digram t left;
   t.next.(left) <- right;
   t.prev.(right) <- left
 
-let insert_after t s fresh =
+let[@inline] insert_after t s fresh =
   join t fresh t.next.(s);
   join t s fresh
 
-let deuse t v = if is_nonterm_v v then t.refs.(rule_of_v v) <- t.refs.(rule_of_v v) - 1
-let reuse t v = if is_nonterm_v v then t.refs.(rule_of_v v) <- t.refs.(rule_of_v v) + 1
+let[@inline] deuse t v = if is_nonterm_v v then t.refs.(rule_of_v v) <- t.refs.(rule_of_v v) - 1
+let[@inline] reuse t v = if is_nonterm_v v then t.refs.(rule_of_v v) <- t.refs.(rule_of_v v) + 1
 
 (* Unlink and discard a (non-guard) symbol. *)
 let delete_sym t s =
@@ -241,7 +241,7 @@ let delete_sym t s =
   deuse t t.value.(s);
   release t s
 
-let new_nonterm t r =
+let[@inline] new_nonterm t r =
   t.refs.(r) <- t.refs.(r) + 1;
   nonterm_v r
 
@@ -249,8 +249,8 @@ let rule_of_guard t s =
   let v = t.value.(s) in
   if is_guard_v v then rule_of_v v else invalid_arg "Sequitur: not a guard"
 
-let first t r = t.next.(t.guard.(r))
-let last t r = t.prev.(t.guard.(r))
+let[@inline] first t r = t.next.(t.guard.(r))
+let[@inline] last t r = t.prev.(t.guard.(r))
 
 let rec check t s =
   let n = t.next.(s) in
