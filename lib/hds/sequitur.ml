@@ -8,12 +8,15 @@
 
    - A symbol is an index into the parallel [value]/[prev]/[next]
      arrays. One int encodes its kind: terminal [t] is [t] itself
-     (>= 0), a nonterminal of rule [r] is [-(2r+2)] and the guard of
-     rule [r] is [-(2r+1)]. Digram keys are therefore the two symbols'
-     values, with no tagging.
-   - A rule is an id indexing [guard] (its guard symbol) and [refs] (its
-     use count). Ids are handed out in creation order and never reused;
-     rule 0 is the start rule.
+     (>= 0), the guard of the rule with id [i] is [-(2i+1)], and a
+     nonterminal is [-(2g+2)] where [g] is its rule's guard symbol.
+     Digram keys are therefore the two symbols' values, with no tagging.
+   - A rule is its guard symbol: [refs] (the use count) is kept per slot
+     and read at guards only, and the rule's id lives in the guard's
+     value. Ids are handed out in creation order and never reused; the
+     start rule has id 0 and guard slot 0. Nothing is indexed by rule
+     id, so a grammar that creates and inlines many rules over its life
+     needs no more room than its live symbols.
    - Deleted symbols go on a free list, but a slot freed during a push is
      recycled only from the next push on. Within one push a deleted
      symbol keeps its fields, exactly as a discarded record would, so
@@ -41,8 +44,7 @@ type t = {
   mutable free : int array; (* stack of freed slots *)
   mutable nfree : int;
   mutable nready : int; (* free.(0 .. nready-1) were freed by earlier pushes *)
-  mutable guard : int array; (* rule id -> guard symbol *)
-  mutable refs : int array; (* rule id -> uses *)
+  mutable refs : int array; (* at a guard: its rule's uses *)
   mutable next_rule_id : int;
   mutable input_len : int;
   mutable nrules : int;
@@ -53,12 +55,14 @@ type t = {
   mutable dcount : int;
 }
 
-let[@inline] guard_v r = -((2 * r) + 1)
-let[@inline] nonterm_v r = -((2 * r) + 2)
+let[@inline] guard_v id = -((2 * id) + 1)
+let[@inline] nonterm_v g = -((2 * g) + 2)
 let[@inline] is_guard_v v = v < 0 && v land 1 = 1
 let[@inline] is_nonterm_v v = v < 0 && v land 1 = 0
-let[@inline] rule_of_v v = (-v - 1) / 2 (* for guard and nonterminal values alike *)
+let[@inline] id_of_guard_v v = (-v - 1) / 2
+let[@inline] rule_of_nonterm_v v = (-v - 2) / 2
 let no_key = guard_v 0
+let start = 0
 
 let[@inline] is_guard t s = is_guard_v t.value.(s)
 
@@ -84,7 +88,8 @@ let[@inline] new_sym t v p n =
       if t.nsyms = Array.length t.value then begin
         t.value <- grow t.value 0;
         t.prev <- grow t.prev 0;
-        t.next <- grow t.next 0
+        t.next <- grow t.next 0;
+        t.refs <- grow t.refs 0
       end;
       t.nsyms <- t.nsyms + 1;
       t.nsyms - 1
@@ -169,20 +174,15 @@ let index_digram t s =
 
 (* ---------------- Grammar ---------------- *)
 
+(* A new empty rule, as its guard symbol. *)
 let mk_rule t =
-  let r = t.next_rule_id in
-  if r = Array.length t.guard then begin
-    t.guard <- grow t.guard 0;
-    t.refs <- grow t.refs 0
-  end;
-  let g = new_sym t (guard_v r) 0 0 in
+  let g = new_sym t (guard_v t.next_rule_id) 0 0 in
   t.prev.(g) <- g;
   t.next.(g) <- g;
-  t.guard.(r) <- g;
-  t.refs.(r) <- 0;
-  t.next_rule_id <- r + 1;
+  t.refs.(g) <- 0;
+  t.next_rule_id <- t.next_rule_id + 1;
   t.nrules <- t.nrules + 1;
-  r
+  g
 
 let create () =
   let cap = 1 lsl init_bits in
@@ -195,8 +195,7 @@ let create () =
       free = Array.make cap 0;
       nfree = 0;
       nready = 0;
-      guard = Array.make 64 0;
-      refs = Array.make 64 0;
+      refs = Array.make cap 0;
       next_rule_id = 0;
       input_len = 0;
       nrules = 0;
@@ -207,7 +206,8 @@ let create () =
       dcount = 0;
     }
   in
-  ignore (mk_rule t : int);
+  let g = mk_rule t in
+  assert (g = start);
   t
 
 (* Remove the index entry for the digram starting at [s], if it is the
@@ -231,8 +231,15 @@ let[@inline] insert_after t s fresh =
   join t fresh t.next.(s);
   join t s fresh
 
-let[@inline] deuse t v = if is_nonterm_v v then t.refs.(rule_of_v v) <- t.refs.(rule_of_v v) - 1
-let[@inline] reuse t v = if is_nonterm_v v then t.refs.(rule_of_v v) <- t.refs.(rule_of_v v) + 1
+let[@inline] deuse t v =
+  if is_nonterm_v v then
+    let r = rule_of_nonterm_v v in
+    t.refs.(r) <- t.refs.(r) - 1
+
+let[@inline] reuse t v =
+  if is_nonterm_v v then
+    let r = rule_of_nonterm_v v in
+    t.refs.(r) <- t.refs.(r) + 1
 
 (* Unlink and discard a (non-guard) symbol. *)
 let delete_sym t s =
@@ -245,12 +252,8 @@ let[@inline] new_nonterm t r =
   t.refs.(r) <- t.refs.(r) + 1;
   nonterm_v r
 
-let rule_of_guard t s =
-  let v = t.value.(s) in
-  if is_guard_v v then rule_of_v v else invalid_arg "Sequitur: not a guard"
-
-let[@inline] first t r = t.next.(t.guard.(r))
-let[@inline] last t r = t.prev.(t.guard.(r))
+let[@inline] first t r = t.next.(r)
+let[@inline] last t r = t.prev.(r)
 
 let rec check t s =
   let n = t.next.(s) in
@@ -279,7 +282,7 @@ and process_match t s m =
   let r =
     if is_guard t t.prev.(m) && is_guard t t.next.(t.next.(m)) then begin
       (* The earlier occurrence is a complete rule body: reuse the rule. *)
-      let r = rule_of_guard t t.prev.(m) in
+      let r = t.prev.(m) in
       substitute t s r;
       r
     end
@@ -287,11 +290,10 @@ and process_match t s m =
       (* Create a new rule for the digram and substitute both
          occurrences. *)
       let r = mk_rule t in
-      let g = t.guard.(r) in
-      let c1 = new_sym t t.value.(s) g g in
+      let c1 = new_sym t t.value.(s) r r in
       reuse t t.value.(c1);
       insert_after t (last t r) c1;
-      let c2 = new_sym t t.value.(t.next.(s)) g g in
+      let c2 = new_sym t t.value.(t.next.(s)) r r in
       reuse t t.value.(c2);
       insert_after t (last t r) c2;
       substitute t m r;
@@ -304,7 +306,7 @@ and process_match t s m =
      once, inline it. *)
   let f = first t r in
   let v = t.value.(f) in
-  if is_nonterm_v v && t.refs.(rule_of_v v) = 1 then expand_sym t f
+  if is_nonterm_v v && t.refs.(rule_of_nonterm_v v) = 1 then expand_sym t f
 
 and substitute t s r =
   let q = t.prev.(s) in
@@ -332,7 +334,7 @@ and expand_sym t s =
      body in place of [s] and delete the rule. *)
   let v = t.value.(s) in
   if not (is_nonterm_v v) then invalid_arg "expand_sym";
-  let r = rule_of_v v in
+  let r = rule_of_nonterm_v v in
   let left = t.prev.(s) and right = t.next.(s) in
   let f = first t r and l = last t r in
   delete_digram t s;
@@ -341,14 +343,13 @@ and expand_sym t s =
   index_digram t l;
   t.nrules <- t.nrules - 1;
   release t s;
-  release t t.guard.(r)
+  release t r
 
 let push t terminal =
   if terminal < 0 then invalid_arg "Sequitur.push: negative terminal";
   t.nready <- t.nfree;
-  let g = t.guard.(0) in
-  let fresh = new_sym t terminal g g in
-  insert_after t t.prev.(g) fresh;
+  let fresh = new_sym t terminal start start in
+  insert_after t t.prev.(start) fresh;
   t.input_len <- t.input_len + 1;
   if t.input_len > 1 then ignore (check t t.prev.(fresh) : bool)
 
@@ -366,17 +367,17 @@ let iter_rhs t r f =
 let all_rules t =
   (* Collect reachable rules from the start rule (all rules are reachable
      by construction). *)
-  let seen = Array.make t.next_rule_id false in
+  let seen = Array.make t.nsyms false in
   let order = ref [] in
   let rec visit r =
     if not seen.(r) then begin
       seen.(r) <- true;
-      iter_rhs t r (fun v -> if is_nonterm_v v then visit (rule_of_v v));
+      iter_rhs t r (fun v -> if is_nonterm_v v then visit (rule_of_nonterm_v v));
       order := r :: !order
     end
   in
-  visit 0;
-  (* [order] is reverse-topological: parents before children. *)
+  visit start;
+  (* [order] lists parents before children, the start rule first. *)
   !order
 
 type rule_info = {
@@ -390,53 +391,50 @@ let rules t =
   let parents_first = all_rules t in
   (* uses: start = 1; each nonterminal occurrence contributes the
      containing rule's uses. Process parents before children. *)
-  let uses = Array.make t.next_rule_id 0 in
-  uses.(0) <- 1;
+  let uses = Array.make t.nsyms 0 in
+  uses.(start) <- 1;
   List.iter
     (fun r ->
       iter_rhs t r (fun v ->
           if is_nonterm_v v then
-            let r2 = rule_of_v v in
+            let r2 = rule_of_nonterm_v v in
             uses.(r2) <- uses.(r2) + uses.(r)))
     parents_first;
   (* expansions: children before parents, memoised. *)
-  let expansions = Array.make t.next_rule_id [||] in
+  let expansions = Array.make t.nsyms [||] in
   List.iter
     (fun r ->
-      let len = ref 0 in
+      let parts = ref [] in
       iter_rhs t r (fun v ->
-          len := !len + if is_nonterm_v v then Array.length expansions.(rule_of_v v) else 1);
-      let e = Array.make !len 0 and pos = ref 0 in
-      iter_rhs t r (fun v ->
-          if is_nonterm_v v then begin
-            let sub = expansions.(rule_of_v v) in
-            Array.blit sub 0 e !pos (Array.length sub);
-            pos := !pos + Array.length sub
-          end
-          else begin
-            e.(!pos) <- v;
-            incr pos
-          end);
-      expansions.(r) <- e)
+          let part =
+            if is_nonterm_v v then expansions.(rule_of_nonterm_v v) else [| v |]
+          in
+          parts := part :: !parts);
+      expansions.(r) <- Array.concat (List.rev !parts))
     (List.rev parents_first);
   List.map
     (fun r ->
       let rhs_length = ref 0 in
       iter_rhs t r (fun _ -> incr rhs_length);
-      { rule_id = r; expansion = expansions.(r); uses = uses.(r); rhs_length = !rhs_length })
+      {
+        rule_id = id_of_guard_v t.value.(r);
+        expansion = expansions.(r);
+        uses = uses.(r);
+        rhs_length = !rhs_length;
+      })
     parents_first
 
 let expand t =
   let out = Array.make t.input_len 0 and pos = ref 0 in
   let rec go r =
     iter_rhs t r (fun v ->
-        if is_nonterm_v v then go (rule_of_v v)
+        if is_nonterm_v v then go (rule_of_nonterm_v v)
         else begin
           out.(!pos) <- v;
           incr pos
         end)
   in
-  go 0;
+  go start;
   out
 
 let rule_count t = t.nrules
@@ -446,6 +444,7 @@ let check_invariants t =
   let digrams = Hashtbl.create 256 in
   let err = ref None in
   let fail msg = if !err = None then err := Some msg in
+  let id r = id_of_guard_v t.value.(r) in
   (* Digram uniqueness across all rule bodies. Overlapping occurrences
      (chains like "aaa") are legal: SEQUITUR only rewrites non-overlapping
      repeats, so a repeat is a violation only when the previous occurrence
@@ -459,7 +458,7 @@ let check_invariants t =
           let k = (t.value.(!s), t.value.(n)) in
           (match Hashtbl.find_opt digrams k with
           | Some prev when t.next.(prev) <> !s ->
-              fail (Printf.sprintf "digram repeated in rule %d" r)
+              fail (Printf.sprintf "digram repeated in rule %d" (id r))
           | _ -> ());
           Hashtbl.replace digrams k !s
         end;
@@ -467,21 +466,26 @@ let check_invariants t =
       done)
     rl;
   (* Rule utility and refcount consistency. *)
-  let counted = Array.make t.next_rule_id 0 in
+  let counted = Array.make t.nsyms 0 in
   List.iter
     (fun r ->
       iter_rhs t r (fun v ->
           if is_nonterm_v v then
-            counted.(rule_of_v v) <- counted.(rule_of_v v) + 1))
+            let r2 = rule_of_nonterm_v v in
+            counted.(r2) <- counted.(r2) + 1))
     rl;
   List.iter
     (fun r ->
-      if r <> 0 then begin
+      if r <> start then begin
         let actual = counted.(r) in
         if actual <> t.refs.(r) then
-          fail (Printf.sprintf "rule %d refcount %d but %d occurrences" r t.refs.(r) actual);
+          fail
+            (Printf.sprintf "rule %d refcount %d but %d occurrences" (id r)
+               t.refs.(r) actual);
         if actual < 2 then
-          fail (Printf.sprintf "rule %d used %d time(s): utility violated" r actual)
+          fail
+            (Printf.sprintf "rule %d used %d time(s): utility violated" (id r)
+               actual)
       end)
     rl;
   match !err with None -> Ok () | Some m -> Error m
