@@ -78,6 +78,8 @@ let grow a fill =
 let[@inline] new_sym t v p n =
   let s =
     if t.nready > 0 then begin
+      (* Take the last ready slot; the newest pending one fills its
+         place, keeping free.(nready ..) the pending slots. *)
       t.nready <- t.nready - 1;
       t.nfree <- t.nfree - 1;
       let s = t.free.(t.nready) in
