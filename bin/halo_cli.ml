@@ -749,14 +749,37 @@ let sweep_cmd =
        ~doc:"Figure 12: omnetpp execution time across affinity distances.")
     Term.(const run $ distances_arg)
 
+(* Figures backed by the measurement suite: the only ones whose run
+   produces spans for [figures --trace-out]. *)
+let suite_figures = [ "all"; "trials"; "fig13"; "fig14"; "fig15"; "tab1"; "diag" ]
+
+(* [figures trials]: the input seeds of §5.1's multi-trial presentation;
+   Figures 13-15 print each cell as median [p25, p75] over them. *)
+let trial_seeds = [ 2; 5; 8; 11; 14 ]
+
 let figures_cmd =
   let run which jobs plan_cache trace_out =
+    if trace_out <> None && not (List.mem which suite_figures) then begin
+      Printf.eprintf "--trace-out: figure %S runs no suite; use one of: %s\n"
+        which
+        (String.concat ", " suite_figures);
+      exit 2
+    end;
     let jobs = effective_jobs jobs in
     let cache = plan_cache_of plan_cache in
     let plan_source = Option.map Plan_cache.source cache in
     let obs = Option.map (fun _ -> Obs.create ()) trace_out in
     (match which with
     | "all" -> Figures.print_all ~jobs ?obs ?plan_source ()
+    | "trials" ->
+        let suite =
+          Figures.run_suite ~seeds:trial_seeds ~jobs ?obs ?plan_source ()
+        in
+        Table.print (Figures.fig13 suite);
+        print_newline ();
+        Table.print (Figures.fig14 suite);
+        print_newline ();
+        Table.print (Figures.fig15 suite)
     | "fig12" -> Table.print (Figures.fig12 ())
     | "drift" -> Table.print (Figures.drift_study ~jobs ())
     | "sec51" -> Table.print (Figures.sec51_baseline ())
@@ -794,8 +817,9 @@ let figures_cmd =
       value & pos 0 string "all"
       & info [] ~docv:"FIGURE"
           ~doc:
-            "One of: all, fig12, fig13, fig14, fig15, tab1, sec51, overhead, \
-             diag, ablation, drift.")
+            "One of: all, trials, fig12, fig13, fig14, fig15, tab1, sec51, \
+             overhead, diag, ablation, drift. $(b,trials) prints Figures \
+             13-15 over five input seeds as median [p25, p75].")
   in
   let figures_trace_arg =
     Arg.(
@@ -804,7 +828,9 @@ let figures_cmd =
           ~doc:
             "Export the suite run's span timeline as a Chrome trace-event \
              JSON file (one track per worker domain; open in Perfetto or \
-             chrome://tracing).")
+             chrome://tracing). Only the suite-backed figures support it: \
+             all, trials, fig13, fig14, fig15, tab1 and diag; any other \
+             figure exits 2 before running.")
   in
   Cmd.v
     (Cmd.info "figures" ~doc:"Regenerate the paper's tables and figures.")

@@ -135,7 +135,7 @@ val drift_study : ?jobs:int -> unit -> Table.t
 val print_all :
   ?jobs:int -> ?obs:Obs.t -> ?plan_source:Pipeline.plan_source -> unit -> unit
 (** Run everything in order and print each table — the body of
-    [bench/main.exe]'s experiment mode. [jobs] parallelises the
+    [halo_cli figures all]. [jobs] parallelises the
     suite-backed tables; the sweeps and ablations stay sequential. [obs]
     is threaded into the suite run (worker spans and registries fold into
     it), feeding [figures --trace-out]'s Chrome-trace export. *)

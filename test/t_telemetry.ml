@@ -1,5 +1,4 @@
-(* Tests for the offline telemetry analysis (Telemetry) and the bench
-   regression gate (Bench_check). *)
+(* Tests for the offline telemetry analysis (Telemetry). *)
 
 let check = Alcotest.check
 let checki = check Alcotest.int
@@ -120,167 +119,6 @@ let diff_flags_regressions () =
   | [ row ] -> checkb "missing side is None" true (row.Telemetry.d_after = None)
   | _ -> Alcotest.fail "expected one row"
 
-(* ---------------- Bench_check: the regression gate ---------------- *)
-
-let v2_baseline_json =
-  {|{
-  "date": "2026-08-07",
-  "hotpath": [
-    {"label": "baseline", "workload": "health", "config": "interp",
-     "events": 1000, "events_per_sec": 10.0e6},
-    {"label": "optimised", "workload": "health", "config": "interp",
-     "events": 1000, "events_per_sec": 40.0e6},
-    {"label": "baseline", "workload": "leela", "config": "simulate",
-     "events": 500, "events_per_sec": 5.0e6}
-  ],
-  "suites": [
-    {"name": "hotpath", "label": "baseline", "wall_s": 10.0,
-     "config": {"jobs": 4, "seed": 2, "plan_cache": false}},
-    {"name": "hotpath", "label": "baseline", "wall_s": 8.0,
-     "config": {"jobs": 4, "seed": 2, "plan_cache": false}}
-  ]
-}|}
-
-let v1_baseline_json =
-  (* The committed 2026-08-07 shape: no labels, no per-suite config. *)
-  {|{
-  "date": "2026-08-07",
-  "hotpath": [
-    {"workload": "health", "config": "interp", "events_per_sec": 12.0e6}
-  ],
-  "suites": [ {"name": "hotpath", "wall_s": 9.0} ]
-}|}
-
-let load_baseline text =
-  match Result.bind (Json.of_string text) Bench_check.of_json with
-  | Ok b -> b
-  | Error e -> Alcotest.fail e
-
-let parses_both_schemas () =
-  let v2 = load_baseline v2_baseline_json in
-  checki "v2 entries" 3 (List.length v2.Bench_check.b_entries);
-  checki "v2 suites" 2 (List.length v2.Bench_check.b_suites);
-  checkb "v2 suite carries jobs" true
-    (List.for_all
-       (fun s -> s.Bench_check.s_jobs = Some 4)
-       v2.Bench_check.b_suites);
-  let v1 = load_baseline v1_baseline_json in
-  (match v1.Bench_check.b_entries with
-  | [ e ] ->
-      checks "label defaults" "baseline" e.Bench_check.e_label;
-      checkb "throughput kept" true (e.Bench_check.e_events_per_s = Some 12.0e6)
-  | _ -> Alcotest.fail "expected one entry");
-  match v1.Bench_check.b_suites with
-  | [ s ] ->
-      checkb "no label on v1 suites" true (s.Bench_check.s_label = None);
-      checkb "no jobs on v1 suites" true (s.Bench_check.s_jobs = None)
-  | _ -> Alcotest.fail "expected one suite"
-
-let throughput_bar_is_best_recorded () =
-  let b = load_baseline v2_baseline_json in
-  (* health/interp appears at 10M and 40M: the bar is the max. *)
-  match
-    Bench_check.check_throughput b
-      [ ("health", "interp", 39.0e6); ("leela", "simulate", 6.0e6);
-        ("nosuch", "interp", 1.0) ]
-  with
-  | [ health; leela; nosuch ] ->
-      checks "keyed" "health/interp" health.Bench_check.v_key;
-      checkf "bar is the best recorded" 40.0e6 health.Bench_check.v_baseline;
-      checkb "2.5% below best is within threshold" false
-        health.Bench_check.v_regressed;
-      checkb "faster than baseline is fine" false leela.Bench_check.v_regressed;
-      checkb "faster has positive delta" true (leela.Bench_check.v_delta > 0.0);
-      (* A key the baseline has never seen surfaces as a warning, never a
-         regression — a freshly landed suite gates before its rows exist. *)
-      checkb "unmatched row warns" true
-        (nosuch.Bench_check.v_status = Bench_check.No_baseline);
-      checkb "unmatched row never regresses" false nosuch.Bench_check.v_regressed;
-      checkb "any_regressed ignores warnings" false
-        (Bench_check.any_regressed [ nosuch ]);
-      (match Bench_check.warnings [ health; leela; nosuch ] with
-      | [ "nosuch/interp" ] -> ()
-      | w ->
-          Alcotest.fail
-            (Printf.sprintf "expected one warning key, got [%s]"
-               (String.concat "; " w)))
-  | rows ->
-      Alcotest.fail
-        (Printf.sprintf "expected a verdict per row, got %d" (List.length rows))
-
-let throughput_regression_detected () =
-  let b = load_baseline v2_baseline_json in
-  match
-    Bench_check.check_throughput ~threshold:0.10 b [ ("health", "interp", 20.0e6) ]
-  with
-  | [ v ] ->
-      checkb "half the best regresses" true v.Bench_check.v_regressed;
-      checkf "delta sign-normalised (negative = slower)" (-0.5)
-        v.Bench_check.v_delta;
-      checkb "any_regressed agrees" true (Bench_check.any_regressed [ v ])
-  | _ -> Alcotest.fail "expected one verdict"
-
-let wall_like_for_like () =
-  let b = load_baseline v2_baseline_json in
-  (* Matching label+jobs: bar is the fastest wall (8s). *)
-  (match
-     Bench_check.check_wall b ~label:"baseline" ~jobs:4 [ ("hotpath", 8.5) ]
-   with
-  | [ v ] ->
-      checkf "bar is the fastest recorded wall" 8.0 v.Bench_check.v_baseline;
-      checkb "6% slower passes at 10%" false v.Bench_check.v_regressed
-  | _ -> Alcotest.fail "expected one verdict");
-  (match
-     Bench_check.check_wall b ~label:"baseline" ~jobs:4 [ ("hotpath", 10.0) ]
-   with
-  | [ v ] -> checkb "25% slower fails" true v.Bench_check.v_regressed
-  | _ -> Alcotest.fail "expected one verdict");
-  (* Different jobs, different label, or a pre-v2 file: no comparable
-     bar, so the row surfaces as a No_baseline warning and cannot fail
-     the gate. *)
-  let warns verdicts =
-    List.length verdicts = 1
-    && Bench_check.warnings verdicts = [ "hotpath" ]
-    && not (Bench_check.any_regressed verdicts)
-  in
-  checkb "jobs mismatch contributes no bar" true
-    (warns (Bench_check.check_wall b ~label:"baseline" ~jobs:8 [ ("hotpath", 99.0) ]));
-  checkb "label mismatch contributes no bar" true
-    (warns
-       (Bench_check.check_wall b ~label:"optimised" ~jobs:4 [ ("hotpath", 99.0) ]));
-  let v1 = load_baseline v1_baseline_json in
-  checkb "v1 files contribute no wall bar" true
-    (warns
-       (Bench_check.check_wall v1 ~label:"baseline" ~jobs:4 [ ("hotpath", 99.0) ]))
-
-let verdict_table_renders () =
-  let b = load_baseline v2_baseline_json in
-  let verdicts =
-    Bench_check.check_throughput ~threshold:0.10 b
-      [ ("health", "interp", 20.0e6); ("leela", "simulate", 6.0e6) ]
-  in
-  let rendered = Table.render (Bench_check.table ~title:"gate" verdicts) in
-  checkb "flags the regression" true (contains "REGRESSED" rendered);
-  checkb "passes the healthy row" true (contains "ok" rendered)
-
-let committed_baseline_loads () =
-  (* The artifact the CI gate runs against must stay parseable. Under
-     `dune runtest` the cwd is _build/default/test; when the binary is
-     run from the repo root the artifact sits beside it. *)
-  let path =
-    if Sys.file_exists "../BENCH_2026-08-07.json" then "../BENCH_2026-08-07.json"
-    else "BENCH_2026-08-07.json"
-  in
-  match Bench_check.load path with
-  | Error e -> Alcotest.fail e
-  | Ok b ->
-      checkb "has throughput entries" true (List.length b.Bench_check.b_entries > 0);
-      checkb "every entry keyed" true
-        (List.for_all
-           (fun e ->
-             e.Bench_check.e_workload <> "" && e.Bench_check.e_config <> "")
-           b.Bench_check.b_entries)
-
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   [
@@ -288,10 +126,4 @@ let suite =
     tc "telemetry: malformed lines located" malformed_lines_are_located;
     tc "telemetry: report renders" report_renders;
     tc "telemetry: diff thresholds" diff_flags_regressions;
-    tc "bench_check: reads v1 and v2 schemas" parses_both_schemas;
-    tc "bench_check: bar is best recorded" throughput_bar_is_best_recorded;
-    tc "bench_check: regression detected" throughput_regression_detected;
-    tc "bench_check: wall compared like-for-like" wall_like_for_like;
-    tc "bench_check: verdict table renders" verdict_table_renders;
-    tc "bench_check: committed baseline loads" committed_baseline_loads;
   ]
