@@ -9,10 +9,12 @@
    itself — groups, selectors, monitored sites, and the Figure 9 affinity
    graph as graphviz dot.
 
-   Observability: `halo run --trace-out FILE` exports the run's telemetry
-   (pipeline-stage spans, allocator/cache metric series) as JSONL, and
-   `halo telemetry` runs a workload/configuration pair and pretty-prints
-   the span tree and the top-N metrics. *)
+   Observability: every `--trace-out FILE` streams the command's telemetry
+   (pipeline-stage spans, allocator/cache metric series, metric
+   summaries) as Chrome trace-event JSON, which Perfetto loads and
+   `halo telemetry report|diff` reads back; `halo telemetry run` runs a
+   workload/configuration pair and pretty-prints the span tree and the
+   top-N metrics. *)
 
 open Cmdliner
 
@@ -171,15 +173,13 @@ let measurement_table ?baseline (m : Runner.measurement) =
 
 let print_measurement ?baseline m = Table.print (measurement_table ?baseline m)
 
-(* Shared by `run --trace-out` and `telemetry`: an Obs context whose JSONL
-   sink is the given file (when any). *)
-let with_obs trace_out f =
+(* Every --trace-out: [f] gets a context streaming its trace to the file,
+   or [None] without the flag, so an untraced command records nothing.
+   The notice goes to stderr because serve's stdout is its response
+   stream. *)
+let with_trace trace_out f =
   match trace_out with
-  | None ->
-      let obs = Obs.create () in
-      let r = f obs in
-      Obs.finish obs;
-      r
+  | None -> f None
   | Some path ->
       let oc =
         try open_out path
@@ -187,13 +187,13 @@ let with_obs trace_out f =
           Printf.eprintf "halo: cannot open trace file: %s\n" msg;
           exit 1
       in
-      let obs = Obs.create ~sink:(Trace.to_channel oc) () in
+      let obs = Obs.create ~trace:(Obs.Channel oc) () in
       Fun.protect
         ~finally:(fun () -> close_out oc)
         (fun () ->
-          let r = f obs in
+          let r = f (Some obs) in
           Obs.finish obs;
-          Printf.printf "trace written to %s\n" path;
+          Printf.eprintf "trace written to %s\n" path;
           r)
 
 (* Suites and fuzz campaigns fan out over a Par domain pool; measurement
@@ -218,8 +218,10 @@ let trace_out_arg =
     & opt (some string) None
     & info [ "trace-out" ] ~docv:"FILE"
         ~doc:
-          "Write the run's telemetry (span + metric events) as JSONL to \
-           $(docv).")
+          "Stream the command's telemetry (spans, metric series and \
+           summaries) to $(docv) as Chrome trace-event JSON, one track per \
+           worker domain; open it in Perfetto or read it with $(b,telemetry \
+           report).")
 
 (* ---------------- persistent profile/plan store ---------------- *)
 
@@ -565,14 +567,12 @@ let run_cmd =
   let run w kind seed chunk_size spare max_groups affinity json_out trace_out =
     let pc = pipeline_config ~chunk_size ~spare ~max_groups ~affinity in
     let baseline = Runner.run ~seed w Runner.Jemalloc in
-    let measured obs =
-      if kind = Runner.Jemalloc then Runner.run ?obs ~seed w kind
-      else Runner.run ?obs ~seed ~pipeline_config:pc w kind
-    in
     let m =
-      match trace_out with
-      | None -> if kind = Runner.Jemalloc then baseline else measured None
-      | Some _ -> with_obs trace_out (fun obs -> measured (Some obs))
+      with_trace trace_out (fun obs ->
+          match (obs, kind) with
+          | None, Runner.Jemalloc -> baseline
+          | _, Runner.Jemalloc -> Runner.run ?obs ~seed w kind
+          | _ -> Runner.run ?obs ~seed ~pipeline_config:pc w kind)
     in
     print_measurement ~baseline m;
     match json_out with
@@ -604,7 +604,8 @@ let top_arg =
 let telemetry_run_cmd =
   let run w kind seed chunk_size spare max_groups affinity trace_out top =
     let pc = pipeline_config ~chunk_size ~spare ~max_groups ~affinity in
-    with_obs trace_out (fun obs ->
+    with_trace trace_out (fun obs ->
+        let obs = match obs with Some o -> o | None -> Obs.create () in
         let m = Runner.run ~obs ~seed ~pipeline_config:pc w kind in
         print_measurement m;
         print_newline ();
@@ -619,7 +620,7 @@ let telemetry_run_cmd =
        ~doc:
          "Run a workload/configuration pair with full observability: print \
           the pipeline span tree and the hottest metrics, optionally \
-          exporting the JSONL trace.")
+          exporting the trace.")
     Term.(
       const run $ workload_arg $ kind_arg $ seed_arg $ chunk_size_arg $ spare_arg
       $ max_groups_arg $ affinity_arg $ trace_out_arg $ top_arg)
@@ -636,12 +637,13 @@ let telemetry_report_cmd =
   let file_arg =
     Arg.(
       required & pos 0 (some file) None
-      & info [] ~docv:"TRACE.jsonl" ~doc:"JSONL trace to analyse.")
+      & info [] ~docv:"TRACE.json"
+          ~doc:"Trace (from any $(b,--trace-out)) to analyse.")
   in
   Cmd.v
     (Cmd.info "report"
        ~doc:
-         "Analyse a recorded JSONL trace: per-stage self-vs-total time, the \
+         "Analyse a recorded trace: per-stage self-vs-total time, the \
           longest spans, and every metric's summary (histogram quantiles \
           re-derived from the merged sketches).")
     Term.(const run $ file_arg $ top_arg)
@@ -659,12 +661,12 @@ let telemetry_diff_cmd =
   let file_a_arg =
     Arg.(
       required & pos 0 (some file) None
-      & info [] ~docv:"A.jsonl" ~doc:"Baseline trace.")
+      & info [] ~docv:"A.json" ~doc:"Baseline trace.")
   in
   let file_b_arg =
     Arg.(
       required & pos 1 (some file) None
-      & info [] ~docv:"B.jsonl" ~doc:"Candidate trace.")
+      & info [] ~docv:"B.json" ~doc:"Candidate trace.")
   in
   let threshold_arg =
     Arg.(
@@ -678,7 +680,7 @@ let telemetry_diff_cmd =
   Cmd.v
     (Cmd.info "diff"
        ~doc:
-         "Compare two recorded JSONL traces metric by metric; exits non-zero \
+         "Compare two recorded traces metric by metric; exits non-zero \
           when any metric moves beyond the threshold.")
     Term.(const run $ file_a_arg $ file_b_arg $ threshold_arg)
 
@@ -768,48 +770,42 @@ let figures_cmd =
     let jobs = effective_jobs jobs in
     let cache = plan_cache_of plan_cache in
     let plan_source = Option.map Plan_cache.source cache in
-    let obs = Option.map (fun _ -> Obs.create ()) trace_out in
-    (match which with
-    | "all" -> Figures.print_all ~jobs ?obs ?plan_source ()
-    | "trials" ->
-        let suite =
-          Figures.run_suite ~seeds:trial_seeds ~jobs ?obs ?plan_source ()
-        in
-        Table.print (Figures.fig13 suite);
-        print_newline ();
-        Table.print (Figures.fig14 suite);
-        print_newline ();
-        Table.print (Figures.fig15 suite)
-    | "fig12" -> Table.print (Figures.fig12 ())
-    | "drift" -> Table.print (Figures.drift_study ~jobs ())
-    | "sec51" -> Table.print (Figures.sec51_baseline ())
-    | "overhead" -> Table.print (Figures.overhead_control ())
-    | "ablation" ->
-        Table.print (Figures.ablation_grouping ());
-        Table.print (Figures.ablation_packing ());
-        Table.print (Figures.ablation_identification ());
-        Table.print (Figures.ablation_backend ());
-        Table.print (Figures.ablation_sampling ())
-    | "fig13" | "fig14" | "fig15" | "tab1" | "diag" ->
-        let suite = Figures.run_suite ~jobs ?obs ?plan_source () in
-        let t =
-          match which with
-          | "fig13" -> Figures.fig13 suite
-          | "fig14" -> Figures.fig14 suite
-          | "fig15" -> Figures.fig15 suite
-          | "tab1" -> Figures.tab1 suite
-          | _ -> Figures.hds_diagnostics suite
-        in
-        Table.print t
-    | other ->
-        Printf.eprintf "unknown figure %S\n" other;
-        exit 2);
-    (match (obs, trace_out) with
-    | Some obs, Some path ->
-        Obs.finish obs;
-        Trace_event.write ~path obs;
-        Printf.printf "\nChrome trace written to %s (load in Perfetto)\n" path
-    | _ -> ());
+    with_trace trace_out (fun obs ->
+      match which with
+      | "all" -> Figures.print_all ~jobs ?obs ?plan_source ()
+      | "trials" ->
+          let suite =
+            Figures.run_suite ~seeds:trial_seeds ~jobs ?obs ?plan_source ()
+          in
+          Table.print (Figures.fig13 suite);
+          print_newline ();
+          Table.print (Figures.fig14 suite);
+          print_newline ();
+          Table.print (Figures.fig15 suite)
+      | "fig12" -> Table.print (Figures.fig12 ())
+      | "drift" -> Table.print (Figures.drift_study ~jobs ())
+      | "sec51" -> Table.print (Figures.sec51_baseline ())
+      | "overhead" -> Table.print (Figures.overhead_control ())
+      | "ablation" ->
+          Table.print (Figures.ablation_grouping ());
+          Table.print (Figures.ablation_packing ());
+          Table.print (Figures.ablation_identification ());
+          Table.print (Figures.ablation_backend ());
+          Table.print (Figures.ablation_sampling ())
+      | "fig13" | "fig14" | "fig15" | "tab1" | "diag" ->
+          let suite = Figures.run_suite ~jobs ?obs ?plan_source () in
+          let t =
+            match which with
+            | "fig13" -> Figures.fig13 suite
+            | "fig14" -> Figures.fig14 suite
+            | "fig15" -> Figures.fig15 suite
+            | "tab1" -> Figures.tab1 suite
+            | _ -> Figures.hds_diagnostics suite
+          in
+          Table.print t
+      | other ->
+          Printf.eprintf "unknown figure %S\n" other;
+          exit 2);
     report_cache cache
   in
   let which_arg =
@@ -819,22 +815,14 @@ let figures_cmd =
           ~doc:
             "One of: all, trials, fig12, fig13, fig14, fig15, tab1, sec51, \
              overhead, diag, ablation, drift. $(b,trials) prints Figures \
-             13-15 over five input seeds as median [p25, p75].")
-  in
-  let figures_trace_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:
-            "Export the suite run's span timeline as a Chrome trace-event \
-             JSON file (one track per worker domain; open in Perfetto or \
-             chrome://tracing). Only the suite-backed figures support it: \
-             all, trials, fig13, fig14, fig15, tab1 and diag; any other \
-             figure exits 2 before running.")
+             13-15 over five input seeds as median [p25, p75]. Only the \
+             suite-backed figures (all, trials, fig13, fig14, fig15, tab1, \
+             diag) take $(b,--trace-out); any other exits 2 before \
+             running.")
   in
   Cmd.v
     (Cmd.info "figures" ~doc:"Regenerate the paper's tables and figures.")
-    Term.(const run $ which_arg $ jobs_arg $ plan_cache_arg $ figures_trace_arg)
+    Term.(const run $ which_arg $ jobs_arg $ plan_cache_arg $ trace_out_arg)
 
 let contexts_cmd =
   let run w =
@@ -952,7 +940,7 @@ let fuzz_cmd =
             exit 1)
     | None, None, None ->
         let summary =
-          with_obs trace_out (fun obs ->
+          with_trace trace_out (fun obs ->
               Fuzz_harness.run
                 {
                   Fuzz_harness.default with
@@ -964,7 +952,7 @@ let fuzz_cmd =
                   shrink_steps;
                   plan_source = Option.map Plan_cache.source cache;
                   jobs = effective_jobs jobs;
-                  obs = Some obs;
+                  obs;
                   log = Some print_endline;
                 })
         in
@@ -1089,41 +1077,16 @@ let serve_cmd =
          --simulate\n";
       exit 2
     end;
-    (* Not with_obs: stdout is the response stream in --stdin-batch mode,
-       so the trace notice goes to stderr. *)
-    let serve_with_obs f =
-      match trace_out with
-      | None ->
-          let obs = Obs.create () in
-          let r = f obs in
-          Obs.finish obs;
-          r
-      | Some path ->
-          let oc =
-            try open_out path
-            with Sys_error msg ->
-              Printf.eprintf "halo: cannot open trace file: %s\n" msg;
-              exit 1
-          in
-          let obs = Obs.create ~sink:(Trace.to_channel oc) () in
-          Fun.protect
-            ~finally:(fun () -> close_out oc)
-            (fun () ->
-              let r = f obs in
-              Obs.finish obs;
-              Printf.eprintf "trace written to %s\n" path;
-              r)
-    in
-    serve_with_obs (fun obs ->
+    with_trace trace_out (fun obs ->
         if stdin_batch then begin
-          let engine = Serve.create ~obs cfg in
+          let engine = Serve.create ?obs cfg in
           let n = Serve.run_channels engine stdin stdout in
           Printf.eprintf "served %d responses\n" n
         end
         else
           match socket with
           | Some path ->
-              let engine = Serve.create ~obs cfg in
+              let engine = Serve.create ?obs cfg in
               Printf.eprintf "listening on %s\n%!" path;
               let n = Serve.run_socket engine ~path in
               Printf.eprintf "served %d responses\n" n
@@ -1138,7 +1101,7 @@ let serve_cmd =
                   serve = cfg;
                 }
               in
-              let r = Serve_sim.run ~obs sim_cfg in
+              let r = Serve_sim.run ?obs sim_cfg in
               Table.print (Serve_sim.report_table r);
               (match json_out with
               | None -> ()
@@ -1313,7 +1276,7 @@ let traffic_run_cmd =
       }
     in
     let r =
-      with_obs trace_out (fun obs -> Traffic_mix.run ~obs ~config ~seed sched)
+      with_trace trace_out (fun obs -> Traffic_mix.run ?obs ~config ~seed sched)
     in
     Table.print (Traffic_mix.report_table r);
     if tenants then begin
@@ -1389,7 +1352,7 @@ let traffic_study_cmd =
       }
     in
     let study =
-      with_obs trace_out (fun obs -> Traffic_study.run ~obs ~jobs p)
+      with_trace trace_out (fun obs -> Traffic_study.run ?obs ~jobs p)
     in
     Table.print (Traffic_study.table study);
     match json_out with

@@ -41,7 +41,7 @@ type t
 
 val create : ?config:config -> ?obs:Obs.t -> ?sample_every:int -> unit -> t
 (** [obs] enables the per-level miss streams: every [sample_every]
-    (default 4096) program accesses, one [{"type":"metric"}] trace event
+    (default 4096) program accesses, one ["ph":"C"] counter trace event
     per level ([cache.l1.misses], [cache.l2.misses], [cache.l3.misses],
     [cache.tlb.misses]) carrying the {e cumulative} miss count and the
     access index — differentiate to recover windowed miss rates. Without

@@ -253,8 +253,7 @@ let snapshot r =
 let float_json f = if Float.is_finite f then Json.Float f else Json.Null
 
 (* The overflow bound is spelled the OpenMetrics way — the string "+Inf" —
-   in every exporter (JSONL summaries and the Chrome trace args), never
-   as a JSON null. *)
+   in the trace's halo.metric summaries, never as a JSON null. *)
 let le_json bound =
   if Float.is_finite bound then Json.Float bound else Json.String "+Inf"
 

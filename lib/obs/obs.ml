@@ -21,78 +21,131 @@ type span = {
   mutable closed : bool;
 }
 
+(* The trace sink; obs.mli documents the format at [target]. The
+   process_name event follows the "[" line, so every later event starts
+   with ",". *)
+type target = Channel of out_channel | Buffer of Buffer.t
+
+type sink = { target : target; mutable named_tracks : int list }
+
 type t = {
   metrics : Metrics.registry;
-  sink : Trace.t option;
+  sink : sink option;
   clock : unit -> float;
   epoch : float;
   track : int;
   mutable stack : (span * Gc.stat) list; (* innermost open span first *)
   mutable recorded : span list; (* every span, most recently started first *)
   mutable next_id : int;
-  mutable seq : int;
 }
 
-let default_clock = Obs_clock.now
+let put s str =
+  match s.target with
+  | Channel oc -> output_string oc str
+  | Buffer b -> Buffer.add_string b str
 
-let create ?(clock = default_clock) ?epoch ?(track = 0) ?sink () =
+let put_event s ev = put s ("," ^ Json.to_string ~pretty:false ev ^ "\n")
+
+let flush_sink s = match s.target with Channel oc -> flush oc | Buffer _ -> ()
+
+let float_json f = if Float.is_finite f then Json.Float f else Json.Null
+let us s = Json.Float (s *. 1e6)
+
+let metadata ?(tid = 0) name args =
+  Json.Obj
+    [
+      ("name", Json.String name);
+      ("ph", Json.String "M");
+      ("pid", Json.Int 0);
+      ("tid", Json.Int tid);
+      ("args", Json.Obj args);
+    ]
+
+let open_sink ~process_name target =
+  let s = { target; named_tracks = [] } in
+  let ev = metadata "process_name" [ ("name", Json.String process_name) ] in
+  put s ("[\n" ^ Json.to_string ~pretty:false ev ^ "\n");
+  s
+
+(* Name a track the first time an event lands on it. *)
+let name_track s tid =
+  if not (List.mem tid s.named_tracks) then begin
+    s.named_tracks <- tid :: s.named_tracks;
+    let name = if tid = 0 then "main" else Printf.sprintf "domain-%d" tid in
+    put_event s (metadata ~tid "thread_name" [ ("name", Json.String name) ])
+  end
+
+let span_args (sp : span) =
+  [
+    ("span_id", Json.Int sp.id);
+    ("parent_id", match sp.parent with None -> Json.Null | Some p -> Json.Int p);
+  ]
+  @ (match sp.sp_instructions with
+    | None -> []
+    | Some n -> [ ("instructions", Json.Int n) ])
+  @ (match sp.sp_gc with
+    | None -> []
+    | Some d ->
+        [
+          ("gc.minor_words", float_json d.gd_minor_words);
+          ("gc.major_words", float_json d.gd_major_words);
+          ("gc.promoted_words", float_json d.gd_promoted_words);
+          ("gc.minor_collections", Json.Int d.gd_minor_collections);
+          ("gc.major_collections", Json.Int d.gd_major_collections);
+          ("gc.compactions", Json.Int d.gd_compactions);
+        ])
+  @ sp.attrs
+
+(* A closed span is one complete ("X") event: [ts]/[dur] in
+   microseconds, [tid] = its track. *)
+let emit_span s (sp : span) =
+  name_track s sp.track;
+  put_event s
+    (Json.Obj
+       [
+         ("name", Json.String sp.name);
+         ("cat", Json.String "halo");
+         ("ph", Json.String "X");
+         ("pid", Json.Int 0);
+         ("tid", Json.Int sp.track);
+         ("ts", us sp.start_s);
+         ("dur", us sp.dur_s);
+         ("args", Json.Obj (span_args sp));
+       ])
+
+(* One "halo.metric" metadata event per registered metric, then the
+   closing "]". *)
+let close_sink s metrics =
+  List.iter
+    (fun (name, v) ->
+      put_event s
+        (metadata "halo.metric"
+           (("name", Json.String name)
+           ::
+           (match Metrics.value_to_json v with
+           | Json.Obj fields -> fields
+           | other -> [ ("value", other) ]))))
+    (Metrics.snapshot metrics);
+  put s "]\n";
+  flush_sink s
+
+let create ?(clock = Obs_clock.now) ?epoch ?(track = 0) ?trace () =
   let epoch = match epoch with Some e -> e | None -> clock () in
   {
     metrics = Metrics.create ();
-    sink;
+    sink = Option.map (open_sink ~process_name:"halo") trace;
     clock;
     epoch;
     track;
     stack = [];
     recorded = [];
     next_id = 0;
-    seq = 0;
   }
 
 let enabled = Option.is_some
 let metrics t = t.metrics
-let sink t = t.sink
 let epoch t = t.epoch
 let track t = t.track
-
-let next_seq t =
-  let s = t.seq in
-  t.seq <- s + 1;
-  s
-
-let emit_event t fields =
-  match t.sink with
-  | None -> ()
-  | Some sink -> Trace.emit sink (Json.Obj (fields @ [ ("seq", Json.Int (next_seq t)) ]))
-
-let float_json f = if Float.is_finite f then Json.Float f else Json.Null
-
-let gc_delta_json d =
-  Json.Obj
-    [
-      ("minor_words", float_json d.gd_minor_words);
-      ("major_words", float_json d.gd_major_words);
-      ("promoted_words", float_json d.gd_promoted_words);
-      ("minor_collections", Json.Int d.gd_minor_collections);
-      ("major_collections", Json.Int d.gd_major_collections);
-      ("compactions", Json.Int d.gd_compactions);
-    ]
-
-let span_event sp =
-  [
-    ("type", Json.String "span");
-    ("id", Json.Int sp.id);
-    ("parent", match sp.parent with None -> Json.Null | Some p -> Json.Int p);
-    ("name", Json.String sp.name);
-    ("depth", Json.Int sp.depth);
-    ("track", Json.Int sp.track);
-    ("start_s", float_json sp.start_s);
-    ("dur_s", float_json sp.dur_s);
-    ( "instructions",
-      match sp.sp_instructions with None -> Json.Null | Some n -> Json.Int n );
-    ("gc", match sp.sp_gc with None -> Json.Null | Some d -> gc_delta_json d);
-    ("attrs", Json.Obj sp.attrs);
-  ]
 
 let span_begin t name =
   let parent, depth =
@@ -152,7 +205,13 @@ let span_end t sp ~instructions =
       (Metrics.gauge t.metrics "runtime.alloc_rate")
       (allocated_words delta /. sp.dur_s);
   sp.closed <- true;
-  emit_event t (span_event sp)
+  match t.sink with
+  | None -> ()
+  | Some s ->
+      emit_span s sp;
+      (* A root span closing ends a unit of work (a run, a serve batch):
+         flush, so a daemon killed later leaves its trace on disk. *)
+      if sp.depth = 0 then flush_sink s
 
 let span ?(attrs = []) ?instructions obs name f =
   match obs with
@@ -195,14 +254,20 @@ let observe obs name v =
 let event obs ~name ?(attrs = []) v =
   match obs with
   | None -> ()
-  | Some t ->
-      emit_event t
-        [
-          ("type", Json.String "metric");
-          ("name", Json.String name);
-          ("value", float_json v);
-          ("attrs", Json.Obj attrs);
-        ]
+  | Some { sink = None; _ } -> ()
+  | Some ({ sink = Some s; _ } as t) ->
+      name_track s t.track;
+      put_event s
+        (Json.Obj
+           [
+             ("name", Json.String name);
+             ("cat", Json.String "halo");
+             ("ph", Json.String "C");
+             ("pid", Json.Int 0);
+             ("tid", Json.Int t.track);
+             ("ts", us (t.clock () -. t.epoch));
+             ("args", Json.Obj (("value", float_json v) :: attrs));
+           ])
 
 let spans t = List.rev t.recorded
 
@@ -228,7 +293,7 @@ let adopt t ~from =
   List.iter
     (fun sp ->
       t.recorded <- sp :: t.recorded;
-      emit_event t (span_event sp))
+      Option.iter (fun s -> emit_span s sp) t.sink)
     adopted
 
 let finish t =
@@ -237,16 +302,12 @@ let finish t =
   | open_spans ->
       (* Close any spans left open (a failed run): innermost first. *)
       List.iter (fun (sp, _) -> span_end t sp ~instructions:None) open_spans);
-  List.iter
-    (fun (name, v) ->
-      emit_event t
-        (("type", Json.String "summary")
-        :: ("name", Json.String name)
-        :: (match Metrics.value_to_json v with
-           | Json.Obj fields -> fields
-           | other -> [ ("value", other) ])))
-    (Metrics.snapshot t.metrics);
-  Option.iter Trace.flush t.sink
+  Option.iter (fun s -> close_sink s t.metrics) t.sink
+
+let export ?(process_name = "halo") target t =
+  let s = open_sink ~process_name target in
+  List.iter (emit_span s) (spans t);
+  close_sink s t.metrics
 
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)

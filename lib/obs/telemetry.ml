@@ -13,80 +13,112 @@ type t = { spans : rspan list; metrics : (string * Metrics.value) list }
 
 let ( let* ) = Result.bind
 
+let args_of j =
+  match Json.mem "args" j with
+  | Some a -> Ok a
+  | None -> Error "missing field \"args\""
+
+(* [r_depth] is filled in from the parent links once every span is read:
+   a span's "X" event is written when it closes, after its children. *)
 let parse_span j =
-  let* id = Json.get_int "id" j in
   let* name = Json.get_string "name" j in
-  let* depth = Json.get_int "depth" j in
-  let* start_s = Json.get_float "start_s" j in
-  let* dur_s = Json.get_float "dur_s" j in
+  let* ts = Json.get_float "ts" j in
+  let* dur = Json.get_float "dur" j in
+  let* args = args_of j in
+  let* id = Json.get_int "span_id" args in
   let parent =
-    match Json.mem "parent" j with Some (Json.Int p) -> Some p | _ -> None
+    match Json.mem "parent_id" args with Some (Json.Int p) -> Some p | _ -> None
   in
-  let track =
-    match Json.mem "track" j with Some (Json.Int t) -> t | _ -> 0
-  in
+  let track = match Json.mem "tid" j with Some (Json.Int t) -> t | _ -> 0 in
   let stage =
-    match Json.mem "attrs" j with
-    | Some attrs -> (
-        match Json.mem "stage" attrs with
-        | Some (Json.String s) -> Some s
-        | _ -> None)
-    | None -> None
+    match Json.mem "stage" args with Some (Json.String s) -> Some s | _ -> None
   in
   Ok
     {
       r_id = id;
       r_parent = parent;
       r_name = name;
-      r_depth = depth;
+      r_depth = 0;
       r_track = track;
-      r_start_s = start_s;
-      r_dur_s = dur_s;
+      r_start_s = ts /. 1e6;
+      r_dur_s = dur /. 1e6;
       r_stage = stage;
     }
 
-let parse_summary j =
-  let* name = Json.get_string "name" j in
-  let* v = Metrics.value_of_json j in
+let parse_metric j =
+  let* args = args_of j in
+  let* name = Json.get_string "name" args in
+  let* v = Metrics.value_of_json args in
   Ok (name, v)
 
-let of_lines lines =
-  let rec go lineno spans metrics = function
-    | [] -> Ok { spans = List.rev spans; metrics = List.rev metrics }
-    | line :: rest when String.trim line = "" -> go (lineno + 1) spans metrics rest
-    | line :: rest -> (
-        let ctx e = Error (Printf.sprintf "line %d: %s" lineno e) in
-        match Json.of_string line with
-        | Error e -> ctx e
-        | Ok j -> (
-            match Json.get_string "type" j with
-            | Error e -> ctx e
-            | Ok "span" -> (
-                match parse_span j with
-                | Error e -> ctx e
-                | Ok sp -> go (lineno + 1) (sp :: spans) metrics rest)
-            | Ok "summary" -> (
-                match parse_summary j with
-                | Error e -> ctx e
-                | Ok m -> go (lineno + 1) spans (m :: metrics) rest)
-            | Ok _ -> go (lineno + 1) spans metrics rest))
+(* Depth = length of the parent chain within the trace. A parent id
+   missing from the trace makes a root; the provisional 0 stored before
+   recursing ends a cycle in a damaged trace. *)
+let with_depths spans =
+  let parents = Hashtbl.create 64 and memo = Hashtbl.create 64 in
+  List.iter (fun sp -> Hashtbl.replace parents sp.r_id sp.r_parent) spans;
+  let rec depth id =
+    match Hashtbl.find_opt memo id with
+    | Some d -> d
+    | None ->
+        Hashtbl.replace memo id 0;
+        let d =
+          match Hashtbl.find_opt parents id with
+          | Some (Some p) when Hashtbl.mem parents p -> 1 + depth p
+          | _ -> 0
+        in
+        Hashtbl.replace memo id d;
+        d
   in
-  go 1 [] [] lines
+  List.map (fun sp -> { sp with r_depth = depth sp.r_id }) spans
+
+(* The layout {!Obs} writes: "[" on the first line, one event per line
+   (any leading "," stripped), and an optional closing "]". *)
+let of_lines lines =
+  let rec go lineno ~opened ~closed spans metrics = function
+    | [] ->
+        if opened then
+          Ok { spans = with_depths (List.rev spans); metrics = List.rev metrics }
+        else
+          Error
+            (Printf.sprintf
+               "line %d: end of input, expected \"[\" (a trace-event JSON array)"
+               lineno)
+    | line :: rest -> (
+        let next = go (lineno + 1) in
+        let ctx e = Error (Printf.sprintf "line %d: %s" lineno e) in
+        match String.trim line with
+        | "" -> next ~opened ~closed spans metrics rest
+        | _ when closed -> ctx "event after the closing \"]\""
+        | "[" when not opened -> next ~opened:true ~closed spans metrics rest
+        | _ when not opened -> ctx "expected \"[\" (a trace-event JSON array)"
+        | "]" -> next ~opened ~closed:true spans metrics rest
+        | l -> (
+            let l =
+              if l.[0] = ',' then String.sub l 1 (String.length l - 1) else l
+            in
+            let parsed =
+              let* j = Json.of_string l in
+              let* ph = Json.get_string "ph" j in
+              match ph with
+              | "X" ->
+                  let* sp = parse_span j in
+                  Ok (sp :: spans, metrics)
+              | "M" when Json.mem "name" j = Some (Json.String "halo.metric") ->
+                  let* m = parse_metric j in
+                  Ok (spans, m :: metrics)
+              | _ -> Ok (spans, metrics)
+            in
+            match parsed with
+            | Error e -> ctx e
+            | Ok (spans, metrics) -> next ~opened ~closed spans metrics rest))
+  in
+  go 1 ~opened:false ~closed:false [] [] lines
 
 let load path =
-  match open_in path with
+  match In_channel.with_open_text path In_channel.input_all with
   | exception Sys_error e -> Error e
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let lines = ref [] in
-          (try
-             while true do
-               lines := input_line ic :: !lines
-             done
-           with End_of_file -> ());
-          of_lines (List.rev !lines))
+  | text -> of_lines (String.split_on_char '\n' text)
 
 (* ------------------------------------------------------------------ *)
 (* Report tables                                                       *)

@@ -1,8 +1,9 @@
-(** Offline analysis of JSONL traces: [halo_cli telemetry report|diff].
+(** Offline analysis of traces: [halo_cli telemetry report|diff].
 
-    Loads the line-oriented trace an {!Obs} sink wrote ([{"type":"span"}]
-    events and [{"type":"summary"}] metric lines), reconstructs the span
-    set and the final metric snapshot, and renders {!Table}s: per-stage
+    Loads a trace in the layout an {!Obs} sink or {!Trace_event.write}
+    writes (see {!Obs.target}): ["ph":"X"] span events and ["halo.metric"]
+    summaries. It reconstructs the span set and the final metric
+    snapshot, and renders {!Table}s: per-stage
     self-vs-total time, top-k spans, histogram quantile summaries, and a
     thresholded per-metric diff between two runs. *)
 
@@ -22,10 +23,16 @@ type rspan = {
 type t = { spans : rspan list; metrics : (string * Metrics.value) list }
 
 val of_lines : string list -> (t, string) result
-(** Parse JSONL lines. Unknown event types are skipped; malformed lines
-    are an [Error] naming the line number. *)
+(** Parse a trace's lines: [\[] first, then one event per line with any
+    leading [,] stripped, then an optional [\]] (a killed writer leaves
+    it off). An [X] event becomes a span ([stage] from [args.stage],
+    depth from the parent links); a ["halo.metric"] event becomes a
+    metric; other events are skipped. Anything else is an [Error] naming
+    the line number. *)
 
 val load : string -> (t, string) result
+(** {!of_lines} over a file; an unreadable path (a directory, say) is an
+    [Error], never an exception. *)
 
 val stage_table : t -> Table.t
 (** Spans grouped by stage attribute (falling back to span name): span

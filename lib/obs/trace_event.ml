@@ -1,77 +1,4 @@
-let us s = s *. 1e6
-
-let float_json f = if Float.is_finite f then Json.Float f else Json.Null
-
-let span_args (sp : Obs.span) =
-  [ ("span_id", Json.Int sp.id);
-    ( "parent_id",
-      match sp.parent with None -> Json.Null | Some p -> Json.Int p ) ]
-  @ (match sp.sp_instructions with
-    | None -> []
-    | Some n -> [ ("instructions", Json.Int n) ])
-  @ (match sp.sp_gc with
-    | None -> []
-    | Some d ->
-        [
-          ("gc.minor_words", float_json d.Obs.gd_minor_words);
-          ("gc.major_words", float_json d.Obs.gd_major_words);
-          ("gc.promoted_words", float_json d.Obs.gd_promoted_words);
-          ("gc.minor_collections", Json.Int d.Obs.gd_minor_collections);
-          ("gc.major_collections", Json.Int d.Obs.gd_major_collections);
-          ("gc.compactions", Json.Int d.Obs.gd_compactions);
-        ])
-  @ sp.attrs
-
-let span_event (sp : Obs.span) =
-  Json.Obj
-    [
-      ("name", Json.String sp.name);
-      ("cat", Json.String "halo");
-      ("ph", Json.String "X");
-      ("pid", Json.Int 0);
-      ("tid", Json.Int sp.track);
-      ("ts", Json.Float (us sp.start_s));
-      ("dur", Json.Float (us sp.dur_s));
-      ("args", Json.Obj (span_args sp));
-    ]
-
-let thread_name_event ~tid ~name =
-  Json.Obj
-    [
-      ("name", Json.String "thread_name");
-      ("ph", Json.String "M");
-      ("pid", Json.Int 0);
-      ("tid", Json.Int tid);
-      ("args", Json.Obj [ ("name", Json.String name) ]);
-    ]
-
-let to_json ?(process_name = "halo") t =
-  let spans = Obs.spans t in
-  let tracks =
-    List.sort_uniq compare (List.map (fun (sp : Obs.span) -> sp.track) spans)
-  in
-  let metadata =
-    Json.Obj
-      [
-        ("name", Json.String "process_name");
-        ("ph", Json.String "M");
-        ("pid", Json.Int 0);
-        ("args", Json.Obj [ ("name", Json.String process_name) ]);
-      ]
-    :: List.map
-         (fun tid ->
-           let name = if tid = 0 then "main" else Printf.sprintf "domain-%d" tid in
-           thread_name_event ~tid ~name)
-         tracks
-  in
-  Json.Obj
-    [
-      ("traceEvents", Json.List (metadata @ List.map span_event spans));
-      ("displayTimeUnit", Json.String "ms");
-    ]
-
+(* Kept for halobench, which writes its traced pass through [write]. *)
 let write ?process_name ~path t =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> Json.to_channel ~pretty:false oc (to_json ?process_name t))
+  Out_channel.with_open_text path (fun oc ->
+      Obs.export ?process_name (Obs.Channel oc) t)

@@ -1,18 +1,9 @@
-(** Chrome trace-event export (Perfetto / [chrome://tracing] loadable).
-
-    Maps an {!Obs.t}'s recorded span set onto the trace-event JSON object
-    format: each closed span becomes one ["ph": "X"] (complete) event with
-    [ts]/[dur] in microseconds on the context's monotonic timeline,
-    [pid = 0], and [tid] set to the span's track — so a parallel run
-    ({!Par.map_obs} after {!Obs.adopt}) renders as one lane per domain.
-    Span ids, parent ids, retired instructions, GC deltas and attributes
-    ride along in [args]; metadata events name the process and each
-    track ([main] for track 0, [domain-N] otherwise). *)
-
-val to_json : ?process_name:string -> Obs.t -> Json.t
-(** The complete [{"traceEvents": [...], "displayTimeUnit": "ms"}]
-    document. Call after {!Obs.finish} (only closed spans have
-    durations). *)
+(** File export of a finished {!Obs.t} as a trace (Perfetto /
+    [chrome://tracing] loadable; the format is described at
+    {!Obs.target}). Kept for halobench, whose traced pass writes through
+    it; every [--trace-out] streams through {!Obs.create}'s sink
+    instead. *)
 
 val write : ?process_name:string -> path:string -> Obs.t -> unit
-(** {!to_json} serialised compactly to [path]. *)
+(** {!Obs.export} to [path]. Call after {!Obs.finish} (only closed spans
+    have durations). *)

@@ -37,7 +37,7 @@
     [serve.job.latency_s]), the [serve.queue_depth] gauge,
     [serve.plan.{hits,misses,invalidations}] counters, per-kind
     [serve.jobs.<kind>] counters, and the [serve.merge.profiles_per_sec]
-    gauge — exported through the normal {!Obs} JSONL sink and readable
+    gauge — exported through the normal {!Obs} trace sink and readable
     with [halo_cli telemetry report]. *)
 
 (** EINTR-safe buffered line reader over a raw file descriptor. Unlike

@@ -2,9 +2,9 @@
 
     The paper's artefact generates "JSON files ... containing the specific
     data points for each run" (A.6); {!Runner.to_json}-style serialisation
-    and the CLI's [--json] flag use this module. The persistent
-    profile/plan store reads its JSONL artifacts back through
-    {!of_string}. *)
+    and the CLI's [--json] flag use this module. {!of_string} reads back
+    serve job lines, traces ([Telemetry]), the JSON header and metadata
+    of store artifacts, and the fuzz digest corpus. *)
 
 type t =
   | Null

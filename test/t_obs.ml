@@ -1,4 +1,5 @@
-(* Tests for halo_obs: Metrics (quantile sketches), Trace, Obs, Trace_event. *)
+(* Tests for halo_obs: Metrics (quantile sketches), Obs and its
+   trace-event encoder. *)
 
 let check = Alcotest.check
 let checki = check Alcotest.int
@@ -402,54 +403,82 @@ let disabled_is_free () =
     true
     (delta < 256.0)
 
-(* ---------------- JSONL trace ---------------- *)
+(* ---------------- Trace-event stream ---------------- *)
 
-let jsonl_trace () =
+let ok = function Ok v -> v | Error e -> Alcotest.fail e
+let phase e = ok (Json.get_string "ph" e)
+let event_name e = ok (Json.get_string "name" e)
+
+let args e =
+  match Json.mem "args" e with
+  | Some a -> a
+  | None -> Alcotest.fail "event without args"
+
+(* A finished trace is strict JSON: one array of events. *)
+let trace_events text =
+  match ok (Json.of_string text) with
+  | Json.List events -> events
+  | _ -> Alcotest.fail "trace is not a JSON list"
+
+let trace_event_stream () =
   let clock, advance = fake_clock () in
   let buf = Buffer.create 512 in
-  let obs = Obs.create ~clock ~sink:(Trace.to_buffer buf) () in
+  let obs = Obs.create ~clock ~trace:(Obs.Buffer buf) () in
   let o = Some obs in
   Obs.span o "run" (fun () ->
       Obs.count o "events.total" 3;
       Obs.event o ~name:"series.x" ~attrs:[ ("k", Json.Int 1) ] 42.0;
       Obs.span o "inner" (fun () -> advance 1.0));
+  let worker = Obs.create ~clock ~epoch:(Obs.epoch obs) ~track:2 () in
+  Obs.span (Some worker) "work" (fun () -> advance 0.5);
+  Obs.adopt obs ~from:worker;
   Obs.finish obs;
-  let lines =
-    String.split_on_char '\n' (Buffer.contents buf)
-    |> List.filter (fun l -> l <> "")
-  in
-  checki "one JSONL line per emitted event"
-    (Trace.emitted (Option.get (Obs.sink obs)))
-    (List.length lines);
-  (* Each line is one compact JSON object with a type tag; no pretty
-     newlines may leak inside a record. *)
+  let text = Buffer.contents buf in
+  (* Layout: "[" alone on line 1, one compact event per line, every
+     event after the first led by ",", and "]" last. *)
+  let lines = List.filter (( <> ) "") (String.split_on_char '\n' text) in
+  checks "line 1 opens the array" "[" (List.hd lines);
+  checks "last line closes it" "]" (List.nth lines (List.length lines - 1));
+  let events = trace_events text in
+  checki "one line per event" (List.length events + 2) (List.length lines);
   List.iteri
     (fun k l ->
-      checkb "object per line" true
-        (String.length l > 2 && l.[0] = '{' && l.[String.length l - 1] = '}');
-      checkb "typed" true
-        (count_substring "\"type\":\"" l = 1);
-      checkb "sequenced" true (count_substring "\"seq\":" l = 1);
-      (* The monotonic seq matches the line's position in the file. *)
-      checkb "seq matches line order" true
-        (count_substring (Printf.sprintf "\"seq\":%d}" k) l = 1))
+      if k >= 2 && k < List.length lines - 1 then
+        checkb "later events start with a comma" true (l.[0] = ','))
     lines;
-  let whole = Buffer.contents buf in
-  checki "two span events" 2 (count_substring "\"type\":\"span\"" whole);
-  checki "span events carry their track" 2 (count_substring "\"track\":0" whole);
-  checki "span events carry gc deltas" 2 (count_substring "\"gc\":{" whole);
-  checki "one metric series point" 1 (count_substring "\"type\":\"metric\"" whole);
+  let with_phase p = List.filter (fun e -> phase e = p) events in
+  checki "one X per span" 3 (List.length (with_phase "X"));
+  checki "X events carry gc deltas" 3
+    (List.length
+       (List.filter
+          (fun e -> Json.mem "gc.minor_words" (args e) <> None)
+          (with_phase "X")));
+  (match with_phase "C" with
+  | [ c ] ->
+      checks "counter named for the series" "series.x" (event_name c);
+      checkf "counter value" 42.0 (ok (Json.get_float "value" (args c)));
+      checki "counter attrs" 1 (ok (Json.get_int "k" (args c)))
+  | cs -> Alcotest.fail (Printf.sprintf "expected one C event, got %d" (List.length cs)));
+  let metadata name = List.filter (fun e -> event_name e = name) (with_phase "M") in
   (* events.total plus the runtime.alloc_rate gauge the run span set. *)
-  checki "one summary per registered metric" 2
-    (count_substring "\"type\":\"summary\"" whole);
-  (* Span events reference their parent by id. *)
-  checki "inner span names its parent" 1
-    (count_substring "\"name\":\"inner\"" whole)
+  checki "one halo.metric per registered metric"
+    (List.length (Metrics.snapshot (Obs.metrics obs)))
+    (List.length (metadata "halo.metric"));
+  checki "two registered metrics" 2 (List.length (metadata "halo.metric"));
+  checki "one process_name" 1 (List.length (metadata "process_name"));
+  let thread_names = metadata "thread_name" in
+  checki "one thread_name per track" 2 (List.length thread_names);
+  checkb "tracks named main and domain-2" true
+    (List.sort compare
+       (List.map
+          (fun e -> (ok (Json.get_int "tid" e), ok (Json.get_string "name" (args e))))
+          thread_names)
+    = [ (0, "main"); (2, "domain-2") ])
 
 let finish_closes_open_spans () =
   let clock, _ = fake_clock () in
   let buf = Buffer.create 256 in
-  let obs = Obs.create ~clock ~sink:(Trace.to_buffer buf) () in
+  let obs = Obs.create ~clock ~trace:(Obs.Buffer buf) () in
   (* Simulate a failed run: enter spans without unwinding. *)
   (try
      Obs.span (Some obs) "outer" (fun () ->
@@ -461,11 +490,11 @@ let finish_closes_open_spans () =
 
 let empty_metrics_export_no_nulls () =
   (* Gauges/histograms that were registered but never updated carry
-     [neg_infinity] maxima internally; the JSONL summary must report
+     [neg_infinity] maxima internally; the halo.metric event must report
      [samples = 0] / [count = 0] and omit max/last rather than emit JSON
      nulls that choke downstream trace consumers. *)
   let buf = Buffer.create 512 in
-  let obs = Obs.create ~sink:(Trace.to_buffer buf) () in
+  let obs = Obs.create ~trace:(Obs.Buffer buf) () in
   let reg = Obs.metrics obs in
   ignore (Metrics.gauge reg "g.empty" : Metrics.gauge);
   ignore (Metrics.histogram reg "h.empty" : Metrics.histogram);
@@ -493,8 +522,6 @@ let empty_metrics_export_no_nulls () =
 
 (* ---------------- Chrome trace export ---------------- *)
 
-let ok = function Ok v -> v | Error e -> Alcotest.fail e
-
 let chrome_trace_export () =
   let clock, advance = fake_clock () in
   let parent = Obs.create ~clock () in
@@ -503,33 +530,27 @@ let chrome_trace_export () =
   let child = Obs.create ~clock ~epoch:(Obs.epoch parent) ~track:3 () in
   Obs.span (Some child) "work" (fun () -> advance 0.5);
   Obs.adopt parent ~from:child;
-  let j = Trace_event.to_json parent in
-  checks "display unit" "ms" (ok (Json.get_string "displayTimeUnit" j));
-  let events = ok (Json.get_list "traceEvents" j) in
-  let phase e = ok (Json.get_string "ph" e) in
-  let args e =
-    match Json.mem "args" e with
-    | Some a -> a
-    | None -> Alcotest.fail "event without args"
-  in
+  Obs.finish parent;
+  let buf = Buffer.create 512 in
+  Obs.export ~process_name:"test" (Obs.Buffer buf) parent;
+  let events = trace_events (Buffer.contents buf) in
   let metadata = List.filter (fun e -> phase e = "M") events in
   let complete = List.filter (fun e -> phase e = "X") events in
-  checki "metadata: process_name + one thread_name per track" 3
-    (List.length metadata);
+  let named n = List.filter (fun e -> event_name e = n) metadata in
+  checkb "process named" true
+    (List.map (fun e -> ok (Json.get_string "name" (args e))) (named "process_name")
+    = [ "test" ]);
   let thread_names =
-    List.filter_map
-      (fun e ->
-        if ok (Json.get_string "name" e) = "thread_name" then
-          Some (ok (Json.get_int "tid" e), ok (Json.get_string "name" (args e)))
-        else None)
-      metadata
+    List.map
+      (fun e -> (ok (Json.get_int "tid" e), ok (Json.get_string "name" (args e))))
+      (named "thread_name")
   in
+  checki "one thread_name per track" 2 (List.length thread_names);
   checkb "track 0 is main" true (List.assoc 0 thread_names = "main");
   checkb "track 3 is its domain" true (List.assoc 3 thread_names = "domain-3");
+  checki "metric summaries ride along" 1 (List.length (named "halo.metric"));
   checki "one complete event per span" 2 (List.length complete);
-  let work =
-    List.find (fun e -> ok (Json.get_string "name" e) = "work") complete
-  in
+  let work = List.find (fun e -> event_name e = "work") complete in
   checki "worker span on its own lane" 3 (ok (Json.get_int "tid" work));
   checkf "ts in microseconds" 1e6 (ok (Json.get_float "ts" work));
   checkf "dur in microseconds" 0.5e6 (ok (Json.get_float "dur" work));
@@ -589,7 +610,7 @@ let suite =
     tc "obs: adopt grafts worker spans" adopt_grafts_worker_spans;
     tc "obs: adopt rejects open spans" adopt_rejects_open_spans;
     tc "obs: disabled path allocates nothing" disabled_is_free;
-    tc "obs: JSONL trace parses line-by-line" jsonl_trace;
+    tc "obs: trace-event stream" trace_event_stream;
     tc "obs: finish closes open spans" finish_closes_open_spans;
     tc "obs: empty metrics export without nulls" empty_metrics_export_no_nulls;
     tc "obs: Chrome trace export" chrome_trace_export;

@@ -865,64 +865,8 @@ let reject_bad_profiler_config () =
    never another exception. Mutations start from a valid profile and a
    valid plan; the re-sealed variant edits one record body and
    recomputes the frame lengths and trailer, so the edit reaches the
-   record decoders instead of stopping at [Bad_checksum]. *)
-
-type mutation =
-  | Flip of int * int
-  | Truncate of int
-  | Splice of int * int * int
-  | Insert of int * string
-  | Inflate of int * int
-
-let show_mutation = function
-  | Flip (p, x) -> Printf.sprintf "flip(%d,0x%02x)" p x
-  | Truncate p -> Printf.sprintf "truncate(%d)" p
-  | Splice (a, b, l) -> Printf.sprintf "splice(%d,%d,%d)" a b l
-  | Insert (p, s) -> Printf.sprintf "insert(%d,%S)" p s
-  | Inflate (p, k) -> Printf.sprintf "inflate(%d,%d)" p k
-
-(* Positions are taken modulo the current length. *)
-let mutate s m =
-  let n = String.length s in
-  match m with
-  | _ when n = 0 -> s
-  | Flip (p, x) ->
-      let b = Bytes.of_string s in
-      let i = p mod n in
-      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor x));
-      Bytes.to_string b
-  | Truncate p -> String.sub s 0 (p mod (n + 1))
-  | Splice (src, dst, len) ->
-      let src = src mod n and dst = dst mod n in
-      let len = min len (min (n - src) (n - dst)) in
-      let b = Bytes.of_string s in
-      Bytes.blit_string s src b dst len;
-      Bytes.to_string b
-  | Insert (p, ins) ->
-      let p = p mod (n + 1) in
-      String.sub s 0 p ^ ins ^ String.sub s p (n - p)
-  | Inflate (p, k) ->
-      (* The byte at [p] becomes an overlong varint: continuation bit
-         set, [k] padding bytes, a zero terminator — the same value while
-         the shift fits, an overflow once it passes 63 bits. *)
-      let p = p mod n in
-      let c = Char.code s.[p] land 0x7f in
-      String.sub s 0 p
-      ^ String.make 1 (Char.chr (c lor 0x80))
-      ^ String.make k '\x80' ^ "\x00"
-      ^ String.sub s (p + 1) (n - p - 1)
-
-let mutation_gen =
-  let open QCheck2.Gen in
-  let pos = int_bound 1_000_000 in
-  oneof
-    [
-      map2 (fun p x -> Flip (p, x)) pos (int_range 1 255);
-      map (fun p -> Truncate p) pos;
-      map3 (fun a b l -> Splice (a, b, l)) pos pos (int_range 1 16);
-      map2 (fun p s -> Insert (p, s)) pos (string_size ~gen:char (int_range 1 8));
-      map2 (fun p k -> Inflate (p, k)) pos (int_range 0 10);
-    ]
+   record decoders instead of stopping at [Bad_checksum]. The mutations
+   themselves are {!Byte_mutation}'s. *)
 
 let seed_images =
   lazy
@@ -938,7 +882,7 @@ let seed_images =
    reached as often as the many node and edge records. *)
 let mutated (image, resealed, pick, muts) =
   let data = (Lazy.force seed_images).(image) in
-  if not resealed then List.fold_left mutate data muts
+  if not resealed then List.fold_left Byte_mutation.mutate data muts
   else
     let prefix, bodies = split data in
     let tags = List.sort_uniq compare (List.map (fun b -> b.[0]) bodies) in
@@ -952,21 +896,22 @@ let mutated (image, resealed, pick, muts) =
            if b.[0] <> tag then b
            else begin
              incr seen;
-             if !seen = target then List.fold_left mutate b muts else b
+             if !seen = target then List.fold_left Byte_mutation.mutate b muts else b
            end)
          bodies)
 
 let decoder_mutation_prop =
   QCheck2.Test.make ~name:"store: decoders survive byte mutations" ~count:400
-    ~print:(fun ((image, resealed, pick, muts) : int * bool * int * mutation list) ->
+    ~print:(fun
+        ((image, resealed, pick, muts) : int * bool * int * Byte_mutation.t list) ->
       Printf.sprintf "%s%s pick %d: %s"
         (if image = 0 then "profile" else "plan")
         (if resealed then " (re-sealed)" else "")
         pick
-        (String.concat " " (List.map show_mutation muts)))
+        (String.concat " " (List.map Byte_mutation.show muts)))
     QCheck2.Gen.(
       quad (int_bound 1) bool (int_bound 1_000_000)
-        (list_size (int_range 1 3) mutation_gen))
+        (list_size (int_range 1 3) Byte_mutation.gen))
     (fun case ->
       let path = tmp ".bin" in
       Fun.protect
