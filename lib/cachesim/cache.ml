@@ -9,19 +9,15 @@ type t = {
   set_bits : int;
   set_mask : int;
   assoc : int;
-  (* tags.(set * assoc + way); recency.(set * assoc + way) — larger is more
-     recently used. A global stamp gives O(assoc) LRU with no list
-     shuffling. Tags come from [lsr] with [line_bits >= 1], so they are
-     never negative and [-1] marks an invalid way. *)
+  (* tags.(set * assoc + way), each set in recency order: its most
+     recently used line in way 0, invalid ways at the tail. Tags come from
+     [lsr] with [line_bits >= 1], so they are never negative and [-1]
+     marks an invalid way. *)
   tags : int array;
-  recency : int array;
   (* Line number of the last access or fill, [-1] before one or after a
-     flush. That line is resident and holds the newest stamp, so repeating
-     it is a hit that may skip the stamp bump: stamps are only compared
-     within a set, and leaving the newest one in place keeps every
-     relative order. *)
+     flush. Nothing has touched the cache since, so that line is still in
+     way 0 of its set and repeating it is a hit that changes nothing. *)
   mutable last_line : int;
-  mutable stamp : int;
   mutable hits : int;
   mutable misses : int;
 }
@@ -46,9 +42,7 @@ let create ~name ~size_bytes ~assoc ~line_bytes =
     set_mask = (if pow2 then sets - 1 else -1);
     assoc;
     tags = Array.make (sets * assoc) invalid;
-    recency = Array.make (sets * assoc) 0;
     last_line = invalid;
-    stamp = 0;
     hits = 0;
     misses = 0;
   }
@@ -60,43 +54,29 @@ let tag_of t line = if t.set_mask >= 0 then line lsr t.set_bits else line / t.se
 let rec find (tags : int array) (tag : int) w stop =
   if w = stop then -1 else if Array.unsafe_get tags w = tag then w else find tags tag (w + 1) stop
 
-(* Replacement victim in [base, base + assoc): the first invalid way, else
-   the first way with the smallest stamp. *)
-let victim t base =
-  let v = ref base and oldest = ref max_int and w = ref base in
-  let stop = base + t.assoc in
-  while !w < stop do
-    if Array.unsafe_get t.tags !w = invalid then begin
-      v := !w;
-      w := stop
-    end
-    else begin
-      let r = Array.unsafe_get t.recency !w in
-      if r < !oldest then begin
-        v := !w;
-        oldest := r
-      end;
-      incr w
-    end
-  done;
-  !v
+(* Move [tag] to the front of the set whose last way is [last], carrying
+   each way's old tag one way down from [w], which receives [prev]. Stops
+   at [tag] (a hit) or at the first invalid way or the last way (a miss,
+   which drops that way: an invalid one, else the least recently used). *)
+let rec shift (tags : int array) tag prev w last =
+  let cur = Array.unsafe_get tags w in
+  Array.unsafe_set tags w prev;
+  if cur = tag then true
+  else if cur = invalid || w = last then false
+  else shift tags tag cur (w + 1) last
 
-(* Look up [line], making it most recently used; [true] on hit. *)
+(* Look up [line], making it most recently used; [true] on hit. A hit in
+   way 0 is one compare. *)
 let touch t line =
   t.last_line <- line;
   let tag = tag_of t line in
   let base = set_of t line * t.assoc in
-  t.stamp <- t.stamp + 1;
-  let w = find t.tags tag base (base + t.assoc) in
-  if w >= 0 then begin
-    Array.unsafe_set t.recency w t.stamp;
-    true
-  end
+  let tags = t.tags in
+  let front = Array.unsafe_get tags base in
+  if front = tag then true
   else begin
-    let v = victim t base in
-    Array.unsafe_set t.tags v tag;
-    Array.unsafe_set t.recency v t.stamp;
-    false
+    Array.unsafe_set tags base tag;
+    front <> invalid && t.assoc > 1 && shift tags tag front (base + 1) (base + t.assoc - 1)
   end
 
 let access t addr =

@@ -41,15 +41,16 @@ val reset_counters : t -> unit
 val fill : t -> Addr.t -> unit
 (** Insert the line containing [addr] without touching the hit/miss
     counters (prefetch fill). The line becomes most-recently-used; if it
-    is already present only its recency updates. *)
+    is already present it only moves to the front of its set. *)
 
 val contains : t -> Addr.t -> bool
 (** Probe without side effects (no fill, no counter, no LRU update). *)
 
 val locate : t -> Addr.t -> int * int
-(** [(set, tag)] for the line containing [addr] — equal to
-    [(line mod sets, line / sets)] for the power-of-two set counts
-    {!create} enforces; exposed so tests can pin that equivalence. *)
+(** [(set, tag)] for the line containing [addr] — always
+    [(line mod sets, line / sets)], whether {!create} precomputed a mask
+    and shift (power-of-two set counts) or not (the 11-way L3's 36,864
+    sets); exposed so tests can pin that equivalence. *)
 
 val flush : t -> unit
 (** Invalidate every line and zero the counters. *)

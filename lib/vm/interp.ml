@@ -135,6 +135,36 @@ let rec prescan_stmt cc st =
   | Ir.While (_, a) -> List.iter (prescan_stmt cc) a
   | Ir.Free _ | Ir.Store _ | Ir.Return _ | Ir.Compute _ -> ()
 
+(* The two leaf shapes [Dsl.for_] and field accesses emit, [x op n] and
+   [x op y], compiled to one closure that reads its operands directly.
+   Only operators that cannot trap are specialised, and neither operand
+   draws from [Rand], so evaluation order is unobservable. *)
+let leaf_binop (op : Ir.binop) s n : int array -> int =
+  match op with
+  | Add -> fun slots -> slots.(s) + n
+  | Sub -> fun slots -> slots.(s) - n
+  | Mul -> fun slots -> slots.(s) * n
+  | Lt -> fun slots -> if slots.(s) < n then 1 else 0
+  | Le -> fun slots -> if slots.(s) <= n then 1 else 0
+  | Gt -> fun slots -> if slots.(s) > n then 1 else 0
+  | Ge -> fun slots -> if slots.(s) >= n then 1 else 0
+  | Eq -> fun slots -> if slots.(s) = n then 1 else 0
+  | Ne -> fun slots -> if slots.(s) <> n then 1 else 0
+  | Div | Rem | And | Or -> invalid_arg "Interp.leaf_binop"
+
+let var_binop (op : Ir.binop) s t : int array -> int =
+  match op with
+  | Add -> fun slots -> slots.(s) + slots.(t)
+  | Sub -> fun slots -> slots.(s) - slots.(t)
+  | Mul -> fun slots -> slots.(s) * slots.(t)
+  | Lt -> fun slots -> if slots.(s) < slots.(t) then 1 else 0
+  | Le -> fun slots -> if slots.(s) <= slots.(t) then 1 else 0
+  | Gt -> fun slots -> if slots.(s) > slots.(t) then 1 else 0
+  | Ge -> fun slots -> if slots.(s) >= slots.(t) then 1 else 0
+  | Eq -> fun slots -> if slots.(s) = slots.(t) then 1 else 0
+  | Ne -> fun slots -> if slots.(s) <> slots.(t) then 1 else 0
+  | Div | Rem | And | Or -> invalid_arg "Interp.var_binop"
+
 let rec compile_expr cc (e : Ir.expr) : int array -> int =
   let rt = cc.c_rt in
   match e with
@@ -155,6 +185,11 @@ let rec compile_expr cc (e : Ir.expr) : int array -> int =
   | Not e ->
       let e = compile_expr cc e in
       fun slots -> if e slots = 0 then 1 else 0
+  | Binop (((Add | Sub | Mul | Lt | Le | Gt | Ge | Eq | Ne) as op), Var x, Int n) ->
+      leaf_binop op (local_slot_read cc x) n
+  | Binop (((Add | Sub | Mul | Lt | Le | Gt | Ge | Eq | Ne) as op), Var x, Var y) ->
+      let s = local_slot_read cc x in
+      var_binop op s (local_slot_read cc y)
   | Binop (op, a, b) -> (
       let a = compile_expr cc a and b = compile_expr cc b in
       let fname = cc.fname in
@@ -266,6 +301,14 @@ let rec compile_stmt cc (st : Ir.stmt) : int array -> unit =
           rt.hooks.on_free addr;
           rt.alloc.Alloc_iface.free addr
         end
+  | Load (x, Var p, Int off, bytes) when Option.is_none rt.memcheck ->
+      let s = local_slot cc x and p = local_slot_read cc p in
+      fun slots ->
+        rt.instructions <- rt.instructions + 1;
+        rt.loads <- rt.loads + 1;
+        let addr = slots.(p) + off in
+        rt.hooks.on_access addr bytes false;
+        slots.(s) <- Paged_mem.load rt.mem addr
   | Load (x, p, off, bytes) ->
       let s = local_slot cc x
       and p = compile_expr cc p
@@ -277,6 +320,14 @@ let rec compile_stmt cc (st : Ir.stmt) : int array -> unit =
         (match rt.memcheck with Some v -> Vmem.touch v addr bytes | None -> ());
         rt.hooks.on_access addr bytes false;
         slots.(s) <- Paged_mem.load rt.mem addr
+  | Store (Var p, Int off, value, bytes) when Option.is_none rt.memcheck ->
+      let p = local_slot_read cc p and value = compile_expr cc value in
+      fun slots ->
+        rt.instructions <- rt.instructions + 1;
+        rt.stores <- rt.stores + 1;
+        let addr = slots.(p) + off in
+        rt.hooks.on_access addr bytes true;
+        Paged_mem.store rt.mem addr (value slots)
   | Store (p, off, value, bytes) ->
       let p = compile_expr cc p
       and off = compile_expr cc off
@@ -291,12 +342,13 @@ let rec compile_stmt cc (st : Ir.stmt) : int array -> unit =
   | Call (dst, callee, args, site) ->
       let dst = Option.map (local_slot cc) dst in
       let args = Array.of_list (List.map (compile_expr cc) args) in
+      let nargs = Array.length args in
       let bit = bit_of_site cc site in
       let fid = Shadow_stack.intern_name rt.shadow callee in
       let callee_fn = ref None in
       let fname = cc.fname in
       let base slots =
-        rt.instructions <- rt.instructions + cost_call + Array.length args;
+        rt.instructions <- rt.instructions + cost_call + nargs;
         let f =
           match !callee_fn with
           | Some f -> f
@@ -310,7 +362,10 @@ let rec compile_stmt cc (st : Ir.stmt) : int array -> unit =
               callee_fn := Some f;
               f
         in
-        let argv = Array.map (fun a -> a slots) args in
+        let argv = Array.make nargs 0 in
+        for i = 0 to nargs - 1 do
+          argv.(i) <- args.(i) slots
+        done;
         Shadow_stack.push_id rt.shadow ~fid ~site;
         (match bit with Some b -> enter_bit rt b | None -> ());
         (* Hand-rolled Fun.protect: the cleanup is two writes, and
@@ -359,9 +414,17 @@ let rec compile_stmt cc (st : Ir.stmt) : int array -> unit =
   | Compute n ->
       fun _ -> rt.instructions <- rt.instructions + n
 
+(* A [for] loop, not [Array.iter] with a closure over [slots]: running a
+   block allocates nothing. *)
 and compile_block cc stmts =
-  let compiled = Array.of_list (List.map (compile_stmt cc) stmts) in
-  fun slots -> Array.iter (fun f -> f slots) compiled
+  match Array.of_list (List.map (compile_stmt cc) stmts) with
+  | [||] -> fun _ -> ()
+  | [| a |] -> a
+  | compiled ->
+      fun slots ->
+        for i = 0 to Array.length compiled - 1 do
+          compiled.(i) slots
+        done
 
 let compile_func rt c_globals patches cfuncs (f : Ir.func) =
   let cc =

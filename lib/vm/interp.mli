@@ -72,5 +72,5 @@ val env : t -> Exec_env.t
 val load_store_counts : t -> int * int
 (** [(loads, stores)] — counts of executed load and store {e events}
     (one per [Load]/[Store] statement retired, regardless of the access
-    width in bytes). Drives the hot-path throughput benchmark and test
-    sanity checks. *)
+    width in bytes). Tests use them to check the access stream, and the
+    benchmark's layer ladder to count interpreter events. *)

@@ -310,6 +310,28 @@ let prop_hierarchy_counter_order =
       (* an unaligned 8-byte access may straddle two lines *)
       && c.Hierarchy.l1_misses <= 2 * List.length addrs)
 
+(* Once every line and page of the stream has been seen, the per-access
+   path (line walk, three levels, TLB, miss counting) allocates nothing. *)
+let hierarchy_access_allocates_nothing () =
+  let h = Hierarchy.create () in
+  (* Strided and straddling accesses over 4 MiB: L1 and L2 misses, L3 and
+     MRU hits, page changes. *)
+  let addr k = (k * 4168 land ((1 lsl 22) - 1)) + 60 in
+  for k = 0 to 9_999 do
+    Hierarchy.access h (addr k) 8
+  done;
+  let n = 100_000 in
+  let before = Gc.minor_words () in
+  for k = 0 to n - 1 do
+    Hierarchy.access h (addr k) 8
+  done;
+  let words = Gc.minor_words () -. before in
+  checkb
+    (Printf.sprintf "%.0f minor words over %d accesses" words n)
+    true
+    (words < float_of_int n /. 100.);
+  checkb "the stream misses" true ((Hierarchy.counters h).Hierarchy.l1_misses > 0)
+
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   [
@@ -336,6 +358,7 @@ let suite =
     tc "cache: repeated line after an evicting fill" cache_repeat_after_fill;
     tc "hierarchy: access straddling address 0" hierarchy_straddles_zero;
     tc "hierarchy: wrapping access rejected" hierarchy_rejects_wrapping_access;
+    tc "hierarchy: access allocates nothing" hierarchy_access_allocates_nothing;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_cache_accounting; prop_cache_repeat_hits; prop_hierarchy_counter_order ]

@@ -1,7 +1,7 @@
 (* Differential testing against brute-force reference models.
 
    The optimised implementations (the ring-buffer affinity queue, the
-   set-associative cache with stamp-based LRU) are checked against naive,
+   set-associative cache with move-to-front sets) are checked against naive,
    obviously-correct re-implementations of their specifications on random
    inputs. These oracles are written independently from the production
    code, directly off the paper text / textbook definition. The arena
@@ -303,6 +303,40 @@ let prop_cache_matches_reference =
       let r = Ref_cache.create ~sets:8 ~assoc:2 ~line:64 in
       List.for_all (fun a -> Cache.access c a = Ref_cache.access r a) addrs)
 
+(* Replay [ops] on a cache and a reference of one geometry, comparing
+   every access's outcome, every probe and the counters after each op.
+   [`Repeat] accesses the previous access's address again. *)
+let ops_match_reference (sets, assoc, line) ops =
+  let c = Cache.create ~name:"dut" ~size_bytes:(sets * assoc * line) ~assoc ~line_bytes:line in
+  let r = Ref_cache.create ~sets ~assoc ~line in
+  let prev = ref 0 and hits = ref 0 and misses = ref 0 in
+  let access a =
+    prev := a;
+    let hit = Ref_cache.access r a in
+    if hit then incr hits else incr misses;
+    Cache.access c a = hit
+  in
+  List.for_all
+    (fun (op, a) ->
+      let same =
+        match op with
+        | `Access -> access a
+        | `Repeat -> access !prev
+        | `Fill ->
+            Cache.fill c a;
+            Ref_cache.fill r a;
+            true
+        | `Contains -> Cache.contains c a = Ref_cache.contains r a
+        | `Flush ->
+            Cache.flush c;
+            Ref_cache.flush r;
+            hits := 0;
+            misses := 0;
+            true
+      in
+      same && Cache.hits c = !hits && Cache.misses c = !misses)
+    ops
+
 (* Accesses, prefetch fills, probes and rare flushes on a 4-set 2-way
    cache: sets often hold invalid ways, and a fill often demotes the line
    the previous access touched. *)
@@ -316,32 +350,47 @@ let prop_cache_ops_match_reference =
            (frequency
               [ (6, return `Access); (2, return `Fill); (2, return `Contains); (1, return `Flush) ])
            (int_range 0 2047)))
-    (fun ops ->
-      let c = Cache.create ~name:"dut" ~size_bytes:512 ~assoc:2 ~line_bytes:64 in
-      let r = Ref_cache.create ~sets:4 ~assoc:2 ~line:64 in
-      let hits = ref 0 and misses = ref 0 in
-      List.for_all
-        (fun (op, a) ->
-          let same =
-            match op with
-            | `Access ->
-                let hit = Ref_cache.access r a in
-                if hit then incr hits else incr misses;
-                Cache.access c a = hit
-            | `Fill ->
-                Cache.fill c a;
-                Ref_cache.fill r a;
-                true
-            | `Contains -> Cache.contains c a = Ref_cache.contains r a
-            | `Flush ->
-                Cache.flush c;
-                Ref_cache.flush r;
-                hits := 0;
-                misses := 0;
-                true
-          in
-          same && Cache.hits c = !hits && Cache.misses c = !misses)
-        ops)
+    (ops_match_reference (4, 2, 64))
+
+(* The geometries the product runs, at set counts a short stream fills:
+   direct-mapped, the L1's 8 ways by 64 sets, the L2's 16 ways, the L3's
+   11 ways over set counts that are not powers of two, and the TLB's 4
+   ways by 16 sets of pages. Full sets and one-way sets are where moving
+   a line to the front of its set can go wrong. Addresses spread over one
+   more line per set than the set holds. *)
+let gen_geometry_ops =
+  QCheck2.Gen.(
+    oneof
+      [
+        map (fun b -> (1 lsl b, 1, 64)) (int_range 0 6);
+        return (64, 8, 64);
+        map (fun b -> (1 lsl b, 16, 64)) (int_range 0 3);
+        map (fun s -> (s, 11, 64)) (oneofl [ 3; 5; 6; 12; 36 ]);
+        return (16, 4, 4096);
+      ]
+    >>= fun ((sets, assoc, line) as geometry) ->
+    let op =
+      frequency
+        [
+          (300, return `Access);
+          (60, return `Repeat);
+          (60, return `Fill);
+          (60, return `Contains);
+          (1, return `Flush);
+        ]
+    in
+    let addr = int_range 0 ((sets * (assoc + 1) * line) - 1) in
+    map (fun ops -> (geometry, ops)) (list_size (int_range 1 2000) (pair op addr)))
+
+let prop_cache_geometries_match_reference =
+  QCheck2.Test.make
+    ~name:"cache: product geometries match the MRU-list reference"
+    ~count:200 ~long_factor:20
+    ~print:(fun ((sets, assoc, line), ops) ->
+      Printf.sprintf "%d sets x %d ways x %d-byte lines, %d ops" sets assoc line
+        (List.length ops))
+    gen_geometry_ops
+    (fun (geometry, ops) -> ops_match_reference geometry ops)
 
 (* ------------------------------------------------------------------ *)
 (* Reference hierarchy: three reference caches and a reference TLB.     *)
@@ -890,6 +939,7 @@ let suite =
       prop_score_matches_reference;
       prop_selector_eval_is_dnf;
       prop_cache_ops_match_reference;
+      prop_cache_geometries_match_reference;
       prop_hierarchy_matches_reference;
       prop_heap_model_find_matches_reference;
       prop_sequitur_matches_reference;

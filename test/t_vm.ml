@@ -383,6 +383,158 @@ let interp_run_once () =
        false
      with Invalid_argument _ -> true)
 
+(* A call-free loop of [Let]/[Load]/[Store]/[If] allocates nothing per
+   iteration. The per-iteration figure is the difference between runs
+   [warm] and [warm + n] iterations long, so compiling, the heap block
+   and first-touch pages cancel out. *)
+let interp_loop_allocates_nothing () =
+  let words iters =
+    let body =
+      [
+        load "x" (v "p") (i 8);
+        let_ "y" (v "x" +: v "k");
+        if_ (v "y" %: i 2 =: i 0)
+          [ store (v "p") (i 16) (v "y") ]
+          [ store (v "p") (i 24) (v "x"); let_ "z" (v "z" +: i 1) ];
+        store (v "p") (i 8) (v "y" -: v "z");
+        let_ "z" (v "z" *: i 1);
+      ]
+    in
+    let p =
+      program ~main:"main"
+        [
+          func "main" []
+            ([ malloc "p" (i 64); let_ "z" (i 0); store (v "p") (i 8) (i 0) ]
+            @ for_ "k" ~from:(i 0) ~below:(i iters) body
+            @ [ return_ (v "z") ]);
+        ]
+    in
+    let t = Interp.create ~program:p ~alloc:(Jemalloc_sim.create (Vmem.create ())) () in
+    let before = Gc.minor_words () in
+    ignore (Interp.run t : int);
+    Gc.minor_words () -. before
+  in
+  let warm = 1_000 and n = 100_000 in
+  let per = (words (warm + n) -. words warm) /. float_of_int n in
+  checkb (Printf.sprintf "%.3f minor words per iteration" per) true (per < 0.1)
+
+(* Every specialised operand shape against the same expression built so
+   that the compiler cannot specialise it: the right operand wrapped in
+   [+ 0]. *)
+let interp_operand_shapes_match_generic () =
+  let ops = Ir.[ Add; Sub; Mul; Lt; Le; Gt; Ge; Eq; Ne ] in
+  let values = [ min_int; -7; -1; 0; 1; 3; 7; max_int ] in
+  let eval x y e =
+    run_main [ let_ "x" (i x); let_ "y" (i y); let_ "r" e; return_ (v "r") ]
+  in
+  List.iter
+    (fun op ->
+      List.iter
+        (fun x ->
+          List.iter
+            (fun y ->
+              let name shape =
+                Format.asprintf "%a (%s)" Ir_print.pp_expr (Binop (op, i x, i y)) shape
+              in
+              checki (name "var, int")
+                (eval x y (Binop (op, v "x", i y +: i 0)))
+                (eval x y (Binop (op, v "x", i y)));
+              checki (name "var, var")
+                (eval x y (Binop (op, v "x", v "y" +: i 0)))
+                (eval x y (Binop (op, v "x", v "y"))))
+            values)
+        values)
+    ops
+
+let interp_trapping_ops_trap_when_run () =
+  let raises cause stmts =
+    try
+      ignore (run_main stmts);
+      false
+    with Interp_error.Error { cause = c; _ } -> c = cause
+  in
+  List.iter
+    (fun (name, e, cause) ->
+      checki (name ^ " in a branch never taken") 5
+        (run_main [ let_ "x" (i 5); let_ "y" (i 0); if_ (i 0) [ let_ "x" e ] []; return_ (v "x") ]);
+      checkb (name ^ " raises when run") true
+        (raises cause [ let_ "x" (i 5); let_ "y" (i 0); let_ "x" e; return_ (v "x") ]))
+    [
+      ("x / 0", v "x" /: i 0, Interp_error.Division_by_zero);
+      ("x % 0", v "x" %: i 0, Interp_error.Modulo_by_zero);
+      ("x / y", v "x" /: v "y", Interp_error.Division_by_zero);
+      ("x % y", v "x" %: v "y", Interp_error.Modulo_by_zero);
+    ]
+
+(* [Load]/[Store] on [(Var, Int)] take a specialised path only without
+   memcheck; with it on, the access stream, counts and result agree. *)
+let interp_memcheck_same_access_stream () =
+  let p =
+    program ~main:"main"
+      [
+        func "main" []
+          ([ malloc "p" (i 64); let_ "s" (i 0) ]
+          @ for_ "k" ~from:(i 0) ~below:(i 8)
+              [
+                store (v "p") (i 8) (v "k");
+                store ~bytes:4 (v "p") (v "k" *: i 8) (v "k" +: i 1);
+                load "x" (v "p") (i 8);
+                load ~bytes:2 "y" (v "p") (v "k" *: i 8);
+                let_ "s" (v "s" +: v "x" +: v "y");
+              ]
+          @ [ return_ (v "s") ]);
+      ]
+  in
+  let run memcheck =
+    let log = ref [] in
+    let hooks =
+      { Interp.no_hooks with Interp.on_access = (fun a n w -> log := (a, n, w) :: !log) }
+    in
+    let vmem = Vmem.create () in
+    let memcheck = if memcheck then Some vmem else None in
+    let t =
+      Interp.create ~hooks ?memcheck ~program:p ~alloc:(Jemalloc_sim.create vmem) ()
+    in
+    let r = Interp.run t in
+    (r, List.rev !log, Interp.load_store_counts t, Interp.instructions t)
+  in
+  let r0, log0, (l0, s0), n0 = run false and r1, log1, (l1, s1), n1 = run true in
+  checki "result" r0 r1;
+  checki "loads" l0 l1;
+  checki "stores" s0 s1;
+  checki "instructions" n0 n1;
+  checki "accesses" 32 (List.length log0);
+  checkb "same access stream" true (log0 = log1)
+
+(* Blocks of 0-6 statements run their statements in order as a function
+   body and as a branch, and behind a guard reset as a loop body. *)
+let interp_blocks_run_in_order () =
+  for k = 0 to 6 do
+    let step j = gassign "acc" ((g "acc" *: i 10) +: i j) in
+    let block = List.init k (fun j -> step (j + 1)) in
+    let expected = List.fold_left (fun a j -> (a * 10) + j) 0 (List.init k succ) in
+    let p =
+      program ~main:"main"
+        [
+          func "f" [] block;
+          func "main" []
+            [
+              gassign "acc" (i 0);
+              call "f" [];
+              let_ "a" (g "acc");
+              gassign "acc" (i 0);
+              if_ (i 1) block [];
+              let_ "b" (g "acc");
+              gassign "acc" (i 0);
+              let_ "n" (i 1);
+              while_ (v "n") (let_ "n" (i 0) :: block);
+              return_ ((v "a" =: g "acc") &&: (v "b" =: g "acc") &&: (g "acc" =: i expected));
+            ];
+        ]
+    in
+    checki (Printf.sprintf "%d-statement blocks" k) 1 (fst (run_program p))
+  done
+
 (* ---------------- Ir_analysis ---------------- *)
 
 let analysis_program () =
@@ -741,6 +893,12 @@ let suite =
     tc "interp: unknown patch site rejected" interp_rejects_unknown_patch_site;
     tc "interp: instruction counting" interp_instruction_counting;
     tc "interp: run-once enforced" interp_run_once;
+    tc "interp: loop bodies allocate nothing per iteration" interp_loop_allocates_nothing;
+    tc "interp: specialised operand shapes match the generic path"
+      interp_operand_shapes_match_generic;
+    tc "interp: div/rem by zero trap only when run" interp_trapping_ops_trap_when_run;
+    tc "interp: memcheck leaves the access stream unchanged" interp_memcheck_same_access_stream;
+    tc "interp: blocks of 0-6 statements run in order" interp_blocks_run_in_order;
     tc "ir_analysis: call graph" analysis_call_graph;
     tc "ir_analysis: reachability and dead code" analysis_reachability;
     tc "ir_analysis: depth bound" analysis_depth;
