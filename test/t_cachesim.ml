@@ -1,4 +1,4 @@
-(* Tests for halo_cachesim: Cache, Tlb, Hierarchy, Timing. *)
+(* Tests for halo_cachesim: Cache, Hierarchy (and its DTLB), Timing. *)
 
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
@@ -125,12 +125,17 @@ let cache_non_pow2_behaviour () =
   checkb "LRU evicted" false (Cache.access c 0)
 
 let tlb_basic () =
-  let t = Tlb.create () in
-  checkb "cold" false (Tlb.access t 0x5000);
-  checkb "same page" true (Tlb.access t 0x5FFF);
-  checkb "other page" false (Tlb.access t 0x6000);
-  checki "misses" 2 (Tlb.misses t);
-  checki "hits" 1 (Tlb.hits t)
+  (* The hierarchy's DTLB: one 4 KiB page per entry. *)
+  let h = Hierarchy.create () in
+  let tlb_misses () = (Hierarchy.counters h).Hierarchy.tlb_misses in
+  Hierarchy.access h 0x5000 8;
+  checki "cold" 1 (tlb_misses ());
+  Hierarchy.access h 0x5FF8 8;
+  checki "same page" 1 (tlb_misses ());
+  Hierarchy.access h 0x6000 8;
+  checki "next page" 2 (tlb_misses ());
+  Hierarchy.access h 0x5100 8;
+  checki "first page still resident" 2 (tlb_misses ())
 
 let hierarchy_miss_propagation () =
   let h = Hierarchy.create () in
@@ -181,9 +186,12 @@ let constructors_reject_bad_geometry () =
   checkb "line_bytes 48" true (raises_invalid_arg (cache ~line_bytes:48));
   checkb "assoc 0" true
     (raises_invalid_arg (fun () -> Cache.create ~name:"bad" ~size_bytes:1024 ~assoc:0 ~line_bytes:64));
-  checkb "tlb page_bytes 0" true (raises_invalid_arg (fun () -> Tlb.create ~page_bytes:0 ()));
-  checkb "tlb assoc 0" true (raises_invalid_arg (fun () -> Tlb.create ~assoc:0 ()));
-  checkb "tlb entries 0" true (raises_invalid_arg (fun () -> Tlb.create ~entries:0 ()))
+  let hierarchy ~tlb_entries ~tlb_assoc () =
+    Hierarchy.create ~config:{ Hierarchy.xeon_w2195 with Hierarchy.tlb_entries; tlb_assoc } ()
+  in
+  checkb "tlb assoc 0" true (raises_invalid_arg (hierarchy ~tlb_entries:64 ~tlb_assoc:0));
+  checkb "tlb entries 0" true (raises_invalid_arg (hierarchy ~tlb_entries:0 ~tlb_assoc:4));
+  checkb "tlb entries 6, 4-way" true (raises_invalid_arg (hierarchy ~tlb_entries:6 ~tlb_assoc:4))
 
 let cache_invalid_ways () =
   (* One set, four ways: after one access three ways are still invalid. *)

@@ -1,7 +1,8 @@
 (* Differential testing against brute-force reference models.
 
    The optimised implementations (the ring-buffer affinity queue, the
-   set-associative cache with move-to-front sets) are checked against naive,
+   set-associative cache with move-to-front sets, the paged heap image)
+   are checked against naive,
    obviously-correct re-implementations of their specifications on random
    inputs. These oracles are written independently from the production
    code, directly off the paper text / textbook definition. The arena
@@ -257,6 +258,116 @@ let prop_heap_model_find_matches_reference =
         ops)
 
 (* ------------------------------------------------------------------ *)
+(* Reference heap image: a plain (addr -> value) table.                 *)
+(* ------------------------------------------------------------------ *)
+
+module Ref_mem = struct
+  (* [written] holds every 4 KiB page (addresses [4096 p, 4096 p + 4095])
+     that a store or a copy has put a cell in. *)
+  type t = { cells : (int, int) Hashtbl.t; written : (int, unit) Hashtbl.t }
+
+  let create () = { cells = Hashtbl.create 64; written = Hashtbl.create 16 }
+  let page a = a asr 12
+  let load t a = Option.value (Hashtbl.find_opt t.cells a) ~default:0
+
+  let store t a v =
+    Hashtbl.replace t.cells a v;
+    Hashtbl.replace t.written (page a) ()
+
+  (* Realloc's memcpy, cell by cell in address order: a source cell on a
+     page nothing was written to is skipped, leaving its destination
+     cell as it was; any other cell is copied, as 0 if never written. *)
+  let copy t ~src ~dst ~len =
+    for i = 0 to len - 1 do
+      if Hashtbl.mem t.written (page (src + i)) then store t (dst + i) (load t (src + i))
+    done
+end
+
+type mem_op =
+  | M_store of int * int (* address, value *)
+  | M_fill of int * int * int (* first address, cells, stride *)
+  | M_load of int
+  | M_copy of int * int * int (* src, dst, len *)
+
+(* Five 16 KiB windows: straddling address 0, unaligned, negative, in
+   Vmem's range and ending at max_int. Offsets are 8-aligned (the
+   interpreter's own accesses) or arbitrary. A copy is clamped so both
+   of its ranges stay inside their windows. *)
+let mem_window = 16384
+
+let mem_bases =
+  [| -8192; 0x10_0000 + 13; -(1 lsl 40) + 5; 0x7f00_0000_0000; max_int - (mem_window - 1) |]
+
+let gen_mem_ops =
+  QCheck2.Gen.(
+    let addr =
+      map2
+        (fun b o -> (mem_bases.(b), o))
+        (int_range 0 (Array.length mem_bases - 1))
+        (frequency
+           [ (3, map (fun k -> k * 8) (int_range 0 ((mem_window / 8) - 1)));
+             (2, int_range 0 (mem_window - 1)) ])
+    in
+    let at (b, o) = b + o in
+    list_size (int_range 1 60)
+      (frequency
+         [
+           (4, map2 (fun a v -> M_store (at a, v)) addr (int_range (-5) 1000));
+           ( 2,
+             map3
+               (fun (b, o) n stride ->
+                 M_fill (b + o, min n ((mem_window - 1 - o) / stride + 1), stride))
+               addr (int_range 1 1200) (oneofl [ 1; 8 ]) );
+           (3, map (fun a -> M_load (at a)) addr);
+           ( 3,
+             map3
+               (fun (sb, so) (db, dst_o) len ->
+                 M_copy (sb + so, db + dst_o, min len (min (mem_window - so) (mem_window - dst_o))))
+               addr addr
+               (frequency [ (1, return 0); (3, int_range 1 64); (3, int_range 65 9000) ]) );
+         ]))
+
+let print_mem_ops ops =
+  String.concat "; "
+    (List.map
+       (function
+         | M_store (a, v) -> Printf.sprintf "store %#x %d" a v
+         | M_fill (a, n, s) -> Printf.sprintf "fill %#x %dx/%d" a n s
+         | M_load a -> Printf.sprintf "load %#x" a
+         | M_copy (s, d, n) -> Printf.sprintf "copy %#x -> %#x %d" s d n)
+       ops)
+
+let prop_paged_mem_matches_reference =
+  QCheck2.Test.make
+    ~name:"paged mem: load/store/copy match an (addr -> value) table"
+    ~count:200 ~long_factor:10 ~print:print_mem_ops gen_mem_ops
+    (fun ops ->
+      let m = Paged_mem.create () and r = Ref_mem.create () in
+      let store a v =
+        Paged_mem.store m a v;
+        Ref_mem.store r a v
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | M_store (a, v) -> store a v
+          | M_fill (a, n, stride) ->
+              for k = 0 to n - 1 do
+                store (a + (k * stride)) (a + k)
+              done
+          | M_load _ -> ()
+          | M_copy (src, dst, len) ->
+              (* Realloc hands copy disjoint ranges. *)
+              if len = 0 || src + (len - 1) < dst || dst + (len - 1) < src then begin
+                Paged_mem.copy m ~src ~dst ~len;
+                Ref_mem.copy r ~src ~dst ~len
+              end);
+          (match op with M_load a -> Paged_mem.load m a = Ref_mem.load r a | _ -> true)
+          && Paged_mem.page_count m = Hashtbl.length r.Ref_mem.written)
+        ops
+      && Hashtbl.fold (fun a v ok -> ok && Paged_mem.load m a = v) r.Ref_mem.cells true)
+
+(* ------------------------------------------------------------------ *)
 (* Reference cache: sets as explicit MRU-ordered lists.                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -478,16 +589,24 @@ let gen_hierarchy_stream =
           (1, map2 (fun k s -> (`At (max_int - s + 1 - k), s)) (int_range 0 200) size);
         ]
     in
-    triple bool bool (list_size (int_range 1 300) step))
+    quad bool bool (option (int_range 1 64)) (list_size (int_range 1 300) step))
 
+(* [sample] creates the hierarchy with [~obs], tracing into a buffer and
+   sampling the miss streams every that many accesses. *)
 let prop_hierarchy_matches_reference =
   QCheck2.Test.make
     ~name:"hierarchy: counters match a reference hierarchy after every access"
     ~count:300 gen_hierarchy_stream
-    (fun (prefetch, tiny, steps) ->
+    (fun (prefetch, tiny, sample, steps) ->
       let base = if tiny then tiny_hierarchy else Hierarchy.xeon_w2195 in
       let config = { base with Hierarchy.prefetch } in
-      let h = Hierarchy.create ~config () in
+      let h =
+        match sample with
+        | None -> Hierarchy.create ~config ()
+        | Some sample_every ->
+            let obs = Obs.create ~trace:(Obs.Buffer (Buffer.create 256)) () in
+            Hierarchy.create ~config ~obs ~sample_every ()
+      in
       let r = Ref_hierarchy.create config in
       let prev = ref 0 in
       List.for_all
@@ -942,5 +1061,6 @@ let suite =
       prop_cache_geometries_match_reference;
       prop_hierarchy_matches_reference;
       prop_heap_model_find_matches_reference;
+      prop_paged_mem_matches_reference;
       prop_sequitur_matches_reference;
     ]

@@ -623,25 +623,25 @@ let paged_basic_rw () =
   checki "overwrite" 43 (Paged_mem.load m 0)
 
 let paged_page_boundary () =
-  (* Cells on both sides of every boundary of a small page are
-     independent. *)
-  let m = Paged_mem.create ~page_bits:2 () in
-  let ps = Paged_mem.page_size m in
-  checki "page size" 4 ps;
-  for i = 0 to 4 * ps do
-    Paged_mem.store m i (1000 + i)
-  done;
-  for i = 0 to 4 * ps do
-    checki (Printf.sprintf "cell %d" i) (1000 + i) (Paged_mem.load m i)
-  done;
-  checki "pages materialised" 5 (Paged_mem.page_count m)
+  (* The 32 cells on both sides of a 4 KiB page boundary cover all eight
+     lanes (the address mod 8) of two pages; every cell is independent,
+     including below 0. *)
+  let m = Paged_mem.create () in
+  let boundaries = [ -4096; 0; 4096; 3 * 4096 ] in
+  let cells = List.concat_map (fun b -> List.init 32 (fun i -> b - 16 + i)) boundaries in
+  List.iter (fun a -> Paged_mem.store m a (1000 + a)) cells;
+  List.iter (fun a -> checki (Printf.sprintf "cell %d" a) (1000 + a) (Paged_mem.load m a)) cells;
+  (* Pages -2 to 3. *)
+  checki "pages materialised" 6 (Paged_mem.page_count m)
 
 let paged_sparse_gap_reads_zero () =
-  let m = Paged_mem.create ~page_bits:4 () in
+  let m = Paged_mem.create () in
   Paged_mem.store m 10 1;
   Paged_mem.store m 1_000_000 2;
   checki "gap cell" 0 (Paged_mem.load m 500_000);
-  checki "same page unwritten" 0 (Paged_mem.load m 11);
+  checki "same lane unwritten" 0 (Paged_mem.load m 18);
+  checki "next lane unwritten" 0 (Paged_mem.load m 11);
+  checki "next page, same lane" 0 (Paged_mem.load m (10 + 4096));
   checki "never-touched page" 0 (Paged_mem.load m 123_456);
   (* Only the two written pages exist. *)
   checki "page count" 2 (Paged_mem.page_count m)
@@ -659,39 +659,53 @@ let paged_huge_addresses () =
   checki "negative" 3 (Paged_mem.load m (-base))
 
 let paged_copy_across_pages () =
-  (* Realloc-style copy whose source straddles several small pages,
-     including an absent one in the middle (reads as zeroes). *)
-  let m = Paged_mem.create ~page_bits:2 () in
-  let ps = Paged_mem.page_size m in
-  let src = 2 in
-  let len = (3 * ps) + 2 in
+  (* Realloc-style copy from 20 cells below a page boundary across five
+     4 KiB pages into a destination shifted by 3 lanes. Page 1 is written
+     only at 8-aligned cells, so its other cells copy as 0; page 2, in the
+     middle, is never written, so its part of the destination keeps what
+     was there. *)
+  let m = Paged_mem.create () in
+  let src = 4096 - 20 and len = (3 * 4096) + 40 in
+  let dst = 0x10_0000 + 3 in
+  let page a = a asr 12 in
   for i = 0 to len - 1 do
-    (* Leave the cells of the second source page unwritten. *)
-    let addr = src + i in
-    if addr / ps <> 1 then Paged_mem.store m addr (100 + i)
+    let a = src + i in
+    if page a <> 2 && (page a <> 1 || a land 7 = 0) then Paged_mem.store m a (100 + i);
+    Paged_mem.store m (dst + i) (-1)
   done;
-  let dst = 1000 in
   Paged_mem.copy m ~src ~dst ~len;
   for i = 0 to len - 1 do
-    let expect = if (src + i) / ps <> 1 then 100 + i else 0 in
+    let a = src + i in
+    let expect = if page a = 2 then -1 else if page a = 1 && a land 7 <> 0 then 0 else 100 + i in
     checki (Printf.sprintf "dst+%d" i) expect (Paged_mem.load m (dst + i))
   done
 
 let paged_copy_unaligned_offsets () =
-  (* Source and destination at different in-page offsets forces the
-     per-chunk splitting paths. *)
-  let m = Paged_mem.create ~page_bits:3 () in
-  let ps = Paged_mem.page_size m in
-  let len = (2 * ps) + 3 in
+  (* A negative, unaligned source copied to an address just below a page
+     boundary in Vmem's range: source and destination page and lane
+     boundaries all fall at different offsets. *)
+  let m = Paged_mem.create () in
+  let src = -(2 * 4096) + 5 and dst = 0x7f00_0000_0000 - 3 in
+  let len = (2 * 4096) + 3 in
   for i = 0 to len - 1 do
-    Paged_mem.store m (5 + i) i
+    Paged_mem.store m (src + i) i
   done;
-  Paged_mem.copy m ~src:5 ~dst:(ps + 1) ~len:0;
+  Paged_mem.copy m ~src:(src + 1) ~dst:src ~len:0;
   (* len=0 is a no-op *)
-  checki "no-op copy" 1 (Paged_mem.load m (5 + 1));
-  Paged_mem.copy m ~src:5 ~dst:10_001 ~len;
+  checki "no-op copy" 0 (Paged_mem.load m src);
+  Paged_mem.copy m ~src ~dst ~len;
   for i = 0 to len - 1 do
-    checki (Printf.sprintf "unaligned dst+%d" i) i (Paged_mem.load m (10_001 + i))
+    checki (Printf.sprintf "unaligned dst+%d" i) i (Paged_mem.load m (dst + i))
+  done;
+  checki "cell past the copy" 0 (Paged_mem.load m (dst + len));
+  (* Copying the top 8 cells of the address space down leaves them intact. *)
+  for i = 0 to 7 do
+    Paged_mem.store m (max_int - i) i
+  done;
+  Paged_mem.copy m ~src:(max_int - 7) ~dst:0 ~len:8;
+  for i = 0 to 7 do
+    checki (Printf.sprintf "max_int-%d" i) i (Paged_mem.load m (max_int - i));
+    checki (Printf.sprintf "copied %d" i) (7 - i) (Paged_mem.load m i)
   done
 
 (* ---------------- shadow stack ---------------- *)
