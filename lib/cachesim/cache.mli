@@ -6,7 +6,11 @@
     figures are misses counted here. Physical indexing, inclusive write-
     allocate behaviour and LRU are sufficient: the paper's effect operates
     through line-granularity spatial locality, not replacement-policy
-    subtleties. *)
+    subtleties.
+
+    This is {!Hierarchy.Level}, the one level implementation: the
+    hierarchy walks it for L1, L2, L3 and the DTLB, and this module
+    drives a level on its own. *)
 
 type t
 

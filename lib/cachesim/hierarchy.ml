@@ -1,3 +1,134 @@
+(* The set-associative level, the DTLB included, lives in this unit so the
+   per-access walk below makes only direct calls: dune's dev profile
+   compiles with -opaque, which turns every call into another unit into a
+   call to an unknown function. {!Cache} re-exports this module. *)
+module Level = struct
+  type t = {
+    name : string;
+    line_bytes : int;
+    line_bits : int;
+    sets : int;
+    (* For power-of-two set counts (every level of the modelled Xeon but
+       its 11-way L3), set/tag extraction is a mask and a shift;
+       [set_mask = -1] marks the exact mod/div fallback. *)
+    set_bits : int;
+    set_mask : int;
+    assoc : int;
+    (* tags.(set * assoc + way), each set in recency order: its most
+       recently used line in way 0, invalid ways at the tail. Tags come
+       from [lsr] with [line_bits >= 1], so they are never negative and
+       [-1] marks an invalid way. *)
+    tags : int array;
+    (* Line number of the last access or fill, [-1] before one or after a
+       flush. Nothing has touched the level since, so that line is still
+       in way 0 of its set and repeating it is a hit that changes
+       nothing. *)
+    mutable last_line : int;
+    (* Counted by {!access} only: the hierarchy reports misses alone. *)
+    mutable hits : int;
+    mutable misses : int;
+  }
+
+  let invalid = -1
+
+  let create ~name ~size_bytes ~assoc ~line_bytes =
+    if assoc <= 0 then invalid_arg "Cache.create: non-positive associativity";
+    if line_bytes < 2 || not (Addr.is_power_of_two line_bytes) then
+      invalid_arg "Cache.create: line size must be a power of two >= 2";
+    if size_bytes mod (assoc * line_bytes) <> 0 then
+      invalid_arg "Cache.create: size not divisible by assoc * line";
+    let sets = size_bytes / (assoc * line_bytes) in
+    if sets <= 0 then invalid_arg "Cache.create: zero sets";
+    let pow2 = Addr.is_power_of_two sets in
+    {
+      name;
+      line_bytes;
+      line_bits = Addr.log2 line_bytes;
+      sets;
+      set_bits = (if pow2 then Addr.log2 sets else 0);
+      set_mask = (if pow2 then sets - 1 else -1);
+      assoc;
+      tags = Array.make (sets * assoc) invalid;
+      last_line = invalid;
+      hits = 0;
+      misses = 0;
+    }
+
+  let[@inline] set_of t line = if t.set_mask >= 0 then line land t.set_mask else line mod t.sets
+  let[@inline] tag_of t line = if t.set_mask >= 0 then line lsr t.set_bits else line / t.sets
+
+  (* The way in [base, stop) holding [tag], or -1. *)
+  let rec find (tags : int array) (tag : int) w stop =
+    if w = stop then -1 else if Array.unsafe_get tags w = tag then w else find tags tag (w + 1) stop
+
+  (* Move [tag] to the front of the set whose last way is [last], carrying
+     each way's old tag one way down from [w], which receives [prev].
+     Stops at [tag] (a hit) or at the first invalid way or the last way (a
+     miss, which drops that way: an invalid one, else the least recently
+     used). *)
+  let rec shift (tags : int array) tag prev w last =
+    let cur = Array.unsafe_get tags w in
+    Array.unsafe_set tags w prev;
+    if cur = tag then true
+    else if cur = invalid || w = last then false
+    else shift tags tag cur (w + 1) last
+
+  (* Look up [line], making it most recently used; [true] on hit. A hit in
+     way 0 is one compare. *)
+  let[@inline] touch t line =
+    t.last_line <- line;
+    let tag = tag_of t line in
+    let base = set_of t line * t.assoc in
+    let tags = t.tags in
+    let front = Array.unsafe_get tags base in
+    if front = tag then true
+    else begin
+      Array.unsafe_set tags base tag;
+      front <> invalid && t.assoc > 1 && shift tags tag front (base + 1) (base + t.assoc - 1)
+    end
+
+  (* The hierarchy's lookup: like [access], but counts misses only. *)
+  let[@inline] probe t addr =
+    let line = addr lsr t.line_bits in
+    line = t.last_line || touch t line
+    || begin
+         t.misses <- t.misses + 1;
+         false
+       end
+
+  let access t addr =
+    let hit = probe t addr in
+    if hit then t.hits <- t.hits + 1;
+    hit
+
+  let locate t addr =
+    let line = addr lsr t.line_bits in
+    (set_of t line, tag_of t line)
+
+  let contains t addr =
+    let set, tag = locate t addr in
+    let base = set * t.assoc in
+    find t.tags tag base (base + t.assoc) >= 0
+
+  let fill t addr = ignore (touch t (addr lsr t.line_bits) : bool)
+  let name t = t.name
+  let line_bytes t = t.line_bytes
+  let sets t = t.sets
+  let assoc t = t.assoc
+  let hits t = t.hits
+  let misses t = t.misses
+  let accesses t = t.hits + t.misses
+
+  let reset_counters t =
+    t.hits <- 0;
+    t.misses <- 0
+
+  let flush t =
+    Array.fill t.tags 0 (Array.length t.tags) invalid;
+    t.last_line <- invalid;
+    reset_counters t
+end
+
 type config = {
   l1_size : int;
   l1_assoc : int;
@@ -25,6 +156,9 @@ let xeon_w2195 =
     prefetch = false;
   }
 
+(* Skylake-SP's 4 KiB pages: a DTLB entry is a level line one page long. *)
+let page_bytes = 4096
+
 type counters = {
   accesses : int;
   l1_misses : int;
@@ -39,40 +173,32 @@ type hobs = { o : Obs.t option; sample_every : int; mutable until_sample : int }
 
 type t = {
   cfg : config;
-  l1 : Cache.t;
-  l2 : Cache.t;
-  l3 : Cache.t;
-  tlb : Tlb.t;
+  l1 : Level.t;
+  l2 : Level.t;
+  l3 : Level.t;
+  tlb : Level.t;
   obs : hobs option;
   line_bits : int;
   page_bits : int;
-  mutable last_page : int;  (* Page index ([asr]) last looked up; [min_int] before any. *)
   mutable accesses : int;
   mutable prefetches : int;
 }
 
 let create ?(config = xeon_w2195) ?obs ?(sample_every = 4096) () =
   if sample_every < 1 then invalid_arg "Hierarchy.create: sample_every must be >= 1";
-  let tlb = Tlb.create ~entries:config.tlb_entries ~assoc:config.tlb_assoc () in
+  let level name size_bytes assoc line_bytes = Level.create ~name ~size_bytes ~assoc ~line_bytes in
   {
     cfg = config;
     obs =
       Option.map
         (fun o -> { o = Some o; sample_every; until_sample = sample_every })
         obs;
-    l1 =
-      Cache.create ~name:"L1D" ~size_bytes:config.l1_size ~assoc:config.l1_assoc
-        ~line_bytes:config.line_bytes;
-    l2 =
-      Cache.create ~name:"L2" ~size_bytes:config.l2_size ~assoc:config.l2_assoc
-        ~line_bytes:config.line_bytes;
-    l3 =
-      Cache.create ~name:"L3" ~size_bytes:config.l3_size ~assoc:config.l3_assoc
-        ~line_bytes:config.line_bytes;
-    tlb;
+    l1 = level "L1D" config.l1_size config.l1_assoc config.line_bytes;
+    l2 = level "L2" config.l2_size config.l2_assoc config.line_bytes;
+    l3 = level "L3" config.l3_size config.l3_assoc config.line_bytes;
+    tlb = level "dtlb" (config.tlb_entries * page_bytes) config.tlb_assoc page_bytes;
     line_bits = Addr.log2 config.line_bytes;
-    page_bits = Addr.log2 (Tlb.page_bytes tlb);
-    last_page = min_int;
+    page_bits = Addr.log2 page_bytes;
     accesses = 0;
     prefetches = 0;
   }
@@ -85,10 +211,10 @@ let emit_samples t ho =
       ~attrs:[ ("accesses", Json.Int t.accesses) ]
       (float_of_int v)
   in
-  point "cache.l1.misses" (Cache.misses t.l1);
-  point "cache.l2.misses" (Cache.misses t.l2);
-  point "cache.l3.misses" (Cache.misses t.l3);
-  point "cache.tlb.misses" (Tlb.misses t.tlb)
+  point "cache.l1.misses" t.l1.misses;
+  point "cache.l2.misses" t.l2.misses;
+  point "cache.l3.misses" t.l3.misses;
+  point "cache.tlb.misses" t.tlb.misses
 
 let access t addr size =
   if size <= 0 then invalid_arg "Hierarchy.access: non-positive size";
@@ -103,54 +229,44 @@ let access t addr size =
         ho.until_sample <- ho.sample_every;
         emit_samples t ho
       end);
-  (* Walk the covered lines and pages in address order with [asr], so an
-     access straddling address 0 visits the line below it first. *)
+  (* Walk the covered lines, then pages, in address order with [asr], so
+     an access straddling address 0 visits the line below it first. *)
   let fin = addr + size - 1 in
   let lb = t.line_bits in
   for i = addr asr lb to fin asr lb do
     let a = i lsl lb in
-    if not (Cache.access t.l1 a) then begin
-      if not (Cache.access t.l2 a) then ignore (Cache.access t.l3 a : bool);
+    if not (Level.probe t.l1 a) then begin
+      if not (Level.probe t.l2 a) then ignore (Level.probe t.l3 a : bool);
       if t.cfg.prefetch then begin
         (* Next-line prefetch: fill L1/L2 without charging a miss. *)
         let nxt = a + t.cfg.line_bytes in
-        if not (Cache.contains t.l1 nxt) then begin
-          Cache.fill t.l1 nxt;
-          Cache.fill t.l2 nxt;
+        if not (Level.contains t.l1 nxt) then begin
+          Level.fill t.l1 nxt;
+          Level.fill t.l2 nxt;
           t.prefetches <- t.prefetches + 1
         end
       end
     end
   done;
-  (* Most accesses stay on the page the previous one ended on. Nothing
-     else touches this TLB, so that page is still its most recent entry
-     and looking it up again would change no counter the hierarchy
-     reports. *)
   let pb = t.page_bits in
   for i = addr asr pb to fin asr pb do
-    if i <> t.last_page then begin
-      t.last_page <- i;
-      ignore (Tlb.access t.tlb (i lsl pb) : bool)
-    end
+    ignore (Level.probe t.tlb (i lsl pb) : bool)
   done
 
 let counters t =
   {
     accesses = t.accesses;
-    l1_misses = Cache.misses t.l1;
-    l2_misses = Cache.misses t.l2;
-    l3_misses = Cache.misses t.l3;
-    tlb_misses = Tlb.misses t.tlb;
+    l1_misses = t.l1.misses;
+    l2_misses = t.l2.misses;
+    l3_misses = t.l3.misses;
+    tlb_misses = t.tlb.misses;
     prefetches = t.prefetches;
   }
 
 let reset_counters t =
   t.accesses <- 0;
   t.prefetches <- 0;
-  Cache.reset_counters t.l1;
-  Cache.reset_counters t.l2;
-  Cache.reset_counters t.l3;
-  Tlb.reset_counters t.tlb
+  List.iter Level.reset_counters [ t.l1; t.l2; t.l3; t.tlb ]
 
 let config t = t.cfg
 

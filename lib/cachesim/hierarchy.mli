@@ -5,6 +5,28 @@
     Workloads run single-threaded, so one core's private hierarchy plus the
     shared L3 is the whole machine from the program's point of view. *)
 
+(** The set-associative level the hierarchy walks for L1, L2, L3 and the
+    DTLB (a level whose lines are 4 KiB pages). {!Cache} re-exports it
+    and documents each operation. *)
+module Level : sig
+  type t
+
+  val create : name:string -> size_bytes:int -> assoc:int -> line_bytes:int -> t
+  val access : t -> Addr.t -> bool
+  val name : t -> string
+  val line_bytes : t -> int
+  val sets : t -> int
+  val assoc : t -> int
+  val hits : t -> int
+  val misses : t -> int
+  val accesses : t -> int
+  val reset_counters : t -> unit
+  val fill : t -> Addr.t -> unit
+  val contains : t -> Addr.t -> bool
+  val locate : t -> Addr.t -> int * int
+  val flush : t -> unit
+end
+
 type config = {
   l1_size : int;
   l1_assoc : int;

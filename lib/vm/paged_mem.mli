@@ -1,12 +1,12 @@
 (** Sparse paged memory for the interpreter's heap image.
 
-    A page directory (hashtable of page index -> flat [int array] page)
-    fronted by a direct-mapped page cache: loads and stores on the hot
-    path are a shift, an indexed compare and an array index, even when
-    the access stream alternates between distant pages. Works over the
-    full [int]
-    address range — page indices come from an arithmetic shift, so
-    negative and very large addresses page correctly.
+    A directory (hashtable of lane key -> flat [int array]) fronted by a
+    direct-mapped cache: loads and stores on the hot path are a mask, an
+    indexed compare and an array index, even when the access stream
+    alternates between distant pages. Each 4 KiB page is split into
+    eight 512-cell lanes by the address mod 8, so the 8-aligned accesses
+    programs make fill one host array per page. Works over the full
+    [int] address range, negative and very large addresses included.
 
     Semantics match the hashtable it replaces: cells never stored read
     [0]; stored values persist until overwritten (memory is never
@@ -14,23 +14,22 @@
 
 type t
 
-val create : ?page_bits:int -> unit -> t
-(** [page_bits] sets the page size to [2^page_bits] cells (default 12,
-    i.e. 4096). Raises [Invalid_argument] outside [1..20]. *)
+val create : unit -> t
 
 val load : t -> Addr.t -> int
 (** O(1); [0] for never-written cells. *)
 
 val store : t -> Addr.t -> int -> unit
-(** O(1) amortised; creates the page zero-filled on first touch. *)
+(** O(1) amortised; creates the cell's lane zero-filled on first touch. *)
 
 val copy : t -> src:Addr.t -> dst:Addr.t -> len:int -> unit
-(** Realloc's memcpy: copy [len] cells from [src] to [dst], page-wise
-    via [Array.blit]. Source pages never written are skipped, leaving
-    the destination range untouched (the old per-cell copy skipped
-    absent cells the same way). Ranges are assumed disjoint — the
-    allocator hands realloc a fresh block when it moves. *)
+(** Realloc's memcpy: copy [len] cells from [src] to [dst], lane-wise
+    via [Array.blit]. A 4 KiB source page none of whose cells was ever
+    written is skipped, leaving its part of the destination untouched
+    (the old per-cell copy skipped absent cells the same way); a written
+    one is copied whole, as 0 for the cells never written. Ranges are
+    assumed disjoint — the allocator hands realloc a fresh block when it
+    moves. *)
 
-val page_size : t -> int
 val page_count : t -> int
-(** Pages materialised so far — for tests and diagnostics. *)
+(** 4 KiB pages with a cell written so far — for tests and diagnostics. *)
