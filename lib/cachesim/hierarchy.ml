@@ -229,29 +229,39 @@ let access t addr size =
         ho.until_sample <- ho.sample_every;
         emit_samples t ho
       end);
-  (* Walk the covered lines, then pages, in address order with [asr], so
-     an access straddling address 0 visits the line below it first. *)
   let fin = addr + size - 1 in
-  let lb = t.line_bits in
-  for i = addr asr lb to fin asr lb do
-    let a = i lsl lb in
-    if not (Level.probe t.l1 a) then begin
-      if not (Level.probe t.l2 a) then ignore (Level.probe t.l3 a : bool);
-      if t.cfg.prefetch then begin
-        (* Next-line prefetch: fill L1/L2 without charging a miss. *)
-        let nxt = a + t.cfg.line_bytes in
-        if not (Level.contains t.l1 nxt) then begin
-          Level.fill t.l1 nxt;
-          Level.fill t.l2 nxt;
-          t.prefetches <- t.prefetches + 1
+  let lb = t.line_bits and pb = t.page_bits in
+  (* One line and one page, both the last ones L1 and the DTLB looked up:
+     two hits that change nothing, the walk below without its loops. *)
+  if
+    not
+      (addr lsr lb = t.l1.last_line
+      && fin asr lb = addr asr lb
+      && addr lsr pb = t.tlb.last_line
+      && fin asr pb = addr asr pb)
+  then begin
+    (* Walk the covered lines, then pages, in address order with [asr],
+       so an access straddling address 0 visits the line below it
+       first. *)
+    for i = addr asr lb to fin asr lb do
+      let a = i lsl lb in
+      if not (Level.probe t.l1 a) then begin
+        if not (Level.probe t.l2 a) then ignore (Level.probe t.l3 a : bool);
+        if t.cfg.prefetch then begin
+          (* Next-line prefetch: fill L1/L2 without charging a miss. *)
+          let nxt = a + t.cfg.line_bytes in
+          if not (Level.contains t.l1 nxt) then begin
+            Level.fill t.l1 nxt;
+            Level.fill t.l2 nxt;
+            t.prefetches <- t.prefetches + 1
+          end
         end
       end
-    end
-  done;
-  let pb = t.page_bits in
-  for i = addr asr pb to fin asr pb do
-    ignore (Level.probe t.tlb (i lsl pb) : bool)
-  done
+    done;
+    for i = addr asr pb to fin asr pb do
+      ignore (Level.probe t.tlb (i lsl pb) : bool)
+    done
+  end
 
 let counters t =
   {
