@@ -1,7 +1,5 @@
-(* The set-associative level, the DTLB included, lives in this unit so the
-   per-access walk below makes only direct calls: dune's dev profile
-   compiles with -opaque, which turns every call into another unit into a
-   call to an unknown function. {!Cache} re-exports this module. *)
+(* The level lives in this unit so that the per-access walk makes no call
+   into another one: dune's dev profile compiles with -opaque. *)
 module Level = struct
   type t = {
     name : string;
@@ -90,11 +88,8 @@ module Level = struct
   (* The hierarchy's lookup: like [access], but counts misses only. *)
   let[@inline] probe t addr =
     let line = addr lsr t.line_bits in
-    line = t.last_line || touch t line
-    || begin
-         t.misses <- t.misses + 1;
-         false
-       end
+    if line = t.last_line || touch t line then true
+    else (t.misses <- t.misses + 1; false)
 
   let access t addr =
     let hit = probe t addr in
@@ -157,7 +152,7 @@ let xeon_w2195 =
   }
 
 (* Skylake-SP's 4 KiB pages: a DTLB entry is a level line one page long. *)
-let page_bytes = 4096
+let page_bits = 12
 
 type counters = {
   accesses : int;
@@ -179,7 +174,6 @@ type t = {
   tlb : Level.t;
   obs : hobs option;
   line_bits : int;
-  page_bits : int;
   mutable accesses : int;
   mutable prefetches : int;
 }
@@ -196,9 +190,8 @@ let create ?(config = xeon_w2195) ?obs ?(sample_every = 4096) () =
     l1 = level "L1D" config.l1_size config.l1_assoc config.line_bytes;
     l2 = level "L2" config.l2_size config.l2_assoc config.line_bytes;
     l3 = level "L3" config.l3_size config.l3_assoc config.line_bytes;
-    tlb = level "dtlb" (config.tlb_entries * page_bytes) config.tlb_assoc page_bytes;
+    tlb = level "dtlb" (config.tlb_entries lsl page_bits) config.tlb_assoc (1 lsl page_bits);
     line_bits = Addr.log2 config.line_bytes;
-    page_bits = Addr.log2 page_bytes;
     accesses = 0;
     prefetches = 0;
   }
@@ -230,7 +223,7 @@ let access t addr size =
         emit_samples t ho
       end);
   let fin = addr + size - 1 in
-  let lb = t.line_bits and pb = t.page_bits in
+  let lb = t.line_bits and pb = page_bits in
   (* One line and one page, both the last ones L1 and the DTLB looked up:
      two hits that change nothing, the walk below without its loops. *)
   if

@@ -18,6 +18,43 @@
     stale values across free/reuse, so programs must initialise what they
     read — [calloc]'s zeroing is only honoured for never-written cells. *)
 
+(** Sparse paged memory for the interpreter's heap image.
+
+    A directory (hashtable of lane key -> flat [int array]) fronted by a
+    direct-mapped cache: loads and stores on the hot path are a mask, an
+    indexed compare and an array index, even when the access stream
+    alternates between distant pages. Each 4 KiB page is split into
+    eight 512-cell lanes by the address mod 8, so the 8-aligned accesses
+    programs make fill one host array per page. Works over the full
+    [int] address range, negative and very large addresses included.
+
+    Semantics match the hashtable it replaces: cells never stored read
+    [0]; stored values persist until overwritten (memory is never
+    cleared on free — real malloc does not zero). *)
+module Mem : sig
+  type t
+
+  val create : unit -> t
+
+  val load : t -> Addr.t -> int
+  (** O(1); [0] for never-written cells. *)
+
+  val store : t -> Addr.t -> int -> unit
+  (** O(1) amortised; creates the cell's lane zero-filled on first touch. *)
+
+  val copy : t -> src:Addr.t -> dst:Addr.t -> len:int -> unit
+  (** Realloc's memcpy: copy [len] cells from [src] to [dst], lane-wise
+      via [Array.blit]. A 4 KiB source page none of whose cells was ever
+      written is skipped, leaving its part of the destination untouched
+      (the old per-cell copy skipped absent cells the same way); a written
+      one is copied whole, as 0 for the cells never written. Ranges are
+      assumed disjoint — the allocator hands realloc a fresh block when it
+      moves. *)
+
+  val page_count : t -> int
+  (** 4 KiB pages with a cell written so far — for tests and diagnostics. *)
+end
+
 type hooks = {
   on_access : Addr.t -> int -> bool -> unit;
       (** [on_access addr size is_write], for every program load/store. *)

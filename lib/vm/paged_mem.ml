@@ -1,144 +1,3 @@
-(* Sparse paged memory: a directory of flat [int array] lane pages.
-
-   A cell holds the value stored at one address. The interpreter's loads
-   and stores are 8 bytes wide at 8-aligned addresses, so one host array
-   per 4 KiB simulated page would use one cell in eight. Instead each
-   4 KiB page is split into eight lanes by [addr land 7], and a lane is a
-   512-cell array indexed by the address's bits 3-11: an aligned program
-   touches one 4 KiB host array per simulated page. A lane's key is its
-   address with bits 3-11 cleared (the page's bits, then the lane), so
-   the full int range works, negative addresses included. Absent cells
-   read 0, exactly the old hashtable image's Not_found -> 0 behaviour,
-   and lanes are created zero-filled on first store.
-
-   The directory is fronted by a direct-mapped cache. A one-entry cache
-   only covers sequential runs: workloads that alternate between a hot
-   object and a large table (leela's pattern lookups, omnetpp's routing
-   reads) thrash it and pay a [Hashtbl] probe, tens of ns, on nearly
-   every access. The direct-mapped array covers a working set of
-   thousands of pages at an indexed compare per access. *)
-
-type t = {
-  pages : (int, int array) Hashtbl.t; (* authoritative directory *)
-  cache_key : int array; (* direct-mapped: slot -> lane key, or [no_key] *)
-  cache_pg : int array array; (* slot -> the lane itself *)
-}
-
-let lane_cells = 512
-
-(* Clears bits 3-11. [no_key] has them set, so no lane key equals it. *)
-let key_mask = lnot 0xff8
-let no_key = -1
-
-(* 4096 slots: the lane and the page's low 9 bits, xored with the page
-   bits from 9 up. 512 consecutive pages of one lane never conflict, and
-   the 1 MiB-aligned chunks Group_alloc carves do not alias each other
-   every 2 MiB as they would on the low bits alone. *)
-let cmask = 4095
-let[@inline] slot_of key = (key lxor (key lsr 9) lxor (key lsr 21)) land cmask
-let[@inline] cell_of addr = (addr lsr 3) land (lane_cells - 1)
-let no_page = [||]
-
-let create () =
-  {
-    pages = Hashtbl.create 64;
-    cache_key = Array.make (cmask + 1) no_key;
-    cache_pg = Array.make (cmask + 1) no_page;
-  }
-
-let page_count t =
-  let seen = Hashtbl.create 16 in
-  Hashtbl.iter (fun key _ -> Hashtbl.replace seen (key asr 12) ()) t.pages;
-  Hashtbl.length seen
-
-(* Lane [key], creating it zero-filled if absent; fills the cache slot
-   either way. *)
-let lane_for t key =
-  let slot = slot_of key in
-  let p =
-    match Hashtbl.find t.pages key with
-    | p -> p
-    | exception Not_found ->
-        let p = Array.make lane_cells 0 in
-        Hashtbl.replace t.pages key p;
-        p
-  in
-  t.cache_key.(slot) <- key;
-  t.cache_pg.(slot) <- p;
-  p
-
-(* Absent lanes are cached too, as [no_page] entries: calloc'd regions
-   are read long before (or without ever) being written, and paying a
-   [Not_found] raise per such load dwarfs the load itself. A cached
-   absence stays consistent because a lane's cache slot is a pure
-   function of its key: [lane_for] (the only creator) always overwrites
-   exactly that slot. *)
-let load t addr =
-  let key = addr land key_mask in
-  let slot = slot_of key in
-  if Array.unsafe_get t.cache_key slot = key then begin
-    let p = Array.unsafe_get t.cache_pg slot in
-    (* [cell_of addr] < [lane_cells] by construction, so the unchecked
-       read is safe. *)
-    if p == no_page then 0 else Array.unsafe_get p (cell_of addr)
-  end
-  else begin
-    t.cache_key.(slot) <- key;
-    match Hashtbl.find t.pages key with
-    | p ->
-        t.cache_pg.(slot) <- p;
-        Array.unsafe_get p (cell_of addr)
-    | exception Not_found ->
-        t.cache_pg.(slot) <- no_page;
-        0
-  end
-
-let store t addr v =
-  let key = addr land key_mask in
-  let slot = slot_of key in
-  let p =
-    if Array.unsafe_get t.cache_key slot = key then begin
-      let p = Array.unsafe_get t.cache_pg slot in
-      if p == no_page then lane_for t key else p
-    end
-    else lane_for t key
-  in
-  Array.unsafe_set p (cell_of addr) v
-
-(* Copy [n] cells from [s], inside one source page whose lanes are
-   [lanes] ([no_page] if absent, read as 0), to [d], inside one
-   destination page. The cells of one source lane are consecutive in it
-   and land consecutively in one destination lane. *)
-let copy_within t lanes s d n =
-  for k = 0 to min 7 (n - 1) do
-    let s = s + k and d = d + k in
-    let c = ((n - 1 - k) / 8) + 1 in
-    let src = lanes.(s land 7) and dst = lane_for t (d land key_mask) in
-    if src == no_page then Array.fill dst (cell_of d) c 0
-    else Array.blit src (cell_of s) dst (cell_of d) c
-  done
-
-let copy t ~src ~dst ~len =
-  if len < 0 then invalid_arg "Paged_mem.copy: negative length";
-  let i = ref 0 in
-  while !i < len do
-    let s = src + !i in
-    let chunk = min (4096 - (s land 4095)) (len - !i) in
-    let base = s land lnot 4095 in
-    let lanes =
-      Array.init 8 (fun l -> Option.value (Hashtbl.find_opt t.pages (base lor l)) ~default:no_page)
-    in
-    (* A source page with no lane written leaves the destination
-       untouched, as the old per-cell copy skipped absent cells; a
-       written one is copied whole, 0 for its cells never written. *)
-    if Array.exists (fun p -> p != no_page) lanes then begin
-      let j = ref 0 in
-      while !j < chunk do
-        let d = dst + !i + !j in
-        let n = min (4096 - (d land 4095)) (chunk - !j) in
-        copy_within t lanes (s + !j) d n;
-        j := !j + n
-      done
-    end;
-    i := !i + chunk
-  done
+(** The interpreter's heap image on its own: {!Interp.Mem}, the code
+    every simulated load and store runs. *)
+include Interp.Mem
