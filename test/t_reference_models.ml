@@ -76,9 +76,10 @@ end
 (* Interleaved allocations, frees and accesses against a reference
    that sees every allocation in order: contexts allocate after objects
    were accessed, so co-allocatability is often asked before a context's
-   next allocation exists (the successor memo's watermark case). Bursts
-   push the object count past 1024, contexts range past 16 and [A] up to
-   4096 bytes, so every growable array in the queue grows. *)
+   next allocation exists (the older object's [next] link is still
+   [max_int]). Bursts push the object count past 1024, contexts range past
+   16 and [A] up to 4096 bytes, so every growable array in the queue and
+   the heap model grows. *)
 
 type queue_op =
   | Q_alloc of int * int (* burst length, first context *)
@@ -164,46 +165,87 @@ let prop_affinity_queue_matches_reference =
 
 type heap_op =
   | H_alloc of int * int (* offset into the arena, size *)
+  | H_alloc_next of int * int * int (* live pick, gap after its end, size *)
   | H_free of int
   | H_realloc_same of int * int (* live pick, new size at the same base *)
   | H_find of int * int (* live pick, delta from its base *)
+  | H_find_end of int * int (* live pick, delta from its end *)
   | H_probe of int (* arena offset *)
 
-(* A 64 KiB arena at 0x10000. Offsets are 16-byte aligned half the time
-   and arbitrary otherwise, so distinct objects sometimes share a
-   16-byte page; sizes 0-2048 straddle the side table's 1 KiB span cap. *)
-let gen_heap_ops =
-  QCheck2.Gen.(
-    let size = frequency [ (3, int_range 0 64); (2, int_range 65 2048); (1, oneofl [ 0; 1; 1008; 1009; 1024; 1025 ]) ] in
-    let offset =
-      frequency [ (1, map (fun k -> k * 16) (int_range 0 4095)); (1, int_range 0 65535) ]
-    in
-    list_size (int_range 1 400)
-      (frequency
-         [
-           (4, map2 (fun o s -> H_alloc (o, s)) offset size);
-           (2, map (fun k -> H_free k) nat);
-           (1, map2 (fun k s -> H_realloc_same (k, s)) nat size);
-           (6, map2 (fun k d -> H_find (k, d)) nat (int_range (-20) 2100));
-           (2, map (fun o -> H_probe o) (int_range (-16) 65600));
-         ]))
+(* A 128 KiB arena at 0x10000, and two switches per case:
 
-let print_heap_ops ops =
-  String.concat "; "
-    (List.map
-       (function
-         | H_alloc (o, s) -> Printf.sprintf "alloc +%d %dB" o s
-         | H_free k -> Printf.sprintf "free %d" k
-         | H_realloc_same (k, s) -> Printf.sprintf "realloc %d %dB" k s
-         | H_find (k, d) -> Printf.sprintf "find %d%+d" k d
-         | H_probe o -> Printf.sprintf "probe +%d" o)
-       ops)
+   - [aligned]: every base is 16-aligned, so no two objects share a
+     16-byte granule. Otherwise offsets are aligned half the time and
+     arbitrary otherwise, and [H_alloc_next] puts an object 0-31 bytes
+     past a live one's end, so neighbours often share a granule.
+   - [large]: sizes reach 8 KiB and include 4097 and 4112/4113, so
+     objects straddle the 257-granule directory cap (4 KiB at an
+     unaligned base) and large objects come and go. Otherwise no object
+     exceeds 4 KiB.
+
+   Aligned cases without large objects are the ones where lookups between
+   objects can be answered without the ordered map. Probes reach 16 KiB
+   either side of the arena, into pages that hold no object. *)
+let heap_arena = 0x20000
+
+let gen_heap_case =
+  QCheck2.Gen.(
+    let* aligned = bool in
+    let* large = bool in
+    let size =
+      frequency
+        [
+          (3, int_range 0 64);
+          (2, int_range 65 2048);
+          (1, int_range 2049 (if large then 8192 else 4096));
+          ( 1,
+            oneofl
+              (if large then [ 0; 1; 1024; 1025; 4095; 4096; 4097; 4112; 4113; 8192 ]
+               else [ 0; 1; 1024; 1025; 4095; 4096 ]) );
+        ]
+    in
+    let aligned_offset = map (fun k -> k * 16) (int_range 0 ((heap_arena / 16) - 1)) in
+    let offset =
+      if aligned then aligned_offset
+      else frequency [ (1, aligned_offset); (1, int_range 0 (heap_arena - 1)) ]
+    in
+    let gap = if aligned then map (fun k -> k * 16) (int_range 0 1) else int_range 0 31 in
+    let* ops =
+      list_size (int_range 1 400)
+        (frequency
+           [
+             (2, map2 (fun o s -> H_alloc (o, s)) offset size);
+             (2, map3 (fun k g s -> H_alloc_next (k, g, s)) nat gap size);
+             (2, map (fun k -> H_free k) nat);
+             (1, map2 (fun k s -> H_realloc_same (k, s)) nat size);
+             (4, map2 (fun k d -> H_find (k, d)) nat (int_range (-20) 8300));
+             (2, map2 (fun k d -> H_find_end (k, d)) nat (int_range (-20) 20));
+             (2, map (fun o -> H_probe o) (int_range (-16384) (heap_arena + 16384)));
+           ])
+    in
+    return (aligned, large, ops))
+
+let print_heap_case (aligned, large, ops) =
+  Printf.sprintf "%s%s [%s]"
+    (if aligned then "aligned" else "mixed")
+    (if large then " large" else "")
+    (String.concat "; "
+       (List.map
+          (function
+            | H_alloc (o, s) -> Printf.sprintf "alloc +%d %dB" o s
+            | H_alloc_next (k, g, s) -> Printf.sprintf "alloc %d%+d %dB" k g s
+            | H_free k -> Printf.sprintf "free %d" k
+            | H_realloc_same (k, s) -> Printf.sprintf "realloc %d %dB" k s
+            | H_find (k, d) -> Printf.sprintf "find %d%+d" k d
+            | H_find_end (k, d) -> Printf.sprintf "find %d end%+d" k d
+            | H_probe o -> Printf.sprintf "probe +%d" o)
+          ops))
 
 let prop_heap_model_find_matches_reference =
   QCheck2.Test.make
     ~name:"heap model: find matches a live-object list under alloc, free and re-alloc"
-    ~count:200 ~long_factor:50 ~print:print_heap_ops gen_heap_ops
-    (fun ops ->
+    ~count:200 ~long_factor:50 ~print:print_heap_case gen_heap_case
+    (fun (aligned, _, ops) ->
       let base = 0x10000 in
       let h = Heap_model.create () in
       (* Newest first; objects never overlap, a 0-byte one covers its base. *)
@@ -241,6 +283,14 @@ let prop_heap_model_find_matches_reference =
             | H_alloc (off, size) ->
                 if fits (base + off) size !live then alloc (base + off) size;
                 true
+            | H_alloc_next (k, gap, size) ->
+                (match pick k with
+                | None -> ()
+                | Some o ->
+                    let end_ = o.Heap_model.addr + span o in
+                    let addr = (if aligned then (end_ + 15) land lnot 15 else end_) + gap in
+                    if fits addr size !live then alloc addr size);
+                true
             | H_free k -> ( match pick k with None -> true | Some o -> free o)
             | H_realloc_same (k, size) -> (
                 match pick k with
@@ -252,6 +302,8 @@ let prop_heap_model_find_matches_reference =
                     freed)
             | H_find (k, d) -> (
                 match pick k with None -> true | Some o -> find (o.Heap_model.addr + d))
+            | H_find_end (k, d) -> (
+                match pick k with None -> true | Some o -> find (o.Heap_model.addr + span o + d))
             | H_probe off -> find (base + off)
           in
           ok && Heap_model.live_count h = List.length !live)
