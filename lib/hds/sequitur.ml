@@ -25,10 +25,9 @@
      symbol: the digram index drops an entry whenever its symbol's
      digram changes or the symbol is deleted.
    - The digram index is open-addressed over two int key arrays and a
-     symbol array, with the scheme of [Heap_model]'s side table: linear
-     probing, Fibonacci hashing, backward-shift deletion, at most half
-     full. The guard value [-1] (rule 0) never occurs in a digram and
-     marks an empty slot.
+     symbol array, with linear probing, Fibonacci hashing,
+     backward-shift deletion, at most half full. The guard value [-1]
+     (rule 0) never occurs in a digram and marks an empty slot.
 
    The arrays grow by doubling. [check], [process_match], [substitute]
    and [expand_sym] are a line-for-line port of the record-based

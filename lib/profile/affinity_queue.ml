@@ -1,107 +1,81 @@
-(* The window is a ring stored as four parallel int arrays (oid, ctx,
-   bytes, seq), so recording a macro access writes four ints and
-   allocates nothing. The ring capacity is always a power of two, so
-   index arithmetic is a mask, not a division.
+(* The window is a ring of the accessed objects plus a parallel int array
+   of access sizes, so recording a macro access writes a pointer and an
+   int and allocates nothing. The ring capacity is a power of two, so
+   index arithmetic is a mask, not a division. It starts empty and is
+   filled with the first object pushed, as the queue cannot make an
+   [obj] of its own.
 
    The per-traversal double-counting guard is a dense per-oid stamp
    array: [stamp.(oid) = gen] means [oid] was already counted by the
    current traversal, and bumping [gen] clears every mark at once. Oids
    are dense and never reused, so the array is exact — no hashing, no
-   probing — and it grows alongside the successor memo below, which is
-   indexed the same way.
+   probing.
 
-   Co-allocatability is memoised per (object, context) rather than per
-   object pair: the test "did context c allocate strictly between the
-   two objects' sequence numbers" only needs c's first allocation
-   after the older object's seq, and that successor is immutable once
-   it exists (logs append ever-larger seqs). With a handful of contexts
-   the memo is a short int row per object — [next_rows.(oid).(c)]:
-
-     -1         not computed yet
-     s >= 0     c's first seq after this object's seq (final)
-     -(w + 2)   no successor as of allocation watermark w: c had not
-                allocated past this object when last probed, so the
-                answer is only valid for interval ends <= w and is
-                recomputed beyond that.
-
-   Only a memo miss consults c's allocation log, resolved through the
-   heap model's per-context array. *)
+   Co-allocatability is two compares on the objects' context links:
+   neither context allocated strictly between the older object [w] and
+   the newer one [n] iff [w.next >= n.seq && n.prev <= w.seq], since
+   [w.next] is [w]'s context's first allocation after [w] and [n.prev]
+   is [n]'s context's last one before [n]. A walk step reads fields and
+   calls nothing in another unit. *)
 type t = {
   a : int; (* affinity distance, bytes *)
-  heap : Heap_model.t;
   on_affinity : Context.id -> Context.id -> unit;
-  mutable r_oid : int array; (* the ring, one array per field *)
-  mutable r_ctx : int array;
+  mutable r_obj : Heap_model.obj array; (* the ring *)
   mutable r_bytes : int array;
-  mutable r_seq : int array;
   mutable mask : int; (* ring capacity - 1 *)
   mutable start : int; (* index of oldest entry *)
   mutable count : int;
   mutable accesses : int;
   mutable stamp : int array; (* oid -> last traversal that counted it *)
   mutable gen : int;
-  mutable next_rows : int array array; (* oid -> per-context successor memo *)
 }
 
-let no_row = [||] (* shared placeholder for rows not materialised yet *)
-
-let create ~affinity_distance ~heap ~on_affinity () =
+let create ~affinity_distance ~heap:(_ : Heap_model.t) ~on_affinity () =
   if affinity_distance <= 0 then
     invalid_arg "Affinity_queue.create: affinity distance must be positive";
   {
     a = affinity_distance;
-    heap;
     on_affinity;
-    r_oid = Array.make 64 0;
-    r_ctx = Array.make 64 0;
-    r_bytes = Array.make 64 0;
-    r_seq = Array.make 64 0;
-    mask = 63;
+    r_obj = [||];
+    r_bytes = [||];
+    mask = -1;
     start = 0;
     count = 0;
     accesses = 0;
     stamp = Array.make 1024 0;
     gen = 0;
-    next_rows = Array.make 1024 no_row;
   }
 
 let length t = t.count
 let accesses t = t.accesses
 
-(* Make room in the per-oid arrays for [oid]. *)
+(* Make room in the stamp array for [oid]. *)
 let reserve_oid t oid =
   let n = Array.length t.stamp in
   if oid >= n then begin
-    let cap = max (2 * n) (oid + 1) in
-    let stamp = Array.make cap 0 and rows = Array.make cap no_row in
+    let stamp = Array.make (max (2 * n) (oid + 1)) 0 in
     Array.blit t.stamp 0 stamp 0 n;
-    Array.blit t.next_rows 0 rows 0 n;
-    t.stamp <- stamp;
-    t.next_rows <- rows
+    t.stamp <- stamp
   end
 
-let unroll t ring cap =
-  let a = Array.make cap 0 in
+let unroll t ring cap fill =
+  let a = Array.make cap fill in
   for i = 0 to t.count - 1 do
     a.(i) <- ring.((t.start + i) land t.mask)
   done;
   a
 
-let push t ~oid ~ctx ~bytes ~seq =
+let push t (o : Heap_model.obj) bytes =
   if t.count = t.mask + 1 then begin
-    let cap = 2 * t.count in
-    t.r_oid <- unroll t t.r_oid cap;
-    t.r_ctx <- unroll t t.r_ctx cap;
-    t.r_bytes <- unroll t t.r_bytes cap;
-    t.r_seq <- unroll t t.r_seq cap;
+    let cap = max 64 (2 * t.count) in
+    t.r_obj <- unroll t t.r_obj cap o;
+    t.r_bytes <- unroll t t.r_bytes cap 0;
     t.mask <- cap - 1;
     t.start <- 0
   end;
   let i = (t.start + t.count) land t.mask in
-  t.r_oid.(i) <- oid;
-  t.r_ctx.(i) <- ctx;
+  t.r_obj.(i) <- o;
   t.r_bytes.(i) <- bytes;
-  t.r_seq.(i) <- seq;
   t.count <- t.count + 1
 
 let drop_oldest t n =
@@ -109,50 +83,15 @@ let drop_oldest t n =
   t.start <- (t.start + n) land t.mask;
   t.count <- t.count - n
 
-(* [oid]'s successor-memo row, wide enough for [c]. *)
-let row_for t oid c =
-  let row = t.next_rows.(oid) in
-  if c < Array.length row then row
-  else begin
-    let wider = Array.make (max 8 (max (2 * Array.length row) (c + 1))) (-1) in
-    Array.blit row 0 wider 0 (Array.length row);
-    t.next_rows.(oid) <- wider;
-    wider
-  end
-
-(* "Context [c] made no allocation strictly between [w_seq] and [hi]",
-   i.e. c's first seq after w_seq is >= hi; [w_oid] is the older
-   object. *)
-let no_alloc_between t w_oid w_seq c hi =
-  let row = row_for t w_oid c in
-  let m = row.(c) in
-  if m >= 0 then m >= hi
-  else if m <> -1 && hi + 2 <= -m then true
-  else begin
-    let s = Heap_model.log_next (Heap_model.ctx_log t.heap c) ~after:w_seq in
-    if s <> max_int then begin
-      row.(c) <- s;
-      s >= hi
-    end
-    else begin
-      (* No successor yet: sound for interval ends up to the current
-         allocation watermark, revisited past it. *)
-      let watermark = Heap_model.allocs_total t.heap in
-      row.(c) <- -(watermark + 2);
-      hi <= watermark
-    end
-  end
-
 (* Neither context allocated strictly between the older object [w] and
-   the newer one's seq [hi]. *)
-let clear_between t w_oid w_seq hi u_ctx v_ctx =
-  no_alloc_between t w_oid w_seq u_ctx hi
-  && (v_ctx = u_ctx || no_alloc_between t w_oid w_seq v_ctx hi)
+   the newer [n]. *)
+let[@inline] clear_between (w : Heap_model.obj) (n : Heap_model.obj) =
+  w.next >= n.seq && n.prev <= w.seq
 
 (* Newest-to-oldest traversal from ring position [i] with [acc] bytes
-   accumulated, for the new access [u]. A top-level function of plain
-   ints: a local closure would be allocated on every call to [add]. *)
-let rec walk t u_oid u_ctx u_seq i acc =
+   accumulated, for the new access [u]. A top-level function: a local
+   closure would be allocated on every call to [add]. *)
+let rec walk t (u : Heap_model.obj) i acc =
   if i < t.count then begin
     let j = (t.start + t.count - 1 - i) land t.mask in
     let acc = acc + t.r_bytes.(j) in
@@ -162,32 +101,28 @@ let rec walk t u_oid u_ctx u_seq i acc =
          them. *)
       drop_oldest t (t.count - i)
     else begin
-      let v_oid = t.r_oid.(j) in
-      if v_oid <> u_oid && t.stamp.(v_oid) <> t.gen then begin
-        t.stamp.(v_oid) <- t.gen;
-        let v_ctx = t.r_ctx.(j) and v_seq = t.r_seq.(j) in
+      let v = t.r_obj.(j) in
+      if v.oid <> u.oid && t.stamp.(v.oid) <> t.gen then begin
+        t.stamp.(v.oid) <- t.gen;
         let co_allocatable =
-          if u_seq <= v_seq then clear_between t u_oid u_seq v_seq u_ctx v_ctx
-          else clear_between t v_oid v_seq u_seq u_ctx v_ctx
+          if u.seq <= v.seq then clear_between u v else clear_between v u
         in
-        if co_allocatable then t.on_affinity u_ctx v_ctx
+        if co_allocatable then t.on_affinity u.ctx v.ctx
       end;
-      walk t u_oid u_ctx u_seq (i + 1) acc
+      walk t u (i + 1) acc
     end
   end
 
 let add t (o : Heap_model.obj) ~bytes =
   if bytes <= 0 then invalid_arg "Affinity_queue.add: non-positive access size";
-  let oid = o.Heap_model.oid in
   (* Deduplication: a repeat of the immediately preceding object is part of
      the same macro-level access. *)
-  if t.count > 0 && t.r_oid.((t.start + t.count - 1) land t.mask) = oid then false
+  if t.count > 0 && t.r_obj.((t.start + t.count - 1) land t.mask).oid = o.oid then false
   else begin
     t.accesses <- t.accesses + 1;
-    reserve_oid t oid;
+    reserve_oid t o.oid;
     t.gen <- t.gen + 1;
-    let ctx = o.Heap_model.ctx and seq = o.Heap_model.seq in
-    walk t oid ctx seq 0 0;
-    push t ~oid ~ctx ~bytes ~seq;
+    walk t o 0 0;
+    push t o bytes;
     true
   end

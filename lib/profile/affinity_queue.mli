@@ -40,7 +40,9 @@ val create :
   unit ->
   t
 (** [on_affinity x y] is invoked once per affinitive pair discovered, with
-    [x] the newest access's context. *)
+    [x] the newest access's context. [heap] is the model the added objects
+    come from; the queue reads only their context links
+    ([prev] and [next] of {!Heap_model.obj}). *)
 
 val add : t -> Heap_model.obj -> bytes:int -> bool
 (** Record a macro-level access of [bytes] bytes to the given object and

@@ -1,169 +1,134 @@
 module Addr_map = Map.Make (Int)
 
-type obj = { oid : int; addr : Addr.t; size : int; ctx : Context.id; seq : int }
-
-(* Per-context allocation sequence numbers, appended in increasing order
-   (seq is global and monotonic), so membership in an open interval is a
-   binary search. Context ids are dense, so the logs live in an array
-   indexed by context; [no_log] marks a slot whose context has not been
-   asked about yet and is never appended to. *)
-type seq_log = { mutable data : int array; mutable len : int }
-
-type log = seq_log
-
-let no_log = { data = [||]; len = 0 }
+type obj = {
+  oid : int;
+  addr : Addr.t;
+  size : int;
+  ctx : Context.id;
+  seq : int;
+  prev : int;
+  mutable next : int;
+}
 
 (* [find] fast paths, in probe order:
 
    - a one-entry cache holding the last hit;
-   - a side table from 16-byte-aligned pages to the live object covering
-     them, maintained for objects spanning at most [side_cap_pages]
-     pages. 16 bytes matches the minimum size class, so under a real
-     allocator distinct live objects never share a page; if callers
-     hand-craft overlapping layouts the entry is merely stale-free
-     best-effort — every hit is containment-checked and misses fall
-     through to the ordered map, which remains the single source of
-     truth.
+   - a granule directory: each 4 KiB page of addresses maps to a
+     256-cell array, one cell per 16-byte granule, holding the live
+     object that touches it. Objects spanning at most [max_granules]
+     granules (every object up to 4 KiB, at any base) get an entry; the
+     others are counted in [large_live].
+
+   Every fast hit is containment-checked, and the ordered map stays the
+   single source of truth. A [None] cell answers "no object" without the
+   map only while [large_live = 0] and [shared] is unset: then every live
+   object fills every granule it touches, so an empty granule touches
+   none. [shared] is set, for good, the first time an allocation writes
+   over a live cell, which unaligned neighbours sharing a granule do (the
+   later one owns the cell, and freeing it empties a granule the earlier
+   one still covers).
 
    Each object's [Some o] cell is allocated once, in [on_alloc], and is
-   what the map, the side table and the cache hold, so a hit on any path
+   what the map, the directory and the cache hold, so a hit on any path
    returns that cell instead of allocating a fresh one.
 
-   The side table is open-addressed over plain int keys (linear probing,
-   Fibonacci hashing, backward-shift deletion, at most half full): no
-   generic hash, no polymorphic compare, no allocation per operation. *)
-let side_page_bits = 4
-let side_cap_pages = 64
-let no_page = min_int (* never a page: [addr asr 4] stays above it *)
+   Page arrays sit in an ordered map behind a direct-mapped cache, as in
+   [Interp.Mem]; absent pages are cached too, as [no_page]. *)
+let granule_bits = 4
+let page_bits = 12
+let page_cells = 1 lsl (page_bits - granule_bits)
+let max_granules = (4096 lsr granule_bits) + 1
+let cache_mask = 1023
+let no_key = min_int (* never a page: [addr asr 12] stays above it *)
+let no_page : obj option array = [||]
 
 type t = {
   mutable live : obj option Addr_map.t; (* base address -> the object's cell *)
-  mutable next_oid : int;
   mutable next_seq : int;
-  mutable logs : seq_log array; (* ctx -> its log, or [no_log] *)
+  mutable last_of_ctx : obj array; (* ctx -> its newest object, or [no_obj] *)
   mutable last : obj option; (* last [find] hit *)
-  mutable side_keys : int array; (* 16-byte page, or [no_page] *)
-  mutable side_vals : obj option array; (* the covering object's cell *)
-  mutable side_shift : int; (* 63 - log2 (Array.length side_keys) *)
-  mutable side_count : int;
+  mutable pages : obj option array Addr_map.t; (* page -> its granule cells *)
+  cache_key : int array; (* slot -> page, or [no_key] *)
+  cache_pg : obj option array array; (* slot -> its cells, or [no_page] *)
+  mutable large_live : int; (* live objects without directory entries *)
+  mutable shared : bool; (* an allocation once wrote over a live cell *)
 }
 
-let side_init_bits = 10
+let no_obj = { oid = -1; addr = 0; size = 0; ctx = -1; seq = -1; prev = -1; next = -1 }
 
 let create () =
   {
     live = Addr_map.empty;
-    next_oid = 0;
     next_seq = 0;
-    logs = Array.make 16 no_log;
+    last_of_ctx = Array.make 16 no_obj;
     last = None;
-    side_keys = Array.make (1 lsl side_init_bits) no_page;
-    side_vals = Array.make (1 lsl side_init_bits) None;
-    side_shift = 63 - side_init_bits;
-    side_count = 0;
+    pages = Addr_map.empty;
+    cache_key = Array.make (cache_mask + 1) no_key;
+    cache_pg = Array.make (cache_mask + 1) no_page;
+    large_live = 0;
+    shared = false;
   }
 
-(* The top bits of the 63-bit product: consecutive pages scatter. *)
-let side_home t page = (page * 0x278DDE6E5FD29F05) lsr t.side_shift
+let[@inline] slot_of page = (page lxor (page lsr 10)) land cache_mask
+let[@inline] cell_of g = g land (page_cells - 1)
 
-(* The slot holding [page], or -1. *)
-let side_slot t page =
-  let keys = t.side_keys in
-  let mask = Array.length keys - 1 in
-  let i = ref (side_home t page) in
-  while keys.(!i) <> page && keys.(!i) <> no_page do
-    i := (!i + 1) land mask
-  done;
-  if keys.(!i) = page then !i else -1
+(* The cells of [page], or [no_page]; fills the cache slot either way. *)
+let page_slow t page slot =
+  let pg = Option.value (Addr_map.find_opt page t.pages) ~default:no_page in
+  t.cache_key.(slot) <- page;
+  t.cache_pg.(slot) <- pg;
+  pg
 
-let rec side_set t page cell =
-  let keys = t.side_keys in
-  let mask = Array.length keys - 1 in
-  let i = ref (side_home t page) in
-  while keys.(!i) <> page && keys.(!i) <> no_page do
-    i := (!i + 1) land mask
-  done;
-  if keys.(!i) = page then t.side_vals.(!i) <- cell
-  else if 2 * (t.side_count + 1) > Array.length keys then begin
-    side_grow t;
-    side_set t page cell
-  end
+let[@inline] page_of t page =
+  let slot = slot_of page in
+  if t.cache_key.(slot) = page then t.cache_pg.(slot) else page_slow t page slot
+
+(* The cells of [page], created empty if absent. A page's cache slot is a
+   function of the page alone, so overwriting it here keeps a cached
+   absence from going stale. *)
+let page_for t page =
+  let pg = page_of t page in
+  if pg != no_page then pg
   else begin
-    keys.(!i) <- page;
-    t.side_vals.(!i) <- cell;
-    t.side_count <- t.side_count + 1
+    let pg = Array.make page_cells None in
+    t.pages <- Addr_map.add page pg t.pages;
+    t.cache_pg.(slot_of page) <- pg;
+    pg
   end
 
-and side_grow t =
-  let keys = t.side_keys and vals = t.side_vals in
-  let cap = 2 * Array.length keys in
-  t.side_keys <- Array.make cap no_page;
-  t.side_vals <- Array.make cap None;
-  t.side_shift <- t.side_shift - 1;
-  t.side_count <- 0;
-  Array.iteri (fun i k -> if k <> no_page then side_set t k vals.(i)) keys
+let first_granule o = o.addr asr granule_bits
+let last_granule o = (o.addr + max o.size 1 - 1) asr granule_bits
+let in_directory o = last_granule o - first_granule o < max_granules
 
-(* Empty slot [hole], then pull back every later entry of its probe run
-   that may legally sit there, so probes never stop early on a gap. *)
-let side_delete t hole =
-  let keys = t.side_keys and vals = t.side_vals in
-  let mask = Array.length keys - 1 in
-  let hole = ref hole and j = ref ((hole + 1) land mask) in
-  while keys.(!j) <> no_page do
-    let home = side_home t keys.(!j) in
-    if (!j - home) land mask >= (!j - !hole) land mask then begin
-      keys.(!hole) <- keys.(!j);
-      vals.(!hole) <- vals.(!j);
-      hole := !j
-    end;
-    j := (!j + 1) land mask
+(* Apply [f pg i] to the cell of every granule in [g0, g1]. *)
+let rec each_cell t g0 g1 f =
+  let pg = page_for t (g0 asr (page_bits - granule_bits)) in
+  let stop = min g1 (g0 lor (page_cells - 1)) in
+  for g = g0 to stop do
+    f pg (cell_of g)
   done;
-  keys.(!hole) <- no_page;
-  vals.(!hole) <- None;
-  t.side_count <- t.side_count - 1
-
-let side_first o = o.addr asr side_page_bits
-let side_last o = (o.addr + max o.size 1 - 1) asr side_page_bits
-let side_tracked o = side_last o - side_first o < side_cap_pages
-
-let ctx_log t ctx =
-  if ctx < 0 then invalid_arg "Heap_model: negative context id";
-  if ctx >= Array.length t.logs then begin
-    let logs = Array.make (max (2 * Array.length t.logs) (ctx + 1)) no_log in
-    Array.blit t.logs 0 logs 0 (Array.length t.logs);
-    t.logs <- logs
-  end;
-  let l = t.logs.(ctx) in
-  if l != no_log then l
-  else begin
-    (* Materialised on first ask, so the handle stays valid when the
-       context allocates later — [log_push] appends into it. *)
-    let l = { data = Array.make 16 0; len = 0 } in
-    t.logs.(ctx) <- l;
-    l
-  end
-
-let log_push t ctx seq =
-  let log = ctx_log t ctx in
-  if log.len = Array.length log.data then begin
-    let bigger = Array.make (2 * log.len) 0 in
-    Array.blit log.data 0 bigger 0 log.len;
-    log.data <- bigger
-  end;
-  log.data.(log.len) <- seq;
-  log.len <- log.len + 1
+  if stop < g1 then each_cell t (stop + 1) g1 f
 
 let on_alloc t ~addr ~size ~ctx =
-  let o = { oid = t.next_oid; addr; size; ctx; seq = t.next_seq } in
-  log_push t ctx o.seq;
-  t.next_oid <- t.next_oid + 1;
-  t.next_seq <- t.next_seq + 1;
+  if ctx < 0 then invalid_arg "Heap_model: negative context id";
+  if ctx >= Array.length t.last_of_ctx then begin
+    let a = Array.make (max (2 * Array.length t.last_of_ctx) (ctx + 1)) no_obj in
+    Array.blit t.last_of_ctx 0 a 0 (Array.length t.last_of_ctx);
+    t.last_of_ctx <- a
+  end;
+  let seq = t.next_seq in
+  let p = t.last_of_ctx.(ctx) in
+  let o = { oid = seq; addr; size; ctx; seq; prev = p.seq; next = max_int } in
+  if p != no_obj then p.next <- seq;
+  t.last_of_ctx.(ctx) <- o;
+  t.next_seq <- seq + 1;
   let cell = Some o in
   t.live <- Addr_map.add addr cell t.live;
-  if side_tracked o then
-    for p = side_first o to side_last o do
-      side_set t p cell
-    done;
+  if in_directory o then
+    each_cell t (first_granule o) (last_granule o) (fun pg i ->
+        if pg.(i) != None then t.shared <- true;
+        pg.(i) <- cell)
+  else t.large_live <- t.large_live + 1;
   o
 
 let on_free t ~addr =
@@ -173,49 +138,32 @@ let on_free t ~addr =
       let o = Option.get cell in
       t.live <- Addr_map.remove addr t.live;
       if t.last == cell then t.last <- None;
-      if side_tracked o then
-        for p = side_first o to side_last o do
-          let i = side_slot t p in
-          if i >= 0 && t.side_vals.(i) == cell then side_delete t i
-        done;
+      if in_directory o then
+        each_cell t (first_granule o) (last_granule o) (fun pg i ->
+            if pg.(i) == cell then pg.(i) <- None)
+      else t.large_live <- t.large_live - 1;
       cell
 
 let covers o addr = addr - o.addr >= 0 && addr - o.addr < max o.size 1
 
 let find_slow t addr =
   match Addr_map.find_last_opt (fun base -> base <= addr) t.live with
-  | Some (_, (Some o as cell)) when covers o addr -> cell
+  | Some (_, (Some o as cell)) when covers o addr ->
+      t.last <- cell;
+      cell
   | _ -> None
 
 let find t addr =
   match t.last with
   | Some o when covers o addr -> t.last
-  | _ ->
-      let i = side_slot t (addr asr side_page_bits) in
-      let r =
-        if i < 0 then find_slow t addr
-        else
-          match t.side_vals.(i) with
-          | Some o as cell when covers o addr -> cell
-          | _ -> find_slow t addr
-      in
-      (match r with Some _ -> t.last <- r | None -> ());
-      r
+  | _ -> (
+      let pg = page_of t (addr asr page_bits) in
+      let cell = if pg == no_page then None else pg.(cell_of (addr asr granule_bits)) in
+      match cell with
+      | Some o when covers o addr ->
+          t.last <- cell;
+          cell
+      | None when t.large_live = 0 && not t.shared -> None
+      | _ -> find_slow t addr)
 
 let live_count t = Addr_map.cardinal t.live
-let allocs_total t = t.next_seq
-
-let log_next log ~after =
-  (* First sequence number in [log] strictly greater than [after];
-     [max_int] if none yet. *)
-  let a = ref 0 and b = ref log.len in
-  while !a < !b do
-    let mid = (!a + !b) / 2 in
-    if log.data.(mid) <= after then a := mid + 1 else b := mid
-  done;
-  if !a < log.len then log.data.(!a) else max_int
-
-let log_allocs_in_range log ~lo ~hi = hi - lo > 1 && log_next log ~after:lo < hi
-
-let ctx_allocs_in_range t ~ctx ~lo ~hi =
-  ctx >= 0 && ctx < Array.length t.logs && log_allocs_in_range t.logs.(ctx) ~lo ~hi

@@ -4,15 +4,26 @@
     tracks live data at object granularity: every load/store is resolved to
     the heap object containing its target address, and every object knows
     the context it was allocated from and its position in allocation order
-    (its {e sequence number}), which the affinity queue's co-allocatability
-    constraint consults. *)
+    (its {e sequence number}). Each object also links to its context's
+    previous and next allocation, which is all the affinity queue's
+    co-allocatability constraint consults.
 
-type obj = {
+    [find] resolves an address through a one-entry cache and a directory of
+    16-byte granules (one entry per granule an object up to 4 KiB touches)
+    before the ordered map of live objects; a granule no object touches
+    answers "none" without the map while no larger object is live and no
+    two objects have shared a granule. *)
+
+type obj = private {
   oid : int;  (** Unique per tracked allocation (never reused). *)
   addr : Addr.t;
   size : int;  (** Requested bytes. *)
   ctx : Context.id;
   seq : int;  (** Position in allocation order, 0-based, across contexts. *)
+  prev : int;  (** [ctx]'s previous allocation's [seq], or -1 if none. *)
+  mutable next : int;
+      (** [ctx]'s next allocation's [seq], [max_int] until it exists: set
+          by the [on_alloc] that makes it. *)
 }
 
 type t
@@ -20,14 +31,15 @@ type t
 val create : unit -> t
 
 val on_alloc : t -> addr:Addr.t -> size:int -> ctx:Context.id -> obj
-(** Track a new allocation. The sequence number advances even for
-    allocations a caller later decides not to model, so chronology matches
-    the program's real allocation order. Context ids are dense
-    ({!Context.intern}); a negative one raises [Invalid_argument]. *)
+(** Track a new allocation and link it after [ctx]'s previous one. Context
+    ids are dense ({!Context.intern}); a negative one raises
+    [Invalid_argument] before anything is changed. Live objects must not
+    overlap, as under any real allocator. *)
 
 val on_free : t -> addr:Addr.t -> obj option
 (** Stop tracking the object based at [addr]; [None] if the address is not
-    a tracked object's base (e.g. it was never tracked). *)
+    a tracked object's base (e.g. it was never tracked). Its links stay:
+    chronology is immutable. *)
 
 val find : t -> Addr.t -> obj option
 (** The live tracked object whose [addr, addr+size) interval contains the
@@ -35,29 +47,3 @@ val find : t -> Addr.t -> obj option
     a hit returns the object's one [Some] cell. *)
 
 val live_count : t -> int
-val allocs_total : t -> int
-
-val ctx_allocs_in_range : t -> ctx:Context.id -> lo:int -> hi:int -> bool
-(** Whether any allocation from [ctx] has a sequence number strictly
-    between [lo] and [hi] — the co-allocatability test's primitive. Counts
-    all allocations ever made (freed or not): chronology is immutable. *)
-
-type log
-(** A context's allocation-sequence log. A live handle: it reflects
-    allocations made after it was obtained. *)
-
-val ctx_log : t -> Context.id -> log
-(** The log for [ctx] (created empty if the context has not allocated
-    yet): an index into a dense per-context array. The affinity queue
-    reads it only when its successor memo misses. Raises
-    [Invalid_argument] on a negative context id. *)
-
-val log_allocs_in_range : log -> lo:int -> hi:int -> bool
-(** [ctx_allocs_in_range] on a pre-resolved log: a pure binary search,
-    no table lookup. *)
-
-val log_next : log -> after:int -> int
-(** The smallest sequence number in the log strictly greater than
-    [after], or [max_int] if the context has not allocated past [after]
-    {e yet} — logs are append-only, so a finite answer is final but
-    [max_int] can later become finite. *)

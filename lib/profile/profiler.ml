@@ -31,6 +31,10 @@ let depth_sample = 64
 let series_sample = 4096
 
 let profile ?obs ?(config = default_config) program =
+  if config.sample_period < 1 then
+    invalid_arg "Profiler.profile: sample_period must be >= 1";
+  if config.affinity_distance <= 0 then
+    invalid_arg "Profiler.profile: affinity_distance must be positive";
   (* One count per full-instrumentation run: the plan cache's "a warmed
      cache re-profiles nothing" guarantee is asserted against it. *)
   Obs.count obs "profile.runs" 1;
@@ -44,8 +48,6 @@ let profile ?obs ?(config = default_config) program =
       ~on_affinity:(fun x y -> Affinity_graph.add_affinity graph x y)
       ()
   in
-  if config.sample_period < 1 then
-    invalid_arg "Profiler.profile: sample_period must be >= 1";
   let tracked_allocs = ref 0 in
   let tick = ref 0 in
   (* The interpreter serves context arrays from a per-stack-node cache,

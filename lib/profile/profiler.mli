@@ -49,4 +49,6 @@ val profile : ?obs:Obs.t -> ?config:config -> Ir.program -> result
     accesses) plus a trace series point every 4096; omitted, the profiling
     hooks are the uninstrumented seed hooks. Every invocation bumps the
     [profile.runs] counter (when [obs] is given) — the plan cache's
-    zero-reprofiling guarantee is asserted against it. *)
+    zero-reprofiling guarantee is asserted against it. Raises
+    [Invalid_argument] when [sample_period < 1] or [affinity_distance <= 0],
+    before it counts the run or builds anything. *)

@@ -74,22 +74,8 @@ let heap_addr_reuse_new_identity () =
   checki "resolves to new owner" b.Heap_model.oid
     (Option.get (Heap_model.find h 0x104)).Heap_model.oid
 
-let heap_ctx_allocs_in_range () =
-  let h = Heap_model.create () in
-  (* ctx 0 at seqs 0, 2, 4; ctx 1 at seqs 1, 3 *)
-  for k = 0 to 4 do
-    ignore (Heap_model.on_alloc h ~addr:(0x1000 + (k * 16)) ~size:8 ~ctx:(k mod 2))
-  done;
-  checkb "ctx0 in (0,4)" true (Heap_model.ctx_allocs_in_range h ~ctx:0 ~lo:0 ~hi:4);
-  checkb "ctx0 in (0,2) is empty" false
-    (Heap_model.ctx_allocs_in_range h ~ctx:0 ~lo:0 ~hi:2);
-  checkb "ctx1 in (1,3) is empty" false
-    (Heap_model.ctx_allocs_in_range h ~ctx:1 ~lo:1 ~hi:3);
-  checkb "ctx1 in (0,3)" true (Heap_model.ctx_allocs_in_range h ~ctx:1 ~lo:0 ~hi:3);
-  checkb "unknown ctx" false (Heap_model.ctx_allocs_in_range h ~ctx:9 ~lo:0 ~hi:100)
-
 let heap_find_fast_paths_stay_coherent () =
-  (* Hammer the last-hit cache and page side table: interleaved lookups
+  (* Hammer the last-hit cache and granule directory: interleaved lookups
      across neighbouring objects, then a free, must never serve a stale
      object. *)
   let h = Heap_model.create () in
@@ -111,28 +97,38 @@ let heap_find_fast_paths_stay_coherent () =
   ignore (Heap_model.on_free h ~addr:0x9000);
   checkb "big freed" true (Heap_model.find h 0xA123 = None)
 
-let heap_log_queries_match_table_queries () =
+let heap_context_links () =
   let h = Heap_model.create () in
-  for k = 0 to 9 do
-    ignore (Heap_model.on_alloc h ~addr:(0x1000 + (k * 16)) ~size:8 ~ctx:(k mod 3))
-  done;
-  let log0 = Heap_model.ctx_log h 0 in
-  for lo = -1 to 10 do
-    for hi = lo to 10 do
-      checkb
-        (Printf.sprintf "(%d,%d)" lo hi)
-        (Heap_model.ctx_allocs_in_range h ~ctx:0 ~lo ~hi)
-        (Heap_model.log_allocs_in_range log0 ~lo ~hi)
-    done
-  done;
-  (* log_next: ctx 0 allocated at seqs 0, 3, 6, 9 *)
-  checki "next after -1" 0 (Heap_model.log_next log0 ~after:(-1));
-  checki "next after 0" 3 (Heap_model.log_next log0 ~after:0);
-  checki "next after 5" 6 (Heap_model.log_next log0 ~after:5);
-  checki "next after 9" max_int (Heap_model.log_next log0 ~after:9);
-  (* The handle is live: later allocations appear. *)
-  ignore (Heap_model.on_alloc h ~addr:0x2000 ~size:8 ~ctx:0);
-  checki "next after 9 now" 10 (Heap_model.log_next log0 ~after:9)
+  (* ctx 0 at seqs 0, 3, 6, 9; ctxs 1 and 2 in between *)
+  let objs =
+    Array.init 10 (fun k -> Heap_model.on_alloc h ~addr:(0x1000 + (k * 16)) ~size:8 ~ctx:(k mod 3))
+  in
+  let link k = (objs.(k).Heap_model.prev, objs.(k).Heap_model.next) in
+  let pair = Alcotest.(pair int int) in
+  Alcotest.check pair "seq 0" (-1, 3) (link 0);
+  Alcotest.check pair "seq 3" (0, 6) (link 3);
+  Alcotest.check pair "seq 6" (3, 9) (link 6);
+  Alcotest.check pair "seq 9" (6, max_int) (link 9);
+  Alcotest.check pair "ctx 1 at seq 1" (-1, 4) (link 1);
+  (* Links outlive a free: chronology is immutable. *)
+  ignore (Heap_model.on_free h ~addr:0x1030 : Heap_model.obj option);
+  let o10 = Heap_model.on_alloc h ~addr:0x2000 ~size:8 ~ctx:0 in
+  Alcotest.check pair "seq 9 once ctx 0 allocates again" (6, 10) (link 9);
+  Alcotest.check pair "seq 10" (9, max_int) (o10.Heap_model.prev, o10.Heap_model.next)
+
+let heap_negative_context_changes_nothing () =
+  let h = Heap_model.create () in
+  let a = Heap_model.on_alloc h ~addr:0x1000 ~size:8 ~ctx:0 in
+  checkb "negative context raises" true
+    (try
+       ignore (Heap_model.on_alloc h ~addr:0x2000 ~size:8 ~ctx:(-1) : Heap_model.obj);
+       false
+     with Invalid_argument _ -> true);
+  checkb "nothing tracked" true (Heap_model.find h 0x2000 = None);
+  checki "live" 1 (Heap_model.live_count h);
+  let b = Heap_model.on_alloc h ~addr:0x2000 ~size:8 ~ctx:0 in
+  checki "no seq consumed" 1 b.Heap_model.seq;
+  checki "ctx 0 linked past the rejected call" b.Heap_model.seq a.Heap_model.next
 
 (* ---------------- Affinity_queue ---------------- *)
 
@@ -383,6 +379,20 @@ let profiler_ignores_large_objects () =
   checki "nothing tracked" 0 r.Profiler.tracked_allocs;
   checki "no accesses attributed" 0 r.Profiler.total_accesses
 
+let profiler_rejects_bad_config_first () =
+  let obs = Obs.create () in
+  let rejected config =
+    try
+      ignore (Profiler.profile ~obs ~config (profiled_pair_program ()) : Profiler.result);
+      false
+    with Invalid_argument _ -> true
+  in
+  let c = Profiler.default_config in
+  checkb "sample_period 0" true (rejected { c with Profiler.sample_period = 0 });
+  checkb "affinity_distance 0" true (rejected { c with Profiler.affinity_distance = 0 });
+  checki "no run counted" 0
+    (Metrics.counter_value (Metrics.counter (Obs.metrics obs) "profile.runs"))
+
 let profiler_deterministic () =
   let p1 = Profiler.profile (profiled_pair_program ()) in
   let p2 = Profiler.profile (profiled_pair_program ()) in
@@ -469,9 +479,9 @@ let suite =
     tc "heap: free untracks" heap_free_untracks;
     tc "heap: sequence numbers monotone" heap_seq_monotone;
     tc "heap: address reuse gets fresh identity" heap_addr_reuse_new_identity;
-    tc "heap: ctx_allocs_in_range" heap_ctx_allocs_in_range;
     tc "heap: find fast paths stay coherent" heap_find_fast_paths_stay_coherent;
-    tc "heap: log queries match table queries" heap_log_queries_match_table_queries;
+    tc "heap: context links" heap_context_links;
+    tc "heap: negative context changes nothing" heap_negative_context_changes_nothing;
     tc "queue: Figure 5 example" queue_figure5;
     tc "queue: deduplication constraint" queue_dedup_constraint;
     tc "queue: no self-affinity" queue_no_self_affinity;
@@ -490,6 +500,7 @@ let suite =
     tc "profiler: finds cross-context affinity" profiler_finds_affinity;
     tc "profiler: ignores objects over 4KiB" profiler_ignores_large_objects;
     tc "profiler: deterministic" profiler_deterministic;
+    tc "profiler: bad config rejected before any work" profiler_rejects_bad_config_first;
   ]
   @ [ QCheck_alcotest.to_alcotest prop_queue_window ]
   @ List.map
