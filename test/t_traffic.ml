@@ -346,6 +346,15 @@ let mix_executor_deterministic () =
     (Json.to_string (Traffic_mix.report_to_json a))
     (Json.to_string (Traffic_mix.report_to_json b))
 
+(* Recorded before the cache simulator could run on a helper domain: the
+   shared-heap execution, per-job miss deltas included, must not move
+   with where the hierarchy runs. *)
+let mix_golden_digest = "004b840a0d85c7c8"
+
+let mix_exec_digest_pinned () =
+  let r = Traffic_mix.run ~config:(mix_config 2) ~seed:3 (mix_sched 1.0) in
+  checks "exec digest" mix_golden_digest r.Traffic_mix.exec_digest
+
 let mix_reprofiling_recovers_coverage () =
   (* Under heavy drift the stale plan's covered set points at yesterday's
      traffic; re-planning on a cadence must recover coverage. *)
@@ -407,6 +416,7 @@ let suite =
     tc "drifting: rotation is error-diffused" drifting_rotation_is_error_diffused;
     tc "mix: executor invariants" mix_executor_invariants;
     tc "mix: execution digest reproducible" mix_executor_deterministic;
+    tc "mix: execution digest pinned" mix_exec_digest_pinned;
     tc "mix: re-profiling recovers coverage under drift" mix_reprofiling_recovers_coverage;
     tc "study: byte-identical across --jobs" study_jobs_invariant;
   ]
