@@ -164,7 +164,7 @@ type counters = {
 }
 
 (* Miss-stream sampling state; [None] when observability is disabled. *)
-type hobs = { o : Obs.t option; sample_every : int; mutable until_sample : int }
+type hobs = { mutable o : Obs.t option; sample_every : int; mutable until_sample : int }
 
 type t = {
   cfg : config;
@@ -277,3 +277,228 @@ let pp_counters ppf (c : counters) =
   Format.fprintf ppf
     "accesses=%d l1_miss=%d l2_miss=%d l3_miss=%d tlb_miss=%d prefetch=%d"
     c.accesses c.l1_misses c.l2_misses c.l3_misses c.tlb_misses c.prefetches
+
+module Stream = struct
+  type hierarchy = t
+
+  let chunk_pairs = 4096
+  let chunk_words = 2 * chunk_pairs
+  let ring_chunks = 8
+  let ring_words = ring_chunks * chunk_words
+
+  (* Polls of the other side's counter before a wait blocks on the
+     condition; [Domain.cpu_relax] is a pause instruction, so this is tens
+     of microseconds, about one chunk's simulation. *)
+  let spin_polls = 2048
+
+  (* The producer's word index into [buf] sits alone in the middle of a
+     padded array: it is written on every push, so no line the helper
+     reads may hold it (a record field next to the published count made
+     the stream slower than the inline walk). OCaml 5.1 has no
+     [Atomic.make_contended]; 8 words on each side keep the cell's line
+     inside this block. *)
+  let pos = 8
+  let pad_words = 17
+
+  type helper = {
+    hier : hierarchy;
+    buf : int array; (* [ring_chunks] chunks of [chunk_pairs] (addr, size) *)
+    lens : int array; (* words in each published chunk *)
+    prod : int array; (* producer-private: [prod.(pos)] *)
+    published : int Atomic.t; (* chunks handed over, ever *)
+    consumed : int Atomic.t; (* chunks simulated (or skipped after a failure) *)
+    stop : bool Atomic.t;
+    producer_asleep : bool Atomic.t;
+    consumer_asleep : bool Atomic.t;
+    lock : Mutex.t;
+    wake : Condition.t;
+    lane : int;
+    parent_obs : Obs.t option;
+    helper_obs : Obs.t option;
+    (* Written by the helper, read after the join. *)
+    mutable failure : (exn * Printexc.raw_backtrace) option;
+    mutable idle_s : float;
+    (* Written by the producer only, once per wait. *)
+    mutable wait_s : float;
+    mutable domain : unit Domain.t option;
+  }
+
+  type t = Direct of hierarchy | Helper of helper
+
+  (* The chunk walk, in this unit so [access] is a direct call. *)
+  let walk h (buf : int array) off len =
+    let i = ref off in
+    let stop = off + len in
+    while !i < stop do
+      access h (Array.unsafe_get buf !i) (Array.unsafe_get buf (!i + 1));
+      i := !i + 2
+    done
+
+  let notify hs =
+    Mutex.lock hs.lock;
+    Condition.broadcast hs.wake;
+    Mutex.unlock hs.lock
+
+  (* Wait until [ready ()], spinning first, then asleep on [wake] with
+     [asleep] set so the other side knows to signal. Returns the seconds
+     waited. Each side sets its flag before re-reading the other's counter
+     and publishes its counter before reading the other's flag, so with
+     sequentially consistent atomics no wake-up is lost. *)
+  let wait hs asleep ready =
+    if ready () then 0.0
+    else begin
+      let t0 = Obs_clock.now () in
+      let polls = ref spin_polls in
+      while !polls > 0 && not (ready ()) do
+        Domain.cpu_relax ();
+        decr polls
+      done;
+      if not (ready ()) then begin
+        Mutex.lock hs.lock;
+        Atomic.set asleep true;
+        while not (ready ()) do
+          Condition.wait hs.wake hs.lock
+        done;
+        Atomic.set asleep false;
+        Mutex.unlock hs.lock
+      end;
+      Obs_clock.now () -. t0
+    end
+
+  let consume hs =
+    let rec loop n =
+      let ready () = Atomic.get hs.published > n || Atomic.get hs.stop in
+      let idle = wait hs hs.consumer_asleep ready in
+      hs.idle_s <- hs.idle_s +. idle;
+      if Atomic.get hs.published > n && not (Atomic.get hs.stop) then begin
+        let slot = n land (ring_chunks - 1) in
+        (if Option.is_none hs.failure then
+           try walk hs.hier hs.buf (slot * chunk_words) hs.lens.(slot)
+           with e -> hs.failure <- Some (e, Printexc.get_raw_backtrace ()));
+        Atomic.set hs.consumed (n + 1);
+        if Atomic.get hs.producer_asleep then notify hs;
+        loop (n + 1)
+      end
+    in
+    loop 0
+
+  (* Hand the current chunk, [len] words from [start], to the helper, and
+     move to the next slot once the helper is done with its old chunk. *)
+  let publish hs start len =
+    let n = Atomic.get hs.published in
+    hs.lens.(n land (ring_chunks - 1)) <- len;
+    Atomic.set hs.published (n + 1);
+    if Atomic.get hs.consumer_asleep then notify hs;
+    let next = start + chunk_words in
+    Array.unsafe_set hs.prod pos (if next = ring_words then 0 else next);
+    let room () = n + 1 - Atomic.get hs.consumed < ring_chunks in
+    hs.wait_s <- hs.wait_s +. wait hs hs.producer_asleep room
+
+  let[@inline] push_helper hs addr size =
+    if size <= 0 then invalid_arg "Hierarchy.access: non-positive size";
+    if addr > max_int - (size - 1) then
+      invalid_arg "Hierarchy.access: access wraps past max_int";
+    let prod = hs.prod and buf = hs.buf in
+    let i = Array.unsafe_get prod pos in
+    Array.unsafe_set buf i addr;
+    Array.unsafe_set buf (i + 1) size;
+    let i = i + 2 in
+    Array.unsafe_set prod pos i;
+    if i land (chunk_words - 1) = 0 then publish hs (i - chunk_words) chunk_words
+
+  let push s addr size =
+    match s with Direct h -> access h addr size | Helper hs -> push_helper hs addr size
+
+  let hook = function
+    | Direct h -> fun addr size _write -> access h addr size
+    | Helper hs -> fun addr size _write -> push_helper hs addr size
+
+  let helper = function Direct _ -> false | Helper _ -> true
+
+  let start_helper h lane =
+    let parent_obs = Option.bind h.obs (fun ho -> ho.o) in
+    let helper_obs = Option.map (fun o -> Obs.child o ~track:lane) parent_obs in
+    let hs =
+      {
+        hier = h;
+        buf = Array.make ring_words 0;
+        lens = Array.make ring_chunks 0;
+        prod = Array.make pad_words 0;
+        published = Atomic.make 0;
+        consumed = Atomic.make 0;
+        stop = Atomic.make false;
+        producer_asleep = Atomic.make false;
+        consumer_asleep = Atomic.make false;
+        lock = Mutex.create ();
+        wake = Condition.create ();
+        lane;
+        parent_obs;
+        helper_obs;
+        failure = None;
+        idle_s = 0.0;
+        wait_s = 0.0;
+        domain = None;
+      }
+    in
+    (* The helper emits the sampled miss streams into its own context. *)
+    Option.iter (fun ho -> ho.o <- helper_obs) h.obs;
+    match Domain.spawn (fun () -> consume hs) with
+    | d ->
+        hs.domain <- Some d;
+        Helper hs
+    | exception e ->
+        Option.iter (fun ho -> ho.o <- parent_obs) h.obs;
+        Par.release 1;
+        raise e
+
+  let create ?helper h =
+    match helper with
+    | Some false -> Direct h
+    | Some true -> start_helper h (Par.reserve 1)
+    | None -> (
+        match Par.claim_spare () with
+        | None -> Direct h
+        | Some lane -> start_helper h lane)
+
+  let drain = function
+    | Direct _ -> ()
+    | Helper hs ->
+        let i = Array.unsafe_get hs.prod pos in
+        let start = i land lnot (chunk_words - 1) in
+        if i > start then publish hs start (i - start);
+        let n = Atomic.get hs.published in
+        hs.wait_s <- hs.wait_s +. wait hs hs.producer_asleep (fun () -> Atomic.get hs.consumed >= n);
+        (match hs.failure with
+        | None -> ()
+        | Some (e, bt) ->
+            hs.failure <- None;
+            Printexc.raise_with_backtrace e bt)
+
+  let close = function
+    | Direct _ -> ()
+    | Helper hs -> (
+        match hs.domain with
+        | None -> ()
+        | Some d ->
+            hs.domain <- None;
+            Atomic.set hs.stop true;
+            notify hs;
+            Domain.join d;
+            Par.release 1;
+            Option.iter (fun ho -> ho.o <- hs.parent_obs) hs.hier.obs;
+            Option.iter
+              (fun parent ->
+                Option.iter
+                  (fun child ->
+                    Metrics.merge ~into:(Obs.metrics parent) (Obs.metrics child);
+                    Obs.adopt parent ~from:child)
+                  hs.helper_obs;
+                let po = Some parent in
+                Obs.observe po "cache.stream.producer_wait_s" hs.wait_s;
+                Obs.observe po "cache.stream.consumer_idle_s" hs.idle_s)
+              hs.parent_obs)
+
+  let run ?helper h f =
+    let s = create ?helper h in
+    Fun.protect ~finally:(fun () -> close s) (fun () -> f s)
+end

@@ -121,3 +121,66 @@ val reset_counters : t -> unit
 val config : t -> config
 
 val pp_counters : Format.formatter -> counters -> unit
+
+(** Feed a hierarchy from another domain.
+
+    The hierarchy only consumes the access stream: nothing it computes
+    flows back into the program. A stream lets the interpreter hand its
+    accesses to a helper domain that runs {!access} on a spare core, while
+    the calling domain keeps interpreting. Pushed accesses sit in a ring
+    of 8 chunks of {!chunk_pairs} [(addr, size)] pairs; each full chunk is
+    handed over as a whole and simulated in push order, so the counters
+    after a {!drain} are those the same {!access} calls would give.
+
+    Whether a stream gets a helper is decided once, by {!create}, from
+    {!Par}'s core budget. Without one, {!hook} is the direct
+    [Hierarchy.access] closure and {!drain} does nothing. An idle helper
+    polls for tens of microseconds, then sleeps on a condition variable;
+    a producer that finds the ring full or drains does the same. *)
+module Stream : sig
+  type hierarchy := t
+  type t
+
+  val chunk_pairs : int
+  (** Accesses per chunk (4096). *)
+
+  val create : ?helper:bool -> hierarchy -> t
+  (** [create h] claims a spare core ({!Par.claim_spare}) and, if it gets
+      one, spawns a helper that owns [h] until {!close}: until then read
+      [h]'s counters only after a {!drain}, and call nothing else on it.
+      [~helper:true] spawns one whether or not a core is spare (holding
+      one in the budget all the same); [~helper:false] never does.
+      If [h] was created with [obs], the helper emits its sampled
+      [cache.*] miss streams into an {!Obs.child} on its own track, which
+      {!close} folds back into that context. *)
+
+  val helper : t -> bool
+  (** Whether a helper domain runs the hierarchy. *)
+
+  val push : t -> Addr.t -> int -> unit
+  (** [push s addr size] is {!access} [h addr size], perhaps later and on
+      the helper. It raises {!access}'s [Invalid_argument] for
+      [size <= 0] or an access wrapping past [max_int] before anything
+      is queued. *)
+
+  val hook : t -> Addr.t -> int -> bool -> unit
+  (** {!push} as an interpreter [on_access] hook (the write flag is
+      ignored). *)
+
+  val drain : t -> unit
+  (** Return once every pushed access has been simulated. Re-raises, with
+      its backtrace, an exception the helper caught since the last drain
+      (the helper skips the rest of the stream until then). *)
+
+  val close : t -> unit
+  (** Stop and join the helper, return its core to the budget, and with
+      [obs] merge the helper's registry into [h]'s context, adopt its
+      events, and observe the seconds the producer spent waiting
+      ([cache.stream.producer_wait_s]) and the helper spent idle
+      ([cache.stream.consumer_idle_s]). Accesses pushed since the last
+      {!drain} are dropped. Idempotent; never raises for the stream's
+      own sake. *)
+
+  val run : ?helper:bool -> hierarchy -> (t -> 'a) -> 'a
+  (** [run h f] is [f] on a fresh stream, closed however [f] returns. *)
+end

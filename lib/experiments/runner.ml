@@ -52,31 +52,37 @@ type measurement = {
 let measure ?obs ~w ~kind ~seed ~alloc ~patches ?env ~halo ~hds () =
   let program = w.Workload.make Workload.Ref in
   let hier = Hierarchy.create ?obs () in
-  let hooks =
-    {
-      Interp.no_hooks with
-      Interp.on_access = (fun addr size _write -> Hierarchy.access hier addr size);
-    }
+  (* The hierarchy runs on a helper domain when a core is spare. *)
+  let interp =
+    Hierarchy.Stream.run hier (fun stream ->
+        let hooks =
+          { Interp.no_hooks with Interp.on_access = Hierarchy.Stream.hook stream }
+        in
+        let interp =
+          Interp.create ~seed ~hooks ~patches ?env ?obs ~program ~alloc ()
+        in
+        Obs.span obs "measurement"
+          ~attrs:[ ("stage", Json.String "measurement") ]
+          ~instructions:(fun () -> Interp.instructions interp)
+          (fun () ->
+            ignore (Interp.run interp : int);
+            Hierarchy.Stream.drain stream;
+            let c = Hierarchy.counters hier in
+            Obs.add_attrs obs
+              [
+                ("accesses", Json.Int c.Hierarchy.accesses);
+                ("l1_misses", Json.Int c.Hierarchy.l1_misses);
+              ];
+            (* Final cumulative counters, so the registry summary carries
+               the hierarchy's end state alongside the sampled miss
+               streams. *)
+            Obs.count obs "cache.accesses" c.Hierarchy.accesses;
+            Obs.count obs "cache.l1.misses" c.Hierarchy.l1_misses;
+            Obs.count obs "cache.l2.misses" c.Hierarchy.l2_misses;
+            Obs.count obs "cache.l3.misses" c.Hierarchy.l3_misses;
+            Obs.count obs "cache.tlb.misses" c.Hierarchy.tlb_misses);
+        interp)
   in
-  let interp = Interp.create ~seed ~hooks ~patches ?env ?obs ~program ~alloc () in
-  Obs.span obs "measurement"
-    ~attrs:[ ("stage", Json.String "measurement") ]
-    ~instructions:(fun () -> Interp.instructions interp)
-    (fun () ->
-      ignore (Interp.run interp : int);
-      let c = Hierarchy.counters hier in
-      Obs.add_attrs obs
-        [
-          ("accesses", Json.Int c.Hierarchy.accesses);
-          ("l1_misses", Json.Int c.Hierarchy.l1_misses);
-        ];
-      (* Final cumulative counters, so the registry summary carries the
-         hierarchy's end state alongside the sampled miss streams. *)
-      Obs.count obs "cache.accesses" c.Hierarchy.accesses;
-      Obs.count obs "cache.l1.misses" c.Hierarchy.l1_misses;
-      Obs.count obs "cache.l2.misses" c.Hierarchy.l2_misses;
-      Obs.count obs "cache.l3.misses" c.Hierarchy.l3_misses;
-      Obs.count obs "cache.tlb.misses" c.Hierarchy.tlb_misses);
   let counters = Hierarchy.counters hier in
   let instructions = Interp.instructions interp in
   let model = Timing.skylake_sp in

@@ -28,12 +28,23 @@ type target = Channel of out_channel | Buffer of Buffer.t
 
 type sink = { target : target; mutable named_tracks : int list }
 
+(* A counter event a {!child} keeps until {!adopt}; [ts] on its timeline. *)
+type held = {
+  h_name : string;
+  h_track : int;
+  h_ts : float;
+  h_value : float;
+  h_attrs : (string * Json.t) list;
+}
+
 type t = {
   metrics : Metrics.registry;
   sink : sink option;
   clock : unit -> float;
   epoch : float;
   track : int;
+  hold : bool; (* keep events for a parent's trace: see [child] *)
+  mutable held : held list; (* most recent first *)
   mutable stack : (span * Gc.stat) list; (* innermost open span first *)
   mutable recorded : span list; (* every span, most recently started first *)
   mutable next_id : int;
@@ -137,6 +148,22 @@ let create ?(clock = Obs_clock.now) ?epoch ?(track = 0) ?trace () =
     clock;
     epoch;
     track;
+    hold = false;
+    held = [];
+    stack = [];
+    recorded = [];
+    next_id = 0;
+  }
+
+let child parent ~track =
+  {
+    metrics = Metrics.create ();
+    sink = None;
+    clock = parent.clock;
+    epoch = parent.epoch;
+    track;
+    hold = parent.hold || Option.is_some parent.sink;
+    held = [];
     stack = [];
     recorded = [];
     next_id = 0;
@@ -251,23 +278,35 @@ let observe obs name v =
   | None -> ()
   | Some t -> Metrics.observe (Metrics.histogram t.metrics name) v
 
+let emit_event s h =
+  name_track s h.h_track;
+  put_event s
+    (Json.Obj
+       [
+         ("name", Json.String h.h_name);
+         ("cat", Json.String "halo");
+         ("ph", Json.String "C");
+         ("pid", Json.Int 0);
+         ("tid", Json.Int h.h_track);
+         ("ts", us h.h_ts);
+         ("args", Json.Obj (("value", float_json h.h_value) :: h.h_attrs));
+       ])
+
 let event obs ~name ?(attrs = []) v =
   match obs with
   | None -> ()
-  | Some { sink = None; _ } -> ()
-  | Some ({ sink = Some s; _ } as t) ->
-      name_track s t.track;
-      put_event s
-        (Json.Obj
-           [
-             ("name", Json.String name);
-             ("cat", Json.String "halo");
-             ("ph", Json.String "C");
-             ("pid", Json.Int 0);
-             ("tid", Json.Int t.track);
-             ("ts", us (t.clock () -. t.epoch));
-             ("args", Json.Obj (("value", float_json v) :: attrs));
-           ])
+  | Some { sink = None; hold = false; _ } -> ()
+  | Some t -> (
+      let h =
+        {
+          h_name = name;
+          h_track = t.track;
+          h_ts = t.clock () -. t.epoch;
+          h_value = v;
+          h_attrs = attrs;
+        }
+      in
+      match t.sink with Some s -> emit_event s h | None -> t.held <- h :: t.held)
 
 let spans t = List.rev t.recorded
 
@@ -294,7 +333,15 @@ let adopt t ~from =
     (fun sp ->
       t.recorded <- sp :: t.recorded;
       Option.iter (fun s -> emit_span s sp) t.sink)
-    adopted
+    adopted;
+  List.iter
+    (fun h ->
+      let h = { h with h_ts = h.h_ts +. shift } in
+      match t.sink with
+      | Some s -> emit_event s h
+      | None -> if t.hold then t.held <- h :: t.held)
+    (List.rev from.held);
+  from.held <- []
 
 let finish t =
   (match t.stack with

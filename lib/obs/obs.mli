@@ -51,6 +51,15 @@ val create :
     after {!finish}). Without it, spans and metrics are still recorded in
     memory (for {!span_tree_string} etc.) but no event is built. *)
 
+val child : t -> track:int -> t
+(** [child parent ~track] is a context for work on another domain, as
+    {!Par}'s workers have: [parent]'s clock (so it must be domain-safe,
+    as the default is) and epoch, its own registry and spans, on
+    [track]. When [parent] streams a trace (or is itself such a child),
+    the child keeps its {!event}s in memory and {!adopt} writes them
+    there, so a helper's series reach the parent's trace on the helper's
+    track. *)
+
 val enabled : t option -> bool
 val metrics : t -> Metrics.registry
 
@@ -146,7 +155,8 @@ val adopt : t -> from:t -> unit
     (and parent ids) are offset so they stay unique within [t], track ids
     are kept, and timestamps are rebased from [from]'s epoch onto [t]'s —
     the adopted spans then appear in {!spans}, the span tree, and the
-    trace, and are written to [t]'s trace if it has one. Metrics are
+    trace, and are written to [t]'s trace if it has one, followed by the
+    events a {!child} kept (which [from] then forgets). Metrics are
     {e not} merged (that is {!Metrics.merge}'s job — keep the two
     concerns separable for fleet-style aggregation). Raises
     [Invalid_argument] if [from] still has open spans. *)

@@ -1,5 +1,20 @@
 let default_jobs () = Domain.recommended_domain_count ()
 
+(* The process-wide core budget: cores held by live pool workers and
+   cache-simulator helpers, against [recommended_domain_count ()] less the
+   calling domain's own. *)
+let reserved = Atomic.make 0
+
+let spare_cores () = default_jobs () - 1 - Atomic.get reserved
+let reserve n = Atomic.fetch_and_add reserved n + 1
+let release n = ignore (Atomic.fetch_and_add reserved (-n) : int)
+
+let rec claim_spare () =
+  let r = Atomic.get reserved in
+  if default_jobs () - 1 - r < 1 then None
+  else if Atomic.compare_and_set reserved r (r + 1) then Some (r + 1)
+  else claim_spare ()
+
 (* All pool timing reads the process-wide monotonic clock, so per-worker
    busy/queue-wait numbers and span timestamps share one timeline. *)
 let now = Obs_clock.now
@@ -99,10 +114,12 @@ let create ?obs ?(name = "par") ~jobs () =
       p_workers = workers;
     }
   in
-  if not p.p_sequential then
+  if not p.p_sequential then begin
+    ignore (reserve jobs : int);
     Array.iter
       (fun w -> w.w_domain <- Some (Domain.spawn (fun () -> worker_loop p w)))
-      workers;
+      workers
+  end;
   p
 
 let submit p f =
@@ -156,7 +173,8 @@ let shutdown p =
       p.p_closed <- true;
       Condition.broadcast p.p_work;
       Mutex.unlock p.p_mutex;
-      Array.iter (fun w -> Option.iter Domain.join w.w_domain) p.p_workers
+      Array.iter (fun w -> Option.iter Domain.join w.w_domain) p.p_workers;
+      release (Array.length p.p_workers)
     end;
     match p.p_obs with
     | None -> ()

@@ -34,12 +34,39 @@ val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the cap applied when a caller
     does not pin a worker count. *)
 
+(** {1 Core budget}
+
+    One process-wide count of the cores held by helper domains: every
+    live pool of [jobs > 1] holds [jobs] from {!create} to {!shutdown},
+    and a cache-simulator stream ({!Hierarchy.Stream}) holds one while
+    its helper runs. The calling domain always holds one of its own.
+    Pools are never refused; the budget only tells an optional helper
+    whether a core is free for it. *)
+
+val spare_cores : unit -> int
+(** [default_jobs () - 1 - reserved]: the cores no domain holds. Zero or
+    negative when pools (or helpers) cover the machine. *)
+
+val claim_spare : unit -> int option
+(** Reserve one core if {!spare_cores} is at least 1. [Some lane] is the
+    claim's position among the held cores (1-based), which a helper uses
+    as its trace track; [None] leaves the budget unchanged. *)
+
+val reserve : int -> int
+(** [reserve n] holds [n] more cores whether or not they are spare and
+    returns the first one's lane. *)
+
+val release : int -> unit
+(** [release n] returns [n] cores taken by {!claim_spare} or {!reserve}. *)
+
 (** {1 Pools and futures} *)
 
 type pool
 
 val create : ?obs:Obs.t -> ?name:string -> jobs:int -> unit -> pool
-(** [create ~jobs ()] spawns [max 1 jobs] worker domains immediately.
+(** [create ~jobs ()] spawns [max 1 jobs] worker domains immediately and,
+    for [jobs > 1], holds that many cores of the budget until
+    {!shutdown}.
     [name] (default ["par"]) prefixes the observability events emitted at
     {!shutdown}. [obs] is the {e parent} context: workers never touch it;
     it receives the merged registries after {!shutdown}. *)
@@ -59,7 +86,8 @@ val await : 'a future -> 'a
     its original backtrace if it failed. *)
 
 val shutdown : pool -> unit
-(** Drain the queue, join every worker, then fold each worker's metric
+(** Drain the queue, join every worker, return the pool's cores to the
+    budget, then fold each worker's metric
     registry into the parent [obs] (when given) with {!Metrics.merge},
     adopt each worker's spans with {!Obs.adopt}, and emit the per-worker
     accounting events. Idempotent. *)

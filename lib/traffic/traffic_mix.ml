@@ -114,12 +114,6 @@ let run ?obs ?(config = default_config) ~seed sched =
   let vmem = Vmem.create () in
   let fallback = Jemalloc_sim.create vmem in
   let hier = Hierarchy.create ?obs () in
-  let hooks =
-    {
-      Interp.no_hooks with
-      Interp.on_access = (fun addr size _write -> Hierarchy.access hier addr size);
-    }
-  in
   let programs : (string, Workload.t * Ir.program) Hashtbl.t =
     Hashtbl.create 16
   in
@@ -197,7 +191,12 @@ let run ?obs ?(config = default_config) ~seed sched =
   let acc = ref 0 and l1 = ref 0 and l2 = ref 0 and l3 = ref 0 in
   let tlb = ref 0 and pref = ref 0 in
   let digest = ref fnv_init in
-  let run_all () =
+  (* The hierarchy runs on a helper domain when a core is spare; each job
+     drains it before reading the counters. *)
+  let run_all stream =
+    let hooks =
+      { Interp.no_hooks with Interp.on_access = Hierarchy.Stream.hook stream }
+    in
     for tick = 0 to total_ticks - 1 do
       Array.iteri
         (fun pi start ->
@@ -230,6 +229,7 @@ let run ?obs ?(config = default_config) ~seed sched =
                   ~program ~alloc:fallback ()
           in
           ignore (Interp.run interp : int);
+          Hierarchy.Stream.drain stream;
           let after = Hierarchy.counters hier in
           let d_instr = Interp.instructions interp in
           let d_acc = after.Hierarchy.accesses - before.Hierarchy.accesses in
@@ -300,7 +300,7 @@ let run ?obs ?(config = default_config) ~seed sched =
         ("plan_budget", Json.Int config.plan_budget);
         ("reprofile_every", Json.Int config.reprofile_every);
       ]
-    run_all;
+    (fun () -> Hierarchy.Stream.run hier run_all);
   let counters =
     {
       Hierarchy.accesses = !acc;

@@ -340,6 +340,116 @@ let hierarchy_access_allocates_nothing () =
     (words < float_of_int n /. 100.);
   checkb "the stream misses" true ((Hierarchy.counters h).Hierarchy.l1_misses > 0)
 
+(* ---------------- Hierarchy.Stream ---------------- *)
+
+let stream_rejects_at_push () =
+  List.iter
+    (fun helper ->
+      let h = Hierarchy.create () in
+      Hierarchy.Stream.run ~helper h (fun s ->
+          checkb "helper as asked" helper (Hierarchy.Stream.helper s);
+          Alcotest.check_raises "wraps past max_int"
+            (Invalid_argument "Hierarchy.access: access wraps past max_int")
+            (fun () -> Hierarchy.Stream.push s (max_int - 3) 8);
+          Alcotest.check_raises "non-positive size"
+            (Invalid_argument "Hierarchy.access: non-positive size")
+            (fun () -> Hierarchy.Stream.push s 0 0);
+          Hierarchy.Stream.drain s;
+          checki "nothing queued" 0 (Hierarchy.counters h).Hierarchy.accesses;
+          Hierarchy.Stream.push s (max_int - 7) 8;
+          Hierarchy.Stream.drain s;
+          checki "the last 8 bytes are queued" 1
+            (Hierarchy.counters h).Hierarchy.accesses))
+    [ false; true ]
+
+(* The helper's sampled events read the parent context's clock; one that
+   fails off the main domain makes the helper raise mid-chunk. *)
+let stream_failure_reraised_at_drain () =
+  let main = Domain.self () in
+  let clock () = if Domain.self () = main then 0.0 else failwith "helper clock" in
+  let obs = Obs.create ~clock ~trace:(Obs.Buffer (Buffer.create 256)) () in
+  let h = Hierarchy.create ~obs ~sample_every:1 () in
+  let before = Par.spare_cores () in
+  Hierarchy.Stream.run ~helper:true h (fun s ->
+      checki "the helper holds a core" (before - 1) (Par.spare_cores ());
+      Hierarchy.Stream.push s 0 8;
+      Alcotest.check_raises "re-raised at drain" (Failure "helper clock") (fun () ->
+          Hierarchy.Stream.drain s);
+      Hierarchy.Stream.drain s);
+  checki "core returned" before (Par.spare_cores ())
+
+(* An interpreter error mid-run leaves through [run]: the helper is joined
+   and its core returned. *)
+let stream_interp_error_returns_core () =
+  let program =
+    Dsl.(
+      program ~main:"main"
+        [
+          func "main" []
+            ([ malloc "p" (i 64) ]
+            @ for_ "k" ~from:(i 0) ~below:(i 10_000) [ store (v "p") (i 8) (v "k") ]
+            @ [ return_ (i 1 /: i 0) ]);
+        ])
+  in
+  let before = Par.spare_cores () in
+  let h = Hierarchy.create () in
+  let raised =
+    try
+      Hierarchy.Stream.run ~helper:true h (fun s ->
+          let hooks =
+            { Interp.no_hooks with Interp.on_access = Hierarchy.Stream.hook s }
+          in
+          let alloc = Jemalloc_sim.create (Vmem.create ()) in
+          ignore (Interp.run (Interp.create ~hooks ~program ~alloc ()) : int));
+      false
+    with Interp_error.Error { cause = Interp_error.Division_by_zero; _ } -> true
+  in
+  checkb "the interpreter's error propagates" true raised;
+  checki "core returned" before (Par.spare_cores ())
+
+(* With [obs], the helper's miss-stream events reach the parent's trace on
+   the helper's track, the same events the direct path writes on track 0,
+   and the stream's wait times are recorded. *)
+let stream_events_on_helper_track () =
+  let run helper =
+    let buf = Buffer.create 4096 in
+    let obs = Obs.create ~trace:(Obs.Buffer buf) () in
+    let h = Hierarchy.create ~obs ~sample_every:100 () in
+    Hierarchy.Stream.run ~helper h (fun s ->
+        for k = 0 to 9_999 do
+          Hierarchy.Stream.push s (k * 40) 8
+        done;
+        Hierarchy.Stream.drain s);
+    Obs.finish obs;
+    let events =
+      String.split_on_char '\n' (Buffer.contents buf)
+      |> List.filter_map (fun line ->
+             let n = String.length line in
+             match Json.of_string (if n > 0 then String.sub line 1 (n - 1) else line) with
+             | Ok ev when Json.get_string "ph" ev = Ok "C" ->
+                 let args = Option.get (Json.mem "args" ev) in
+                 Some
+                   ( Json.get_int "tid" ev,
+                     (Json.get_string "name" ev, Json.get_float "value" args,
+                      Json.get_int "accesses" args) )
+             | _ -> None)
+    in
+    let waits =
+      List.mem_assoc "cache.stream.producer_wait_s" (Metrics.snapshot (Obs.metrics obs))
+    in
+    (Hierarchy.counters h, events, waits)
+  in
+  let c_direct, e_direct, w_direct = run false in
+  let c_helper, e_helper, w_helper = run true in
+  checkb "same counters" true (c_direct = c_helper);
+  checki "400 events" 400 (List.length e_direct);
+  checkb "same events" true (List.map snd e_direct = List.map snd e_helper);
+  checkb "direct events on the main track" true
+    (List.for_all (fun (tid, _) -> tid = Ok 0) e_direct);
+  checkb "helper events on its own track" true
+    (List.for_all (fun (tid, _) -> Result.get_ok tid > 0) e_helper);
+  checkb "wait times only with a helper" true ((not w_direct) && w_helper)
+
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   [
@@ -370,3 +480,9 @@ let suite =
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_cache_accounting; prop_cache_repeat_hits; prop_hierarchy_counter_order ]
+  @ [
+      tc "stream: push rejects before queueing" stream_rejects_at_push;
+      tc "stream: helper failure re-raised at drain" stream_failure_reraised_at_drain;
+      tc "stream: interpreter error returns the core" stream_interp_error_returns_core;
+      tc "stream: miss-stream events on the helper's track" stream_events_on_helper_track;
+    ]

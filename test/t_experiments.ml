@@ -208,6 +208,47 @@ let degenerate_suite_degrades_gracefully () =
     [ Figures.fig13 degenerate; Figures.fig14 degenerate;
       Figures.fig15 degenerate; Figures.tab1 degenerate ]
 
+(* A traced measurement with the hierarchy on a helper (when a core is
+   spare) and inline (every spare core held): the same measurement and the
+   same sampled miss streams, value for value. *)
+let helper_measurement_unchanged () =
+  let measure () =
+    let buf = Buffer.create 65536 in
+    let obs = Obs.create ~trace:(Obs.Buffer buf) () in
+    let m = Runner.run ~obs (w "ft") Runner.Jemalloc in
+    Obs.finish obs;
+    let cache_events =
+      String.split_on_char '\n' (Buffer.contents buf)
+      |> List.filter_map (fun line ->
+             let n = String.length line in
+             match Json.of_string (if n > 0 then String.sub line 1 (n - 1) else line) with
+             | Ok ev when Json.get_string "ph" ev = Ok "C" ->
+                 let args = Option.get (Json.mem "args" ev) in
+                 Some
+                   ( Json.get_string "name" ev,
+                     Json.get_float "value" args,
+                     Json.get_int "accesses" args )
+             | _ -> None)
+    in
+    let helped =
+      List.mem_assoc "cache.stream.producer_wait_s"
+        (Metrics.snapshot (Obs.metrics obs))
+    in
+    (Json.to_string (Runner.to_json m), cache_events, helped)
+  in
+  let spare = Par.spare_cores () in
+  let m1, e1, helped = measure () in
+  checkb "a helper iff a core is spare" (spare >= 1) helped;
+  let held = max 0 spare in
+  ignore (Par.reserve held : int);
+  let m2, e2, inline_helped =
+    Fun.protect ~finally:(fun () -> Par.release held) measure
+  in
+  checkb "inline with every core held" false inline_helped;
+  Alcotest.(check string) "same measurement" m2 m1;
+  checkb "miss streams sampled" true (List.length e2 > 100);
+  checkb "same miss-stream events" true (e1 = e2)
+
 let suite =
   let tc name f = Alcotest.test_case name `Slow f in
   [
@@ -226,4 +267,5 @@ let suite =
     tc "sharded backend shapes" sharded_backend_shapes;
     tc "suite parallel equivalence" suite_parallel_equivalence;
     tc "degenerate suite degrades gracefully" degenerate_suite_degrades_gracefully;
+    tc "helper measurement unchanged" helper_measurement_unchanged;
   ]

@@ -475,6 +475,36 @@ let trace_event_stream () =
           thread_names)
     = [ (0, "main"); (2, "domain-2") ])
 
+(* A child of a traced context keeps its events until adopt writes them
+   on its track, rebased onto the parent's timeline. *)
+let child_events_adopted () =
+  let clock, advance = fake_clock () in
+  let buf = Buffer.create 512 in
+  let obs = Obs.create ~clock ~trace:(Obs.Buffer buf) () in
+  let child = Obs.child obs ~track:5 in
+  checki "child track" 5 (Obs.track child);
+  advance 2.0;
+  Obs.event (Some child) ~name:"cache.l1.misses" ~attrs:[ ("accesses", Json.Int 9) ] 3.0;
+  let grandchild = Obs.child child ~track:6 in
+  Obs.event (Some grandchild) ~name:"series.y" 1.0;
+  checkb "nothing written before adopt" false
+    (List.exists (fun e -> phase e = "C") (trace_events (Buffer.contents buf ^ "]")));
+  Obs.adopt child ~from:grandchild;
+  Obs.adopt obs ~from:child;
+  Obs.adopt obs ~from:child;
+  Obs.finish obs;
+  let cs = List.filter (fun e -> phase e = "C") (trace_events (Buffer.contents buf)) in
+  checki "both events once" 2 (List.length cs);
+  (match cs with
+  | [ c; g ] ->
+      checks "child's event first" "cache.l1.misses" (event_name c);
+      checki "on the child's track" 5 (ok (Json.get_int "tid" c));
+      checkf "value" 3.0 (ok (Json.get_float "value" (args c)));
+      checki "attrs" 9 (ok (Json.get_int "accesses" (args c)));
+      checkf "timestamp on the parent's timeline" 2e6 (ok (Json.get_float "ts" c));
+      checki "grandchild's track kept" 6 (ok (Json.get_int "tid" g))
+  | _ -> ())
+
 let finish_closes_open_spans () =
   let clock, _ = fake_clock () in
   let buf = Buffer.create 256 in
@@ -617,3 +647,4 @@ let suite =
     tc "obs: reporting strings" reporting_strings;
   ]
   @ qsuite
+  @ [ tc "obs: child events adopted on their track" child_events_adopted ]

@@ -262,6 +262,60 @@ let merge_alpha_mismatch () =
     (Invalid_argument "Metrics.merge: \"h\" sketch accuracy differs") (fun () ->
       Metrics.merge ~into:a b)
 
+(* ---------------- core budget ---------------- *)
+
+let budget_full_pool_leaves_no_spare () =
+  let before = Par.spare_cores () in
+  let jobs = Par.default_jobs () in
+  let p = Par.create ~jobs () in
+  checkb "no spare core while the pool lives" true (Par.spare_cores () <= 0);
+  checkb "nothing to claim" true (Par.claim_spare () = None);
+  checki "a failed claim holds nothing" (Par.spare_cores ())
+    (if jobs > 1 then before - jobs else before);
+  Par.shutdown p;
+  checki "restored after shutdown" before (Par.spare_cores ());
+  Par.shutdown p;
+  checki "a second shutdown releases nothing" before (Par.spare_cores ())
+
+let budget_sequential_pool_spawns_nothing () =
+  let before = Par.spare_cores () in
+  let p = Par.create ~jobs:1 () in
+  checki "jobs = 1 holds no core" before (Par.spare_cores ());
+  let self = Domain.self () in
+  let fut = Par.submit p (fun _ -> Domain.self () = self) in
+  checkb "the task ran on the calling domain" true (Par.await fut);
+  Par.shutdown p;
+  checki "unchanged after shutdown" before (Par.spare_cores ())
+
+let budget_restored_after_raising_task () =
+  let before = Par.spare_cores () in
+  (try
+     ignore (Par.map ~jobs:2 (fun x -> if x = 1 then raise (Boom x) else x) [ 0; 1; 2 ]
+       : int list)
+   with Boom _ -> ());
+  checki "map restores the budget" before (Par.spare_cores ());
+  let p = Par.create ~jobs:2 () in
+  let fut = Par.submit p (fun _ -> raise (Boom 7)) in
+  (try Par.await fut with Boom _ -> ());
+  Par.shutdown p;
+  checki "a pool restores it after a raising task" before (Par.spare_cores ())
+
+let budget_claim_and_release () =
+  let before = Par.spare_cores () in
+  (match Par.claim_spare () with
+  | None -> checkb "no claim without a spare core" true (before < 1)
+  | Some lane ->
+      checkb "a claim needs a spare core" true (before >= 1);
+      checki "one core held" (before - 1) (Par.spare_cores ());
+      checkb "lanes are 1-based" true (lane >= 1);
+      Par.release 1);
+  checki "released" before (Par.spare_cores ());
+  let lane = Par.reserve 2 in
+  checki "reserve holds cores spare or not" (before - 2) (Par.spare_cores ());
+  checki "the next lane follows" (lane + 2) (Par.reserve 1);
+  Par.release 3;
+  checki "released again" before (Par.spare_cores ())
+
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   [
@@ -282,4 +336,8 @@ let suite =
     tc "metrics.merge: histograms" merge_histograms;
     tc "metrics.merge: kind mismatch" merge_kind_mismatch;
     tc "metrics.merge: sketch accuracy mismatch" merge_alpha_mismatch;
+    tc "budget: a full pool leaves no spare core" budget_full_pool_leaves_no_spare;
+    tc "budget: jobs = 1 spawns nothing" budget_sequential_pool_spawns_nothing;
+    tc "budget: restored after a raising task" budget_restored_after_raising_task;
+    tc "budget: claim and release" budget_claim_and_release;
   ]

@@ -675,6 +675,116 @@ let prop_hierarchy_matches_reference =
         steps)
 
 (* ------------------------------------------------------------------ *)
+(* Helper-domain stream: the same accesses through Hierarchy.Stream on a *)
+(* helper and through direct Hierarchy.access calls.                    *)
+(* ------------------------------------------------------------------ *)
+
+let chunk_pairs = Hierarchy.Stream.chunk_pairs
+
+(* A segment is [n] accesses drawn from [seed], then a drain. Counts are
+   small, exact multiples of a chunk (a drain at a chunk boundary; 0 is an
+   empty drain) or within 3 of one, up to 9 chunks, past the 8-chunk ring,
+   so the producer also waits for room. *)
+let gen_stream_case =
+  QCheck2.Gen.(
+    let count =
+      frequency
+        [
+          (3, int_range 0 300);
+          (2, map (fun k -> k * chunk_pairs) (int_range 0 9));
+          (2, map2 (fun k d -> (k * chunk_pairs) + d) (int_range 1 9) (int_range (-3) 3));
+        ]
+    in
+    quad bool bool
+      (option (int_range 32 4096))
+      (list_size (int_range 1 6) (pair count (int_bound 1_000_000))))
+
+let print_stream_case (prefetch, tiny, sample, segs) =
+  Printf.sprintf "prefetch=%b tiny=%b sample=%s segments=[%s]" prefetch tiny
+    (match sample with None -> "-" | Some n -> string_of_int n)
+    (String.concat "; " (List.map (fun (n, seed) -> Printf.sprintf "%d@%d" n seed) segs))
+
+(* Sizes 1-64; addresses near the previous one, around 0, below 1 MiB,
+   near [min_int], and ending just below [max_int]. *)
+let stream_access st prev =
+  let size = 1 + Random.State.int st 64 in
+  let addr =
+    match Random.State.int st 10 with
+    | 0 | 1 | 2 | 3 ->
+        let d = Random.State.int st 80 - 8 in
+        if prev > 1 lsl 40 || prev < -(1 lsl 40) then d else prev + d
+    | 4 | 5 -> Random.State.int st 601 - 300
+    | 6 | 7 -> Random.State.int st (1 lsl 20)
+    | 8 -> min_int + Random.State.int st 1000
+    | _ -> max_int - size + 1 - Random.State.int st 200
+  in
+  (addr, size)
+
+(* (name, value, accesses) of every counter event in a finished trace. *)
+let counter_events buf =
+  String.split_on_char '\n' (Buffer.contents buf)
+  |> List.filter_map (fun line ->
+         let line =
+           if String.length line > 0 && line.[0] = ',' then
+             String.sub line 1 (String.length line - 1)
+           else line
+         in
+         match Json.of_string line with
+         | Ok ev when Json.get_string "ph" ev = Ok "C" ->
+             let args = Option.get (Json.mem "args" ev) in
+             Some
+               ( Json.get_string "name" ev,
+                 Json.get_float "value" args,
+                 Json.get_int "accesses" args )
+         | _ -> None)
+
+let prop_stream_matches_direct =
+  QCheck2.Test.make
+    ~name:"hierarchy stream: a helper gives the direct counters after every drain"
+    ~count:60 ~long_factor:10 ~print:print_stream_case gen_stream_case
+    (fun (prefetch, tiny, sample, segs) ->
+      let base = if tiny then tiny_hierarchy else Hierarchy.xeon_w2195 in
+      let config = { base with Hierarchy.prefetch } in
+      let make () =
+        match sample with
+        | None -> (Hierarchy.create ~config (), None)
+        | Some sample_every ->
+            let buf = Buffer.create 4096 in
+            let obs = Obs.create ~trace:(Obs.Buffer buf) () in
+            (Hierarchy.create ~config ~obs ~sample_every (), Some (obs, buf))
+      in
+      let direct, direct_obs = make () and streamed, stream_obs = make () in
+      let same_counters =
+        Hierarchy.Stream.run ~helper:true streamed (fun s ->
+            Hierarchy.Stream.helper s
+            && List.for_all
+                 (fun (n, seed) ->
+                   let st = Random.State.make [| seed |] in
+                   let prev = ref 0 in
+                   let segment =
+                     Array.init n (fun _ ->
+                         let a = stream_access st !prev in
+                         prev := fst a;
+                         a)
+                   in
+                   (* Pushing alone outruns the helper, so long segments
+                      fill the ring. *)
+                   Array.iter (fun (addr, size) -> Hierarchy.Stream.push s addr size) segment;
+                   Array.iter (fun (addr, size) -> Hierarchy.access direct addr size) segment;
+                   Hierarchy.Stream.drain s;
+                   Hierarchy.counters streamed = Hierarchy.counters direct)
+                 segs)
+      in
+      same_counters
+      &&
+      match (direct_obs, stream_obs) with
+      | Some (od, bd), Some (os, bs) ->
+          Obs.finish od;
+          Obs.finish os;
+          counter_events bd = counter_events bs
+      | _ -> true)
+
+(* ------------------------------------------------------------------ *)
 (* Reference score function: Figure 7 computed from the edge list.      *)
 (* ------------------------------------------------------------------ *)
 
@@ -1115,4 +1225,5 @@ let suite =
       prop_heap_model_find_matches_reference;
       prop_paged_mem_matches_reference;
       prop_sequitur_matches_reference;
+      prop_stream_matches_direct;
     ]

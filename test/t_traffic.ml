@@ -348,12 +348,33 @@ let mix_executor_deterministic () =
 
 (* Recorded before the cache simulator could run on a helper domain: the
    shared-heap execution, per-job miss deltas included, must not move
-   with where the hierarchy runs. *)
+   with where the hierarchy runs. The hierarchy gets a helper when a core
+   is spare, which the stream's wait-time metric shows; holding every
+   spare core keeps it inline. *)
 let mix_golden_digest = "004b840a0d85c7c8"
 
 let mix_exec_digest_pinned () =
-  let r = Traffic_mix.run ~config:(mix_config 2) ~seed:3 (mix_sched 1.0) in
-  checks "exec digest" mix_golden_digest r.Traffic_mix.exec_digest
+  let run () =
+    let obs = Obs.create () in
+    let r = Traffic_mix.run ~obs ~config:(mix_config 2) ~seed:3 (mix_sched 1.0) in
+    let helped =
+      List.mem_assoc "cache.stream.producer_wait_s"
+        (Metrics.snapshot (Obs.metrics obs))
+    in
+    (r.Traffic_mix.exec_digest, helped)
+  in
+  let spare = Par.spare_cores () in
+  let digest, helped = run () in
+  checks "exec digest" mix_golden_digest digest;
+  checkb "a helper iff a core is spare" (spare >= 1) helped;
+  let held = max 0 spare in
+  ignore (Par.reserve held : int);
+  Fun.protect
+    ~finally:(fun () -> Par.release held)
+    (fun () ->
+      let digest, helped = run () in
+      checks "exec digest inline" mix_golden_digest digest;
+      checkb "no helper" false helped)
 
 let mix_reprofiling_recovers_coverage () =
   (* Under heavy drift the stale plan's covered set points at yesterday's
@@ -416,8 +437,8 @@ let suite =
     tc "drifting: rotation is error-diffused" drifting_rotation_is_error_diffused;
     tc "mix: executor invariants" mix_executor_invariants;
     tc "mix: execution digest reproducible" mix_executor_deterministic;
-    tc "mix: execution digest pinned" mix_exec_digest_pinned;
     tc "mix: re-profiling recovers coverage under drift" mix_reprofiling_recovers_coverage;
     tc "study: byte-identical across --jobs" study_jobs_invariant;
   ]
   @ qsuite
+  @ [ tc "mix: execution digest pinned" mix_exec_digest_pinned ]
