@@ -312,13 +312,13 @@ module Stream = struct
     consumer_asleep : bool Atomic.t;
     lock : Mutex.t;
     wake : Condition.t;
-    lane : int;
     parent_obs : Obs.t option;
     helper_obs : Obs.t option;
-    (* Written by the helper, read after the join. *)
+    (* Written by the helper: [failure] when a chunk raises, [idle_s]
+       as it exits. *)
     mutable failure : (exn * Printexc.raw_backtrace) option;
     mutable idle_s : float;
-    (* Written by the producer only, once per wait. *)
+    (* Written by the producer only, when it has waited. *)
     mutable wait_s : float;
     mutable domain : unit Domain.t option;
   }
@@ -365,34 +365,42 @@ module Stream = struct
       Obs_clock.now () -. t0
     end
 
+  (* The helper's loop; its idle time stays in a local until it exits,
+     off the record the producer reads. *)
   let consume hs =
-    let rec loop n =
+    let rec loop n idle =
       let ready () = Atomic.get hs.published > n || Atomic.get hs.stop in
-      let idle = wait hs hs.consumer_asleep ready in
-      hs.idle_s <- hs.idle_s +. idle;
-      if Atomic.get hs.published > n && not (Atomic.get hs.stop) then begin
+      let idle = idle +. wait hs hs.consumer_asleep ready in
+      if Atomic.get hs.stop then hs.idle_s <- idle
+      else begin
         let slot = n land (ring_chunks - 1) in
         (if Option.is_none hs.failure then
            try walk hs.hier hs.buf (slot * chunk_words) hs.lens.(slot)
            with e -> hs.failure <- Some (e, Printexc.get_raw_backtrace ()));
         Atomic.set hs.consumed (n + 1);
         if Atomic.get hs.producer_asleep then notify hs;
-        loop (n + 1)
+        loop (n + 1) idle
       end
     in
-    loop 0
+    loop 0 0.0
+
+  let producer_wait hs ready =
+    let w = wait hs hs.producer_asleep ready in
+    if w > 0.0 then hs.wait_s <- hs.wait_s +. w
+
+  let closed () = invalid_arg "Hierarchy.Stream: the stream is closed"
 
   (* Hand the current chunk, [len] words from [start], to the helper, and
      move to the next slot once the helper is done with its old chunk. *)
   let publish hs start len =
+    if Atomic.get hs.stop then closed ();
     let n = Atomic.get hs.published in
     hs.lens.(n land (ring_chunks - 1)) <- len;
     Atomic.set hs.published (n + 1);
     if Atomic.get hs.consumer_asleep then notify hs;
     let next = start + chunk_words in
     Array.unsafe_set hs.prod pos (if next = ring_words then 0 else next);
-    let room () = n + 1 - Atomic.get hs.consumed < ring_chunks in
-    hs.wait_s <- hs.wait_s +. wait hs hs.producer_asleep room
+    producer_wait hs (fun () -> n + 1 - Atomic.get hs.consumed < ring_chunks)
 
   let[@inline] push_helper hs addr size =
     if size <= 0 then invalid_arg "Hierarchy.access: non-positive size";
@@ -406,14 +414,9 @@ module Stream = struct
     Array.unsafe_set prod pos i;
     if i land (chunk_words - 1) = 0 then publish hs (i - chunk_words) chunk_words
 
-  let push s addr size =
-    match s with Direct h -> access h addr size | Helper hs -> push_helper hs addr size
-
   let hook = function
     | Direct h -> fun addr size _write -> access h addr size
     | Helper hs -> fun addr size _write -> push_helper hs addr size
-
-  let helper = function Direct _ -> false | Helper _ -> true
 
   let start_helper h lane =
     let parent_obs = Option.bind h.obs (fun ho -> ho.o) in
@@ -431,7 +434,6 @@ module Stream = struct
         consumer_asleep = Atomic.make false;
         lock = Mutex.create ();
         wake = Condition.create ();
-        lane;
         parent_obs;
         helper_obs;
         failure = None;
@@ -463,11 +465,12 @@ module Stream = struct
   let drain = function
     | Direct _ -> ()
     | Helper hs ->
+        if Atomic.get hs.stop then closed ();
         let i = Array.unsafe_get hs.prod pos in
         let start = i land lnot (chunk_words - 1) in
         if i > start then publish hs start (i - start);
         let n = Atomic.get hs.published in
-        hs.wait_s <- hs.wait_s +. wait hs hs.producer_asleep (fun () -> Atomic.get hs.consumed >= n);
+        producer_wait hs (fun () -> Atomic.get hs.consumed >= n);
         (match hs.failure with
         | None -> ()
         | Some (e, bt) ->

@@ -144,43 +144,38 @@ module Stream : sig
   val chunk_pairs : int
   (** Accesses per chunk (4096). *)
 
-  val create : ?helper:bool -> hierarchy -> t
-  (** [create h] claims a spare core ({!Par.claim_spare}) and, if it gets
-      one, spawns a helper that owns [h] until {!close}: until then read
-      [h]'s counters only after a {!drain}, and call nothing else on it.
-      [~helper:true] spawns one whether or not a core is spare (holding
-      one in the budget all the same); [~helper:false] never does.
-      If [h] was created with [obs], the helper emits its sampled
-      [cache.*] miss streams into an {!Obs.child} on its own track, which
-      {!close} folds back into that context. *)
+  val run : ?helper:bool -> hierarchy -> (t -> 'a) -> 'a
+  (** [run h f] applies [f] to a stream into [h], then closes the stream
+      however [f] returns.
 
-  val helper : t -> bool
-  (** Whether a helper domain runs the hierarchy. *)
+      The stream claims a spare core ({!Par.claim_spare}) and, if it gets
+      one, spawns a helper that owns [h] until the stream closes: until
+      then read [h]'s counters only after a {!drain}, and call nothing
+      else on it. [~helper:true] spawns one whether or not a core is
+      spare (holding one in the budget all the same), and [~helper:false]
+      never does; tests use them to hold the two paths to each other on
+      any machine. If [h] was created with [obs], the helper emits its
+      sampled [cache.*] miss streams into an {!Obs.child} on its own
+      track.
 
-  val push : t -> Addr.t -> int -> unit
-  (** [push s addr size] is {!access} [h addr size], perhaps later and on
-      the helper. It raises {!access}'s [Invalid_argument] for
-      [size <= 0] or an access wrapping past [max_int] before anything
-      is queued. *)
+      Closing stops and joins the helper and returns its core to the
+      budget. With [obs], it merges the helper's registry into [h]'s
+      context, adopts its events, and observes the seconds the producer
+      spent waiting ([cache.stream.producer_wait_s]) and the helper spent
+      idle ([cache.stream.consumer_idle_s]). Accesses pushed since the
+      last {!drain} are dropped, and closing never raises for the
+      stream's own sake. A closed helper stream is spent: {!drain}, and a
+      push that fills a chunk, raise [Invalid_argument]. *)
 
   val hook : t -> Addr.t -> int -> bool -> unit
-  (** {!push} as an interpreter [on_access] hook (the write flag is
-      ignored). *)
+  (** [hook s] is an interpreter [on_access] hook: [hook s addr size
+      is_write] is {!access} [h addr size], perhaps later and on the
+      helper. It raises {!access}'s [Invalid_argument] for [size <= 0] or
+      an access wrapping past [max_int] before anything is queued. *)
 
   val drain : t -> unit
-  (** Return once every pushed access has been simulated. Re-raises, with
-      its backtrace, an exception the helper caught since the last drain
-      (the helper skips the rest of the stream until then). *)
-
-  val close : t -> unit
-  (** Stop and join the helper, return its core to the budget, and with
-      [obs] merge the helper's registry into [h]'s context, adopt its
-      events, and observe the seconds the producer spent waiting
-      ([cache.stream.producer_wait_s]) and the helper spent idle
-      ([cache.stream.consumer_idle_s]). Accesses pushed since the last
-      {!drain} are dropped. Idempotent; never raises for the stream's
-      own sake. *)
-
-  val run : ?helper:bool -> hierarchy -> (t -> 'a) -> 'a
-  (** [run h f] is [f] on a fresh stream, closed however [f] returns. *)
+  (** Return once every access pushed so far has been simulated.
+      Re-raises, with its backtrace, an exception the helper caught since
+      the last drain (the helper skips the rest of the stream until
+      then). *)
 end

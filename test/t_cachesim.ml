@@ -346,21 +346,28 @@ let stream_rejects_at_push () =
   List.iter
     (fun helper ->
       let h = Hierarchy.create () in
+      let spare = Par.spare_cores () in
       Hierarchy.Stream.run ~helper h (fun s ->
-          checkb "helper as asked" helper (Hierarchy.Stream.helper s);
+          checki "a core held iff a helper runs"
+            (if helper then spare - 1 else spare)
+            (Par.spare_cores ());
+          let push = Hierarchy.Stream.hook s in
           Alcotest.check_raises "wraps past max_int"
             (Invalid_argument "Hierarchy.access: access wraps past max_int")
-            (fun () -> Hierarchy.Stream.push s (max_int - 3) 8);
+            (fun () -> push (max_int - 3) 8 false);
           Alcotest.check_raises "non-positive size"
             (Invalid_argument "Hierarchy.access: non-positive size")
-            (fun () -> Hierarchy.Stream.push s 0 0);
+            (fun () -> push 0 0 false);
           Hierarchy.Stream.drain s;
           checki "nothing queued" 0 (Hierarchy.counters h).Hierarchy.accesses;
-          Hierarchy.Stream.push s (max_int - 7) 8;
+          push (max_int - 7) 8 true;
           Hierarchy.Stream.drain s;
           checki "the last 8 bytes are queued" 1
             (Hierarchy.counters h).Hierarchy.accesses))
-    [ false; true ]
+    [ false; true ];
+  let s = Hierarchy.Stream.run ~helper:true (Hierarchy.create ()) Fun.id in
+  checkb "a closed helper stream refuses to drain" true
+    (raises_invalid_arg (fun () -> Hierarchy.Stream.drain s))
 
 (* The helper's sampled events read the parent context's clock; one that
    fails off the main domain makes the helper raise mid-chunk. *)
@@ -372,7 +379,7 @@ let stream_failure_reraised_at_drain () =
   let before = Par.spare_cores () in
   Hierarchy.Stream.run ~helper:true h (fun s ->
       checki "the helper holds a core" (before - 1) (Par.spare_cores ());
-      Hierarchy.Stream.push s 0 8;
+      Hierarchy.Stream.hook s 0 8 false;
       Alcotest.check_raises "re-raised at drain" (Failure "helper clock") (fun () ->
           Hierarchy.Stream.drain s);
       Hierarchy.Stream.drain s);
@@ -416,8 +423,9 @@ let stream_events_on_helper_track () =
     let obs = Obs.create ~trace:(Obs.Buffer buf) () in
     let h = Hierarchy.create ~obs ~sample_every:100 () in
     Hierarchy.Stream.run ~helper h (fun s ->
+        let push = Hierarchy.Stream.hook s in
         for k = 0 to 9_999 do
-          Hierarchy.Stream.push s (k * 40) 8
+          push (k * 40) 8 false
         done;
         Hierarchy.Stream.drain s);
     Obs.finish obs;

@@ -741,7 +741,7 @@ let counter_events buf =
 let prop_stream_matches_direct =
   QCheck2.Test.make
     ~name:"hierarchy stream: a helper gives the direct counters after every drain"
-    ~count:60 ~long_factor:10 ~print:print_stream_case gen_stream_case
+    ~count:60 ~long_factor:5 ~print:print_stream_case gen_stream_case
     (fun (prefetch, tiny, sample, segs) ->
       let base = if tiny then tiny_hierarchy else Hierarchy.xeon_w2195 in
       let config = { base with Hierarchy.prefetch } in
@@ -756,24 +756,24 @@ let prop_stream_matches_direct =
       let direct, direct_obs = make () and streamed, stream_obs = make () in
       let same_counters =
         Hierarchy.Stream.run ~helper:true streamed (fun s ->
-            Hierarchy.Stream.helper s
-            && List.for_all
-                 (fun (n, seed) ->
-                   let st = Random.State.make [| seed |] in
-                   let prev = ref 0 in
-                   let segment =
-                     Array.init n (fun _ ->
-                         let a = stream_access st !prev in
-                         prev := fst a;
-                         a)
-                   in
-                   (* Pushing alone outruns the helper, so long segments
-                      fill the ring. *)
-                   Array.iter (fun (addr, size) -> Hierarchy.Stream.push s addr size) segment;
-                   Array.iter (fun (addr, size) -> Hierarchy.access direct addr size) segment;
-                   Hierarchy.Stream.drain s;
-                   Hierarchy.counters streamed = Hierarchy.counters direct)
-                 segs)
+            let push = Hierarchy.Stream.hook s in
+            List.for_all
+              (fun (n, seed) ->
+                let st = Random.State.make [| seed |] in
+                let prev = ref 0 in
+                let segment =
+                  Array.init n (fun _ ->
+                      let a = stream_access st !prev in
+                      prev := fst a;
+                      a)
+                in
+                (* Pushing alone outruns the helper, so long segments
+                   fill the ring. *)
+                Array.iter (fun (addr, size) -> push addr size false) segment;
+                Array.iter (fun (addr, size) -> Hierarchy.access direct addr size) segment;
+                Hierarchy.Stream.drain s;
+                Hierarchy.counters streamed = Hierarchy.counters direct)
+              segs)
       in
       same_counters
       &&
