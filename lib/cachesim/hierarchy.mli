@@ -132,8 +132,8 @@ val pp_counters : Format.formatter -> counters -> unit
     handed over as a whole and simulated in push order, so the counters
     after a {!drain} are those the same {!access} calls would give.
 
-    Whether a stream gets a helper is decided once, by {!create}, from
-    {!Par}'s core budget. Without one, {!hook} is the direct
+    Whether a stream gets a helper is decided once, when {!run} opens
+    it, from {!Par}'s core budget. Without one, {!hook} is the direct
     [Hierarchy.access] closure and {!drain} does nothing. An idle helper
     polls for tens of microseconds, then sleeps on a condition variable;
     a producer that finds the ring full or drains does the same. *)
