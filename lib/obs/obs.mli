@@ -52,12 +52,12 @@ val create :
     memory (for {!span_tree_string} etc.) but no event is built. *)
 
 val child : t -> track:int -> t
-(** [child parent ~track] is a context for work on another domain, as
-    {!Par}'s workers have: [parent]'s clock (so it must be domain-safe,
-    as the default is) and epoch, its own registry and spans, on
-    [track]. When [parent] streams a trace (or is itself such a child),
-    the child keeps its {!event}s in memory and {!adopt} writes them
-    there, so a helper's series reach the parent's trace on the helper's
+(** [child parent ~track] is a context for work on another domain: its
+    own registry and spans, on [track], with [parent]'s epoch and clock
+    (so that clock must be domain-safe, as the default is). When
+    [parent] streams a trace (or is itself such a child), the child
+    keeps its {!event}s in memory and {!adopt} writes them there, so a
+    helper domain's series reach the parent's trace on the helper's
     track. *)
 
 val enabled : t option -> bool
