@@ -127,16 +127,16 @@ val pp_counters : Format.formatter -> counters -> unit
     The hierarchy only consumes the access stream: nothing it computes
     flows back into the program. A stream lets the interpreter hand its
     accesses to a helper domain that runs {!access} on a spare core, while
-    the calling domain keeps interpreting. Pushed accesses sit in a ring
-    of 8 chunks of {!chunk_pairs} [(addr, size)] pairs; each full chunk is
-    handed over as a whole and simulated in push order, so the counters
+    the calling domain keeps interpreting. It is a client of
+    {!Helper_stream}: each access is one [(addr, size)] pair written
+    straight into that stream's ring, {!chunk_pairs} to a chunk, and the
+    helper walks each chunk through {!access} in push order (the walk
+    lives in this unit, so {!access} is a direct call). The counters
     after a {!drain} are those the same {!access} calls would give.
 
     Whether a stream gets a helper is decided once, when {!run} opens
     it, from {!Par}'s core budget. Without one, {!hook} is the direct
-    [Hierarchy.access] closure and {!drain} does nothing. An idle helper
-    polls for tens of microseconds, then sleeps on a condition variable;
-    a producer that finds the ring full or drains does the same. *)
+    [Hierarchy.access] closure and {!drain} does nothing. *)
 module Stream : sig
   type hierarchy := t
   type t
@@ -158,14 +158,11 @@ module Stream : sig
       sampled [cache.*] miss streams into an {!Obs.child} on its own
       track.
 
-      Closing stops and joins the helper and returns its core to the
-      budget. With [obs], it merges the helper's registry into [h]'s
-      context, adopts its events, and observes the seconds the producer
-      spent waiting ([cache.stream.producer_wait_s]) and the helper spent
-      idle ([cache.stream.consumer_idle_s]). Accesses pushed since the
-      last {!drain} are dropped, and closing never raises for the
-      stream's own sake. A closed helper stream is spent: {!drain}, and a
-      push that fills a chunk, raise [Invalid_argument]. *)
+      Closing is {!Helper_stream.run}'s: it joins the helper, returns
+      its core, and with [obs] records [cache.stream.producer_wait_s]
+      and [cache.stream.consumer_idle_s]. Accesses pushed since the last
+      {!drain} are dropped. A closed helper stream is spent: {!drain},
+      and a push that fills a chunk, raise [Invalid_argument]. *)
 
   val hook : t -> Addr.t -> int -> bool -> unit
   (** [hook s] is an interpreter [on_access] hook: [hook s addr size

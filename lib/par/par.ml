@@ -1,8 +1,8 @@
 let default_jobs () = Domain.recommended_domain_count ()
 
 (* The process-wide core budget: cores held by live pool workers and
-   cache-simulator helpers, against [recommended_domain_count ()] less the
-   calling domain's own. *)
+   stream helpers, against [recommended_domain_count ()] less the calling
+   domain's own. *)
 let reserved = Atomic.make 0
 
 let spare_cores () = default_jobs () - 1 - Atomic.get reserved
@@ -90,11 +90,10 @@ let create ?obs ?(name = "par") ~jobs () =
         {
           w_id = i;
           (* Workers share the parent's epoch and get their own track, so
-             their spans land on per-domain lanes of the same timeline. *)
-          w_obs =
-            Option.map
-              (fun parent -> Obs.create ~epoch:(Obs.epoch parent) ~track:(i + 1) ())
-              obs;
+             their spans land on per-domain lanes of the same timeline;
+             when the parent traces, a worker keeps its events for
+             [shutdown]'s adopt. *)
+          w_obs = Option.map (fun parent -> Obs.child parent ~track:(i + 1)) obs;
           w_tasks = 0;
           w_busy_s = 0.0;
           w_domain = None;

@@ -16,13 +16,14 @@
       backtrace) at {!await};
     - domain-safe observability: the mutable {!Metrics} records are not
       safe for concurrent mutation, so each worker owns a private
-      {!Obs.t} sharing the parent's epoch on its own track ([w_id + 1]);
+      {!Obs.child} of the parent on its own track ([w_id + 1]), which
+      keeps its series events when the parent traces;
       every task's queue wait and wall time land in the worker's
       [<name>.queue_wait_s] / [<name>.task_s] histograms. After the join
       the per-worker registries are folded into the parent with
       {!Metrics.merge}, worker span trees are grafted on with
       {!Obs.adopt} (so the Chrome-trace export shows one lane per
-      domain), and one [par.worker] event per worker (tasks completed,
+      domain, with the workers' series events), and one [par.worker] event per worker (tasks completed,
       busy seconds) is emitted, alongside the [par.tasks] counter and
       [par.workers] gauge.
 
@@ -38,8 +39,8 @@ val default_jobs : unit -> int
 
     One process-wide count of the cores held by helper domains: every
     live pool of [jobs > 1] holds [jobs] from {!create} to {!shutdown},
-    and a cache-simulator stream ({!Hierarchy.Stream}) holds one while
-    its helper runs. The calling domain always holds one of its own.
+    and a {!Helper_stream} (the cache simulator's or the profiler's)
+    holds one while its helper runs. The calling domain always holds one of its own.
     Pools are never refused; the budget only tells an optional helper
     whether a core is free for it. *)
 

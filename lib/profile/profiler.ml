@@ -30,7 +30,70 @@ type result = {
 let depth_sample = 64
 let series_sample = 4096
 
-let profile ?obs ?(config = default_config) program =
+(* The macro-access step, on whichever domain runs the queue. *)
+let[@inline] macro queue graph o size =
+  if Affinity_queue.add queue o ~bytes:size then
+    Affinity_graph.add_access graph o.Heap_model.ctx
+
+(* Samples the queue's depth at access [tick] into [obs], the context of
+   the domain running the queue. *)
+let depth_sampler obs queue =
+  match obs with
+  | None -> fun _ -> ()
+  | Some o ->
+      let h_depth =
+        Metrics.histogram (Obs.metrics o) "profile.affinity_queue.depth"
+      in
+      fun tick ->
+        let d = float_of_int (Affinity_queue.length queue) in
+        Metrics.observe h_depth d;
+        if tick land (series_sample - 1) = 0 then
+          Obs.event obs ~name:"profile.affinity_queue.depth"
+            ~attrs:[ ("tick", Json.Int tick) ]
+            d
+
+(* Tracked objects by oid, for the helper. Oids are dense and never
+   reused, so the calling domain appends each object as the heap model
+   makes it, before any record names it. A grown table is published
+   through the atomic, so the helper, which reads it once per chunk,
+   sees every object a chunk names. *)
+let share table (o : Heap_model.obj) =
+  let objs = Atomic.get table in
+  let oid = o.Heap_model.oid in
+  if oid < Array.length objs then objs.(oid) <- o
+  else begin
+    (* [oid] is the table's length: the grown table's fill is [o]. *)
+    let grown = Array.make (max 1024 (2 * oid)) o in
+    Array.blit objs 0 grown 0 oid;
+    Atomic.set table grown
+  end
+
+(* Records on a helper stream are two words: an object's oid and the
+   access size, for an access the queue must see, or [tag_sample] and
+   the access count at which to sample the queue's depth. *)
+let tag_sample = -1
+let chunk_words = Helper_stream.chunk_words
+
+let consume queue graph table sample (buf : int array) off len =
+  let objs = Atomic.get table in
+  let stop = off + len in
+  let i = ref off in
+  while !i < stop do
+    let a = Array.unsafe_get buf !i and b = Array.unsafe_get buf (!i + 1) in
+    if a >= 0 then macro queue graph (Array.unsafe_get objs a) b else sample b;
+    i := !i + 2
+  done
+
+let[@inline] push (s : Helper_stream.t) a b =
+  let prod = s.prod and buf = s.buf in
+  let i = Array.unsafe_get prod Helper_stream.pos in
+  Array.unsafe_set buf i a;
+  Array.unsafe_set buf (i + 1) b;
+  let i = i + 2 in
+  Array.unsafe_set prod Helper_stream.pos i;
+  if i land (chunk_words - 1) = 0 then Helper_stream.publish s i
+
+let profile ?obs ?helper ?(config = default_config) program =
   if config.sample_period < 1 then
     invalid_arg "Profiler.profile: sample_period must be >= 1";
   if config.affinity_distance <= 0 then
@@ -49,69 +112,57 @@ let profile ?obs ?(config = default_config) program =
       ()
   in
   let tracked_allocs = ref 0 in
-  let tick = ref 0 in
   (* The interpreter serves context arrays from a per-stack-node cache,
      so the common case — an allocation site looping at a fixed stack —
      hands us the same physically-equal array every iteration; memoise
      the interning on that identity and skip hashing the array. *)
   let last_sites = ref [||] in
   let last_cid = ref (-1) in
-  let track addr size ctx_sites =
-    if size <= config.max_tracked_size then begin
-      let cid =
-        if ctx_sites == !last_sites then !last_cid
-        else begin
-          let cid = Context.intern contexts ctx_sites in
-          last_sites := ctx_sites;
-          last_cid := cid;
-          cid
-        end
-      in
-      ignore (Heap_model.on_alloc heap ~addr ~size ~ctx:cid : Heap_model.obj);
-      incr tracked_allocs
+  let intern ctx_sites =
+    if ctx_sites == !last_sites then !last_cid
+    else begin
+      let cid = Context.intern contexts ctx_sites in
+      last_sites := ctx_sites;
+      last_cid := cid;
+      cid
     end
   in
-  let record_sample addr size =
-    match Heap_model.find heap addr with
-    | None -> ()
-    | Some o ->
-        if Affinity_queue.add queue o ~bytes:size then
-          Affinity_graph.add_access graph o.Heap_model.ctx
-  in
-  (* The paper's configuration samples nothing (period 1): specialise
-     away the tick bookkeeping on that path. Telemetry keeps its own
-     access counter below. *)
-  let record_access =
-    if config.sample_period = 1 then record_sample
-    else fun addr size ->
-      incr tick;
-      if !tick mod config.sample_period = 0 then record_sample addr size
-  in
-  let on_access =
+  (* The interpreter, context interning and the heap model run on the
+     calling domain: [record_sample] takes each access that survives
+     sampling, and [sample] each access count at which to sample the
+     queue's depth; [on_alloc] sees each tracked object. *)
+  let hooks ~record_sample ~sample ~on_alloc =
+    (* The paper's configuration samples nothing (period 1): specialise
+       away the tick bookkeeping on that path. Telemetry keeps its own
+       access counter below. *)
+    let record_access =
+      if config.sample_period = 1 then record_sample
+      else
+        let tick = ref 0 in
+        fun addr size ->
+          incr tick;
+          if !tick mod config.sample_period = 0 then record_sample addr size
+    in
     (* Specialised at construction: with [obs = None] the hook is exactly
        the seed profiling hook. *)
-    match obs with
-    | None -> fun addr size _write -> record_access addr size
-    | Some o ->
-        let h_depth =
-          Metrics.histogram (Obs.metrics o) "profile.affinity_queue.depth"
-        in
-        (* Own access counter: [tick] is sampling bookkeeping and stays
-           untouched on the period-1 fast path. *)
-        let obs_tick = ref 0 in
-        fun addr size _write ->
-          record_access addr size;
-          incr obs_tick;
-          if !obs_tick land (depth_sample - 1) = 0 then begin
-            let d = float_of_int (Affinity_queue.length queue) in
-            Metrics.observe h_depth d;
-            if !obs_tick land (series_sample - 1) = 0 then
-              Obs.event obs ~name:"profile.affinity_queue.depth"
-                ~attrs:[ ("tick", Json.Int !obs_tick) ]
-                d
-          end
-  in
-  let hooks =
+    let on_access =
+      match obs with
+      | None -> fun addr size _write -> record_access addr size
+      | Some _ ->
+          (* Own access counter: [tick] is sampling bookkeeping and stays
+             untouched on the period-1 fast path. *)
+          let obs_tick = ref 0 in
+          fun addr size _write ->
+            record_access addr size;
+            incr obs_tick;
+            if !obs_tick land (depth_sample - 1) = 0 then sample !obs_tick
+    in
+    let track addr size ctx_sites =
+      if size <= config.max_tracked_size then begin
+        on_alloc (Heap_model.on_alloc heap ~addr ~size ~ctx:(intern ctx_sites));
+        incr tracked_allocs
+      end
+    in
     {
       Interp.on_access;
       on_alloc = (fun addr size _site ctx -> track addr size ctx);
@@ -123,18 +174,56 @@ let profile ?obs ?(config = default_config) program =
         (fun addr -> ignore (Heap_model.on_free heap ~addr : Heap_model.obj option));
     }
   in
-  let interp = Interp.create ~seed:config.seed ~hooks ?obs ~program ~alloc () in
-  Obs.span obs "profile"
-    ~attrs:[ ("stage", Json.String "profile") ]
-    ~instructions:(fun () -> Interp.instructions interp)
-    (fun () ->
-      ignore (Interp.run interp : int);
-      Obs.add_attrs obs
-        [
-          ("tracked_allocs", Json.Int !tracked_allocs);
-          ("contexts", Json.Int (Context.count contexts));
-          ("macro_accesses", Json.Int (Affinity_queue.accesses queue));
-        ]);
+  let run_profile hooks ~drain =
+    let interp = Interp.create ~seed:config.seed ~hooks ?obs ~program ~alloc () in
+    Obs.span obs "profile"
+      ~attrs:[ ("stage", Json.String "profile") ]
+      ~instructions:(fun () -> Interp.instructions interp)
+      (fun () ->
+        ignore (Interp.run interp : int);
+        drain ();
+        Obs.add_attrs obs
+          [
+            ("tracked_allocs", Json.Int !tracked_allocs);
+            ("contexts", Json.Int (Context.count contexts));
+            ("macro_accesses", Json.Int (Affinity_queue.accesses queue));
+          ]);
+    Interp.instructions interp
+  in
+  (* The affinity queue and graph run on a helper domain when a core is
+     spare. Only the accesses the queue must see cross the ring: one
+     that finds no tracked object changes nothing, and neither does a
+     repeat of the last object found, which is always the queue's newest
+     entry (a non-positive size still crosses, for the queue to
+     reject). *)
+  let table = Atomic.make [||] in
+  let instructions =
+    Helper_stream.run ?helper ?obs ~name:"profile.stream"
+      (fun hobs -> consume queue graph table (depth_sampler hobs queue))
+      (function
+        | None ->
+            run_profile ~drain:ignore
+              (hooks ~on_alloc:ignore ~sample:(depth_sampler obs queue)
+                 ~record_sample:(fun addr size ->
+                   match Heap_model.find heap addr with
+                   | None -> ()
+                   | Some o -> macro queue graph o size))
+        | Some s ->
+            let last = ref (-1) in
+            run_profile
+              ~drain:(fun () -> Helper_stream.drain s)
+              (hooks ~on_alloc:(share table)
+                 ~sample:(fun tick -> push s tag_sample tick)
+                 ~record_sample:(fun addr size ->
+                   match Heap_model.find heap addr with
+                   | None -> ()
+                   | Some o ->
+                       let oid = o.Heap_model.oid in
+                       if oid <> !last || size <= 0 then begin
+                         last := oid;
+                         push s oid size
+                       end)))
+  in
   let filtered =
     Obs.span obs "affinity-graph"
       ~attrs:[ ("stage", Json.String "affinity-graph") ]
@@ -156,5 +245,5 @@ let profile ?obs ?(config = default_config) program =
     contexts;
     total_accesses = Affinity_queue.accesses queue;
     tracked_allocs = !tracked_allocs;
-    instructions = Interp.instructions interp;
+    instructions;
   }

@@ -42,7 +42,7 @@ type result = {
   instructions : int;  (** Instructions retired by the profiling run. *)
 }
 
-val profile : ?obs:Obs.t -> ?config:config -> Ir.program -> result
+val profile : ?obs:Obs.t -> ?helper:bool -> ?config:config -> Ir.program -> result
 (** Profile one complete run of the program. [obs] opens the [profile] and
     [affinity-graph] spans, threads telemetry into the interpreter, and
     samples the [profile.affinity_queue.depth] histogram (every 64 macro
@@ -51,4 +51,16 @@ val profile : ?obs:Obs.t -> ?config:config -> Ir.program -> result
     [profile.runs] counter (when [obs] is given) — the plan cache's
     zero-reprofiling guarantee is asserted against it. Raises
     [Invalid_argument] when [sample_period < 1] or [affinity_distance <= 0],
-    before it counts the run or builds anything. *)
+    before it counts the run or builds anything.
+
+    When {!Par}'s core budget has a spare core, the affinity queue and
+    affinity graph run on a helper domain ({!Helper_stream}): the calling
+    domain interprets, interns contexts and runs the heap model, and
+    passes the helper only the accesses the queue must see (an object
+    found that is not a repeat of the last one) plus, with [obs], the
+    points at which the helper samples the queue's depth into its own
+    context on its own track. Closing that stream observes
+    [profile.stream.producer_wait_s] and
+    [profile.stream.consumer_idle_s]. The result is the same either way;
+    [~helper:true] forces a helper and [~helper:false] forbids one, as
+    {!Helper_stream.run}'s [helper] does. *)

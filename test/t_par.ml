@@ -316,6 +316,35 @@ let budget_claim_and_release () =
   Par.release 3;
   checki "released again" before (Par.spare_cores ())
 
+(* Series events a pooled task emits reach a traced parent, as many at
+   jobs 2 as on the inline pool, each on its worker's track. *)
+let pool_task_events_reach_traced_parent () =
+  let run jobs =
+    let buf = Buffer.create 4096 in
+    let obs = Obs.create ~trace:(Obs.Buffer buf) () in
+    ignore
+      (Par.map_obs ~obs ~name:"t" ~jobs
+         (fun wobs x ->
+           for k = 1 to 5 do
+             Obs.event wobs ~name:"t.series" ~attrs:[ ("k", Json.Int k) ] (float_of_int x)
+           done;
+           x)
+         (List.init 6 Fun.id)
+        : int list);
+    Obs.finish obs;
+    String.split_on_char '\n' (Buffer.contents buf)
+    |> List.filter_map (fun line ->
+           let n = String.length line in
+           match Json.of_string (if n > 0 && line.[0] = ',' then String.sub line 1 (n - 1) else line) with
+           | Ok ev when Json.get_string "name" ev = Ok "t.series" -> (
+               match Json.get_int "tid" ev with Ok tid -> Some tid | Error _ -> None)
+           | _ -> None)
+  in
+  let inline = run 1 and pooled = run 2 in
+  checki "every inline task's events" 30 (List.length inline);
+  checki "every pooled task's events" 30 (List.length pooled);
+  checkb "on worker tracks" true (List.for_all (fun tid -> tid >= 1) pooled)
+
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   [
@@ -340,4 +369,5 @@ let suite =
     tc "budget: jobs = 1 spawns nothing" budget_sequential_pool_spawns_nothing;
     tc "budget: restored after a raising task" budget_restored_after_raising_task;
     tc "budget: claim and release" budget_claim_and_release;
+    tc "map_obs: task events reach a traced parent" pool_task_events_reach_traced_parent;
   ]

@@ -393,6 +393,33 @@ let profiler_rejects_bad_config_first () =
   checki "no run counted" 0
     (Metrics.counter_value (Metrics.counter (Obs.metrics obs) "profile.runs"))
 
+(* A zero-byte load of a tracked object: the affinity queue rejects it
+   on the helper as it does inline, the helper's failure reaches the
+   caller, and its core comes back. *)
+let profiler_helper_failure_reraised () =
+  let program =
+    Dsl.(
+      program ~main:"main"
+        [
+          func "main" []
+            [
+              malloc "p" (i 64);
+              store (v "p") (i 0) (i 1);
+              load ~bytes:0 "x" (v "p") (i 0);
+              return_ (i 0);
+            ];
+        ])
+  in
+  let before = Par.spare_cores () in
+  List.iter
+    (fun helper ->
+      Alcotest.check_raises
+        (Printf.sprintf "rejected, helper=%b" helper)
+        (Invalid_argument "Affinity_queue.add: non-positive access size")
+        (fun () -> ignore (Profiler.profile ~helper program : Profiler.result)))
+    [ false; true ];
+  checki "core returned" before (Par.spare_cores ())
+
 let profiler_deterministic () =
   let p1 = Profiler.profile (profiled_pair_program ()) in
   let p2 = Profiler.profile (profiled_pair_program ()) in
@@ -507,3 +534,4 @@ let suite =
       (fun (name, d) ->
         tc ("profiler: golden digest " ^ name) (profiler_golden_digest name d))
       profiler_golden
+  @ [ tc "profiler: helper failure re-raised" profiler_helper_failure_reraised ]

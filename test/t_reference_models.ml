@@ -720,8 +720,9 @@ let stream_access st prev =
   in
   (addr, size)
 
-(* (name, value, accesses) of every counter event in a finished trace. *)
-let counter_events buf =
+(* (name, value, [attr]) of every counter event in a finished trace;
+   [attr] (default ["accesses"]) is the event's position in its stream. *)
+let counter_events ?(attr = "accesses") buf =
   String.split_on_char '\n' (Buffer.contents buf)
   |> List.filter_map (fun line ->
          let line =
@@ -735,7 +736,7 @@ let counter_events buf =
              Some
                ( Json.get_string "name" ev,
                  Json.get_float "value" args,
-                 Json.get_int "accesses" args )
+                 Json.get_int attr args )
          | _ -> None)
 
 let prop_stream_matches_direct =
@@ -783,6 +784,83 @@ let prop_stream_matches_direct =
           Obs.finish os;
           counter_events bd = counter_events bs
       | _ -> true)
+
+(* ------------------------------------------------------------------ *)
+(* The profiler on the same stream: Profiler.profile with its affinity *)
+(* queue and graph on a helper, and all inline.                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The registry a profile leaves, as comparable strings, without what
+   only one side records ([profile.stream.*]) or what reads the clock
+   ([runtime.alloc_rate]). *)
+let registry_summary obs =
+  Metrics.snapshot (Obs.metrics obs)
+  |> List.filter (fun (n, _) ->
+         n <> "runtime.alloc_rate"
+         && not (String.starts_with ~prefix:"profile.stream." n))
+  |> List.map (fun (n, v) ->
+         n ^ "=" ^ Json.to_string ~pretty:false (Metrics.value_to_json v))
+
+let has_stream_metrics obs =
+  List.mem_assoc "profile.stream.producer_wait_s" (Metrics.snapshot (Obs.metrics obs))
+
+let print_profile_case (seed, period, traced) =
+  Printf.sprintf "fuzz seed=%d sample_period=%d traced=%b" seed period traced
+
+let prop_profile_stream_matches_inline =
+  QCheck2.Test.make
+    ~name:"profiler stream: a helper gives the inline profile and registry"
+    ~count:40 ~long_factor:5 ~print:print_profile_case
+    QCheck2.Gen.(
+      triple (int_bound 1_000_000) (frequency [ (3, pure 1); (1, int_range 2 5) ]) bool)
+    (fun (seed, period, traced) ->
+      let program = (Fuzz_gen.generate ~seed ()).Fuzz_gen.test in
+      let config = { Profiler.default_config with Profiler.sample_period = period } in
+      let run helper =
+        let buf = Buffer.create 4096 in
+        let obs =
+          if traced then Obs.create ~trace:(Obs.Buffer buf) () else Obs.create ()
+        in
+        let r =
+          match Profiler.profile ~obs ~helper ~config program with
+          | r -> Ok (T_profile.profile_digest r)
+          | exception e -> Error (Printexc.to_string e)
+        in
+        Obs.finish obs;
+        ( r,
+          registry_summary obs,
+          has_stream_metrics obs,
+          counter_events ~attr:"tick" buf )
+      in
+      let r1, reg1, streamed1, ev1 = run true in
+      let r0, reg0, streamed0, ev0 = run false in
+      r1 = r0 && reg1 = reg0 && streamed1 && (not streamed0) && ev1 = ev0)
+
+(* The per-workload golden digests of [T_profile], with the queue and
+   graph forced onto a helper, and with the depth series sampled there:
+   the same profile, the same registry and the same series as inline. *)
+let profile_goldens_with_helper () =
+  List.iter
+    (fun (name, expected) ->
+      let program = (Option.get (Workloads.find name)).Workload.make Workload.Test in
+      let run helper =
+        let buf = Buffer.create 4096 in
+        let obs = Obs.create ~trace:(Obs.Buffer buf) () in
+        let d = T_profile.profile_digest (Profiler.profile ~obs ~helper program) in
+        Obs.finish obs;
+        (d, registry_summary obs, counter_events ~attr:"tick" buf)
+      in
+      let d1, reg1, ev1 = run true in
+      Alcotest.(check string) (name ^ " digest with a helper") expected d1;
+      Alcotest.(check string)
+        (name ^ " digest with a helper, untraced")
+        expected
+        (T_profile.profile_digest (Profiler.profile ~helper:true program));
+      let _, reg0, ev0 = run false in
+      Alcotest.(check (list string)) (name ^ " registry") reg0 reg1;
+      Alcotest.(check bool) (name ^ " depth series sampled") true (ev0 <> []);
+      Alcotest.(check bool) (name ^ " depth series") true (ev0 = ev1))
+    T_profile.profiler_golden
 
 (* ------------------------------------------------------------------ *)
 (* Reference score function: Figure 7 computed from the edge list.      *)
@@ -1226,4 +1304,9 @@ let suite =
       prop_paged_mem_matches_reference;
       prop_sequitur_matches_reference;
       prop_stream_matches_direct;
+      prop_profile_stream_matches_inline;
+    ]
+  @ [
+      Alcotest.test_case "profiler stream: golden digests with a helper" `Quick
+        profile_goldens_with_helper;
     ]

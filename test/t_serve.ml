@@ -386,6 +386,42 @@ let socket_round_trip () =
   checki "two responses served" 2 served;
   checkb "socket unlinked on exit" true (not (Sys.file_exists path))
 
+(* The socket's hostile-input contract: one valid line per job form,
+   with a few byte mutations applied, parses to [Ok] or [Error] and
+   raises nothing else. *)
+let proto_seed_lines =
+  List.map
+    (fun j -> Json.to_string ~pretty:false (Serve_proto.job_to_json j))
+    [
+      record 1 "ft" 3 1.0;
+      {
+        Serve_proto.id = 2;
+        payload =
+          Serve_proto.Profile_record
+            { workload = "health"; seed = 9; weight = 2.5; scale = Workload.Ref };
+      };
+      {
+        Serve_proto.id = 3;
+        payload = Serve_proto.Profile_load { path = "ft.prof.bin"; weight = 0.5 };
+      };
+      request 4 "omnetpp";
+      stats 5;
+      shutdown 6;
+    ]
+
+let proto_mutation_prop =
+  QCheck2.Test.make ~name:"proto: job lines survive byte mutations" ~count:1000
+    ~print:(fun (k, muts) ->
+      Printf.sprintf "line %d: %s" k (String.concat " " (List.map Byte_mutation.show muts)))
+    QCheck2.Gen.(
+      pair (int_bound (List.length proto_seed_lines - 1)) (list_size (int_range 1 3) Byte_mutation.gen))
+    (fun (k, muts) ->
+      let line = List.fold_left Byte_mutation.mutate (List.nth proto_seed_lines k) muts in
+      match Serve_proto.job_of_line line with
+      | Ok _ | Error _ -> true
+      | exception e ->
+          QCheck2.Test.fail_reportf "job_of_line raised %s" (Printexc.to_string e))
+
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   let slow name f = Alcotest.test_case name `Slow f in
@@ -405,4 +441,5 @@ let suite =
     tc "line reader: buffered chunks" line_reader_large_chunks;
     slow "aggregates: survive a restart" aggregates_survive_restart;
     slow "socket: round-trip and shutdown" socket_round_trip;
+    QCheck_alcotest.to_alcotest proto_mutation_prop;
   ]
