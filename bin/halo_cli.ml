@@ -1,8 +1,8 @@
 (* The `halo` command-line tool.
 
-   Mirrors the artefact appendix's workflow (A.5): `halo baseline` and
-   `halo run` measure a workload under the default and optimised
-   configurations, `halo plot`'s role is played by `halo figures` (text
+   Mirrors the artefact appendix's workflow (A.5): `halo run` measures a
+   workload under the default (`-c jemalloc`) or an optimised
+   configuration, `halo plot`'s role is played by `halo figures` (text
    tables rather than PDFs), and the A.8 per-benchmark flags
    (--chunk-size, --max-spare-chunks, --max-groups) are accepted by
    `halo run`. `halo plan` additionally exposes the optimisation plan
@@ -12,9 +12,7 @@
    Observability: every `--trace-out FILE` streams the command's telemetry
    (pipeline-stage spans, allocator/cache metric series, metric
    summaries) as Chrome trace-event JSON, which Perfetto loads and
-   `halo telemetry report|diff` reads back; `halo telemetry run` runs a
-   workload/configuration pair and pretty-prints the span tree and the
-   top-N metrics. *)
+   `halo telemetry report|diff` reads back. *)
 
 open Cmdliner
 
@@ -120,8 +118,8 @@ let pipeline_config ~chunk_size ~spare ~max_groups ~affinity =
   in
   { c with Pipeline.allocator; grouping; profiler }
 
-(* The one measurement formatter, shared by `run`, `baseline` and
-   `telemetry`: a two-column Util.Table rather than ad-hoc printf. *)
+(* The one measurement formatter, shared by `run` and `profile apply`:
+   a two-column Util.Table rather than ad-hoc printf. *)
 let measurement_table ?baseline (m : Runner.measurement) =
   let t =
     Table.create
@@ -601,30 +599,6 @@ let top_arg =
     value & opt int 10
     & info [ "top" ] ~docv:"N" ~doc:"Entries to show per ranked table.")
 
-let telemetry_run_cmd =
-  let run w kind seed chunk_size spare max_groups affinity trace_out top =
-    let pc = pipeline_config ~chunk_size ~spare ~max_groups ~affinity in
-    with_trace trace_out (fun obs ->
-        let obs = match obs with Some o -> o | None -> Obs.create () in
-        let m = Runner.run ~obs ~seed ~pipeline_config:pc w kind in
-        print_measurement m;
-        print_newline ();
-        print_endline "span tree (wall clock; retired instructions where measured):";
-        print_string (Obs.span_tree_string obs);
-        print_newline ();
-        Printf.printf "top %d metrics by volume:\n" top;
-        print_string (Obs.top_metrics_string ~n:top obs))
-  in
-  Cmd.v
-    (Cmd.info "run"
-       ~doc:
-         "Run a workload/configuration pair with full observability: print \
-          the pipeline span tree and the hottest metrics, optionally \
-          exporting the trace.")
-    Term.(
-      const run $ workload_arg $ kind_arg $ seed_arg $ chunk_size_arg $ spare_arg
-      $ max_groups_arg $ affinity_arg $ trace_out_arg $ top_arg)
-
 let load_telemetry path =
   match Telemetry.load path with
   | Ok t -> t
@@ -688,17 +662,9 @@ let telemetry_cmd =
   Cmd.group
     (Cmd.info "telemetry"
        ~doc:
-         "Observability tooling: run a workload with full telemetry, analyse \
-          a recorded trace, or diff two traces with a regression threshold.")
-    [ telemetry_run_cmd; telemetry_report_cmd; telemetry_diff_cmd ]
-
-let baseline_cmd =
-  let run w seed =
-    print_measurement (Runner.run ~seed w Runner.Jemalloc)
-  in
-  Cmd.v
-    (Cmd.info "baseline" ~doc:"Measure a workload under plain jemalloc.")
-    Term.(const run $ workload_arg $ seed_arg)
+         "Observability tooling: analyse a recorded trace, or diff two \
+          traces with a regression threshold.")
+    [ telemetry_report_cmd; telemetry_diff_cmd ]
 
 let plan_cmd =
   let run w dot_file affinity =
@@ -735,77 +701,47 @@ let plan_cmd =
     (Cmd.info "plan" ~doc:"Show the HALO optimisation plan for a workload.")
     Term.(const run $ workload_arg $ dot_arg $ affinity_arg)
 
-let sweep_cmd =
-  let run distances =
-    let distances = match distances with [] -> None | l -> Some l in
-    Table.print (Figures.fig12 ?distances ())
-  in
-  let distances_arg =
-    Arg.(
-      value & opt (list int) []
-      & info [ "distances" ] ~docv:"A,B,..."
-          ~doc:"Affinity distances to sweep (default 8..131072, powers of 2).")
-  in
-  Cmd.v
-    (Cmd.info "sweep"
-       ~doc:"Figure 12: omnetpp execution time across affinity distances.")
-    Term.(const run $ distances_arg)
-
-(* Figures backed by the measurement suite: the only ones whose run
-   produces spans for [figures --trace-out]. *)
-let suite_figures = [ "all"; "trials"; "fig13"; "fig14"; "fig15"; "tab1"; "diag" ]
-
 (* [figures trials]: the input seeds of §5.1's multi-trial presentation;
    Figures 13-15 print each cell as median [p25, p75] over them. *)
 let trial_seeds = [ 2; 5; 8; 11; 14 ]
 
 let figures_cmd =
   let run which jobs plan_cache trace_out =
-    if trace_out <> None && not (List.mem which suite_figures) then begin
-      Printf.eprintf "--trace-out: figure %S runs no suite; use one of: %s\n"
-        which
-        (String.concat ", " suite_figures);
-      exit 2
-    end;
-    let jobs = effective_jobs jobs in
+    let suite ?seeds tables =
+      List.map (fun (name, table) -> Figures.suite_section ?seeds name table) tables
+    in
+    let sections =
+      match which with
+      | "all" -> Figures.all
+      | "trials" ->
+          suite ~seeds:trial_seeds
+            [ ("fig13", Figures.fig13); ("fig14", Figures.fig14); ("fig15", Figures.fig15) ]
+      | "fig13" -> suite [ (which, Figures.fig13) ]
+      | "fig14" -> suite [ (which, Figures.fig14) ]
+      | "fig15" -> suite [ (which, Figures.fig15) ]
+      | "tab1" -> suite [ (which, Figures.tab1) ]
+      | "diag" -> suite [ (which, Figures.hds_diagnostics) ]
+      | "fig12" -> [ Figures.fig12 ]
+      | "drift" -> [ Figures.drift_study ]
+      | "sec51" -> [ Figures.sec51_baseline ]
+      | "overhead" -> [ Figures.overhead_control ]
+      | "ablation" ->
+          Figures.
+            [
+              ablation_grouping;
+              ablation_packing;
+              ablation_identification;
+              ablation_backend;
+              ablation_sampling;
+            ]
+      | other ->
+          Printf.eprintf "unknown figure %S\n" other;
+          exit 2
+    in
     let cache = plan_cache_of plan_cache in
     let plan_source = Option.map Plan_cache.source cache in
     with_trace trace_out (fun obs ->
-      match which with
-      | "all" -> Figures.print_all ~jobs ?obs ?plan_source ()
-      | "trials" ->
-          let suite =
-            Figures.run_suite ~seeds:trial_seeds ~jobs ?obs ?plan_source ()
-          in
-          Table.print (Figures.fig13 suite);
-          print_newline ();
-          Table.print (Figures.fig14 suite);
-          print_newline ();
-          Table.print (Figures.fig15 suite)
-      | "fig12" -> Table.print (Figures.fig12 ())
-      | "drift" -> Table.print (Figures.drift_study ~jobs ())
-      | "sec51" -> Table.print (Figures.sec51_baseline ())
-      | "overhead" -> Table.print (Figures.overhead_control ())
-      | "ablation" ->
-          Table.print (Figures.ablation_grouping ());
-          Table.print (Figures.ablation_packing ());
-          Table.print (Figures.ablation_identification ());
-          Table.print (Figures.ablation_backend ());
-          Table.print (Figures.ablation_sampling ())
-      | "fig13" | "fig14" | "fig15" | "tab1" | "diag" ->
-          let suite = Figures.run_suite ~jobs ?obs ?plan_source () in
-          let t =
-            match which with
-            | "fig13" -> Figures.fig13 suite
-            | "fig14" -> Figures.fig14 suite
-            | "fig15" -> Figures.fig15 suite
-            | "tab1" -> Figures.tab1 suite
-            | _ -> Figures.hds_diagnostics suite
-          in
-          Table.print t
-      | other ->
-          Printf.eprintf "unknown figure %S\n" other;
-          exit 2);
+        Figures.print ~jobs:(effective_jobs jobs) ?obs ?plan_source sections);
     report_cache cache
   in
   let which_arg =
@@ -815,10 +751,7 @@ let figures_cmd =
           ~doc:
             "One of: all, trials, fig12, fig13, fig14, fig15, tab1, sec51, \
              overhead, diag, ablation, drift. $(b,trials) prints Figures \
-             13-15 over five input seeds as median [p25, p75]. Only the \
-             suite-backed figures (all, trials, fig13, fig14, fig15, tab1, \
-             diag) take $(b,--trace-out); any other exits 2 before \
-             running.")
+             13-15 over five input seeds as median [p25, p75].")
   in
   Cmd.v
     (Cmd.info "figures" ~doc:"Regenerate the paper's tables and figures.")
@@ -1459,7 +1392,7 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [
-            run_cmd; baseline_cmd; telemetry_cmd; plan_cmd; profile_cmd;
-            serve_cmd; traffic_cmd; sweep_cmd; figures_cmd; fuzz_cmd;
+            run_cmd; telemetry_cmd; plan_cmd; profile_cmd; serve_cmd;
+            traffic_cmd; figures_cmd; fuzz_cmd;
             disasm_cmd; contexts_cmd; list_cmd;
           ]))

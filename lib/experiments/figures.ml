@@ -8,55 +8,6 @@ type suite = {
 
 let suite_kinds = [ Runner.Jemalloc; Runner.Halo; Runner.Hds; Runner.Random_pools 4 ]
 
-let run_suite ?(seeds = [ 2 ]) ?workloads ?(progress = fun _ -> ()) ?jobs ?obs
-    ?plan_source () =
-  let workloads = Option.value workloads ~default:Workloads.all in
-  (* One task per workload×kind×seed cell. Each cell builds its own Vmem,
-     allocator and interpreter, so cells are independent; Par.map returns
-     results in submission order, making the suite's contents identical at
-     any worker count. *)
-  let cells =
-    List.concat_map
-      (fun w ->
-        List.concat_map
-          (fun kind -> List.map (fun seed -> (w, kind, seed)) seeds)
-          suite_kinds)
-      workloads
-  in
-  let progress =
-    (* Workers report completion concurrently; serialise the callback. *)
-    let mu = Mutex.create () in
-    fun line -> Mutex.protect mu (fun () -> progress line)
-  in
-  let measurements =
-    Par.map_obs ?obs ~name:"suite" ?jobs
-      (fun wobs (w, kind, seed) ->
-        let m = Runner.run ?obs:wobs ~seed ?plan_source w kind in
-        progress
-          (Printf.sprintf "%s/%s (seed %d) done" w.Workload.name
-             (Runner.kind_name kind) seed);
-        m)
-      cells
-  in
-  (* Reassemble in the cell-generation order: measurements.(i) is cell i. *)
-  let arr = Array.of_list measurements in
-  let idx = ref 0 in
-  let next () =
-    let m = arr.(!idx) in
-    incr idx;
-    m
-  in
-  let data =
-    List.map
-      (fun w ->
-        let per_kind =
-          List.map (fun kind -> (kind, List.map (fun _ -> next ()) seeds)) suite_kinds
-        in
-        (w.Workload.name, per_kind))
-      workloads
-  in
-  { workloads; seeds; data }
-
 let runs_of suite bench kind =
   match List.assoc_opt bench suite.data with
   | None -> []
@@ -95,12 +46,10 @@ let paper_fig13_14 bench =
   List.find_opt (fun (p : Paper_data.fig13_14) -> p.bench = bench)
     Paper_data.fig13_14
 
-let fig13 suite =
+(* Figures 13 and 14: HDS and HALO, paper next to measured. *)
+let hds_and_halo ~title ~paper metric suite =
   let t =
-    Table.create
-      ~title:
-        "Figure 13 — L1 D-cache miss reduction vs jemalloc (paper bars are \
-         approximate reads)"
+    Table.create ~title
       ~headers:
         [ "benchmark"; "HDS (paper)"; "HDS (measured)"; "HALO (paper)";
           "HALO (measured)" ]
@@ -109,41 +58,35 @@ let fig13 suite =
   List.iter
     (fun bench ->
       let p = paper_fig13_14 bench in
+      let paper pick =
+        match p with Some p -> Table.fmt_pct (pick (paper p)) | None -> "-"
+      in
       Table.add_row t
         [
           bench;
-          (match p with Some p -> Table.fmt_pct p.hds_miss | None -> "-");
-          metric_cell suite bench Runner.Hds Runner.miss_reduction_vs;
-          (match p with Some p -> Table.fmt_pct p.halo_miss | None -> "-");
-          metric_cell suite bench Runner.Halo Runner.miss_reduction_vs;
+          paper fst;
+          metric_cell suite bench Runner.Hds metric;
+          paper snd;
+          metric_cell suite bench Runner.Halo metric;
         ])
     (bench_names suite);
   t
 
-let fig14 suite =
-  let t =
-    Table.create
-      ~title:
-        "Figure 14 — execution-time speedup vs jemalloc (paper bars are \
-         approximate reads)"
-      ~headers:
-        [ "benchmark"; "HDS (paper)"; "HDS (measured)"; "HALO (paper)";
-          "HALO (measured)" ]
-      ()
-  in
-  List.iter
-    (fun bench ->
-      let p = paper_fig13_14 bench in
-      Table.add_row t
-        [
-          bench;
-          (match p with Some p -> Table.fmt_pct p.hds_speed | None -> "-");
-          metric_cell suite bench Runner.Hds Runner.speedup_vs;
-          (match p with Some p -> Table.fmt_pct p.halo_speed | None -> "-");
-          metric_cell suite bench Runner.Halo Runner.speedup_vs;
-        ])
-    (bench_names suite);
-  t
+let fig13 =
+  hds_and_halo
+    ~title:
+      "Figure 13 — L1 D-cache miss reduction vs jemalloc (paper bars are \
+       approximate reads)"
+    ~paper:(fun p -> (p.Paper_data.hds_miss, p.Paper_data.halo_miss))
+    Runner.miss_reduction_vs
+
+let fig14 =
+  hds_and_halo
+    ~title:
+      "Figure 14 — execution-time speedup vs jemalloc (paper bars are \
+       approximate reads)"
+    ~paper:(fun p -> (p.Paper_data.hds_speed, p.Paper_data.halo_speed))
+    Runner.speedup_vs
 
 let fig15 suite =
   let t =
@@ -183,140 +126,22 @@ let tab1 suite =
   List.iter
     (fun (bench, ppct, pbytes) ->
       match runs_of suite bench Runner.Halo with
-      | [] -> ()
-      | m :: _ -> (
-          match m.Runner.halo with
-          | None -> ()
-          | Some h ->
-              Table.add_row t
-                [
-                  bench;
-                  Printf.sprintf "%.2f%%" (100.0 *. ppct);
-                  Printf.sprintf "%.2f%%" (100.0 *. h.Runner.frag.Group_alloc.frag_pct);
-                  Table.fmt_bytes pbytes;
-                  Table.fmt_bytes h.Runner.frag.Group_alloc.frag_bytes;
-                ]))
+      | { Runner.halo = Some h; _ } :: _ ->
+          Table.add_row t
+            [
+              bench;
+              Printf.sprintf "%.2f%%" (100.0 *. ppct);
+              Printf.sprintf "%.2f%%" (100.0 *. h.Runner.frag.Group_alloc.frag_pct);
+              Table.fmt_bytes pbytes;
+              Table.fmt_bytes h.Runner.frag.Group_alloc.frag_bytes;
+            ]
+      | _ -> ())
     (List.filter
        (fun (bench, _, _) ->
          match List.find_opt (fun w -> w.Workload.name = bench) suite.workloads with
          | Some w -> w.Workload.in_frag_table
          | None -> false)
        Paper_data.table1);
-  t
-
-let fig12 ?distances () =
-  let distances =
-    Option.value distances
-      ~default:(List.init 15 (fun k -> 1 lsl (k + 3)) (* 2^3 .. 2^17 *))
-  in
-  let w =
-    match Workloads.find "omnetpp" with
-    | Some w -> w
-    | None -> invalid_arg "Figures.fig12: omnetpp workload missing"
-  in
-  let baseline = Runner.run w Runner.Jemalloc in
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Figure 12 — omnetpp simulated time vs affinity distance (baseline \
-            jemalloc: %.2f ms simulated; paper baseline ~%.0f s wall-clock)"
-           (baseline.Runner.seconds *. 1e3)
-           Paper_data.fig12_baseline_seconds)
-      ~headers:[ "affinity distance (bytes)"; "time (sim ms)"; "vs baseline" ]
-      ()
-  in
-  List.iter
-    (fun a ->
-      let config =
-        {
-          Pipeline.default_config with
-          Pipeline.profiler =
-            { Profiler.default_config with Profiler.affinity_distance = a };
-        }
-      in
-      let m = Runner.run ~pipeline_config:config w Runner.Halo in
-      Table.add_row t
-        [
-          string_of_int a;
-          Printf.sprintf "%.3f" (m.Runner.seconds *. 1e3);
-          Table.fmt_pct (Runner.speedup_vs ~baseline m);
-        ])
-    distances;
-  t
-
-let selection_criterion ?workloads () =
-  let workloads = Option.value workloads ~default:Workloads.all in
-  let t =
-    Table.create
-      ~title:
-        "Section 5.1 — benchmark selection: heap allocations per million          instructions on the train input (threshold: > 1)"
-      ~headers:[ "benchmark"; "allocations"; "instructions"; "allocs/Minstr" ]
-      ()
-  in
-  List.iter
-    (fun w ->
-      let program = w.Workload.make Workload.Train in
-      let vmem = Vmem.create () in
-      let alloc = Jemalloc_sim.create vmem in
-      let interp = Interp.create ~seed:1 ~program ~alloc () in
-      ignore (Interp.run interp : int);
-      let stats = alloc.Alloc_iface.stats () in
-      let instr = Interp.instructions interp in
-      Table.add_row t
-        [
-          w.Workload.name;
-          string_of_int stats.Alloc_iface.mallocs;
-          string_of_int instr;
-          Printf.sprintf "%.1f"
-            (1e6 *. float_of_int stats.Alloc_iface.mallocs /. float_of_int instr);
-        ])
-    workloads;
-  t
-
-let sec51_baseline ?workloads () =
-  let workloads = Option.value workloads ~default:Workloads.all in
-  let t =
-    Table.create
-      ~title:
-        "Section 5.1 — baseline choice: L1D miss reduction of jemalloc over \
-         ptmalloc2 (paper: up to 32%)"
-      ~headers:[ "benchmark"; "ptmalloc L1 misses"; "jemalloc L1 misses"; "reduction" ]
-      ()
-  in
-  List.iter
-    (fun w ->
-      let je = Runner.run w Runner.Jemalloc in
-      let pt = Runner.run w Runner.Ptmalloc in
-      Table.add_row t
-        [
-          w.Workload.name;
-          string_of_int pt.Runner.counters.Hierarchy.l1_misses;
-          string_of_int je.Runner.counters.Hierarchy.l1_misses;
-          Table.fmt_pct
-            (Timing.miss_reduction
-               ~baseline:pt.Runner.counters.Hierarchy.l1_misses
-               ~optimised:je.Runner.counters.Hierarchy.l1_misses);
-        ])
-    workloads;
-  t
-
-let overhead_control ?workloads () =
-  let workloads = Option.value workloads ~default:Workloads.all in
-  let t =
-    Table.create
-      ~title:
-        "Section 5.2 control — instrumented binary without the specialised \
-         allocator (overhead should be noise)"
-      ~headers:[ "benchmark"; "speedup vs jemalloc" ]
-      ()
-  in
-  List.iter
-    (fun w ->
-      let base = Runner.run w Runner.Jemalloc in
-      let m = Runner.run w Runner.Halo_no_alloc in
-      Table.add_row t [ w.Workload.name; Table.fmt_pct (Runner.speedup_vs ~baseline:base m) ])
-    workloads;
   t
 
 let hds_diagnostics suite =
@@ -332,287 +157,449 @@ let hds_diagnostics suite =
   in
   List.iter
     (fun bench ->
-      let hds_run = match runs_of suite bench Runner.Hds with m :: _ -> Some m | [] -> None in
-      let halo_run = match runs_of suite bench Runner.Halo with m :: _ -> Some m | [] -> None in
-      match (hds_run, halo_run) with
-      | Some hm, Some am -> (
-          match (hm.Runner.hds, am.Runner.halo) with
-          | Some h, Some a ->
-              Table.add_row t
-                [
-                  bench;
-                  string_of_int h.Runner.stream_count;
-                  string_of_int h.Runner.selected_streams;
-                  Printf.sprintf "%.0f%%" (100.0 *. h.Runner.hds_coverage);
-                  string_of_int h.Runner.pools;
-                  string_of_int a.Runner.graph_nodes;
-                  string_of_int a.Runner.groups;
-                ]
-          | _ -> ())
+      match (runs_of suite bench Runner.Hds, runs_of suite bench Runner.Halo) with
+      | { Runner.hds = Some h; _ } :: _, { Runner.halo = Some a; _ } :: _ ->
+          Table.add_row t
+            [
+              bench;
+              string_of_int h.Runner.stream_count;
+              string_of_int h.Runner.selected_streams;
+              Printf.sprintf "%.0f%%" (100.0 *. h.Runner.hds_coverage);
+              string_of_int h.Runner.pools;
+              string_of_int a.Runner.graph_nodes;
+              string_of_int a.Runner.groups;
+            ]
       | _ -> ())
     (bench_names suite);
   t
 
-let ablation_grouping ?workloads () =
-  let workloads =
-    Option.value workloads
-      ~default:
-        (List.filter
-           (fun w -> List.mem w.Workload.name [ "health"; "povray"; "xalanc" ])
-           Workloads.all)
-  in
-  let clusterers =
-    [
-      ("halo (fig 6)", None);
-      ("modularity", Some (fun g p -> Clustering.as_grouping g p (Clustering.modularity g)));
-      ("hcs", Some (fun g p -> Clustering.as_grouping g p (Clustering.hcs g)));
-      ( "threshold",
-        Some
-          (fun g (p : Grouping.params) ->
-            Clustering.as_grouping g p
-              (Clustering.threshold_components
-                 ~min_weight:p.Grouping.min_edge_weight g)) );
-    ]
-  in
-  let t =
-    Table.create
-      ~title:
-        "Ablation — grouping algorithm swapped inside the HALO pipeline          (Section 4.2's comparison claim)"
-      ~headers:
-        ([ "clusterer" ]
-        @ List.concat_map
-            (fun w -> [ w.Workload.name ^ " miss red."; w.Workload.name ^ " groups" ])
-            workloads)
-      ()
-  in
-  let baselines = List.map (fun w -> Runner.run w Runner.Jemalloc) workloads in
-  List.iter
-    (fun (name, group_fn) ->
-      let cells =
-        List.concat
-          (List.map2
-             (fun w base ->
-               let m = Runner.run ?group_fn w Runner.Halo in
-               let groups =
-                 match m.Runner.halo with
-                 | Some h -> string_of_int h.Runner.groups
-                 | None -> "-"
-               in
-               [ Table.fmt_pct (Runner.miss_reduction_vs ~baseline:base m); groups ])
-             workloads baselines)
-      in
-      Table.add_row t (name :: cells))
-    clusterers;
-  t
+(* ------------------------------------------------------------------ *)
+(* The cell grid                                                       *)
+(* ------------------------------------------------------------------ *)
 
-let ablation_packing ?workloads () =
-  let workloads =
-    Option.value workloads
-      ~default:
-        (List.filter
-           (fun w -> List.mem w.Workload.name [ "health"; "ft"; "povray"; "roms" ])
-           Workloads.all)
+(* The grouping ablation's clusterers as data, so cells compare with [=]. *)
+type clusterer = Fig6 | Modularity | Hcs | Threshold
+
+let group_fn = function
+  | Fig6 -> None
+  | Modularity ->
+      Some (fun g p -> Clustering.as_grouping g p (Clustering.modularity g))
+  | Hcs -> Some (fun g p -> Clustering.as_grouping g p (Clustering.hcs g))
+  | Threshold ->
+      Some
+        (fun g (p : Grouping.params) ->
+          Clustering.as_grouping g p
+            (Clustering.threshold_components
+               ~min_weight:p.Grouping.min_edge_weight g))
+
+type cell = {
+  w : Workload.t;
+  kind : Runner.kind;
+  seed : int;
+  config : Pipeline.config;
+  clusterer : clusterer;
+}
+
+let cell ?(seed = 2) ?(config = Pipeline.default_config) w kind =
+  { w; kind; seed; config; clusterer = Fig6 }
+
+(* A workload holds closures, so its name stands for it in a key. *)
+let key c = (c.w.Workload.name, c.kind, c.seed, c.config, c.clusterer)
+
+let dedup cells =
+  let seen = Hashtbl.create 64 in
+  List.filter
+    (fun c -> (not (Hashtbl.mem seen (key c))) && (Hashtbl.add seen (key c) (); true))
+    cells
+
+(* [lookup cells results]: the result of each cell, by key. *)
+let lookup cells results =
+  let t = Hashtbl.create 64 in
+  List.iter2 (fun c r -> Hashtbl.replace t (key c) r) cells results;
+  fun c -> Hashtbl.find t (key c)
+
+(* The cell that stands for [c]'s plan: a plan depends on the workload's
+   Test program (a pure function of its name) and the config, never on
+   the measurement seed. *)
+let plan_cell c =
+  match c.kind with
+  | Runner.Halo | Halo_no_alloc -> Some { c with kind = Runner.Halo; seed = 2 }
+  | Hds | Hds_merged_packing -> Some { c with seed = 2 }
+  | _ -> None
+
+type plan = Halo_plan of Pipeline.plan | Hds_plan of Hds_pipeline.plan
+
+let make_plan ?obs ?plan_source c =
+  Obs.span obs "plan"
+    ~attrs:
+      [
+        ("workload", Json.String c.w.Workload.name);
+        ("configuration", Json.String (Runner.kind_name c.kind));
+      ]
+    (fun () ->
+      match c.kind with
+      | Runner.Hds | Hds_merged_packing ->
+          Hds_plan (Runner.plan_hds ~merge:(c.kind = Hds_merged_packing) c.w)
+      | _ ->
+          Halo_plan
+            (Runner.plan_halo ?obs ?plan_source ~pipeline_config:c.config
+               ?group_fn:(group_fn c.clusterer) c.w))
+
+(* Two fan-outs over one pool size: every distinct plan, then every
+   distinct cell under its plan. Each task builds its own programs,
+   allocators and interpreter, and Par.map returns results in submission
+   order, so the measurements are identical at any worker count. *)
+let run_cells ?jobs ?obs ?plan_source ?(progress = fun _ -> ()) cells =
+  let cells = dedup cells in
+  let planned = dedup (List.filter_map plan_cell cells) in
+  let plan_of =
+    lookup planned
+      (Par.map_obs ?obs ~name:"plans" ?jobs
+         (fun wobs c -> make_plan ?obs:wobs ?plan_source c)
+         planned)
   in
-  let t =
-    Table.create
-      ~title:
-        "Ablation — hot-data-streams set packing: stream-faithful weights vs \
-         merged identical sets (repairs the weight scattering of Section 5.2)"
-      ~headers:
-        [ "benchmark"; "HDS miss red."; "HDS speedup"; "merged miss red.";
-          "merged speedup" ]
-      ()
+  let progress =
+    (* Workers report completion concurrently; serialise the callback. *)
+    let mu = Mutex.create () in
+    fun line -> Mutex.protect mu (fun () -> progress line)
   in
-  List.iter
+  let measure wobs (c, plan) =
+    let plan_source, hds_plan =
+      match plan with
+      | Some (Halo_plan p) -> (Some (Pipeline.constant_source p), None)
+      | Some (Hds_plan p) -> (None, Some p)
+      | None -> (None, None)
+    in
+    let m =
+      Runner.run ?obs:wobs ~seed:c.seed ~pipeline_config:c.config ?plan_source
+        ?hds_plan c.w c.kind
+    in
+    progress
+      (Printf.sprintf "%s/%s (seed %d) done" c.w.Workload.name
+         (Runner.kind_name c.kind) c.seed);
+    m
+  in
+  lookup cells
+    (Par.map_obs ?obs ~name:"cells" ?jobs measure
+       (List.map (fun c -> (c, Option.map plan_of (plan_cell c))) cells))
+
+let suite_cells workloads seeds =
+  List.concat_map
     (fun w ->
-      let base = Runner.run w Runner.Jemalloc in
-      let hds = Runner.run w Runner.Hds in
-      let merged = Runner.run w Runner.Hds_merged_packing in
-      Table.add_row t
-        [
-          w.Workload.name;
-          Table.fmt_pct (Runner.miss_reduction_vs ~baseline:base hds);
-          Table.fmt_pct (Runner.speedup_vs ~baseline:base hds);
-          Table.fmt_pct (Runner.miss_reduction_vs ~baseline:base merged);
-          Table.fmt_pct (Runner.speedup_vs ~baseline:base merged);
-        ])
-    workloads;
-  t
+      List.concat_map
+        (fun kind -> List.map (fun seed -> cell ~seed w kind) seeds)
+        suite_kinds)
+    workloads
 
-let ablation_identification ?workloads () =
-  let workloads =
-    Option.value workloads
-      ~default:
-        (List.filter
-           (fun w ->
-             List.mem w.Workload.name [ "health"; "povray"; "xalanc"; "leela" ])
-           Workloads.all)
+let suite_of workloads seeds get =
+  let data =
+    List.map
+      (fun w ->
+        ( w.Workload.name,
+          List.map
+            (fun kind -> (kind, List.map (fun seed -> get (cell ~seed w kind)) seeds))
+            suite_kinds ))
+      workloads
   in
-  let t =
-    Table.create
-      ~title:
-        "Ablation — identification granularity (same grouping; Section          2.2.3's schemes vs full-context selectors), L1D miss reduction"
-      ~headers:
-        ([ "scheme" ] @ List.map (fun w -> w.Workload.name) workloads)
-      ()
-  in
-  let baselines = List.map (fun w -> Runner.run w Runner.Jemalloc) workloads in
-  List.iter
-    (fun (label, kind) ->
-      let cells =
-        List.map2
-          (fun w base ->
-            let m = Runner.run w kind in
-            Table.fmt_pct (Runner.miss_reduction_vs ~baseline:base m))
-          workloads baselines
-      in
-      Table.add_row t (label :: cells))
-    [
-      ("immediate site (MO/HDS)", Runner.Ident_window 1);
-      ("xor-4 name (Calder)", Runner.Ident_window 4);
-      ("full context (HALO)", Runner.Halo);
-    ];
-  t
+  { workloads; seeds; data }
 
-let ablation_backend ?workloads () =
-  let workloads =
-    Option.value workloads
-      ~default:
-        (List.filter
-           (fun w -> List.mem w.Workload.name [ "leela"; "omnetpp"; "health" ])
-           Workloads.all)
+let run_suite ?(seeds = [ 2 ]) ?(workloads = Workloads.all) ?progress ?jobs ?obs
+    ?plan_source () =
+  suite_of workloads seeds
+    (run_cells ?progress ?jobs ?obs ?plan_source (suite_cells workloads seeds))
+
+(* ------------------------------------------------------------------ *)
+(* Sections: each figure's cells and its table                         *)
+(* ------------------------------------------------------------------ *)
+
+type section = {
+  name : string;
+  cells : cell list;
+  render : jobs:int option -> (cell -> Runner.measurement) -> Table.t;
+}
+
+let suite_section ?(seeds = [ 2 ]) name render =
+  {
+    name;
+    cells = suite_cells Workloads.all seeds;
+    render = (fun ~jobs:_ get -> render (suite_of Workloads.all seeds get));
+  }
+
+(* One entry of a section's table: the cells it reads and how it shows
+   them. *)
+type entry = { needs : cell list; show : (cell -> Runner.measurement) -> string }
+
+let text s = { needs = []; show = (fun _ -> s) }
+let entry needs show = { needs; show }
+
+let miss_red ~base c =
+  entry [ base; c ] (fun get ->
+      Table.fmt_pct (Runner.miss_reduction_vs ~baseline:(get base) (get c)))
+
+let speedup ~base c =
+  entry [ base; c ] (fun get ->
+      Table.fmt_pct (Runner.speedup_vs ~baseline:(get base) (get c)))
+
+let halo_detail c show =
+  entry [ c ] (fun get ->
+      match (get c).Runner.halo with Some h -> show h | None -> "-")
+
+(* A section whose table is [rows] of entries under [headers]. *)
+let table name ~title ~headers rows =
+  let render ~jobs:_ get =
+    let t = Table.create ~title:(title.show get) ~headers () in
+    List.iter (fun row -> Table.add_row t (List.map (fun e -> e.show get) row)) rows;
+    t
   in
-  let t =
-    Table.create
-      ~title:
-        "Extension — group-pool backend: bump-only (paper) vs sharded free          lists (Section 6 future work)"
-      ~headers:
-        [ "benchmark"; "backend"; "miss red."; "speedup"; "frag %"; "frag bytes" ]
-      ()
+  { name; cells = List.concat_map (fun e -> e.needs) (title :: List.concat rows); render }
+
+(* The registry's workloads among [names], in registry order. *)
+let registry names =
+  List.filter (fun w -> List.mem w.Workload.name names) Workloads.all
+
+let baseline w = cell w Runner.Jemalloc
+
+let with_profiler f =
+  { Pipeline.default_config with Pipeline.profiler = f Profiler.default_config }
+
+let fig12 =
+  let w = Option.get (Workloads.find "omnetpp") in
+  let base = baseline w in
+  table "fig12"
+    ~title:
+      (entry [ base ] (fun get ->
+           Printf.sprintf
+             "Figure 12 — omnetpp simulated time vs affinity distance (baseline \
+              jemalloc: %.2f ms simulated; paper baseline ~%.0f s wall-clock)"
+             ((get base).Runner.seconds *. 1e3)
+             Paper_data.fig12_baseline_seconds))
+    ~headers:[ "affinity distance (bytes)"; "time (sim ms)"; "vs baseline" ]
+    (List.map
+       (fun a ->
+         let c =
+           cell
+             ~config:(with_profiler (fun p -> { p with Profiler.affinity_distance = a }))
+             w Runner.Halo
+         in
+         [
+           text (string_of_int a);
+           entry [ c ] (fun get -> Printf.sprintf "%.3f" ((get c).Runner.seconds *. 1e3));
+           speedup ~base c;
+         ])
+       (List.init 15 (fun k -> 1 lsl (k + 3)) (* 2^3 .. 2^17 *)))
+
+(* Measures no cell: it counts allocations on the train input. *)
+let selection_criterion =
+  let render ~jobs:_ _ =
+    let t =
+      Table.create
+        ~title:
+          "Section 5.1 — benchmark selection: heap allocations per million          instructions on the train input (threshold: > 1)"
+        ~headers:[ "benchmark"; "allocations"; "instructions"; "allocs/Minstr" ]
+        ()
+    in
+    List.iter
+      (fun w ->
+        let program = w.Workload.make Workload.Train in
+        let alloc = Jemalloc_sim.create (Vmem.create ()) in
+        let interp = Interp.create ~seed:1 ~program ~alloc () in
+        ignore (Interp.run interp : int);
+        let mallocs = (alloc.Alloc_iface.stats ()).Alloc_iface.mallocs in
+        let instr = Interp.instructions interp in
+        Table.add_row t
+          [
+            w.Workload.name;
+            string_of_int mallocs;
+            string_of_int instr;
+            Printf.sprintf "%.1f" (1e6 *. float_of_int mallocs /. float_of_int instr);
+          ])
+      Workloads.all;
+    t
   in
-  List.iter
-    (fun w ->
-      let base = Runner.run w Runner.Jemalloc in
-      List.iter
-        (fun (label, backend) ->
-          let cfg =
-            { Pipeline.default_config with
-              Pipeline.allocator =
-                { Pipeline.default_config.Pipeline.allocator with
-                  Group_alloc.backend } }
-          in
-          let m = Runner.run ~pipeline_config:cfg w Runner.Halo in
-          match m.Runner.halo with
-          | Some h ->
-              Table.add_row t
+  { name = "sec51-selection"; cells = []; render }
+
+let sec51_baseline =
+  let l1 get c = string_of_int (get c).Runner.counters.Hierarchy.l1_misses in
+  table "sec51-baseline"
+    ~title:
+      (text
+         "Section 5.1 — baseline choice: L1D miss reduction of jemalloc over \
+          ptmalloc2 (paper: up to 32%)")
+    ~headers:[ "benchmark"; "ptmalloc L1 misses"; "jemalloc L1 misses"; "reduction" ]
+    (List.map
+       (fun w ->
+         let pt = cell w Runner.Ptmalloc in
+         [
+           text w.Workload.name;
+           entry [ pt ] (fun get -> l1 get pt);
+           entry [ baseline w ] (fun get -> l1 get (baseline w));
+           miss_red ~base:pt (baseline w);
+         ])
+       Workloads.all)
+
+let overhead_control =
+  table "sec52-overhead"
+    ~title:
+      (text
+         "Section 5.2 control — instrumented binary without the specialised \
+          allocator (overhead should be noise)")
+    ~headers:[ "benchmark"; "speedup vs jemalloc" ]
+    (List.map
+       (fun w ->
+         [ text w.Workload.name; speedup ~base:(baseline w) (cell w Runner.Halo_no_alloc) ])
+       Workloads.all)
+
+let ablation_grouping =
+  let workloads = registry [ "health"; "povray"; "xalanc" ] in
+  table "ablation-grouping"
+    ~title:
+      (text
+         "Ablation — grouping algorithm swapped inside the HALO pipeline          (Section 4.2's comparison claim)")
+    ~headers:
+      ("clusterer"
+      :: List.concat_map
+           (fun w -> [ w.Workload.name ^ " miss red."; w.Workload.name ^ " groups" ])
+           workloads)
+    (List.map
+       (fun (name, clusterer) ->
+         text name
+         :: List.concat_map
+              (fun w ->
+                let c = { (cell w Runner.Halo) with clusterer } in
                 [
-                  w.Workload.name;
-                  label;
-                  Table.fmt_pct (Runner.miss_reduction_vs ~baseline:base m);
-                  Table.fmt_pct (Runner.speedup_vs ~baseline:base m);
-                  Printf.sprintf "%.2f%%"
-                    (100.0 *. h.Runner.frag.Group_alloc.frag_pct);
-                  Table.fmt_bytes h.Runner.frag.Group_alloc.frag_bytes;
-                ]
-          | None -> ())
-        [ ("bump", Group_alloc.Bump_only);
-          ("sharded", Group_alloc.Sharded_free_lists) ])
-    workloads;
-  t
+                  miss_red ~base:(baseline w) c;
+                  halo_detail c (fun h -> string_of_int h.Runner.groups);
+                ])
+              workloads)
+       [
+         ("halo (fig 6)", Fig6);
+         ("modularity", Modularity);
+         ("hcs", Hcs);
+         ("threshold", Threshold);
+       ])
 
-let ablation_sampling ?workloads ?(periods = [ 1; 10; 100; 1000 ]) () =
-  let workloads =
-    Option.value workloads
-      ~default:
-        (List.filter
-           (fun w -> List.mem w.Workload.name [ "health"; "xalanc" ])
-           Workloads.all)
-  in
-  let t =
-    Table.create
-      ~title:
-        "Extension — profiling sample period vs plan quality (the paper          samples every access)"
-      ~headers:
-        ([ "sample period" ]
-        @ List.map (fun w -> w.Workload.name ^ " miss red.") workloads)
-      ()
-  in
-  let baselines = List.map (fun w -> Runner.run w Runner.Jemalloc) workloads in
-  List.iter
-    (fun period ->
-      let cfg =
-        { Pipeline.default_config with
-          Pipeline.profiler =
-            { Profiler.default_config with Profiler.sample_period = period } }
-      in
-      let cells =
-        List.map2
-          (fun w base ->
-            let m = Runner.run ~pipeline_config:cfg w Runner.Halo in
-            Table.fmt_pct (Runner.miss_reduction_vs ~baseline:base m))
-          workloads baselines
-      in
-      Table.add_row t (string_of_int period :: cells))
-    periods;
-  t
+let ablation_packing =
+  table "ablation-packing"
+    ~title:
+      (text
+         "Ablation — hot-data-streams set packing: stream-faithful weights vs \
+          merged identical sets (repairs the weight scattering of Section 5.2)")
+    ~headers:
+      [ "benchmark"; "HDS miss red."; "HDS speedup"; "merged miss red.";
+        "merged speedup" ]
+    (List.map
+       (fun w ->
+         let base = baseline w in
+         let hds = cell w Runner.Hds and merged = cell w Runner.Hds_merged_packing in
+         [
+           text w.Workload.name;
+           miss_red ~base hds;
+           speedup ~base hds;
+           miss_red ~base merged;
+           speedup ~base merged;
+         ])
+       (registry [ "health"; "ft"; "povray"; "roms" ]))
+
+let ablation_identification =
+  let workloads = registry [ "health"; "povray"; "xalanc"; "leela" ] in
+  table "ablation-identification"
+    ~title:
+      (text
+         "Ablation — identification granularity (same grouping; Section          2.2.3's schemes vs full-context selectors), L1D miss reduction")
+    ~headers:("scheme" :: List.map (fun w -> w.Workload.name) workloads)
+    (List.map
+       (fun (label, kind) ->
+         text label
+         :: List.map (fun w -> miss_red ~base:(baseline w) (cell w kind)) workloads)
+       [
+         ("immediate site (MO/HDS)", Runner.Ident_window 1);
+         ("xor-4 name (Calder)", Runner.Ident_window 4);
+         ("full context (HALO)", Runner.Halo);
+       ])
+
+let ablation_backend =
+  table "ablation-backend"
+    ~title:
+      (text
+         "Extension — group-pool backend: bump-only (paper) vs sharded free          lists (Section 6 future work)")
+    ~headers:[ "benchmark"; "backend"; "miss red."; "speedup"; "frag %"; "frag bytes" ]
+    (List.concat_map
+       (fun w ->
+         List.map
+           (fun (label, backend) ->
+             let config =
+               {
+                 Pipeline.default_config with
+                 Pipeline.allocator =
+                   { Pipeline.default_config.Pipeline.allocator with Group_alloc.backend };
+               }
+             in
+             let c = cell ~config w Runner.Halo in
+             [
+               text w.Workload.name;
+               text label;
+               miss_red ~base:(baseline w) c;
+               speedup ~base:(baseline w) c;
+               halo_detail c (fun h ->
+                   Printf.sprintf "%.2f%%" (100.0 *. h.Runner.frag.Group_alloc.frag_pct));
+               halo_detail c (fun h -> Table.fmt_bytes h.Runner.frag.Group_alloc.frag_bytes);
+             ])
+           [ ("bump", Group_alloc.Bump_only); ("sharded", Group_alloc.Sharded_free_lists) ])
+       (registry [ "leela"; "omnetpp"; "health" ]))
+
+let ablation_sampling =
+  let workloads = registry [ "health"; "xalanc" ] in
+  table "ablation-sampling"
+    ~title:
+      (text
+         "Extension — profiling sample period vs plan quality (the paper          samples every access)")
+    ~headers:("sample period" :: List.map (fun w -> w.Workload.name ^ " miss red.") workloads)
+    (List.map
+       (fun period ->
+         let config = with_profiler (fun p -> { p with Profiler.sample_period = period }) in
+         text (string_of_int period)
+         :: List.map
+              (fun w -> miss_red ~base:(baseline w) (cell ~config w Runner.Halo))
+              workloads)
+       [ 1; 10; 100; 1000 ])
 
 (* The multi-tenant extension the paper's per-binary evaluation never
    exercises: the plan-staleness drift study over the shared drifting
    traffic shape, scaled down (3 drifts x 3 cadences, 4 epochs) so the
    full figure suite stays fast. [halo traffic study] runs the
-   full-size sweep. *)
-let drift_study ?jobs () =
+   full-size sweep. It measures no cell: the study fans out itself. *)
+let drift_study =
   let params =
-    {
-      Traffic_study.default_params with
-      Traffic_study.drifts = [ 0.0; 0.5; 1.0 ];
-      cadences = [ 0; 1; 2 ];
-      phases = 4;
-      rate = 3.0;
-    }
+    { Traffic_study.default_params with
+      Traffic_study.drifts = [ 0.0; 0.5; 1.0 ]; cadences = [ 0; 1; 2 ]; phases = 4;
+      rate = 3.0 }
   in
-  Traffic_study.table (Traffic_study.run ?jobs params)
+  {
+    name = "drift";
+    cells = [];
+    render = (fun ~jobs _ -> Traffic_study.table (Traffic_study.run ?jobs params));
+  }
 
-let print_all ?jobs ?obs ?plan_source () =
-  let progress line = Printf.eprintf "  [suite] %s\n%!" line in
-  print_endline "Running the full measurement suite (11 workloads x 4 configs)...";
-  let suite = run_suite ~progress ?jobs ?obs ?plan_source () in
-  Table.print (fig13 suite);
-  print_newline ();
-  Table.print (fig14 suite);
-  print_newline ();
-  Table.print (fig15 suite);
-  print_newline ();
-  Table.print (tab1 suite);
-  print_newline ();
-  Table.print (hds_diagnostics suite);
-  print_newline ();
-  print_endline "Running the Figure 12 affinity-distance sweep (omnetpp)...";
-  Table.print (fig12 ());
-  print_newline ();
-  print_endline "Running the Section 5.1 selection criterion...";
-  Table.print (selection_criterion ());
-  print_newline ();
-  print_endline "Running the Section 5.1 baseline comparison...";
-  Table.print (sec51_baseline ());
-  print_newline ();
-  print_endline "Running the Section 5.2 instrumentation-overhead control...";
-  Table.print (overhead_control ());
-  print_newline ();
-  print_endline "Running the grouping-algorithm ablation...";
-  Table.print (ablation_grouping ());
-  print_newline ();
-  print_endline "Running the set-packing ablation...";
-  Table.print (ablation_packing ());
-  print_newline ();
-  print_endline "Running the identification-granularity ablation...";
-  Table.print (ablation_identification ());
-  print_newline ();
-  print_endline "Running the allocator-backend extension...";
-  Table.print (ablation_backend ());
-  print_newline ();
-  print_endline "Running the profiling-sampling extension...";
-  Table.print (ablation_sampling ());
-  print_newline ();
-  print_endline "Running the plan-staleness drift study...";
-  Table.print (drift_study ?jobs ())
+let all =
+  List.map
+    (fun (name, table) -> suite_section name table)
+    [ ("fig13", fig13); ("fig14", fig14); ("fig15", fig15); ("tab1", tab1);
+      ("diag", hds_diagnostics) ]
+  @ [ fig12; selection_criterion; sec51_baseline; overhead_control;
+      ablation_grouping; ablation_packing; ablation_identification;
+      ablation_backend; ablation_sampling; drift_study ]
+
+let print ?jobs ?obs ?plan_source sections =
+  let progress line = Printf.eprintf "  [cells] %s\n%!" line in
+  let get =
+    run_cells ?jobs ?obs ?plan_source ~progress
+      (List.concat_map (fun s -> s.cells) sections)
+  in
+  List.iteri
+    (fun i s ->
+      if i > 0 then print_newline ();
+      Table.print
+        (Obs.span obs "section"
+           ~attrs:[ ("section", Json.String s.name) ]
+           (fun () -> s.render ~jobs get)))
+    sections

@@ -1,11 +1,15 @@
 (** Regeneration of every table and figure in the paper's evaluation.
 
-    Each function prints (and returns) a text table holding the
-    reproduction's measured values next to the paper's reported values
+    Each table holds the reproduction's measured values next to the paper's reported values
     (exact for Table 1, approximate visual reads for the bar charts; see
     {!Paper_data}). The measurement harness is deterministic, so one run
-    per configuration suffices — {!run_suite} optionally takes several
-    seeds to exercise input variation, reporting medians as §5.1 does. *)
+    per configuration suffices — a suite optionally takes several seeds
+    to exercise input variation, reporting medians as §5.1 does.
+
+    Every figure is a {!section}: the cells it measures, as data, and a
+    table rendered from their measurements. {!print} runs the union of
+    the sections' cells once each, on one domain pool, in two phases:
+    every distinct plan, then every distinct cell under its plan. *)
 
 type suite = {
   workloads : Workload.t list;
@@ -32,18 +36,8 @@ val run_suite :
   unit ->
   suite
 (** Run jemalloc / HALO / HDS / random-4 over the workloads (default: all
-    11) for each seed (default [[2]]). [progress] is called with a line
-    per configuration as it completes (from worker domains when parallel,
-    serialised). [jobs] fans the workload×kind×seed cells out over a
-    {!Par} domain pool (default {!Par.default_jobs}); every cell is an
-    independent simulation, so the suite's measurements are bit-for-bit
-    identical at any [jobs] value. [obs] receives per-worker metric
-    registries merged after the join plus [suite.tasks]/[suite.workers]
-    accounting. [plan_source] (typically the persistent store's plan
-    cache) answers the HALO cells' [Pipeline.plan] calls: since a plan
-    depends only on the test program and pipeline config, a warmed cache
-    runs the whole suite — any seeds, any [jobs] — with zero profiler
-    invocations. *)
+    11) for each seed (default [[2]]) through {!run_cells}: each HALO and
+    HDS plan is made once per workload, whatever the seeds. *)
 
 val runs_of : suite -> string -> Runner.kind -> Runner.measurement list
 (** [runs_of suite bench kind] is the per-seed measurement list, or [[]]
@@ -79,63 +73,108 @@ val fig15 : suite -> Table.t
 val tab1 : suite -> Table.t
 (** Table 1: fragmentation of grouped objects at peak usage under HALO. *)
 
-val fig12 : ?distances:int list -> unit -> Table.t
-(** Fig. 12: omnetpp execution time across affinity distances
-    (default 2^3 .. 2^17), with the jemalloc baseline. *)
-
-val selection_criterion : ?workloads:Workload.t list -> unit -> Table.t
-(** §5.1's benchmark-selection rule: heap allocations per million
-    instructions on the train inputs (the SPECrate subset was chosen at
-    more than one per million). *)
-
-val sec51_baseline : ?workloads:Workload.t list -> unit -> Table.t
-(** §5.1's baseline-choice claim: jemalloc vs ptmalloc2 L1D misses
-    (jemalloc reduced misses by as much as 32%). *)
-
-val overhead_control : ?workloads:Workload.t list -> unit -> Table.t
-(** §5.2's control: BOLT-instrumented binaries running {e without} the
-    specialised allocator — instrumentation overhead should be noise. *)
-
 val hds_diagnostics : suite -> Table.t
 (** The §5.2 roms analysis: candidate stream counts vs affinity graph
     sizes per benchmark (paper: >150,000 streams vs 31 nodes). *)
 
-val ablation_grouping : ?workloads:Workload.t list -> unit -> Table.t
+(** {1 The cell grid} *)
+
+type cell
+(** One measurement: a workload, a kind, a seed, a pipeline config and a
+    clusterer. Cells are equal when all five are. *)
+
+val cell :
+  ?seed:int -> ?config:Pipeline.config -> Workload.t -> Runner.kind -> cell
+(** [cell w kind] measures [kind] on [w] with measurement seed [seed]
+    (default 2) and pipeline config [config] (default
+    {!Pipeline.default_config}, so a default-equal config is the same
+    cell) under Figure 6's clusterer. *)
+
+val run_cells :
+  ?jobs:int ->
+  ?obs:Obs.t ->
+  ?plan_source:Pipeline.plan_source ->
+  ?progress:(string -> unit) ->
+  cell list ->
+  cell ->
+  Runner.measurement
+(** [run_cells cells] measures every distinct cell once and returns the
+    lookup (which raises [Not_found] on a cell not in [cells]). Phase 1
+    makes every distinct plan: HALO kinds' by (workload, config,
+    clusterer) through {!Runner.plan_halo}, which consults [plan_source]
+    (typically the persistent plan cache), and HDS kinds' by (workload,
+    merge). Phase 2 measures each cell under its plan. Each phase is one
+    {!Par} fan-out over [jobs] domains (default {!Par.default_jobs}),
+    named [plans] and [cells]; every task is an independent simulation,
+    so the measurements are bit-for-bit identical at any [jobs]. [obs]
+    receives the workers' [plan] and [run] spans and merged registries.
+    [progress] is called, serialised, with a line per measured cell. *)
+
+(** {1 Sections} *)
+
+type section
+(** A figure as data: its cells and how its table renders from them. *)
+
+val suite_section : ?seeds:int list -> string -> (suite -> Table.t) -> section
+(** [suite_section name table] renders [table] (e.g. {!fig13}) over the
+    suite of all 11 workloads at [seeds] (default [[2]]). *)
+
+val fig12 : section
+(** Fig. 12: omnetpp execution time across affinity distances 2^3 ..
+    2^17, with the jemalloc baseline. *)
+
+val selection_criterion : section
+(** §5.1's benchmark-selection rule: heap allocations per million
+    instructions on the train inputs (the SPECrate subset was chosen at
+    more than one per million). Measures no cell. *)
+
+val sec51_baseline : section
+(** §5.1's baseline-choice claim: jemalloc vs ptmalloc2 L1D misses
+    (jemalloc reduced misses by as much as 32%). *)
+
+val overhead_control : section
+(** §5.2's control: BOLT-instrumented binaries running {e without} the
+    specialised allocator — instrumentation overhead should be noise. *)
+
+val ablation_grouping : section
 (** Ablation backing the §4.2 claim: Figure 6's grouping vs modularity,
     HCS and threshold-component clustering, each swapped into the full
     pipeline and measured end to end. *)
 
-val ablation_packing : ?workloads:Workload.t list -> unit -> Table.t
+val ablation_packing : section
 (** Ablation: hot-data-streams with identical co-allocation sets merged
     before set packing (repairing the weight scattering §5.2 identifies)
     vs the stream-faithful default. *)
 
-val ablation_identification : ?workloads:Workload.t list -> unit -> Table.t
+val ablation_identification : section
 (** The identification-granularity ablation (§2.2.3 / §3): HALO's grouping
     with runtime identification by immediate call site, by Calder's XOR of
     the last four sites, and by full-context selectors. Isolates the
     paper's full-context contribution. *)
 
-val ablation_backend : ?workloads:Workload.t list -> unit -> Table.t
+val ablation_backend : section
 (** Extension (§6 future work): grouped pools backed by sharded free
     lists instead of pure bump allocation — fragmentation at peak and the
     locality cost/benefit, side by side. *)
 
-val ablation_sampling : ?workloads:Workload.t list -> ?periods:int list -> unit -> Table.t
+val ablation_sampling : section
 (** Extension: the profiling speed/accuracy trade-off the paper declined
     (§4.1 applies no sampling). Plans derived from sampled profiles are
     measured end to end at several sampling periods. *)
 
-val drift_study : ?jobs:int -> unit -> Table.t
+val drift_study : section
 (** Extension (multi-tenant traffic): the plan-staleness drift study —
     {!Traffic_study} at reduced scale (3 drifts x 3 cadences over 4
-    epochs), reporting when re-profiling cadence beats a stale plan.
+    epochs), reporting when re-profiling cadence beats a stale plan. It
+    measures no cell; the study fans out over [jobs] itself.
     [halo traffic study] exposes the full-size sweep. *)
 
-val print_all :
-  ?jobs:int -> ?obs:Obs.t -> ?plan_source:Pipeline.plan_source -> unit -> unit
-(** Run everything in order and print each table — the body of
-    [halo_cli figures all]. [jobs] parallelises the
-    suite-backed tables; the sweeps and ablations stay sequential. [obs]
-    is threaded into the suite run (worker spans and registries fold into
-    it), feeding [figures --trace-out]'s Chrome-trace export. *)
+val all : section list
+(** Every section in paper order — the body of [halo_cli figures all]. *)
+
+val print :
+  ?jobs:int -> ?obs:Obs.t -> ?plan_source:Pipeline.plan_source -> section list -> unit
+(** Run the union of the sections' cells with {!run_cells}, then render
+    each section's table in order, each under a [section] span, and
+    print the tables separated by blank lines. A line per measured cell
+    goes to stderr. *)

@@ -108,7 +108,15 @@ let halo_pipeline_config pipeline_config w =
     allocator = w.Workload.halo_allocator base.Pipeline.allocator;
   }
 
-let run_kind ?obs ~seed ?pipeline_config ?group_fn ?plan_source w kind =
+let plan_halo ?obs ?plan_source ?pipeline_config ?group_fn w =
+  Pipeline.plan ?obs ?source:plan_source
+    ~config:(halo_pipeline_config pipeline_config w)
+    ?group_fn (w.Workload.make Workload.Test)
+
+let plan_hds ~merge w =
+  Hds_pipeline.plan ~merge_identical:merge (w.Workload.make Workload.Test)
+
+let run_kind ?obs ~seed ?pipeline_config ?plan_source ?hds_plan w kind =
   let no_halo () = None in
   match kind with
   | Jemalloc ->
@@ -134,11 +142,7 @@ let run_kind ?obs ~seed ?pipeline_config ?group_fn ?plan_source w kind =
       measure ?obs ~w ~kind ~seed ~alloc:(Group_alloc.iface galloc) ~patches:[]
         ~halo:no_halo ~hds:None ()
   | Halo | Halo_no_alloc ->
-      let config = halo_pipeline_config pipeline_config w in
-      let plan =
-        Pipeline.plan ?obs ?source:plan_source ~config ?group_fn
-          (w.Workload.make Workload.Test)
-      in
+      let plan = plan_halo ?obs ?plan_source ?pipeline_config w in
       let vmem = Vmem.create () in
       let fallback = Jemalloc_sim.create vmem in
       if kind = Halo_no_alloc then
@@ -193,9 +197,10 @@ let run_kind ?obs ~seed ?pipeline_config ?group_fn ?plan_source w kind =
       measure ?obs ~w ~kind ~seed ~alloc:(Group_alloc.iface galloc) ~patches:[]
         ~env ~halo:(fun () -> None) ~hds:None ()
   | Hds | Hds_merged_packing ->
-      let merge = kind = Hds_merged_packing in
       let hplan =
-        Hds_pipeline.plan ~merge_identical:merge (w.Workload.make Workload.Test)
+        match hds_plan with
+        | Some p -> p
+        | None -> plan_hds ~merge:(kind = Hds_merged_packing) w
       in
       let vmem = Vmem.create () in
       let fallback = Jemalloc_sim.create vmem in
@@ -218,7 +223,7 @@ let run_kind ?obs ~seed ?pipeline_config ?group_fn ?plan_source w kind =
       measure ?obs ~w ~kind ~seed ~alloc:(Group_alloc.iface galloc) ~patches:[]
         ~env ~halo:no_halo ~hds ()
 
-let run ?obs ?(seed = 2) ?pipeline_config ?group_fn ?plan_source w kind =
+let run ?obs ?(seed = 2) ?pipeline_config ?plan_source ?hds_plan w kind =
   Obs.span obs "run"
     ~attrs:
       [
@@ -226,7 +231,7 @@ let run ?obs ?(seed = 2) ?pipeline_config ?group_fn ?plan_source w kind =
         ("configuration", Json.String (kind_name kind));
         ("seed", Json.Int seed);
       ]
-    (fun () -> run_kind ?obs ~seed ?pipeline_config ?group_fn ?plan_source w kind)
+    (fun () -> run_kind ?obs ~seed ?pipeline_config ?plan_source ?hds_plan w kind)
 
 let to_json ?baseline m =
   let counters c =

@@ -62,8 +62,8 @@ val run :
   ?obs:Obs.t ->
   ?seed:int ->
   ?pipeline_config:Pipeline.config ->
-  ?group_fn:(Affinity_graph.t -> Grouping.params -> Grouping.t) ->
   ?plan_source:Pipeline.plan_source ->
+  ?hds_plan:Hds_pipeline.plan ->
   Workload.t ->
   kind ->
   measurement
@@ -72,17 +72,35 @@ val run :
     (default 1). [pipeline_config] overrides HALO's pipeline parameters
     (the Figure 12 sweep varies the affinity distance through it);
     workload-specific overrides from the registry are applied on top.
-    [group_fn] swaps the clustering algorithm (grouping ablation; HALO
-    kinds only). [plan_source] supplies ready-made plans to the HALO kinds
-    (the persistent store's plan cache, or a decoded artifact via
-    [Pipeline.constant_source]); other kinds ignore it.
+    [plan_source] supplies ready-made plans to the HALO kinds (the
+    persistent store's plan cache, or a plan made earlier via
+    [Pipeline.constant_source]); [hds_plan] does the same for the HDS
+    kinds, and must come from {!plan_hds} with the kind's [merge]. Other
+    kinds ignore both.
 
     [obs] records the full telemetry of the run under a root [run] span:
-    for HALO kinds the span tree covers all seven pipeline stages
+    for HALO kinds that plan in the run the span tree covers all seven
+    pipeline stages
     ([profile], [affinity-graph], [grouping], [identification], [rewrite],
     [allocator-synthesis], [measurement]); baseline kinds record the
     stages they execute (at least [measurement]). Call {!Obs.finish}
     after the run to flush summaries to the trace sink. *)
+
+val plan_halo :
+  ?obs:Obs.t ->
+  ?plan_source:Pipeline.plan_source ->
+  ?pipeline_config:Pipeline.config ->
+  ?group_fn:(Affinity_graph.t -> Grouping.params -> Grouping.t) ->
+  Workload.t ->
+  Pipeline.plan
+(** The plan the HALO kinds measure under: {!Pipeline.plan} of the
+    workload's [Test] program with the registry's overrides applied to
+    [pipeline_config]. [group_fn] swaps the clustering algorithm (the
+    grouping ablation), and bypasses [plan_source]. *)
+
+val plan_hds : merge:bool -> Workload.t -> Hds_pipeline.plan
+(** The plan [Hds] ([merge = false]) or [Hds_merged_packing]
+    ([merge = true]) measures under. *)
 
 val to_json : ?baseline:measurement -> measurement -> Json.t
 (** The per-run data points the artefact's halo scripts emit (A.6), with

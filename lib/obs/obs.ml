@@ -355,84 +355,3 @@ let export ?(process_name = "halo") target t =
   let s = open_sink ~process_name target in
   List.iter (emit_span s) (spans t);
   close_sink s t.metrics
-
-(* ------------------------------------------------------------------ *)
-(* Reporting                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let fmt_duration s =
-  if s < 1e-3 then Printf.sprintf "%.0fus" (s *. 1e6)
-  else if s < 1.0 then Printf.sprintf "%.2fms" (s *. 1e3)
-  else Printf.sprintf "%.3fs" s
-
-let span_tree_string t =
-  let buf = Buffer.create 512 in
-  List.iter
-    (fun (sp : span) ->
-      let tr = if sp.track = 0 then "" else Printf.sprintf "[t%d] " sp.track in
-      let instr =
-        match sp.sp_instructions with
-        | None -> ""
-        | Some n -> Printf.sprintf "  %d instrs" n
-      in
-      let attrs =
-        match sp.attrs with
-        | [] -> ""
-        | l ->
-            "  ["
-            ^ String.concat ", "
-                (List.map
-                   (fun (k, v) -> k ^ "=" ^ Json.to_string ~pretty:false v)
-                   l)
-            ^ "]"
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "%s%s%s  %s%s%s\n"
-           (String.make (2 * sp.depth) ' ')
-           tr sp.name (fmt_duration sp.dur_s) instr attrs))
-    (spans t);
-  Buffer.contents buf
-
-let metric_weight = function
-  | Metrics.Counter n -> float_of_int n
-  | Metrics.Gauge { samples; _ } -> float_of_int samples
-  | Metrics.Histogram { count; _ } -> float_of_int count
-
-let top_metrics_string ?(n = 10) t =
-  let all = Metrics.snapshot t.metrics in
-  let ranked =
-    List.stable_sort
-      (fun (_, a) (_, b) -> compare (metric_weight b) (metric_weight a))
-      all
-  in
-  let take =
-    let rec go k = function
-      | [] -> []
-      | _ when k = 0 -> []
-      | x :: rest -> x :: go (k - 1) rest
-    in
-    go n ranked
-  in
-  let buf = Buffer.create 512 in
-  List.iter
-    (fun (name, v) ->
-      let line =
-        match v with
-        | Metrics.Counter c -> Printf.sprintf "%-36s counter    %d" name c
-        | Metrics.Gauge { last; max; samples } ->
-            Printf.sprintf "%-36s gauge      last=%g max=%g (%d samples)" name
-              last max samples
-        | Metrics.Histogram { count; sum; max; _ } as v ->
-            let mean = if count = 0 then 0.0 else sum /. float_of_int count in
-            let p99 =
-              match Metrics.value_quantile v 0.99 with
-              | None -> ""
-              | Some p -> Printf.sprintf " p99=%.3g" p
-            in
-            Printf.sprintf "%-36s histogram  n=%d mean=%.2f%s max=%g" name count
-              mean p99 max
-      in
-      Buffer.add_string buf line;
-      Buffer.add_char buf '\n')
-    take;
-  Buffer.contents buf

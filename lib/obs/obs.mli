@@ -49,7 +49,8 @@ val create :
     one track per domain in the trace. With [trace], events stream to
     it as they happen (the caller keeps ownership of a channel: close it
     after {!finish}). Without it, spans and metrics are still recorded in
-    memory (for {!span_tree_string} etc.) but no event is built. *)
+    memory (for {!spans}, {!metrics} and {!export}) but no event is
+    built. *)
 
 val child : t -> track:int -> t
 (** [child parent ~track] is a context for work on another domain: its
@@ -154,16 +155,10 @@ val adopt : t -> from:t -> unit
 (** [adopt t ~from] grafts every span recorded in [from] into [t]: ids
     (and parent ids) are offset so they stay unique within [t], track ids
     are kept, and timestamps are rebased from [from]'s epoch onto [t]'s —
-    the adopted spans then appear in {!spans}, the span tree, and the
-    trace, and are written to [t]'s trace if it has one, followed by the
+    the adopted spans then appear in {!spans} and the trace, and are written to [t]'s trace if it has one, followed by the
     events a {!child} kept (which [from] then forgets). Metrics are
     {e not} merged (that is {!Metrics.merge}'s job — keep the two
     concerns separable for fleet-style aggregation). Raises
     [Invalid_argument] if [from] still has open spans. *)
 
-val span_tree_string : t -> string
-(** Indented tree: name, duration, retired instructions, attributes.
-    Spans from non-zero tracks are prefixed with [[tN]]. *)
 
-val top_metrics_string : ?n:int -> t -> string
-(** The [n] (default 10) highest-volume metrics, one line each. *)

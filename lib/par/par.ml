@@ -92,8 +92,15 @@ let create ?obs ?(name = "par") ~jobs () =
           (* Workers share the parent's epoch and get their own track, so
              their spans land on per-domain lanes of the same timeline;
              when the parent traces, a worker keeps its events for
-             [shutdown]'s adopt. *)
-          w_obs = Option.map (fun parent -> Obs.child parent ~track:(i + 1)) obs;
+             [shutdown]'s adopt. The inline worker of a [jobs = 1] pool
+             runs on the calling domain and holds no core, so it keeps the
+             caller's track: lane 1 is then free for a helper it claims. *)
+          w_obs =
+            Option.map
+              (fun parent ->
+                Obs.child parent
+                  ~track:(if jobs = 1 then Obs.track parent else i + 1))
+              obs;
           w_tasks = 0;
           w_busy_s = 0.0;
           w_domain = None;

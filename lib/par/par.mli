@@ -16,8 +16,9 @@
       backtrace) at {!await};
     - domain-safe observability: the mutable {!Metrics} records are not
       safe for concurrent mutation, so each worker owns a private
-      {!Obs.child} of the parent on its own track ([w_id + 1]), which
-      keeps its series events when the parent traces;
+      {!Obs.child} of the parent on its own track ([w_id + 1]; the inline
+      worker of a [jobs = 1] pool keeps the parent's), which keeps its
+      series events when the parent traces;
       every task's queue wait and wall time land in the worker's
       [<name>.queue_wait_s] / [<name>.task_s] histograms. After the join
       the per-worker registries are folded into the parent with

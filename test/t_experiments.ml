@@ -7,6 +7,11 @@ let checkb = Alcotest.check Alcotest.bool
 
 let w name = Option.get (Workloads.find name)
 
+let count_spans obs name =
+  List.length (List.filter (fun (sp : Obs.span) -> sp.Obs.name = name) (Obs.spans obs))
+
+let run_json m = Json.to_string (Runner.to_json m)
+
 let health_ordering () =
   (* health: HALO > HDS > 0 on both metrics, per Figures 13/14. *)
   let hw = w "health" in
@@ -81,11 +86,33 @@ let hds_details_populated () =
       checkb "trace collected" true (h.Runner.trace_length > 1000);
       checkb "streams counted" true (h.Runner.stream_count > 0)
 
+(* Figure 12's sweep as a grid: distance 128 is the default config, so
+   its cell is the plain HALO cell and runs once. *)
 let fig12_sweep_runs () =
-  let t = Figures.fig12 ~distances:[ 8; 128 ] () in
-  let s = Table.render t in
-  checkb "two data rows rendered" true
-    (List.length (String.split_on_char '\n' s) >= 7)
+  let ow = w "omnetpp" in
+  let at a =
+    Figures.cell
+      ~config:
+        { Pipeline.default_config with
+          Pipeline.profiler =
+            { Profiler.default_config with Profiler.affinity_distance = a } }
+      ow Runner.Halo
+  in
+  let obs = Obs.create () in
+  let get =
+    Figures.run_cells ~obs ~jobs:2
+      [ Figures.cell ow Runner.Jemalloc; at 8; at 128; Figures.cell ow Runner.Halo ]
+  in
+  Alcotest.check Alcotest.int "three distinct runs" 3 (count_spans obs "run");
+  Alcotest.check Alcotest.string "the default distance is the HALO cell"
+    (run_json (get (Figures.cell ow Runner.Halo)))
+    (run_json (get (at 128)));
+  checkb "a speedup per distance" true
+    (List.for_all
+       (fun a ->
+         Float.is_finite
+           (Runner.speedup_vs ~baseline:(get (Figures.cell ow Runner.Jemalloc)) (get (at a))))
+       [ 8; 128 ])
 
 let suite_tables_render () =
   let suite = Figures.run_suite ~workloads:[ w "ft" ] () in
@@ -249,6 +276,47 @@ let helper_measurement_unchanged () =
   checkb "miss streams sampled" true (List.length e2 > 100);
   checkb "same miss-stream events" true (e1 = e2)
 
+(* The executor runs each distinct cell once, however often the grid
+   lists it. *)
+let grid_runs_a_repeated_cell_once () =
+  let c = Figures.cell (w "ft") Runner.Jemalloc in
+  let obs = Obs.create () in
+  let get = Figures.run_cells ~obs ~jobs:2 [ c; c; Figures.cell ~seed:2 (w "ft") Runner.Jemalloc ] in
+  ignore (get c : Runner.measurement);
+  Alcotest.check Alcotest.int "one run span" 1 (count_spans obs "run")
+
+(* Plans depend on the program and config, not the measurement seed:
+   three seeds of HALO and HDS make one plan of each. *)
+let grid_plans_once_per_program () =
+  let ft = w "ft" in
+  let cells =
+    List.concat_map
+      (fun seed -> [ Figures.cell ~seed ft Runner.Halo; Figures.cell ~seed ft Runner.Hds ])
+      [ 2; 3; 4 ]
+  in
+  let obs = Obs.create () in
+  ignore (Figures.run_cells ~obs ~jobs:2 cells : Figures.cell -> Runner.measurement);
+  let counter name =
+    match List.assoc_opt name (Metrics.snapshot (Obs.metrics obs)) with
+    | Some (Metrics.Counter n) -> n
+    | _ -> 0
+  in
+  Alcotest.check Alcotest.int "one profile" 1 (counter "profile.runs");
+  Alcotest.check Alcotest.int "two plans, one of each" 2 (count_spans obs "plan");
+  Alcotest.check Alcotest.int "six runs" 6 (count_spans obs "run")
+
+let grid_jobs_invariant () =
+  let cells =
+    List.concat_map
+      (fun wl ->
+        List.map (Figures.cell wl)
+          [ Runner.Jemalloc; Runner.Halo; Runner.Halo_no_alloc; Runner.Hds;
+            Runner.Hds_merged_packing ])
+      [ w "ft"; w "health" ]
+  in
+  let results jobs = List.map run_json (List.map (Figures.run_cells ~jobs cells) cells) in
+  Alcotest.(check (list string)) "jobs 1 = jobs 2" (results 1) (results 2)
+
 let suite =
   let tc name f = Alcotest.test_case name `Slow f in
   [
@@ -268,4 +336,7 @@ let suite =
     tc "suite parallel equivalence" suite_parallel_equivalence;
     tc "degenerate suite degrades gracefully" degenerate_suite_degrades_gracefully;
     tc "helper measurement unchanged" helper_measurement_unchanged;
+    tc "grid: a repeated cell runs once" grid_runs_a_repeated_cell_once;
+    tc "grid: one plan per program across seeds" grid_plans_once_per_program;
+    tc "grid: results identical at any jobs" grid_jobs_invariant;
   ]

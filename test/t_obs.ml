@@ -358,9 +358,7 @@ let adopt_grafts_worker_spans () =
     (List.for_all
        (fun (sp : Obs.span) ->
          match sp.Obs.parent with None -> true | Some p -> List.mem p ids)
-       spans);
-  let tree = Obs.span_tree_string parent in
-  checkb "tree labels foreign tracks" true (count_substring "[t3]" tree >= 1)
+       spans)
 
 let adopt_rejects_open_spans () =
   let clock, _ = fake_clock () in
@@ -596,22 +594,6 @@ let chrome_trace_export () =
          | Some _ -> false)
        arg_objs)
 
-(* ---------------- Reporting ---------------- *)
-
-let reporting_strings () =
-  let clock, advance = fake_clock () in
-  let obs = Obs.create ~clock () in
-  let o = Some obs in
-  Obs.span o "outer" (fun () ->
-      advance 0.002;
-      Obs.count o "hits" 12;
-      Obs.observe o "depth" 3.0);
-  let tree = Obs.span_tree_string obs in
-  checkb "tree names the span" true (count_substring "outer" tree = 1);
-  let top = Obs.top_metrics_string ~n:1 obs in
-  checkb "top-1 keeps the counter" true (count_substring "hits" top = 1);
-  checkb "top-1 drops the rest" true (count_substring "depth" top = 0)
-
 let tc name f = Alcotest.test_case name `Quick f
 
 let qsuite =
@@ -644,7 +626,6 @@ let suite =
     tc "obs: finish closes open spans" finish_closes_open_spans;
     tc "obs: empty metrics export without nulls" empty_metrics_export_no_nulls;
     tc "obs: Chrome trace export" chrome_trace_export;
-    tc "obs: reporting strings" reporting_strings;
   ]
   @ qsuite
   @ [ tc "obs: child events adopted on their track" child_events_adopted ]

@@ -345,6 +345,39 @@ let pool_task_events_reach_traced_parent () =
   checki "every pooled task's events" 30 (List.length pooled);
   checkb "on worker tracks" true (List.for_all (fun tid -> tid >= 1) pooled)
 
+(* The inline worker of a jobs:1 pool runs on the calling domain and
+   holds no core, so a helper its task claims must not share its lane. *)
+let inline_pool_helper_lane_apart () =
+  let buf = Buffer.create 4096 in
+  let obs = Obs.create ~trace:(Obs.Buffer buf) () in
+  ignore
+    (Par.map_obs ~obs ~name:"t" ~jobs:1
+       (fun wobs x ->
+         Obs.span wobs "t.task" (fun () ->
+             Helper_stream.run ~helper:true ?obs:wobs ~name:"t.stream"
+               (fun hobs ->
+                 Obs.event hobs ~name:"t.helper" 1.0;
+                 fun _ _ _ -> ())
+               (fun _ -> ()));
+         x)
+       [ 1 ]
+      : int list);
+  Obs.finish obs;
+  let tids name =
+    String.split_on_char '\n' (Buffer.contents buf)
+    |> List.filter_map (fun line ->
+           let n = String.length line in
+           match Json.of_string (if n > 0 && line.[0] = ',' then String.sub line 1 (n - 1) else line) with
+           | Ok ev when Json.get_string "name" ev = Ok name -> (
+               match Json.get_int "tid" ev with Ok tid -> Some tid | Error _ -> None)
+           | _ -> None)
+  in
+  match (tids "t.task", tids "t.helper") with
+  | [ task ], [ helper ] -> checkb "worker and helper on different tids" true (task <> helper)
+  | t, h ->
+      Alcotest.failf "expected one task span and one helper event, got %d and %d"
+        (List.length t) (List.length h)
+
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   [
@@ -370,4 +403,5 @@ let suite =
     tc "budget: restored after a raising task" budget_restored_after_raising_task;
     tc "budget: claim and release" budget_claim_and_release;
     tc "map_obs: task events reach a traced parent" pool_task_events_reach_traced_parent;
+    tc "map_obs: an inline task's helper gets its own lane" inline_pool_helper_lane_apart;
   ]

@@ -1295,6 +1295,34 @@ let suite_warmed_equivalence () =
         (List.map run_json (Figures.runs_of warmed "ft" kind)))
     Figures.suite_kinds
 
+(* Json.of_string's contract on hostile text: [Ok] or [Error], never
+   another exception. Seeds: a store header (the JSON after the magic,
+   version byte and little-endian u32 length) and a run's data points,
+   compact and pretty. *)
+let json_seeds =
+  lazy
+    (let image = (Lazy.force seed_images).(0) in
+     let len =
+       Char.code image.[9]
+       lor (Char.code image.[10] lsl 8)
+       lor (Char.code image.[11] lsl 16)
+       lor (Char.code image.[12] lsl 24)
+     in
+     let hw = w "ft" in
+     let run = Runner.to_json ~baseline:(Runner.run hw Runner.Jemalloc) (Runner.run hw Runner.Halo) in
+     [| String.sub image 13 len; Json.to_string ~pretty:false run; Json.to_string run |])
+
+let json_mutation_prop =
+  QCheck2.Test.make ~name:"json: the parser survives byte mutations" ~count:400
+    ~print:(fun (k, muts) ->
+      Printf.sprintf "seed %d: %s" k (String.concat " " (List.map Byte_mutation.show muts)))
+    QCheck2.Gen.(pair (int_bound 2) (list_size (int_range 1 3) Byte_mutation.gen))
+    (fun (k, muts) ->
+      let seeds = Lazy.force json_seeds in
+      match Json.of_string (List.fold_left Byte_mutation.mutate seeds.(k) muts) with
+      | Ok _ | Error _ -> true
+      | exception e -> QCheck2.Test.fail_reportf "Json.of_string raised %s" (Printexc.to_string e))
+
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   let slow name f = Alcotest.test_case name `Slow f in
@@ -1344,4 +1372,4 @@ let suite =
     slow "suite: warmed-cache equivalence" suite_warmed_equivalence;
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ plan_round_trip_prop; decoder_mutation_prop ]
+      [ plan_round_trip_prop; decoder_mutation_prop; json_mutation_prop ]

@@ -418,6 +418,29 @@ let study_jobs_invariant () =
   checkb "study table renders" true
     (contains (Table.render (Traffic_study.table a)) "drift")
 
+(* Schedule.of_spec's contract on hostile text: [Ok] or [Error], never
+   another exception. Seeds: a drifting schedule's spec and the grammar
+   example in schedule.mli. *)
+let spec_seeds =
+  [
+    Schedule.to_spec (Schedule.drifting ~ticks_per_phase:2 ~phases:4 ~drift:0.5 ());
+    "# grammar example\n\
+     phase warm  ticks=20 rate=ramp:2:10 tenants=health:0.7,ft:0.3\n\
+     phase spike ticks=10 rate=10 burst=5:2:3 tenants=health@hot:ramp:0.7:0.2,ft\n\
+     pause cool  ticks=4\n";
+  ]
+
+let prop_spec_mutation =
+  QCheck2.Test.make ~name:"spec: mix-specs survive byte mutations" ~count:400
+    ~print:(fun (k, muts) ->
+      Printf.sprintf "seed %d: %s" k (String.concat " " (List.map Byte_mutation.show muts)))
+    QCheck2.Gen.(
+      pair (int_bound (List.length spec_seeds - 1)) (list_size (int_range 1 3) Byte_mutation.gen))
+    (fun (k, muts) ->
+      match Schedule.of_spec (List.fold_left Byte_mutation.mutate (List.nth spec_seeds k) muts) with
+      | Ok _ | Error _ -> true
+      | exception e -> QCheck2.Test.fail_reportf "of_spec raised %s" (Printexc.to_string e))
+
 let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_tenant_reorder ]
 
 let suite =
@@ -442,3 +465,4 @@ let suite =
   ]
   @ qsuite
   @ [ tc "mix: execution digest pinned" mix_exec_digest_pinned ]
+  @ List.map QCheck_alcotest.to_alcotest [ prop_spec_mutation ]
