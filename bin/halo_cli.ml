@@ -323,7 +323,7 @@ let profile_merge_cmd =
     let jobs = effective_jobs jobs in
     let config, merged =
       or_die
-        (Store.merge_profiles_sharded ~jobs (List.combine artifacts weights))
+        (Store.merge_profiles ~jobs (List.combine artifacts weights))
     in
     let first = List.hd artifacts in
     or_die
@@ -357,8 +357,10 @@ let profile_merge_cmd =
     (Cmd.info "merge"
        ~doc:
          "Combine several recorded runs of one program/config pair into a \
-          single weighted profile artifact. The fold shards over worker \
-          domains; the merged artifact is byte-identical at any $(b,--jobs).")
+          single weighted profile artifact. The runs are split into \
+          contiguous chunks, one per worker domain, and the chunk sums are \
+          added in run order, so the merged artifact is byte-identical at \
+          any $(b,--jobs); $(b,--jobs) 1 folds on the calling domain.")
     Term.(
       const run $ profile_files_arg $ weights_arg $ profile_out_arg $ jobs_arg)
 

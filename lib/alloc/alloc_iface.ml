@@ -15,9 +15,6 @@ type t = {
   stats : unit -> stats;
 }
 
-let empty_stats =
-  { mallocs = 0; frees = 0; live_bytes = 0; peak_live_bytes = 0; forwarded = 0 }
-
 exception
   Alloc_error of {
     allocator : string;
@@ -96,9 +93,6 @@ module Live_table = struct
       peak_live_bytes = t.peak_live_bytes;
       forwarded = t.forwarded;
     }
-
-  let live_count t = Hashtbl.length t.live
-  let iter_live t f = Hashtbl.iter f t.live
 end
 
 let default_realloc self reserved_size old n =

@@ -39,8 +39,6 @@ type t = {
   stats : unit -> stats;
 }
 
-val empty_stats : stats
-
 exception
   Alloc_error of {
     allocator : string;  (** The reporting allocator's [name]. *)
@@ -85,8 +83,6 @@ module Live_table : sig
   val count_forwarded : table -> unit
 
   val stats : table -> stats
-  val live_count : table -> int
-  val iter_live : table -> (Addr.t -> int * int -> unit) -> unit
 end
 
 val default_realloc : t Lazy.t -> (Addr.t -> int option) -> Addr.t -> int -> Addr.t

@@ -273,11 +273,6 @@ let reset_counters t =
 
 let config t = t.cfg
 
-let pp_counters ppf (c : counters) =
-  Format.fprintf ppf
-    "accesses=%d l1_miss=%d l2_miss=%d l3_miss=%d tlb_miss=%d prefetch=%d"
-    c.accesses c.l1_misses c.l2_misses c.l3_misses c.tlb_misses c.prefetches
-
 module Stream = struct
   type hierarchy = t
 

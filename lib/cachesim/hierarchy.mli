@@ -120,8 +120,6 @@ val counters : t -> counters
 val reset_counters : t -> unit
 val config : t -> config
 
-val pp_counters : Format.formatter -> counters -> unit
-
 (** Feed a hierarchy from another domain.
 
     The hierarchy only consumes the access stream: nothing it computes

@@ -388,7 +388,10 @@ let fig12 =
          ])
        (List.init 15 (fun k -> 1 lsl (k + 3)) (* 2^3 .. 2^17 *)))
 
-(* Measures no cell: it counts allocations on the train input. *)
+(* §5.1's benchmark-selection rule: heap allocations per million
+   instructions on the train inputs (the SPECrate subset was chosen at
+   more than one per million). Measures no cell: it counts allocations on
+   the train input. *)
 let selection_criterion =
   let render ~jobs:_ _ =
     let t =

@@ -123,11 +123,6 @@ val fig12 : section
 (** Fig. 12: omnetpp execution time across affinity distances 2^3 ..
     2^17, with the jemalloc baseline. *)
 
-val selection_criterion : section
-(** §5.1's benchmark-selection rule: heap allocations per million
-    instructions on the train inputs (the SPECrate subset was chosen at
-    more than one per million). Measures no cell. *)
-
 val sec51_baseline : section
 (** §5.1's baseline-choice claim: jemalloc vs ptmalloc2 L1D misses
     (jemalloc reduced misses by as much as 32%). *)

@@ -47,8 +47,6 @@ let weighted t weights =
   in
   pick 0 0
 
-let drawn t = t.n
-
 let trace t =
   let s = Buffer.contents t.buf in
   Array.init t.n (fun i -> Int64.to_int (String.get_int64_le s (i * 8)))

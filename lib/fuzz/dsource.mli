@@ -42,6 +42,3 @@ val weighted : t -> int array -> int
 
 val trace : t -> int array
 (** The decisions consumed so far, in draw order. *)
-
-val drawn : t -> int
-(** [Array.length (trace t)], without the copy. *)

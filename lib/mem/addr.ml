@@ -25,4 +25,3 @@ let is_aligned a n =
   a land (n - 1) = 0
 
 let to_hex a = Printf.sprintf "0x%x" a
-let pp ppf a = Format.pp_print_string ppf (to_hex a)

@@ -27,7 +27,4 @@ val log2 : int -> int
 (** [log2 n] is the shift [k] with [1 lsl k = n]. [n] must be a positive
     power of two. *)
 
-val pp : Format.formatter -> t -> unit
-(** Hex rendering, e.g. [0x7f0000001000]. *)
-
 val to_hex : t -> string

@@ -69,7 +69,6 @@ let set g v =
   g.g_samples <- g.g_samples + 1
 
 let gauge_value g = g.g_last
-let gauge_name g = g.g_name
 
 let default_alpha = 0.01
 
@@ -124,7 +123,6 @@ let observe h v =
 
 let histogram_count h = h.h_count
 let histogram_sum h = h.h_sum
-let histogram_name h = h.h_name
 let histogram_alpha h = h.h_alpha
 let histogram_min h = h.h_min
 let histogram_max h = h.h_max

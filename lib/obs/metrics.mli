@@ -29,7 +29,6 @@ val set : gauge -> float -> unit
     kept alongside the last value. *)
 
 val gauge_value : gauge -> float
-val gauge_name : gauge -> string
 
 (** {1 Quantile sketch histograms}
 
@@ -64,7 +63,6 @@ val quantile : histogram -> float -> float option
 
 val histogram_count : histogram -> int
 val histogram_sum : histogram -> float
-val histogram_name : histogram -> string
 val histogram_alpha : histogram -> float
 
 val histogram_min : histogram -> float

@@ -14,4 +14,3 @@ let rec advance elapsed =
   else advance elapsed
 
 let now () = advance (Unix.gettimeofday () -. epoch_wall)
-let epoch () = epoch_wall

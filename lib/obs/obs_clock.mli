@@ -13,7 +13,3 @@
 
 val now : unit -> float
 (** Seconds since the process-wide epoch; never decreases. *)
-
-val epoch : unit -> float
-(** The wall-clock time ([Unix.gettimeofday]) at which this process's
-    telemetry epoch was taken. *)

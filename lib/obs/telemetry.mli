@@ -39,14 +39,11 @@ val stage_table : t -> Table.t
     count, total time, self time (duration minus direct children — sums
     to wall time without double counting), and self-time share. *)
 
-val top_spans_table : ?n:int -> t -> Table.t
-
-val metrics_table : t -> Table.t
-(** Counter values, gauge last/max, histogram count/mean/p50/p99/p999/max
-    (quantiles re-derived from the decoded sketch buckets). *)
-
 val report_string : ?top:int -> t -> string
-(** The three report tables concatenated. *)
+(** Three tables: {!stage_table}, the [top] (default 10) longest spans,
+    and the metric summaries — counter values, gauge last/max, histogram
+    count/mean/p50/p99/p999/max (quantiles re-derived from the decoded
+    sketch buckets). *)
 
 type diff_row = {
   d_name : string;

@@ -37,8 +37,6 @@ let alloc_site t id =
   s.(Array.length s - 1)
 
 let count t = t.n
-let mem_sites t s = Hashtbl.mem t.by_sites s
-
 let label t site_label id =
   sites t id |> Array.to_list |> List.map site_label |> String.concat " -> "
 

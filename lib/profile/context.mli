@@ -24,8 +24,6 @@ val alloc_site : table -> id -> Ir.site
     procedure, which is all the hot-data-streams comparator gets to see. *)
 
 val count : table -> int
-val mem_sites : table -> Ir.site array -> bool
-
 val label : table -> (Ir.site -> string) -> id -> string
 (** Render as ["a -> b -> c"] using a site labeller
     (e.g. [Ir.site_label program]). *)

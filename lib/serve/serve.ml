@@ -3,58 +3,112 @@
    with [EINTR] (a signal landing mid-read), and neither is an error —
    a line is done when its '\n' arrives, whatever the framing. The
    buffered channel layer retries neither, so the socket loop uses this
-   reader instead of [input_line]. *)
+   reader instead of [input_line].
+
+   Received bytes live in [buf.[start .. stop)]; a read appends after
+   [stop], first sliding the unread bytes to the front or doubling the
+   buffer when there is no room, so each byte is copied O(1) times
+   amortised. The newline search resumes at [scan], so a long line is
+   scanned once, not once per read. A line longer than
+   [Serve_proto.max_line_bytes] is dropped as it arrives, up to its
+   newline, which bounds the buffer. *)
 module Line_reader = struct
   type t = {
     fd : Unix.file_descr;
-    chunk : Bytes.t;
-    mutable pending : string;  (** Received, not yet consumed. *)
-    mutable pos : int;  (** Consumption point inside [pending]. *)
+    chunk : int;
+    mutable buf : Bytes.t;
+    mutable start : int;  (** First byte not yet consumed. *)
+    mutable stop : int;  (** End of the bytes received. *)
+    mutable scan : int;  (** [buf.[start .. scan)] holds no newline. *)
     mutable eof : bool;
   }
 
   let create ?(buf_size = 4096) fd =
-    { fd; chunk = Bytes.create (max 1 buf_size); pending = ""; pos = 0; eof = false }
+    let chunk = max 1 buf_size in
+    {
+      fd;
+      chunk;
+      buf = Bytes.create chunk;
+      start = 0;
+      stop = 0;
+      scan = 0;
+      eof = false;
+    }
 
   let rec refill t =
-    match Unix.read t.fd t.chunk 0 (Bytes.length t.chunk) with
+    if t.stop + t.chunk > Bytes.length t.buf then begin
+      let live = t.stop - t.start in
+      let buf =
+        if 2 * (live + t.chunk) <= Bytes.length t.buf then t.buf
+        else Bytes.create (2 * (live + t.chunk))
+      in
+      Bytes.blit t.buf t.start buf 0 live;
+      t.buf <- buf;
+      t.scan <- t.scan - t.start;
+      t.start <- 0;
+      t.stop <- live
+    end;
+    match Unix.read t.fd t.buf t.stop t.chunk with
     | 0 -> t.eof <- true
-    | n ->
-        let tail =
-          String.sub t.pending t.pos (String.length t.pending - t.pos)
-        in
-        t.pending <- tail ^ Bytes.sub_string t.chunk 0 n;
-        t.pos <- 0
+    | n -> t.stop <- t.stop + n
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> refill t
 
-  let read_line t =
-    let rec next () =
-      match String.index_from_opt t.pending t.pos '\n' with
-      | Some nl ->
-          (* CRLF tolerance, matching the store's line discipline. *)
-          let stop =
-            if nl > t.pos && t.pending.[nl - 1] = '\r' then nl - 1 else nl
-          in
-          let line = String.sub t.pending t.pos (stop - t.pos) in
-          t.pos <- nl + 1;
-          Some line
-      | None ->
-          if t.eof then
-            if t.pos >= String.length t.pending then None
-            else begin
-              (* Final line with no trailing newline: still a line. *)
-              let line =
-                String.sub t.pending t.pos (String.length t.pending - t.pos)
-              in
-              t.pos <- String.length t.pending;
-              Some line
-            end
-          else begin
-            refill t;
-            next ()
-          end
-    in
-    next ()
+  let rec find_newline t =
+    if t.scan >= t.stop then None
+    else if Bytes.get t.buf t.scan = '\n' then Some t.scan
+    else begin
+      t.scan <- t.scan + 1;
+      find_newline t
+    end
+
+  let consume t next =
+    t.start <- next;
+    t.scan <- next
+
+  let too_long =
+    Error
+      (Printf.sprintf "job line longer than %d bytes"
+         Serve_proto.max_line_bytes)
+
+  (* Drop the rest of an over-long line, through its newline. *)
+  let rec skip_line t =
+    match find_newline t with
+    | Some nl -> consume t (nl + 1)
+    | None ->
+        consume t t.stop;
+        if not t.eof then begin
+          refill t;
+          skip_line t
+        end
+
+  let rec read_line t =
+    match find_newline t with
+    | Some nl when nl - t.start > Serve_proto.max_line_bytes ->
+        consume t (nl + 1);
+        Some too_long
+    | Some nl ->
+        (* CRLF tolerance, matching the store's line discipline. *)
+        let stop =
+          if nl > t.start && Bytes.get t.buf (nl - 1) = '\r' then nl - 1
+          else nl
+        in
+        let line = Bytes.sub_string t.buf t.start (stop - t.start) in
+        consume t (nl + 1);
+        Some (Ok line)
+    | None when t.stop - t.start > Serve_proto.max_line_bytes ->
+        skip_line t;
+        Some too_long
+    | None when t.eof ->
+        if t.start >= t.stop then None
+        else begin
+          (* Final line with no trailing newline: still a line. *)
+          let line = Bytes.sub_string t.buf t.start (t.stop - t.start) in
+          consume t t.stop;
+          Some (Ok line)
+        end
+    | None ->
+        refill t;
+        read_line t
 end
 
 type config = {
@@ -705,13 +759,16 @@ let id_of_line line =
   | Ok j -> ( match Json.get_int "id" j with Ok i -> Some i | Error _ -> None)
   | Error _ -> None
 
+(* A line that names no job it could run. *)
+let reject t ~id msg =
+  t.n_errors <- t.n_errors + 1;
+  Obs.count t.obs "serve.jobs.errors" 1;
+  Serve_proto.error_response ~id msg
+
 let handle_line t line =
   match Serve_proto.job_of_line line with
   | Ok job -> ( match handle_batch t [ job ] with [ r ] -> r | _ -> assert false)
-  | Error msg ->
-      t.n_errors <- t.n_errors + 1;
-      Obs.count t.obs "serve.jobs.errors" 1;
-      Serve_proto.error_response ~id:(id_of_line line) msg
+  | Error msg -> reject t ~id:(id_of_line line) msg
 
 let count_job_metric t job =
   Obs.count t.obs
@@ -731,7 +788,7 @@ let run_channels t ic oc =
       (fun line ->
         match Serve_proto.job_of_line line with
         | Ok job -> Ok job
-        | Error msg -> Error (Serve_proto.error_response ~id:(id_of_line line) msg))
+        | Error msg -> Error (id_of_line line, msg))
       lines
   in
   let written = ref 0 in
@@ -756,10 +813,7 @@ let run_channels t ic oc =
         List.iter
           (fun item ->
             match item with
-            | Error resp ->
-                t.n_errors <- t.n_errors + 1;
-                Obs.count t.obs "serve.jobs.errors" 1;
-                emit resp
+            | Error (id, msg) -> emit (reject t ~id msg)
             | Ok _ -> (
                 match !responses with
                 | r :: tl ->
@@ -778,9 +832,14 @@ let run_channels t ic oc =
 let run_socket t ~path =
   (try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ());
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (* A client that hangs up before reading its responses must not kill
+     the daemon: with SIGPIPE ignored, the write fails with EPIPE and
+     only that connection closes. *)
+  let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
   let written = ref 0 in
   Fun.protect
     ~finally:(fun () ->
+      Sys.set_signal Sys.sigpipe sigpipe;
       (try Unix.close sock with Unix.Unix_error _ -> ());
       (try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ());
       Option.iter Plan_cache.save_stats t.cfg.cache;
@@ -807,10 +866,15 @@ let run_socket t ~path =
             match Line_reader.read_line lr with
             | None -> ()
             | Some line ->
-                (match Serve_proto.job_of_line line with
-                | Ok job -> count_job_metric t job
-                | Error _ -> ());
-                let resp = handle_line t line in
+                let resp =
+                  match line with
+                  | Error msg -> reject t ~id:None msg
+                  | Ok line ->
+                      (match Serve_proto.job_of_line line with
+                      | Ok job -> count_job_metric t job
+                      | Error _ -> ());
+                      handle_line t line
+                in
                 output_string oc (Serve_proto.response_line resp);
                 output_char oc '\n';
                 flush oc;
@@ -818,8 +882,10 @@ let run_socket t ~path =
                 if t.stop then () else serve_conn ()
           in
           (try serve_conn () with Sys_error _ | Unix.Unix_error _ -> ());
-          (try flush oc with Sys_error _ -> ());
-          (try Unix.close conn with Unix.Unix_error _ -> ());
+          (* Flushes what it can and closes [conn]; a closed channel
+             keeps no unsent bytes for a later flush to write to a
+             reused descriptor. *)
+          close_out_noerr oc;
           accept_loop ()
         end
       in

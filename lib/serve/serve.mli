@@ -44,8 +44,10 @@
     [input_line] on [Unix.in_channel_of_descr], a read interrupted by a
     signal is retried, a line split across short reads is reassembled in
     the partial-line buffer, CRLF endings are stripped, and a final line
-    with no trailing newline is still delivered. The socket loop reads
-    through this. *)
+    with no trailing newline is still delivered. Reading a line costs
+    time linear in its length, and a line longer than
+    {!Serve_proto.max_line_bytes} is dropped as it arrives, so the
+    buffer stays bounded. The socket loop reads through this. *)
 module Line_reader : sig
   type t
 
@@ -53,8 +55,11 @@ module Line_reader : sig
   (** [buf_size] (default 4096, min 1) is the [Unix.read] chunk size —
       tests use [1] to force every line through the reassembly path. *)
 
-  val read_line : t -> string option
-  (** Next line without its terminator, [None] at end of stream. *)
+  val read_line : t -> (string, string) result option
+  (** Next line without its terminator, [None] at end of stream. A line
+      longer than {!Serve_proto.max_line_bytes} is read through its
+      newline and discarded, and comes back as an [Error] message; the
+      line after it reads normally. *)
 end
 
 type config = {
@@ -121,5 +126,9 @@ val run_channels : t -> in_channel -> out_channel -> int
 val run_socket : t -> path:string -> int
 (** Bind a Unix-domain socket at [path] (unlinking any stale one),
     accept one connection at a time, and answer jobs line by line until
-    a [shutdown] job arrives. Returns the number of responses written;
-    unlinks the socket and saves cache stats on exit. *)
+    a [shutdown] job arrives. A line over {!Serve_proto.max_line_bytes}
+    is answered with an error response. A client that hangs up early
+    loses only its own connection: SIGPIPE is ignored while this runs
+    (and restored after), so a failed write closes that connection and
+    the loop accepts the next one. Returns the number of responses
+    written; unlinks the socket and saves cache stats on exit. *)

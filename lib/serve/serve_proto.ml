@@ -112,3 +112,5 @@ let error_response ~id msg =
     ]
 
 let response_line j = Json.to_string ~pretty:false j
+
+let max_line_bytes = 1 lsl 20

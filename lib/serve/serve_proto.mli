@@ -62,3 +62,8 @@ val error_response : id:int option -> string -> Json.t
 
 val response_line : Json.t -> string
 (** Compact one-line encoding (no trailing newline). *)
+
+val max_line_bytes : int
+(** 1 MiB: the longest job line a socket daemon reads. Every job form
+    above fits in well under 1 KiB; a longer line is discarded up to its
+    newline and answered with an {!error_response}. *)

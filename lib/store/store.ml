@@ -689,9 +689,11 @@ let read_profile ?obs ?expect_program path =
           decode_records records (handle_profile_record st);
           { header; config; result = finish_profile st }))
 
-(* Incremental weighted merging: one mutable accumulator per program,
-   fed one artifact at a time. The batch [merge_profiles] is a fold over
-   this state, so the two APIs cannot drift. *)
+(* Weighted merging: one mutable accumulator per program. [merge_add]
+   folds one weighted artifact into it, [merge_adopt] one persisted
+   aggregate, and the batch [merge_profiles] folds chunks of its input
+   into accumulators of their own and then those into one; all three go
+   through [fold_in], so they cannot drift. *)
 
 type merge_state = {
   m_contexts : Context.table;
@@ -720,58 +722,79 @@ let merge_create () =
 let merge_count st = st.m_count
 let merge_total_weight st = st.m_weight
 
+let check_weight ~who w =
+  if (not (Float.is_finite w)) || w <= 0.0 then
+    invalid_arg (who ^ ": weights must be positive and finite")
+
 let merge_scale w n = int_of_float (Float.round (w *. float_of_int n))
 
-let merge_add st ((a : profile_artifact), w) =
-  if (not (Float.is_finite w)) || w <= 0.0 then
-    invalid_arg "Store.merge_add: weights must be positive and finite";
+(* Fold one run's counts into [st]: pin (or check) the program and
+   config digests, re-intern [contexts] into the shared table in id
+   order, add [scale]d node and edge counts to the running raw graph and
+   the [scale]d totals, and credit [count] runs of [weight]. Raises
+   [Decode] before touching [st] on a digest mismatch. *)
+let fold_in st ((program, config_digest, _) as pin) ~scale ~contexts ~raw
+    (ta, tr, ins) ~count ~weight =
+  (match st.m_first with
+  | None -> st.m_first <- Some pin
+  | Some (p, c, _) ->
+      let mismatch field found expected =
+        raise (Decode (Digest_mismatch { field; found; expected }))
+      in
+      if program <> p then mismatch "program" program p;
+      if config_digest <> c then mismatch "config" config_digest c);
+  let remap =
+    Array.init (Context.count contexts) (fun id ->
+        Context.intern st.m_contexts (Context.sites contexts id))
+  in
+  List.iter
+    (fun id ->
+      Affinity_graph.add_access_n st.m_raw remap.(id)
+        (scale (Affinity_graph.node_accesses raw id)))
+    (Affinity_graph.nodes raw);
+  List.iter
+    (fun (x, y, wt) ->
+      Affinity_graph.add_affinity_n st.m_raw remap.(x) remap.(y) (scale wt))
+    (Affinity_graph.edges raw);
+  st.m_ta <- st.m_ta + scale ta;
+  st.m_tr <- st.m_tr + scale tr;
+  st.m_ins <- st.m_ins + scale ins;
+  st.m_count <- st.m_count + count;
+  st.m_weight <- st.m_weight +. weight
+
+(* An artifact's config is checked first, so a rejected one leaves the
+   state unchanged. *)
+let fold_artifact st (a : profile_artifact) ~scale ~count ~weight =
   wrap (fun () ->
       check_profiler_config ~line:1 a.config;
-      (match st.m_first with
-      | None ->
-          st.m_first <-
-            Some (a.header.program_digest, a.header.config_digest, a.config)
-      | Some (program, config, _) ->
-          if a.header.program_digest <> program then
-            raise
-              (Decode
-                 (Digest_mismatch
-                    {
-                      field = "program";
-                      found = a.header.program_digest;
-                      expected = program;
-                    }));
-          if a.header.config_digest <> config then
-            raise
-              (Decode
-                 (Digest_mismatch
-                    {
-                      field = "config";
-                      found = a.header.config_digest;
-                      expected = config;
-                    })));
-      let old = a.result.Profiler.contexts in
-      let n = Context.count old in
-      let remap = Array.make n 0 in
-      for id = 0 to n - 1 do
-        remap.(id) <- Context.intern st.m_contexts (Context.sites old id)
-      done;
-      let g = a.result.Profiler.raw_graph in
-      List.iter
-        (fun id ->
-          Affinity_graph.add_access_n st.m_raw remap.(id)
-            (merge_scale w (Affinity_graph.node_accesses g id)))
-        (Affinity_graph.nodes g);
-      List.iter
-        (fun (x, y, wt) ->
-          Affinity_graph.add_affinity_n st.m_raw remap.(x) remap.(y)
-            (merge_scale w wt))
-        (Affinity_graph.edges g);
-      st.m_ta <- st.m_ta + merge_scale w a.result.Profiler.total_accesses;
-      st.m_tr <- st.m_tr + merge_scale w a.result.Profiler.tracked_allocs;
-      st.m_ins <- st.m_ins + merge_scale w a.result.Profiler.instructions;
-      st.m_count <- st.m_count + 1;
-      st.m_weight <- st.m_weight +. w)
+      let r = a.result in
+      fold_in st
+        (a.header.program_digest, a.header.config_digest, a.config)
+        ~scale ~contexts:r.Profiler.contexts ~raw:r.Profiler.raw_graph
+        (r.Profiler.total_accesses, r.Profiler.tracked_allocs,
+         r.Profiler.instructions)
+        ~count ~weight)
+
+let merge_add st (a, w) =
+  check_weight ~who:"Store.merge_add" w;
+  fold_artifact st a ~scale:(merge_scale w) ~count:1 ~weight:w
+
+let merge_adopt st ~mass ~count artifact =
+  if (not (Float.is_finite mass)) || mass <= 0.0 then
+    invalid_arg "Store.merge_adopt: mass must be positive and finite";
+  if count < 0 then invalid_arg "Store.merge_adopt: negative count";
+  fold_artifact st artifact ~scale:Fun.id ~count ~weight:mass
+
+(* A chunk's accumulator into the combined one, unscaled: its counts
+   already carry their weights. *)
+let absorb dst src =
+  match src.m_first with
+  | None -> Ok ()
+  | Some pin ->
+      wrap (fun () ->
+          fold_in dst pin ~scale:Fun.id ~contexts:src.m_contexts
+            ~raw:src.m_raw (src.m_ta, src.m_tr, src.m_ins)
+            ~count:src.m_count ~weight:src.m_weight)
 
 let copy_graph g =
   let c = Affinity_graph.create () in
@@ -816,84 +839,6 @@ let merge_result_internal ~snapshot st =
 
 let merge_result st = merge_result_internal ~snapshot:true st
 
-let merge_profiles inputs =
-  if inputs = [] then invalid_arg "Store.merge_profiles: empty input list";
-  List.iter
-    (fun (_, w) ->
-      if (not (Float.is_finite w)) || w <= 0.0 then
-        invalid_arg "Store.merge_profiles: weights must be positive and finite")
-    inputs;
-  let st = merge_create () in
-  let rec fold = function
-    | [] -> merge_result_internal ~snapshot:false st
-    | input :: rest -> (
-        match merge_add st input with
-        | Ok () -> fold rest
-        | Error e -> Error e)
-  in
-  fold inputs
-
-(* {1 Sharded merging}
-
-   Contiguous chunks of the input fold on worker domains, then the
-   partial accumulators combine in chunk order. Scaled counts are plain
-   integers, so chunked addition is exactly the sequential sum; contexts
-   absorb in each chunk's local first-appearance order, which is the
-   order the sequential fold would first meet them — the merged graph is
-   byte-identical at any worker count. *)
-
-let merge_absorb dst src =
-  match src.m_first with
-  | None -> Ok ()
-  | Some (program, config_digest, config) ->
-      wrap (fun () ->
-          (match dst.m_first with
-          | None -> dst.m_first <- Some (program, config_digest, config)
-          | Some (p, c, _) ->
-              if program <> p then
-                raise
-                  (Decode
-                     (Digest_mismatch
-                        { field = "program"; found = program; expected = p }));
-              if config_digest <> c then
-                raise
-                  (Decode
-                     (Digest_mismatch
-                        { field = "config"; found = config_digest; expected = c })));
-          let old = src.m_contexts in
-          let n = Context.count old in
-          let remap = Array.make n 0 in
-          for id = 0 to n - 1 do
-            remap.(id) <- Context.intern dst.m_contexts (Context.sites old id)
-          done;
-          let g = src.m_raw in
-          List.iter
-            (fun id ->
-              Affinity_graph.add_access_n dst.m_raw remap.(id)
-                (Affinity_graph.node_accesses g id))
-            (Affinity_graph.nodes g);
-          List.iter
-            (fun (x, y, wt) ->
-              Affinity_graph.add_affinity_n dst.m_raw remap.(x) remap.(y) wt)
-            (Affinity_graph.edges g);
-          dst.m_ta <- dst.m_ta + src.m_ta;
-          dst.m_tr <- dst.m_tr + src.m_tr;
-          dst.m_ins <- dst.m_ins + src.m_ins;
-          dst.m_count <- dst.m_count + src.m_count;
-          dst.m_weight <- dst.m_weight +. src.m_weight)
-
-let merge_adopt st ~mass ~count artifact =
-  if (not (Float.is_finite mass)) || mass <= 0.0 then
-    invalid_arg "Store.merge_adopt: mass must be positive and finite";
-  if count < 0 then invalid_arg "Store.merge_adopt: negative count";
-  let tmp = merge_create () in
-  match merge_add tmp (artifact, 1.0) with
-  | Error e -> Error e
-  | Ok () ->
-      tmp.m_weight <- mass;
-      tmp.m_count <- count;
-      merge_absorb st tmp
-
 (* Contiguous chunks in input order, sizes differing by at most one. *)
 let chunk_evenly inputs nchunks =
   let n = List.length inputs in
@@ -912,35 +857,29 @@ let chunk_evenly inputs nchunks =
       let chunk, rest = take sz [] xs in
       go (i + 1) rest (chunk :: acc)
   in
-  go 0 inputs [] |> List.filter (fun c -> c <> [])
+  go 0 inputs []
 
 let fold_chunk inputs =
   let st = merge_create () in
   let rec go = function
-    | [] -> (st, None)
+    | [] -> Ok st
     | input :: rest -> (
-        match merge_add st input with
-        | Ok () -> go rest
-        | Error e -> (st, Some e))
+        match merge_add st input with Ok () -> go rest | Error e -> Error e)
   in
   go inputs
 
-let check_weights ~who inputs =
-  List.iter
-    (fun (_, w) ->
-      if (not (Float.is_finite w)) || w <= 0.0 then
-        invalid_arg (who ^ ": weights must be positive and finite"))
-    inputs
-
-let merge_profiles_sharded ?obs ?jobs inputs =
-  if inputs = [] then
-    invalid_arg "Store.merge_profiles_sharded: empty input list";
-  check_weights ~who:"Store.merge_profiles_sharded" inputs;
-  let jobs =
-    match jobs with Some j -> max 1 j | None -> Par.default_jobs ()
-  in
+(* Contiguous chunks of the input fold on worker domains, then the chunk
+   accumulators combine in chunk order. Scaled counts are plain integers,
+   so chunked addition is exactly the sequential sum; contexts are
+   absorbed in each chunk's local first-appearance order, which is the
+   order the sequential fold would first meet them — the merged graph is
+   byte-identical at any worker count. *)
+let merge_profiles ?obs ?(jobs = 1) inputs =
+  if inputs = [] then invalid_arg "Store.merge_profiles: empty input list";
+  List.iter (fun (_, w) -> check_weight ~who:"Store.merge_profiles" w) inputs;
+  let jobs = max 1 jobs in
   let n = List.length inputs in
-  let nchunks = max 1 (min jobs n) in
+  let nchunks = min jobs n in
   Obs.span obs "store.shard.merge"
     ~attrs:
       [
@@ -953,116 +892,30 @@ let merge_profiles_sharded ?obs ?jobs inputs =
       Obs.count obs "store.shard.profiles" n;
       Obs.count obs "store.shard.chunks" nchunks;
       let result =
-        if nchunks = 1 then
-          match fold_chunk inputs with
-          | _, Some e -> Error e
-          | st, None -> merge_result_internal ~snapshot:false st
-        else
-          let chunks = chunk_evenly inputs nchunks in
-          let partials =
-            Par.map ?obs ~name:"store.shard" ~jobs fold_chunk chunks
-          in
-          let acc = merge_create () in
-          let rec combine = function
-            | [] -> merge_result_internal ~snapshot:false acc
-            | (_, Some e) :: _ -> Error e
-            | (st, None) :: rest -> (
-                match merge_absorb acc st with
-                | Ok () -> combine rest
-                | Error e -> Error e)
-          in
-          combine partials
+        let partials =
+          if nchunks = 1 then [ fold_chunk inputs ]
+          else
+            Par.map ?obs ~name:"store.shard" ~jobs fold_chunk
+              (chunk_evenly inputs nchunks)
+        in
+        (* The first chunk's accumulator takes in the others. *)
+        let rec combine acc = function
+          | [] -> merge_result_internal ~snapshot:false acc
+          | part :: rest -> (
+              match Result.bind part (absorb acc) with
+              | Ok () -> combine acc rest
+              | Error e -> Error e)
+        in
+        match partials with
+        | Ok acc :: rest -> combine acc rest
+        | Error e :: _ -> Error e
+        | [] -> assert false
       in
       let dt = Unix.gettimeofday () -. t0 in
       if dt > 0.0 then
         Obs.set_gauge obs "store.shard.profiles_per_sec"
           (float_of_int n /. dt);
       result)
-
-let merge_by_program ?obs ?jobs inputs =
-  check_weights ~who:"Store.merge_by_program" inputs;
-  if inputs = [] then []
-  else begin
-    let jobs =
-      match jobs with Some j -> max 1 j | None -> Par.default_jobs ()
-    in
-    (* Group by program digest, preserving first-appearance order. *)
-    let order = ref [] in
-    let tbl = Hashtbl.create 16 in
-    List.iter
-      (fun ((a, _) as input) ->
-        let digest = a.header.program_digest in
-        match Hashtbl.find_opt tbl digest with
-        | Some l -> l := input :: !l
-        | None ->
-            Hashtbl.add tbl digest (ref [ input ]);
-            order := digest :: !order)
-      inputs;
-    let digests = List.rev !order in
-    let groups =
-      List.map (fun d -> (d, List.rev !(Hashtbl.find tbl d))) digests
-    in
-    let total = List.length inputs in
-    (* Each group gets a chunk count proportional to its share of the
-       inputs, so one giant program still spreads over the pool while
-       many small programs cost one task each. *)
-    let tasks =
-      List.concat_map
-        (fun (digest, ginputs) ->
-          let glen = List.length ginputs in
-          let share = max 1 (min glen (glen * jobs / total)) in
-          List.map (fun chunk -> (digest, chunk)) (chunk_evenly ginputs share))
-        groups
-    in
-    Obs.span obs "store.shard.merge"
-      ~attrs:
-        [
-          ("jobs", Json.Int jobs);
-          ("profiles", Json.Int total);
-          ("programs", Json.Int (List.length groups));
-          ("chunks", Json.Int (List.length tasks));
-        ]
-      (fun () ->
-        let t0 = Unix.gettimeofday () in
-        Obs.count obs "store.shard.profiles" total;
-        Obs.count obs "store.shard.chunks" (List.length tasks);
-        let partials =
-          Par.map ?obs ~name:"store.shard" ~jobs
-            (fun (digest, chunk) -> (digest, fold_chunk chunk))
-            tasks
-        in
-        let states : (string, merge_state * error option) Hashtbl.t =
-          Hashtbl.create 16
-        in
-        List.iter
-          (fun (digest, (st, err)) ->
-            match Hashtbl.find_opt states digest with
-            | None -> Hashtbl.replace states digest (st, err)
-            | Some (_, Some _) -> ()
-            | Some (acc, None) -> (
-                match err with
-                | Some e -> Hashtbl.replace states digest (acc, Some e)
-                | None -> (
-                    match merge_absorb acc st with
-                    | Ok () -> ()
-                    | Error e -> Hashtbl.replace states digest (acc, Some e))))
-          partials;
-        let results =
-          List.map
-            (fun digest ->
-              match Hashtbl.find states digest with
-              | _, Some e -> (digest, Error e)
-              | st, None ->
-                  (digest, merge_result_internal ~snapshot:false st))
-            digests
-        in
-        let dt = Unix.gettimeofday () -. t0 in
-        if dt > 0.0 then
-          Obs.set_gauge obs "store.shard.profiles_per_sec"
-            (float_of_int total /. dt);
-        results)
-  end
-
 
 (* {1 Plans} *)
 

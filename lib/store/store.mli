@@ -22,9 +22,8 @@
 
     Observability: encode/decode spans carry a [format] attribute, and
     the [store.codec.v2.encodes] / [store.codec.v2.decodes] counters and
-    [store.codec.encode_bytes] histogram account codec traffic; sharded
-    merging reports under [store.shard.*] (see
-    {!merge_profiles_sharded}). *)
+    [store.codec.encode_bytes] histogram account codec traffic; the batch
+    merge reports under [store.shard.*] (see {!merge_profiles}). *)
 
 val format_name : string
 (** ["halo/store"], the header's [format] field. *)
@@ -75,15 +74,6 @@ val plan_config_digest : Pipeline.config -> string
     included — it determines the profile a plan was derived from). One half
     of the plan cache key. *)
 
-(** {1 Config codecs}
-
-    Canonical JSON for the configuration records — the bytes the digests
-    are computed over, also embedded in artifacts so a reader needs no
-    out-of-band configuration. *)
-
-val json_of_profiler_config : Profiler.config -> Json.t
-val json_of_pipeline_config : Pipeline.config -> Json.t
-
 (** {1 Profiles} *)
 
 type profile_artifact = {
@@ -124,6 +114,8 @@ val read_profile :
     [store.decode] span. *)
 
 val merge_profiles :
+  ?obs:Obs.t ->
+  ?jobs:int ->
   (profile_artifact * float) list ->
   (Profiler.config * Profiler.result, error) result
 (** Weighted cross-run merge: raw graphs are combined with per-run access
@@ -134,19 +126,29 @@ val merge_profiles :
     program and config digests ([Digest_mismatch] otherwise); raises
     [Invalid_argument] on an empty list or a non-positive weight. Returns
     the shared config (the first artifact's) and the merged result, ready
-    for {!write_profile}. Equivalent to folding the list through
-    {!merge_add} and taking {!merge_result}. *)
+    for {!write_profile}.
+
+    The inputs split into [min jobs n] contiguous chunks (default
+    [jobs = 1]: one chunk, folded on the calling domain); each chunk
+    folds on a {!Par} worker, and the chunk sums are added in chunk
+    order. The scaled counts are integers and contexts meet the combined
+    table in input order, so the result is byte-identical to folding the
+    list through {!merge_add} and taking {!merge_result}, at any [jobs].
+    On inconsistent inputs the error has the sequential fold's
+    constructor, though which artifact it cites may depend on the chunk
+    boundaries. Telemetry: a [store.shard.merge] span with
+    [jobs]/[profiles]/[chunks] attributes, [store.shard.profiles] and
+    [store.shard.chunks] counters and the [store.shard.profiles_per_sec]
+    gauge. *)
 
 (** {2 Incremental merging}
 
-    The batch API above needs every input up front; long-running
-    aggregation (the serve loop folding fleet profiles as they arrive)
-    instead keeps one {!merge_state} per program and feeds it one
-    artifact at a time. Folding artifacts one by one through
-    {!merge_add} and finishing with {!merge_result} produces exactly
-    {!merge_profiles} of the same list in the same order; the fold is
-    associative in the accumulated counts, so arrival batching does not
-    change the outcome. *)
+    The batch merge needs every input up front; long-running aggregation
+    (the serve loop folding fleet profiles as they arrive) instead keeps
+    one {!merge_state} per program and feeds it one artifact at a time.
+    Folding artifacts one by one through {!merge_add} and finishing with
+    {!merge_result} produces exactly {!merge_profiles} of the same list
+    in the same order. *)
 
 type merge_state
 
@@ -179,19 +181,6 @@ val merge_result :
     [Invalid_argument] on an empty state, mirroring {!merge_profiles} on
     an empty list. *)
 
-val merge_absorb : merge_state -> merge_state -> (unit, error) result
-(** Fold one accumulator into another, {e unscaled}: the source's counts
-    are already weight-scaled, so they add as plain integers and the
-    source's weight and artifact count accumulate as-is. Folding a list
-    chunk-by-chunk — each chunk through {!merge_add} into its own state,
-    then the states absorbed in chunk order — produces exactly the
-    sequential fold, which is what makes {!merge_profiles_sharded}
-    byte-identical at any worker count. [Digest_mismatch] when the two
-    states pin different program or config digests; absorbing an empty
-    source is a no-op, and an empty destination adopts the source's
-    pins. The source must not be used afterwards (its contexts and
-    counts are shared, not copied). *)
-
 val merge_adopt :
   merge_state ->
   mass:float ->
@@ -202,42 +191,9 @@ val merge_adopt :
     artifact's counts in {e unscaled} (they already carry their weights)
     while crediting [mass] total weight and [count] constituent
     profiles. This is how a restarted serve daemon resumes an aggregate
-    saved by {!write_profile} without double-scaling it. Raises
-    [Invalid_argument] on a non-positive [mass] or negative [count]. *)
-
-(** {2 Sharded merging}
-
-    Fleet-scale aggregation: thousands of stored profiles partitioned by
-    program digest and folded on the {!Par} domain pool. Contiguous
-    chunking plus in-order {!merge_absorb} keeps every merged graph
-    byte-identical to the sequential fold at any [jobs] count.
-    Telemetry: a [store.shard.merge] span with [jobs]/[profiles]/[chunks]
-    attributes, [store.shard.profiles] and [store.shard.chunks] counters
-    and the [store.shard.profiles_per_sec] gauge. *)
-
-val merge_profiles_sharded :
-  ?obs:Obs.t ->
-  ?jobs:int ->
-  (profile_artifact * float) list ->
-  (Profiler.config * Profiler.result, error) result
-(** As {!merge_profiles} — same digest discipline, same
-    [Invalid_argument] contract, and a byte-identical result — but the
-    fold fans out over [jobs] worker domains (default
-    {!Par.default_jobs}; [jobs <= 1] stays inline on the calling
-    domain). On inconsistent inputs an {!error} of the same constructor
-    as the sequential fold's is returned, though which artifact it cites
-    may depend on the chunk boundaries. *)
-
-val merge_by_program :
-  ?obs:Obs.t ->
-  ?jobs:int ->
-  (profile_artifact * float) list ->
-  (string * (Profiler.config * Profiler.result, error) result) list
-(** Partition the inputs by program digest (result order is each
-    program's first appearance), merge every partition on the shared
-    pool, and return one merged profile per program. A bad artifact
-    poisons only its own program's entry. An empty input list returns
-    []. *)
+    saved by {!write_profile} without double-scaling it. Errors as
+    {!merge_add}; raises [Invalid_argument] on a non-positive [mass] or
+    negative [count]. *)
 
 (** {1 Plans} *)
 

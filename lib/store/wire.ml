@@ -41,8 +41,6 @@ let varint b v =
     else Buffer.add_char b (Char.chr (byte lor 0x80))
   done
 
-let f64 b v = i64 b (Int64.bits_of_float v)
-
 let bytes b s =
   varint b (String.length s);
   Buffer.add_string b s
@@ -59,7 +57,6 @@ let dec ?(pos = 0) ?len data =
     err "decoder window out of bounds";
   { data; limit; pos }
 
-let pos d = d.pos
 let remaining d = d.limit - d.pos
 let eof d = d.pos >= d.limit
 
@@ -71,13 +68,6 @@ let read_u8 d =
   need d 1;
   let v = Char.code (String.unsafe_get d.data d.pos) in
   d.pos <- d.pos + 1;
-  v
-
-let read_u32 d =
-  need d 4;
-  let g i = Char.code (String.unsafe_get d.data (d.pos + i)) in
-  let v = g 0 lor (g 1 lsl 8) lor (g 2 lsl 16) lor (g 3 lsl 24) in
-  d.pos <- d.pos + 4;
   v
 
 let read_i64 d =
@@ -102,8 +92,6 @@ let read_varint d =
   done;
   let z = !z in
   (z lsr 1) lxor (- (z land 1))
-
-let read_f64 d = Int64.float_of_bits (read_i64 d)
 
 let read_bytes d =
   let n = read_varint d in

@@ -6,7 +6,7 @@
     copying the payload bytes out first.
 
     Integers travel as zigzag-encoded LEB128 varints, total over the
-    native [int] range; fixed-width [u32]/[i64]/[f64] are little-endian.
+    native [int] range; fixed-width [u32]/[i64] are little-endian.
     Every malformed read raises {!Error} with a human-readable reason;
     the store layer converts it into its typed [Malformed] error carrying
     the record ordinal. *)
@@ -28,9 +28,6 @@ val varint : Buffer.t -> int -> unit
 (** Zigzag LEB128: defined for every native [int], 1 byte for small
     magnitudes. *)
 
-val f64 : Buffer.t -> float -> unit
-(** IEEE-754 binary64, little-endian — exact round-trip. *)
-
 val bytes : Buffer.t -> string -> unit
 (** Varint byte length followed by the raw bytes. *)
 
@@ -43,17 +40,12 @@ val dec : ?pos:int -> ?len:int -> string -> dec
 (** [dec ~pos ~len s] reads [s.[pos .. pos+len)]; [len] defaults to the
     rest of the string. Raises {!Error} on an out-of-bounds window. *)
 
-val pos : dec -> int
-(** Absolute position in the backing string. *)
-
 val remaining : dec -> int
 val eof : dec -> bool
 
 val read_u8 : dec -> int
-val read_u32 : dec -> int
 val read_i64 : dec -> int64
 val read_varint : dec -> int
-val read_f64 : dec -> float
 val read_bytes : dec -> string
 
 val expect_end : dec -> unit

@@ -46,8 +46,6 @@ let phase ?burst ~label ~ticks ~rate tenants =
 
 let pause ~label ~ticks = phase ~label ~ticks ~rate:(Const 0.0) []
 
-let repeat n s = List.concat (List.init (max 0 n) (fun _ -> s))
-
 let total_ticks s = List.fold_left (fun acc p -> acc + p.p_ticks) 0 s
 
 let rotate a =

@@ -62,9 +62,6 @@ val phase :
 val pause : label:string -> ticks:int -> phase
 (** Zero-rate, zero-tenant phase: ticks elapse, no jobs arrive. *)
 
-val repeat : int -> t -> t
-(** [repeat n s] concatenates [n] copies of [s]. *)
-
 val total_ticks : t -> int
 
 val drifting :

@@ -33,14 +33,9 @@ let cardinal t =
   done;
   !c
 
-let copy t = { bits = Bytes.copy t.bits; n = t.n }
-
 let to_list t =
   let acc = ref [] in
   for i = t.n - 1 downto 0 do
     if get t i then acc := i :: !acc
   done;
   !acc
-
-let pp ppf t =
-  Format.fprintf ppf "{%s}" (String.concat "," (List.map string_of_int (to_list t)))

@@ -19,9 +19,5 @@ val clear_all : t -> unit
 val cardinal : t -> int
 (** Number of set bits. *)
 
-val copy : t -> t
 val to_list : t -> int list
 (** Indices of set bits, ascending. *)
-
-val pp : Format.formatter -> t -> unit
-(** Renders as e.g. [{0,3,7}]. *)

@@ -66,24 +66,7 @@ let float t bound =
   let v = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   bound *. (v /. 9007199254740992.0 (* 2^53 *))
 
-let bool t = Int64.logand (next t) 1L = 1L
-
 let choose t arr =
   if Array.length arr = 0 then invalid_arg "Rng.choose: empty array";
   arr.(int t (Array.length arr))
 
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done
-
-let geometric t ~p =
-  if p <= 0.0 || p > 1.0 then invalid_arg "Rng.geometric: p must be in (0,1]";
-  if p = 1.0 then 0
-  else
-    let u = float t 1.0 in
-    let u = if u <= 0.0 then epsilon_float else u in
-    int_of_float (Float.of_int 0 +. floor (log u /. log (1.0 -. p)))

@@ -40,16 +40,5 @@ val int_in : t -> int -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in \[0, bound). *)
 
-val bool : t -> bool
-(** Fair coin. *)
-
 val choose : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
-
-val geometric : t -> p:float -> int
-(** [geometric t ~p] draws the number of failures before the first success
-    of a Bernoulli(p) process; mean (1-p)/p. Used for bursty allocation
-    patterns in workloads. *)

@@ -70,7 +70,3 @@ let summarize xs =
     min = Array.fold_left min xs.(0) xs;
     max = Array.fold_left max xs.(0) xs;
   }
-
-let pp_summary ppf s =
-  Format.fprintf ppf "median=%.4g [p25=%.4g p75=%.4g] mean=%.4g range=[%.4g, %.4g]"
-    s.median s.p25 s.p75 s.mean s.min s.max

@@ -37,5 +37,3 @@ type summary = {
 val summarize : float array -> summary
 (** Five-number-ish summary used when printing experiment rows. Raises
     [Invalid_argument] on empty or NaN-containing input. *)
-
-val pp_summary : Format.formatter -> summary -> unit

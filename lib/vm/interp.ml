@@ -678,5 +678,4 @@ let run t =
   t.main ()
 
 let instructions t = t.rt.instructions
-let env t = t.rt.env
 let load_store_counts t = (t.rt.loads, t.rt.stores)

@@ -104,8 +104,6 @@ val instructions : t -> int
     [Compute n], a fixed surcharge per allocator call, 2 + arity per
     call. *)
 
-val env : t -> Exec_env.t
-
 val load_store_counts : t -> int * int
 (** [(loads, stores)] — counts of executed load and store {e events}
     (one per [Load]/[Store] statement retired, regardless of the access

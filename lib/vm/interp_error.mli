@@ -20,8 +20,5 @@ type cause =
 
 exception Error of { fname : string; site : Ir.site option; cause : cause }
 
-val cause_message : cause -> string
-(** Human-readable message for the cause alone (no location). *)
-
 val error : fname:string -> ?site:Ir.site -> cause -> 'a
 (** Raise {!Error} at the given location. *)

@@ -67,11 +67,6 @@ let alloc_sites p =
     p.site_infos []
   |> List.sort compare
 
-let site_callee p s =
-  match Hashtbl.find_opt p.site_infos s with
-  | Some { callee; _ } -> callee
-  | None -> None
-
 let site_label p s =
   match Hashtbl.find_opt p.site_infos s with
   | None -> Printf.sprintf "0x%x" s

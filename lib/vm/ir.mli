@@ -93,9 +93,5 @@ val site_label : program -> site -> string
     enclosing function, statement ordinal, and callee — the reproduction's
     analog of symbolised addresses in Figure 9's node labels. *)
 
-val site_callee : program -> site -> string option
-(** The called function for a call site; [None] for allocation intrinsics
-    (whose "callee" is malloc/calloc/realloc itself). *)
-
 val alloc_sites : program -> site list
 (** Sites of allocation intrinsics only. *)

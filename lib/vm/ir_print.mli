@@ -6,9 +6,6 @@
     that assert program structure, and when debugging workload authoring. *)
 
 val pp_expr : Format.formatter -> Ir.expr -> unit
-val pp_stmt : ?indent:int -> Format.formatter -> Ir.stmt -> unit
-val pp_func : Format.formatter -> Ir.func -> unit
-val pp_program : Format.formatter -> Ir.program -> unit
 
 val program_to_string : Ir.program -> string
-(** [pp_program] into a string. *)
+(** The whole program, one function after another. *)

@@ -249,6 +249,16 @@ let sim_run_smoke () =
 
 (* ---------------- line reader ---------------- *)
 
+let read_all lr =
+  let rec go acc =
+    match Serve.Line_reader.read_line lr with
+    | None -> List.rev acc
+    | Some l -> go (l :: acc)
+  in
+  go []
+
+let lines_t = Alcotest.(list (result string string))
+
 let line_reader_one_byte_reads () =
   (* A pipe drained one byte at a time: every refill is a short read, so
      any line that survives proves the partial-line buffer reassembles
@@ -265,18 +275,12 @@ let line_reader_one_byte_reads () =
         Unix.close wfd)
   in
   let lr = Serve.Line_reader.create ~buf_size:1 r in
-  let rec drain acc =
-    match Serve.Line_reader.read_line lr with
-    | None -> List.rev acc
-    | Some l -> drain (l :: acc)
-  in
-  let lines = drain [] in
+  let lines = read_all lr in
   Domain.join writer;
   Unix.close r;
-  Alcotest.check
-    (Alcotest.list Alcotest.string)
-    "lines reassembled across one-byte reads"
-    [ "alpha"; "beta gamma"; "delta"; ""; "last-no-newline" ]
+  Alcotest.check lines_t "lines reassembled across one-byte reads"
+    (List.map Result.ok
+       [ "alpha"; "beta gamma"; "delta"; ""; "last-no-newline" ])
     lines
 
 let line_reader_large_chunks () =
@@ -291,17 +295,51 @@ let line_reader_large_chunks () =
         Unix.close wfd)
   in
   let lr = Serve.Line_reader.create r in
-  let rec drain acc =
-    match Serve.Line_reader.read_line lr with
-    | None -> List.rev acc
-    | Some l -> drain (l :: acc)
-  in
-  let lines = drain [] in
+  let lines = read_all lr in
   Domain.join writer;
   Unix.close r;
-  Alcotest.check
-    (Alcotest.list Alcotest.string)
-    "buffered lines split correctly" (List.init 50 string_of_int) lines
+  Alcotest.check lines_t "buffered lines split correctly"
+    (List.init 50 (fun i -> Ok (string_of_int i)))
+    lines
+
+let line_reader_drops_over_long_lines () =
+  (* Lines at the cap pass; longer ones, terminated or cut by EOF, come
+     back as one error each, and the line after each is read whole.
+     The 16 MiB line is dropped as it arrives: reading everything
+     allocates less than that line. *)
+  let cap = Serve_proto.max_line_bytes in
+  let at_cap = String.make cap 'a' in
+  let payload =
+    String.concat "\n"
+      [ "first"; at_cap; String.make (cap + 1) 'b'; "second";
+        String.make (16 * cap) 'c'; "third"; String.make (cap + 7) 'd' ]
+  in
+  let r, wfd = Unix.pipe () in
+  let writer =
+    Domain.spawn (fun () ->
+        let rec go off =
+          if off < String.length payload then
+            go (off + Unix.write_substring wfd payload off
+                  (String.length payload - off))
+        in
+        go 0;
+        Unix.close wfd)
+  in
+  let before = Gc.allocated_bytes () in
+  let lines = read_all (Serve.Line_reader.create r) in
+  let allocated = Gc.allocated_bytes () -. before in
+  Domain.join writer;
+  Unix.close r;
+  let err =
+    Error (Printf.sprintf "job line longer than %d bytes" cap)
+  in
+  Alcotest.check lines_t "over-long lines become errors"
+    [ Ok "first"; Ok at_cap; err; Ok "second"; err; Ok "third"; err ]
+    lines;
+  checkb
+    (Printf.sprintf "allocated %.0f bytes, under one 16 MiB line" allocated)
+    true
+    (allocated < float_of_int (16 * cap))
 
 (* ---------------- aggregate persistence ---------------- *)
 
@@ -386,6 +424,51 @@ let socket_round_trip () =
   checki "two responses served" 2 served;
   checkb "socket unlinked on exit" true (not (Sys.file_exists path))
 
+let socket_survives_hostile_clients () =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "halo-serve-hostile-%d.sock" (Unix.getpid ()))
+  in
+  let engine = Serve.create (config ()) in
+  let server = Domain.spawn (fun () -> Serve.run_socket engine ~path) in
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while (not (Sys.file_exists path)) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.01
+  done;
+  let connect () =
+    let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect sock (Unix.ADDR_UNIX path);
+    (sock, Unix.in_channel_of_descr sock, Unix.out_channel_of_descr sock)
+  in
+  (* Client 1 sends two jobs and hangs up without reading: the daemon's
+     response write fails, which must close only this connection. *)
+  let sock1, _, oc1 = connect () in
+  output_string oc1
+    {|{"job":"plan-request","id":1,"workload":"ft"}
+{"job":"stats","id":2}
+|};
+  flush oc1;
+  Unix.close sock1;
+  (* Client 2 is served after it: an over-long line first, then jobs. *)
+  let sock2, ic, oc = connect () in
+  let ask line =
+    output_string oc line;
+    output_char oc '\n';
+    flush oc;
+    Result.get_ok (Json.of_string (input_line ic))
+  in
+  let big = ask (String.make (Serve_proto.max_line_bytes + 1) 'x') in
+  checkb "an over-long line is an error response" true
+    (Json.get_bool "ok" big = Ok false);
+  checkb "stats answered after it" true
+    (Json.get_bool "ok" (ask {|{"job":"stats","id":3}|}) = Ok true);
+  checkb "shutdown acknowledged" true
+    (Json.get_bool "ok" (ask {|{"job":"shutdown","id":4}|}) = Ok true);
+  (try Unix.close sock2 with Unix.Unix_error _ -> ());
+  let served = Domain.join server in
+  checkb "the daemon returned" true (served >= 3);
+  checkb "socket unlinked on exit" true (not (Sys.file_exists path))
+
 (* The socket's hostile-input contract: one valid line per job form,
    with a few byte mutations applied, parses to [Ok] or [Error] and
    raises nothing else. *)
@@ -439,7 +522,10 @@ let suite =
     slow "sim: small fleet smoke" sim_run_smoke;
     tc "line reader: one-byte short reads" line_reader_one_byte_reads;
     tc "line reader: buffered chunks" line_reader_large_chunks;
+    tc "line reader: over-long lines are dropped" line_reader_drops_over_long_lines;
     slow "aggregates: survive a restart" aggregates_survive_restart;
     slow "socket: round-trip and shutdown" socket_round_trip;
+    slow "socket: survives a hang-up and an over-long line"
+      socket_survives_hostile_clients;
     QCheck_alcotest.to_alcotest proto_mutation_prop;
   ]

@@ -929,7 +929,7 @@ let decoder_mutation_prop =
           && survives "read_profile" (fun () -> Store.read_profile path)
           && survives "read_plan" (fun () -> Store.read_plan path)))
 
-(* ---------------- sharded merging ---------------- *)
+(* ---------------- chunked merging ---------------- *)
 
 let artifact_seeded name seed =
   artifact_of
@@ -953,59 +953,36 @@ let sharded_merge_byte_identity () =
         (a, if k mod 3 = 0 then 2.5 else 1.0))
   in
   let digest = (fst (List.hd inputs)).Store.header.Store.program_digest in
-  let seq = merged_bytes digest (ok (Store.merge_profiles inputs)) in
+  (* The reference: the public one-artifact-at-a-time fold. *)
+  let st = Store.merge_create () in
+  List.iter (fun input -> ok (Store.merge_add st input)) inputs;
+  let reference = merged_bytes digest (ok (Store.merge_result st)) in
+  checks "merge without ?jobs is byte-identical to the fold" reference
+    (merged_bytes digest (ok (Store.merge_profiles inputs)));
   List.iter
     (fun jobs ->
-      let sharded =
-        merged_bytes digest (ok (Store.merge_profiles_sharded ~jobs inputs))
-      in
       checks
-        (Printf.sprintf "sharded merge at %d jobs is byte-identical" jobs)
-        seq sharded)
+        (Printf.sprintf "merge at %d jobs is byte-identical to the fold" jobs)
+        reference
+        (merged_bytes digest (ok (Store.merge_profiles ~jobs inputs))))
     [ 1; 2; 3; 4; 5 ]
 
 let sharded_merge_rejects_like_sequential () =
   let a = artifact_seeded "ft" 1 and foreign = artifact_seeded "health" 1 in
   (match
-     err "cross-program sharded merge"
-       (Store.merge_profiles_sharded ~jobs:2 [ (a, 1.0); (foreign, 1.0) ])
+     err "cross-program chunked merge"
+       (Store.merge_profiles ~jobs:2 [ (a, 1.0); (foreign, 1.0) ])
    with
   | Store.Digest_mismatch { field = "program"; _ } -> ()
   | e -> Alcotest.fail ("wanted Digest_mismatch, got " ^ Store.error_to_string e));
   checkb "empty input raises" true
-    (match Store.merge_profiles_sharded [] with
+    (match Store.merge_profiles ~jobs:2 [] with
     | exception Invalid_argument _ -> true
     | _ -> false);
   checkb "bad weight raises" true
-    (match Store.merge_profiles_sharded ~jobs:2 [ (a, 0.0) ] with
+    (match Store.merge_profiles ~jobs:2 [ (a, 0.0) ] with
     | exception Invalid_argument _ -> true
     | _ -> false)
-
-let merge_by_program_partitions () =
-  let ft1 = artifact_seeded "ft" 1
-  and ft2 = artifact_seeded "ft" 2
-  and he1 = artifact_seeded "health" 1 in
-  let ftd = ft1.Store.header.Store.program_digest
-  and hed = he1.Store.header.Store.program_digest in
-  let results =
-    Store.merge_by_program ~jobs:3
-      [ (ft1, 1.0); (he1, 1.0); (ft2, 1.0) ]
-  in
-  (match results with
-  | [ (d1, Ok m1); (d2, Ok m2) ] ->
-      checks "first-appearance order: ft first" ftd d1;
-      checks "then health" hed d2;
-      let ft_seq = ok (Store.merge_profiles [ (ft1, 1.0); (ft2, 1.0) ]) in
-      let he_seq = ok (Store.merge_profiles [ (he1, 1.0) ]) in
-      checks "ft partition merges like the sequential fold"
-        (merged_bytes ftd ft_seq) (merged_bytes ftd m1);
-      checks "health partition merges like the sequential fold"
-        (merged_bytes hed he_seq) (merged_bytes hed m2)
-  | l ->
-      Alcotest.fail
-        (Printf.sprintf "expected 2 merged programs, got %d" (List.length l)));
-  checki "empty input yields no programs" 0
-    (List.length (Store.merge_by_program []))
 
 let merge_adopt_resumes () =
   let a = artifact_seeded "ft" 1 and b = artifact_seeded "ft" 2 in
@@ -1032,7 +1009,24 @@ let merge_adopt_resumes () =
     (Float.equal (Store.merge_total_weight st) (Store.merge_total_weight st2));
   checks "adopted state merges to the same bytes"
     (merged_bytes digest (config, result))
-    (merged_bytes digest (ok (Store.merge_result st2)))
+    (merged_bytes digest (ok (Store.merge_result st2)));
+  (* Folding on after the adoption is folding on from the original. *)
+  let c = artifact_seeded "ft" 3 in
+  ok (Store.merge_add st (c, 2.0));
+  ok (Store.merge_add st2 (c, 2.0));
+  checks "a fold continued after adoption matches the uninterrupted one"
+    (merged_bytes digest (ok (Store.merge_result st)))
+    (merged_bytes digest (ok (Store.merge_result st2)));
+  (* A foreign aggregate is refused without touching the state. *)
+  let foreign = artifact_seeded "health" 1 in
+  (match
+     err "foreign adoption"
+       (Store.merge_adopt st2 ~mass:1.0 ~count:1 foreign)
+   with
+  | Store.Digest_mismatch { field = "program"; _ } -> ()
+  | e -> Alcotest.fail ("wanted Digest_mismatch, got " ^ Store.error_to_string e));
+  checki "a refused adoption adds no profiles" (Store.merge_count st)
+    (Store.merge_count st2)
 
 (* ---------------- plan cache ---------------- *)
 
@@ -1348,7 +1342,6 @@ let suite =
     tc "v2 rejects a count beyond the record" reject_v2_oversized_count;
     slow "sharded merge is byte-identical at any jobs" sharded_merge_byte_identity;
     tc "sharded merge rejects like sequential" sharded_merge_rejects_like_sequential;
-    tc "merge_by_program partitions by digest" merge_by_program_partitions;
     tc "merge_adopt resumes a persisted aggregate" merge_adopt_resumes;
     tc "digest ignores input scale" digest_scale_insensitive;
     tc "digest distinguishes workloads" digest_distinguishes_workloads;

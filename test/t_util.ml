@@ -120,14 +120,6 @@ let rng_split_labelled_order_independent () =
   checkb "unlabelled splits advance the parent" false
     (Rng.next (Rng.split parent) = Rng.next (Rng.split parent))
 
-let rng_shuffle_permutation () =
-  let r = Rng.create ~seed:11 in
-  let arr = Array.init 50 Fun.id in
-  Rng.shuffle r arr;
-  let sorted = Array.copy arr in
-  Array.sort compare sorted;
-  check (Alcotest.array Alcotest.int) "is a permutation" (Array.init 50 Fun.id) sorted
-
 let rng_choose_uniform_support () =
   let r = Rng.create ~seed:13 in
   let seen = Array.make 4 false in
@@ -135,17 +127,6 @@ let rng_choose_uniform_support () =
     seen.(Rng.choose r [| 0; 1; 2; 3 |]) <- true
   done;
   checkb "all elements reachable" true (Array.for_all Fun.id seen)
-
-let rng_geometric_mean () =
-  let r = Rng.create ~seed:17 in
-  let n = 20_000 in
-  let sum = ref 0 in
-  for _ = 1 to n do
-    sum := !sum + Rng.geometric r ~p:0.5
-  done;
-  let mean = float_of_int !sum /. float_of_int n in
-  (* mean of Geom(0.5) failures = 1.0 *)
-  checkb "geometric mean plausible" true (mean > 0.8 && mean < 1.2)
 
 (* ---------------- Stats ---------------- *)
 
@@ -222,13 +203,6 @@ let bitset_cardinal_tolist () =
   List.iter (Bitset.set b) [ 0; 3; 7; 15 ];
   checki "cardinal" 4 (Bitset.cardinal b);
   check (Alcotest.list Alcotest.int) "to_list" [ 0; 3; 7; 15 ] (Bitset.to_list b)
-
-let bitset_copy_independent () =
-  let b = Bitset.create 8 in
-  Bitset.set b 1;
-  let c = Bitset.copy b in
-  Bitset.clear b 1;
-  checkb "copy unaffected" true (Bitset.get c 1)
 
 let bitset_clear_all () =
   let b = Bitset.create 32 in
@@ -396,9 +370,7 @@ let suite =
     tc "rng: split independence" rng_split_independent;
     tc "rng: labelled split is stable" rng_split_labelled_stable;
     tc "rng: labelled split order-independent" rng_split_labelled_order_independent;
-    tc "rng: shuffle is a permutation" rng_shuffle_permutation;
     tc "rng: choose covers support" rng_choose_uniform_support;
-    tc "rng: geometric mean" rng_geometric_mean;
     tc "stats: median odd" stats_median_odd;
     tc "stats: median even" stats_median_even;
     tc "stats: percentiles" stats_percentiles;
@@ -411,7 +383,6 @@ let suite =
     tc "bitset: set/get/clear" bitset_set_get_clear;
     tc "bitset: bounds checked" bitset_bounds;
     tc "bitset: cardinal and to_list" bitset_cardinal_tolist;
-    tc "bitset: copy independent" bitset_copy_independent;
     tc "bitset: clear_all" bitset_clear_all;
     tc "table: renders" table_renders;
     tc "table: arity checked" table_arity_checked;

@@ -89,9 +89,7 @@ let ir_site_labels () =
       [ func "helper" [] []; func "main" [] [ call "helper" [] ] ]
   in
   let site = List.hd (Ir.sites p) in
-  Alcotest.check Alcotest.string "label" "main:1(helper)" (Ir.site_label p site);
-  Alcotest.check (Alcotest.option Alcotest.string) "callee" (Some "helper")
-    (Ir.site_callee p site)
+  Alcotest.check Alcotest.string "label" "main:1(helper)" (Ir.site_label p site)
 
 let ir_alloc_sites () =
   let p =
