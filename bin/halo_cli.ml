@@ -508,12 +508,8 @@ let profile_apply_cmd =
       pipeline_config ~chunk_size ~spare ~max_groups ~affinity:None
     in
     let config =
-      {
-        pc with
-        Pipeline.profiler = artifact.Store.config;
-        grouping = w.Workload.halo_grouping pc.Pipeline.grouping;
-        allocator = w.Workload.halo_allocator pc.Pipeline.allocator;
-      }
+      Workload.pipeline_config w
+        { pc with Pipeline.profiler = artifact.Store.config }
     in
     let plan = Pipeline.derive ~config artifact.Store.result in
     let plan_source = Pipeline.constant_source plan in
@@ -673,13 +669,7 @@ let plan_cmd =
     let pc =
       pipeline_config ~chunk_size:None ~spare:None ~max_groups:None ~affinity
     in
-    let config =
-      {
-        pc with
-        Pipeline.grouping = w.Workload.halo_grouping pc.Pipeline.grouping;
-        allocator = w.Workload.halo_allocator pc.Pipeline.allocator;
-      }
-    in
+    let config = Workload.pipeline_config w pc in
     let program = w.Workload.make Workload.Test in
     let plan = Pipeline.plan ~config program in
     print_string (Pipeline.describe plan ~site_label:(Ir.site_label program));
@@ -994,7 +984,7 @@ let fuzz_cmd =
 let serve_cmd =
   let run stdin_batch socket simulate jobs plan_cache staleness chunk_size
       spare max_groups affinity trace_out clients rounds record_prob drift
-      sim_seed json_out =
+      sim_seed =
     let jobs = effective_jobs jobs in
     let cache = plan_cache_of plan_cache in
     let pc = pipeline_config ~chunk_size ~spare ~max_groups ~affinity in
@@ -1026,33 +1016,27 @@ let serve_cmd =
               let n = Serve.run_socket engine ~path in
               Printf.eprintf "served %d responses\n" n
           | None ->
-              let sim_cfg =
-                {
-                  Serve_sim.clients;
-                  rounds;
-                  record_prob;
-                  drift;
-                  seed = sim_seed;
-                  serve = cfg;
-                }
-              in
-              let r = Serve_sim.run ?obs sim_cfg in
-              Table.print (Serve_sim.report_table r);
-              (match json_out with
-              | None -> ()
-              | Some path ->
-                  let oc = open_out path in
-                  Json.to_channel oc (Serve_sim.report_to_json r);
-                  close_out oc;
-                  Printf.printf "report written to %s\n" path))
+              let engine = Serve.create ?obs cfg in
+              List.iter
+                (fun round ->
+                  ignore (Serve.handle_batch engine round : Json.t list))
+                (Serve_sim.job_stream
+                   {
+                     Serve_sim.clients;
+                     rounds;
+                     record_prob;
+                     drift;
+                     seed = sim_seed;
+                   });
+              print_endline (Json.to_string (Serve.stats_json engine)))
   in
   let stdin_arg =
     Arg.(
       value & flag
       & info [ "stdin-batch" ]
           ~doc:
-            "Read every job line from stdin, answer each on stdout in \
-             order, then exit (the CI/test mode). Responses are \
+            "Read job lines from stdin until end of input, answer each on \
+             stdout in order, then exit (the CI/test mode). Responses are \
              byte-identical at any $(b,--jobs) count.")
   in
   let socket_arg =
@@ -1069,9 +1053,10 @@ let serve_cmd =
       value & flag
       & info [ "simulate" ]
           ~doc:
-            "Run the fleet simulator against an in-process engine and \
-             print the report (hit rates, merge throughput, latency \
-             quantiles).")
+            "Replay the fleet simulator's job stream through an \
+             in-process engine, one round per batch, and print its stats \
+             as JSON. Latency quantiles, merge throughput and profiler \
+             runs come from $(b,--trace-out) and $(b,telemetry report).")
   in
   let staleness_arg =
     Arg.(
@@ -1109,13 +1094,6 @@ let serve_cmd =
       value & opt int 1
       & info [ "seed" ] ~docv:"N" ~doc:"Simulator RNG seed.")
   in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Also write the simulation report as JSON.")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
@@ -1128,7 +1106,7 @@ let serve_cmd =
       const run $ stdin_arg $ socket_arg $ simulate_arg $ jobs_arg
       $ plan_cache_arg $ staleness_arg $ chunk_size_arg $ spare_arg
       $ max_groups_arg $ affinity_arg $ trace_out_arg $ clients_arg
-      $ rounds_arg $ record_prob_arg $ drift_arg $ sim_seed_arg $ json_arg)
+      $ rounds_arg $ record_prob_arg $ drift_arg $ sim_seed_arg)
 
 (* ---------------- shaped multi-tenant traffic mode ---------------- *)
 

@@ -101,12 +101,8 @@ let measure ?obs ~w ~kind ~seed ~alloc ~patches ?env ~halo ~hds () =
   }
 
 let halo_pipeline_config pipeline_config w =
-  let base = Option.value pipeline_config ~default:Pipeline.default_config in
-  {
-    base with
-    Pipeline.grouping = w.Workload.halo_grouping base.Pipeline.grouping;
-    allocator = w.Workload.halo_allocator base.Pipeline.allocator;
-  }
+  Workload.pipeline_config w
+    (Option.value pipeline_config ~default:Pipeline.default_config)
 
 let plan_halo ?obs ?plan_source ?pipeline_config ?group_fn w =
   Pipeline.plan ?obs ?source:plan_source

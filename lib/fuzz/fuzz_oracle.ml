@@ -126,10 +126,14 @@ let run_case ?(extra = []) ?plan_source (case : Fuzz_gen.case) =
          plain (Ptmalloc_sim.create vmem)));
   push
     (run_config ~program ~name:"random-4" (fun vmem ->
+         (* Figure 15's strawman, built as Runner builds it: HALO's
+            allocator with a uniformly random classifier. *)
+         let rng = Rng.create ~seed:((case.Fuzz_gen.seed * 31) + 7) in
          plain
-           (Random_pool.create
-              ~rng:(Rng.create ~seed:((case.Fuzz_gen.seed * 31) + 7))
-              ~fallback:(Jemalloc_sim.create vmem) vmem)));
+           (Group_alloc.iface
+              (Group_alloc.create
+                 ~classify:(fun ~size:_ -> Some (Rng.int rng 4))
+                 ~fallback:(Jemalloc_sim.create vmem) vmem))));
   List.iter
     (fun (name, build) ->
       push (run_config ~program ~name (fun vmem -> plain (build vmem))))

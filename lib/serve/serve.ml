@@ -1,17 +1,16 @@
-(* Reading job lines straight off a file descriptor: [Unix.read] can
-   return short (a peer trickling bytes, a small pipe buffer) or fail
-   with [EINTR] (a signal landing mid-read), and neither is an error —
-   a line is done when its '\n' arrives, whatever the framing. The
-   buffered channel layer retries neither, so the socket loop uses this
-   reader instead of [input_line].
+(* Reading job lines straight off a file descriptor, one [Unix.read] at
+   a time, so the serve loop never blocks on a partial line: [read]
+   appends what one read returns ([EINTR] is retried, a short read is
+   normal) and [lines] hands out every complete line held.
 
    Received bytes live in [buf.[start .. stop)]; a read appends after
    [stop], first sliding the unread bytes to the front or doubling the
    buffer when there is no room, so each byte is copied O(1) times
    amortised. The newline search resumes at [scan], so a long line is
    scanned once, not once per read. A line longer than
-   [Serve_proto.max_line_bytes] is dropped as it arrives, up to its
-   newline, which bounds the buffer. *)
+   [Serve_proto.max_line_bytes] is reported as soon as the held part
+   passes the cap, and the rest of it is dropped as it arrives, up to its
+   newline ([skipping]), which bounds the buffer. *)
 module Line_reader = struct
   type t = {
     fd : Unix.file_descr;
@@ -21,9 +20,10 @@ module Line_reader = struct
     mutable stop : int;  (** End of the bytes received. *)
     mutable scan : int;  (** [buf.[start .. scan)] holds no newline. *)
     mutable eof : bool;
+    mutable skipping : bool;  (** Inside an over-long line already reported. *)
   }
 
-  let create ?(buf_size = 4096) fd =
+  let create ?(buf_size = 65536) fd =
     let chunk = max 1 buf_size in
     {
       fd;
@@ -33,25 +33,32 @@ module Line_reader = struct
       stop = 0;
       scan = 0;
       eof = false;
+      skipping = false;
     }
 
-  let rec refill t =
-    if t.stop + t.chunk > Bytes.length t.buf then begin
-      let live = t.stop - t.start in
-      let buf =
-        if 2 * (live + t.chunk) <= Bytes.length t.buf then t.buf
-        else Bytes.create (2 * (live + t.chunk))
+  let read t =
+    if not t.eof then begin
+      if t.stop + t.chunk > Bytes.length t.buf then begin
+        let live = t.stop - t.start in
+        let buf =
+          if 2 * (live + t.chunk) <= Bytes.length t.buf then t.buf
+          else Bytes.create (2 * (live + t.chunk))
+        in
+        Bytes.blit t.buf t.start buf 0 live;
+        t.buf <- buf;
+        t.scan <- t.scan - t.start;
+        t.start <- 0;
+        t.stop <- live
+      end;
+      let rec go () =
+        match Unix.read t.fd t.buf t.stop t.chunk with
+        | 0 -> t.eof <- true
+        | n -> t.stop <- t.stop + n
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
       in
-      Bytes.blit t.buf t.start buf 0 live;
-      t.buf <- buf;
-      t.scan <- t.scan - t.start;
-      t.start <- 0;
-      t.stop <- live
+      go ()
     end;
-    match Unix.read t.fd t.buf t.stop t.chunk with
-    | 0 -> t.eof <- true
-    | n -> t.stop <- t.stop + n
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> refill t
+    not t.eof
 
   let rec find_newline t =
     if t.scan >= t.stop then None
@@ -70,45 +77,45 @@ module Line_reader = struct
       (Printf.sprintf "job line longer than %d bytes"
          Serve_proto.max_line_bytes)
 
-  (* Drop the rest of an over-long line, through its newline. *)
-  let rec skip_line t =
-    match find_newline t with
-    | Some nl -> consume t (nl + 1)
-    | None ->
-        consume t t.stop;
-        if not t.eof then begin
-          refill t;
-          skip_line t
-        end
-
-  let rec read_line t =
-    match find_newline t with
-    | Some nl when nl - t.start > Serve_proto.max_line_bytes ->
-        consume t (nl + 1);
-        Some too_long
-    | Some nl ->
-        (* CRLF tolerance, matching the store's line discipline. *)
-        let stop =
-          if nl > t.start && Bytes.get t.buf (nl - 1) = '\r' then nl - 1
-          else nl
-        in
-        let line = Bytes.sub_string t.buf t.start (stop - t.start) in
-        consume t (nl + 1);
-        Some (Ok line)
-    | None when t.stop - t.start > Serve_proto.max_line_bytes ->
-        skip_line t;
-        Some too_long
-    | None when t.eof ->
-        if t.start >= t.stop then None
-        else begin
-          (* Final line with no trailing newline: still a line. *)
-          let line = Bytes.sub_string t.buf t.start (t.stop - t.start) in
-          consume t t.stop;
-          Some (Ok line)
-        end
-    | None ->
-        refill t;
-        read_line t
+  let lines t =
+    let rec go acc =
+      match find_newline t with
+      | Some nl ->
+          let acc =
+            if t.skipping then acc
+            else if nl - t.start > Serve_proto.max_line_bytes then
+              too_long :: acc
+            else
+              (* CRLF tolerance, matching the store's line discipline. *)
+              let stop =
+                if nl > t.start && Bytes.get t.buf (nl - 1) = '\r' then nl - 1
+                else nl
+              in
+              Ok (Bytes.sub_string t.buf t.start (stop - t.start)) :: acc
+          in
+          consume t (nl + 1);
+          t.skipping <- false;
+          go acc
+      | None ->
+          let held = t.stop - t.start in
+          if t.skipping then begin
+            consume t t.stop;
+            List.rev acc
+          end
+          else if held > Serve_proto.max_line_bytes then begin
+            consume t t.stop;
+            t.skipping <- not t.eof;
+            List.rev (too_long :: acc)
+          end
+          else if t.eof && held > 0 then begin
+            (* Final line with no trailing newline: still a line. *)
+            let line = Bytes.sub_string t.buf t.start held in
+            consume t t.stop;
+            List.rev (Ok line :: acc)
+          end
+          else List.rev acc
+    in
+    go []
 end
 
 type config = {
@@ -166,7 +173,6 @@ type t = {
   mutable derived_profiled : int;
   mutable adopted_cache : int;
   mutable records_merged : int;
-  mutable merge_wall_s : float;
   mutable batch_wall_s : float;
 }
 
@@ -321,7 +327,6 @@ let create ?obs cfg =
       derived_profiled = 0;
       adopted_cache = 0;
       records_merged = 0;
-      merge_wall_s = 0.0;
       batch_wall_s = 0.0;
     }
   in
@@ -339,20 +344,12 @@ let resolve t name =
         | Error e -> Error (Workloads.lookup_error_to_string e)
         | Ok w ->
             let program = w.Workload.make Workload.Test in
-            let base = t.cfg.pipeline in
-            let config =
-              {
-                base with
-                Pipeline.grouping = w.Workload.halo_grouping base.Pipeline.grouping;
-                allocator = w.Workload.halo_allocator base.Pipeline.allocator;
-              }
-            in
             Ok
               {
                 r_workload = w;
                 r_program = program;
                 r_digest = Ir_digest.program program;
-                r_config = config;
+                r_config = Workload.pipeline_config w t.cfg.pipeline;
               }
       in
       Hashtbl.replace t.resolutions name r;
@@ -463,13 +460,11 @@ let apply_record t ~id ~workload ~weight artifact =
             Hashtbl.replace t.aggregates digest agg;
             agg
       in
-      let t0 = Unix.gettimeofday () in
       match Store.merge_add agg.agg_merge (a, weight) with
       | Error e ->
           t.n_errors <- t.n_errors + 1;
           Serve_proto.error_response ~id:(Some id) (Store.error_to_string e)
       | Ok () ->
-          t.merge_wall_s <- t.merge_wall_s +. (Unix.gettimeofday () -. t0);
           t.records_merged <- t.records_merged + 1;
           t.n_record <- t.n_record + 1;
           let mass = Store.merge_total_weight agg.agg_merge in
@@ -690,10 +685,62 @@ let prework_seconds = function
 (* Batch driver.                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* Prework in parallel, then the fold in submission order. Untraced, the
+   fold reads no clock and builds no metric name per job. *)
+let fold_batch t jobs =
+  (* Prework stops at the first shutdown job: anything after it is
+     answered with an error and must not burn profiler time. *)
+  let rec split_active acc = function
+    | [] -> (List.rev acc, [])
+    | ({ Serve_proto.payload = Serve_proto.Shutdown; _ } as j) :: rest ->
+        (List.rev (j :: acc), rest)
+    | j :: rest -> split_active (j :: acc) rest
+  in
+  let active, rest = split_active [] jobs in
+  let active = if t.stop then [] else active in
+  let rest = if t.stop then jobs else rest in
+  (* Sequential resolution first: the memo table is shared, so workers
+     must only read programs, never build the memo. *)
+  List.iter
+    (fun (j : Serve_proto.job) ->
+      match j.Serve_proto.payload with
+      | Serve_proto.Profile_record { workload; _ }
+      | Serve_proto.Plan_request { workload } ->
+          ignore (resolve t workload)
+      | _ -> ())
+    active;
+  let preworks =
+    Par.map_obs ?obs:t.obs ~name:"serve" ~jobs:t.cfg.jobs
+      (fun wobs job -> prework t wobs job)
+      active
+  in
+  let respond =
+    match t.obs with
+    | None -> apply t
+    | Some _ ->
+        let depth = ref (List.length jobs) in
+        Obs.set_gauge t.obs "serve.queue_depth" (float_of_int !depth);
+        fun job pre ->
+          let f0 = Unix.gettimeofday () in
+          let resp = apply t job pre in
+          let latency = Unix.gettimeofday () -. f0 +. prework_seconds pre in
+          let kind = Serve_proto.job_name job.Serve_proto.payload in
+          Obs.count t.obs ("serve.jobs." ^ kind) 1;
+          Obs.observe t.obs ("serve.job." ^ kind ^ ".latency_s") latency;
+          Obs.observe t.obs "serve.job.latency_s" latency;
+          decr depth;
+          Obs.set_gauge t.obs "serve.queue_depth" (float_of_int !depth);
+          resp
+  in
+  let responses = List.map2 respond active preworks in
+  let late = List.map (fun job -> respond job P_nothing) rest in
+  responses @ late
+
 let handle_batch t jobs =
-  match jobs with
-  | [] -> []
-  | _ ->
+  match (jobs, t.obs) with
+  | [], _ -> []
+  | _, None -> fold_batch t jobs
+  | _, Some _ ->
       Obs.span t.obs "serve.batch"
         ~attrs:
           [
@@ -702,62 +749,12 @@ let handle_batch t jobs =
           ]
         (fun () ->
           let t0 = Unix.gettimeofday () in
-          (* Prework stops at the first shutdown job: anything after it
-             is answered with an error and must not burn profiler time. *)
-          let rec split_active acc = function
-            | [] -> (List.rev acc, [])
-            | ({ Serve_proto.payload = Serve_proto.Shutdown; _ } as j) :: rest
-              ->
-                (List.rev (j :: acc), rest)
-            | j :: rest -> split_active (j :: acc) rest
-          in
-          let active, rest = split_active [] jobs in
-          let active = if t.stop then [] else active in
-          let rest = if t.stop then jobs else rest in
-          (* Sequential resolution first: the memo table is shared, so
-             workers must only read programs, never build the memo. *)
-          List.iter
-            (fun (j : Serve_proto.job) ->
-              match j.Serve_proto.payload with
-              | Serve_proto.Profile_record { workload; _ }
-              | Serve_proto.Plan_request { workload } ->
-                  ignore (resolve t workload)
-              | _ -> ())
-            active;
-          let preworks =
-            Par.map_obs ?obs:t.obs ~name:"serve" ~jobs:t.cfg.jobs
-              (fun wobs job -> prework t wobs job)
-              active
-          in
-          let depth = ref (List.length jobs) in
-          Obs.set_gauge t.obs "serve.queue_depth" (float_of_int !depth);
-          let respond job pre =
-            let f0 = Unix.gettimeofday () in
-            let resp = apply t job pre in
-            let latency =
-              Unix.gettimeofday () -. f0 +. prework_seconds pre
-            in
-            let kind = Serve_proto.job_name job.Serve_proto.payload in
-            Obs.observe t.obs
-              (Printf.sprintf "serve.job.%s.latency_s" kind)
-              latency;
-            Obs.observe t.obs "serve.job.latency_s" latency;
-            decr depth;
-            Obs.set_gauge t.obs "serve.queue_depth" (float_of_int !depth);
-            resp
-          in
-          let responses = List.map2 respond active preworks in
-          let late = List.map (fun job -> respond job P_nothing) rest in
+          let responses = fold_batch t jobs in
           t.batch_wall_s <- t.batch_wall_s +. (Unix.gettimeofday () -. t0);
           if t.records_merged > 0 && t.batch_wall_s > 0.0 then
             Obs.set_gauge t.obs "serve.merge.profiles_per_sec"
               (float_of_int t.records_merged /. t.batch_wall_s);
-          responses @ late)
-
-let id_of_line line =
-  match Json.of_string line with
-  | Ok j -> ( match Json.get_int "id" j with Ok i -> Some i | Error _ -> None)
-  | Error _ -> None
+          responses)
 
 (* A line that names no job it could run. *)
 let reject t ~id msg =
@@ -766,68 +763,65 @@ let reject t ~id msg =
   Serve_proto.error_response ~id msg
 
 let handle_line t line =
-  match Serve_proto.job_of_line line with
+  match Serve_proto.parse_line line with
   | Ok job -> ( match handle_batch t [ job ] with [ r ] -> r | _ -> assert false)
-  | Error msg -> reject t ~id:(id_of_line line) msg
+  | Error (id, msg) -> reject t ~id msg
 
-let count_job_metric t job =
-  Obs.count t.obs
-    (Printf.sprintf "serve.jobs.%s"
-       (Serve_proto.job_name job.Serve_proto.payload))
-    1
+(* {2 The serve loop}
 
-(* Wave size for stdin-batch mode: big enough to keep every worker busy,
-   small enough that the queue-depth gauge means something. Semantics are
-   wave-size independent (the fold is sequential either way). *)
-let wave_size = 256
+   Both transports answer whatever complete lines one read delivered:
+   each line is parsed once, a run of parsed jobs is one [handle_batch],
+   and a line that names no job (unparsable or over-long) is answered in
+   its place. The fold is sequential, so where a read splits the stream
+   never changes a response: a piped file gives many-job batches whose
+   prework fans out over [--jobs], a closed-loop client one-job
+   batches. *)
+
+let answer_lines t lines =
+  let run_batch run acc = List.rev_append (handle_batch t (List.rev run)) acc in
+  let rec go acc run = function
+    | [] -> List.rev (run_batch run acc)
+    | line :: rest -> (
+        let parsed =
+          match line with
+          | Ok line -> Serve_proto.parse_line line
+          | Error msg -> Error (None, msg)
+        in
+        match parsed with
+        | Ok job -> go acc (job :: run) rest
+        | Error (id, msg) -> go (reject t ~id msg :: run_batch run acc) [] rest)
+  in
+  go [] [] lines
+
+(* One read's worth of the loop: read once, answer the complete lines,
+   write and flush their responses. Returns whether the stream is still
+   open and how many responses were written. *)
+let serve_read t reader oc =
+  let more = Line_reader.read reader in
+  let responses = answer_lines t (Line_reader.lines reader) in
+  List.iter
+    (fun r ->
+      output_string oc (Serve_proto.response_line r);
+      output_char oc '\n')
+    responses;
+  flush oc;
+  (more, List.length responses)
+
+let save_on_exit t =
+  Option.iter Plan_cache.save_stats t.cfg.cache;
+  ignore (save_aggregates t : int)
 
 let run_channels t ic oc =
-  let lines = In_channel.input_lines ic in
-  let items =
-    List.map
-      (fun line ->
-        match Serve_proto.job_of_line line with
-        | Ok job -> Ok job
-        | Error msg -> Error (id_of_line line, msg))
-      lines
+  let reader = Line_reader.create (Unix.descr_of_in_channel ic) in
+  let rec loop written =
+    let more, n = serve_read t reader oc in
+    if more then loop (written + n) else written + n
   in
-  let written = ref 0 in
-  let emit resp =
-    output_string oc (Serve_proto.response_line resp);
-    output_char oc '\n';
-    incr written
-  in
-  let rec waves items =
-    match items with
-    | [] -> ()
-    | _ ->
-        let rec take n acc = function
-          | rest when n = 0 -> (List.rev acc, rest)
-          | [] -> (List.rev acc, [])
-          | x :: rest -> take (n - 1) (x :: acc) rest
-        in
-        let wave, rest = take wave_size [] items in
-        let jobs = List.filter_map Result.to_option wave in
-        List.iter (count_job_metric t) jobs;
-        let responses = ref (handle_batch t jobs) in
-        List.iter
-          (fun item ->
-            match item with
-            | Error (id, msg) -> emit (reject t ~id msg)
-            | Ok _ -> (
-                match !responses with
-                | r :: tl ->
-                    responses := tl;
-                    emit r
-                | [] -> assert false))
-          wave;
-        waves rest
-  in
-  waves items;
-  flush oc;
-  Option.iter Plan_cache.save_stats t.cfg.cache;
-  ignore (save_aggregates t : int);
-  !written
+  let written = loop 0 in
+  save_on_exit t;
+  written
+
+type conn = { reader : Line_reader.t; oc : out_channel }
 
 let run_socket t ~path =
   (try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ());
@@ -836,58 +830,57 @@ let run_socket t ~path =
      the daemon: with SIGPIPE ignored, the write fails with EPIPE and
      only that connection closes. *)
   let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  let conns = Hashtbl.create 8 in
+  let close fd =
+    (* Flushes what it can and closes [fd]; a closed channel keeps no
+       unsent bytes for a later flush to write to a reused descriptor. *)
+    close_out_noerr (Hashtbl.find conns fd).oc;
+    Hashtbl.remove conns fd
+  in
   let written = ref 0 in
   Fun.protect
     ~finally:(fun () ->
       Sys.set_signal Sys.sigpipe sigpipe;
+      List.iter close (List.of_seq (Hashtbl.to_seq_keys conns));
       (try Unix.close sock with Unix.Unix_error _ -> ());
       (try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ());
-      Option.iter Plan_cache.save_stats t.cfg.cache;
-      ignore (save_aggregates t : int))
+      save_on_exit t)
     (fun () ->
       Unix.bind sock (Unix.ADDR_UNIX path);
       Unix.listen sock 8;
-      let rec accept () =
-        match Unix.accept sock with
-        | conn_addr -> conn_addr
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept ()
-      in
-      let rec accept_loop () =
+      (* One [select] over the listening socket and every open
+         connection: a client holding a partial line delays nobody,
+         because a read takes only what has arrived. At the connection
+         cap the listening socket leaves the set and new clients wait in
+         the backlog. *)
+      let ready fd =
         if t.stop then ()
-        else begin
-          let conn, _ = accept () in
-          (* Reads go through [Line_reader] — a [Unix.read] loop with
-             retry-on-EINTR and a partial-line buffer — so a signal or a
-             peer that dribbles bytes across short reads cannot split or
-             drop a request at a line boundary. *)
-          let lr = Line_reader.create conn in
-          let oc = Unix.out_channel_of_descr conn in
-          let rec serve_conn () =
-            match Line_reader.read_line lr with
-            | None -> ()
-            | Some line ->
-                let resp =
-                  match line with
-                  | Error msg -> reject t ~id:None msg
-                  | Ok line ->
-                      (match Serve_proto.job_of_line line with
-                      | Ok job -> count_job_metric t job
-                      | Error _ -> ());
-                      handle_line t line
-                in
-                output_string oc (Serve_proto.response_line resp);
-                output_char oc '\n';
-                flush oc;
-                incr written;
-                if t.stop then () else serve_conn ()
-          in
-          (try serve_conn () with Sys_error _ | Unix.Unix_error _ -> ());
-          (* Flushes what it can and closes [conn]; a closed channel
-             keeps no unsent bytes for a later flush to write to a
-             reused descriptor. *)
-          close_out_noerr oc;
-          accept_loop ()
-        end
+        else if fd = sock then (
+          match Unix.accept sock with
+          | conn, _ ->
+              Hashtbl.replace conns conn
+                {
+                  reader = Line_reader.create conn;
+                  oc = Unix.out_channel_of_descr conn;
+                }
+          | exception Unix.Unix_error _ -> ())
+        else
+          let c = Hashtbl.find conns fd in
+          match serve_read t c.reader c.oc with
+          | more, n ->
+              written := !written + n;
+              if not more then close fd
+          | exception (Sys_error _ | Unix.Unix_error _) -> close fd
       in
-      accept_loop ();
+      while not t.stop do
+        let fds = List.of_seq (Hashtbl.to_seq_keys conns) in
+        let fds =
+          if Hashtbl.length conns < Serve_proto.max_connections then
+            sock :: fds
+          else fds
+        in
+        match Unix.select fds [] [] (-1.0) with
+        | readable, _, _ -> List.iter ready readable
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+      done;
       !written)

@@ -36,30 +36,45 @@
     sketches [serve.job.<kind>.latency_s] (plus the combined
     [serve.job.latency_s]), the [serve.queue_depth] gauge,
     [serve.plan.{hits,misses,invalidations}] counters, per-kind
-    [serve.jobs.<kind>] counters, and the [serve.merge.profiles_per_sec]
-    gauge — exported through the normal {!Obs} trace sink and readable
-    with [halo_cli telemetry report]. *)
+    [serve.jobs.<kind>] counters (one per job {!handle_batch} answers,
+    plus [serve.jobs.errors] for lines that name no job), and the
+    [serve.merge.profiles_per_sec] gauge — exported through the normal
+    {!Obs} trace sink and readable with [halo_cli telemetry report].
+    Without [obs] a job reads no clock and builds no metric name.
 
-(** EINTR-safe buffered line reader over a raw file descriptor. Unlike
-    [input_line] on [Unix.in_channel_of_descr], a read interrupted by a
-    signal is retried, a line split across short reads is reassembled in
-    the partial-line buffer, CRLF endings are stripped, and a final line
-    with no trailing newline is still delivered. Reading a line costs
-    time linear in its length, and a line longer than
-    {!Serve_proto.max_line_bytes} is dropped as it arrives, so the
-    buffer stays bounded. The socket loop reads through this. *)
+    {b The serve loop}: [--stdin-batch] ({!run_channels}) and [--socket]
+    ({!run_socket}) run one loop. After each read it takes the complete
+    lines held, parses each once, answers a run of parsed jobs as one
+    {!handle_batch}, and answers a line that names no job (unparsable, or
+    over {!Serve_proto.max_line_bytes}) with an error response in its
+    place. Because the fold is sequential, how reads split the stream
+    never changes a response. *)
+
+(** The serve loop's line framing over a raw file descriptor. One
+    {!read} is one [Unix.read] (retried on [EINTR]; a short read is
+    normal), so a caller that reads only when [select] reports data never
+    blocks on a partial line. A line split across reads is reassembled,
+    CRLF endings are stripped, and a final line with no trailing newline
+    is still delivered. Reading a line costs time linear in its length,
+    and a line longer than {!Serve_proto.max_line_bytes} is dropped as it
+    arrives, so the buffer stays bounded. *)
 module Line_reader : sig
   type t
 
   val create : ?buf_size:int -> Unix.file_descr -> t
-  (** [buf_size] (default 4096, min 1) is the [Unix.read] chunk size —
-      tests use [1] to force every line through the reassembly path. *)
+  (** [buf_size] (default 64 KiB, min 1) is the [Unix.read] size — tests
+      use [1] to force every line through the reassembly path. *)
 
-  val read_line : t -> (string, string) result option
-  (** Next line without its terminator, [None] at end of stream. A line
-      longer than {!Serve_proto.max_line_bytes} is read through its
-      newline and discarded, and comes back as an [Error] message; the
-      line after it reads normally. *)
+  val read : t -> bool
+  (** Append what one [Unix.read] returns; [false] once the stream has
+      ended. *)
+
+  val lines : t -> (string, string) result list
+  (** Every complete line held, in order, without its terminator; after
+      end of stream, also the final unterminated one. A line longer than
+      {!Serve_proto.max_line_bytes} comes back as one [Error] message as
+      soon as the held part passes the cap; the rest of it is discarded
+      up to its newline, and the line after it reads normally. *)
 end
 
 type config = {
@@ -113,22 +128,28 @@ val handle_batch : t -> Serve_proto.job list -> Json.t list
     error. *)
 
 val handle_line : t -> string -> Json.t
-(** Parse and process a single job line (the socket path's unit of
-    work); parse failures become error responses, never exceptions. *)
+(** Parse and process a single job line as a one-job batch; parse
+    failures become error responses, never exceptions. *)
 
 val run_channels : t -> in_channel -> out_channel -> int
-(** The [--stdin-batch] mode: read every job line from the input channel
-    up front, process in waves of a fixed chunk size, and write one
-    response line per job, in order. Returns the number of responses
-    written. Saves cache stats (see {!Plan_cache.save_stats}) before
-    returning. *)
+(** The [--stdin-batch] mode: run the serve loop over the input
+    channel's descriptor (read directly, so the channel must hold no
+    buffered input) until end of stream, writing one response line per
+    line read, in order and flushed after each read. Jobs after a
+    [shutdown] are answered with an error. Returns the number of
+    responses written. Saves cache stats (see {!Plan_cache.save_stats})
+    and aggregates before returning. *)
 
 val run_socket : t -> path:string -> int
-(** Bind a Unix-domain socket at [path] (unlinking any stale one),
-    accept one connection at a time, and answer jobs line by line until
-    a [shutdown] job arrives. A line over {!Serve_proto.max_line_bytes}
-    is answered with an error response. A client that hangs up early
-    loses only its own connection: SIGPIPE is ignored while this runs
-    (and restored after), so a failed write closes that connection and
-    the loop accepts the next one. Returns the number of responses
-    written; unlinks the socket and saves cache stats on exit. *)
+(** Bind a Unix-domain socket at [path] (unlinking any stale one) and
+    run the serve loop for every connection until a [shutdown] job has
+    been processed. One [select] covers the listening socket and every
+    open connection, each with its own {!Line_reader}, so a client that
+    holds a partial line delays no other; at most
+    {!Serve_proto.max_connections} are open at once. A client that hangs
+    up early loses only its own connection: SIGPIPE is ignored while
+    this runs (and restored after), so a failed write closes that
+    connection. A client that sends without reading its responses can
+    still block the daemon's write. Returns the number of responses
+    written; unlinks the socket and saves cache stats and aggregates on
+    exit. *)

@@ -75,10 +75,15 @@ let job_of_json j =
   in
   Ok { id; payload }
 
-let job_of_line line =
+let parse_line line =
   match Json.of_string line with
-  | Error e -> Error ("bad json: " ^ e)
-  | Ok j -> job_of_json j
+  | Error e -> Error (None, "bad json: " ^ e)
+  | Ok j -> (
+      match job_of_json j with
+      | Ok _ as ok -> ok
+      | Error msg -> Error (Result.to_option (Json.get_int "id" j), msg))
+
+let job_of_line line = Result.map_error snd (parse_line line)
 
 let job_to_json { id; payload } =
   let base = [ ("job", Json.String (job_name payload)); ("id", Json.Int id) ] in
@@ -114,3 +119,5 @@ let error_response ~id msg =
 let response_line j = Json.to_string ~pretty:false j
 
 let max_line_bytes = 1 lsl 20
+
+let max_connections = 64

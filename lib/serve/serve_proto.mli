@@ -51,6 +51,11 @@ val job_name : payload -> string
 val job_of_json : Json.t -> (job, string) result
 val job_of_line : string -> (job, string) result
 
+val parse_line : string -> (job, int option * string) result
+(** {!job_of_line}, keeping the id of a line that is a JSON object with
+    an integer ["id"] but names no valid job, so its error response can
+    carry that id. The line is parsed once. *)
+
 val job_to_json : job -> Json.t
 (** Canonical encoding; [job_of_json (job_to_json j) = Ok j]. *)
 
@@ -64,6 +69,11 @@ val response_line : Json.t -> string
 (** Compact one-line encoding (no trailing newline). *)
 
 val max_line_bytes : int
-(** 1 MiB: the longest job line a socket daemon reads. Every job form
-    above fits in well under 1 KiB; a longer line is discarded up to its
+(** 1 MiB: the longest job line the daemon reads. Every job form above
+    fits in well under 1 KiB; a longer line is discarded up to its
     newline and answered with an {!error_response}. *)
+
+val max_connections : int
+(** 64: the most client connections a socket daemon holds open at once.
+    Further clients wait in the listen backlog until one closes, so the
+    daemon's [select] set stays far below [FD_SETSIZE]. *)

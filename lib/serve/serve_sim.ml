@@ -4,7 +4,6 @@ type config = {
   record_prob : float;
   drift : float;
   seed : int;
-  serve : Serve.config;
 }
 
 let default_config =
@@ -14,30 +13,7 @@ let default_config =
     record_prob = 0.02;
     drift = 0.25;
     seed = 1;
-    serve = Serve.default_config;
   }
-
-type report = {
-  clients : int;
-  rounds : int;
-  jobs_total : int;
-  records : int;
-  requests : int;
-  errors : int;
-  wall_s : float;
-  jobs_per_sec : float;
-  merge_profiles_per_sec : float;
-  plan_hits : int;
-  plan_misses : int;
-  plan_invalidations : int;
-  plan_hit_rate : float;
-  profile_runs : int;
-  cache : Plan_cache.stats option;
-  p50_s : float;
-  p90_s : float;
-  p99_s : float;
-  p999_s : float;
-}
 
 let weights = [| 0.5; 1.0; 2.0; 4.0 |]
 
@@ -74,150 +50,3 @@ let job_stream (cfg : config) =
       rounds.(e.Schedule.ev_phase) <- job :: rounds.(e.Schedule.ev_phase))
     events;
   Array.to_list (Array.map List.rev rounds)
-
-let counter_value reg name = Metrics.counter_value (Metrics.counter reg name)
-
-let gauge_value reg name = Metrics.gauge_value (Metrics.gauge reg name)
-
-let quantile reg name q =
-  match Metrics.quantile (Metrics.histogram reg name) q with
-  | Some v -> v
-  | None -> 0.0
-
-let run ?obs cfg =
-  let obs = match obs with Some o -> o | None -> Obs.create () in
-  let engine = Serve.create ~obs cfg.serve in
-  let rounds = job_stream cfg in
-  let records, requests =
-    List.fold_left
-      (List.fold_left (fun (rec_n, req_n) (j : Serve_proto.job) ->
-           match j.Serve_proto.payload with
-           | Serve_proto.Profile_record _ | Serve_proto.Profile_load _ ->
-               (rec_n + 1, req_n)
-           | Serve_proto.Plan_request _ -> (rec_n, req_n + 1)
-           | _ -> (rec_n, req_n)))
-      (0, 0) rounds
-  in
-  let t0 = Unix.gettimeofday () in
-  let errors =
-    List.fold_left
-      (fun errs round ->
-        let responses = Serve.handle_batch engine round in
-        List.fold_left
-          (fun errs resp ->
-            match Json.get_bool "ok" resp with
-            | Ok true -> errs
-            | Ok false | Error _ -> errs + 1)
-          errs responses)
-      0 rounds
-  in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let jobs_total = cfg.clients * cfg.rounds in
-  let reg = Obs.metrics obs in
-  {
-    clients = cfg.clients;
-    rounds = cfg.rounds;
-    jobs_total;
-    records;
-    requests;
-    errors;
-    wall_s;
-    jobs_per_sec =
-      (if wall_s > 0.0 then float_of_int jobs_total /. wall_s else 0.0);
-    merge_profiles_per_sec = gauge_value reg "serve.merge.profiles_per_sec";
-    plan_hits = counter_value reg "serve.plan.hits";
-    plan_misses = counter_value reg "serve.plan.misses";
-    plan_invalidations = counter_value reg "serve.plan.invalidations";
-    plan_hit_rate =
-      (if requests > 0 then
-         float_of_int (counter_value reg "serve.plan.hits")
-         /. float_of_int requests
-       else 0.0);
-    profile_runs = counter_value reg "profile.runs";
-    cache = Option.map Plan_cache.stats cfg.serve.Serve.cache;
-    p50_s = quantile reg "serve.job.latency_s" 0.50;
-    p90_s = quantile reg "serve.job.latency_s" 0.90;
-    p99_s = quantile reg "serve.job.latency_s" 0.99;
-    p999_s = quantile reg "serve.job.latency_s" 0.999;
-  }
-
-let report_to_json r =
-  let cache =
-    match r.cache with
-    | None -> Json.Null
-    | Some s ->
-        Json.Obj
-          [
-            ("hits", Json.Int s.Plan_cache.hits);
-            ("misses", Json.Int s.Plan_cache.misses);
-            ("stores", Json.Int s.Plan_cache.stores);
-            ("evictions", Json.Int s.Plan_cache.evictions);
-            ("hit_rate", Json.Float (Plan_cache.hit_rate s));
-          ]
-  in
-  Json.Obj
-    [
-      ("clients", Json.Int r.clients);
-      ("rounds", Json.Int r.rounds);
-      ("jobs_total", Json.Int r.jobs_total);
-      ("records", Json.Int r.records);
-      ("requests", Json.Int r.requests);
-      ("errors", Json.Int r.errors);
-      ("wall_s", Json.Float r.wall_s);
-      ("jobs_per_sec", Json.Float r.jobs_per_sec);
-      ("merge_profiles_per_sec", Json.Float r.merge_profiles_per_sec);
-      ( "plan",
-        Json.Obj
-          [
-            ("hits", Json.Int r.plan_hits);
-            ("misses", Json.Int r.plan_misses);
-            ("invalidations", Json.Int r.plan_invalidations);
-            ("hit_rate", Json.Float r.plan_hit_rate);
-          ] );
-      ("profile_runs", Json.Int r.profile_runs);
-      ("cache", cache);
-      ( "latency_s",
-        Json.Obj
-          [
-            ("p50", Json.Float r.p50_s);
-            ("p90", Json.Float r.p90_s);
-            ("p99", Json.Float r.p99_s);
-            ("p999", Json.Float r.p999_s);
-          ] );
-    ]
-
-let report_table r =
-  let t =
-    Table.create ~title:"Fleet simulation" ~headers:[ "metric"; "value" ] ()
-  in
-  Table.set_aligns t [ Table.Left; Table.Right ];
-  let row k v = Table.add_row t [ k; v ] in
-  row "clients x rounds" (Printf.sprintf "%d x %d" r.clients r.rounds);
-  row "jobs" (string_of_int r.jobs_total);
-  row "  profile-record" (string_of_int r.records);
-  row "  plan-request" (string_of_int r.requests);
-  row "  errors" (string_of_int r.errors);
-  row "wall" (Printf.sprintf "%.3f s" r.wall_s);
-  row "jobs/s" (Table.fmt_float ~decimals:1 r.jobs_per_sec);
-  row "merge profiles/s" (Table.fmt_float ~decimals:1 r.merge_profiles_per_sec);
-  Table.add_rule t;
-  row "plan hits" (string_of_int r.plan_hits);
-  row "plan misses" (string_of_int r.plan_misses);
-  row "plan invalidations" (string_of_int r.plan_invalidations);
-  row "plan hit rate" (Table.fmt_pct r.plan_hit_rate);
-  row "profiler runs" (string_of_int r.profile_runs);
-  (match r.cache with
-  | None -> ()
-  | Some s ->
-      Table.add_rule t;
-      row "cache hits" (string_of_int s.Plan_cache.hits);
-      row "cache misses" (string_of_int s.Plan_cache.misses);
-      row "cache stores" (string_of_int s.Plan_cache.stores);
-      row "cache evictions" (string_of_int s.Plan_cache.evictions);
-      row "cache hit rate" (Table.fmt_pct (Plan_cache.hit_rate s)));
-  Table.add_rule t;
-  row "job p50" (Printf.sprintf "%.2f ms" (r.p50_s *. 1e3));
-  row "job p90" (Printf.sprintf "%.2f ms" (r.p90_s *. 1e3));
-  row "job p99" (Printf.sprintf "%.2f ms" (r.p99_s *. 1e3));
-  row "job p99.9" (Printf.sprintf "%.2f ms" (r.p999_s *. 1e3));
-  t

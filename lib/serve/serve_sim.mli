@@ -11,8 +11,13 @@
     Each scheduled job becomes a [profile-record] (with probability
     [record_prob], mixed weights, the schedule's per-job seed) or a
     [plan-request]. The stream is a pure function of the config, so it
-    is byte-for-byte reproducible; it is replayed through
-    {!Serve.handle_batch} one round per batch. *)
+    is byte-for-byte reproducible. [halo_cli serve --simulate] replays
+    it through {!Serve.handle_batch} one round per batch and prints
+    {!Serve.stats_json}; with [--trace-out T], [halo_cli telemetry report
+    T] shows the fleet's job latency quantiles
+    ([serve.job.latency_s]), merge throughput
+    ([serve.merge.profiles_per_sec]) and profiler runs
+    ([profile.runs]). *)
 
 type config = {
   clients : int;
@@ -20,43 +25,12 @@ type config = {
   record_prob : float;  (** Per-client-per-round profile upload rate. *)
   drift : float;  (** Per-round popularity-rotation probability. *)
   seed : int;
-  serve : Serve.config;
 }
 
 val default_config : config
 (** 1000 clients, 20 rounds, [record_prob = 0.02], [drift = 0.25],
-    [seed = 1], {!Serve.default_config}. *)
-
-type report = {
-  clients : int;
-  rounds : int;
-  jobs_total : int;
-  records : int;  (** [profile-record] jobs submitted. *)
-  requests : int;  (** [plan-request] jobs submitted. *)
-  errors : int;
-  wall_s : float;
-  jobs_per_sec : float;
-  merge_profiles_per_sec : float;
-  plan_hits : int;
-  plan_misses : int;
-  plan_invalidations : int;
-  plan_hit_rate : float;  (** [plan_hits / requests]; 0 when no requests. *)
-  profile_runs : int;  (** Profiler invocations (record prework + cold plans). *)
-  cache : Plan_cache.stats option;  (** Disk-cache counters, when caching. *)
-  p50_s : float;
-  p90_s : float;
-  p99_s : float;
-  p999_s : float;  (** Job latency quantiles, seconds; 0 when unrecorded. *)
-}
+    [seed = 1]. *)
 
 val job_stream : config -> Serve_proto.job list list
 (** The deterministic schedule, one inner list per round. Job ids number
     the flattened stream from 1. *)
-
-val run : ?obs:Obs.t -> config -> report
-(** Build the stream, replay it round by round through a fresh engine,
-    and collect the report from the engine's telemetry (a private [obs]
-    is created when none is given). *)
-
-val report_to_json : report -> Json.t
-val report_table : report -> Table.t

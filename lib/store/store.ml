@@ -208,19 +208,6 @@ let plan_config_digest c = md5_json (json_of_pipeline_config c)
     hashes each frame as it streams out; this is an integrity check
     against torn or edited files, not an authenticity measure. *)
 
-let fnv_offset = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-
-let fnv_sub h s pos len =
-  let h = ref h in
-  for i = pos to pos + len - 1 do
-    h :=
-      Int64.mul
-        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
-        fnv_prime
-  done;
-  !h
-
 let fnv_hex h = Printf.sprintf "%016Lx" h
 
 (* {1 Container}
@@ -299,7 +286,7 @@ let record w fill =
   Bytes.set frame 2 (Char.chr ((body_len lsr 16) land 0xff));
   Bytes.set frame 3 (Char.chr ((body_len lsr 24) land 0xff));
   let frame = Bytes.unsafe_to_string frame in
-  w.hash <- fnv_sub w.hash frame 0 (String.length frame);
+  w.hash <- Fnv.feed w.hash frame 0 (String.length frame);
   output_string w.oc frame;
   w.records <- w.records + 1
 
@@ -311,7 +298,7 @@ let start_writer oc h =
   Wire.u32 b (String.length hs);
   output_string oc (Buffer.contents b);
   output_string oc hs;
-  { oc; buf = Buffer.create 256; hash = fnv_offset; records = 0 }
+  { oc; buf = Buffer.create 256; hash = Fnv.offset; records = 0 }
 
 let finish_writer w =
   let b = Buffer.create 24 in
@@ -478,11 +465,11 @@ let read_records data =
     end
     else if pos + 4 + rlen > total then raise (Decode Truncated)
     else
-      let hash = fnv_sub hash data pos (4 + rlen) in
+      let hash = Fnv.feed hash data pos (4 + rlen) in
       let d = Wire.dec ~pos:(pos + 4) ~len:rlen data in
       loop (pos + 4 + rlen) (count + 1) hash ((line, d) :: acc)
   in
-  loop (prefix_len + hlen) 0 fnv_offset []
+  loop (prefix_len + hlen) 0 Fnv.offset []
 
 let read_artifact path =
   read_records (In_channel.with_open_bin path In_channel.input_all)

@@ -292,26 +292,16 @@ let events ~seed s =
     s;
   List.rev !out
 
-let fnv_init = 0xCBF29CE484222325L
-let fnv_prime = 0x100000001B3L
-
-let fnv_string h s =
-  let h = ref h in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h fnv_prime)
-    s;
-  !h
-
 let digest evs =
   let h =
     List.fold_left
       (fun h e ->
-        fnv_string h
-          (Printf.sprintf "%d|%d|%s|%s|%s|%d\n" e.ev_tick e.ev_phase e.ev_label
-             e.ev_tenant e.ev_workload e.ev_seed))
-      fnv_init evs
+        let s =
+          Printf.sprintf "%d|%d|%s|%s|%s|%d\n" e.ev_tick e.ev_phase e.ev_label
+            e.ev_tenant e.ev_workload e.ev_seed
+        in
+        Fnv.feed h s 0 (String.length s))
+      Fnv.offset evs
   in
   Printf.sprintf "%016Lx" h
 

@@ -54,25 +54,6 @@ type report = {
   phases : phase_stats list;
 }
 
-let fnv_init = 0xCBF29CE484222325L
-let fnv_prime = 0x100000001B3L
-
-let fnv_string h s =
-  let h = ref h in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h fnv_prime)
-    s;
-  !h
-
-let workload_pipeline_config (base : Pipeline.config) w =
-  {
-    base with
-    Pipeline.grouping = w.Workload.halo_grouping base.Pipeline.grouping;
-    allocator = w.Workload.halo_allocator base.Pipeline.allocator;
-  }
-
 (* Mutable per-tenant accumulator. *)
 type tacc = {
   ta_workload : string;
@@ -167,7 +148,7 @@ let run ?obs ?(config = default_config) ~seed sched =
       (fun name ->
         if not (Hashtbl.mem plans name) then begin
           let w, _ = program_for name in
-          let pconfig = workload_pipeline_config config.pipeline w in
+          let pconfig = Workload.pipeline_config w config.pipeline in
           let plan =
             Pipeline.plan ?obs ~config:pconfig (w.Workload.make Workload.Test)
           in
@@ -190,7 +171,7 @@ let run ?obs ?(config = default_config) ~seed sched =
   let instructions = ref 0 in
   let acc = ref 0 and l1 = ref 0 and l2 = ref 0 and l3 = ref 0 in
   let tlb = ref 0 and pref = ref 0 in
-  let digest = ref fnv_init in
+  let digest = ref Fnv.offset in
   (* The hierarchy runs on a helper domain when a core is spare; each job
      drains it before reading the counters. *)
   let run_all stream =
@@ -282,11 +263,11 @@ let run ?obs ?(config = default_config) ~seed sched =
           end;
           pa.pa_acc <- pa.pa_acc + d_acc;
           pa.pa_l1 <- pa.pa_l1 + d_l1;
-          digest :=
-            fnv_string !digest
-              (Printf.sprintf "%d|%s|%s|%b|%d|%d|%d\n" tick
-                 e.Schedule.ev_tenant e.Schedule.ev_workload covered d_instr
-                 d_acc d_l1))
+          let line =
+            Printf.sprintf "%d|%s|%s|%b|%d|%d|%d\n" tick e.Schedule.ev_tenant
+              e.Schedule.ev_workload covered d_instr d_acc d_l1
+          in
+          digest := Fnv.feed !digest line 0 (String.length line))
         by_tick.(tick)
     done
   in

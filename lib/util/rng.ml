@@ -16,14 +16,7 @@ let next t =
 (* FNV-1a over the label bytes, 64-bit. Collisions between short ASCII
    labels are practically impossible, and the result feeds [mix64] anyway
    so even a weak hash would only risk stream overlap, not bias. *)
-let hash_label label =
-  let h = ref 0xCBF29CE484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001B3L)
-    label;
-  !h
+let hash_label label = Fnv.feed Fnv.offset label 0 (String.length label)
 
 let split ?label t =
   match label with

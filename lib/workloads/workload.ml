@@ -12,3 +12,10 @@ type t = {
 let plain ~name ~description ~make ?(halo_allocator = Fun.id)
     ?(halo_grouping = Fun.id) ?(in_frag_table = true) () =
   { name; description; make; halo_allocator; halo_grouping; in_frag_table }
+
+let pipeline_config w (base : Pipeline.config) =
+  {
+    base with
+    Pipeline.grouping = w.halo_grouping base.Pipeline.grouping;
+    allocator = w.halo_allocator base.Pipeline.allocator;
+  }

@@ -39,3 +39,8 @@ val plain :
   unit ->
   t
 (** Constructor with identity defaults. *)
+
+val pipeline_config : t -> Pipeline.config -> Pipeline.config
+(** [pipeline_config w base] is [base] with [w]'s [halo_grouping] and
+    [halo_allocator] overrides applied: the configuration HALO plans [w]
+    under. *)

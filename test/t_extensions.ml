@@ -1,6 +1,6 @@
 (* Tests for the extension features: JSON emission, the IR pretty-printer,
-   the next-line prefetcher, the sharded-free-list allocator backend, the
-   profiler sampling option, and the standalone random-pool allocator. *)
+   the next-line prefetcher, the sharded-free-list allocator backend and
+   the profiler sampling option. *)
 
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
@@ -235,34 +235,6 @@ let sampling_rejects_zero () =
        false
      with Invalid_argument _ -> true)
 
-(* ---------------- standalone Random_pool allocator ---------------- *)
-
-let random_pool_basics () =
-  let vmem = Vmem.create () in
-  let fallback = Jemalloc_sim.create vmem in
-  let rng = Rng.create ~seed:3 in
-  let alloc = Random_pool.create ~pools:4 ~rng ~fallback vmem in
-  let a = alloc.Alloc_iface.malloc 32 in
-  checkb "8-aligned" true (Addr.is_aligned a 8);
-  alloc.Alloc_iface.free a;
-  (* large requests forwarded *)
-  let big = alloc.Alloc_iface.malloc 8192 in
-  checkb "forwarded to fallback" true
-    (Option.is_some (fallback.Alloc_iface.usable_size big));
-  alloc.Alloc_iface.free big;
-  checki "forward counted" 1 (alloc.Alloc_iface.stats ()).Alloc_iface.forwarded
-
-let random_pool_spreads () =
-  let vmem = Vmem.create () in
-  let fallback = Jemalloc_sim.create vmem in
-  let rng = Rng.create ~seed:3 in
-  let alloc = Random_pool.create ~pools:4 ~chunk_size:(1 lsl 20) ~rng ~fallback vmem in
-  let addrs = List.init 64 (fun _ -> alloc.Alloc_iface.malloc 32) in
-  let chunks =
-    List.map (fun a -> a / (1 lsl 20)) addrs |> List.sort_uniq compare
-  in
-  checkb "multiple pools used" true (List.length chunks >= 2)
-
 (* ---------------- memcheck mode ---------------- *)
 
 let memcheck_clean_program_passes () =
@@ -399,8 +371,6 @@ let suite =
     tc "sharded: drained chunk safe" sharded_drained_chunk_safe;
     tc "sampling: reduces observations" sampling_reduces_observations;
     tc "sampling: rejects zero period" sampling_rejects_zero;
-    tc "random_pool: basics" random_pool_basics;
-    tc "random_pool: spreads across pools" random_pool_spreads;
     tc "memcheck: clean program passes" memcheck_clean_program_passes;
     tc "memcheck: use after munmap faults" memcheck_catches_use_after_munmap;
     tc "memcheck: wild pointer faults" memcheck_catches_wild_pointer;

@@ -220,6 +220,8 @@ let sim_stream_deterministic () =
     (List.length
        (List.filteri (fun i j -> j.Serve_proto.id = i + 1) flat))
 
+(* A fleet replay's numbers come from the engine's stats and the traced
+   registry, which must agree. *)
 let sim_run_smoke () =
   let cfg =
     {
@@ -228,32 +230,49 @@ let sim_run_smoke () =
       rounds = 3;
       record_prob = 0.1;
       seed = 9;
-      serve = config ~jobs:2 ();
     }
   in
-  let r = Serve_sim.run cfg in
-  checki "all jobs accounted for" (40 * 3) r.Serve_sim.jobs_total;
-  checki "records + requests = jobs" r.Serve_sim.jobs_total
-    (r.Serve_sim.records + r.Serve_sim.requests);
-  checki "no errors" 0 r.Serve_sim.errors;
-  checkb "hit rate in [0,1]" true
-    (r.Serve_sim.plan_hit_rate >= 0.0 && r.Serve_sim.plan_hit_rate <= 1.0);
-  checkb "profiling happened" true (r.Serve_sim.profile_runs > 0);
-  checkb "latency quantiles ordered" true
-    (r.Serve_sim.p50_s <= r.Serve_sim.p99_s
-    && r.Serve_sim.p99_s <= r.Serve_sim.p999_s);
-  checkb "report renders" true
-    (String.length (Table.render (Serve_sim.report_table r)) > 0);
-  checkb "report serialises" true
-    (String.length (Json.to_string (Serve_sim.report_to_json r)) > 0)
+  let obs = Obs.create () in
+  let engine = Serve.create ~obs (config ~jobs:2 ()) in
+  let rounds = Serve_sim.job_stream cfg in
+  List.iter
+    (fun round -> ignore (Serve.handle_batch engine round : Json.t list))
+    rounds;
+  let stats = Serve.stats_json engine in
+  let int group k =
+    match Json.mem group stats with
+    | Some j -> jok (Json.get_int k j)
+    | None -> Alcotest.fail ("no stats group " ^ group)
+  in
+  let kinds = [ "profile-record"; "plan-request"; "stats"; "shutdown" ] in
+  checki "job counts sum to clients x rounds" (40 * 3)
+    (List.fold_left (fun acc k -> acc + int "jobs" k) 0 kinds);
+  checki "no errors" 0 (int "jobs" "errors");
+  let requests =
+    List.length
+      (List.filter
+         (fun (j : Serve_proto.job) ->
+           match j.Serve_proto.payload with
+           | Serve_proto.Plan_request _ -> true
+           | _ -> false)
+         (List.concat rounds))
+  in
+  checki "hits + misses = plan requests" requests
+    (int "plan" "hits" + int "plan" "misses");
+  List.iter
+    (fun k ->
+      checki ("serve.jobs." ^ k ^ " counts the replay") (int "jobs" k)
+        (counter obs ("serve.jobs." ^ k)))
+    kinds;
+  checkb "profiling happened" true (counter obs "profile.runs" > 0)
 
 (* ---------------- line reader ---------------- *)
 
 let read_all lr =
   let rec go acc =
-    match Serve.Line_reader.read_line lr with
-    | None -> List.rev acc
-    | Some l -> go (l :: acc)
+    let more = Serve.Line_reader.read lr in
+    let acc = List.rev_append (Serve.Line_reader.lines lr) acc in
+    if more then go acc else List.rev acc
   in
   go []
 
@@ -340,6 +359,76 @@ let line_reader_drops_over_long_lines () =
     (Printf.sprintf "allocated %.0f bytes, under one 16 MiB line" allocated)
     true
     (allocated < float_of_int (16 * cap))
+
+(* ---------------- the serve loop over a pipe ---------------- *)
+
+(* [run_channels] answers a stream line for line as a fresh engine's
+   [handle_line] does, whatever the framing: LF and CRLF lines, a blank
+   line, unparsable lines (one with a recoverable id), jobs after a
+   shutdown, and stats jobs that count the errors before them. The
+   over-long line is the one exception: it gets the typed error. *)
+let channels_match_handle_line () =
+  let cap = Serve_proto.max_line_bytes in
+  let over_long = String.make (cap + 1) 'x' in
+  let lines =
+    [
+      ({|{"job":"profile-record","id":1,"workload":"ft","seed":3}|}, "\n");
+      ({|{"job":"plan-request","id":2,"workload":"ft"}|}, "\r\n");
+      ("", "\n");
+      ({|{"job":"stats","id":3}|}, "\n");
+      ("{not json", "\r\n");
+      ({|{"job":"frobnicate","id":4}|}, "\n");
+      (over_long, "\n");
+      ({|{"job":"stats","id":5}|}, "\r\n");
+      ({|{"job":"shutdown","id":6}|}, "\n");
+      ({|{"job":"plan-request","id":7,"workload":"ft"}|}, "\n");
+      ({|{"job":"stats","id":8}|}, "\n");
+    ]
+  in
+  let payload = String.concat "" (List.map (fun (l, eol) -> l ^ eol) lines) in
+  let expected =
+    let engine = Serve.create (config ()) in
+    List.map
+      (fun (line, _) ->
+        let r = Serve.handle_line engine line in
+        Serve_proto.response_line
+          (if line == over_long then
+             Serve_proto.error_response ~id:None
+               (Printf.sprintf "job line longer than %d bytes" cap)
+           else r))
+      lines
+  in
+  List.iter
+    (fun jobs ->
+      let r, wfd = Unix.pipe () in
+      let writer =
+        Domain.spawn (fun () ->
+            let rec go off =
+              if off < String.length payload then
+                go
+                  (off
+                  + Unix.write_substring wfd payload off
+                      (String.length payload - off))
+            in
+            go 0;
+            Unix.close wfd)
+      in
+      let out = Filename.temp_file "halo-serve-out" ".jsonl" in
+      let oc = open_out_bin out in
+      let engine = Serve.create (config ~jobs ()) in
+      let n = Serve.run_channels engine (Unix.in_channel_of_descr r) oc in
+      close_out oc;
+      Domain.join writer;
+      Unix.close r;
+      let got = In_channel.with_open_bin out In_channel.input_lines in
+      Sys.remove out;
+      checki (Printf.sprintf "one response per line at --jobs %d" jobs)
+        (List.length lines) n;
+      Alcotest.check
+        Alcotest.(list string)
+        (Printf.sprintf "responses equal handle_line's at --jobs %d" jobs)
+        expected got)
+    [ 1; 2 ]
 
 (* ---------------- aggregate persistence ---------------- *)
 
@@ -469,6 +558,109 @@ let socket_survives_hostile_clients () =
   checkb "the daemon returned" true (served >= 3);
   checkb "socket unlinked on exit" true (not (Sys.file_exists path))
 
+(* A client holding an unterminated line delays nobody: client A sends
+   half a job and stays connected while client B's stats and shutdown
+   are answered. B's socket has a receive timeout, so a daemon that
+   blocks on A fails the test instead of hanging it; A closes before the
+   join, which frees such a daemon to finish B's queued jobs. *)
+let socket_partial_line_stalls_nobody () =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "halo-serve-partial-%d.sock" (Unix.getpid ()))
+  in
+  let engine = Serve.create (config ()) in
+  let server = Domain.spawn (fun () -> Serve.run_socket engine ~path) in
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while (not (Sys.file_exists path)) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.01
+  done;
+  let connect () =
+    let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect sock (Unix.ADDR_UNIX path);
+    sock
+  in
+  let a = connect () in
+  let half = {|{"job":"stats"|} in
+  ignore (Unix.write_substring a half 0 (String.length half) : int);
+  Unix.sleepf 0.1;
+  let b = connect () in
+  Unix.setsockopt_float b Unix.SO_RCVTIMEO 2.0;
+  let ic = Unix.in_channel_of_descr b and oc = Unix.out_channel_of_descr b in
+  let ask line =
+    output_string oc line;
+    output_char oc '\n';
+    flush oc;
+    match input_line ic with
+    | resp -> Json.get_bool "ok" (Result.get_ok (Json.of_string resp)) = Ok true
+    | exception (Sys_error _ | Sys_blocked_io | End_of_file) -> false
+  in
+  let t0 = Unix.gettimeofday () in
+  let stats_ok = ask {|{"job":"stats","id":1}|} in
+  let shutdown_ok = ask {|{"job":"shutdown","id":2}|} in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Unix.close a;
+  let served = Domain.join server in
+  (try Unix.close b with Unix.Unix_error _ -> ());
+  checkb "stats answered while A holds a partial line" true stats_ok;
+  checkb "shutdown answered while A holds a partial line" true shutdown_ok;
+  checkb (Printf.sprintf "answered within 2 s (%.2f s)" elapsed) true
+    (elapsed < 2.0);
+  checki "two responses served" 2 served;
+  checkb "socket unlinked on exit" true (not (Sys.file_exists path))
+
+(* At [Serve_proto.max_connections] open clients the daemon stops
+   accepting: one more client waits unanswered in the backlog until an
+   open one closes, and is then served. *)
+let socket_connection_cap () =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "halo-serve-cap-%d.sock" (Unix.getpid ()))
+  in
+  let engine = Serve.create (config ()) in
+  let server = Domain.spawn (fun () -> Serve.run_socket engine ~path) in
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while (not (Sys.file_exists path)) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.01
+  done;
+  let client timeout =
+    let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect sock (Unix.ADDR_UNIX path);
+    Unix.setsockopt_float sock Unix.SO_RCVTIMEO timeout;
+    (sock, Unix.in_channel_of_descr sock, Unix.out_channel_of_descr sock)
+  in
+  let send (_, _, oc) line =
+    output_string oc line;
+    output_char oc '\n';
+    flush oc
+  in
+  let answered (_, ic, _) =
+    match input_line ic with
+    | resp -> Json.get_bool "ok" (Result.get_ok (Json.of_string resp)) = Ok true
+    | exception (Sys_error _ | Sys_blocked_io | End_of_file) -> false
+  in
+  let stats = {|{"job":"stats","id":1}|} in
+  let open_clients =
+    List.init Serve_proto.max_connections (fun _ ->
+        let c = client 2.0 in
+        send c stats;
+        c)
+  in
+  checkb "every client under the cap is served" true
+    (List.for_all answered open_clients);
+  let extra = client 0.3 in
+  send extra stats;
+  checkb "a client over the cap waits" false (answered extra);
+  let first, _, _ = List.hd open_clients in
+  Unix.close first;
+  Unix.setsockopt_float (let s, _, _ = extra in s) Unix.SO_RCVTIMEO 2.0;
+  checkb "it is served once a client closes" true (answered extra);
+  send extra {|{"job":"shutdown","id":2}|};
+  checkb "shutdown acknowledged" true (answered extra);
+  ignore (Domain.join server : int);
+  List.iter
+    (fun (s, _, _) -> try Unix.close s with Unix.Unix_error _ -> ())
+    (extra :: List.tl open_clients)
+
 (* The socket's hostile-input contract: one valid line per job form,
    with a few byte mutations applied, parses to [Ok] or [Error] and
    raises nothing else. *)
@@ -527,5 +719,9 @@ let suite =
     slow "socket: round-trip and shutdown" socket_round_trip;
     slow "socket: survives a hang-up and an over-long line"
       socket_survives_hostile_clients;
+    slow "socket: a partial line stalls no other client"
+      socket_partial_line_stalls_nobody;
+    slow "socket: clients over the connection cap wait" socket_connection_cap;
+    slow "loop: stdin responses equal handle_line's" channels_match_handle_line;
     QCheck_alcotest.to_alcotest proto_mutation_prop;
   ]
