@@ -1248,71 +1248,6 @@ let traffic_run_cmd =
       $ traffic_seed_arg $ plan_budget_arg $ reprofile_arg $ window_arg
       $ tenants_arg $ trace_out_arg $ json_arg)
 
-let traffic_study_cmd =
-  let run drifts cadences phases ticks_per_phase rate workloads seed jobs
-      trace_out json_out =
-    let jobs = effective_jobs jobs in
-    let p =
-      {
-        Traffic_study.default_params with
-        Traffic_study.drifts;
-        cadences;
-        phases;
-        ticks_per_phase;
-        rate;
-        workloads = (match workloads with [] -> None | l -> Some l);
-        seed;
-      }
-    in
-    let study =
-      with_trace trace_out (fun obs -> Traffic_study.run ?obs ~jobs p)
-    in
-    Table.print (Traffic_study.table study);
-    match json_out with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        Json.to_channel oc (Traffic_study.to_json study);
-        close_out oc;
-        Printf.printf "study written to %s\n" path
-  in
-  let drifts_arg =
-    Arg.(
-      value
-      & opt (list float) Traffic_study.default_params.Traffic_study.drifts
-      & info [ "drifts" ] ~docv:"R1,R2,..."
-          ~doc:"Drift rates (ranking rotations per epoch) to sweep.")
-  in
-  let cadences_arg =
-    Arg.(
-      value
-      & opt (list int) Traffic_study.default_params.Traffic_study.cadences
-      & info [ "cadences" ] ~docv:"T1,T2,..."
-          ~doc:
-            "Re-profile cadences (ticks) to sweep; keep 0 in the list — \
-             it is the stale baseline the verdict column compares \
-             against.")
-  in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Also write every cell's full report as JSON.")
-  in
-  Cmd.v
-    (Cmd.info "study"
-       ~doc:
-         "The plan-staleness drift study: sweep drift rate x re-profile \
-          cadence over the shared drifting traffic shape and report when \
-          re-profiling (charged at one cycle per profiled access) beats \
-          running on a stale plan. Cells fan out over --jobs with \
-          byte-identical results.")
-    Term.(
-      const run $ drifts_arg $ cadences_arg $ traffic_phases_arg
-      $ traffic_ticks_arg $ traffic_rate_arg $ traffic_workloads_arg
-      $ traffic_seed_arg $ jobs_arg $ trace_out_arg $ json_arg)
-
 let traffic_events_cmd =
   let run spec workloads ticks_per_phase rate phases drift seed dump =
     let sched =
@@ -1351,9 +1286,9 @@ let traffic_cmd =
     (Cmd.info "traffic"
        ~doc:
          "Shaped, drifting, multi-tenant workload traffic: execute a mix \
-          schedule against one shared heap, sweep the plan-staleness \
-          drift study, or digest a schedule's event stream.")
-    [ traffic_run_cmd; traffic_study_cmd; traffic_events_cmd ]
+          schedule against one shared heap, or digest a schedule's event \
+          stream. The plan-staleness drift study is $(b,figures drift).")
+    [ traffic_run_cmd; traffic_events_cmd ]
 
 let list_cmd =
   let run () =

@@ -266,6 +266,17 @@ let counters t =
     prefetches = t.prefetches;
   }
 
+let counters_to_json (c : counters) =
+  Json.Obj
+    [
+      ("accesses", Json.Int c.accesses);
+      ("l1_misses", Json.Int c.l1_misses);
+      ("l2_misses", Json.Int c.l2_misses);
+      ("l3_misses", Json.Int c.l3_misses);
+      ("tlb_misses", Json.Int c.tlb_misses);
+      ("prefetches", Json.Int c.prefetches);
+    ]
+
 let reset_counters t =
   t.accesses <- 0;
   t.prefetches <- 0;

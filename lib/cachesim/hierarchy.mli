@@ -117,6 +117,10 @@ val access : t -> Addr.t -> int -> unit
     [max_int] ([addr + size - 1 > max_int]); neither is counted. *)
 
 val counters : t -> counters
+
+val counters_to_json : counters -> Json.t
+(** The six fields as one object, in declaration order. *)
+
 val reset_counters : t -> unit
 val config : t -> config
 

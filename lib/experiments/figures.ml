@@ -192,7 +192,7 @@ let group_fn = function
             (Clustering.threshold_components
                ~min_weight:p.Grouping.min_edge_weight g))
 
-type cell = {
+type run = {
   w : Workload.t;
   kind : Runner.kind;
   seed : int;
@@ -200,32 +200,38 @@ type cell = {
   clusterer : clusterer;
 }
 
-let cell ?(seed = 2) ?(config = Pipeline.default_config) w kind =
-  { w; kind; seed; config; clusterer = Fig6 }
+type cell = Run of run | Drift of { drift : float; cadence : int }
+
+let run_cell ?(seed = 2) ?(config = Pipeline.default_config) ?(clusterer = Fig6) w
+    kind =
+  Run { w; kind; seed; config; clusterer }
+
+let cell ?seed ?config w kind = run_cell ?seed ?config w kind
+let drift_cell ~drift ~cadence = Drift { drift; cadence }
 
 (* A workload holds closures, so its name stands for it in a key. *)
-let key c = (c.w.Workload.name, c.kind, c.seed, c.config, c.clusterer)
+let run_key c = (c.w.Workload.name, c.kind, c.seed, c.config, c.clusterer)
 
-let dedup cells =
+let key = function
+  | Run c -> `Run (run_key c)
+  | Drift { drift; cadence } -> `Drift (drift, cadence)
+
+let dedup key xs =
   let seen = Hashtbl.create 64 in
   List.filter
-    (fun c -> (not (Hashtbl.mem seen (key c))) && (Hashtbl.add seen (key c) (); true))
-    cells
+    (fun x -> (not (Hashtbl.mem seen (key x))) && (Hashtbl.add seen (key x) (); true))
+    xs
 
-(* [lookup cells results]: the result of each cell, by key. *)
-let lookup cells results =
-  let t = Hashtbl.create 64 in
-  List.iter2 (fun c r -> Hashtbl.replace t (key c) r) cells results;
-  fun c -> Hashtbl.find t (key c)
-
-(* The cell that stands for [c]'s plan: a plan depends on the workload's
+(* The run that stands for [c]'s plan: a plan depends on the workload's
    Test program (a pure function of its name) and the config, never on
    the measurement seed. *)
-let plan_cell c =
-  match c.kind with
-  | Runner.Halo | Halo_no_alloc -> Some { c with kind = Runner.Halo; seed = 2 }
-  | Hds | Hds_merged_packing -> Some { c with seed = 2 }
-  | _ -> None
+let plan_run = function
+  | Run c -> (
+      match c.kind with
+      | Runner.Halo | Halo_no_alloc -> Some { c with kind = Runner.Halo; seed = 2 }
+      | Hds | Hds_merged_packing -> Some { c with seed = 2 }
+      | _ -> None)
+  | Drift _ -> None
 
 type plan = Halo_plan of Pipeline.plan | Hds_plan of Hds_pipeline.plan
 
@@ -245,43 +251,95 @@ let make_plan ?obs ?plan_source c =
             (Runner.plan_halo ?obs ?plan_source ~pipeline_config:c.config
                ?group_fn:(group_fn c.clusterer) c.w))
 
-(* Two fan-outs over one pool size: every distinct plan, then every
-   distinct cell under its plan. Each task builds its own programs,
-   allocators and interpreter, and Par.map returns results in submission
-   order, so the measurements are identical at any worker count. *)
+type result = Measured of Runner.measurement | Mixed of Traffic_mix.report
+type results = cell -> result
+
+let measurement (results : results) c =
+  match results c with
+  | Measured m -> m
+  | Mixed _ -> invalid_arg "Figures.measurement: a drift cell"
+
+let mix_report (results : results) c =
+  match results c with
+  | Mixed r -> r
+  | Measured _ -> invalid_arg "Figures.mix_report: a measurement cell"
+
+(* Run one cell, under its plan if it has one. *)
+let run_one ?obs plan = function
+  | Run c ->
+      let plan_source, hds_plan =
+        match plan with
+        | Some (Halo_plan p) -> (Some (Pipeline.constant_source p), None)
+        | Some (Hds_plan p) -> (None, Some p)
+        | None -> (None, None)
+      in
+      Measured
+        (Runner.run ?obs ~seed:c.seed ~pipeline_config:c.config ?plan_source
+           ?hds_plan c.w c.kind)
+  | Drift { drift; cadence } ->
+      (* The drift figure's traffic: all 11 workloads, 4 phases of 2
+         ticks at 3 jobs per tick, traffic seed 1. *)
+      let config =
+        { Traffic_mix.default_config with Traffic_mix.reprofile_every = cadence }
+      in
+      Mixed
+        (Traffic_mix.run ?obs ~config ~seed:1
+           (Schedule.drifting ~ticks_per_phase:2 ~rate:3.0 ~phases:4 ~drift ()))
+
+let label = function
+  | Run c ->
+      Printf.sprintf "%s/%s (seed %d)" c.w.Workload.name (Runner.kind_name c.kind)
+        c.seed
+  | Drift { drift; cadence } -> Printf.sprintf "drift %g/cadence %d" drift cadence
+
+(* One pool runs the grid. Plans go first, the largest affinity distance
+   (the profiler's cost driver) first; then the cells that need no plan;
+   then the planned cells, each awaiting its plan's future. Tasks start in
+   submission order, so every plan has started before a cell waits on it.
+   Each task builds its own programs, allocators and interpreter, so the
+   results are identical at any worker count. *)
 let run_cells ?jobs ?obs ?plan_source ?(progress = fun _ -> ()) cells =
-  let cells = dedup cells in
-  let planned = dedup (List.filter_map plan_cell cells) in
-  let plan_of =
-    lookup planned
-      (Par.map_obs ?obs ~name:"plans" ?jobs
-         (fun wobs c -> make_plan ?obs:wobs ?plan_source c)
-         planned)
+  let cells = dedup key cells in
+  let distance c = c.config.Pipeline.profiler.Profiler.affinity_distance in
+  let plans =
+    List.stable_sort
+      (fun a b -> compare (distance b) (distance a))
+      (dedup run_key (List.filter_map plan_run cells))
+  in
+  let unplanned, planned =
+    List.partition (fun c -> Option.is_none (plan_run c)) cells
   in
   let progress =
     (* Workers report completion concurrently; serialise the callback. *)
     let mu = Mutex.create () in
     fun line -> Mutex.protect mu (fun () -> progress line)
   in
-  let measure wobs (c, plan) =
-    let plan_source, hds_plan =
-      match plan with
-      | Some (Halo_plan p) -> (Some (Pipeline.constant_source p), None)
-      | Some (Hds_plan p) -> (None, Some p)
-      | None -> (None, None)
-    in
-    let m =
-      Runner.run ?obs:wobs ~seed:c.seed ~pipeline_config:c.config ?plan_source
-        ?hds_plan c.w c.kind
-    in
-    progress
-      (Printf.sprintf "%s/%s (seed %d) done" c.w.Workload.name
-         (Runner.kind_name c.kind) c.seed);
-    m
-  in
-  lookup cells
-    (Par.map_obs ?obs ~name:"cells" ?jobs measure
-       (List.map (fun c -> (c, Option.map plan_of (plan_cell c))) cells))
+  let tasks = List.length plans + List.length cells in
+  let jobs = min tasks (Option.value jobs ~default:(Par.default_jobs ())) in
+  Obs.span obs "cells.map" ~attrs:[ ("tasks", Json.Int tasks) ] (fun () ->
+      let pool = Par.create ?obs ~name:"cells" ~jobs () in
+      Fun.protect
+        ~finally:(fun () -> Par.shutdown pool)
+        (fun () ->
+          let plan_of = Hashtbl.create 64 in
+          List.iter
+            (fun p ->
+              Hashtbl.replace plan_of (run_key p)
+                (Par.submit pool (fun wobs -> make_plan ?obs:wobs ?plan_source p)))
+            plans;
+          let submit c =
+            let plan = Option.map (fun p -> Hashtbl.find plan_of (run_key p)) (plan_run c) in
+            Par.submit pool (fun wobs ->
+                let r = run_one ?obs:wobs (Option.map Par.await plan) c in
+                progress (label c ^ " done");
+                r)
+          in
+          let cells = unplanned @ planned in
+          let results = Hashtbl.create 64 in
+          List.iter2
+            (fun c f -> Hashtbl.replace results (key c) (Par.await f))
+            cells (List.map submit cells);
+          fun c -> Hashtbl.find results (key c)))
 
 let suite_cells workloads seeds =
   List.concat_map
@@ -306,23 +364,20 @@ let suite_of workloads seeds get =
 let run_suite ?(seeds = [ 2 ]) ?(workloads = Workloads.all) ?progress ?jobs ?obs
     ?plan_source () =
   suite_of workloads seeds
-    (run_cells ?progress ?jobs ?obs ?plan_source (suite_cells workloads seeds))
+    (measurement
+       (run_cells ?progress ?jobs ?obs ?plan_source (suite_cells workloads seeds)))
 
 (* ------------------------------------------------------------------ *)
 (* Sections: each figure's cells and its table                         *)
 (* ------------------------------------------------------------------ *)
 
-type section = {
-  name : string;
-  cells : cell list;
-  render : jobs:int option -> (cell -> Runner.measurement) -> Table.t;
-}
+type section = { name : string; cells : cell list; render : results -> Table.t }
 
 let suite_section ?(seeds = [ 2 ]) name render =
   {
     name;
     cells = suite_cells Workloads.all seeds;
-    render = (fun ~jobs:_ get -> render (suite_of Workloads.all seeds get));
+    render = (fun results -> render (suite_of Workloads.all seeds (measurement results)));
   }
 
 (* One entry of a section's table: the cells it reads and how it shows
@@ -346,7 +401,8 @@ let halo_detail c show =
 
 (* A section whose table is [rows] of entries under [headers]. *)
 let table name ~title ~headers rows =
-  let render ~jobs:_ get =
+  let render results =
+    let get = measurement results in
     let t = Table.create ~title:(title.show get) ~headers () in
     List.iter (fun row -> Table.add_row t (List.map (fun e -> e.show get) row)) rows;
     t
@@ -393,11 +449,12 @@ let fig12 =
    more than one per million). Measures no cell: it counts allocations on
    the train input. *)
 let selection_criterion =
-  let render ~jobs:_ _ =
+  let render _ =
     let t =
       Table.create
         ~title:
-          "Section 5.1 — benchmark selection: heap allocations per million          instructions on the train input (threshold: > 1)"
+          "Section 5.1 — benchmark selection: heap allocations per million \
+           instructions on the train input (threshold: > 1)"
         ~headers:[ "benchmark"; "allocations"; "instructions"; "allocs/Minstr" ]
         ()
     in
@@ -457,7 +514,8 @@ let ablation_grouping =
   table "ablation-grouping"
     ~title:
       (text
-         "Ablation — grouping algorithm swapped inside the HALO pipeline          (Section 4.2's comparison claim)")
+         "Ablation — grouping algorithm swapped inside the HALO pipeline \
+          (Section 4.2's comparison claim)")
     ~headers:
       ("clusterer"
       :: List.concat_map
@@ -468,7 +526,7 @@ let ablation_grouping =
          text name
          :: List.concat_map
               (fun w ->
-                let c = { (cell w Runner.Halo) with clusterer } in
+                let c = run_cell ~clusterer w Runner.Halo in
                 [
                   miss_red ~base:(baseline w) c;
                   halo_detail c (fun h -> string_of_int h.Runner.groups);
@@ -508,7 +566,8 @@ let ablation_identification =
   table "ablation-identification"
     ~title:
       (text
-         "Ablation — identification granularity (same grouping; Section          2.2.3's schemes vs full-context selectors), L1D miss reduction")
+         "Ablation — identification granularity (same grouping; Section \
+          2.2.3's schemes vs full-context selectors), L1D miss reduction")
     ~headers:("scheme" :: List.map (fun w -> w.Workload.name) workloads)
     (List.map
        (fun (label, kind) ->
@@ -524,7 +583,8 @@ let ablation_backend =
   table "ablation-backend"
     ~title:
       (text
-         "Extension — group-pool backend: bump-only (paper) vs sharded free          lists (Section 6 future work)")
+         "Extension — group-pool backend: bump-only (paper) vs sharded free \
+          lists (Section 6 future work)")
     ~headers:[ "benchmark"; "backend"; "miss red."; "speedup"; "frag %"; "frag bytes" ]
     (List.concat_map
        (fun w ->
@@ -555,7 +615,8 @@ let ablation_sampling =
   table "ablation-sampling"
     ~title:
       (text
-         "Extension — profiling sample period vs plan quality (the paper          samples every access)")
+         "Extension — profiling sample period vs plan quality (the paper \
+          samples every access)")
     ~headers:("sample period" :: List.map (fun w -> w.Workload.name ^ " miss red.") workloads)
     (List.map
        (fun period ->
@@ -567,20 +628,57 @@ let ablation_sampling =
        [ 1; 10; 100; 1000 ])
 
 (* The multi-tenant extension the paper's per-binary evaluation never
-   exercises: the plan-staleness drift study over the shared drifting
-   traffic shape, scaled down (3 drifts x 3 cadences, 4 epochs) so the
-   full figure suite stays fast. [halo traffic study] runs the
-   full-size sweep. It measures no cell: the study fans out itself. *)
+   exercises: when re-profiling beats running on a stale plan as traffic
+   drifts. A row's net cycles (job cycles plus one cycle per profiled
+   access) are compared with its drift's cadence-0 row, which plans once
+   at tick 0 and never again. *)
 let drift_study =
-  let params =
-    { Traffic_study.default_params with
-      Traffic_study.drifts = [ 0.0; 0.5; 1.0 ]; cadences = [ 0; 1; 2 ]; phases = 4;
-      rate = 3.0 }
+  let drifts = [ 0.0; 0.5; 1.0 ] and cadences = [ 0; 1; 2 ] in
+  let render results =
+    let t =
+      Table.create ~title:"Plan-staleness drift study"
+        ~headers:
+          [ "drift"; "cadence"; "coverage"; "L1 miss"; "profiles"; "net vs stale";
+            "verdict" ]
+        ()
+    in
+    Table.set_aligns t Table.[ Right; Right; Right; Right; Right; Right; Left ];
+    List.iteri
+      (fun i drift ->
+        if i > 0 then Table.add_rule t;
+        let report cadence = mix_report results (drift_cell ~drift ~cadence) in
+        let stale = (report 0).Traffic_mix.net_cycles in
+        List.iter
+          (fun cadence ->
+            let r = report cadence in
+            let vs_stale =
+              if stale > 0.0 then
+                Timing.speedup ~baseline:stale ~optimised:r.Traffic_mix.net_cycles
+              else 0.0
+            in
+            Table.add_row t
+              [
+                Printf.sprintf "%g" drift;
+                (if cadence = 0 then "never" else string_of_int cadence);
+                Table.fmt_pct r.Traffic_mix.coverage;
+                Table.fmt_pct r.Traffic_mix.miss_rate;
+                string_of_int r.Traffic_mix.profile_runs;
+                Table.fmt_pct vs_stale;
+                (if cadence = 0 then "stale baseline"
+                 else if vs_stale > 0.0 then "reprofile wins"
+                 else "stale wins");
+              ])
+          cadences)
+      drifts;
+    t
   in
   {
     name = "drift";
-    cells = [];
-    render = (fun ~jobs _ -> Traffic_study.table (Traffic_study.run ?jobs params));
+    cells =
+      List.concat_map
+        (fun drift -> List.map (fun cadence -> drift_cell ~drift ~cadence) cadences)
+        drifts;
+    render;
   }
 
 let all =
@@ -594,7 +692,7 @@ let all =
 
 let print ?jobs ?obs ?plan_source sections =
   let progress line = Printf.eprintf "  [cells] %s\n%!" line in
-  let get =
+  let results =
     run_cells ?jobs ?obs ?plan_source ~progress
       (List.concat_map (fun s -> s.cells) sections)
   in
@@ -604,5 +702,5 @@ let print ?jobs ?obs ?plan_source sections =
       Table.print
         (Obs.span obs "section"
            ~attrs:[ ("section", Json.String s.name) ]
-           (fun () -> s.render ~jobs get)))
+           (fun () -> s.render results)))
     sections

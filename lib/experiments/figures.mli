@@ -7,9 +7,9 @@
     to exercise input variation, reporting medians as §5.1 does.
 
     Every figure is a {!section}: the cells it measures, as data, and a
-    table rendered from their measurements. {!print} runs the union of
-    the sections' cells once each, on one domain pool, in two phases:
-    every distinct plan, then every distinct cell under its plan. *)
+    table rendered from their results. {!print} runs the union of the
+    sections' cells once each, with every distinct plan, on one domain
+    pool. *)
 
 type suite = {
   workloads : Workload.t list;
@@ -80,8 +80,9 @@ val hds_diagnostics : suite -> Table.t
 (** {1 The cell grid} *)
 
 type cell
-(** One measurement: a workload, a kind, a seed, a pipeline config and a
-    clusterer. Cells are equal when all five are. *)
+(** One task of the grid. A measurement cell is a workload, a kind, a
+    seed, a pipeline config and a clusterer; a drift cell is a drift rate
+    and a re-profile cadence. Cells are equal when all their fields are. *)
 
 val cell :
   ?seed:int -> ?config:Pipeline.config -> Workload.t -> Runner.kind -> cell
@@ -90,29 +91,51 @@ val cell :
     {!Pipeline.default_config}, so a default-equal config is the same
     cell) under Figure 6's clusterer. *)
 
+val drift_cell : drift:float -> cadence:int -> cell
+(** [drift_cell ~drift ~cadence] is one {!Traffic_mix.run} over
+    [Schedule.drifting ~ticks_per_phase:2 ~rate:3.0 ~phases:4 ~drift ()]
+    (all 11 workloads) at traffic seed 1, under
+    {!Traffic_mix.default_config} with [reprofile_every = cadence]. *)
+
+type results
+(** What {!run_cells} returns: each cell's measurement or mix report. *)
+
 val run_cells :
   ?jobs:int ->
   ?obs:Obs.t ->
   ?plan_source:Pipeline.plan_source ->
   ?progress:(string -> unit) ->
   cell list ->
-  cell ->
-  Runner.measurement
-(** [run_cells cells] measures every distinct cell once and returns the
-    lookup (which raises [Not_found] on a cell not in [cells]). Phase 1
-    makes every distinct plan: HALO kinds' by (workload, config,
-    clusterer) through {!Runner.plan_halo}, which consults [plan_source]
-    (typically the persistent plan cache), and HDS kinds' by (workload,
-    merge). Phase 2 measures each cell under its plan. Each phase is one
-    {!Par} fan-out over [jobs] domains (default {!Par.default_jobs}),
-    named [plans] and [cells]; every task is an independent simulation,
-    so the measurements are bit-for-bit identical at any [jobs]. [obs]
-    receives the workers' [plan] and [run] spans and merged registries.
-    [progress] is called, serialised, with a line per measured cell. *)
+  results
+(** [run_cells cells] runs every distinct cell once on one {!Par} pool
+    of [jobs] domains (default {!Par.default_jobs}) named [cells], whose
+    fan-out is one [cells.map] span. It submits every distinct plan
+    first, the largest affinity distance first: HALO kinds' by
+    (workload, config, clusterer) through {!Runner.plan_halo}, which
+    consults [plan_source] (typically the persistent plan cache), and
+    HDS kinds' by (workload, merge). The cells that need no plan follow
+    (jemalloc, ptmalloc, random-N, ident and drift cells), then the
+    planned cells, each awaiting its plan. Every task is an independent
+    simulation, so the results are bit-for-bit identical at any [jobs].
+    [obs] receives the workers' [plan], [run] and [traffic.run] spans
+    and merged registries. [progress] is called, serialised, with a line
+    per finished cell. *)
+
+val measurement : results -> cell -> Runner.measurement
+(** A measurement cell's result. Raises [Not_found] on a cell that was
+    not run and [Invalid_argument] on a drift cell. *)
+
+val mix_report : results -> cell -> Traffic_mix.report
+(** A drift cell's report. Raises [Not_found] on a cell that was not run
+    and [Invalid_argument] on a measurement cell. *)
 
 (** {1 Sections} *)
 
-type section
+type section = {
+  name : string;
+  cells : cell list;  (** What the table reads. *)
+  render : results -> Table.t;
+}
 (** A figure as data: its cells and how its table renders from them. *)
 
 val suite_section : ?seeds:int list -> string -> (suite -> Table.t) -> section
@@ -158,11 +181,12 @@ val ablation_sampling : section
     measured end to end at several sampling periods. *)
 
 val drift_study : section
-(** Extension (multi-tenant traffic): the plan-staleness drift study —
-    {!Traffic_study} at reduced scale (3 drifts x 3 cadences over 4
-    epochs), reporting when re-profiling cadence beats a stale plan. It
-    measures no cell; the study fans out over [jobs] itself.
-    [halo traffic study] exposes the full-size sweep. *)
+(** Extension (multi-tenant traffic): the plan-staleness drift study.
+    Its cells are the drift cells of drift rates 0, 0.5 and 1 by
+    re-profile cadences 0 (never), 1 and 2 ticks. Each row compares its
+    [net_cycles] (job cycles plus one cycle per profiled access) with
+    the same drift's cadence-0 row, the stale plan, and says whether
+    re-profiling wins. *)
 
 val all : section list
 (** Every section in paper order — the body of [halo_cli figures all]. *)
@@ -171,5 +195,5 @@ val print :
   ?jobs:int -> ?obs:Obs.t -> ?plan_source:Pipeline.plan_source -> section list -> unit
 (** Run the union of the sections' cells with {!run_cells}, then render
     each section's table in order, each under a [section] span, and
-    print the tables separated by blank lines. A line per measured cell
+    print the tables separated by blank lines. A line per finished cell
     goes to stderr. *)

@@ -230,17 +230,6 @@ let run ?obs ?(seed = 2) ?pipeline_config ?plan_source ?hds_plan w kind =
     (fun () -> run_kind ?obs ~seed ?pipeline_config ?plan_source ?hds_plan w kind)
 
 let to_json ?baseline m =
-  let counters c =
-    Json.Obj
-      [
-        ("accesses", Json.Int c.Hierarchy.accesses);
-        ("l1_misses", Json.Int c.Hierarchy.l1_misses);
-        ("l2_misses", Json.Int c.Hierarchy.l2_misses);
-        ("l3_misses", Json.Int c.Hierarchy.l3_misses);
-        ("tlb_misses", Json.Int c.Hierarchy.tlb_misses);
-        ("prefetches", Json.Int c.Hierarchy.prefetches);
-      ]
-  in
   let halo =
     match m.halo with
     | None -> Json.Null
@@ -287,7 +276,7 @@ let to_json ?baseline m =
        ("workload", Json.String m.workload);
        ("configuration", Json.String (kind_name m.kind));
        ("instructions", Json.Int m.instructions);
-       ("counters", counters m.counters);
+       ("counters", Hierarchy.counters_to_json m.counters);
        ("cycles", Json.Float m.cycles);
        ("sim_seconds", Json.Float m.seconds);
        ("mallocs", Json.Int m.alloc_stats.Alloc_iface.mallocs);

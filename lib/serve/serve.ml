@@ -173,7 +173,6 @@ type t = {
   mutable derived_profiled : int;
   mutable adopted_cache : int;
   mutable records_merged : int;
-  mutable batch_wall_s : float;
 }
 
 (* {2 Aggregate persistence}
@@ -327,7 +326,6 @@ let create ?obs cfg =
       derived_profiled = 0;
       adopted_cache = 0;
       records_merged = 0;
-      batch_wall_s = 0.0;
     }
   in
   ignore (load_aggregates t : int);
@@ -747,14 +745,7 @@ let handle_batch t jobs =
             ("stage", Json.String "serve");
             ("jobs", Json.Int (List.length jobs));
           ]
-        (fun () ->
-          let t0 = Unix.gettimeofday () in
-          let responses = fold_batch t jobs in
-          t.batch_wall_s <- t.batch_wall_s +. (Unix.gettimeofday () -. t0);
-          if t.records_merged > 0 && t.batch_wall_s > 0.0 then
-            Obs.set_gauge t.obs "serve.merge.profiles_per_sec"
-              (float_of_int t.records_merged /. t.batch_wall_s);
-          responses)
+        (fun () -> fold_batch t jobs)
 
 (* A line that names no job it could run. *)
 let reject t ~id msg =

@@ -37,9 +37,9 @@
     [serve.job.latency_s]), the [serve.queue_depth] gauge,
     [serve.plan.{hits,misses,invalidations}] counters, per-kind
     [serve.jobs.<kind>] counters (one per job {!handle_batch} answers,
-    plus [serve.jobs.errors] for lines that name no job), and the
-    [serve.merge.profiles_per_sec] gauge — exported through the normal
-    {!Obs} trace sink and readable with [halo_cli telemetry report].
+    plus [serve.jobs.errors] for lines that name no job) — exported
+    through the normal {!Obs} trace sink and readable with [halo_cli
+    telemetry report].
     Without [obs] a job reads no clock and builds no metric name.
 
     {b The serve loop}: [--stdin-batch] ({!run_channels}) and [--socket]

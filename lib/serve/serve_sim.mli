@@ -15,9 +15,7 @@
     it through {!Serve.handle_batch} one round per batch and prints
     {!Serve.stats_json}; with [--trace-out T], [halo_cli telemetry report
     T] shows the fleet's job latency quantiles
-    ([serve.job.latency_s]), merge throughput
-    ([serve.merge.profiles_per_sec]) and profiler runs
-    ([profile.runs]). *)
+    ([serve.job.latency_s]) and profiler runs ([profile.runs]). *)
 
 type config = {
   clients : int;

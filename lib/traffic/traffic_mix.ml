@@ -169,8 +169,6 @@ let run ?obs ?(config = default_config) ~seed sched =
   let jobs = ref 0 in
   let covered_jobs = ref 0 in
   let instructions = ref 0 in
-  let acc = ref 0 and l1 = ref 0 and l2 = ref 0 and l3 = ref 0 in
-  let tlb = ref 0 and pref = ref 0 in
   let digest = ref Fnv.offset in
   (* The hierarchy runs on a helper domain when a core is spare; each job
      drains it before reading the counters. *)
@@ -217,14 +215,6 @@ let run ?obs ?(config = default_config) ~seed sched =
           let d_l1 = after.Hierarchy.l1_misses - before.Hierarchy.l1_misses in
           incr jobs;
           instructions := !instructions + d_instr;
-          acc := !acc + d_acc;
-          l1 := !l1 + d_l1;
-          l2 := !l2 + (after.Hierarchy.l2_misses - before.Hierarchy.l2_misses);
-          l3 := !l3 + (after.Hierarchy.l3_misses - before.Hierarchy.l3_misses);
-          tlb :=
-            !tlb + (after.Hierarchy.tlb_misses - before.Hierarchy.tlb_misses);
-          pref :=
-            !pref + (after.Hierarchy.prefetches - before.Hierarchy.prefetches);
           let covered = plan <> None in
           if covered then incr covered_jobs;
           Obs.count obs "traffic.jobs" 1;
@@ -282,16 +272,8 @@ let run ?obs ?(config = default_config) ~seed sched =
         ("reprofile_every", Json.Int config.reprofile_every);
       ]
     (fun () -> Hierarchy.Stream.run hier run_all);
-  let counters =
-    {
-      Hierarchy.accesses = !acc;
-      l1_misses = !l1;
-      l2_misses = !l2;
-      l3_misses = !l3;
-      tlb_misses = !tlb;
-      prefetches = !pref;
-    }
-  in
+  (* Only the jobs touch the hierarchy, so its counters are their totals. *)
+  let counters = Hierarchy.counters hier in
   let model = Timing.skylake_sp in
   let cycles = Timing.cycles model ~instructions:!instructions counters in
   let coverage =
@@ -307,7 +289,10 @@ let run ?obs ?(config = default_config) ~seed sched =
     cycles;
     sim_seconds = Timing.seconds model ~instructions:!instructions counters;
     miss_rate =
-      (if !acc > 0 then float_of_int !l1 /. float_of_int !acc else 0.0);
+      (if counters.Hierarchy.accesses > 0 then
+         float_of_int counters.Hierarchy.l1_misses
+         /. float_of_int counters.Hierarchy.accesses
+       else 0.0);
     covered_jobs = !covered_jobs;
     coverage;
     replans = !replans;
@@ -411,24 +396,13 @@ let tenant_table r =
   t
 
 let report_to_json r =
-  let counters c =
-    Json.Obj
-      [
-        ("accesses", Json.Int c.Hierarchy.accesses);
-        ("l1_misses", Json.Int c.Hierarchy.l1_misses);
-        ("l2_misses", Json.Int c.Hierarchy.l2_misses);
-        ("l3_misses", Json.Int c.Hierarchy.l3_misses);
-        ("tlb_misses", Json.Int c.Hierarchy.tlb_misses);
-        ("prefetches", Json.Int c.Hierarchy.prefetches);
-      ]
-  in
   Json.Obj
     [
       ("schedule_digest", Json.String r.schedule_digest);
       ("exec_digest", Json.String r.exec_digest);
       ("jobs", Json.Int r.jobs);
       ("instructions", Json.Int r.instructions);
-      ("counters", counters r.counters);
+      ("counters", Hierarchy.counters_to_json r.counters);
       ("cycles", Json.Float r.cycles);
       ("sim_seconds", Json.Float r.sim_seconds);
       ("miss_rate", Json.Float r.miss_rate);

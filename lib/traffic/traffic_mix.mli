@@ -22,7 +22,8 @@
     The executor is strictly sequential — tenants share a heap, so there
     is no safe fan-out inside one run — which makes every report field a
     pure function of [(seed, schedule, config)]; [--jobs] parallelism
-    lives one level up, across runs (see {!Traffic_study}). *)
+    lives one level up, across runs (the drift figure's cells in
+    {!Figures.run_cells}). *)
 
 type config = {
   plan_budget : int;  (** Hottest-K workloads holding live plans. *)

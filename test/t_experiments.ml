@@ -100,8 +100,9 @@ let fig12_sweep_runs () =
   in
   let obs = Obs.create () in
   let get =
-    Figures.run_cells ~obs ~jobs:2
-      [ Figures.cell ow Runner.Jemalloc; at 8; at 128; Figures.cell ow Runner.Halo ]
+    Figures.measurement
+      (Figures.run_cells ~obs ~jobs:2
+         [ Figures.cell ow Runner.Jemalloc; at 8; at 128; Figures.cell ow Runner.Halo ])
   in
   Alcotest.check Alcotest.int "three distinct runs" 3 (count_spans obs "run");
   Alcotest.check Alcotest.string "the default distance is the HALO cell"
@@ -281,8 +282,8 @@ let helper_measurement_unchanged () =
 let grid_runs_a_repeated_cell_once () =
   let c = Figures.cell (w "ft") Runner.Jemalloc in
   let obs = Obs.create () in
-  let get = Figures.run_cells ~obs ~jobs:2 [ c; c; Figures.cell ~seed:2 (w "ft") Runner.Jemalloc ] in
-  ignore (get c : Runner.measurement);
+  let r = Figures.run_cells ~obs ~jobs:2 [ c; c; Figures.cell ~seed:2 (w "ft") Runner.Jemalloc ] in
+  ignore (Figures.measurement r c : Runner.measurement);
   Alcotest.check Alcotest.int "one run span" 1 (count_spans obs "run")
 
 (* Plans depend on the program and config, not the measurement seed:
@@ -295,7 +296,7 @@ let grid_plans_once_per_program () =
       [ 2; 3; 4 ]
   in
   let obs = Obs.create () in
-  ignore (Figures.run_cells ~obs ~jobs:2 cells : Figures.cell -> Runner.measurement);
+  ignore (Figures.run_cells ~obs ~jobs:2 cells : Figures.results);
   let counter name =
     match List.assoc_opt name (Metrics.snapshot (Obs.metrics obs)) with
     | Some (Metrics.Counter n) -> n
@@ -314,8 +315,50 @@ let grid_jobs_invariant () =
             Runner.Hds_merged_packing ])
       [ w "ft"; w "health" ]
   in
-  let results jobs = List.map run_json (List.map (Figures.run_cells ~jobs cells) cells) in
+  let drifts = List.map (fun cadence -> Figures.drift_cell ~drift:1.0 ~cadence) [ 0; 2 ] in
+  let results jobs =
+    let r = Figures.run_cells ~jobs (cells @ drifts) in
+    List.map (fun c -> run_json (Figures.measurement r c)) cells
+    @ List.map
+        (fun c -> Json.to_string (Traffic_mix.report_to_json (Figures.mix_report r c)))
+        drifts
+  in
   Alcotest.(check (list string)) "jobs 1 = jobs 2" (results 1) (results 2)
+
+(* The drift figure's rows: each cell is one Traffic_mix.run at the
+   figure's traffic shape, and each drift's cadence-0 row is the stale
+   anchor, which never beats itself. *)
+let drift_rows () =
+  let s = Figures.drift_study in
+  let r = Figures.run_cells ~jobs:2 s.Figures.cells in
+  let direct =
+    Traffic_mix.run
+      ~config:{ Traffic_mix.default_config with Traffic_mix.reprofile_every = 2 }
+      ~seed:1
+      (Schedule.drifting ~ticks_per_phase:2 ~rate:3.0 ~phases:4 ~drift:1.0 ())
+  in
+  Alcotest.(check string) "a drift cell is one Traffic_mix.run"
+    (Json.to_string (Traffic_mix.report_to_json direct))
+    (Json.to_string
+       (Traffic_mix.report_to_json
+          (Figures.mix_report r (Figures.drift_cell ~drift:1.0 ~cadence:2))));
+  let rows =
+    String.split_on_char '\n' (Table.render (s.Figures.render r))
+    |> List.filter_map (fun line ->
+           match List.map String.trim (String.split_on_char '|' line) with
+           | [ ""; drift; cadence; _; _; _; net; verdict; "" ] when drift <> "drift" ->
+               Some (drift, cadence, net, verdict)
+           | _ -> None)
+  in
+  Alcotest.(check int) "3 drifts x 3 cadences" 9 (List.length rows);
+  let anchors = List.filter (fun (_, cadence, _, _) -> cadence = "never") rows in
+  Alcotest.(check (list string)) "one stale anchor per drift" [ "0"; "0.5"; "1" ]
+    (List.map (fun (d, _, _, _) -> d) anchors);
+  List.iter
+    (fun (_, _, net, verdict) ->
+      Alcotest.(check string) "stale anchor has zero net speedup" "+0.00%" net;
+      Alcotest.(check string) "anchor never beats itself" "stale baseline" verdict)
+    anchors
 
 let suite =
   let tc name f = Alcotest.test_case name `Slow f in
@@ -339,4 +382,5 @@ let suite =
     tc "grid: a repeated cell runs once" grid_runs_a_repeated_cell_once;
     tc "grid: one plan per program across seeds" grid_plans_once_per_program;
     tc "grid: results identical at any jobs" grid_jobs_invariant;
+    tc "grid: drift rows" drift_rows;
   ]

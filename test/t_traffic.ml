@@ -386,38 +386,6 @@ let mix_reprofiling_recovers_coverage () =
   checkb "cadence recovers coverage" true
     (fresh.Traffic_mix.coverage > stale.Traffic_mix.coverage)
 
-(* ---------------- drift study ---------------- *)
-
-let study_params =
-  {
-    Traffic_study.default_params with
-    Traffic_study.drifts = [ 0.0; 1.0 ];
-    cadences = [ 0; 2 ];
-    phases = 3;
-    ticks_per_phase = 2;
-    rate = 3.0;
-    workloads = Some mix_workloads;
-    seed = 5;
-  }
-
-let study_jobs_invariant () =
-  let a = Traffic_study.run ~jobs:1 study_params in
-  let b = Traffic_study.run ~jobs:4 study_params in
-  checks "byte-identical at --jobs 1 vs 4"
-    (Json.to_string (Traffic_study.to_json a))
-    (Json.to_string (Traffic_study.to_json b));
-  checki "full drift x cadence grid" 4 (List.length a.Traffic_study.cells);
-  List.iter
-    (fun (c : Traffic_study.cell) ->
-      if c.Traffic_study.c_cadence = 0 then begin
-        checkf "stale anchor has zero net speedup" 0.0
-          c.Traffic_study.c_net_speedup;
-        checkb "anchor never beats itself" false c.Traffic_study.c_beats_stale
-      end)
-    a.Traffic_study.cells;
-  checkb "study table renders" true
-    (contains (Table.render (Traffic_study.table a)) "drift")
-
 (* Schedule.of_spec's contract on hostile text: [Ok] or [Error], never
    another exception. Seeds: a drifting schedule's spec and the grammar
    example in schedule.mli. *)
@@ -461,7 +429,6 @@ let suite =
     tc "mix: executor invariants" mix_executor_invariants;
     tc "mix: execution digest reproducible" mix_executor_deterministic;
     tc "mix: re-profiling recovers coverage under drift" mix_reprofiling_recovers_coverage;
-    tc "study: byte-identical across --jobs" study_jobs_invariant;
   ]
   @ qsuite
   @ [ tc "mix: execution digest pinned" mix_exec_digest_pinned ]
