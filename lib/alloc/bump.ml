@@ -9,7 +9,7 @@ type state = {
 
 let rec malloc st n =
   if n < 0 then invalid_arg "Bump.malloc: negative size";
-  let reserved = max (Addr.align_up (max n 1) st.min_align) st.min_align in
+  let reserved = Int.max (Addr.align_up (Int.max n 1) st.min_align) st.min_align in
   if reserved > st.slab_size then
     (* Oversized requests get their own mapping. *)
     let addr = Vmem.mmap st.vmem ~size:reserved ~align:Vmem.page_size in

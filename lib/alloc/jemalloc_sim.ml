@@ -40,7 +40,7 @@ let malloc_small st cls n =
         a
     | [] ->
         if cs.run_cursor + size > cs.run_limit then begin
-          let run_bytes = max Vmem.page_size (size * run_objects) in
+          let run_bytes = Int.max Vmem.page_size (size * run_objects) in
           let base = carve_run st run_bytes in
           cs.run_cursor <- base;
           cs.run_limit <- base + Addr.align_up run_bytes Vmem.page_size
@@ -53,7 +53,7 @@ let malloc_small st cls n =
   addr
 
 let malloc_large st n =
-  let mapped = Addr.align_up (max n 1) Vmem.page_size in
+  let mapped = Addr.align_up (Int.max n 1) Vmem.page_size in
   let addr = Vmem.mmap st.vmem ~size:mapped ~align:Vmem.page_size in
   Hashtbl.replace st.large addr mapped;
   Alloc_iface.Live_table.on_malloc st.table addr ~requested:n ~reserved:mapped;

@@ -35,7 +35,7 @@ let add_used st base size =
 
 let malloc st n =
   if n < 0 then invalid_arg "Ptmalloc_sim.malloc: negative size";
-  let need = max min_chunk (align16 (max n 1 + header)) in
+  let need = Int.max min_chunk (align16 (Int.max n 1 + header)) in
   let base =
     (* Best fit: smallest free chunk that can hold the request. *)
     match Free_set.find_first_opt (fun (sz, _) -> sz >= need) st.free_set with

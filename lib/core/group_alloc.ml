@@ -186,7 +186,7 @@ let gobs_on_malloc st =
       end
 
 let group_malloc st group n =
-  let reserved = Addr.align_up (max n 1) 8 in
+  let reserved = Addr.align_up (Int.max n 1) 8 in
   (* Sharded backend: reuse a freed region of the exact reserved size from
      this group before advancing any bump cursor. *)
   match
@@ -289,7 +289,7 @@ let is_grouped st addr = Option.is_some (Alloc_iface.Live_table.find st.table ad
 
 let malloc st n =
   if n < 0 then invalid_arg "Group_alloc.malloc: negative size";
-  let groupable = max n 1 <= min st.cfg.max_grouped_size (page - 1) in
+  let groupable = Int.max n 1 <= Int.min st.cfg.max_grouped_size (page - 1) in
   match if groupable then st.classify ~size:n else None with
   | Some g -> group_malloc st g n
   | None ->
@@ -319,7 +319,7 @@ let realloc st old n =
   else begin
     (* Fallback-owned region. If the new size would still be forwarded,
        let the fallback realloc in place; otherwise migrate into a group. *)
-    let groupable = max n 1 <= min st.cfg.max_grouped_size (page - 1) in
+    let groupable = Int.max n 1 <= Int.min st.cfg.max_grouped_size (page - 1) in
     match if groupable then st.classify ~size:n else None with
     | None -> st.fallback.Alloc_iface.realloc old n
     | Some g ->

@@ -31,7 +31,7 @@ let size_of_class i =
 
 let class_of_size n =
   if n < 0 then invalid_arg "Size_class.class_of_size: negative size";
-  let n = max n 1 in
+  let n = Int.max n 1 in
   if n > small_max then None
   else begin
     (* Binary search for the first class >= n. *)

@@ -1,33 +1,46 @@
-(* The window is a ring of the accessed objects plus a parallel int array
-   of access sizes, so recording a macro access writes a pointer and an
-   int and allocates nothing. The ring capacity is a power of two, so
-   index arithmetic is a mask, not a division. It starts empty and is
-   filled with the first object pushed, as the queue cannot make an
-   [obj] of its own.
+(* The window is a doubly linked recency list over oids, newest first,
+   plus a running byte total. [mark.(oid)] is the total just before the
+   object's newest access was pushed, so that access's accumulated
+   distance from the window's newest end is [total - mark.(oid)], and
+   the object is inside the window iff that is below [A]. Only an
+   object's newest access matters: it has the smallest distance, and it
+   is the one a walk over every access would count. So a traversal
+   visits each distinct object inside the window once, in the order a
+   walk over every access would first meet it, and stops at the first
+   object outside. Marks fall along the list, so everything after that
+   object is outside too, for good (future distances only grow): the
+   list is cut there, and [floor] records the cut object's mark. An
+   object is linked iff [mark.(oid) > floor]; a cut object that is
+   pushed again is linked afresh, never unlinked through its stale
+   links. Oids are dense and never reused, so the per-oid arrays are
+   exact.
 
-   The per-traversal double-counting guard is a dense per-oid stamp
-   array: [stamp.(oid) = gen] means [oid] was already counted by the
-   current traversal, and bumping [gen] clears every mark at once. Oids
-   are dense and never reused, so the array is exact — no hashing, no
-   probing.
+   [length] counts accesses, not objects: a ring of the push totals of
+   the accesses inside the window, trimmed from the oldest as the total
+   grows. The ring capacity is a power of two, so index arithmetic is a
+   mask.
 
    Co-allocatability is two compares on the objects' context links:
    neither context allocated strictly between the older object [w] and
    the newer one [n] iff [w.next >= n.seq && n.prev <= w.seq], since
    [w.next] is [w]'s context's first allocation after [w] and [n.prev]
-   is [n]'s context's last one before [n]. A walk step reads fields and
-   calls nothing in another unit. *)
+   is [n]'s context's last one before [n]. A walk step reads arrays and
+   fields and calls nothing in another unit. *)
 type t = {
   a : int; (* affinity distance, bytes *)
   on_affinity : Context.id -> Context.id -> unit;
-  mutable r_obj : Heap_model.obj array; (* the ring *)
-  mutable r_bytes : int array;
+  mutable total : int; (* bytes pushed so far *)
+  mutable head : int; (* newest object's oid, or -1 *)
+  mutable floor : int; (* mark of the last object cut *)
+  mutable objs : Heap_model.obj array; (* oid -> object, once pushed *)
+  mutable mark : int array; (* oid -> total before its newest push *)
+  mutable next : int array; (* oid -> next older linked oid, or -1 *)
+  mutable prev : int array; (* oid -> next newer linked oid, or -1 *)
+  mutable r_mark : int array; (* push totals of the accesses in the window *)
   mutable mask : int; (* ring capacity - 1 *)
   mutable start : int; (* index of oldest entry *)
   mutable count : int;
   mutable accesses : int;
-  mutable stamp : int array; (* oid -> last traversal that counted it *)
-  mutable gen : int;
 }
 
 let create ~affinity_distance ~heap:(_ : Heap_model.t) ~on_affinity () =
@@ -36,93 +49,114 @@ let create ~affinity_distance ~heap:(_ : Heap_model.t) ~on_affinity () =
   {
     a = affinity_distance;
     on_affinity;
-    r_obj = [||];
-    r_bytes = [||];
-    mask = -1;
+    total = 0;
+    head = -1;
+    floor = -1;
+    objs = [||];
+    mark = [||];
+    next = [||];
+    prev = [||];
+    r_mark = Array.make 64 0;
+    mask = 63;
     start = 0;
     count = 0;
     accesses = 0;
-    stamp = Array.make 1024 0;
-    gen = 0;
   }
 
 let length t = t.count
 let accesses t = t.accesses
 
-(* Make room in the stamp array for [oid]. *)
-let reserve_oid t oid =
-  let n = Array.length t.stamp in
-  if oid >= n then begin
-    let stamp = Array.make (max (2 * n) (oid + 1)) 0 in
-    Array.blit t.stamp 0 stamp 0 n;
-    t.stamp <- stamp
+let grow a n fill =
+  let b = Array.make n fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* Make room in the per-oid arrays for [o]. The object array cannot be
+   made before an object exists, so its fill is [o]. A new mark of -1
+   is at most [floor]: never-pushed objects are not linked. *)
+let reserve_oid t (o : Heap_model.obj) =
+  let n = Array.length t.mark in
+  if o.oid >= n then begin
+    let n = Int.max (2 * n) (Int.max 1024 (o.oid + 1)) in
+    t.objs <- grow t.objs n o;
+    t.mark <- grow t.mark n (-1);
+    t.next <- grow t.next n (-1);
+    t.prev <- grow t.prev n (-1)
   end
 
-let unroll t ring cap fill =
-  let a = Array.make cap fill in
-  for i = 0 to t.count - 1 do
-    a.(i) <- ring.((t.start + i) land t.mask)
+(* Record a push at the current total in the ring, after trimming the
+   accesses that have left the window. *)
+let push_mark t =
+  while t.count > 0 && t.total - t.r_mark.(t.start) >= t.a do
+    t.start <- (t.start + 1) land t.mask;
+    t.count <- t.count - 1
   done;
-  a
-
-let push t (o : Heap_model.obj) bytes =
   if t.count = t.mask + 1 then begin
-    let cap = max 64 (2 * t.count) in
-    t.r_obj <- unroll t t.r_obj cap o;
-    t.r_bytes <- unroll t t.r_bytes cap 0;
+    let cap = 2 * t.count in
+    let r = Array.make cap 0 in
+    for i = 0 to t.count - 1 do
+      r.(i) <- t.r_mark.((t.start + i) land t.mask)
+    done;
+    t.r_mark <- r;
     t.mask <- cap - 1;
     t.start <- 0
   end;
-  let i = (t.start + t.count) land t.mask in
-  t.r_obj.(i) <- o;
-  t.r_bytes.(i) <- bytes;
+  t.r_mark.((t.start + t.count) land t.mask) <- t.total;
   t.count <- t.count + 1
 
-let drop_oldest t n =
-  let n = min n t.count in
-  t.start <- (t.start + n) land t.mask;
-  t.count <- t.count - n
+(* Move [oid] to the head of the list, unlinking it first if it is
+   linked. *)
+let push_front t oid =
+  if t.mark.(oid) > t.floor then begin
+    let p = t.prev.(oid) and n = t.next.(oid) in
+    if p >= 0 then t.next.(p) <- n else t.head <- n;
+    if n >= 0 then t.prev.(n) <- p
+  end;
+  t.prev.(oid) <- -1;
+  t.next.(oid) <- t.head;
+  if t.head >= 0 then t.prev.(t.head) <- oid;
+  t.head <- oid
 
 (* Neither context allocated strictly between the older object [w] and
    the newer [n]. *)
 let[@inline] clear_between (w : Heap_model.obj) (n : Heap_model.obj) =
   w.next >= n.seq && n.prev <= w.seq
 
-(* Newest-to-oldest traversal from ring position [i] with [acc] bytes
-   accumulated, for the new access [u]. A top-level function: a local
-   closure would be allocated on every call to [add]. *)
-let rec walk t (u : Heap_model.obj) i acc =
-  if i < t.count then begin
-    let j = (t.start + t.count - 1 - i) land t.mask in
-    let acc = acc + t.r_bytes.(j) in
-    if acc >= t.a then
-      (* Entries older than this one can never again fall inside the
-         window (future accumulated distances only grow), so trim
-         them. *)
-      drop_oldest t (t.count - i)
-    else begin
-      let v = t.r_obj.(j) in
-      if v.oid <> u.oid && t.stamp.(v.oid) <> t.gen then begin
-        t.stamp.(v.oid) <- t.gen;
-        let co_allocatable =
-          if u.seq <= v.seq then clear_between u v else clear_between v u
-        in
-        if co_allocatable then t.on_affinity u.ctx v.ctx
-      end;
-      walk t u (i + 1) acc
+(* Newest-to-oldest traversal from linked object [v] for the new access
+   [u]. A top-level function: a local closure would be allocated on
+   every call to [add]. *)
+let rec walk t (u : Heap_model.obj) v =
+  if v >= 0 then
+    if t.total - t.mark.(v) >= t.a then begin
+      (* Cut: [v] and everything older leave the list. *)
+      let p = t.prev.(v) in
+      if p >= 0 then t.next.(p) <- -1 else t.head <- -1;
+      t.floor <- t.mark.(v)
     end
-  end
+    else begin
+      if v <> u.oid then begin
+        let w = t.objs.(v) in
+        let co_allocatable =
+          if u.seq <= w.seq then clear_between u w else clear_between w u
+        in
+        if co_allocatable then t.on_affinity u.ctx w.ctx
+      end;
+      walk t u t.next.(v)
+    end
 
 let add t (o : Heap_model.obj) ~bytes =
   if bytes <= 0 then invalid_arg "Affinity_queue.add: non-positive access size";
   (* Deduplication: a repeat of the immediately preceding object is part of
      the same macro-level access. *)
-  if t.count > 0 && t.r_obj.((t.start + t.count - 1) land t.mask).oid = o.oid then false
+  if t.head = o.oid then false
   else begin
     t.accesses <- t.accesses + 1;
-    reserve_oid t o.oid;
-    t.gen <- t.gen + 1;
-    walk t o 0 0;
-    push t o bytes;
+    reserve_oid t o;
+    walk t o t.head;
+    push_mark t;
+    push_front t o.oid;
+    t.objs.(o.oid) <- o;
+    t.mark.(o.oid) <- t.total;
+    t.total <- t.total + bytes;
     true
   end

@@ -29,7 +29,15 @@
     Entries are keyed by object identity (oids are never reused), so
     accesses to since-freed objects legitimately remain in the window:
     they did happen recently, and co-allocatability is what rules out
-    impossible placements. *)
+    impossible placements.
+
+    Only an object's newest access can decide whether it is counted: it
+    is the nearest, and the one a walk over every entry meets first. So
+    a traversal visits each distinct object inside the window once, in
+    that order, and tests window membership in O(1) from a running byte
+    total; its cost follows the distinct objects in the window, not the
+    entries, and pairs come out in the order an entry-by-entry walk
+    reports them. *)
 
 type t
 
@@ -51,7 +59,8 @@ val add : t -> Heap_model.obj -> bytes:int -> bool
     [true] when a new macro access was recorded. *)
 
 val length : t -> int
-(** Entries currently inside the window. *)
+(** Entries currently inside the window: accesses, an object's repeats
+    included, the newest one too. *)
 
 val accesses : t -> int
 (** Macro-level accesses recorded (post-deduplication). *)

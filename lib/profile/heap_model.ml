@@ -97,13 +97,13 @@ let page_for t page =
   end
 
 let first_granule o = o.addr asr granule_bits
-let last_granule o = (o.addr + max o.size 1 - 1) asr granule_bits
+let last_granule o = (o.addr + Int.max o.size 1 - 1) asr granule_bits
 let in_directory o = last_granule o - first_granule o < max_granules
 
 (* Apply [f pg i] to the cell of every granule in [g0, g1]. *)
 let rec each_cell t g0 g1 f =
   let pg = page_for t (g0 asr (page_bits - granule_bits)) in
-  let stop = min g1 (g0 lor (page_cells - 1)) in
+  let stop = Int.min g1 (g0 lor (page_cells - 1)) in
   for g = g0 to stop do
     f pg (cell_of g)
   done;
@@ -112,7 +112,7 @@ let rec each_cell t g0 g1 f =
 let on_alloc t ~addr ~size ~ctx =
   if ctx < 0 then invalid_arg "Heap_model: negative context id";
   if ctx >= Array.length t.last_of_ctx then begin
-    let a = Array.make (max (2 * Array.length t.last_of_ctx) (ctx + 1)) no_obj in
+    let a = Array.make (Int.max (2 * Array.length t.last_of_ctx) (ctx + 1)) no_obj in
     Array.blit t.last_of_ctx 0 a 0 (Array.length t.last_of_ctx);
     t.last_of_ctx <- a
   end;
@@ -144,7 +144,9 @@ let on_free t ~addr =
       else t.large_live <- t.large_live - 1;
       cell
 
-let covers o addr = addr - o.addr >= 0 && addr - o.addr < max o.size 1
+(* [Int.max], not [Stdlib.max]: the polymorphic one compares through
+   [caml_greaterequal] on every profiled access. *)
+let covers o addr = addr - o.addr >= 0 && addr - o.addr < Int.max o.size 1
 
 let find_slow t addr =
   match Addr_map.find_last_opt (fun base -> base <= addr) t.live with

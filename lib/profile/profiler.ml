@@ -132,28 +132,27 @@ let profile ?obs ?helper ?(config = default_config) program =
      sampling, and [sample] each access count at which to sample the
      queue's depth; [on_alloc] sees each tracked object. *)
   let hooks ~record_sample ~sample ~on_alloc =
-    (* The paper's configuration samples nothing (period 1): specialise
-       away the tick bookkeeping on that path. Telemetry keeps its own
-       access counter below. *)
+    (* [record_sample] has the access hook's shape, so the paper's
+       configuration (period 1, nothing sampled) untraced hands it to the
+       interpreter as the hook itself: one closure call per access.
+       Telemetry keeps its own access counter below. *)
     let record_access =
       if config.sample_period = 1 then record_sample
       else
         let tick = ref 0 in
-        fun addr size ->
+        fun addr size write ->
           incr tick;
-          if !tick mod config.sample_period = 0 then record_sample addr size
+          if !tick mod config.sample_period = 0 then record_sample addr size write
     in
-    (* Specialised at construction: with [obs = None] the hook is exactly
-       the seed profiling hook. *)
     let on_access =
       match obs with
-      | None -> fun addr size _write -> record_access addr size
+      | None -> record_access
       | Some _ ->
           (* Own access counter: [tick] is sampling bookkeeping and stays
              untouched on the period-1 fast path. *)
           let obs_tick = ref 0 in
-          fun addr size _write ->
-            record_access addr size;
+          fun addr size write ->
+            record_access addr size write;
             incr obs_tick;
             if !obs_tick land (depth_sample - 1) = 0 then sample !obs_tick
     in
@@ -204,7 +203,7 @@ let profile ?obs ?helper ?(config = default_config) program =
         | None ->
             run_profile ~drain:ignore
               (hooks ~on_alloc:ignore ~sample:(depth_sampler obs queue)
-                 ~record_sample:(fun addr size ->
+                 ~record_sample:(fun addr size _write ->
                    match Heap_model.find heap addr with
                    | None -> ()
                    | Some o -> macro queue graph o size))
@@ -214,7 +213,7 @@ let profile ?obs ?helper ?(config = default_config) program =
               ~drain:(fun () -> Helper_stream.drain s)
               (hooks ~on_alloc:(share table)
                  ~sample:(fun tick -> push s tag_sample tick)
-                 ~record_sample:(fun addr size ->
+                 ~record_sample:(fun addr size _write ->
                    match Heap_model.find heap addr with
                    | None -> ()
                    | Some o ->

@@ -220,7 +220,7 @@ let ctx_of rt site = Shadow_stack.context rt.shadow ~site
 let name4_of_ctx ctx =
   let n = Array.length ctx in
   let acc = ref 0 in
-  for k = max 0 (n - 4) to n - 1 do
+  for k = Int.max 0 (n - 4) to n - 1 do
     acc := !acc lxor ctx.(k)
   done;
   !acc

@@ -255,6 +255,29 @@ let queue_window_trim () =
      newest *)
   checkb "bounded" true (Affinity_queue.length q <= 6)
 
+let queue_reentry_after_cut () =
+  (* Object 0 leaves the window (cut while 1 is its newer neighbour), 1
+     moves to the front, then 0 comes back: 0 is reported afresh, and
+     relinking it must not follow its stale links into 1, whose older
+     neighbour 2 stays in the window. *)
+  let _, objs, pairs, q = mk_queue ~affinity_distance:32 () in
+  let add k bytes = ignore (Affinity_queue.add q objs.(k) ~bytes : bool) in
+  let pair_list = Alcotest.(list (pair int int)) in
+  add 0 24;
+  add 1 8;
+  pairs := [];
+  add 2 8;
+  (* 0 is 32 bytes back: out *)
+  Alcotest.check pair_list "0 left the window" [ (2, 1) ] !pairs;
+  add 1 8;
+  pairs := [];
+  add 0 8;
+  Alcotest.check pair_list "0 reported afresh, newest first" [ (0, 2); (0, 1) ] !pairs;
+  pairs := [];
+  add 3 8;
+  Alcotest.check pair_list "old neighbours untouched" [ (3, 2); (3, 1); (3, 0) ] !pairs;
+  checki "entries inside the window" 4 (Affinity_queue.length q)
+
 let queue_rejects_bad_args () =
   checkb "bad distance" true
     (try
@@ -534,4 +557,7 @@ let suite =
       (fun (name, d) ->
         tc ("profiler: golden digest " ^ name) (profiler_golden_digest name d))
       profiler_golden
-  @ [ tc "profiler: helper failure re-raised" profiler_helper_failure_reraised ]
+  @ [
+      tc "profiler: helper failure re-raised" profiler_helper_failure_reraised;
+      tc "queue: an object cut from the window re-enters afresh" queue_reentry_after_cut;
+    ]

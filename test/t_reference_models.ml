@@ -1,6 +1,6 @@
 (* Differential testing against brute-force reference models.
 
-   The optimised implementations (the ring-buffer affinity queue, the
+   The optimised implementations (the recency-list affinity queue, the
    set-associative cache with move-to-front sets, the paged heap image)
    are checked against naive,
    obviously-correct re-implementations of their specifications on random
@@ -26,12 +26,21 @@ module Ref_queue = struct
     mutable entries : entry list; (* newest first *)
     mutable pairs : (int * int) list;
     mutable accesses : int;
+    mutable window : int; (* entries inside the window, the newest included *)
     mutable ctx_of_seq : int array;
     mutable allocs : int;
   }
 
   let create ~a =
-    { a; entries = []; pairs = []; accesses = 0; ctx_of_seq = Array.make 16 0; allocs = 0 }
+    {
+      a;
+      entries = [];
+      pairs = [];
+      accesses = 0;
+      window = 0;
+      ctx_of_seq = Array.make 16 0;
+      allocs = 0;
+    }
 
   let on_alloc t ~seq ~ctx =
     assert (seq = t.allocs);
@@ -57,8 +66,8 @@ module Ref_queue = struct
         t.accesses <- t.accesses + 1;
         let u = { oid; ctx; bytes; seq } in
         let seen = Hashtbl.create 8 in
-        let rec walk acc = function
-          | [] -> ()
+        let rec walk acc inside = function
+          | [] -> inside
           | v :: rest ->
               let acc = acc + v.bytes in
               if acc < t.a then begin
@@ -66,10 +75,11 @@ module Ref_queue = struct
                   Hashtbl.replace seen v.oid ();
                   if co_allocatable t u v then t.pairs <- (u.ctx, v.ctx) :: t.pairs
                 end;
-                walk acc rest
+                walk acc (inside + 1) rest
               end
+              else inside
         in
-        walk 0 older;
+        t.window <- 1 + walk 0 0 older;
         t.entries <- u :: older
 end
 
@@ -78,8 +88,11 @@ end
    were accessed, so co-allocatability is often asked before a context's
    next allocation exists (the older object's [next] link is still
    [max_int]). Bursts push the object count past 1024, contexts range past
-   16 and [A] up to 4096 bytes, so every growable array in the queue and
-   the heap model grows. *)
+   16 and [A] up to 2^17 bytes, so every growable array in the queue and
+   the heap model grows. Accesses of up to 4 KiB against a small [A] cut
+   the whole window at once, and objects cut from it come back. After
+   every access the queue's [length] must equal the reference's count of
+   entries inside the window. *)
 
 type queue_op =
   | Q_alloc of int * int (* burst length, first context *)
@@ -88,7 +101,9 @@ type queue_op =
 
 let gen_queue_case =
   QCheck2.Gen.(
-    let* a = frequency [ (4, int_range 8 128); (1, int_range 129 4096) ] in
+    let* a =
+      frequency [ (4, int_range 8 128); (1, int_range 129 4096); (1, int_range 4097 131072) ]
+    in
     let* nctx = frequency [ (3, int_range 1 8); (1, int_range 17 40) ] in
     let op =
       frequency
@@ -99,7 +114,12 @@ let gen_queue_case =
               (frequency [ (6, return 1); (1, int_range 2 400) ])
               (int_range 0 (nctx - 1)) );
           (1, map (fun k -> Q_free k) nat);
-          (8, map2 (fun k b -> Q_access (k, b)) nat (oneofl [ 1; 4; 8; 16; 64 ]));
+          ( 8,
+            map2
+              (fun k b -> Q_access (k, b))
+              nat
+              (frequency
+                 [ (8, oneofl [ 1; 4; 8; 16; 64 ]); (1, int_range 65 4096) ]) );
         ]
     in
     let* ops = list_size (int_range 1 300) op in
@@ -129,7 +149,7 @@ let prop_affinity_queue_matches_reference =
       in
       let r = Ref_queue.create ~a in
       let live = ref [||] and next_addr = ref 0x1000 in
-      List.iter
+      List.for_all
         (function
           | Q_alloc (n, c) ->
               let fresh =
@@ -140,24 +160,28 @@ let prop_affinity_queue_matches_reference =
                     Ref_queue.on_alloc r ~seq:o.Heap_model.seq ~ctx;
                     o)
               in
-              live := Array.append !live fresh
+              live := Array.append !live fresh;
+              true
           | Q_free k ->
               let n = Array.length !live in
               if n > 0 then begin
                 let o = !live.(k mod n) in
                 ignore (Heap_model.on_free heap ~addr:o.Heap_model.addr : Heap_model.obj option);
                 live := Array.of_list (List.filter (fun o' -> o' != o) (Array.to_list !live))
-              end
+              end;
+              true
           | Q_access (k, bytes) ->
               let n = Array.length !live in
-              if n > 0 then begin
-                let o = !live.(k mod n) in
-                ignore (Affinity_queue.add q o ~bytes : bool);
-                Ref_queue.add r ~oid:o.Heap_model.oid ~ctx:o.Heap_model.ctx ~bytes
-                  ~seq:o.Heap_model.seq
-              end)
-        ops;
-      !got = r.Ref_queue.pairs && Affinity_queue.accesses q = r.Ref_queue.accesses)
+              n = 0
+              ||
+              let o = !live.(k mod n) in
+              ignore (Affinity_queue.add q o ~bytes : bool);
+              Ref_queue.add r ~oid:o.Heap_model.oid ~ctx:o.Heap_model.ctx ~bytes
+                ~seq:o.Heap_model.seq;
+              Affinity_queue.length q = r.Ref_queue.window)
+        ops
+      && !got = r.Ref_queue.pairs
+      && Affinity_queue.accesses q = r.Ref_queue.accesses)
 
 (* ------------------------------------------------------------------ *)
 (* Reference heap model: a plain list of live objects.                  *)
