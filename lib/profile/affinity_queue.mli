@@ -32,12 +32,28 @@
     impossible placements.
 
     Only an object's newest access can decide whether it is counted: it
-    is the nearest, and the one a walk over every entry meets first. So
-    a traversal visits each distinct object inside the window once, in
-    that order, and tests window membership in O(1) from a running byte
-    total; its cost follows the distinct objects in the window, not the
-    entries, and pairs come out in the order an entry-by-entry walk
-    reports them. *)
+    is the nearest, and the one a walk over every entry meets first. A
+    new access to [u] therefore looks at distinct objects, each tested
+    for window membership in O(1) from a running byte total, in one of
+    two ways, whichever visits fewer:
+
+    - its {e allocation interval}: co-allocatability means [u]'s context
+      allocated nothing strictly between [u] and a partner [w], so
+      [u.prev <= w.seq <= u.next]; the oids in that interval (oids are
+      sequence numbers), capped at the largest oid pushed, are visited
+      when they number fewer than the window's entries;
+    - otherwise, the window's distinct objects, newest first.
+
+    A macro access thus visits no more objects than the smaller of its
+    interval and the window's entry count. Either way pairs are reported
+    by falling recency of the partner's newest access, the order an
+    entry-by-entry walk reports them, so the affinity graph is the same.
+
+    The queue may run on another domain than the heap model that links
+    the objects. A [next] link set there after the access being added
+    holds a sequence number above every object pushed so far, as
+    [max_int] does, so neither the interval nor any co-allocatability
+    answer depends on whether the queue sees it. *)
 
 type t
 

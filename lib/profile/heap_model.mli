@@ -15,7 +15,10 @@
     two objects have shared a granule. *)
 
 type obj = private {
-  oid : int;  (** Unique per tracked allocation (never reused). *)
+  oid : int;
+      (** Unique per tracked allocation (never reused), and equal to [seq]:
+          the affinity queue indexes its per-object arrays by it and reads
+          an interval of sequence numbers as one of oids. *)
   addr : Addr.t;
   size : int;  (** Requested bytes. *)
   ctx : Context.id;

@@ -128,10 +128,29 @@ let profile ?obs ?helper ?(config = default_config) program =
     end
   in
   (* The interpreter, context interning and the heap model run on the
-     calling domain: [record_sample] takes each access that survives
-     sampling, and [sample] each access count at which to sample the
-     queue's depth; [on_alloc] sees each tracked object. *)
-  let hooks ~record_sample ~sample ~on_alloc =
+     calling domain: [record] takes each access that survives sampling
+     and that the queue must see, with its object, and [sample] each
+     access count at which to sample the queue's depth; [on_alloc] sees
+     each tracked object. *)
+  let hooks ~record ~sample ~on_alloc =
+    (* The last object found covers [base, base + extent). An access
+       inside it repeats that object, which is always the queue's newest
+       entry, so it skips the lookup and the queue (a non-positive size
+       still goes to the queue, to be rejected). Freeing the object
+       empties the bounds. *)
+    let base = ref 0 and extent = ref 0 and last = ref None in
+    let record_sample addr size _write =
+      if addr - !base >= 0 && addr - !base < !extent then (
+        match !last with Some o when size <= 0 -> record o size | _ -> ())
+      else
+        match Heap_model.find heap addr with
+        | None -> ()
+        | Some o as cell ->
+            base := o.Heap_model.addr;
+            extent := Int.max o.Heap_model.size 1;
+            last := cell;
+            record o size
+    in
     (* [record_sample] has the access hook's shape, so the paper's
        configuration (period 1, nothing sampled) untraced hands it to the
        interpreter as the hook itself: one closure call per access.
@@ -162,15 +181,18 @@ let profile ?obs ?helper ?(config = default_config) program =
         incr tracked_allocs
       end
     in
+    let free addr =
+      if addr = !base then extent := 0;
+      ignore (Heap_model.on_free heap ~addr : Heap_model.obj option)
+    in
     {
       Interp.on_access;
       on_alloc = (fun addr size _site ctx -> track addr size ctx);
       on_realloc =
         (fun old_addr addr size _site ctx ->
-          ignore (Heap_model.on_free heap ~addr:old_addr : Heap_model.obj option);
+          free old_addr;
           track addr size ctx);
-      on_free =
-        (fun addr -> ignore (Heap_model.on_free heap ~addr : Heap_model.obj option));
+      on_free = free;
     }
   in
   let run_profile hooks ~drain =
@@ -190,11 +212,9 @@ let profile ?obs ?helper ?(config = default_config) program =
     Interp.instructions interp
   in
   (* The affinity queue and graph run on a helper domain when a core is
-     spare. Only the accesses the queue must see cross the ring: one
-     that finds no tracked object changes nothing, and neither does a
-     repeat of the last object found, which is always the queue's newest
-     entry (a non-positive size still crosses, for the queue to
-     reject). *)
+     spare. Only the accesses [record] takes cross the ring: one that
+     finds no tracked object changes nothing, and neither does a repeat
+     of the last object found. *)
   let table = Atomic.make [||] in
   let instructions =
     Helper_stream.run ?helper ?obs ~name:"profile.stream"
@@ -203,25 +223,13 @@ let profile ?obs ?helper ?(config = default_config) program =
         | None ->
             run_profile ~drain:ignore
               (hooks ~on_alloc:ignore ~sample:(depth_sampler obs queue)
-                 ~record_sample:(fun addr size _write ->
-                   match Heap_model.find heap addr with
-                   | None -> ()
-                   | Some o -> macro queue graph o size))
+                 ~record:(macro queue graph))
         | Some s ->
-            let last = ref (-1) in
             run_profile
               ~drain:(fun () -> Helper_stream.drain s)
               (hooks ~on_alloc:(share table)
                  ~sample:(fun tick -> push s tag_sample tick)
-                 ~record_sample:(fun addr size _write ->
-                   match Heap_model.find heap addr with
-                   | None -> ()
-                   | Some o ->
-                       let oid = o.Heap_model.oid in
-                       if oid <> !last || size <= 0 then begin
-                         last := oid;
-                         push s oid size
-                       end)))
+                 ~record:(fun o size -> push s o.Heap_model.oid size)))
   in
   let filtered =
     Obs.span obs "affinity-graph"

@@ -517,6 +517,148 @@ let profiler_golden_digest name expected () =
   Alcotest.check Alcotest.string (name ^ " profile digest") expected
     (profile_digest (Profiler.profile (w.Workload.make Workload.Test)))
 
+(* ---------------- Affinity_queue: interval enumeration ---------------- *)
+
+let heap_oid_is_seq () =
+  (* The queue reads an interval of sequence numbers as one of oids. *)
+  let h = Heap_model.create () in
+  let objs = ref [] in
+  for k = 0 to 99 do
+    let addr = 0x1000 + (k mod 7 * 64) in
+    ignore (Heap_model.on_free h ~addr : Heap_model.obj option);
+    if k mod 13 = 0 then
+      checkb "negative context rejected" true
+        (try
+           ignore (Heap_model.on_alloc h ~addr ~size:8 ~ctx:(-1) : Heap_model.obj);
+           false
+         with Invalid_argument _ -> true);
+    objs := Heap_model.on_alloc h ~addr ~size:8 ~ctx:(k mod 5) :: !objs
+  done;
+  List.iteri
+    (fun i (o : Heap_model.obj) ->
+      checki "seq in allocation order" (99 - i) o.seq;
+      checki "oid = seq" o.seq o.oid)
+    !objs
+
+(* A heap with one 8-byte object per listed context, in order, and a
+   queue recording pairs oldest first. *)
+let interval_queue ~affinity_distance ctxs =
+  let heap = Heap_model.create () in
+  let objs =
+    Array.of_list
+      (List.mapi
+         (fun k ctx -> Heap_model.on_alloc heap ~addr:(0x1000 + (k * 64)) ~size:8 ~ctx)
+         ctxs)
+  in
+  let pairs = ref [] in
+  let q =
+    Affinity_queue.create ~affinity_distance ~heap
+      ~on_affinity:(fun x y -> pairs := (x, y) :: !pairs)
+      ()
+  in
+  let add k = ignore (Affinity_queue.add q objs.(k) ~bytes:8 : bool) in
+  let added k =
+    pairs := [];
+    add k;
+    List.rev !pairs
+  in
+  (objs, q, add, added)
+
+let pair_list = Alcotest.(list (pair int int))
+
+let queue_short_interval () =
+  (* Context 0 allocates at seqs 2, 5 and 7, so object 5's partners lie
+     in [2, 7], fewer oids than the window's 11 entries. They are
+     reported by falling mark, not by seq; the context-1 objects around
+     the interval are in the window but not co-allocatable. *)
+  let objs, q, add, added =
+    interval_queue ~affinity_distance:1024 [ 1; 1; 0; 2; 3; 0; 4; 0; 1; 1; 1; 1 ]
+  in
+  List.iter add [ 0; 1; 8; 9; 10; 11; 6; 3; 7; 2; 4 ];
+  checki "window entries" 11 (Affinity_queue.length q);
+  checkb "interval shorter than the window" true
+    (objs.(5).Heap_model.next - objs.(5).Heap_model.prev < Affinity_queue.length q);
+  Alcotest.check pair_list "partners by falling mark"
+    [ (0, 3); (0, 0); (0, 0); (0, 2); (0, 4) ]
+    (added 5)
+
+let queue_interval_open_ends () =
+  (* Object 1 is context 5's first allocation (prev = -1), so its
+     interval starts at oid 0; object 7 is context 2's newest (next =
+     max_int), so its interval ends at the largest oid pushed, 6. *)
+  let objs, _, add, added =
+    interval_queue ~affinity_distance:1024 [ 1; 5; 2; 5; 1; 1; 1; 2 ]
+  in
+  checki "first allocation" (-1) objs.(1).Heap_model.prev;
+  checki "newest allocation" max_int objs.(7).Heap_model.next;
+  List.iter add [ 0; 4; 5; 6; 2; 3 ];
+  Alcotest.check pair_list "from oid 0" [ (5, 5); (5, 2); (5, 1) ] (added 1);
+  Alcotest.check pair_list "up to the largest pushed oid" [ (2, 5); (2, 2); (2, 1) ]
+    (added 7)
+
+let queue_long_interval_walks () =
+  (* Context 9's only object has the interval [0, 18], longer than the
+     window's handful of entries, so the recency walk finds its
+     partners: the newest object of each other context, while inside
+     the window. *)
+  let ctxs = List.init 19 (fun k -> k mod 4) @ [ 9 ] in
+  let objs, q, add, added = interval_queue ~affinity_distance:32 ctxs in
+  for k = 0 to 18 do
+    add k
+  done;
+  checkb "interval longer than the window" true
+    (Int.min objs.(19).Heap_model.next 18 - Int.max objs.(19).Heap_model.prev 0
+    >= Affinity_queue.length q);
+  Alcotest.check pair_list "partners" [ (9, 2); (9, 1); (9, 0) ] (added 19)
+
+let queue_cut_object_found_by_interval () =
+  (* Object 3 is cut from the list by a walk, comes back, and is then
+     found by interval enumeration at its new mark; objects 7 and 1
+     have stale marks outside the window. A walk after the enumeration
+     still follows the uncut list. *)
+  let _, _, add, added =
+    interval_queue ~affinity_distance:64 [ 0; 1; 0; 2; 0; 3; 0; 4; 0; 5 ]
+  in
+  List.iter add [ 3; 1; 7; 5; 0; 8; 6; 2 ];
+  Alcotest.check pair_list "walk cuts 3" [ (5, 0); (5, 3); (5, 4); (5, 1) ] (added 9);
+  Alcotest.check pair_list "3 comes back" [ (2, 5); (2, 0); (2, 3); (2, 4) ] (added 3);
+  Alcotest.check pair_list "enumeration over [2, 6]"
+    [ (0, 2); (0, 0); (0, 0); (0, 3) ]
+    (added 4);
+  Alcotest.check pair_list "walk after enumeration" [ (1, 2); (1, 5); (1, 0); (1, 0) ]
+    (added 1)
+
+(* The profiler skips the lookup for an access inside the last object
+   found; freeing that object must end this, since jemalloc hands its
+   address to the next allocation of its size. *)
+let profiler_repeat_filter_forgets_freed () =
+  let open Dsl in
+  let p =
+    program ~main:"main"
+      [
+        func "mk_a" [] [ malloc "p" (i 16); return_ (v "p") ];
+        func "mk_b" [] [ malloc "p" (i 16); return_ (v "p") ];
+        func "main" []
+          [
+            call ~dst:"a" "mk_a" [];
+            load "x" (v "a") (i 0);
+            free_ (v "a");
+            call ~dst:"b" "mk_b" [];
+            load "y" (v "b") (i 8);
+            realloc_ "c" (v "b") (i 16);
+            load "z" (v "c") (i 0);
+            return_ (i 0);
+          ];
+      ]
+  in
+  List.iter
+    (fun helper ->
+      let r = Profiler.profile ~helper p in
+      let label s = Printf.sprintf "%s, helper=%b" s helper in
+      checki (label "tracked") 3 r.Profiler.tracked_allocs;
+      checki (label "one macro access per object") 3 r.Profiler.total_accesses)
+    [ false; true ]
+
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   [
@@ -560,4 +702,10 @@ let suite =
   @ [
       tc "profiler: helper failure re-raised" profiler_helper_failure_reraised;
       tc "queue: an object cut from the window re-enters afresh" queue_reentry_after_cut;
+      tc "heap: oid is the sequence number" heap_oid_is_seq;
+      tc "queue: a short interval is enumerated" queue_short_interval;
+      tc "queue: first and newest allocations bound the interval" queue_interval_open_ends;
+      tc "queue: a long interval falls back to the walk" queue_long_interval_walks;
+      tc "queue: a cut object comes back and is enumerated" queue_cut_object_found_by_interval;
+      tc "profiler: the repeat filter forgets a freed object" profiler_repeat_filter_forgets_freed;
     ]
