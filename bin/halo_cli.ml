@@ -67,10 +67,32 @@ let kind_arg =
           "Allocator configuration: jemalloc, ptmalloc, halo, noalloc, hds, \
            hds-merged, or random.")
 
+(* A number the library rejects is a usage error naming its flag
+   (exit 124), not an uncaught Invalid_argument. *)
+let checked base check =
+  let parse s =
+    Result.bind (Arg.conv_parser base s) (fun v ->
+        Option.fold (check v) ~none:(Ok v) ~some:(fun m -> Error (`Msg m)))
+  in
+  Arg.conv (parse, Arg.conv_printer base)
+
+let positive_int =
+  checked Arg.int (fun n -> if n > 0 then None else Some "must be positive")
+
+let positive_float =
+  checked Arg.float (fun w ->
+      if Float.is_finite w && w > 0.0 then None
+      else Some "must be positive and finite")
+
 let chunk_size_arg =
+  let chunk_size =
+    checked Arg.int (fun n ->
+        Group_alloc.config_error
+          { Group_alloc.default_config with chunk_size = n })
+  in
   Arg.(
     value
-    & opt (some int) None
+    & opt (some chunk_size) None
     & info [ "chunk-size" ] ~docv:"BYTES" ~doc:"Group-chunk size (A.8 flag).")
 
 let spare_arg =
@@ -89,7 +111,7 @@ let max_groups_arg =
 let affinity_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some positive_int) None
     & info [ "affinity-distance" ] ~docv:"BYTES"
         ~doc:"Affinity distance A for profiling (default 128).")
 
@@ -309,7 +331,7 @@ let profile_files_arg =
     & info [] ~docv:"ARTIFACT" ~doc:"Recorded profile artifacts.")
 
 let profile_merge_cmd =
-  let run files weights out jobs =
+  let run files weights out =
     let artifacts = List.map (fun f -> or_die (Store.read_profile f)) files in
     let weights =
       match weights with
@@ -320,10 +342,8 @@ let profile_merge_cmd =
             (List.length artifacts);
           exit 1
     in
-    let jobs = effective_jobs jobs in
     let config, merged =
-      or_die
-        (Store.merge_profiles ~jobs (List.combine artifacts weights))
+      or_die (Store.merge_profiles (List.combine artifacts weights))
     in
     let first = List.hd artifacts in
     or_die
@@ -337,9 +357,9 @@ let profile_merge_cmd =
            ]
          merged);
     Printf.printf
-      "merged %d runs into %s (%d jobs): %d contexts, %d macro accesses, \
-       %d graph nodes\n"
-      (List.length artifacts) out jobs
+      "merged %d runs into %s: %d contexts, %d macro accesses, %d graph \
+       nodes\n"
+      (List.length artifacts) out
       (Context.count merged.Profiler.contexts)
       merged.Profiler.total_accesses
       (List.length (Affinity_graph.nodes merged.Profiler.graph))
@@ -347,7 +367,7 @@ let profile_merge_cmd =
   let weights_arg =
     Arg.(
       value
-      & opt (some (list float)) None
+      & opt (some (list positive_float)) None
       & info [ "weights" ] ~docv:"W1,W2,..."
           ~doc:
             "Per-run weights, in artifact order (default: 1 each). Counts \
@@ -357,12 +377,10 @@ let profile_merge_cmd =
     (Cmd.info "merge"
        ~doc:
          "Combine several recorded runs of one program/config pair into a \
-          single weighted profile artifact. The runs are split into \
-          contiguous chunks, one per worker domain, and the chunk sums are \
-          added in run order, so the merged artifact is byte-identical at \
-          any $(b,--jobs); $(b,--jobs) 1 folds on the calling domain.")
-    Term.(
-      const run $ profile_files_arg $ weights_arg $ profile_out_arg $ jobs_arg)
+          single weighted profile artifact. The runs are folded in one at \
+          a time, in the order given: each run's counts are scaled by its \
+          weight and added, then the noise filter runs once over the sum.")
+    Term.(const run $ profile_files_arg $ weights_arg $ profile_out_arg)
 
 (* `profile inspect --stats DIR`: the plan cache's cumulative ledger,
    read from the directory alone — no daemon, no profiling. *)

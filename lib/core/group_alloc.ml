@@ -335,18 +335,24 @@ type frag_stats = {
   frag_pct : float;
 }
 
+let config_error config =
+  if not (Addr.is_power_of_two config.chunk_size) then
+    Some "chunk_size must be a power of two"
+  else if config.chunk_size < 2 * header_bytes then
+    Some "chunk_size too small"
+  else if config.color_groups && config.chunk_size < 8192 then
+    Some "chunk too small for colouring"
+  else if config.slab_size mod config.chunk_size <> 0 then
+    Some "slab_size must be a multiple of chunk_size"
+  else None
+
 let create ?(config = default_config) ?obs ?(sample_every = 256) ~classify
     ~fallback vmem =
   if sample_every < 1 then
     invalid_arg "Group_alloc.create: sample_every must be >= 1";
-  if not (Addr.is_power_of_two config.chunk_size) then
-    invalid_arg "Group_alloc.create: chunk_size must be a power of two";
-  if config.chunk_size < 2 * header_bytes then
-    invalid_arg "Group_alloc.create: chunk_size too small";
-  if config.color_groups && config.chunk_size < 8192 then
-    invalid_arg "Group_alloc.create: chunk too small for colouring";
-  if config.slab_size mod config.chunk_size <> 0 then
-    invalid_arg "Group_alloc.create: slab_size must be a multiple of chunk_size";
+  Option.iter
+    (fun e -> invalid_arg ("Group_alloc.create: " ^ e))
+    (config_error config);
   let st =
     {
       vmem;

@@ -58,6 +58,11 @@ type config = {
 
 val default_config : config
 
+val config_error : config -> string option
+(** [None] when {!create} accepts [config], else the reason it rejects
+    it: [chunk_size] must be a power of two of at least 128 bytes (8 KiB
+    with [color_groups]) that divides [slab_size]. *)
+
 type t
 
 val create :

@@ -678,9 +678,8 @@ let read_profile ?obs ?expect_program path =
 
 (* Weighted merging: one mutable accumulator per program. [merge_add]
    folds one weighted artifact into it, [merge_adopt] one persisted
-   aggregate, and the batch [merge_profiles] folds chunks of its input
-   into accumulators of their own and then those into one; all three go
-   through [fold_in], so they cannot drift. *)
+   aggregate, and the batch [merge_profiles] is [merge_add] over its
+   input; all go through [fold_artifact], so they cannot drift. *)
 
 type merge_state = {
   m_contexts : Context.table;
@@ -715,52 +714,44 @@ let check_weight ~who w =
 
 let merge_scale w n = int_of_float (Float.round (w *. float_of_int n))
 
-(* Fold one run's counts into [st]: pin (or check) the program and
-   config digests, re-intern [contexts] into the shared table in id
-   order, add [scale]d node and edge counts to the running raw graph and
-   the [scale]d totals, and credit [count] runs of [weight]. Raises
-   [Decode] before touching [st] on a digest mismatch. *)
-let fold_in st ((program, config_digest, _) as pin) ~scale ~contexts ~raw
-    (ta, tr, ins) ~count ~weight =
-  (match st.m_first with
-  | None -> st.m_first <- Some pin
-  | Some (p, c, _) ->
-      let mismatch field found expected =
-        raise (Decode (Digest_mismatch { field; found; expected }))
-      in
-      if program <> p then mismatch "program" program p;
-      if config_digest <> c then mismatch "config" config_digest c);
-  let remap =
-    Array.init (Context.count contexts) (fun id ->
-        Context.intern st.m_contexts (Context.sites contexts id))
-  in
-  List.iter
-    (fun id ->
-      Affinity_graph.add_access_n st.m_raw remap.(id)
-        (scale (Affinity_graph.node_accesses raw id)))
-    (Affinity_graph.nodes raw);
-  List.iter
-    (fun (x, y, wt) ->
-      Affinity_graph.add_affinity_n st.m_raw remap.(x) remap.(y) (scale wt))
-    (Affinity_graph.edges raw);
-  st.m_ta <- st.m_ta + scale ta;
-  st.m_tr <- st.m_tr + scale tr;
-  st.m_ins <- st.m_ins + scale ins;
-  st.m_count <- st.m_count + count;
-  st.m_weight <- st.m_weight +. weight
-
-(* An artifact's config is checked first, so a rejected one leaves the
-   state unchanged. *)
+(* Fold one artifact's counts into [st]: check its config, pin (or
+   check) the program and config digests, re-intern its contexts into
+   the shared table in id order, add [scale]d node and edge counts to the
+   running raw graph and the [scale]d totals, and credit [count] runs of
+   [weight]. A rejected artifact leaves [st] unchanged. *)
 let fold_artifact st (a : profile_artifact) ~scale ~count ~weight =
   wrap (fun () ->
       check_profiler_config ~line:1 a.config;
+      let program = a.header.program_digest
+      and config_digest = a.header.config_digest in
+      (match st.m_first with
+      | None -> st.m_first <- Some (program, config_digest, a.config)
+      | Some (p, c, _) ->
+          let mismatch field found expected =
+            raise (Decode (Digest_mismatch { field; found; expected }))
+          in
+          if program <> p then mismatch "program" program p;
+          if config_digest <> c then mismatch "config" config_digest c);
       let r = a.result in
-      fold_in st
-        (a.header.program_digest, a.header.config_digest, a.config)
-        ~scale ~contexts:r.Profiler.contexts ~raw:r.Profiler.raw_graph
-        (r.Profiler.total_accesses, r.Profiler.tracked_allocs,
-         r.Profiler.instructions)
-        ~count ~weight)
+      let contexts = r.Profiler.contexts and raw = r.Profiler.raw_graph in
+      let remap =
+        Array.init (Context.count contexts) (fun id ->
+            Context.intern st.m_contexts (Context.sites contexts id))
+      in
+      List.iter
+        (fun id ->
+          Affinity_graph.add_access_n st.m_raw remap.(id)
+            (scale (Affinity_graph.node_accesses raw id)))
+        (Affinity_graph.nodes raw);
+      List.iter
+        (fun (x, y, wt) ->
+          Affinity_graph.add_affinity_n st.m_raw remap.(x) remap.(y) (scale wt))
+        (Affinity_graph.edges raw);
+      st.m_ta <- st.m_ta + scale r.Profiler.total_accesses;
+      st.m_tr <- st.m_tr + scale r.Profiler.tracked_allocs;
+      st.m_ins <- st.m_ins + scale r.Profiler.instructions;
+      st.m_count <- st.m_count + count;
+      st.m_weight <- st.m_weight +. weight)
 
 let merge_add st (a, w) =
   check_weight ~who:"Store.merge_add" w;
@@ -771,17 +762,6 @@ let merge_adopt st ~mass ~count artifact =
     invalid_arg "Store.merge_adopt: mass must be positive and finite";
   if count < 0 then invalid_arg "Store.merge_adopt: negative count";
   fold_artifact st artifact ~scale:Fun.id ~count ~weight:mass
-
-(* A chunk's accumulator into the combined one, unscaled: its counts
-   already carry their weights. *)
-let absorb dst src =
-  match src.m_first with
-  | None -> Ok ()
-  | Some pin ->
-      wrap (fun () ->
-          fold_in dst pin ~scale:Fun.id ~contexts:src.m_contexts
-            ~raw:src.m_raw (src.m_ta, src.m_tr, src.m_ins)
-            ~count:src.m_count ~weight:src.m_weight)
 
 let copy_graph g =
   let c = Affinity_graph.create () in
@@ -826,83 +806,15 @@ let merge_result_internal ~snapshot st =
 
 let merge_result st = merge_result_internal ~snapshot:true st
 
-(* Contiguous chunks in input order, sizes differing by at most one. *)
-let chunk_evenly inputs nchunks =
-  let n = List.length inputs in
-  let base = n / nchunks and extra = n mod nchunks in
-  let rec take k acc xs =
-    if k = 0 then (List.rev acc, xs)
-    else
-      match xs with
-      | [] -> (List.rev acc, [])
-      | x :: tl -> take (k - 1) (x :: acc) tl
-  in
-  let rec go i xs acc =
-    if i = nchunks then List.rev acc
-    else
-      let sz = base + if i < extra then 1 else 0 in
-      let chunk, rest = take sz [] xs in
-      go (i + 1) rest (chunk :: acc)
-  in
-  go 0 inputs []
-
-let fold_chunk inputs =
-  let st = merge_create () in
-  let rec go = function
-    | [] -> Ok st
-    | input :: rest -> (
-        match merge_add st input with Ok () -> go rest | Error e -> Error e)
-  in
-  go inputs
-
-(* Contiguous chunks of the input fold on worker domains, then the chunk
-   accumulators combine in chunk order. Scaled counts are plain integers,
-   so chunked addition is exactly the sequential sum; contexts are
-   absorbed in each chunk's local first-appearance order, which is the
-   order the sequential fold would first meet them — the merged graph is
-   byte-identical at any worker count. *)
-let merge_profiles ?obs ?(jobs = 1) inputs =
+let merge_profiles inputs =
   if inputs = [] then invalid_arg "Store.merge_profiles: empty input list";
   List.iter (fun (_, w) -> check_weight ~who:"Store.merge_profiles" w) inputs;
-  let jobs = max 1 jobs in
-  let n = List.length inputs in
-  let nchunks = min jobs n in
-  Obs.span obs "store.shard.merge"
-    ~attrs:
-      [
-        ("jobs", Json.Int jobs);
-        ("profiles", Json.Int n);
-        ("chunks", Json.Int nchunks);
-      ]
-    (fun () ->
-      let t0 = Unix.gettimeofday () in
-      Obs.count obs "store.shard.profiles" n;
-      Obs.count obs "store.shard.chunks" nchunks;
-      let result =
-        let partials =
-          if nchunks = 1 then [ fold_chunk inputs ]
-          else
-            Par.map ?obs ~name:"store.shard" ~jobs fold_chunk
-              (chunk_evenly inputs nchunks)
-        in
-        (* The first chunk's accumulator takes in the others. *)
-        let rec combine acc = function
-          | [] -> merge_result_internal ~snapshot:false acc
-          | part :: rest -> (
-              match Result.bind part (absorb acc) with
-              | Ok () -> combine acc rest
-              | Error e -> Error e)
-        in
-        match partials with
-        | Ok acc :: rest -> combine acc rest
-        | Error e :: _ -> Error e
-        | [] -> assert false
-      in
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt > 0.0 then
-        Obs.set_gauge obs "store.shard.profiles_per_sec"
-          (float_of_int n /. dt);
-      result)
+  let st = merge_create () in
+  let rec go = function
+    | [] -> merge_result_internal ~snapshot:false st
+    | input :: rest -> Result.bind (merge_add st input) (fun () -> go rest)
+  in
+  go inputs
 
 (* {1 Plans} *)
 

@@ -22,8 +22,7 @@
 
     Observability: encode/decode spans carry a [format] attribute, and
     the [store.codec.v2.encodes] / [store.codec.v2.decodes] counters and
-    [store.codec.encode_bytes] histogram account codec traffic; the batch
-    merge reports under [store.shard.*] (see {!merge_profiles}). *)
+    [store.codec.encode_bytes] histogram account codec traffic. *)
 
 val format_name : string
 (** ["halo/store"], the header's [format] field. *)
@@ -114,8 +113,6 @@ val read_profile :
     [store.decode] span. *)
 
 val merge_profiles :
-  ?obs:Obs.t ->
-  ?jobs:int ->
   (profile_artifact * float) list ->
   (Profiler.config * Profiler.result, error) result
 (** Weighted cross-run merge: raw graphs are combined with per-run access
@@ -123,23 +120,12 @@ val merge_profiles :
     the noise filter re-runs over the {e merged} raw graph at the shared
     config's [node_coverage] — a context hot in one input but cold overall
     filters the way a single combined run would. All inputs must agree on
-    program and config digests ([Digest_mismatch] otherwise); raises
-    [Invalid_argument] on an empty list or a non-positive weight. Returns
-    the shared config (the first artifact's) and the merged result, ready
-    for {!write_profile}.
-
-    The inputs split into [min jobs n] contiguous chunks (default
-    [jobs = 1]: one chunk, folded on the calling domain); each chunk
-    folds on a {!Par} worker, and the chunk sums are added in chunk
-    order. The scaled counts are integers and contexts meet the combined
-    table in input order, so the result is byte-identical to folding the
-    list through {!merge_add} and taking {!merge_result}, at any [jobs].
-    On inconsistent inputs the error has the sequential fold's
-    constructor, though which artifact it cites may depend on the chunk
-    boundaries. Telemetry: a [store.shard.merge] span with
-    [jobs]/[profiles]/[chunks] attributes, [store.shard.profiles] and
-    [store.shard.chunks] counters and the [store.shard.profiles_per_sec]
-    gauge. *)
+    program and config digests ([Digest_mismatch] citing the first input
+    that disagrees, otherwise); raises [Invalid_argument] on an empty list
+    or a non-positive weight. Returns the shared config (the first
+    artifact's) and the merged result, ready for {!write_profile}. It is
+    the fold below: {!merge_add} on each input in order, then
+    {!merge_result}. *)
 
 (** {2 Incremental merging}
 

@@ -929,7 +929,7 @@ let decoder_mutation_prop =
           && survives "read_profile" (fun () -> Store.read_profile path)
           && survives "read_plan" (fun () -> Store.read_plan path)))
 
-(* ---------------- chunked merging ---------------- *)
+(* ---------------- batch merging ---------------- *)
 
 let artifact_seeded name seed =
   artifact_of
@@ -946,7 +946,7 @@ let merged_bytes digest merged =
   Sys.remove path;
   bytes
 
-let sharded_merge_byte_identity () =
+let batch_merge_byte_identity () =
   let inputs =
     List.init 12 (fun k ->
         let a = artifact_seeded "ft" (k + 1) in
@@ -957,32 +957,22 @@ let sharded_merge_byte_identity () =
   let st = Store.merge_create () in
   List.iter (fun input -> ok (Store.merge_add st input)) inputs;
   let reference = merged_bytes digest (ok (Store.merge_result st)) in
-  checks "merge without ?jobs is byte-identical to the fold" reference
-    (merged_bytes digest (ok (Store.merge_profiles inputs)));
-  List.iter
-    (fun jobs ->
-      checks
-        (Printf.sprintf "merge at %d jobs is byte-identical to the fold" jobs)
-        reference
-        (merged_bytes digest (ok (Store.merge_profiles ~jobs inputs))))
-    [ 1; 2; 3; 4; 5 ]
+  checks "batch merge is byte-identical to the fold" reference
+    (merged_bytes digest (ok (Store.merge_profiles inputs)))
 
-let sharded_merge_rejects_like_sequential () =
-  let a = artifact_seeded "ft" 1 and foreign = artifact_seeded "health" 1 in
-  (match
-     err "cross-program chunked merge"
-       (Store.merge_profiles ~jobs:2 [ (a, 1.0); (foreign, 1.0) ])
-   with
-  | Store.Digest_mismatch { field = "program"; _ } -> ()
-  | e -> Alcotest.fail ("wanted Digest_mismatch, got " ^ Store.error_to_string e));
-  checkb "empty input raises" true
-    (match Store.merge_profiles ~jobs:2 [] with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
-  checkb "bad weight raises" true
-    (match Store.merge_profiles ~jobs:2 [ (a, 0.0) ] with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
+let batch_merge_cites_first_bad_input () =
+  let a = artifact_seeded "ft" 1
+  and foreign1 = artifact_seeded "health" 1
+  and foreign2 = artifact_seeded "povray" 1 in
+  let digest x = x.Store.header.Store.program_digest in
+  match
+    err "merge with two foreign inputs"
+      (Store.merge_profiles [ (a, 1.0); (foreign1, 1.0); (foreign2, 1.0) ])
+  with
+  | Store.Digest_mismatch { field = "program"; found; expected } ->
+      checks "cites the first foreign input" (digest foreign1) found;
+      checks "against the first input" (digest a) expected
+  | e -> Alcotest.fail ("wanted Digest_mismatch, got " ^ Store.error_to_string e)
 
 let merge_adopt_resumes () =
   let a = artifact_seeded "ft" 1 and b = artifact_seeded "ft" 2 in
@@ -1340,8 +1330,8 @@ let suite =
     tc "v2 rejects checksum mismatch" reject_v2_bad_checksum;
     tc "v2 rejects version skew" reject_v2_version_skew;
     tc "v2 rejects a count beyond the record" reject_v2_oversized_count;
-    slow "sharded merge is byte-identical at any jobs" sharded_merge_byte_identity;
-    tc "sharded merge rejects like sequential" sharded_merge_rejects_like_sequential;
+    slow "batch merge is the fold's bytes" batch_merge_byte_identity;
+    tc "merge: first bad input is cited" batch_merge_cites_first_bad_input;
     tc "merge_adopt resumes a persisted aggregate" merge_adopt_resumes;
     tc "digest ignores input scale" digest_scale_insensitive;
     tc "digest distinguishes workloads" digest_distinguishes_workloads;
