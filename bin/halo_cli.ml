@@ -79,6 +79,9 @@ let checked base check =
 let positive_int =
   checked Arg.int (fun n -> if n > 0 then None else Some "must be positive")
 
+let non_negative_int =
+  checked Arg.int (fun n -> if n >= 0 then None else Some "must not be negative")
+
 let positive_float =
   checked Arg.float (fun w ->
       if Float.is_finite w && w > 0.0 then None
@@ -98,14 +101,14 @@ let chunk_size_arg =
 let spare_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some non_negative_int) None
     & info [ "max-spare-chunks" ] ~docv:"N"
         ~doc:"Spare chunks kept resident when purging (A.8 flag).")
 
 let max_groups_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some positive_int) None
     & info [ "max-groups" ] ~docv:"N" ~doc:"Cap on allocation groups (A.8 flag).")
 
 let affinity_arg =
@@ -333,15 +336,7 @@ let profile_files_arg =
 let profile_merge_cmd =
   let run files weights out =
     let artifacts = List.map (fun f -> or_die (Store.read_profile f)) files in
-    let weights =
-      match weights with
-      | None -> List.map (fun _ -> 1.0) artifacts
-      | Some ws when List.length ws = List.length artifacts -> ws
-      | Some ws ->
-          Printf.eprintf "halo: %d weights for %d artifacts\n" (List.length ws)
-            (List.length artifacts);
-          exit 1
-    in
+    let weights = Option.value weights ~default:(List.map (fun _ -> 1.0) files) in
     let config, merged =
       or_die (Store.merge_profiles (List.combine artifacts weights))
     in
@@ -372,6 +367,18 @@ let profile_merge_cmd =
           ~doc:
             "Per-run weights, in artifact order (default: 1 each). Counts \
              are scaled before the merged noise filter runs.")
+  in
+  (* One weight per artifact, checked before any artifact is read. *)
+  let weights_arg =
+    let match_files files = function
+      | Some ws when List.length ws <> List.length files ->
+          `Error
+            ( true,
+              Printf.sprintf "--weights: %d weights for %d artifacts" (List.length ws)
+                (List.length files) )
+      | ws -> `Ok ws
+    in
+    Term.(ret (const match_files $ profile_files_arg $ weights_arg))
   in
   Cmd.v
     (Cmd.info "merge"

@@ -10,27 +10,27 @@ type obj = {
   mutable next : int;
 }
 
-(* [find] fast paths, in probe order:
+(* Two indexes hold the live objects:
 
-   - a one-entry cache holding the last hit;
    - a granule directory: each 4 KiB page of addresses maps to a
      256-cell array, one cell per 16-byte granule, holding the live
      object that touches it. Objects spanning at most [max_granules]
-     granules (every object up to 4 KiB, at any base) get an entry; the
-     others are counted in [large_live].
+     granules (every object up to 4 KiB, at any base) get an entry;
+   - an ordered map from base address to object, holding the objects the
+     directory cannot: the others (counted in [large_live]) and, once
+     [shared] is set, every object.
 
-   Every fast hit is containment-checked, and the ordered map stays the
-   single source of truth. A [None] cell answers "no object" without the
-   map only while [large_live = 0] and [shared] is unset: then every live
-   object fills every granule it touches, so an empty granule touches
-   none. [shared] is set, for good, the first time an allocation writes
-   over a live cell, which unaligned neighbours sharing a granule do (the
-   later one owns the cell, and freeing it empties a granule the earlier
-   one still covers).
+   [shared] is set, for good, the first time an allocation writes over a
+   live cell, which unaligned neighbours sharing a granule do (the later
+   one owns the cell, and freeing it empties a granule the earlier one
+   still covers). Until then every directory object owns every granule it
+   touches, so [on_free] finds it in its base granule's cell, and a cell
+   that holds no object covering an address leaves only the large
+   objects, which the map holds. The flip seeds the map from the cells.
 
    Each object's [Some o] cell is allocated once, in [on_alloc], and is
-   what the map, the directory and the cache hold, so a hit on any path
-   returns that cell instead of allocating a fresh one.
+   what the map and the directory hold, so a hit on either returns that
+   cell instead of allocating a fresh one.
 
    Page arrays sit in an ordered map behind a direct-mapped cache, as in
    [Interp.Mem]; absent pages are cached too, as [no_page]. *)
@@ -44,9 +44,9 @@ let no_page : obj option array = [||]
 
 type t = {
   mutable live : obj option Addr_map.t; (* base address -> the object's cell *)
+  mutable live_count : int;
   mutable next_seq : int;
   mutable last_of_ctx : obj array; (* ctx -> its newest object, or [no_obj] *)
-  mutable last : obj option; (* last [find] hit *)
   mutable pages : obj option array Addr_map.t; (* page -> its granule cells *)
   cache_key : int array; (* slot -> page, or [no_key] *)
   cache_pg : obj option array array; (* slot -> its cells, or [no_page] *)
@@ -59,9 +59,9 @@ let no_obj = { oid = -1; addr = 0; size = 0; ctx = -1; seq = -1; prev = -1; next
 let create () =
   {
     live = Addr_map.empty;
+    live_count = 0;
     next_seq = 0;
     last_of_ctx = Array.make 16 no_obj;
-    last = None;
     pages = Addr_map.empty;
     cache_key = Array.make (cache_mask + 1) no_key;
     cache_pg = Array.make (cache_mask + 1) no_page;
@@ -82,6 +82,11 @@ let page_slow t page slot =
 let[@inline] page_of t page =
   let slot = slot_of page in
   if t.cache_key.(slot) = page then t.cache_pg.(slot) else page_slow t page slot
+
+(* The cell of [addr]'s granule, [None] if its page has none. *)
+let[@inline] cell_at t addr =
+  let pg = page_of t (addr asr page_bits) in
+  if pg == no_page then None else pg.(cell_of (addr asr granule_bits))
 
 (* The cells of [page], created empty if absent. A page's cache slot is a
    function of the page alone, so overwriting it here keeps a cached
@@ -109,6 +114,21 @@ let rec each_cell t g0 g1 f =
   done;
   if stop < g1 then each_cell t (stop + 1) g1 f
 
+(* Set [shared] and put every directory object in the map, each from its
+   base granule's cell, which it still owns. *)
+let share t =
+  t.shared <- true;
+  Addr_map.iter
+    (fun page pg ->
+      Array.iteri
+        (fun i cell ->
+          match cell with
+          | Some o when first_granule o = (page lsl (page_bits - granule_bits)) lor i ->
+              t.live <- Addr_map.add o.addr cell t.live
+          | _ -> ())
+        pg)
+    t.pages
+
 let on_alloc t ~addr ~size ~ctx =
   if ctx < 0 then invalid_arg "Heap_model: negative context id";
   if ctx >= Array.length t.last_of_ctx then begin
@@ -122,27 +142,34 @@ let on_alloc t ~addr ~size ~ctx =
   if p != no_obj then p.next <- seq;
   t.last_of_ctx.(ctx) <- o;
   t.next_seq <- seq + 1;
+  t.live_count <- t.live_count + 1;
   let cell = Some o in
-  t.live <- Addr_map.add addr cell t.live;
-  if in_directory o then
+  let indexed = in_directory o in
+  if indexed then
     each_cell t (first_granule o) (last_granule o) (fun pg i ->
-        if pg.(i) != None then t.shared <- true;
+        if pg.(i) != None && not t.shared then share t;
         pg.(i) <- cell)
   else t.large_live <- t.large_live + 1;
+  if t.shared || not indexed then t.live <- Addr_map.add addr cell t.live;
   o
 
+let drop t cell o =
+  t.live_count <- t.live_count - 1;
+  if in_directory o then
+    each_cell t (first_granule o) (last_granule o) (fun pg i ->
+        if pg.(i) == cell then pg.(i) <- None)
+  else t.large_live <- t.large_live - 1;
+  cell
+
 let on_free t ~addr =
-  match Addr_map.find_opt addr t.live with
-  | None -> None
-  | Some cell ->
-      let o = Option.get cell in
-      t.live <- Addr_map.remove addr t.live;
-      if t.last == cell then t.last <- None;
-      if in_directory o then
-        each_cell t (first_granule o) (last_granule o) (fun pg i ->
-            if pg.(i) == cell then pg.(i) <- None)
-      else t.large_live <- t.large_live - 1;
-      cell
+  match if t.shared then None else cell_at t addr with
+  | Some o as cell when o.addr = addr -> drop t cell o
+  | _ -> (
+      match Addr_map.find_opt addr t.live with
+      | Some (Some o as cell) ->
+          t.live <- Addr_map.remove addr t.live;
+          drop t cell o
+      | _ -> None)
 
 (* [Int.max], not [Stdlib.max]: the polymorphic one compares through
    [caml_greaterequal] on every profiled access. *)
@@ -150,22 +177,13 @@ let covers o addr = addr - o.addr >= 0 && addr - o.addr < Int.max o.size 1
 
 let find_slow t addr =
   match Addr_map.find_last_opt (fun base -> base <= addr) t.live with
-  | Some (_, (Some o as cell)) when covers o addr ->
-      t.last <- cell;
-      cell
+  | Some (_, (Some o as cell)) when covers o addr -> cell
   | _ -> None
 
 let find t addr =
-  match t.last with
-  | Some o when covers o addr -> t.last
-  | _ -> (
-      let pg = page_of t (addr asr page_bits) in
-      let cell = if pg == no_page then None else pg.(cell_of (addr asr granule_bits)) in
-      match cell with
-      | Some o when covers o addr ->
-          t.last <- cell;
-          cell
-      | None when t.large_live = 0 && not t.shared -> None
-      | _ -> find_slow t addr)
+  match cell_at t addr with
+  | Some o as cell when covers o addr -> cell
+  | _ when t.large_live = 0 && not t.shared -> None
+  | _ -> find_slow t addr
 
-let live_count t = Addr_map.cardinal t.live
+let live_count t = t.live_count

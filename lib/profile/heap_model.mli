@@ -8,11 +8,15 @@
     previous and next allocation, which is all the affinity queue's
     co-allocatability constraint consults.
 
-    [find] resolves an address through a one-entry cache and a directory of
-    16-byte granules (one entry per granule an object up to 4 KiB touches)
-    before the ordered map of live objects; a granule no object touches
-    answers "none" without the map while no larger object is live and no
-    two objects have shared a granule. *)
+    A directory of 16-byte granules (one entry per granule an object of at
+    most 257 granules touches, so every object up to 4 KiB) indexes every
+    object it holds: [on_free] finds such an object in its base granule's
+    cell, and [find] resolves an address there first. An ordered map of
+    base addresses holds only the objects the directory cannot: the larger
+    ones, and every object once two have shared a granule (the map is
+    then seeded from the directory). Until then a granule holding no
+    object that covers an address answers "none" without the map while
+    no larger object is live. *)
 
 type obj = private {
   oid : int;

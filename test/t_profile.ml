@@ -75,8 +75,8 @@ let heap_addr_reuse_new_identity () =
     (Option.get (Heap_model.find h 0x104)).Heap_model.oid
 
 let heap_find_fast_paths_stay_coherent () =
-  (* Hammer the last-hit cache and granule directory: interleaved lookups
-     across neighbouring objects, then a free, must never serve a stale
+  (* Hammer the granule directory: interleaved lookups across
+     neighbouring objects, then a free, must never serve a stale
      object. *)
   let h = Heap_model.create () in
   let a = Heap_model.on_alloc h ~addr:0x1000 ~size:16 ~ctx:0 in
@@ -84,18 +84,55 @@ let heap_find_fast_paths_stay_coherent () =
   let big = Heap_model.on_alloc h ~addr:0x9000 ~size:8192 ~ctx:2 in
   for _ = 1 to 3 do
     checki "a" a.Heap_model.oid (Option.get (Heap_model.find h 0x1008)).Heap_model.oid;
-    checki "a again (cached)" a.Heap_model.oid
+    checki "a again" a.Heap_model.oid
       (Option.get (Heap_model.find h 0x100f)).Heap_model.oid;
     checki "b" b.Heap_model.oid (Option.get (Heap_model.find h 0x1010)).Heap_model.oid;
     checki "big interior" big.Heap_model.oid
       (Option.get (Heap_model.find h 0xA123)).Heap_model.oid
   done;
   ignore (Heap_model.on_free h ~addr:0x1000);
-  checkb "freed not served from cache" true (Heap_model.find h 0x1008 = None);
+  checkb "freed not served" true (Heap_model.find h 0x1008 = None);
   checki "neighbour survives" b.Heap_model.oid
     (Option.get (Heap_model.find h 0x1018)).Heap_model.oid;
   ignore (Heap_model.on_free h ~addr:0x9000);
   checkb "big freed" true (Heap_model.find h 0xA123 = None)
+
+let heap_shared_granule_seeds_index () =
+  (* Aligned objects own their granules, so each is freed through its
+     base granule's cell and only the large one sits in the ordered map.
+     An unaligned neighbour sharing a granule with one of them makes the
+     map index every object, seeded from the cells: each earlier object
+     must still be found and freed exactly. *)
+  let h = Heap_model.create () in
+  let objs =
+    List.map
+      (fun (addr, size) -> Heap_model.on_alloc h ~addr ~size ~ctx:0)
+      [ (0x1000, 16); (0x1010, 24); (0x1040, 0); (0x1ff0, 64); (0x3000, 4096); (0x5000, 5000) ]
+  in
+  let exactly (o : Heap_model.obj) = function Some o' -> o' == o | None -> false in
+  (* Granule 0x102 holds the second object's last 8 bytes and [n]. *)
+  let n = Heap_model.on_alloc h ~addr:0x1028 ~size:8 ~ctx:1 in
+  checki "live" 7 (Heap_model.live_count h);
+  checkb "neighbour" true (exactly n (Heap_model.find h 0x102f));
+  checkb "granule the neighbour took" true
+    (exactly (List.nth objs 1) (Heap_model.find h 0x1020));
+  checkb "between" true (Heap_model.find h 0x1030 = None);
+  List.iter
+    (fun (o : Heap_model.obj) ->
+      let last = o.Heap_model.addr + Int.max o.Heap_model.size 1 - 1 in
+      checkb "base" true (exactly o (Heap_model.find h o.Heap_model.addr));
+      checkb "last byte" true (exactly o (Heap_model.find h last)))
+    objs;
+  List.iter
+    (fun (o : Heap_model.obj) ->
+      checkb "freed exactly" true (exactly o (Heap_model.on_free h ~addr:o.Heap_model.addr));
+      checkb "gone" true (Heap_model.find h o.Heap_model.addr = None);
+      checkb "double free" true (Heap_model.on_free h ~addr:o.Heap_model.addr = None))
+    objs;
+  checki "neighbour left" 1 (Heap_model.live_count h);
+  checkb "neighbour survives" true (exactly n (Heap_model.find h 0x1028));
+  checkb "neighbour freed" true (exactly n (Heap_model.on_free h ~addr:0x1028));
+  checki "empty" 0 (Heap_model.live_count h)
 
 let heap_context_links () =
   let h = Heap_model.create () in
@@ -708,4 +745,5 @@ let suite =
       tc "queue: a long interval falls back to the walk" queue_long_interval_walks;
       tc "queue: a cut object comes back and is enumerated" queue_cut_object_found_by_interval;
       tc "profiler: the repeat filter forgets a freed object" profiler_repeat_filter_forgets_freed;
+      tc "heap: a shared granule seeds the index" heap_shared_granule_seeds_index;
     ]

@@ -195,21 +195,32 @@ type heap_op =
   | H_find of int * int (* live pick, delta from its base *)
   | H_find_end of int * int (* live pick, delta from its end *)
   | H_probe of int (* arena offset *)
+  | H_alloc_before of int * int * int (* live pick, gap before its base, size *)
+  | H_free_interior of int * int (* live pick, delta from its base *)
+  | H_free_past of int (* live pick: one past its end *)
+  | H_free_again of int (* freed pick *)
+  | H_free_probe of int (* arena offset *)
 
 (* A 128 KiB arena at 0x10000, and two switches per case:
 
    - [aligned]: every base is 16-aligned, so no two objects share a
      16-byte granule. Otherwise offsets are aligned half the time and
      arbitrary otherwise, and [H_alloc_next] puts an object 0-31 bytes
-     past a live one's end, so neighbours often share a granule.
+     past a live one's end ([H_alloc_before] ends one 0-31 bytes before
+     a live one's base), so neighbours often share a granule.
    - [large]: sizes reach 8 KiB and include 4097 and 4112/4113, so
      objects straddle the 257-granule directory cap (4 KiB at an
-     unaligned base) and large objects come and go. Otherwise no object
+     unaligned base) and large objects come and go among small ones,
+     often sharing a granule with a small neighbour. Otherwise no object
      exceeds 4 KiB.
 
    Aligned cases without large objects are the ones where lookups between
-   objects can be answered without the ordered map. Probes reach 16 KiB
-   either side of the arena, into pages that hold no object. *)
+   objects can be answered without the ordered map, and until two
+   objects share a granule a small object is freed through its base
+   granule's cell. Frees also hit addresses that are no live object's
+   base: interior, one past the end, already freed, never tracked.
+   Probes reach 16 KiB either side of the arena, into pages that hold no
+   object. *)
 let heap_arena = 0x20000
 
 let gen_heap_case =
@@ -245,6 +256,11 @@ let gen_heap_case =
              (4, map2 (fun k d -> H_find (k, d)) nat (int_range (-20) 8300));
              (2, map2 (fun k d -> H_find_end (k, d)) nat (int_range (-20) 20));
              (2, map (fun o -> H_probe o) (int_range (-16384) (heap_arena + 16384)));
+             (1, map3 (fun k g s -> H_alloc_before (k, g, s)) nat gap size);
+             (1, map2 (fun k d -> H_free_interior (k, d)) nat (int_range 1 8191));
+             (1, map (fun k -> H_free_past k) nat);
+             (1, map (fun k -> H_free_again k) nat);
+             (1, map (fun o -> H_free_probe o) (int_range (-16384) (heap_arena + 16384)));
            ])
     in
     return (aligned, large, ops))
@@ -262,7 +278,12 @@ let print_heap_case (aligned, large, ops) =
             | H_realloc_same (k, s) -> Printf.sprintf "realloc %d %dB" k s
             | H_find (k, d) -> Printf.sprintf "find %d%+d" k d
             | H_find_end (k, d) -> Printf.sprintf "find %d end%+d" k d
-            | H_probe o -> Printf.sprintf "probe +%d" o)
+            | H_probe o -> Printf.sprintf "probe +%d" o
+            | H_alloc_before (k, g, s) -> Printf.sprintf "alloc %d-%d %dB" k g s
+            | H_free_interior (k, d) -> Printf.sprintf "free %d%+d" k d
+            | H_free_past k -> Printf.sprintf "free %d end" k
+            | H_free_again k -> Printf.sprintf "free freed %d" k
+            | H_free_probe o -> Printf.sprintf "free +%d" o)
           ops))
 
 let prop_heap_model_find_matches_reference =
@@ -295,11 +316,22 @@ let prop_heap_model_find_matches_reference =
         incr ctx;
         live := Heap_model.on_alloc h ~addr ~size ~ctx:(!ctx mod 5) :: !live
       in
+      let freed = ref [] in
       let free (o : Heap_model.obj) =
         live := List.filter (fun o' -> o' != o) !live;
+        freed := o.Heap_model.addr :: !freed;
         same (Heap_model.on_free h ~addr:o.Heap_model.addr) (Some o)
       in
       let find a = same (Heap_model.find h a) (expect a) in
+      (* A free at an address that is no live object's base answers
+         [None] and leaves every live object in place. *)
+      let free_at addr =
+        match List.find_opt (fun (o : Heap_model.obj) -> o.Heap_model.addr = addr) !live with
+        | Some o -> free o
+        | None ->
+            Heap_model.on_free h ~addr = None
+            && List.for_all (fun (o : Heap_model.obj) -> find o.Heap_model.addr) !live
+      in
       List.for_all
         (fun op ->
           let ok =
@@ -329,6 +361,27 @@ let prop_heap_model_find_matches_reference =
             | H_find_end (k, d) -> (
                 match pick k with None -> true | Some o -> find (o.Heap_model.addr + span o + d))
             | H_probe off -> find (base + off)
+            | H_alloc_before (k, gap, size) ->
+                (match pick k with
+                | None -> ()
+                | Some o ->
+                    let end_ = o.Heap_model.addr - gap in
+                    let addr = end_ - max size 1 in
+                    let addr = if aligned then addr land lnot 15 else addr in
+                    if addr >= base && fits addr size !live then alloc addr size);
+                true
+            | H_free_interior (k, d) -> (
+                match pick k with
+                | Some o when span o > 1 ->
+                    free_at (o.Heap_model.addr + 1 + (d mod (span o - 1)))
+                | _ -> true)
+            | H_free_past k -> (
+                match pick k with None -> true | Some o -> free_at (o.Heap_model.addr + span o))
+            | H_free_again k -> (
+                match !freed with
+                | [] -> true
+                | l -> free_at (List.nth l (k mod List.length l)))
+            | H_free_probe off -> free_at (base + off)
           in
           ok && Heap_model.live_count h = List.length !live)
         ops)
@@ -861,8 +914,9 @@ let prop_profile_stream_matches_inline =
       r1 = r0 && reg1 = reg0 && streamed1 && (not streamed0) && ev1 = ev0)
 
 (* The per-workload golden digests of [T_profile], with the queue and
-   graph forced onto a helper, and with the depth series sampled there:
-   the same profile, the same registry and the same series as inline. *)
+   graph forced onto a helper and forbidden one, and with the depth
+   series sampled there: the same profile, the same registry and the
+   same series as inline. *)
 let profile_goldens_with_helper () =
   List.iter
     (fun (name, expected) ->
@@ -880,7 +934,8 @@ let profile_goldens_with_helper () =
         (name ^ " digest with a helper, untraced")
         expected
         (T_profile.profile_digest (Profiler.profile ~helper:true program));
-      let _, reg0, ev0 = run false in
+      let d0, reg0, ev0 = run false in
+      Alcotest.(check string) (name ^ " digest without a helper") expected d0;
       Alcotest.(check (list string)) (name ^ " registry") reg0 reg1;
       Alcotest.(check bool) (name ^ " depth series sampled") true (ev0 <> []);
       Alcotest.(check bool) (name ^ " depth series") true (ev0 = ev1))
