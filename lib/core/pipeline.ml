@@ -21,14 +21,17 @@ type plan = {
   rewrite : Rewrite.t;
 }
 
-let derive ?obs ?(config = default_config) ?(group_fn = Grouping.group)
-    (profile : Profiler.result) =
+let grouping_params (config : config) (profile : Profiler.result) =
   let min_edge_weight =
     max config.grouping.Grouping.min_edge_weight
       (int_of_float
          (config.min_edge_frac *. float_of_int profile.Profiler.total_accesses))
   in
-  let gparams = { config.grouping with Grouping.min_edge_weight } in
+  { config.grouping with Grouping.min_edge_weight }
+
+let derive ?obs ?(config = default_config) ?(group_fn = Grouping.group)
+    (profile : Profiler.result) =
+  let gparams = grouping_params config profile in
   let grouping =
     Obs.span obs "grouping" ~attrs:[ ("stage", Json.String "grouping") ]
       (fun () ->
@@ -36,7 +39,7 @@ let derive ?obs ?(config = default_config) ?(group_fn = Grouping.group)
         Obs.add_attrs obs
           [
             ("groups", Json.Int (Array.length g.Grouping.groups));
-            ("min_edge_weight", Json.Int min_edge_weight);
+            ("min_edge_weight", Json.Int gparams.Grouping.min_edge_weight);
           ];
         g)
   in
@@ -74,25 +77,19 @@ type plan_source = {
 let constant_source plan =
   { lookup = (fun _ _ _ -> Some plan); store = (fun _ _ _ _ -> ()) }
 
-let plan ?obs ?source ?config ?group_fn program =
+let plan ?obs ?source ?(config = default_config) program =
   let compute () =
-    let cfg = Option.value config ~default:default_config in
-    let profile = Profiler.profile ?obs ~config:cfg.profiler program in
-    derive ?obs ~config:cfg ?group_fn profile
+    derive ?obs ~config (Profiler.profile ?obs ~config:config.profiler program)
   in
-  match (source, group_fn) with
-  | Some s, None -> (
-      (* A source only answers for the stock grouping algorithm: a custom
-         [group_fn] is not part of the cache key, so ablations that swap
-         the clusterer bypass the source entirely. *)
-      let cfg = Option.value config ~default:default_config in
-      match s.lookup obs program cfg with
+  match source with
+  | None -> compute ()
+  | Some s -> (
+      match s.lookup obs program config with
       | Some p -> p
       | None ->
           let p = compute () in
-          s.store obs program cfg p;
+          s.store obs program config p;
           p)
-  | _ -> compute ()
 
 type runtime = {
   env : Exec_env.t;

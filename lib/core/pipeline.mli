@@ -44,6 +44,11 @@ val constant_source : plan -> plan_source
     nothing) — the record/apply split's apply side: measure under a plan
     decoded from an artifact rather than one profiled in-process. *)
 
+val grouping_params : config -> Profiler.result -> Grouping.params
+(** The grouping parameters a profile is grouped under: [config]'s, with
+    [min_edge_weight] raised to [min_edge_frac] of the profile's
+    macro accesses. *)
+
 val derive :
   ?obs:Obs.t ->
   ?config:config ->
@@ -54,24 +59,20 @@ val derive :
     from an existing profile — recorded in an earlier run, merged across
     runs, or just produced by {!Profiler.profile}. [group_fn] substitutes
     an alternative clustering algorithm (see {!Clustering}) for Figure
-    6's — the grouping-ablation hook; default is {!Grouping.group}. [obs]
-    records the [grouping], [identification] and [rewrite] spans with
-    stage-shape attributes. *)
+    6's — the grouping-ablation hook; default is {!Grouping.group}.
+    Either clusters under {!grouping_params}. [obs] records the
+    [grouping], [identification] and [rewrite] spans with stage-shape
+    attributes. *)
 
 val plan :
-  ?obs:Obs.t ->
-  ?source:plan_source ->
-  ?config:config ->
-  ?group_fn:(Affinity_graph.t -> Grouping.params -> Grouping.t) ->
-  Ir.program ->
-  plan
+  ?obs:Obs.t -> ?source:plan_source -> ?config:config -> Ir.program -> plan
 (** The record phase plus {!derive}: profile the (test-scale) program and
-    derive the plan. [source] short-circuits both phases when it already
-    holds a plan for this program/config pair, and receives the computed
-    plan otherwise; it is consulted only when [group_fn] is not given (a
-    custom clusterer is not part of any cache key). [obs] adds the
-    profiler's [profile] and [affinity-graph] spans ahead of the derive
-    spans. *)
+    derive the stock plan, under Figure 6's grouping. [source]
+    short-circuits both phases when it already holds a plan for this
+    program/config pair, and receives the computed plan otherwise. A
+    plan under another clusterer is {!derive} with [group_fn] on this
+    plan's [profile] and [config]. [obs] adds the profiler's [profile]
+    and [affinity-graph] spans ahead of the derive spans. *)
 
 type runtime = {
   env : Exec_env.t;  (** Share between allocator and interpreter. *)

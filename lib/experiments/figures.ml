@@ -224,11 +224,14 @@ let dedup key xs =
 
 (* The run that stands for [c]'s plan: a plan depends on the workload's
    Test program (a pure function of its name) and the config, never on
-   the measurement seed. *)
+   the measurement seed. Every kind that HALO's profiler plans waits on
+   the stock plan: another clusterer regroups its profile, and the
+   identification kinds group it by names. *)
 let plan_run = function
   | Run c -> (
       match c.kind with
-      | Runner.Halo | Halo_no_alloc -> Some { c with kind = Runner.Halo; seed = 2 }
+      | Runner.Halo | Halo_no_alloc | Ident_window _ ->
+          Some { c with kind = Runner.Halo; seed = 2; clusterer = Fig6 }
       | Hds | Hds_merged_packing -> Some { c with seed = 2 }
       | _ -> None)
   | Drift _ -> None
@@ -248,8 +251,7 @@ let make_plan ?obs ?plan_source c =
           Hds_plan (Runner.plan_hds ~merge:(c.kind = Hds_merged_packing) c.w)
       | _ ->
           Halo_plan
-            (Runner.plan_halo ?obs ?plan_source ~pipeline_config:c.config
-               ?group_fn:(group_fn c.clusterer) c.w))
+            (Runner.plan_halo ?obs ?plan_source ~pipeline_config:c.config c.w))
 
 type result = Measured of Runner.measurement | Mixed of Traffic_mix.report
 type results = cell -> result
@@ -264,12 +266,21 @@ let mix_report (results : results) c =
   | Mixed r -> r
   | Measured _ -> invalid_arg "Figures.mix_report: a measurement cell"
 
-(* Run one cell, under its plan if it has one. *)
+(* Run one cell, under its plan if it has one; a cell under another
+   clusterer regroups the stock plan's profile. *)
 let run_one ?obs plan = function
   | Run c ->
       let plan_source, hds_plan =
         match plan with
-        | Some (Halo_plan p) -> (Some (Pipeline.constant_source p), None)
+        | Some (Halo_plan p) ->
+            let p =
+              match group_fn c.clusterer with
+              | None -> p
+              | Some group_fn ->
+                  Pipeline.derive ?obs ~config:p.Pipeline.config ~group_fn
+                    p.Pipeline.profile
+            in
+            (Some (Pipeline.constant_source p), None)
         | Some (Hds_plan p) -> (None, Some p)
         | None -> (None, None)
       in

@@ -104,10 +104,10 @@ let halo_pipeline_config pipeline_config w =
   Workload.pipeline_config w
     (Option.value pipeline_config ~default:Pipeline.default_config)
 
-let plan_halo ?obs ?plan_source ?pipeline_config ?group_fn w =
+let plan_halo ?obs ?plan_source ?pipeline_config w =
   Pipeline.plan ?obs ?source:plan_source
     ~config:(halo_pipeline_config pipeline_config w)
-    ?group_fn (w.Workload.make Workload.Test)
+    (w.Workload.make Workload.Test)
 
 let plan_hds ~merge w =
   Hds_pipeline.plan ~merge_identical:merge (w.Workload.make Workload.Test)
@@ -169,29 +169,24 @@ let run_kind ?obs ~seed ?pipeline_config ?plan_source ?hds_plan w kind =
           ~patches:rt.Pipeline.patches ~env:rt.Pipeline.env ~halo ~hds:None ()
       end
   | Ident_window window ->
-      let config = halo_pipeline_config pipeline_config w in
-      let profile =
-        Profiler.profile ?obs ~config:config.Pipeline.profiler
-          (w.Workload.make Workload.Test)
+      (* HALO's profile and grouping rule; only identification differs. *)
+      let plan = plan_halo ?obs ?plan_source ?pipeline_config w in
+      let profile = plan.Pipeline.profile in
+      let nplan =
+        Name_ident.plan
+          ~params:(Pipeline.grouping_params plan.Pipeline.config profile)
+          ~window profile
       in
-      let min_edge_weight =
-        max config.Pipeline.grouping.Grouping.min_edge_weight
-          (int_of_float
-             (config.Pipeline.min_edge_frac
-             *. float_of_int profile.Profiler.total_accesses))
-      in
-      let params = { config.Pipeline.grouping with Grouping.min_edge_weight } in
-      let nplan = Name_ident.plan ~params ~window profile in
       let vmem = Vmem.create () in
       let fallback = Jemalloc_sim.create vmem in
       let env = Exec_env.create () in
       let classify = Name_ident.classifier nplan ~env in
       let galloc =
-        Group_alloc.create ~config:config.Pipeline.allocator ?obs ~classify
-          ~fallback vmem
+        Group_alloc.create ~config:plan.Pipeline.config.Pipeline.allocator ?obs
+          ~classify ~fallback vmem
       in
       measure ?obs ~w ~kind ~seed ~alloc:(Group_alloc.iface galloc) ~patches:[]
-        ~env ~halo:(fun () -> None) ~hds:None ()
+        ~env ~halo:no_halo ~hds:None ()
   | Hds | Hds_merged_packing ->
       let hplan =
         match hds_plan with

@@ -76,7 +76,9 @@ val run :
     persistent store's plan cache, or a plan made earlier via
     [Pipeline.constant_source]); [hds_plan] does the same for the HDS
     kinds, and must come from {!plan_hds} with the kind's [merge]. Other
-    kinds ignore both.
+    kinds ignore both. An [Ident_window] kind takes {!plan_halo}'s
+    profile and groups it by names under {!Pipeline.grouping_params}, so
+    a stock HALO plan in [plan_source] spares it a profile.
 
     [obs] records the full telemetry of the run under a root [run] span:
     for HALO kinds that plan in the run the span tree covers all seven
@@ -90,13 +92,11 @@ val plan_halo :
   ?obs:Obs.t ->
   ?plan_source:Pipeline.plan_source ->
   ?pipeline_config:Pipeline.config ->
-  ?group_fn:(Affinity_graph.t -> Grouping.params -> Grouping.t) ->
   Workload.t ->
   Pipeline.plan
-(** The plan the HALO kinds measure under: {!Pipeline.plan} of the
-    workload's [Test] program with the registry's overrides applied to
-    [pipeline_config]. [group_fn] swaps the clustering algorithm (the
-    grouping ablation), and bypasses [plan_source]. *)
+(** The plan the HALO and [Ident_window] kinds measure under:
+    {!Pipeline.plan} of the workload's [Test] program with the
+    registry's overrides applied to [pipeline_config]. *)
 
 val plan_hds : merge:bool -> Workload.t -> Hds_pipeline.plan
 (** The plan [Hds] ([merge = false]) or [Hds_merged_packing]

@@ -1,19 +1,7 @@
-type config = {
-  streams : Hot_streams.config;
-  max_trace : int;
-  max_tracked_size : int;
-  max_sets : int option;
-  seed : int;
-}
+type config = { streams : Hot_streams.config }
 
-let default_config =
-  {
-    streams = Hot_streams.default_config;
-    max_trace = 1_000_000;
-    max_tracked_size = 4096;
-    max_sets = None;
-    seed = 1;
-  }
+let default_config = { streams = Hot_streams.default_config }
+let max_trace = 1_000_000
 
 type plan = {
   groups : int list array;
@@ -24,70 +12,27 @@ type plan = {
   coverage : float;
 }
 
-let check_config config =
-  Hot_streams.check_config config.streams;
-  if config.max_trace < 0 then invalid_arg "Hds_pipeline: max_trace < 0";
-  if config.max_tracked_size < 0 then
-    invalid_arg "Hds_pipeline: max_tracked_size < 0";
-  match config.max_sets with
-  | Some n when n < 0 -> invalid_arg "Hds_pipeline: max_sets < 0"
-  | _ -> ()
-
 let plan ?(config = default_config) ?(merge_identical = false) program =
-  check_config config;
-  let vmem = Vmem.create () in
-  let alloc = Jemalloc_sim.create vmem in
-  let contexts = Context.create () in
-  let heap = Heap_model.create () in
+  Hot_streams.check_config config.streams;
   let grammar = Sequitur.create () in
   let site_of_oid = Hashtbl.create 4096 in
-  let last_oid = ref (-1) in
-  (* Context arrays arrive physically stable per (stack, site) from the
-     interpreter's cache — memoise interning on identity (see
-     Profiler.track). *)
-  let last_sites = ref [||] in
-  let last_cid = ref (-1) in
-  let track addr size site ctx_sites =
-    if size <= config.max_tracked_size then begin
-      (* The context table is only used for oid bookkeeping here; HDS
-         identification sees just the immediate site. *)
-      let cid =
-        if ctx_sites == !last_sites then !last_cid
-        else begin
-          let cid = Context.intern contexts ctx_sites in
-          last_sites := ctx_sites;
-          last_cid := cid;
-          cid
-        end
-      in
-      let o = Heap_model.on_alloc heap ~addr ~size ~ctx:cid in
-      Hashtbl.replace site_of_oid o.Heap_model.oid site
-    end
+  (* The profiler's front end, at its seed and tracking bound: the two
+     techniques see the same macro-access trace. *)
+  let profiler = Profiler.default_config in
+  let fe =
+    Profiler.front_end ~max_tracked_size:profiler.Profiler.max_tracked_size ()
   in
   let hooks =
-    {
-      Interp.on_access =
-        (fun addr _size _write ->
-          if Sequitur.input_length grammar < config.max_trace then
-            match Heap_model.find heap addr with
-            | None -> ()
-            | Some o ->
-                (* Same macro-access deduplication as HALO's profiler, so
-                   the two techniques see the same abstract trace. *)
-                if o.Heap_model.oid <> !last_oid then begin
-                  last_oid := o.Heap_model.oid;
-                  Sequitur.push grammar o.Heap_model.oid
-                end);
-      on_alloc = (fun addr size site ctx -> track addr size site ctx);
-      on_realloc =
-        (fun old_addr addr size site ctx ->
-          ignore (Heap_model.on_free heap ~addr:old_addr : Heap_model.obj option);
-          track addr size site ctx);
-      on_free =
-        (fun addr -> ignore (Heap_model.on_free heap ~addr : Heap_model.obj option));
-    }
+    Profiler.hooks fe
+      ~on_track:(fun o site -> Hashtbl.replace site_of_oid o.Heap_model.oid site)
+      ~on_macro:(fun o _size ->
+        if Sequitur.input_length grammar < max_trace then
+          Sequitur.push grammar o.Heap_model.oid)
   in
-  let interp = Interp.create ~seed:config.seed ~hooks ~program ~alloc () in
+  let alloc = Jemalloc_sim.create (Vmem.create ()) in
+  let interp =
+    Interp.create ~seed:profiler.Profiler.seed ~hooks ~program ~alloc ()
+  in
   ignore (Interp.run interp : int);
   let hot = Hot_streams.extract ~config:config.streams grammar in
   let candidates =
@@ -102,12 +47,8 @@ let plan ?(config = default_config) ?(merge_identical = false) program =
         { Set_packing.sites; weight = s.heat })
       hot.Hot_streams.streams
   in
-  let groups =
-    Array.of_list
-      (Set_packing.pack ~merge_identical ?max_sets:config.max_sets candidates)
-  in
   {
-    groups;
+    groups = Array.of_list (Set_packing.pack ~merge_identical candidates);
     stream_count = hot.Hot_streams.candidate_count;
     selected_streams = List.length hot.Hot_streams.streams;
     trace_length = hot.Hot_streams.trace_length;

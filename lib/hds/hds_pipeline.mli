@@ -11,14 +11,10 @@
     povray (wrappers), leela (single [new] site) and xalanc (deep
     indirection). *)
 
-type config = {
-  streams : Hot_streams.config;
-  max_trace : int;
-      (** Trace-length cap for the profiling run (default 1,000,000). *)
-  max_tracked_size : int;  (** Same 4 KiB bound as HALO's profiling. *)
-  max_sets : int option;  (** Cap on selected co-allocation sets. *)
-  seed : int;
-}
+type config = { streams : Hot_streams.config }
+(** The profiling run is {!Profiler}'s: its front end at
+    {!Profiler.default_config}'s seed and 4 KiB tracking bound, with
+    SEQUITUR reading the first 1,000,000 macro accesses. *)
 
 val default_config : config
 
@@ -33,14 +29,15 @@ type plan = {
 }
 
 val plan : ?config:config -> ?merge_identical:bool -> Ir.program -> plan
-(** Profile the (test-scale) program and derive co-allocation sets.
+(** Profile the (test-scale) program and derive co-allocation sets. The
+    program runs under {!Profiler.hooks}, so its trace is the macro-access
+    stream HALO's profiler sees: [trace_length] is {!Profiler.profile}'s
+    [total_accesses] under the default config, up to the 1,000,000 cap.
     [merge_identical] (default false) is forwarded to {!Set_packing.pack}
     — the ablation knob.
 
-    The config is validated before anything is interpreted: stream
-    bounds that {!Hot_streams.check_config} rejects, a negative
-    [max_trace] or [max_tracked_size], and [max_sets = Some n] with
-    [n < 0] raise [Invalid_argument]. *)
+    Stream bounds that {!Hot_streams.check_config} rejects raise
+    [Invalid_argument] before anything is interpreted. *)
 
 val classifier : plan -> env:Exec_env.t -> size:int -> int option
 (** Runtime identification: the group whose site set contains the

@@ -2,7 +2,7 @@ type candidate = { sites : int list; weight : int }
 
 let normalize sites = List.sort_uniq compare sites
 
-let pack ?(merge_identical = false) ?max_sets candidates =
+let pack ?(merge_identical = false) candidates =
   let cands =
     List.filter_map
       (fun c ->
@@ -37,17 +37,11 @@ let pack ?(merge_identical = false) ?max_sets candidates =
   in
   let used = Hashtbl.create 64 in
   let selected = ref [] in
-  let count = ref 0 in
-  let limit = Option.value max_sets ~default:max_int in
   List.iter
     (fun (_, sites, _) ->
-      if
-        !count < limit
-        && List.for_all (fun s -> not (Hashtbl.mem used s)) sites
-      then begin
+      if List.for_all (fun s -> not (Hashtbl.mem used s)) sites then begin
         List.iter (fun s -> Hashtbl.replace used s ()) sites;
-        selected := sites :: !selected;
-        incr count
+        selected := sites :: !selected
       end)
     sorted;
   List.rev !selected

@@ -20,8 +20,7 @@ type candidate = { sites : int list; weight : int }
 (** [sites] need not be sorted or deduplicated; normalisation happens
     inside. *)
 
-val pack :
-  ?merge_identical:bool -> ?max_sets:int -> candidate list -> int list list
+val pack : ?merge_identical:bool -> candidate list -> int list list
 (** The selected pairwise-disjoint site sets (each sorted ascending), in
-    selection order (best first). At most [max_sets] are returned when
-    given. Candidates with empty site lists are ignored. *)
+    selection order (best first). Candidates with empty site lists are
+    ignored. *)

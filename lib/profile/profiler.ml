@@ -93,6 +93,78 @@ let[@inline] push (s : Helper_stream.t) a b =
   Array.unsafe_set prod Helper_stream.pos i;
   if i land (chunk_words - 1) = 0 then Helper_stream.publish s i
 
+(* The front end: what a planner observes of a run. *)
+type front_end = {
+  max_tracked_size : int;
+  contexts : Context.table;
+  heap : Heap_model.t;
+  mutable tracked_allocs : int;
+}
+
+let front_end ~max_tracked_size () =
+  {
+    max_tracked_size;
+    contexts = Context.create ();
+    heap = Heap_model.create ();
+    tracked_allocs = 0;
+  }
+
+let hooks fe ~on_track ~on_macro =
+  (* The interpreter serves context arrays from a per-stack-node cache,
+     so the common case — an allocation site looping at a fixed stack —
+     hands us the same physically-equal array every iteration; memoise
+     the interning on that identity and skip hashing the array. *)
+  let last_sites = ref [||] in
+  let last_cid = ref (-1) in
+  let intern ctx_sites =
+    if ctx_sites == !last_sites then !last_cid
+    else begin
+      let cid = Context.intern fe.contexts ctx_sites in
+      last_sites := ctx_sites;
+      last_cid := cid;
+      cid
+    end
+  in
+  (* The last object found covers [base, base + extent). An access
+     inside it repeats that object, which is always the newest macro
+     access, so it skips the lookup (a non-positive size still goes on,
+     for the affinity queue to reject). Freeing the object empties the
+     bounds. *)
+  let base = ref 0 and extent = ref 0 and last = ref None in
+  let on_access addr size _write =
+    if addr - !base >= 0 && addr - !base < !extent then (
+      match !last with Some o when size <= 0 -> on_macro o size | _ -> ())
+    else
+      match Heap_model.find fe.heap addr with
+      | None -> ()
+      | Some o as cell ->
+          base := o.Heap_model.addr;
+          extent := Int.max o.Heap_model.size 1;
+          last := cell;
+          on_macro o size
+  in
+  let track addr size site ctx_sites =
+    if size <= fe.max_tracked_size then begin
+      on_track
+        (Heap_model.on_alloc fe.heap ~addr ~size ~ctx:(intern ctx_sites))
+        site;
+      fe.tracked_allocs <- fe.tracked_allocs + 1
+    end
+  in
+  let free addr =
+    if addr = !base then extent := 0;
+    ignore (Heap_model.on_free fe.heap ~addr : Heap_model.obj option)
+  in
+  {
+    Interp.on_access;
+    on_alloc = track;
+    on_realloc =
+      (fun old_addr addr size site ctx ->
+        free old_addr;
+        track addr size site ctx);
+    on_free = free;
+  }
+
 let profile ?obs ?helper ?(config = default_config) program =
   if config.sample_period < 1 then
     invalid_arg "Profiler.profile: sample_period must be >= 1";
@@ -103,65 +175,32 @@ let profile ?obs ?helper ?(config = default_config) program =
   Obs.count obs "profile.runs" 1;
   let vmem = Vmem.create () in
   let alloc = Jemalloc_sim.create vmem in
-  let contexts = Context.create () in
-  let heap = Heap_model.create () in
+  let fe = front_end ~max_tracked_size:config.max_tracked_size () in
   let graph = Affinity_graph.create () in
   let queue =
-    Affinity_queue.create ~affinity_distance:config.affinity_distance ~heap
+    Affinity_queue.create ~affinity_distance:config.affinity_distance
+      ~heap:fe.heap
       ~on_affinity:(fun x y -> Affinity_graph.add_affinity graph x y)
       ()
   in
-  let tracked_allocs = ref 0 in
-  (* The interpreter serves context arrays from a per-stack-node cache,
-     so the common case — an allocation site looping at a fixed stack —
-     hands us the same physically-equal array every iteration; memoise
-     the interning on that identity and skip hashing the array. *)
-  let last_sites = ref [||] in
-  let last_cid = ref (-1) in
-  let intern ctx_sites =
-    if ctx_sites == !last_sites then !last_cid
-    else begin
-      let cid = Context.intern contexts ctx_sites in
-      last_sites := ctx_sites;
-      last_cid := cid;
-      cid
-    end
-  in
-  (* The interpreter, context interning and the heap model run on the
-     calling domain: [record] takes each access that survives sampling
-     and that the queue must see, with its object, and [sample] each
-     access count at which to sample the queue's depth; [on_alloc] sees
-     each tracked object. *)
-  let hooks ~record ~sample ~on_alloc =
-    (* The last object found covers [base, base + extent). An access
-       inside it repeats that object, which is always the queue's newest
-       entry, so it skips the lookup and the queue (a non-positive size
-       still goes to the queue, to be rejected). Freeing the object
-       empties the bounds. *)
-    let base = ref 0 and extent = ref 0 and last = ref None in
-    let record_sample addr size _write =
-      if addr - !base >= 0 && addr - !base < !extent then (
-        match !last with Some o when size <= 0 -> record o size | _ -> ())
-      else
-        match Heap_model.find heap addr with
-        | None -> ()
-        | Some o as cell ->
-            base := o.Heap_model.addr;
-            extent := Int.max o.Heap_model.size 1;
-            last := cell;
-            record o size
-    in
-    (* [record_sample] has the access hook's shape, so the paper's
-       configuration (period 1, nothing sampled) untraced hands it to the
-       interpreter as the hook itself: one closure call per access.
+  (* The interpreter and the front end run on the calling domain:
+     [record] takes each macro access that survives sampling, and
+     [sample] each access count at which to sample the queue's depth;
+     [on_track] sees each tracked object. *)
+  let sampled_hooks ~record ~sample ~on_track =
+    let h = hooks fe ~on_track ~on_macro:record in
+    (* The front end's access hook has the interpreter's shape, so the
+       paper's configuration (period 1, nothing sampled) untraced hands
+       it to the interpreter as is: one closure call per access.
        Telemetry keeps its own access counter below. *)
     let record_access =
-      if config.sample_period = 1 then record_sample
+      if config.sample_period = 1 then h.Interp.on_access
       else
         let tick = ref 0 in
         fun addr size write ->
           incr tick;
-          if !tick mod config.sample_period = 0 then record_sample addr size write
+          if !tick mod config.sample_period = 0 then
+            h.Interp.on_access addr size write
     in
     let on_access =
       match obs with
@@ -175,25 +214,7 @@ let profile ?obs ?helper ?(config = default_config) program =
             incr obs_tick;
             if !obs_tick land (depth_sample - 1) = 0 then sample !obs_tick
     in
-    let track addr size ctx_sites =
-      if size <= config.max_tracked_size then begin
-        on_alloc (Heap_model.on_alloc heap ~addr ~size ~ctx:(intern ctx_sites));
-        incr tracked_allocs
-      end
-    in
-    let free addr =
-      if addr = !base then extent := 0;
-      ignore (Heap_model.on_free heap ~addr : Heap_model.obj option)
-    in
-    {
-      Interp.on_access;
-      on_alloc = (fun addr size _site ctx -> track addr size ctx);
-      on_realloc =
-        (fun old_addr addr size _site ctx ->
-          free old_addr;
-          track addr size ctx);
-      on_free = free;
-    }
+    { h with Interp.on_access }
   in
   let run_profile hooks ~drain =
     let interp = Interp.create ~seed:config.seed ~hooks ?obs ~program ~alloc () in
@@ -205,8 +226,8 @@ let profile ?obs ?helper ?(config = default_config) program =
         drain ();
         Obs.add_attrs obs
           [
-            ("tracked_allocs", Json.Int !tracked_allocs);
-            ("contexts", Json.Int (Context.count contexts));
+            ("tracked_allocs", Json.Int fe.tracked_allocs);
+            ("contexts", Json.Int (Context.count fe.contexts));
             ("macro_accesses", Json.Int (Affinity_queue.accesses queue));
           ]);
     Interp.instructions interp
@@ -222,12 +243,12 @@ let profile ?obs ?helper ?(config = default_config) program =
       (function
         | None ->
             run_profile ~drain:ignore
-              (hooks ~on_alloc:ignore ~sample:(depth_sampler obs queue)
-                 ~record:(macro queue graph))
+              (sampled_hooks ~on_track:(fun _ _ -> ())
+                 ~sample:(depth_sampler obs queue) ~record:(macro queue graph))
         | Some s ->
             run_profile
               ~drain:(fun () -> Helper_stream.drain s)
-              (hooks ~on_alloc:(share table)
+              (sampled_hooks ~on_track:(fun o _ -> share table o)
                  ~sample:(fun tick -> push s tag_sample tick)
                  ~record:(fun o size -> push s o.Heap_model.oid size)))
   in
@@ -249,8 +270,8 @@ let profile ?obs ?helper ?(config = default_config) program =
   {
     graph = filtered;
     raw_graph = graph;
-    contexts;
+    contexts = fe.contexts;
     total_accesses = Affinity_queue.accesses queue;
-    tracked_allocs = !tracked_allocs;
+    tracked_allocs = fe.tracked_allocs;
     instructions;
   }

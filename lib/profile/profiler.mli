@@ -42,6 +42,37 @@ type result = {
   instructions : int;  (** Instructions retired by the profiling run. *)
 }
 
+(** {1 The front end}
+
+    How a planner observes a program: the interpreter hooks that turn a
+    run into allocation contexts, tracked heap objects and macro
+    accesses. {!profile} feeds them to the affinity queue, and the
+    hot-data-streams comparator feeds the same stream to SEQUITUR, so
+    the two techniques see one abstract trace. *)
+
+type front_end
+(** One run's interned contexts and heap model. *)
+
+val front_end : max_tracked_size:int -> unit -> front_end
+(** An empty front end that tracks allocations of at most
+    [max_tracked_size] bytes. *)
+
+val hooks :
+  front_end ->
+  on_track:(Heap_model.obj -> Ir.site -> unit) ->
+  on_macro:(Heap_model.obj -> int -> unit) ->
+  Interp.hooks
+(** The hooks to run one program under. An allocation of at most the
+    tracking bound is interned to its context (memoised on the physical
+    identity of the interpreter's context array), tracked in the heap
+    model and handed to [on_track] with its immediate call site; a
+    realloc is a free of the old object plus an allocation. A load or
+    store that hits a tracked object is a macro access, handed to
+    [on_macro] with its size, unless it repeats the last object found:
+    a repeat skips the heap lookup and is dropped (one with a
+    non-positive size still goes on, for {!Affinity_queue.add} to
+    reject). Call it once per front end. *)
+
 val profile : ?obs:Obs.t -> ?helper:bool -> ?config:config -> Ir.program -> result
 (** Profile one complete run of the program. [obs] opens the [profile] and
     [affinity-graph] spans, threads telemetry into the interpreter, and
@@ -53,11 +84,13 @@ val profile : ?obs:Obs.t -> ?helper:bool -> ?config:config -> Ir.program -> resu
     [Invalid_argument] when [sample_period < 1] or [affinity_distance <= 0],
     before it counts the run or builds anything.
 
+    The program runs under the {!front_end}'s {!hooks} at [seed], with
+    [max_tracked_size] as its tracking bound; with [sample_period = 1]
+    and no [obs] the front end's access hook is the interpreter's.
     When {!Par}'s core budget has a spare core, the affinity queue and
     affinity graph run on a helper domain ({!Helper_stream}): the calling
-    domain interprets, interns contexts and runs the heap model, and
-    passes the helper only the accesses the queue must see (an object
-    found that is not a repeat of the last one) plus, with [obs], the
+    domain interprets and runs the front end, and passes the helper only
+    its macro accesses plus, with [obs], the
     points at which the helper samples the queue's depth into its own
     context on its own track. Closing that stream observes
     [profile.stream.producer_wait_s] and

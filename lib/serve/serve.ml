@@ -172,7 +172,6 @@ type t = {
   mutable derived_aggregate : int;
   mutable derived_profiled : int;
   mutable adopted_cache : int;
-  mutable records_merged : int;
 }
 
 (* {2 Aggregate persistence}
@@ -325,7 +324,6 @@ let create ?obs cfg =
       derived_aggregate = 0;
       derived_profiled = 0;
       adopted_cache = 0;
-      records_merged = 0;
     }
   in
   ignore (load_aggregates t : int);
@@ -463,7 +461,6 @@ let apply_record t ~id ~workload ~weight artifact =
           t.n_errors <- t.n_errors + 1;
           Serve_proto.error_response ~id:(Some id) (Store.error_to_string e)
       | Ok () ->
-          t.records_merged <- t.records_merged + 1;
           t.n_record <- t.n_record + 1;
           let mass = Store.merge_total_weight agg.agg_merge in
           (* Eager invalidation: enough new mass since the current plan
@@ -638,7 +635,7 @@ let stats_json t =
       ( "merge",
         Json.Obj
           [
-            ("profiles", Json.Int t.records_merged);
+            ("profiles", Json.Int t.n_record);
             ("programs", Json.Int (Hashtbl.length t.aggregates));
           ] );
       ("staleness_weight", Json.Float t.cfg.staleness_weight);

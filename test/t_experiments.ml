@@ -290,10 +290,12 @@ let grid_runs_a_repeated_cell_once () =
    three seeds of HALO and HDS make one plan of each. *)
 let grid_plans_once_per_program () =
   let ft = w "ft" in
+  (* The identification kinds measure under the stock HALO plan too. *)
   let cells =
     List.concat_map
       (fun seed -> [ Figures.cell ~seed ft Runner.Halo; Figures.cell ~seed ft Runner.Hds ])
       [ 2; 3; 4 ]
+    @ List.map (Figures.cell ft) [ Runner.Ident_window 1; Runner.Ident_window 4 ]
   in
   let obs = Obs.create () in
   ignore (Figures.run_cells ~obs ~jobs:2 cells : Figures.results);
@@ -304,7 +306,7 @@ let grid_plans_once_per_program () =
   in
   Alcotest.check Alcotest.int "one profile" 1 (counter "profile.runs");
   Alcotest.check Alcotest.int "two plans, one of each" 2 (count_spans obs "plan");
-  Alcotest.check Alcotest.int "six runs" 6 (count_spans obs "run")
+  Alcotest.check Alcotest.int "eight runs" 8 (count_spans obs "run")
 
 let grid_jobs_invariant () =
   let cells =

@@ -255,16 +255,6 @@ let packing_merge_identical () =
     "merged: combined pair wins" [ [ 1; 2 ] ]
     (Set_packing.pack ~merge_identical:true candidates2)
 
-let packing_max_sets () =
-  let sel =
-    Set_packing.pack ~max_sets:1
-      [
-        { Set_packing.sites = [ 1 ]; weight = 10 };
-        { Set_packing.sites = [ 2 ]; weight = 9 };
-      ]
-  in
-  checki "capped" 1 (List.length sel)
-
 let packing_ignores_empty () =
   checki "empty candidates ignored" 0
     (List.length (Set_packing.pack [ { Set_packing.sites = []; weight = 100 } ]))
@@ -314,6 +304,18 @@ let hds_blind_to_wrappers () =
   in
   checkb "at most one identifiable site" true (List.length distinct_sites <= 1)
 
+(* HDS observes a program through the profiler's front end, so its trace
+   is the profiler's macro-access stream, access for access. *)
+let hds_trace_is_profiler_stream () =
+  List.iter
+    (fun w ->
+      let program = w.Workload.make Workload.Test in
+      Alcotest.check Alcotest.int
+        (w.Workload.name ^ " trace length")
+        (Profiler.profile program).Profiler.total_accesses
+        (Hds_pipeline.plan program).Hds_pipeline.trace_length)
+    Workloads.all
+
 (* Bad configs are rejected before the program is interpreted: this
    program's main takes a parameter, so interpreting it raises Interp's
    own error instead. *)
@@ -332,17 +334,16 @@ let hds_good_config_reaches_interp () =
     (from_interp (plan_error Hds_pipeline.default_config))
 
 let bad_hds_configs =
-  let d = Hds_pipeline.default_config and streams = Hot_streams.default_config in
-  [
-    ("min_elems < 1", { d with streams = { streams with min_elems = 0 } });
-    ("max_elems < min_elems", { d with streams = { streams with max_elems = 1 } });
-    ("coverage 0", { d with streams = { streams with coverage = 0.0 } });
-    ("coverage > 1", { d with streams = { streams with coverage = 1.5 } });
-    ("coverage NaN", { d with streams = { streams with coverage = Float.nan } });
-    ("max_sets < 0", { d with max_sets = Some (-1) });
-    ("max_trace < 0", { d with max_trace = -1 });
-    ("max_tracked_size < 0", { d with max_tracked_size = -1 });
-  ]
+  let streams = Hot_streams.default_config in
+  List.map
+    (fun (what, streams) -> (what, { Hds_pipeline.streams }))
+    [
+      ("min_elems < 1", { streams with min_elems = 0 });
+      ("max_elems < min_elems", { streams with max_elems = 1 });
+      ("coverage 0", { streams with coverage = 0.0 });
+      ("coverage > 1", { streams with coverage = 1.5 });
+      ("coverage NaN", { streams with coverage = Float.nan });
+    ]
 
 let hds_rejects_bad_config config () =
   let msg = plan_error config in
@@ -431,11 +432,11 @@ let suite =
     tc "set packing: greedy disjoint" packing_disjoint;
     tc "set packing: cardinality scaling" packing_cardinality_scaling;
     tc "set packing: merge_identical ablation" packing_merge_identical;
-    tc "set packing: max_sets" packing_max_sets;
     tc "set packing: empty candidates" packing_ignores_empty;
     tc "hds pipeline: identifies direct sites" hds_identifies_direct_sites;
     tc "hds pipeline: blind to wrappers" hds_blind_to_wrappers;
     tc "hds pipeline: classifier reads current site" hds_classifier_uses_cur_site;
+    tc "hds pipeline: trace is the profiler's macro accesses" hds_trace_is_profiler_stream;
     tc "hds pipeline: a good config reaches the interpreter" hds_good_config_reaches_interp;
   ]
   @ List.map
