@@ -536,7 +536,8 @@ let profile_apply_cmd =
       Workload.pipeline_config w
         { pc with Pipeline.profiler = artifact.Store.config }
     in
-    let plan = Pipeline.derive ~config artifact.Store.result in
+    let plan = or_die (Store.derive_plan ~config artifact.Store.result) in
+    or_die (Store.check_sites program plan);
     let plan_source = Pipeline.constant_source plan in
     let baseline = Runner.run ~seed w Runner.Jemalloc in
     let m = Runner.run ~seed ~plan_source w Runner.Halo in

@@ -226,12 +226,17 @@ let dedup key xs =
    Test program (a pure function of its name) and the config, never on
    the measurement seed. Every kind that HALO's profiler plans waits on
    the stock plan: another clusterer regroups its profile, and the
-   identification kinds group it by names. *)
+   identification kinds group it by names. Derivation never reads the
+   allocator config, so it stays out of a HALO plan's key. *)
 let plan_run = function
   | Run c -> (
       match c.kind with
       | Runner.Halo | Halo_no_alloc | Ident_window _ ->
-          Some { c with kind = Runner.Halo; seed = 2; clusterer = Fig6 }
+          let config =
+            { c.config with
+              Pipeline.allocator = Pipeline.default_config.Pipeline.allocator }
+          in
+          Some { c with kind = Runner.Halo; seed = 2; config; clusterer = Fig6 }
       | Hds | Hds_merged_packing -> Some { c with seed = 2 }
       | _ -> None)
   | Drift _ -> None
@@ -266,19 +271,20 @@ let mix_report (results : results) c =
   | Mixed r -> r
   | Measured _ -> invalid_arg "Figures.mix_report: a measurement cell"
 
-(* Run one cell, under its plan if it has one; a cell under another
-   clusterer regroups the stock plan's profile. *)
+(* Run one cell, under its plan if it has one, with the cell's own
+   allocator config (its workload's override applied); a cell under
+   another clusterer regroups the stock plan's profile. *)
 let run_one ?obs plan = function
   | Run c ->
       let plan_source, hds_plan =
         match plan with
         | Some (Halo_plan p) ->
+            let config = Workload.pipeline_config c.w c.config in
             let p =
               match group_fn c.clusterer with
-              | None -> p
+              | None -> { p with Pipeline.config }
               | Some group_fn ->
-                  Pipeline.derive ?obs ~config:p.Pipeline.config ~group_fn
-                    p.Pipeline.profile
+                  Pipeline.derive ?obs ~config ~group_fn p.Pipeline.profile
             in
             (Some (Pipeline.constant_source p), None)
         | Some (Hds_plan p) -> (None, Some p)

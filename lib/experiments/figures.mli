@@ -111,14 +111,15 @@ val run_cells :
     of [jobs] domains (default {!Par.default_jobs}) named [cells], whose
     fan-out is one [cells.map] span. It submits every distinct plan
     first, the largest affinity distance first: the stock HALO plan by
-    (workload, config) through {!Runner.plan_halo}, which consults
-    [plan_source] (typically the persistent plan cache), and HDS kinds'
-    by (workload, merge). The cells that need no plan follow (jemalloc,
-    ptmalloc, random-N and drift cells), then the planned cells, each
-    awaiting its plan: a cell under another clusterer derives its own
-    with {!Pipeline.derive} from the stock plan's profile and config,
-    and an [Ident_window] cell measures with the stock plan as its plan
-    source. Every task is an independent
+    (workload, config without its allocator, which derivation never
+    reads) through {!Runner.plan_halo}, which consults [plan_source]
+    (typically the persistent plan cache), and HDS kinds' by (workload,
+    merge). The cells that need no plan follow (jemalloc, ptmalloc,
+    random-N and drift cells), then the planned cells, each awaiting its
+    plan and measuring under its own allocator config: a cell under
+    another clusterer derives its own with {!Pipeline.derive} from the
+    stock plan's profile, and an [Ident_window] cell measures with the
+    stock plan as its plan source. Every task is an independent
     simulation, so the results are bit-for-bit identical at any [jobs].
     [obs] receives the workers' [plan], [run] and [traffic.run] spans
     and merged registries. [progress] is called, serialised, with a line

@@ -535,17 +535,18 @@ let apply_plan_request t ~id workload =
           | Some agg when Store.merge_count agg.agg_merge > 0 -> (
               (* The aggregate outranks any disk entry: a memo miss with
                  live mass means no current plan exists for that mass. *)
-              match Store.merge_result agg.agg_merge with
+              match
+                Result.bind (Store.merge_result agg.agg_merge)
+                  (fun (_, merged) ->
+                    Store.derive_plan ?obs:t.obs ~config:r.r_config merged)
+              with
               | Error e ->
                   t.n_errors <- t.n_errors + 1;
                   Serve_proto.error_response ~id:(Some id)
                     (Store.error_to_string e)
-              | Ok (_, merged) ->
+              | Ok plan ->
                   miss ();
                   t.derived_aggregate <- t.derived_aggregate + 1;
-                  let plan =
-                    Pipeline.derive ?obs:t.obs ~config:r.r_config merged
-                  in
                   (match t.source with
                   | Some s -> s.Pipeline.store t.obs r.r_program r.r_config plan
                   | None -> ());

@@ -154,9 +154,12 @@ let source t =
     let found =
       if Sys.file_exists path then
         match
-          Store.read_plan ?obs ~expect_program:pd ~expect_config:cd path
+          Result.bind
+            (Store.read_plan ?obs ~expect_program:pd ~expect_config:cd path)
+            (fun (_, plan) ->
+              Result.map (fun () -> plan) (Store.check_sites program plan))
         with
-        | Ok (_, plan) -> Some plan
+        | Ok plan -> Some plan
         | Error _ -> None (* corrupt/stale entry: treat as a miss *)
       else None
     in

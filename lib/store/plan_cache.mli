@@ -3,12 +3,13 @@
     Plans are pure functions of (program structure, pipeline config): the
     cache keys each entry by
     [{!Ir_digest.program} ^ "-" ^ {!Store.plan_config_digest}] and stores
-    it as a {!Store} plan artifact under that name, so a warmed cache
-    answers every repeat [Pipeline.plan] call without running the
+    it as a {!Store} plan artifact under that name — the config and the
+    profile, from which a hit re-derives the stock plan — so a warmed
+    cache answers every repeat [Pipeline.plan] call without running the
     profiler. Writes go through a temp file plus atomic rename, so
     concurrent domains (the figure suite's worker pool) never observe a
-    torn entry; a corrupt or version-skewed entry reads as a miss and is
-    overwritten by the recomputed plan.
+    torn entry; an entry that fails any lookup check reads as a miss and
+    is overwritten by the recomputed plan.
 
     Hits, misses, stores and evictions are counted per cache (thread-safe)
     and on the per-worker [Obs] stream as [store.cache.hits] /
@@ -63,5 +64,8 @@ val load_stats : string -> stats option
 
 val source : t -> Pipeline.plan_source
 (** The cache as a pipeline plan source — pass to [Pipeline.plan],
-    [Runner.run], [Figures.run_suite] or the fuzz harness. Lookups verify
-    both digests and the payload checksum before trusting an entry. *)
+    [Runner.run], [Figures.run_suite] or the fuzz harness. A lookup
+    trusts an entry only when {!Store.read_plan} accepts it — magic,
+    version, payload checksum, program and config digests, every record,
+    and a plan derivable from its profile — and {!Store.check_sites}
+    finds every patch site in the program; anything else is a miss. *)

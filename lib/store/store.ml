@@ -233,17 +233,14 @@ let fnv_hex h = Printf.sprintf "%016Lx" h
    reported as its "line": the header is line 1, the first record
    line 2. *)
 
-(* Record tags. Profile and plan records share a namespace so the plan
-   decoder can reuse the profile handler. *)
+(* Record tags. A plan is its pipeline config plus the profile records,
+   so the plan decoder reuses the profile handler. *)
 let tag_meta = 0x01
 let tag_ctx = 0x02
 let tag_total = 0x03
 let tag_node = 0x04
 let tag_edge = 0x05
 let tag_config = 0x10
-let tag_grouping = 0x11
-let tag_selector = 0x12
-let tag_rewrite = 0x13
 
 (* Graph discriminator inside total/node/edge records. *)
 let gr_raw = 0
@@ -515,14 +512,6 @@ let read_len ~line d =
       (Printf.sprintf "length %d exceeds the %d bytes left in the record" n
          (Wire.remaining d))
   else n
-
-(* A length-prefixed list of elements, each decoded by [read]. *)
-let read_list ~line d read =
-  let n = read_len ~line d in
-  let rec go i acc = if i = n then List.rev acc else go (i + 1) (read d :: acc) in
-  go 0 []
-
-let rint_list ~line d = read_list ~line d Wire.read_varint
 
 (* {1 Profile payload} *)
 
@@ -818,60 +807,6 @@ let merge_profiles inputs =
 
 (* {1 Plans} *)
 
-let emit_plan w (plan : Pipeline.plan) =
-  record w (fun b ->
-      Wire.u8 b tag_config;
-      Wire.bytes b
-        (Json.to_string ~pretty:false
-           (json_of_pipeline_config plan.Pipeline.config)));
-  emit_profile w plan.Pipeline.profile;
-  let g = plan.Pipeline.grouping in
-  record w (fun b ->
-      Wire.u8 b tag_grouping;
-      Wire.varint b (Array.length g.Grouping.groups);
-      Array.iter
-        (fun members ->
-          Wire.varint b (List.length members);
-          List.iter (Wire.varint b) members)
-        g.Grouping.groups;
-      Array.iter (Wire.varint b) g.Grouping.group_accesses;
-      Array.iter (Wire.varint b) g.Grouping.group_weights;
-      Wire.varint b (List.length g.Grouping.ungrouped);
-      List.iter (Wire.varint b) g.Grouping.ungrouped);
-  List.iter
-    (fun (sel : Identify.selector) ->
-      record w (fun b ->
-          Wire.u8 b tag_selector;
-          Wire.varint b sel.Identify.group;
-          Wire.varint b (List.length sel.Identify.disjuncts);
-          List.iter
-            (fun conj ->
-              Wire.varint b (List.length conj);
-              List.iter (Wire.varint b) conj)
-            sel.Identify.disjuncts))
-    plan.Pipeline.selectors;
-  let r = plan.Pipeline.rewrite in
-  record w (fun b ->
-      Wire.u8 b tag_rewrite;
-      Wire.varint b r.Rewrite.nbits;
-      Wire.varint b (List.length r.Rewrite.patches);
-      List.iter
-        (fun (site, bit) ->
-          Wire.varint b site;
-          Wire.varint b bit)
-        r.Rewrite.patches;
-      Wire.varint b (List.length r.Rewrite.selectors);
-      List.iter
-        (fun (c : Rewrite.compiled) ->
-          Wire.varint b c.Rewrite.group;
-          Wire.varint b (List.length c.Rewrite.conjs);
-          List.iter
-            (fun conj ->
-              Wire.varint b (List.length conj);
-              List.iter (Wire.varint b) conj)
-            c.Rewrite.conjs)
-        r.Rewrite.selectors)
-
 let write_plan ?obs ?format:(_ : format option) ?created ?(producer = "halo")
     ?(extra_meta = []) ~path ~program_digest (plan : Pipeline.plan) =
   let created =
@@ -888,7 +823,41 @@ let write_plan ?obs ?format:(_ : format option) ?created ?(producer = "halo")
       meta = extra_meta;
     }
   in
-  with_artifact ?obs ~path ~header (fun w -> emit_plan w plan)
+  with_artifact ?obs ~path ~header (fun w ->
+      record w (fun b ->
+          Wire.u8 b tag_config;
+          Wire.bytes b
+            (Json.to_string ~pretty:false
+               (json_of_pipeline_config plan.Pipeline.config)));
+      emit_profile w plan.Pipeline.profile)
+
+(* A profile that decodes cleanly can still be one no plan fits: more
+   monitored sites than the group-state vector holds, or a grouping
+   config Figure 6 rejects. *)
+let derive_exn ?obs ~config profile =
+  try Pipeline.derive ?obs ~config profile
+  with Invalid_argument m -> fail 0 m
+
+let derive_plan ?obs ~config profile =
+  wrap (fun () -> derive_exn ?obs ~config profile)
+
+let check_sites program (plan : Pipeline.plan) =
+  let known = Ir.sites program in
+  match
+    List.find_opt
+      (fun (site, _) -> not (List.mem site known))
+      plan.Pipeline.rewrite.Rewrite.patches
+  with
+  | None -> Ok ()
+  | Some (site, _) ->
+      Error
+        (Malformed
+           {
+             line = 0;
+             reason =
+               Printf.sprintf "plan patches site 0x%x, which the program lacks"
+                 site;
+           })
 
 let read_plan ?obs ?expect_program ?expect_config path =
   Obs.span obs "store.decode"
@@ -906,9 +875,6 @@ let read_plan ?obs ?expect_program ?expect_config path =
             expect_config;
           let st = new_profile_state () in
           let config = ref None in
-          let grouping = ref None in
-          let selectors = ref [] in
-          let rewrite = ref None in
           let handle ~line tag d =
             if handle_profile_record st ~line tag d then true
             else if tag = tag_config then begin
@@ -918,48 +884,14 @@ let read_plan ?obs ?expect_program ?expect_config path =
               | Error e -> fail line e);
               true
             end
-            else if tag = tag_grouping then begin
-              if !grouping <> None then fail line "duplicate grouping record";
-              let groups = Array.of_list (read_list ~line d (rint_list ~line)) in
-              let n = Array.length groups in
-              let group_accesses = Array.init n (fun _ -> Wire.read_varint d) in
-              let group_weights = Array.init n (fun _ -> Wire.read_varint d) in
-              let ungrouped = rint_list ~line d in
-              grouping :=
-                Some
-                  { Grouping.groups; group_accesses; group_weights; ungrouped };
-              true
-            end
-            else if tag = tag_selector then begin
-              let group = Wire.read_varint d in
-              let disjuncts = read_list ~line d (rint_list ~line) in
-              selectors := { Identify.group; disjuncts } :: !selectors;
-              true
-            end
-            else if tag = tag_rewrite then begin
-              if !rewrite <> None then fail line "duplicate rewrite record";
-              let nbits = Wire.read_varint d in
-              let patches =
-                read_list ~line d (fun d ->
-                    let site = Wire.read_varint d in
-                    (site, Wire.read_varint d))
-              in
-              let selectors =
-                read_list ~line d (fun d ->
-                    let group = Wire.read_varint d in
-                    { Rewrite.group; conjs = read_list ~line d (rint_list ~line) })
-              in
-              rewrite := Some { Rewrite.patches; selectors; nbits };
-              true
-            end
             else false
           in
           decode_records records handle;
-          let require what = function
-            | Some v -> v
-            | None -> fail 0 (Printf.sprintf "artifact has no %s line" what)
+          let config =
+            match !config with
+            | Some c -> c
+            | None -> fail 0 "artifact has no config line"
           in
-          let config = require "config" !config in
           let self = plan_config_digest config in
           if self <> header.config_digest then
             raise
@@ -970,14 +902,7 @@ let read_plan ?obs ?expect_program ?expect_config path =
                       found = header.config_digest;
                       expected = self;
                     }));
-          ( header,
-            {
-              Pipeline.config;
-              profile = finish_profile st;
-              grouping = require "grouping" !grouping;
-              selectors = List.rev !selectors;
-              rewrite = require "rewrite" !rewrite;
-            } )))
+          (header, derive_exn ~config (finish_profile st))))
 
 (* {1 Inspection} *)
 

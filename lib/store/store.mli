@@ -181,7 +181,12 @@ val merge_adopt :
     {!merge_add}; raises [Invalid_argument] on a non-positive [mass] or
     negative [count]. *)
 
-(** {1 Plans} *)
+(** {1 Plans}
+
+    A plan is a pure function of a profile and the pipeline config
+    ({!Pipeline.derive}), so a plan artifact holds only those two: one
+    config record and the profile records {!write_profile} writes. The
+    grouping, selectors and rewrite are derived again on every read. *)
 
 val write_plan :
   ?obs:Obs.t ->
@@ -193,9 +198,11 @@ val write_plan :
   program_digest:string ->
   Pipeline.plan ->
   (unit, error) result
-(** Encode a complete plan: pipeline config, embedded profile, grouping,
-    selectors and rewrite. [format] is ignored (see {!format}). The
-    header's config digest is [plan_config_digest plan.config]. *)
+(** Encode a plan's pipeline config and embedded profile. [format] is
+    ignored (see {!format}). The header's config digest is
+    [plan_config_digest plan.config]. Only a stock plan (Figure 6's
+    grouping, as {!Pipeline.plan} and {!Pipeline.derive} without
+    [group_fn] make) reads back as itself. *)
 
 val read_plan :
   ?obs:Obs.t ->
@@ -203,10 +210,31 @@ val read_plan :
   ?expect_config:string ->
   string ->
   (header * Pipeline.plan, error) result
-(** Decode a plan artifact; [expect_config] compares against the header's config digest (the
-    cache's key check). The decoded plan's config is re-digested and
-    verified against the header — a tampered config body is a
-    [Digest_mismatch], not a silently different plan. *)
+(** Decode a plan artifact and return {!derive_plan} of its config and
+    profile: the stock Figure 6 derivation. [expect_config] compares
+    against the header's config digest (the cache's key check). The
+    decoded config is re-digested and verified against the header — a
+    tampered config body is a [Digest_mismatch], not a silently
+    different plan. A profile no plan can be derived from is
+    [Malformed] at line 0, as in {!derive_plan}. The plan's patch sites
+    are not checked against any program; see {!check_sites}. *)
+
+val derive_plan :
+  ?obs:Obs.t ->
+  config:Pipeline.config ->
+  Profiler.result ->
+  (Pipeline.plan, error) result
+(** {!Pipeline.derive} under Figure 6's grouping as a typed result: a
+    profile whose derivation raises [Invalid_argument] — more monitored
+    sites than {!Rewrite.max_bits}, or a grouping config the grouping
+    rejects — is [Malformed] at line 0. For profiles read from outside
+    (a decoded artifact, a served aggregate). *)
+
+val check_sites : Ir.program -> Pipeline.plan -> (unit, error) result
+(** [Malformed] at line 0 naming the first site the plan patches that
+    the program lacks; [Ok ()] when every patch site is one of
+    {!Ir.sites}. A plan derived from an outside profile must pass this
+    before it instruments the program. *)
 
 (** {1 Inspection} *)
 

@@ -308,6 +308,29 @@ let grid_plans_once_per_program () =
   Alcotest.check Alcotest.int "two plans, one of each" 2 (count_spans obs "plan");
   Alcotest.check Alcotest.int "eight runs" 8 (count_spans obs "run")
 
+(* Derivation never reads the allocator config: a sharded-backend cell
+   shares the stock plan, and still measures under its own backend. *)
+let grid_plan_key_leaves_out_the_allocator () =
+  let lw = w "leela" in
+  let sharded =
+    { Pipeline.default_config with
+      Pipeline.allocator =
+        { Pipeline.default_config.Pipeline.allocator with
+          Group_alloc.backend = Group_alloc.Sharded_free_lists } }
+  in
+  let bump_cell = Figures.cell lw Runner.Halo in
+  let sharded_cell = Figures.cell ~config:sharded lw Runner.Halo in
+  let obs = Obs.create () in
+  let r = Figures.run_cells ~obs ~jobs:2 [ bump_cell; sharded_cell ] in
+  Alcotest.check Alcotest.int "one plan" 1 (count_spans obs "plan");
+  Alcotest.check Alcotest.int "one profile" 1 (count_spans obs "profile");
+  Alcotest.check Alcotest.string "the sharded cell measures as a sharded run"
+    (run_json (Runner.run ~pipeline_config:sharded lw Runner.Halo))
+    (run_json (Figures.measurement r sharded_cell));
+  checkb "and differs from the bump cell" true
+    (run_json (Figures.measurement r sharded_cell)
+    <> run_json (Figures.measurement r bump_cell))
+
 let grid_jobs_invariant () =
   let cells =
     List.concat_map
@@ -383,6 +406,8 @@ let suite =
     tc "helper measurement unchanged" helper_measurement_unchanged;
     tc "grid: a repeated cell runs once" grid_runs_a_repeated_cell_once;
     tc "grid: one plan per program across seeds" grid_plans_once_per_program;
+    tc "grid: the allocator stays out of the plan key"
+      grid_plan_key_leaves_out_the_allocator;
     tc "grid: results identical at any jobs" grid_jobs_invariant;
     tc "grid: drift rows" drift_rows;
   ]

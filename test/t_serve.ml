@@ -204,6 +204,27 @@ let handle_line_hostile_artifact () =
     (Json.get_bool "ok" r = Ok false);
   checkb "id recovered" true (Json.get_int "id" r = Ok 1)
 
+let handle_line_underivable_profile () =
+  (* A well-formed profile no plan fits (more monitored sites than the
+     group-state vector holds): recording it succeeds, the plan request
+     is an error response, and the engine keeps serving. *)
+  let path = T_store.crafted_profile ~n:80 ~base:1000 in
+  let engine = Serve.create (config ()) in
+  let recorded =
+    Serve.handle_line engine
+      (Printf.sprintf {|{"job":"profile-record","id":1,"artifact":%S}|} path)
+  in
+  Sys.remove path;
+  checkb "the artifact records" true (Json.get_bool "ok" recorded = Ok true);
+  let planned =
+    Serve.handle_line engine {|{"job":"plan-request","id":2,"workload":"ft"}|}
+  in
+  checkb "plan request is an error response" true
+    (Json.get_bool "ok" planned = Ok false);
+  checkb "id recovered" true (Json.get_int "id" planned = Ok 2);
+  let later = Serve.handle_line engine {|{"job":"stats","id":3}|} in
+  checkb "still serving" true (Json.get_bool "ok" later = Ok true)
+
 (* ---------------- fleet simulator ---------------- *)
 
 let sim_stream_deterministic () =
@@ -710,6 +731,7 @@ let suite =
     tc "shutdown: later jobs refused" shutdown_semantics;
     tc "lines: parse failures become error responses" handle_line_recovers;
     tc "lines: a hostile artifact is an error response" handle_line_hostile_artifact;
+    tc "lines: an underivable profile is an error response" handle_line_underivable_profile;
     tc "sim: schedule is deterministic" sim_stream_deterministic;
     slow "sim: small fleet smoke" sim_run_smoke;
     tc "line reader: one-byte short reads" line_reader_one_byte_reads;

@@ -878,8 +878,9 @@ let seed_images =
 
 (* (image, re-sealed?, record pick, mutations) to the mutated bytes. In
    the re-sealed variant the pick selects a record tag first, then a
-   record carrying it, so rare records (meta, grouping, rewrite) are
-   reached as often as the many node and edge records. *)
+   record carrying it, so rare records (meta, a plan's config) are
+   reached as often as the many node and edge records. A re-sealed plan
+   that still decodes reaches the derivation too. *)
 let mutated (image, resealed, pick, muts) =
   let data = (Lazy.force seed_images).(image) in
   if not resealed then List.fold_left Byte_mutation.mutate data muts
@@ -1255,6 +1256,135 @@ let cache_ignores_stray_jsonl () =
   checkb "stray file survives eviction untouched" true
     (Sys.file_exists stray && read_file stray = stray_bytes)
 
+(* ---------------- plans are derived on read ---------------- *)
+
+let ft_program () = (w "ft").Workload.make Workload.Test
+let ft_plan = lazy (Pipeline.plan (ft_program ()))
+
+(* A profile whose [n] contexts each hold one site of their own,
+   [base + i], linked as an affinity chain. Eighty of them group into
+   more monitored sites than the 64-bit group-state vector holds; ten
+   from [base] 1000 (0x3e8) name sites ft lacks. *)
+let crafted_result ~n ~base =
+  let contexts = Context.create () and graph = Affinity_graph.create () in
+  for i = 0 to n - 1 do
+    let id = Context.intern contexts [| base + i |] in
+    Affinity_graph.add_access_n graph id 1000;
+    if i > 0 then Affinity_graph.add_affinity_n graph (id - 1) id 1000
+  done;
+  {
+    Profiler.graph;
+    raw_graph = graph;
+    contexts;
+    total_accesses = 1000 * n;
+    tracked_allocs = n;
+    instructions = 1000 * n;
+  }
+
+(* The same as a checksum-valid profile artifact under ft's digest. *)
+let crafted_profile ~n ~base =
+  let path = tmp ".bin" in
+  ok
+    (Store.write_profile ~created:1.0 ~producer:"t" ~path
+       ~program_digest:(Ir_digest.program (ft_program ()))
+       ~config:Profiler.default_config (crafted_result ~n ~base));
+  path
+
+(* A plan artifact embedding [profile], written where the plan cache in
+   [dir] looks up ft's stock plan. *)
+let plan_entry ~dir profile =
+  let program = ft_program () in
+  let pd = Ir_digest.program program in
+  let path =
+    Filename.concat dir
+      (pd ^ "-" ^ Store.plan_config_digest Pipeline.default_config ^ ".plan.bin")
+  in
+  ok
+    (Store.write_plan ~created:1.0 ~producer:"t" ~path ~program_digest:pd
+       { (Lazy.force ft_plan) with Pipeline.profile });
+  path
+
+(* A cache whose ft entry is refused: the lookup misses, the recomputed
+   stock plan overwrites the entry, and the next lookup hits. *)
+let cache_recovers what cache =
+  let program = ft_program () and src = Plan_cache.source cache in
+  let plan = Pipeline.plan ~source:src program in
+  checkb (what ^ ": recomputed the stock plan") true
+    (plan.Pipeline.rewrite = (Lazy.force ft_plan).Pipeline.rewrite);
+  checkb (what ^ ": the overwritten entry hits") true
+    (Option.is_some (src.Pipeline.lookup None program Pipeline.default_config));
+  let s = Plan_cache.stats cache in
+  checki (what ^ ": one miss") 1 s.Plan_cache.misses;
+  checki (what ^ ": one store") 1 s.Plan_cache.stores;
+  checki (what ^ ": one hit") 1 s.Plan_cache.hits
+
+let malformed_at_0 what ?sub r =
+  match err what r with
+  | Store.Malformed { line = 0; reason }
+    when Option.fold ~none:true ~some:(fun sub -> contains ~sub reason) sub ->
+      ()
+  | e -> Alcotest.fail (what ^ ": wanted Malformed at line 0, got " ^ Store.error_to_string e)
+
+let underivable_profile_is_malformed () =
+  let profile = crafted_result ~n:80 ~base:1000 in
+  malformed_at_0 "derive_plan" ~sub:"exceed"
+    (Store.derive_plan ~config:Pipeline.default_config profile);
+  let cache = Plan_cache.create (tmp_dir ()) in
+  let path = plan_entry ~dir:(Plan_cache.dir cache) profile in
+  malformed_at_0 "read_plan" ~sub:"exceed" (Store.read_plan path);
+  cache_recovers "underivable entry" cache
+
+let foreign_sites_are_refused () =
+  let program = ft_program () in
+  let profile = crafted_result ~n:10 ~base:1000 in
+  let plan = ok (Store.derive_plan ~config:Pipeline.default_config profile) in
+  checkb "the crafted plan patches sites" true
+    (plan.Pipeline.rewrite.Rewrite.patches <> []);
+  malformed_at_0 "check_sites" ~sub:"which the program lacks"
+    (Store.check_sites program plan);
+  checkb "a stock plan's sites pass" true
+    (Store.check_sites program (Lazy.force ft_plan) = Ok ());
+  let cache = Plan_cache.create (tmp_dir ()) in
+  let path = plan_entry ~dir:(Plan_cache.dir cache) profile in
+  checkb "the entry itself reads" true (Result.is_ok (Store.read_plan path));
+  cache_recovers "foreign-site entry" cache
+
+(* Before plans were derived on read, a plan artifact also carried
+   grouping (0x11), selector (0x12) and rewrite (0x13) records, and a
+   reader trusted them: the two rewrite bodies below (a 2^40-bit vector;
+   a patch bit of 100000) crashed a measurement. Re-sealed onto a
+   current plan, each is an unknown tag. *)
+let retired_records =
+  let body tag fields =
+    let b = Buffer.create 16 in
+    Wire.u8 b tag;
+    List.iter (Wire.varint b) fields;
+    Buffer.contents b
+  in
+  [
+    ("grouping", 0x11, body 0x11 [ 0; 0 ]);
+    ("selector", 0x12, body 0x12 [ 0; 0 ]);
+    ("rewrite of 2^40 bits", 0x13, body 0x13 [ 1 lsl 40; 0; 0 ]);
+    ("rewrite patching bit 100000", 0x13, body 0x13 [ 1; 1; 0x400000; 100_000; 0 ]);
+  ]
+
+let retired_plan_records_are_misses () =
+  List.iter
+    (fun (what, tag, record) ->
+      let cache = Plan_cache.create (tmp_dir ()) in
+      let path =
+        plan_entry ~dir:(Plan_cache.dir cache) (Lazy.force ft_plan).Pipeline.profile
+      in
+      let prefix, bodies = split (read_file path) in
+      write_file path (seal prefix (bodies @ [ record ]));
+      (match err what (Store.read_plan path) with
+      | Store.Malformed { reason; _ }
+        when contains ~sub:(Printf.sprintf "unknown record tag 0x%02x" tag) reason ->
+          ()
+      | e -> Alcotest.fail (what ^ ": wanted an unknown tag, got " ^ Store.error_to_string e));
+      cache_recovers what cache)
+    retired_records
+
 let suite_warmed_equivalence () =
   (* The acceptance bar: a warmed cache runs the whole figure suite with
      zero profiler invocations and unchanged measurements. *)
@@ -1353,6 +1483,9 @@ let suite =
     slow "cache: eviction ties break on entry name" cache_eviction_name_tie_break;
     slow "cache: stray .plan.jsonl is ignored" cache_ignores_stray_jsonl;
     slow "suite: warmed-cache equivalence" suite_warmed_equivalence;
+    tc "plan: an underivable profile is malformed" underivable_profile_is_malformed;
+    tc "plan: patch sites the program lacks are refused" foreign_sites_are_refused;
+    tc "plan: retired record tags are cache misses" retired_plan_records_are_misses;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ plan_round_trip_prop; decoder_mutation_prop; json_mutation_prop ]
