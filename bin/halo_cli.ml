@@ -87,6 +87,11 @@ let positive_float =
       if Float.is_finite w && w > 0.0 then None
       else Some "must be positive and finite")
 
+let non_negative_float =
+  checked Arg.float (fun x ->
+      if Float.is_finite x && x >= 0.0 then None
+      else Some "must be finite and not negative")
+
 let chunk_size_arg =
   let chunk_size =
     checked Arg.int (fun n ->
@@ -538,9 +543,8 @@ let profile_apply_cmd =
     in
     let plan = or_die (Store.derive_plan ~config artifact.Store.result) in
     or_die (Store.check_sites program plan);
-    let plan_source = Pipeline.constant_source plan in
     let baseline = Runner.run ~seed w Runner.Jemalloc in
-    let m = Runner.run ~seed ~plan_source w Runner.Halo in
+    let m = Runner.run ~seed ~plan:(Runner.Halo_plan plan) w Runner.Halo in
     print_measurement ~baseline m;
     match json_out with
     | None -> ()
@@ -1150,7 +1154,7 @@ let traffic_spec_arg =
 
 let traffic_drift_arg =
   Arg.(
-    value & opt float 0.5
+    value & opt non_negative_float 0.5
     & info [ "drift" ] ~docv:"R"
         ~doc:
           "Expected popularity-ranking rotations per phase of the \
@@ -1159,17 +1163,17 @@ let traffic_drift_arg =
 
 let traffic_phases_arg =
   Arg.(
-    value & opt int 6
+    value & opt positive_int 6
     & info [ "phases" ] ~docv:"N" ~doc:"Epochs in the drifting schedule.")
 
 let traffic_ticks_arg =
   Arg.(
-    value & opt int 2
+    value & opt positive_int 2
     & info [ "ticks-per-phase" ] ~docv:"N" ~doc:"Ticks per epoch.")
 
 let traffic_rate_arg =
   Arg.(
-    value & opt float 4.0
+    value & opt non_negative_float 4.0
     & info [ "rate" ] ~docv:"R"
         ~doc:"Jobs per tick of the drifting schedule.")
 
@@ -1186,19 +1190,27 @@ let traffic_seed_arg =
     value & opt int 1
     & info [ "seed" ] ~docv:"N" ~doc:"Traffic seed (per-job seed streams).")
 
+(* A spec and the built-in drifting schedule pass the same validation,
+   and a schedule it rejects exits 1 with its message. *)
 let traffic_schedule ~spec ~workloads ~ticks_per_phase ~rate ~phases ~drift =
+  let checked what = function
+    | Ok s -> s
+    | Error e ->
+        Printf.eprintf "halo: %s: %s\n" what e;
+        exit 1
+  in
   match spec with
-  | Some path -> (
-      match
-        Schedule.of_spec (In_channel.with_open_bin path In_channel.input_all)
-      with
-      | Ok s -> s
-      | Error e ->
-          Printf.eprintf "halo: %s: %s\n" path e;
-          exit 1)
+  | Some path ->
+      checked path
+        (Schedule.of_spec (In_channel.with_open_bin path In_channel.input_all))
   | None ->
       let workloads = match workloads with [] -> None | l -> Some l in
-      Schedule.drifting ?workloads ~ticks_per_phase ~rate ~phases ~drift ()
+      checked "drifting schedule"
+        (match
+           Schedule.drifting ?workloads ~ticks_per_phase ~rate ~phases ~drift ()
+         with
+        | s -> Result.map (fun () -> s) (Schedule.validate s)
+        | exception Invalid_argument e -> Error e)
 
 let traffic_run_cmd =
   let run spec workloads ticks_per_phase rate phases drift seed plan_budget
@@ -1232,13 +1244,13 @@ let traffic_run_cmd =
   in
   let plan_budget_arg =
     Arg.(
-      value & opt int Traffic_mix.default_config.Traffic_mix.plan_budget
+      value & opt non_negative_int Traffic_mix.default_config.Traffic_mix.plan_budget
       & info [ "plan-budget" ] ~docv:"K"
           ~doc:"Hottest-K workloads holding live plans at once.")
   in
   let reprofile_arg =
     Arg.(
-      value & opt int 2
+      value & opt non_negative_int 2
       & info [ "reprofile-every" ] ~docv:"TICKS"
           ~doc:
             "Ticks between hot-set re-plans; 0 plans once at tick 0 and \
@@ -1246,7 +1258,7 @@ let traffic_run_cmd =
   in
   let window_arg =
     Arg.(
-      value & opt int Traffic_mix.default_config.Traffic_mix.window
+      value & opt positive_int Traffic_mix.default_config.Traffic_mix.window
       & info [ "window" ] ~docv:"TICKS"
           ~doc:"Ticks of traffic history that vote on the hot set.")
   in

@@ -74,9 +74,6 @@ type plan_source = {
   store : Obs.t option -> Ir.program -> config -> plan -> unit;
 }
 
-let constant_source plan =
-  { lookup = (fun _ _ _ -> Some plan); store = (fun _ _ _ _ -> ()) }
-
 let plan ?obs ?source ?(config = default_config) program =
   let compute () =
     derive ?obs ~config (Profiler.profile ?obs ~config:config.profiler program)

@@ -39,11 +39,6 @@ type plan_source = {
     [lookup] before profiling and hands freshly computed plans to [store];
     a source that misses everywhere and stores nothing is the identity. *)
 
-val constant_source : plan -> plan_source
-(** A source that always answers with the given plan (and stores
-    nothing) — the record/apply split's apply side: measure under a plan
-    decoded from an artifact rather than one profiled in-process. *)
-
 val grouping_params : config -> Profiler.result -> Grouping.params
 (** The grouping parameters a profile is grouped under: [config]'s, with
     [min_edge_weight] raised to [min_edge_frac] of the profile's

@@ -222,26 +222,32 @@ let dedup key xs =
     (fun x -> (not (Hashtbl.mem seen (key x))) && (Hashtbl.add seen (key x) (); true))
     xs
 
+let stock w =
+  { w; kind = Runner.Halo; seed = 2; config = Pipeline.default_config; clusterer = Fig6 }
+
 (* The run that stands for [c]'s plan: a plan depends on the workload's
    Test program (a pure function of its name) and the config, never on
    the measurement seed. Every kind that HALO's profiler plans waits on
    the stock plan: another clusterer regroups its profile, and the
    identification kinds group it by names. Derivation never reads the
-   allocator config, so it stays out of a HALO plan's key. *)
-let plan_run = function
-  | Run c -> (
-      match c.kind with
-      | Runner.Halo | Halo_no_alloc | Ident_window _ ->
-          let config =
-            { c.config with
-              Pipeline.allocator = Pipeline.default_config.Pipeline.allocator }
-          in
-          Some { c with kind = Runner.Halo; seed = 2; config; clusterer = Fig6 }
-      | Hds | Hds_merged_packing -> Some { c with seed = 2 }
-      | _ -> None)
-  | Drift _ -> None
+   allocator config, so it stays out of a HALO plan's key. Both HDS kinds
+   wait on the [Hds] plan, which merged packing re-packs. *)
+let plan_run c =
+  match c.kind with
+  | Runner.Halo | Halo_no_alloc | Ident_window _ ->
+      let config =
+        { c.config with
+          Pipeline.allocator = Pipeline.default_config.Pipeline.allocator }
+      in
+      Some { (stock c.w) with config }
+  | Hds | Hds_merged_packing -> Some { c with kind = Runner.Hds; seed = 2 }
+  | _ -> None
 
-type plan = Halo_plan of Pipeline.plan | Hds_plan of Hds_pipeline.plan
+(* A drift cell adopts the stock HALO plans of its schedule's workloads:
+   the drifting schedule ranks the whole registry. *)
+let plan_runs = function
+  | Run c -> Option.to_list (plan_run c)
+  | Drift _ -> List.map stock Workloads.all
 
 let make_plan ?obs ?plan_source c =
   Obs.span obs "plan"
@@ -252,10 +258,9 @@ let make_plan ?obs ?plan_source c =
       ]
     (fun () ->
       match c.kind with
-      | Runner.Hds | Hds_merged_packing ->
-          Hds_plan (Runner.plan_hds ~merge:(c.kind = Hds_merged_packing) c.w)
+      | Runner.Hds -> Runner.Hds_plan (Runner.plan_hds c.w)
       | _ ->
-          Halo_plan
+          Runner.Halo_plan
             (Runner.plan_halo ?obs ?plan_source ~pipeline_config:c.config c.w))
 
 type result = Measured of Runner.measurement | Mixed of Traffic_mix.report
@@ -271,28 +276,27 @@ let mix_report (results : results) c =
   | Mixed r -> r
   | Measured _ -> invalid_arg "Figures.mix_report: a measurement cell"
 
-(* Run one cell, under its plan if it has one, with the cell's own
-   allocator config (its workload's override applied); a cell under
-   another clusterer regroups the stock plan's profile. *)
-let run_one ?obs plan = function
+(* Run one cell under the plans [plan_of] awaits. A measurement cell
+   measures with its own allocator config (its workload's override
+   applied), and one under another clusterer regroups the stock plan's
+   profile. A drift cell adopts each workload's stock plan. *)
+let run_one ?obs plan_of = function
   | Run c ->
-      let plan_source, hds_plan =
-        match plan with
-        | Some (Halo_plan p) ->
-            let config = Workload.pipeline_config c.w c.config in
-            let p =
-              match group_fn c.clusterer with
-              | None -> { p with Pipeline.config }
-              | Some group_fn ->
-                  Pipeline.derive ?obs ~config ~group_fn p.Pipeline.profile
-            in
-            (Some (Pipeline.constant_source p), None)
-        | Some (Hds_plan p) -> (None, Some p)
-        | None -> (None, None)
+      let plan =
+        Option.map
+          (fun run ->
+            match plan_of run with
+            | Runner.Halo_plan p ->
+                let config = Workload.pipeline_config c.w c.config in
+                Runner.Halo_plan
+                  (match group_fn c.clusterer with
+                  | None -> { p with Pipeline.config }
+                  | Some group_fn ->
+                      Pipeline.derive ?obs ~config ~group_fn p.Pipeline.profile)
+            | hds -> hds)
+          (plan_run c)
       in
-      Measured
-        (Runner.run ?obs ~seed:c.seed ~pipeline_config:c.config ?plan_source
-           ?hds_plan c.w c.kind)
+      Measured (Runner.run ?obs ~seed:c.seed ~pipeline_config:c.config ?plan c.w c.kind)
   | Drift { drift; cadence } ->
       (* The drift figure's traffic: all 11 workloads, 4 phases of 2
          ticks at 3 jobs per tick, traffic seed 1. *)
@@ -300,7 +304,12 @@ let run_one ?obs plan = function
         { Traffic_mix.default_config with Traffic_mix.reprofile_every = cadence }
       in
       Mixed
-        (Traffic_mix.run ?obs ~config ~seed:1
+        (Traffic_mix.run ?obs ~config
+           ~plan_for:(fun w ->
+             match plan_of (stock w) with
+             | Runner.Halo_plan p -> p
+             | Runner.Hds_plan _ -> invalid_arg "Figures: an HDS plan for a drift cell")
+           ~seed:1
            (Schedule.drifting ~ticks_per_phase:2 ~rate:3.0 ~phases:4 ~drift ()))
 
 let label = function
@@ -321,11 +330,9 @@ let run_cells ?jobs ?obs ?plan_source ?(progress = fun _ -> ()) cells =
   let plans =
     List.stable_sort
       (fun a b -> compare (distance b) (distance a))
-      (dedup run_key (List.filter_map plan_run cells))
+      (dedup run_key (List.concat_map plan_runs cells))
   in
-  let unplanned, planned =
-    List.partition (fun c -> Option.is_none (plan_run c)) cells
-  in
+  let unplanned, planned = List.partition (fun c -> List.is_empty (plan_runs c)) cells in
   let progress =
     (* Workers report completion concurrently; serialise the callback. *)
     let mu = Mutex.create () in
@@ -344,10 +351,11 @@ let run_cells ?jobs ?obs ?plan_source ?(progress = fun _ -> ()) cells =
               Hashtbl.replace plan_of (run_key p)
                 (Par.submit pool (fun wobs -> make_plan ?obs:wobs ?plan_source p)))
             plans;
+          (* The table is complete before the first cell is submitted. *)
+          let await p = Par.await (Hashtbl.find plan_of (run_key p)) in
           let submit c =
-            let plan = Option.map (fun p -> Hashtbl.find plan_of (run_key p)) (plan_run c) in
             Par.submit pool (fun wobs ->
-                let r = run_one ?obs:wobs (Option.map Par.await plan) c in
+                let r = run_one ?obs:wobs await c in
                 progress (label c ^ " done");
                 r)
           in

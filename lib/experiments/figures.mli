@@ -95,7 +95,8 @@ val drift_cell : drift:float -> cadence:int -> cell
 (** [drift_cell ~drift ~cadence] is one {!Traffic_mix.run} over
     [Schedule.drifting ~ticks_per_phase:2 ~rate:3.0 ~phases:4 ~drift ()]
     (all 11 workloads) at traffic seed 1, under
-    {!Traffic_mix.default_config} with [reprofile_every = cadence]. *)
+    {!Traffic_mix.default_config} with [reprofile_every = cadence],
+    adopting the grid's stock HALO plans. *)
 
 type results
 (** What {!run_cells} returns: each cell's measurement or mix report. *)
@@ -113,13 +114,14 @@ val run_cells :
     first, the largest affinity distance first: the stock HALO plan by
     (workload, config without its allocator, which derivation never
     reads) through {!Runner.plan_halo}, which consults [plan_source]
-    (typically the persistent plan cache), and HDS kinds' by (workload,
-    merge). The cells that need no plan follow (jemalloc, ptmalloc,
-    random-N and drift cells), then the planned cells, each awaiting its
-    plan and measuring under its own allocator config: a cell under
-    another clusterer derives its own with {!Pipeline.derive} from the
-    stock plan's profile, and an [Ident_window] cell measures with the
-    stock plan as its plan source. Every task is an independent
+    (typically the persistent plan cache), and the HDS plan by workload.
+    The cells that need no plan follow (jemalloc, ptmalloc, random-N),
+    then the planned cells, each awaiting its plan and measuring under
+    its own allocator config: a cell under another clusterer derives its
+    own with {!Pipeline.derive} from the stock plan's profile, an
+    [Ident_window] cell measures under the stock plan, merged packing
+    re-packs the HDS plan, and a drift cell adopts the stock HALO plans
+    of its schedule's 11 workloads. Every task is an independent
     simulation, so the results are bit-for-bit identical at any [jobs].
     [obs] receives the workers' [plan], [run] and [traffic.run] spans
     and merged registries. [progress] is called, serialised, with a line

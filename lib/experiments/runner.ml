@@ -109,10 +109,23 @@ let plan_halo ?obs ?plan_source ?pipeline_config w =
     ~config:(halo_pipeline_config pipeline_config w)
     (w.Workload.make Workload.Test)
 
-let plan_hds ~merge w =
-  Hds_pipeline.plan ~merge_identical:merge (w.Workload.make Workload.Test)
+let plan_hds w = Hds_pipeline.plan (w.Workload.make Workload.Test)
 
-let run_kind ?obs ~seed ?pipeline_config ?plan_source ?hds_plan w kind =
+type plan = Halo_plan of Pipeline.plan | Hds_plan of Hds_pipeline.plan
+
+let halo_plan ?obs ?pipeline_config ?plan w =
+  match plan with
+  | None -> plan_halo ?obs ?pipeline_config w
+  | Some (Halo_plan p) -> p
+  | Some (Hds_plan _) -> invalid_arg "Runner.run: an HDS plan for a HALO kind"
+
+let hds_plan ?plan w =
+  match plan with
+  | None -> plan_hds w
+  | Some (Hds_plan p) -> p
+  | Some (Halo_plan _) -> invalid_arg "Runner.run: a HALO plan for an HDS kind"
+
+let run_kind ?obs ~seed ?pipeline_config ?plan w kind =
   let no_halo () = None in
   match kind with
   | Jemalloc ->
@@ -138,7 +151,7 @@ let run_kind ?obs ~seed ?pipeline_config ?plan_source ?hds_plan w kind =
       measure ?obs ~w ~kind ~seed ~alloc:(Group_alloc.iface galloc) ~patches:[]
         ~halo:no_halo ~hds:None ()
   | Halo | Halo_no_alloc ->
-      let plan = plan_halo ?obs ?plan_source ?pipeline_config w in
+      let plan = halo_plan ?obs ?pipeline_config ?plan w in
       let vmem = Vmem.create () in
       let fallback = Jemalloc_sim.create vmem in
       if kind = Halo_no_alloc then
@@ -170,7 +183,7 @@ let run_kind ?obs ~seed ?pipeline_config ?plan_source ?hds_plan w kind =
       end
   | Ident_window window ->
       (* HALO's profile and grouping rule; only identification differs. *)
-      let plan = plan_halo ?obs ?plan_source ?pipeline_config w in
+      let plan = halo_plan ?obs ?pipeline_config ?plan w in
       let profile = plan.Pipeline.profile in
       let nplan =
         Name_ident.plan
@@ -188,10 +201,11 @@ let run_kind ?obs ~seed ?pipeline_config ?plan_source ?hds_plan w kind =
       measure ?obs ~w ~kind ~seed ~alloc:(Group_alloc.iface galloc) ~patches:[]
         ~env ~halo:no_halo ~hds:None ()
   | Hds | Hds_merged_packing ->
+      let hplan = hds_plan ?plan w in
       let hplan =
-        match hds_plan with
-        | Some p -> p
-        | None -> plan_hds ~merge:(kind = Hds_merged_packing) w
+        if kind = Hds_merged_packing then
+          Hds_pipeline.repack ~merge_identical:true hplan
+        else hplan
       in
       let vmem = Vmem.create () in
       let fallback = Jemalloc_sim.create vmem in
@@ -214,7 +228,7 @@ let run_kind ?obs ~seed ?pipeline_config ?plan_source ?hds_plan w kind =
       measure ?obs ~w ~kind ~seed ~alloc:(Group_alloc.iface galloc) ~patches:[]
         ~env ~halo:no_halo ~hds ()
 
-let run ?obs ?(seed = 2) ?pipeline_config ?plan_source ?hds_plan w kind =
+let run ?obs ?(seed = 2) ?pipeline_config ?plan w kind =
   Obs.span obs "run"
     ~attrs:
       [
@@ -222,7 +236,7 @@ let run ?obs ?(seed = 2) ?pipeline_config ?plan_source ?hds_plan w kind =
         ("configuration", Json.String (kind_name kind));
         ("seed", Json.Int seed);
       ]
-    (fun () -> run_kind ?obs ~seed ?pipeline_config ?plan_source ?hds_plan w kind)
+    (fun () -> run_kind ?obs ~seed ?pipeline_config ?plan w kind)
 
 let to_json ?baseline m =
   let halo =

@@ -58,12 +58,15 @@ type measurement = {
   hds : hds_details option;
 }
 
+type plan = Halo_plan of Pipeline.plan | Hds_plan of Hds_pipeline.plan
+(** A plan made ahead of a run: {!plan_halo}'s for the HALO and
+    [Ident_window] kinds, {!plan_hds}'s for the HDS kinds. *)
+
 val run :
   ?obs:Obs.t ->
   ?seed:int ->
   ?pipeline_config:Pipeline.config ->
-  ?plan_source:Pipeline.plan_source ->
-  ?hds_plan:Hds_pipeline.plan ->
+  ?plan:plan ->
   Workload.t ->
   kind ->
   measurement
@@ -72,13 +75,16 @@ val run :
     (default 1). [pipeline_config] overrides HALO's pipeline parameters
     (the Figure 12 sweep varies the affinity distance through it);
     workload-specific overrides from the registry are applied on top.
-    [plan_source] supplies ready-made plans to the HALO kinds (the
-    persistent store's plan cache, or a plan made earlier via
-    [Pipeline.constant_source]); [hds_plan] does the same for the HDS
-    kinds, and must come from {!plan_hds} with the kind's [merge]. Other
-    kinds ignore both. An [Ident_window] kind takes {!plan_halo}'s
-    profile and groups it by names under {!Pipeline.grouping_params}, so
-    a stock HALO plan in [plan_source] spares it a profile.
+
+    [plan] is the plan the run measures under, made earlier (by the
+    figure grid, from the persistent store's plan cache through
+    {!plan_halo}, or decoded from an artifact); without it a planned kind
+    makes its own. A HALO plan goes to the HALO kinds, which measure
+    under its config, and an HDS plan to the HDS kinds: [Hds] measures
+    under it and [Hds_merged_packing] under its {!Hds_pipeline.repack}
+    with merging. The other kinds ignore it, and a plan of the wrong
+    technique raises [Invalid_argument]. An [Ident_window] kind groups
+    the HALO plan's profile by names under {!Pipeline.grouping_params}.
 
     [obs] records the full telemetry of the run under a root [run] span:
     for HALO kinds that plan in the run the span tree covers all seven
@@ -96,11 +102,12 @@ val plan_halo :
   Pipeline.plan
 (** The plan the HALO and [Ident_window] kinds measure under:
     {!Pipeline.plan} of the workload's [Test] program with the
-    registry's overrides applied to [pipeline_config]. *)
+    registry's overrides applied to [pipeline_config]. [plan_source]
+    (typically the persistent plan cache) answers it when it can. *)
 
-val plan_hds : merge:bool -> Workload.t -> Hds_pipeline.plan
-(** The plan [Hds] ([merge = false]) or [Hds_merged_packing]
-    ([merge = true]) measures under. *)
+val plan_hds : Workload.t -> Hds_pipeline.plan
+(** The plan both HDS kinds measure under: {!Hds_pipeline.plan} of the
+    workload's [Test] program. *)
 
 val to_json : ?baseline:measurement -> measurement -> Json.t
 (** The per-run data points the artefact's halo scripts emit (A.6), with

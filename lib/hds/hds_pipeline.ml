@@ -10,7 +10,11 @@ type plan = {
   trace_length : int;
   grammar_rules : int;
   coverage : float;
+  candidates : Set_packing.candidate list;
 }
+
+let pack ~merge_identical candidates =
+  Array.of_list (Set_packing.pack ~merge_identical candidates)
 
 let plan ?(config = default_config) ?(merge_identical = false) program =
   Hot_streams.check_config config.streams;
@@ -48,7 +52,7 @@ let plan ?(config = default_config) ?(merge_identical = false) program =
       hot.Hot_streams.streams
   in
   {
-    groups = Array.of_list (Set_packing.pack ~merge_identical candidates);
+    groups = pack ~merge_identical candidates;
     stream_count = hot.Hot_streams.candidate_count;
     selected_streams = List.length hot.Hot_streams.streams;
     trace_length = hot.Hot_streams.trace_length;
@@ -58,7 +62,11 @@ let plan ?(config = default_config) ?(merge_identical = false) program =
        else
          float_of_int hot.Hot_streams.covered
          /. float_of_int hot.Hot_streams.trace_length);
+    candidates;
   }
+
+let repack ~merge_identical plan =
+  { plan with groups = pack ~merge_identical plan.candidates }
 
 let classifier plan =
   let group_of_site = Hashtbl.create 64 in

@@ -26,6 +26,10 @@ type plan = {
   trace_length : int;
   grammar_rules : int;
   coverage : float;  (** Fraction of the trace the hot streams covered. *)
+  candidates : Set_packing.candidate list;
+      (** The hot streams' co-allocation sets, hottest first: what
+          [groups] was packed from, kept so {!repack} needs no second
+          profiling run. *)
 }
 
 val plan : ?config:config -> ?merge_identical:bool -> Ir.program -> plan
@@ -38,6 +42,11 @@ val plan : ?config:config -> ?merge_identical:bool -> Ir.program -> plan
 
     Stream bounds that {!Hot_streams.check_config} rejects raise
     [Invalid_argument] before anything is interpreted. *)
+
+val repack : merge_identical:bool -> plan -> plan
+(** [plan] with its [groups] packed again from its [candidates]: equal to
+    {!plan} of the same program with this [merge_identical], without
+    interpreting the program or building the grammar again. *)
 
 val classifier : plan -> env:Exec_env.t -> size:int -> int option
 (** Runtime identification: the group whose site set contains the

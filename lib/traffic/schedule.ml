@@ -48,13 +48,16 @@ let pause ~label ~ticks = phase ~label ~ticks ~rate:(Const 0.0) []
 
 let total_ticks s = List.fold_left (fun acc p -> acc + p.p_ticks) 0 s
 
-let rotate a =
+(* Rotate [a] left by [k] places, in one pass however large [k] is. *)
+let rotate a k =
   let n = Array.length a in
-  if n > 1 then begin
-    let head = a.(0) in
-    Array.blit a 1 a 0 (n - 1);
-    a.(n - 1) <- head
-  end
+  let b = Array.copy a in
+  Array.iteri (fun i _ -> a.(i) <- b.((i + k) mod n)) a
+
+(* Rates lower to integer job counts through [int_of_float]. NaN and
+   infinities lower to nothing meaningful, and past 2^53 a float no
+   longer holds every integer, so such values are rejected up front. *)
+let max_value = 0x1p53
 
 let drifting ?workloads ?(ticks_per_phase = 1) ?(rate = 100.0) ~phases ~drift ()
     =
@@ -63,6 +66,9 @@ let drifting ?workloads ?(ticks_per_phase = 1) ?(rate = 100.0) ~phases ~drift ()
   in
   let n = List.length workloads in
   if n = 0 then invalid_arg "Schedule.drifting: no workloads";
+  if not (drift >= 0.0 && drift <= max_value) then
+    invalid_arg
+      (Printf.sprintf "Schedule.drifting: drift %g is not in [0, 2^53]" drift);
   (* Quadratic skew toward rank 0: P(rank < k) = sqrt(k/n), so the head
      of the ranking takes most of the traffic without a real Zipf
      sampler — the same popularity law the fleet simulator used. *)
@@ -80,9 +86,7 @@ let drifting ?workloads ?(ticks_per_phase = 1) ?(rate = 100.0) ~phases ~drift ()
         carry := !carry +. drift;
         let rot = int_of_float (floor !carry) in
         carry := !carry -. float_of_int rot;
-        for _ = 1 to rot do
-          rotate ranking
-        done
+        rotate ranking rot
       end;
       let tenants =
         Array.to_list
@@ -100,11 +104,6 @@ let drifting ?workloads ?(ticks_per_phase = 1) ?(rate = 100.0) ~phases ~drift ()
 (* ------------------------------------------------------------------ *)
 
 let ( let* ) = Result.bind
-
-(* Rates lower to integer job counts through [int_of_float]. NaN and
-   infinities lower to nothing meaningful, and past 2^53 a float no
-   longer holds every integer, so such values are rejected up front. *)
-let max_value = 0x1p53
 
 let validate_value what v =
   if Float.is_nan v || Float.abs v > max_value then

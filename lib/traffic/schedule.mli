@@ -80,7 +80,9 @@ val drifting :
     error-diffusion carry — [drift = 0.25] rotates exactly once every
     four phases — so the whole shape is seed-independent and the RNG
     only ever influences per-job seeds. [ticks_per_phase] defaults to 1,
-    [rate] (jobs per tick) to 100. *)
+    [rate] (jobs per tick) to 100. Raises [Invalid_argument] on no
+    workloads, negative [phases], or a [drift] that is negative, NaN or
+    above 2^53; other bad shapes are {!validate}'s to report. *)
 
 (** {1 Events} *)
 

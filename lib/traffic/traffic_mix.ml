@@ -72,7 +72,23 @@ type pacc = {
   mutable pa_age_sum : int;
 }
 
-let run ?obs ?(config = default_config) ~seed sched =
+(* Each workload's plan under [config.pipeline], made once per run: a
+   workload dropped from the hot set and adopted again reuses it. *)
+let memo_plans ?obs config =
+  let memo = Hashtbl.create 16 in
+  fun w ->
+    match Hashtbl.find_opt memo w.Workload.name with
+    | Some p -> p
+    | None ->
+        let config = Workload.pipeline_config w config.pipeline in
+        let p = Pipeline.plan ?obs ~config (w.Workload.make Workload.Test) in
+        Hashtbl.add memo w.Workload.name p;
+        p
+
+let run ?obs ?(config = default_config) ?plan_for ~seed sched =
+  let plan_for =
+    match plan_for with Some f -> f | None -> memo_plans ?obs config
+  in
   let events = Schedule.events ~seed sched in
   let schedule_digest = Schedule.digest events in
   let total_ticks = Schedule.total_ticks sched in
@@ -147,11 +163,8 @@ let run ?obs ?(config = default_config) ~seed sched =
     List.iter
       (fun name ->
         if not (Hashtbl.mem plans name) then begin
-          let w, _ = program_for name in
-          let pconfig = Workload.pipeline_config w config.pipeline in
-          let plan =
-            Pipeline.plan ?obs ~config:pconfig (w.Workload.make Workload.Test)
-          in
+          let plan = plan_for (fst (program_for name)) in
+          (* The model charges a profile at every adoption. *)
           incr profile_runs;
           profile_accesses :=
             !profile_accesses + plan.Pipeline.profile.Profiler.total_accesses;

@@ -77,15 +77,33 @@ type report = {
   covered_jobs : int;
   coverage : float;  (** [covered_jobs / jobs]; 0 when no jobs. *)
   replans : int;  (** Hot-set re-selections (including tick 0). *)
-  profile_runs : int;  (** Test-scale profiler invocations performed. *)
-  profile_accesses : int;  (** Total accesses observed by those runs. *)
+  profile_runs : int;
+      (** Plan adoptions, each charged as one Test-scale profile: the
+          modelled deployment's re-profiling count, not the profiles this
+          run made (a workload adopted twice is profiled once). *)
+  profile_accesses : int;
+      (** Accesses those modelled profiles observe: each adopted plan's
+          profile [total_accesses], once per adoption. *)
   net_cycles : float;  (** [cycles + profile_accesses] (1 cycle/access). *)
   tenants : tenant_stats list;  (** Sorted by tenant name. *)
   phases : phase_stats list;  (** In schedule order. *)
 }
 
-val run : ?obs:Obs.t -> ?config:config -> seed:int -> Schedule.t -> report
-(** Telemetry (with [obs]): a [traffic.run] span over the whole
+val run :
+  ?obs:Obs.t ->
+  ?config:config ->
+  ?plan_for:(Workload.t -> Pipeline.plan) ->
+  seed:int ->
+  Schedule.t ->
+  report
+(** [plan_for w] is the plan a workload adopted into the hot set runs
+    under: {!Pipeline.plan} of [w]'s [Test] program under
+    [config.pipeline] with [w]'s registry overrides (the figure grid
+    passes its stock HALO plans). By default each workload's plan is
+    made once per run, at its first adoption. Every adoption instantiates
+    its plan afresh in the shared heap.
+
+    Telemetry (with [obs]): a [traffic.run] span over the whole
     execution, [traffic.jobs] / [traffic.jobs.covered] /
     [traffic.replans] / [traffic.profile.runs] counters, a
     [traffic.coverage] gauge, per-job [traffic.plan.age] histogram

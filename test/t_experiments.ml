@@ -290,12 +290,14 @@ let grid_runs_a_repeated_cell_once () =
    three seeds of HALO and HDS make one plan of each. *)
 let grid_plans_once_per_program () =
   let ft = w "ft" in
-  (* The identification kinds measure under the stock HALO plan too. *)
+  (* The identification kinds measure under the stock HALO plan too, and
+     merged packing re-packs the HDS plan. *)
   let cells =
     List.concat_map
       (fun seed -> [ Figures.cell ~seed ft Runner.Halo; Figures.cell ~seed ft Runner.Hds ])
       [ 2; 3; 4 ]
-    @ List.map (Figures.cell ft) [ Runner.Ident_window 1; Runner.Ident_window 4 ]
+    @ List.map (Figures.cell ft)
+        [ Runner.Ident_window 1; Runner.Ident_window 4; Runner.Hds_merged_packing ]
   in
   let obs = Obs.create () in
   ignore (Figures.run_cells ~obs ~jobs:2 cells : Figures.results);
@@ -306,7 +308,7 @@ let grid_plans_once_per_program () =
   in
   Alcotest.check Alcotest.int "one profile" 1 (counter "profile.runs");
   Alcotest.check Alcotest.int "two plans, one of each" 2 (count_spans obs "plan");
-  Alcotest.check Alcotest.int "eight runs" 8 (count_spans obs "run")
+  Alcotest.check Alcotest.int "nine runs" 9 (count_spans obs "run")
 
 (* Derivation never reads the allocator config: a sharded-backend cell
    shares the stock plan, and still measures under its own backend. *)
@@ -351,11 +353,14 @@ let grid_jobs_invariant () =
   Alcotest.(check (list string)) "jobs 1 = jobs 2" (results 1) (results 2)
 
 (* The drift figure's rows: each cell is one Traffic_mix.run at the
-   figure's traffic shape, and each drift's cadence-0 row is the stale
-   anchor, which never beats itself. *)
+   figure's traffic shape, under the grid's stock HALO plan of each of
+   the 11 workloads, and each drift's cadence-0 row is the stale anchor,
+   which never beats itself. *)
 let drift_rows () =
   let s = Figures.drift_study in
-  let r = Figures.run_cells ~jobs:2 s.Figures.cells in
+  let obs = Obs.create () in
+  let r = Figures.run_cells ~obs ~jobs:2 s.Figures.cells in
+  Alcotest.check Alcotest.int "one profile per workload" 11 (count_spans obs "profile");
   let direct =
     Traffic_mix.run
       ~config:{ Traffic_mix.default_config with Traffic_mix.reprofile_every = 2 }

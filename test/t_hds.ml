@@ -358,6 +358,7 @@ let hds_classifier_uses_cur_site () =
       trace_length = 0;
       grammar_rules = 0;
       coverage = 0.0;
+      candidates = [];
     }
   in
   let env = Exec_env.create () in
@@ -411,6 +412,19 @@ let hds_golden_digest name expected () =
   Alcotest.check Alcotest.string (name ^ " hds plan digest") expected
     (hds_plan_digest (Hds_pipeline.plan (w.Workload.make Workload.Test)))
 
+(* The merged-packing ablation re-packs the stock plan's candidates
+   rather than profiling again; that must be the plan a merged profiling
+   run makes. *)
+let hds_repack_is_merged_plan () =
+  List.iter
+    (fun name ->
+      let program = (Option.get (Workloads.find name)).Workload.make Workload.Test in
+      Alcotest.check Alcotest.string (name ^ " re-packed with merge")
+        (hds_plan_digest (Hds_pipeline.plan ~merge_identical:true program))
+        (hds_plan_digest
+           (Hds_pipeline.repack ~merge_identical:true (Hds_pipeline.plan program))))
+    [ "health"; "ft"; "povray"; "roms" ]
+
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   [
@@ -437,6 +451,7 @@ let suite =
     tc "hds pipeline: blind to wrappers" hds_blind_to_wrappers;
     tc "hds pipeline: classifier reads current site" hds_classifier_uses_cur_site;
     tc "hds pipeline: trace is the profiler's macro accesses" hds_trace_is_profiler_stream;
+    tc "hds pipeline: re-packing matches a merged plan" hds_repack_is_merged_plan;
     tc "hds pipeline: a good config reaches the interpreter" hds_good_config_reaches_interp;
   ]
   @ List.map

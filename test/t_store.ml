@@ -1028,20 +1028,25 @@ let profile_runs obs =
 
 let is_plan_entry f = Filename.check_suffix f ".plan.bin"
 
+(* A HALO run under the plan the cache source answers with. *)
+let cached_run ?obs ?pipeline_config src w =
+  let plan = Runner.plan_halo ?obs ~plan_source:src ?pipeline_config w in
+  Runner.run ?obs ?pipeline_config ~plan:(Runner.Halo_plan plan) w Runner.Halo
+
 let cache_record_apply_equivalence () =
   let hw = w "ft" in
   let cache = Plan_cache.create (tmp_dir ()) in
   let src = Plan_cache.source cache in
-  let cold = Runner.run ~plan_source:src hw Runner.Halo in
-  let warm = Runner.run ~plan_source:src hw Runner.Halo in
+  let cold = cached_run src hw in
+  let warm = cached_run src hw in
   checks "cached plan reproduces the measurement bit for bit" (run_json cold)
     (run_json warm);
   let s = Plan_cache.stats cache in
   checki "one miss" 1 s.Plan_cache.misses;
   checki "one store" 1 s.Plan_cache.stores;
   checki "one hit" 1 s.Plan_cache.hits;
-  (* The artifact on disk, decoded and pinned as a constant source, is
-     the apply phase — and must measure identically too. *)
+  (* The artifact on disk, decoded and measured under, is the apply
+     phase — and must measure identically too. *)
   let entry =
     match
       Sys.readdir (Plan_cache.dir cache)
@@ -1052,7 +1057,7 @@ let cache_record_apply_equivalence () =
   in
   let _header, plan = ok (Store.read_plan entry) in
   let applied =
-    Runner.run ~plan_source:(Pipeline.constant_source plan) hw Runner.Halo
+    Runner.run ~plan:(Runner.Halo_plan plan) hw Runner.Halo
   in
   checks "applied artifact measures identically" (run_json cold)
     (run_json applied)
@@ -1062,19 +1067,17 @@ let cache_warmed_run_never_profiles () =
   let cache = Plan_cache.create (tmp_dir ()) in
   let src = Plan_cache.source cache in
   let obs_cold = Obs.create () in
-  ignore (Runner.run ~obs:obs_cold ~plan_source:src hw Runner.Halo
-           : Runner.measurement);
+  ignore (cached_run ~obs:obs_cold src hw : Runner.measurement);
   checki "cold run profiles once" 1 (profile_runs obs_cold);
   let obs_warm = Obs.create () in
-  ignore (Runner.run ~obs:obs_warm ~plan_source:src hw Runner.Halo
-           : Runner.measurement);
+  ignore (cached_run ~obs:obs_warm src hw : Runner.measurement);
   checki "warm run never profiles" 0 (profile_runs obs_warm)
 
 let cache_corrupt_entry_is_a_miss () =
   let hw = w "ft" in
   let cache = Plan_cache.create (tmp_dir ()) in
   let src = Plan_cache.source cache in
-  let cold = Runner.run ~plan_source:src hw Runner.Halo in
+  let cold = cached_run src hw in
   let entry =
     Filename.concat (Plan_cache.dir cache)
       (List.find is_plan_entry
@@ -1082,7 +1085,7 @@ let cache_corrupt_entry_is_a_miss () =
   in
   let bytes = read_file entry in
   write_file entry (String.sub bytes 0 (String.length bytes / 2));
-  let recovered = Runner.run ~plan_source:src hw Runner.Halo in
+  let recovered = cached_run src hw in
   checks "recomputed past the torn entry" (run_json cold) (run_json recovered);
   let s = Plan_cache.stats cache in
   checki "torn entry read as a miss" 2 s.Plan_cache.misses;
@@ -1094,13 +1097,12 @@ let cache_eviction_bounds_entries () =
   let hw = w "ft" in
   let cache = Plan_cache.create ~max_entries:1 (tmp_dir ()) in
   let src = Plan_cache.source cache in
-  ignore (Runner.run ~plan_source:src hw Runner.Halo : Runner.measurement);
+  ignore (cached_run src hw : Runner.measurement);
   let cfg2 =
     { Pipeline.default_config with Pipeline.min_edge_frac = 2e-4 }
   in
   ignore
-    (Runner.run ~plan_source:src ~pipeline_config:cfg2 hw Runner.Halo
-      : Runner.measurement);
+    (cached_run ~pipeline_config:cfg2 src hw : Runner.measurement);
   let entries =
     Sys.readdir (Plan_cache.dir cache)
     |> Array.to_list |> List.filter is_plan_entry

@@ -293,12 +293,32 @@ let drifting_rotation_is_error_diffused () =
         [ "ft"; "analyzer"; "health" ] (names_of p1)
   | _ -> Alcotest.fail "expected two phases");
   (* drift 0.5 crosses an integer boundary every second epoch. *)
-  match Schedule.drifting ~workloads:ws ~phases:3 ~drift:0.5 () with
+  (match Schedule.drifting ~workloads:ws ~phases:3 ~drift:0.5 () with
   | [ p0; p1; p2 ] ->
       Alcotest.(check (list string))
         "no rotation before the carry crosses 1" (names_of p0) (names_of p1);
       checkb "rotation lands on the crossing" false (names_of p1 = names_of p2)
-  | _ -> Alcotest.fail "expected three phases"
+  | _ -> Alcotest.fail "expected three phases");
+  (* A rotation by the ranking's length is the identity, and a rotation
+     costs one pass however many places it moves. *)
+  let digest drift =
+    Schedule.digest
+      (Schedule.events ~seed:1
+         (Schedule.drifting ~ticks_per_phase:2 ~rate:3.0 ~phases:6 ~drift ()))
+  in
+  List.iter
+    (fun d ->
+      checks (Printf.sprintf "drift %g + 11 over the registry" d) (digest d)
+        (digest (d +. 11.0)))
+    [ 0.0; 0.25; 0.5; 1.0 ];
+  checki "drift 2^52 lowers" 16 (String.length (digest 0x1p52));
+  List.iter
+    (fun drift ->
+      checkb (Printf.sprintf "drift %g rejected" drift) true
+        (match Schedule.drifting ~phases:2 ~drift () with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [ -1.0; Float.nan; Float.infinity; 0x1p54 ]
 
 (* ---------------- mix executor ---------------- *)
 
@@ -376,6 +396,33 @@ let mix_exec_digest_pinned () =
       checks "exec digest inline" mix_golden_digest digest;
       checkb "no helper" false helped)
 
+(* The model charges a profile at every adoption, but a workload dropped
+   from the hot set and adopted again reuses its plan: tenant-mix's shape
+   adopts 6 programs 7 times at seed 1. *)
+let mix_readoption_profiles_once () =
+  let sched = Schedule.drifting ~phases:8 ~ticks_per_phase:2 ~rate:6.0 ~drift:0.5 () in
+  let config = { (mix_config 2) with Traffic_mix.plan_budget = 3 } in
+  let obs = Obs.create () in
+  let r = Traffic_mix.run ~obs ~config ~seed:1 sched in
+  let profiles =
+    List.length
+      (List.filter (fun (sp : Obs.span) -> sp.Obs.name = "profile") (Obs.spans obs))
+  in
+  checki "adoptions charged" 7 r.Traffic_mix.profile_runs;
+  checki "one profile per adopted program" 6 profiles;
+  let supplied = ref [] in
+  let plan_for w =
+    supplied := w.Workload.name :: !supplied;
+    Runner.plan_halo w
+  in
+  let r' = Traffic_mix.run ~config ~plan_for ~seed:1 sched in
+  checki "the supplier answers every adoption" 7 (List.length !supplied);
+  checki "for the adopted programs" 6
+    (List.length (List.sort_uniq compare !supplied));
+  checks "supplied plans execute identically"
+    (Json.to_string (Traffic_mix.report_to_json r))
+    (Json.to_string (Traffic_mix.report_to_json r'))
+
 let mix_reprofiling_recovers_coverage () =
   (* Under heavy drift the stale plan's covered set points at yesterday's
      traffic; re-planning on a cadence must recover coverage. *)
@@ -429,6 +476,7 @@ let suite =
     tc "mix: executor invariants" mix_executor_invariants;
     tc "mix: execution digest reproducible" mix_executor_deterministic;
     tc "mix: re-profiling recovers coverage under drift" mix_reprofiling_recovers_coverage;
+    tc "mix: a re-adopted workload reuses its plan" mix_readoption_profiles_once;
   ]
   @ qsuite
   @ [ tc "mix: execution digest pinned" mix_exec_digest_pinned ]
