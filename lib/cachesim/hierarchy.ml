@@ -12,11 +12,26 @@ module Level = struct
     set_bits : int;
     set_mask : int;
     assoc : int;
-    (* tags.(set * assoc + way), each set in recency order: its most
-       recently used line in way 0, invalid ways at the tail. Tags come
-       from [lsr] with [line_bits >= 1], so they are never negative and
-       [-1] marks an invalid way. *)
+    (* The tag store, in pages of [page_mask + 1] whole sets: set [s]
+       holds its ways at pages.(s lsr page_bits) from
+       [(s land page_mask) * assoc], in recency order: its most recently
+       used line in way 0, invalid ways at the tail. Tags come from [lsr]
+       with [line_bits >= 1], so they are never negative and [-1] marks
+       an invalid way. A page no fill has landed in since {!create} or
+       the last {!flush} is [blank], read-only and all [-1], so a lookup
+       there misses and allocates nothing; the lookup that fills it first
+       gives it an array of its own. *)
+    page_bits : int;
+    page_mask : int;
+    pages : int array array;
+    blank : int array;
+    (* A level of one page owns it from {!create} on and keeps it here too
+       ([[||]] otherwise). If its set count is a power of two (the L1, the
+       L2 and the DTLB), [flat_mask] is its [set_mask] and a lookup reads
+       [tags] with no page index and no call; [-1] sends every other
+       level's lookups through [pages]. *)
     tags : int array;
+    flat_mask : int;
     (* Line number of the last access or fill, [-1] before one or after a
        flush. Nothing has touched the level since, so that line is still
        in way 0 of its set and repeating it is a hit that changes
@@ -29,6 +44,15 @@ module Level = struct
 
   let invalid = -1
 
+  (* A level of at most [flat_words] tags is one page: the L1, the L2 and
+     the DTLB, the levels most lookups reach. A larger one, the L3, is
+     paged: a page holds as many whole sets as fit in [page_words] tags,
+     a power of two of them (64 of the L3's 11-way sets), and every paged
+     level whose sets fit in a page shares this blank page. *)
+  let flat_words = 16384
+  let page_words = 1024
+  let shared_blank = Array.make page_words invalid
+
   let create ~name ~size_bytes ~assoc ~line_bytes =
     if assoc <= 0 then invalid_arg "Cache.create: non-positive associativity";
     if line_bytes < 2 || not (Addr.is_power_of_two line_bytes) then
@@ -38,6 +62,22 @@ module Level = struct
     let sets = size_bytes / (assoc * line_bytes) in
     if sets <= 0 then invalid_arg "Cache.create: zero sets";
     let pow2 = Addr.is_power_of_two sets in
+    let page_bits =
+      if sets * assoc <= flat_words then
+        let rec cover b = if 1 lsl b < sets then cover (b + 1) else b in
+        cover 0
+      else
+        (* The most sets [page_words] tags hold, one if a set is longer. *)
+        let rec fit b = if b > 0 && assoc lsl b > page_words then fit (b - 1) else b in
+        fit (Addr.log2 page_words)
+    in
+    let npages = ((sets - 1) lsr page_bits) + 1 in
+    let blank =
+      if npages = 1 then [||]
+      else if assoc lsl page_bits <= page_words then shared_blank
+      else Array.make assoc invalid
+    in
+    let tags = if npages = 1 then Array.make (sets * assoc) invalid else [||] in
     {
       name;
       line_bytes;
@@ -46,7 +86,12 @@ module Level = struct
       set_bits = (if pow2 then Addr.log2 sets else 0);
       set_mask = (if pow2 then sets - 1 else -1);
       assoc;
-      tags = Array.make (sets * assoc) invalid;
+      page_bits;
+      page_mask = (1 lsl page_bits) - 1;
+      pages = (if npages = 1 then [| tags |] else Array.make npages blank);
+      blank;
+      tags;
+      flat_mask = (if pow2 && npages = 1 then sets - 1 else -1);
       last_line = invalid;
       hits = 0;
       misses = 0;
@@ -71,19 +116,37 @@ module Level = struct
     else if cur = invalid || w = last then false
     else shift tags tag cur (w + 1) last
 
-  (* Look up [line], making it most recently used; [true] on hit. A hit in
-     way 0 is one compare. *)
-  let[@inline] touch t line =
-    t.last_line <- line;
-    let tag = tag_of t line in
-    let base = set_of t line * t.assoc in
-    let tags = t.tags in
+  (* Make [tag] most recently used in the set at [base] of [tags]; [true]
+     if it was there. A hit in way 0 is one compare. *)
+  let[@inline] move_to_front (tags : int array) base tag assoc =
     let front = Array.unsafe_get tags base in
     if front = tag then true
     else begin
       Array.unsafe_set tags base tag;
-      front <> invalid && t.assoc > 1 && shift tags tag front (base + 1) (base + t.assoc - 1)
+      front <> invalid && assoc > 1 && shift tags tag front (base + 1) (base + assoc - 1)
     end
+
+  (* Give the blank page holding [set] an array of its own. *)
+  let own t set =
+    let p = set lsr t.page_bits in
+    let first = p lsl t.page_bits in
+    let page = Array.make ((min t.sets (first + t.page_mask + 1) - first) * t.assoc) invalid in
+    t.pages.(p) <- page;
+    page
+
+  let touch_paged t line =
+    let set = set_of t line in
+    let page = Array.unsafe_get t.pages (set lsr t.page_bits) in
+    (* A lookup in the blank page misses, and a miss fills. *)
+    let page = if page == t.blank then own t set else page in
+    move_to_front page ((set land t.page_mask) * t.assoc) (tag_of t line) t.assoc
+
+  (* Look up [line], making it most recently used; [true] on hit. *)
+  let[@inline] touch t line =
+    t.last_line <- line;
+    if t.flat_mask >= 0 then
+      move_to_front t.tags ((line land t.flat_mask) * t.assoc) (line lsr t.set_bits) t.assoc
+    else touch_paged t line
 
   (* The hierarchy's lookup: like [access], but counts misses only. *)
   let[@inline] probe t addr =
@@ -102,14 +165,15 @@ module Level = struct
 
   let contains t addr =
     let set, tag = locate t addr in
-    let base = set * t.assoc in
-    find t.tags tag base (base + t.assoc) >= 0
+    let base = (set land t.page_mask) * t.assoc in
+    find t.pages.(set lsr t.page_bits) tag base (base + t.assoc) >= 0
 
   let fill t addr = ignore (touch t (addr lsr t.line_bits) : bool)
   let name t = t.name
   let line_bytes t = t.line_bytes
   let sets t = t.sets
   let assoc t = t.assoc
+  let page_sets t = t.page_mask + 1
   let hits t = t.hits
   let misses t = t.misses
   let accesses t = t.hits + t.misses
@@ -119,7 +183,8 @@ module Level = struct
     t.misses <- 0
 
   let flush t =
-    Array.fill t.tags 0 (Array.length t.tags) invalid;
+    if Array.length t.pages = 1 then Array.fill t.tags 0 (Array.length t.tags) invalid
+    else Array.fill t.pages 0 (Array.length t.pages) t.blank;
     t.last_line <- invalid;
     reset_counters t
 end

@@ -39,6 +39,15 @@ module Level : sig
   val line_bytes : t -> int
   val sets : t -> int
   val assoc : t -> int
+
+  val page_sets : t -> int
+  (** Sets per page of the level's tag store, a power of two. A level
+      of at most 16,384 tags (the L1, the L2 and the DTLB of the modelled
+      Xeon) is one page of all its sets, allocated by {!create}. A larger
+      one (the L3) has pages of at most 1,024 tags and gets each at the
+      first fill that lands in it; a lookup in a page no fill has reached
+      misses without allocating. *)
+
   val hits : t -> int
   val misses : t -> int
   val accesses : t -> int
@@ -63,7 +72,8 @@ module Level : sig
       sets); exposed so tests can pin that equivalence. *)
 
   val flush : t -> unit
-  (** Invalidate every line and zero the counters. *)
+  (** Invalidate every line and zero the counters. A paged level drops
+      every page it allocated. *)
 end
 
 type config = {

@@ -243,11 +243,24 @@ let plan_run c =
   | Hds | Hds_merged_packing -> Some { c with kind = Runner.Hds; seed = 2 }
   | _ -> None
 
-(* A drift cell adopts the stock HALO plans of its schedule's workloads:
-   the drifting schedule ranks the whole registry. *)
+(* The drift figure's traffic: all 11 workloads, 4 phases of 2 ticks at
+   3 jobs per tick, traffic seed 1. *)
+let drift_seed = 1
+
+let drift_mix ~drift ~cadence =
+  ( { Traffic_mix.default_config with Traffic_mix.reprofile_every = cadence },
+    Schedule.drifting ~ticks_per_phase:2 ~rate:3.0 ~phases:4 ~drift () )
+
+(* A drift cell adopts the stock HALO plans of the workloads its hot sets
+   name. *)
 let plan_runs = function
   | Run c -> Option.to_list (plan_run c)
-  | Drift _ -> List.map stock Workloads.all
+  | Drift { drift; cadence } ->
+      let config, sched = drift_mix ~drift ~cadence in
+      let hot = List.concat_map snd (Traffic_mix.hot_sets ~config ~seed:drift_seed sched) in
+      List.filter_map
+        (fun w -> if List.mem w.Workload.name hot then Some (stock w) else None)
+        Workloads.all
 
 let make_plan ?obs ?plan_source c =
   Obs.span obs "plan"
@@ -279,7 +292,8 @@ let mix_report (results : results) c =
 (* Run one cell under the plans [plan_of] awaits. A measurement cell
    measures with its own allocator config (its workload's override
    applied), and one under another clusterer regroups the stock plan's
-   profile. A drift cell adopts each workload's stock plan. *)
+   profile. A drift cell adopts the stock plan of each workload its hot
+   sets name. *)
 let run_one ?obs plan_of = function
   | Run c ->
       let plan =
@@ -298,19 +312,14 @@ let run_one ?obs plan_of = function
       in
       Measured (Runner.run ?obs ~seed:c.seed ~pipeline_config:c.config ?plan c.w c.kind)
   | Drift { drift; cadence } ->
-      (* The drift figure's traffic: all 11 workloads, 4 phases of 2
-         ticks at 3 jobs per tick, traffic seed 1. *)
-      let config =
-        { Traffic_mix.default_config with Traffic_mix.reprofile_every = cadence }
-      in
+      let config, sched = drift_mix ~drift ~cadence in
       Mixed
         (Traffic_mix.run ?obs ~config
            ~plan_for:(fun w ->
              match plan_of (stock w) with
              | Runner.Halo_plan p -> p
              | Runner.Hds_plan _ -> invalid_arg "Figures: an HDS plan for a drift cell")
-           ~seed:1
-           (Schedule.drifting ~ticks_per_phase:2 ~rate:3.0 ~phases:4 ~drift ()))
+           ~seed:drift_seed sched)
 
 let label = function
   | Run c ->

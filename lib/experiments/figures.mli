@@ -121,7 +121,8 @@ val run_cells :
     own with {!Pipeline.derive} from the stock plan's profile, an
     [Ident_window] cell measures under the stock plan, merged packing
     re-packs the HDS plan, and a drift cell adopts the stock HALO plans
-    of its schedule's 11 workloads. Every task is an independent
+    of the workloads its hot sets name ({!Traffic_mix.hot_sets}), so the
+    grid plans only those. Every task is an independent
     simulation, so the results are bit-for-bit identical at any [jobs].
     [obs] receives the workers' [plan], [run] and [traffic.run] spans
     and merged registries. [progress] is called, serialised, with a line

@@ -85,6 +85,40 @@ let memo_plans ?obs config =
         Hashtbl.add memo w.Workload.name p;
         p
 
+(* Each tick's events, in stream order. *)
+let by_tick events total_ticks =
+  let by_tick = Array.make (max 1 total_ticks) [] in
+  List.iter
+    (fun e -> by_tick.(e.Schedule.ev_tick) <- e :: by_tick.(e.Schedule.ev_tick))
+    events;
+  Array.map List.rev by_tick
+
+let replans_at config tick =
+  tick = 0 || (config.reprofile_every > 0 && tick mod config.reprofile_every = 0)
+
+(* The hot set at [tick]: the [plan_budget] workloads with the most jobs
+   in the [window] ticks ending at [tick], ties broken by name. *)
+let hot_set config by_tick tick =
+  let counts = Hashtbl.create 16 in
+  for t = max 0 (tick - (config.window - 1)) to tick do
+    List.iter
+      (fun e ->
+        let k = e.Schedule.ev_workload in
+        Hashtbl.replace counts k (1 + Option.value ~default:0 (Hashtbl.find_opt counts k)))
+      by_tick.(t)
+  done;
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []
+  |> List.sort (fun (na, ca) (nb, cb) -> match compare cb ca with 0 -> compare na nb | c -> c)
+  |> List.filteri (fun i _ -> i < config.plan_budget)
+  |> List.map fst
+
+let hot_sets ?(config = default_config) ~seed sched =
+  let total_ticks = Schedule.total_ticks sched in
+  let by_tick = by_tick (Schedule.events ~seed sched) total_ticks in
+  List.filter_map
+    (fun tick -> if replans_at config tick then Some (tick, hot_set config by_tick tick) else None)
+    (List.init total_ticks Fun.id)
+
 let run ?obs ?(config = default_config) ?plan_for ~seed sched =
   let plan_for =
     match plan_for with Some f -> f | None -> memo_plans ?obs config
@@ -92,11 +126,7 @@ let run ?obs ?(config = default_config) ?plan_for ~seed sched =
   let events = Schedule.events ~seed sched in
   let schedule_digest = Schedule.digest events in
   let total_ticks = Schedule.total_ticks sched in
-  let by_tick = Array.make (max 1 total_ticks) [] in
-  List.iter
-    (fun e -> by_tick.(e.Schedule.ev_tick) <- e :: by_tick.(e.Schedule.ev_tick))
-    events;
-  Array.iteri (fun i l -> by_tick.(i) <- List.rev l) by_tick;
+  let by_tick = by_tick events total_ticks in
   let phase_labels =
     Array.of_list (List.map (fun p -> p.Schedule.p_label) sched)
   in
@@ -132,31 +162,10 @@ let run ?obs ?(config = default_config) ?plan_for ~seed sched =
   let replans = ref 0 in
   let profile_runs = ref 0 in
   let profile_accesses = ref 0 in
-  let window_counts tick =
-    let h = Hashtbl.create 16 in
-    let lo = max 0 (tick - (config.window - 1)) in
-    for t = lo to tick do
-      List.iter
-        (fun e ->
-          let k = e.Schedule.ev_workload in
-          Hashtbl.replace h k (1 + Option.value ~default:0 (Hashtbl.find_opt h k)))
-        by_tick.(t)
-    done;
-    h
-  in
   let replan tick =
     incr replans;
     Obs.count obs "traffic.replans" 1;
-    let counts = window_counts tick in
-    let ranked =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []
-      |> List.sort (fun (na, ca) (nb, cb) ->
-             match compare cb ca with 0 -> compare na nb | c -> c)
-    in
-    let hot =
-      List.filteri (fun i _ -> i < config.plan_budget) ranked
-      |> List.map fst
-    in
+    let hot = hot_set config by_tick tick in
     Hashtbl.iter
       (fun name _ -> if not (List.mem name hot) then Hashtbl.remove plans name)
       (Hashtbl.copy plans);
@@ -201,8 +210,7 @@ let run ?obs ?(config = default_config) ?plan_for ~seed sched =
                 ]
               (float_of_int tick))
         phase_start;
-      if tick = 0 || (config.reprofile_every > 0 && tick mod config.reprofile_every = 0)
-      then replan tick;
+      if replans_at config tick then replan tick;
       List.iter
         (fun e ->
           let _, program = program_for e.Schedule.ev_workload in

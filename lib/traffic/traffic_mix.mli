@@ -89,6 +89,14 @@ type report = {
   phases : phase_stats list;  (** In schedule order. *)
 }
 
+val hot_sets : ?config:config -> seed:int -> Schedule.t -> (int * string list) list
+(** [hot_sets ~config ~seed sched] is each tick at which [run] with the
+    same arguments re-plans (tick 0, then every [reprofile_every] ticks),
+    in order, with its hot set: the [plan_budget] workloads with the most
+    jobs in the [window] ticks ending there, most first, ties broken by
+    name. [run] asks [plan_for] for exactly the workloads these sets
+    name. *)
+
 val run :
   ?obs:Obs.t ->
   ?config:config ->

@@ -340,6 +340,73 @@ let hierarchy_access_allocates_nothing () =
     (words < float_of_int n /. 100.);
   checkb "the stream misses" true ((Hierarchy.counters h).Hierarchy.l1_misses > 0)
 
+(* Words allocated by [f ()], minor and major: one domain allocates them
+   all, so the count is deterministic. A word promoted during [f] counts
+   twice, so the minor heap is emptied first. *)
+let words_allocated f =
+  let words () =
+    let minor, _, major = Gc.counters () in
+    minor +. major
+  in
+  Gc.minor ();
+  let before = words () in
+  f ();
+  int_of_float (words () -. before)
+
+(* Stand-alone levels of the modelled Xeon's L1, L2, L3 and DTLB. *)
+let xeon_levels () =
+  let x = Hierarchy.xeon_w2195 and line = Hierarchy.xeon_w2195.Hierarchy.line_bytes in
+  List.map
+    (fun (size, assoc, line_bytes) -> Cache.create ~name:"x" ~size_bytes:size ~assoc ~line_bytes)
+    [
+      (x.Hierarchy.l1_size, x.Hierarchy.l1_assoc, line);
+      (x.Hierarchy.l2_size, x.Hierarchy.l2_assoc, line);
+      (x.Hierarchy.l3_size, x.Hierarchy.l3_assoc, line);
+      (x.Hierarchy.tlb_entries * 4096, x.Hierarchy.tlb_assoc, 4096);
+    ]
+
+(* A hierarchy allocates its one-page levels and an index of blank
+   pages, not the L3's 405,504 tags: a run confined to one line then
+   gives each paged level at most one page, and a probe of a page no
+   fill reached allocates nothing. *)
+let hierarchy_allocates_touched_pages () =
+  let levels = xeon_levels () in
+  let paged, flat = List.partition (fun c -> Cache.page_sets c < Cache.sets c) levels in
+  checki "the L3 alone is paged" 1 (List.length paged);
+  let tags c = Cache.sets c * Cache.assoc c in
+  let flat_words = List.fold_left (fun n c -> n + tags c) 0 flat in
+  let page_words = List.fold_left (fun n c -> n + (Cache.page_sets c * Cache.assoc c)) 0 paged in
+  let h = ref None in
+  let created = words_allocated (fun () -> h := Some (Hierarchy.create ())) in
+  let h = Option.get !h in
+  checkb
+    (Printf.sprintf "create: %d words; the one-page levels hold %d tags" created flat_words)
+    true
+    (created < flat_words + 1024);
+  let run =
+    words_allocated (fun () ->
+        for k = 0 to 999 do
+          Hierarchy.access h (0x1234_0000 + (k land 7 * 8)) 8
+        done)
+  in
+  checkb
+    (Printf.sprintf "one line: %d words, a page is %d" run page_words)
+    true
+    (run <= page_words + 64);
+  checki "one line misses once per level" 1 (Hierarchy.counters h).Hierarchy.l3_misses;
+  let l3 = List.hd paged in
+  let line = Cache.line_bytes l3 in
+  Cache.fill l3 0;
+  let probed =
+    words_allocated (fun () ->
+        for p = 1 to (Cache.sets l3 - 1) / Cache.page_sets l3 do
+          ignore (Cache.contains l3 (p * Cache.page_sets l3 * line) : bool)
+        done)
+  in
+  checkb
+    (Printf.sprintf "probing blank pages: %d words, a page is %d" probed page_words)
+    true (probed < page_words)
+
 (* ---------------- Hierarchy.Stream ---------------- *)
 
 let stream_rejects_at_push () =
@@ -485,6 +552,7 @@ let suite =
     tc "hierarchy: access straddling address 0" hierarchy_straddles_zero;
     tc "hierarchy: wrapping access rejected" hierarchy_rejects_wrapping_access;
     tc "hierarchy: access allocates nothing" hierarchy_access_allocates_nothing;
+    tc "hierarchy: tags allocated only for touched pages" hierarchy_allocates_touched_pages;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_cache_accounting; prop_cache_repeat_hits; prop_hierarchy_counter_order ]

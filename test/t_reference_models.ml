@@ -544,9 +544,10 @@ let prop_cache_matches_reference =
       List.for_all (fun a -> Cache.access c a = Ref_cache.access r a) addrs)
 
 (* Replay [ops] on a cache and a reference of one geometry, comparing
-   every access's outcome, every probe and the counters after each op.
-   [`Repeat] accesses the previous access's address again. *)
-let ops_match_reference (sets, assoc, line) ops =
+   every access's outcome, every probe and the counters after each op,
+   then probing each address of [sweep]. [`Repeat] accesses the previous
+   access's address again. *)
+let ops_match_reference ?(sweep = []) (sets, assoc, line) ops =
   let c = Cache.create ~name:"dut" ~size_bytes:(sets * assoc * line) ~assoc ~line_bytes:line in
   let r = Ref_cache.create ~sets ~assoc ~line in
   let prev = ref 0 and hits = ref 0 and misses = ref 0 in
@@ -576,6 +577,7 @@ let ops_match_reference (sets, assoc, line) ops =
       in
       same && Cache.hits c = !hits && Cache.misses c = !misses)
     ops
+  && List.for_all (fun a -> Cache.contains c a = Ref_cache.contains r a) sweep
 
 (* Accesses, prefetch fills, probes and rare flushes on a 4-set 2-way
    cache: sets often hold invalid ways, and a fill often demotes the line
@@ -631,6 +633,81 @@ let prop_cache_geometries_match_reference =
         (List.length ops))
     gen_geometry_ops
     (fun (geometry, ops) -> ops_match_reference geometry ops)
+
+(* Sets per page of a paged level of [assoc] ways, and the fewest whole
+   pages of sets a paged level of [assoc] ways spans: a smaller level is
+   one flat page. *)
+let paging =
+  let memo = Hashtbl.create 16 in
+  fun assoc ->
+    match Hashtbl.find_opt memo assoc with
+    | Some p -> p
+    | None ->
+        let level sets = Cache.create ~name:"pages" ~size_bytes:(sets * assoc * 64) ~assoc ~line_bytes:64 in
+        let ps = Cache.page_sets (level (1 lsl 20)) in
+        let rec fewest k =
+          let c = level ((k * ps) + 1) in
+          if Cache.page_sets c < Cache.sets c then k else fewest (k + 1)
+        in
+        let p = (ps, fewest 1) in
+        Hashtbl.add memo assoc p;
+        p
+
+(* Paged levels: 1-16 ways over the fewest whole pages of sets a paged
+   level spans, or up to two more, and part of another, so the set count
+   is neither a power of two nor a multiple of a page and the last page
+   is short. Most addresses fall on sets at the edges of pages and of the
+   level, with one more tag than a set holds, so sets fill and evict
+   across page boundaries; the rest land anywhere, mostly on pages
+   nothing else touches. Flushes drop the pages, and the final sweep
+   probes the first and last set of every page, filled, emptied or
+   never touched. *)
+let gen_paged_ops =
+  QCheck2.Gen.(
+    int_range 1 16 >>= fun assoc ->
+    let ps, fewest = paging assoc in
+    pair (int_range fewest (fewest + 2)) (int_range 1 (ps - 1)) >>= fun (whole, part) ->
+    let sets = (whole * ps) + part in
+    let edges =
+      List.sort_uniq compare
+        ((sets - 1) :: List.concat_map (fun p -> [ p * ps; (p * ps) - 1 ]) (List.init (whole + 1) Fun.id))
+      |> List.filter (fun s -> s >= 0)
+    in
+    let set = frequency [ (4, oneofl edges); (1, int_range 0 (sets - 1)) ] in
+    let addr =
+      map3 (fun s tag off -> (((tag * sets) + s) * 64) + off) set (int_range 0 (assoc + 1)) (int_range 0 63)
+    in
+    let op =
+      frequency
+        [
+          (300, return `Access);
+          (60, return `Repeat);
+          (60, return `Fill);
+          (100, return `Contains);
+          (4, return `Flush);
+        ]
+    in
+    map (fun ops -> ((sets, assoc, 64), ops)) (list_size (int_range 1 1500) (pair op addr)))
+
+let prop_paged_cache_matches_reference =
+  QCheck2.Test.make
+    ~name:"cache: a tag store of several pages matches the MRU-list reference"
+    ~count:100 ~long_factor:20
+    ~print:(fun ((sets, assoc, _), ops) ->
+      Printf.sprintf "%d sets x %d ways (%d-set pages), %d ops" sets assoc (fst (paging assoc))
+        (List.length ops))
+    gen_paged_ops
+    (fun (((sets, assoc, line) as geometry), ops) ->
+      let ps = fst (paging assoc) in
+      let sweep =
+        List.concat_map
+          (fun p ->
+            List.concat_map
+              (fun s -> List.init (assoc + 2) (fun tag -> ((tag * sets) + s) * line))
+              [ p * ps; min sets ((p + 1) * ps) - 1 ])
+          (List.init (((sets - 1) / ps) + 1) Fun.id)
+      in
+      ops_match_reference ~sweep geometry ops)
 
 (* ------------------------------------------------------------------ *)
 (* Reference hierarchy: three reference caches and a reference TLB.     *)
@@ -1378,6 +1455,7 @@ let suite =
       prop_selector_eval_is_dnf;
       prop_cache_ops_match_reference;
       prop_cache_geometries_match_reference;
+      prop_paged_cache_matches_reference;
       prop_hierarchy_matches_reference;
       prop_heap_model_find_matches_reference;
       prop_paged_mem_matches_reference;

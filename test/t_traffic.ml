@@ -423,6 +423,43 @@ let mix_readoption_profiles_once () =
     (Json.to_string (Traffic_mix.report_to_json r))
     (Json.to_string (Traffic_mix.report_to_json r'))
 
+(* The drift figure's nine cells (drift rates 0, 0.5 and 1 by cadences
+   0, 1 and 2 at its traffic shape and seed): the workloads their hot sets
+   name are the ones the executor asks [plan_for] for, which is what lets
+   the figure grid plan only those. *)
+let hot_sets_name_the_adopted () =
+  let plans = Hashtbl.create 8 in
+  let adopted = ref [] in
+  let plan_for w =
+    let name = w.Workload.name in
+    adopted := name :: !adopted;
+    match Hashtbl.find_opt plans name with
+    | Some p -> p
+    | None ->
+        let p = Runner.plan_halo w in
+        Hashtbl.add plans name p;
+        p
+  in
+  List.iter
+    (fun drift ->
+      List.iter
+        (fun cadence ->
+          let config = mix_config cadence in
+          let sched = Schedule.drifting ~ticks_per_phase:2 ~rate:3.0 ~phases:4 ~drift () in
+          adopted := [];
+          ignore (Traffic_mix.run ~config ~plan_for ~seed:1 sched : Traffic_mix.report);
+          Alcotest.(check (list string))
+            (Printf.sprintf "drift %g, cadence %d" drift cadence)
+            (List.sort_uniq compare !adopted)
+            (List.sort_uniq compare
+               (List.concat_map snd (Traffic_mix.hot_sets ~config ~seed:1 sched))))
+        [ 0; 1; 2 ])
+    [ 0.0; 0.5; 1.0 ];
+  Alcotest.(check (list string))
+    "the nine cells adopt five programs"
+    [ "ammp"; "analyzer"; "art"; "ft"; "health" ]
+    (List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) plans []))
+
 let mix_reprofiling_recovers_coverage () =
   (* Under heavy drift the stale plan's covered set points at yesterday's
      traffic; re-planning on a cadence must recover coverage. *)
@@ -477,6 +514,7 @@ let suite =
     tc "mix: execution digest reproducible" mix_executor_deterministic;
     tc "mix: re-profiling recovers coverage under drift" mix_reprofiling_recovers_coverage;
     tc "mix: a re-adopted workload reuses its plan" mix_readoption_profiles_once;
+    tc "mix: hot sets name the adopted workloads" hot_sets_name_the_adopted;
   ]
   @ qsuite
   @ [ tc "mix: execution digest pinned" mix_exec_digest_pinned ]
