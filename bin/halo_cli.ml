@@ -723,57 +723,44 @@ let plan_cmd =
     (Cmd.info "plan" ~doc:"Show the HALO optimisation plan for a workload.")
     Term.(const run $ workload_arg $ dot_arg $ affinity_arg)
 
-(* [figures trials]: the input seeds of §5.1's multi-trial presentation;
-   Figures 13-15 print each cell as median [p25, p75] over them. *)
-let trial_seeds = [ 2; 5; 8; 11; 14 ]
-
 let figures_cmd =
-  let run which jobs plan_cache trace_out =
-    let suite ?seeds tables =
-      List.map (fun (name, table) -> Figures.suite_section ?seeds name table) tables
-    in
-    let sections =
-      match which with
-      | "all" -> Figures.all
-      | "trials" ->
-          suite ~seeds:trial_seeds
-            [ ("fig13", Figures.fig13); ("fig14", Figures.fig14); ("fig15", Figures.fig15) ]
-      | "fig13" -> suite [ (which, Figures.fig13) ]
-      | "fig14" -> suite [ (which, Figures.fig14) ]
-      | "fig15" -> suite [ (which, Figures.fig15) ]
-      | "tab1" -> suite [ (which, Figures.tab1) ]
-      | "diag" -> suite [ (which, Figures.hds_diagnostics) ]
-      | "fig12" -> [ Figures.fig12 ]
-      | "drift" -> [ Figures.drift_study ]
-      | "sec51" -> [ Figures.sec51_baseline ]
-      | "overhead" -> [ Figures.overhead_control ]
-      | "ablation" ->
-          Figures.
-            [
-              ablation_grouping;
-              ablation_packing;
-              ablation_identification;
-              ablation_backend;
-              ablation_sampling;
-            ]
-      | other ->
-          Printf.eprintf "unknown figure %S\n" other;
-          exit 2
-    in
+  let run sections jobs plan_cache trace_out =
     let cache = plan_cache_of plan_cache in
     let plan_source = Option.map Plan_cache.source cache in
     with_trace trace_out (fun obs ->
         Figures.print ~jobs:(effective_jobs jobs) ?obs ?plan_source sections);
     report_cache cache
   in
+  let figures =
+    Figures.
+      [
+        ("all", all);
+        ("trials", trials);
+        ("fig12", [ fig12 ]);
+        ("fig13", [ fig13 ]);
+        ("fig14", [ fig14 ]);
+        ("fig15", [ fig15 ]);
+        ("tab1", [ tab1 ]);
+        ("sec51", [ sec51_baseline ]);
+        ("overhead", [ overhead_control ]);
+        ("diag", [ hds_diagnostics ]);
+        ( "ablation",
+          [ ablation_grouping; ablation_packing; ablation_identification;
+            ablation_backend; ablation_sampling ] );
+        ("drift", [ drift_study ]);
+      ]
+  in
   let which_arg =
+    (* [absent] documents the default, so the enum never prints a section
+       list (which holds closures, and so cannot be compared). *)
     Arg.(
-      value & pos 0 string "all"
-      & info [] ~docv:"FIGURE"
+      value
+      & pos 0 (enum figures) Figures.all
+      & info [] ~docv:"FIGURE" ~absent:"$(b,all)"
           ~doc:
-            "One of: all, trials, fig12, fig13, fig14, fig15, tab1, sec51, \
-             overhead, diag, ablation, drift. $(b,trials) prints Figures \
-             13-15 over five input seeds as median [p25, p75].")
+            ("The tables to print, " ^ doc_alts_enum figures
+           ^ ". $(b,trials) prints Figures 13-15 over five input seeds as median \
+              [p25, p75]."))
   in
   Cmd.v
     (Cmd.info "figures" ~doc:"Regenerate the paper's tables and figures.")
@@ -801,21 +788,19 @@ let contexts_cmd =
     Term.(const run $ workload_arg)
 
 let disasm_cmd =
-  let run w scale_name stats =
-    let scale =
-      match scale_name with
-      | "test" -> Workload.Test
-      | "train" -> Workload.Train
-      | _ -> Workload.Ref
-    in
+  let run w scale stats =
     let program = w.Workload.make scale in
     if stats then print_string (Ir_analysis.stats_to_string (Ir_analysis.analyse program))
     else print_string (Ir_print.program_to_string program)
   in
   let scale_arg =
+    let scales =
+      [ ("test", Workload.Test); ("train", Workload.Train); ("ref", Workload.Ref) ]
+    in
     Arg.(
-      value & opt string "test"
-      & info [ "scale" ] ~docv:"SCALE" ~doc:"test, train or ref.")
+      value & opt (enum scales) Workload.Test
+      & info [ "scale" ] ~docv:"SCALE"
+          ~doc:("The program's input scale, " ^ doc_alts_enum scales ^ "."))
   in
   let stats_arg =
     Arg.(

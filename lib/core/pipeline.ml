@@ -94,11 +94,11 @@ type runtime = {
   patches : (Ir.site * int) list;
 }
 
-let instantiate ?obs ?allocator plan ~fallback vmem =
+let instantiate ?obs plan ~fallback vmem =
   Obs.span obs "allocator-synthesis"
     ~attrs:[ ("stage", Json.String "allocator-synthesis") ]
     (fun () ->
-      let alloc_cfg = Option.value allocator ~default:plan.config.allocator in
+      let alloc_cfg = plan.config.allocator in
       let env =
         Exec_env.create ~group_bits:(max plan.rewrite.Rewrite.nbits 1) ()
       in

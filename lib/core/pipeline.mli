@@ -77,14 +77,12 @@ type runtime = {
 
 val instantiate :
   ?obs:Obs.t ->
-  ?allocator:Group_alloc.config ->
   plan ->
   fallback:Alloc_iface.t ->
   Vmem.t ->
   runtime
 (** Synthesise the specialised allocator and runtime environment for a
-    measurement run. [allocator] overrides the plan's allocator config
-    (per-benchmark flags like chunk size or spare policy). [obs] records
+    measurement run under the plan's allocator config. [obs] records
     the [allocator-synthesis] span and threads allocator telemetry
     (pool occupancy, spare-chunk churn) into the synthesised
     {!Group_alloc}. *)

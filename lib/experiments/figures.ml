@@ -1,177 +1,4 @@
-type suite = {
-  workloads : Workload.t list;
-  seeds : int list;
-  (* workload name -> kind -> one measurement per seed (same order as
-     [seeds]) *)
-  data : (string * (Runner.kind * Runner.measurement list) list) list;
-}
-
 let suite_kinds = [ Runner.Jemalloc; Runner.Halo; Runner.Hds; Runner.Random_pools 4 ]
-
-let runs_of suite bench kind =
-  match List.assoc_opt bench suite.data with
-  | None -> []
-  | Some per_kind -> Option.value (List.assoc_opt kind per_kind) ~default:[]
-
-(* Median across seeds of a per-seed metric derived from (baseline, run)
-   pairs. Dynamically composed suites can lack a kind entirely or carry
-   per-kind seed lists of different lengths; zip only the common prefix
-   (List.map2 would raise) so metric_cell degrades to "-" instead of
-   crashing the whole table. *)
-let metric_values suite bench kind metric =
-  let baselines = runs_of suite bench Runner.Jemalloc in
-  let runs = runs_of suite bench kind in
-  let rec zip acc bs ms =
-    match (bs, ms) with
-    | b :: bs, m :: ms -> zip (metric ~baseline:b m :: acc) bs ms
-    | _, _ -> List.rev acc
-  in
-  zip [] baselines runs |> Array.of_list
-
-(* §5.1 measurement style: median with 25th/75th-percentile error bars when
-   several input seeds were run. *)
-let metric_cell suite bench kind metric =
-  let values = metric_values suite bench kind metric in
-  match Array.length values with
-  | 0 -> "-"
-  | 1 -> Table.fmt_pct values.(0)
-  | _ ->
-      let s = Stats.summarize values in
-      Printf.sprintf "%s [%s, %s]" (Table.fmt_pct s.Stats.median)
-        (Table.fmt_pct s.Stats.p25) (Table.fmt_pct s.Stats.p75)
-
-let bench_names suite = List.map (fun w -> w.Workload.name) suite.workloads
-
-let paper_fig13_14 bench =
-  List.find_opt (fun (p : Paper_data.fig13_14) -> p.bench = bench)
-    Paper_data.fig13_14
-
-(* Figures 13 and 14: HDS and HALO, paper next to measured. *)
-let hds_and_halo ~title ~paper metric suite =
-  let t =
-    Table.create ~title
-      ~headers:
-        [ "benchmark"; "HDS (paper)"; "HDS (measured)"; "HALO (paper)";
-          "HALO (measured)" ]
-      ()
-  in
-  List.iter
-    (fun bench ->
-      let p = paper_fig13_14 bench in
-      let paper pick =
-        match p with Some p -> Table.fmt_pct (pick (paper p)) | None -> "-"
-      in
-      Table.add_row t
-        [
-          bench;
-          paper fst;
-          metric_cell suite bench Runner.Hds metric;
-          paper snd;
-          metric_cell suite bench Runner.Halo metric;
-        ])
-    (bench_names suite);
-  t
-
-let fig13 =
-  hds_and_halo
-    ~title:
-      "Figure 13 — L1 D-cache miss reduction vs jemalloc (paper bars are \
-       approximate reads)"
-    ~paper:(fun p -> (p.Paper_data.hds_miss, p.Paper_data.halo_miss))
-    Runner.miss_reduction_vs
-
-let fig14 =
-  hds_and_halo
-    ~title:
-      "Figure 14 — execution-time speedup vs jemalloc (paper bars are \
-       approximate reads)"
-    ~paper:(fun p -> (p.Paper_data.hds_speed, p.Paper_data.halo_speed))
-    Runner.speedup_vs
-
-let fig15 suite =
-  let t =
-    Table.create
-      ~title:
-        "Figure 15 — speedup under a random 4-pool allocator (placement \
-         sensitivity probe)"
-      ~headers:[ "benchmark"; "paper"; "measured" ]
-      ()
-  in
-  List.iter
-    (fun bench ->
-      let paper =
-        Option.map snd
-          (List.find_opt (fun (b, _) -> b = bench) Paper_data.fig15)
-      in
-      Table.add_row t
-        [
-          bench;
-          (match paper with Some p -> Table.fmt_pct p | None -> "-");
-          metric_cell suite bench (Runner.Random_pools 4) Runner.speedup_vs;
-        ])
-    (bench_names suite);
-  t
-
-let tab1 suite =
-  let t =
-    Table.create
-      ~title:
-        "Table 1 — fragmentation of grouped objects at peak memory usage \
-         (HALO's specialised allocator)"
-      ~headers:
-        [ "benchmark"; "frag % (paper)"; "frag % (measured)";
-          "frag bytes (paper)"; "frag bytes (measured)" ]
-      ()
-  in
-  List.iter
-    (fun (bench, ppct, pbytes) ->
-      match runs_of suite bench Runner.Halo with
-      | { Runner.halo = Some h; _ } :: _ ->
-          Table.add_row t
-            [
-              bench;
-              Printf.sprintf "%.2f%%" (100.0 *. ppct);
-              Printf.sprintf "%.2f%%" (100.0 *. h.Runner.frag.Group_alloc.frag_pct);
-              Table.fmt_bytes pbytes;
-              Table.fmt_bytes h.Runner.frag.Group_alloc.frag_bytes;
-            ]
-      | _ -> ())
-    (List.filter
-       (fun (bench, _, _) ->
-         match List.find_opt (fun w -> w.Workload.name = bench) suite.workloads with
-         | Some w -> w.Workload.in_frag_table
-         | None -> false)
-       Paper_data.table1);
-  t
-
-let hds_diagnostics suite =
-  let t =
-    Table.create
-      ~title:
-        "Section 5.2 — model sizes: hot-data-stream candidates vs affinity \
-         graph nodes (paper's roms: >150,000 streams vs 31 nodes)"
-      ~headers:
-        [ "benchmark"; "candidate streams"; "selected"; "coverage";
-          "HDS pools"; "HALO graph nodes"; "HALO groups" ]
-      ()
-  in
-  List.iter
-    (fun bench ->
-      match (runs_of suite bench Runner.Hds, runs_of suite bench Runner.Halo) with
-      | { Runner.hds = Some h; _ } :: _, { Runner.halo = Some a; _ } :: _ ->
-          Table.add_row t
-            [
-              bench;
-              string_of_int h.Runner.stream_count;
-              string_of_int h.Runner.selected_streams;
-              Printf.sprintf "%.0f%%" (100.0 *. h.Runner.hds_coverage);
-              string_of_int h.Runner.pools;
-              string_of_int a.Runner.graph_nodes;
-              string_of_int a.Runner.groups;
-            ]
-      | _ -> ())
-    (bench_names suite);
-  t
 
 (* ------------------------------------------------------------------ *)
 (* The cell grid                                                       *)
@@ -375,44 +202,11 @@ let run_cells ?jobs ?obs ?plan_source ?(progress = fun _ -> ()) cells =
             cells (List.map submit cells);
           fun c -> Hashtbl.find results (key c)))
 
-let suite_cells workloads seeds =
-  List.concat_map
-    (fun w ->
-      List.concat_map
-        (fun kind -> List.map (fun seed -> cell ~seed w kind) seeds)
-        suite_kinds)
-    workloads
-
-let suite_of workloads seeds get =
-  let data =
-    List.map
-      (fun w ->
-        ( w.Workload.name,
-          List.map
-            (fun kind -> (kind, List.map (fun seed -> get (cell ~seed w kind)) seeds))
-            suite_kinds ))
-      workloads
-  in
-  { workloads; seeds; data }
-
-let run_suite ?(seeds = [ 2 ]) ?(workloads = Workloads.all) ?progress ?jobs ?obs
-    ?plan_source () =
-  suite_of workloads seeds
-    (measurement
-       (run_cells ?progress ?jobs ?obs ?plan_source (suite_cells workloads seeds)))
-
 (* ------------------------------------------------------------------ *)
 (* Sections: each figure's cells and its table                         *)
 (* ------------------------------------------------------------------ *)
 
 type section = { name : string; cells : cell list; render : results -> Table.t }
-
-let suite_section ?(seeds = [ 2 ]) name render =
-  {
-    name;
-    cells = suite_cells Workloads.all seeds;
-    render = (fun results -> render (suite_of Workloads.all seeds (measurement results)));
-  }
 
 (* One entry of a section's table: the cells it reads and how it shows
    them. *)
@@ -433,6 +227,27 @@ let halo_detail c show =
   entry [ c ] (fun get ->
       match (get c).Runner.halo with Some h -> show h | None -> "-")
 
+let hds_detail c show =
+  entry [ c ] (fun get ->
+      match (get c).Runner.hds with Some h -> show h | None -> "-")
+
+(* §5.1's presentation of [metric] of [kind] on [w] against jemalloc at
+   each of [seeds]: the value for one seed, the median with [p25, p75]
+   error bars for several. *)
+let across_seeds ~seeds metric w kind =
+  let pairs =
+    List.map (fun seed -> (cell ~seed w Runner.Jemalloc, cell ~seed w kind)) seeds
+  in
+  entry
+    (List.concat_map (fun (base, c) -> [ base; c ]) pairs)
+    (fun get ->
+      match List.map (fun (base, c) -> metric ~baseline:(get base) (get c)) pairs with
+      | [ v ] -> Table.fmt_pct v
+      | values ->
+          let s = Stats.summarize (Array.of_list values) in
+          Printf.sprintf "%s [%s, %s]" (Table.fmt_pct s.Stats.median)
+            (Table.fmt_pct s.Stats.p25) (Table.fmt_pct s.Stats.p75))
+
 (* A section whose table is [rows] of entries under [headers]. *)
 let table name ~title ~headers rows =
   let render results =
@@ -451,6 +266,124 @@ let baseline w = cell w Runner.Jemalloc
 
 let with_profiler f =
   { Pipeline.default_config with Pipeline.profiler = f Profiler.default_config }
+
+let paper_fig13_14 bench =
+  List.find_opt (fun (p : Paper_data.fig13_14) -> p.bench = bench)
+    Paper_data.fig13_14
+
+(* Figures 13 and 14: HDS and HALO, paper next to measured. *)
+let hds_and_halo name ~title ~paper metric seeds =
+  table name ~title:(text title)
+    ~headers:
+      [ "benchmark"; "HDS (paper)"; "HDS (measured)"; "HALO (paper)";
+        "HALO (measured)" ]
+    (List.map
+       (fun w ->
+         let paper pick =
+           text
+             (match paper_fig13_14 w.Workload.name with
+             | Some p -> Table.fmt_pct (pick (paper p))
+             | None -> "-")
+         in
+         [
+           text w.Workload.name;
+           paper fst;
+           across_seeds ~seeds metric w Runner.Hds;
+           paper snd;
+           across_seeds ~seeds metric w Runner.Halo;
+         ])
+       Workloads.all)
+
+let fig13_at =
+  hds_and_halo "fig13"
+    ~title:
+      "Figure 13 — L1 D-cache miss reduction vs jemalloc (paper bars are \
+       approximate reads)"
+    ~paper:(fun p -> (p.Paper_data.hds_miss, p.Paper_data.halo_miss))
+    Runner.miss_reduction_vs
+
+let fig14_at =
+  hds_and_halo "fig14"
+    ~title:
+      "Figure 14 — execution-time speedup vs jemalloc (paper bars are \
+       approximate reads)"
+    ~paper:(fun p -> (p.Paper_data.hds_speed, p.Paper_data.halo_speed))
+    Runner.speedup_vs
+
+let fig15_at seeds =
+  table "fig15"
+    ~title:
+      (text
+         "Figure 15 — speedup under a random 4-pool allocator (placement \
+          sensitivity probe)")
+    ~headers:[ "benchmark"; "paper"; "measured" ]
+    (List.map
+       (fun w ->
+         [
+           text w.Workload.name;
+           text
+             (match List.assoc_opt w.Workload.name Paper_data.fig15 with
+             | Some p -> Table.fmt_pct p
+             | None -> "-");
+           across_seeds ~seeds Runner.speedup_vs w (Runner.Random_pools 4);
+         ])
+       Workloads.all)
+
+let fig13 = fig13_at [ 2 ]
+let fig14 = fig14_at [ 2 ]
+let fig15 = fig15_at [ 2 ]
+let trials = List.map (fun at -> at [ 2; 5; 8; 11; 14 ]) [ fig13_at; fig14_at; fig15_at ]
+
+(* A fragmentation fraction as a percentage, as Table 1 prints it. *)
+let pct frac = Printf.sprintf "%.2f%%" (100.0 *. frac)
+
+let tab1 =
+  table "tab1"
+    ~title:
+      (text
+         "Table 1 — fragmentation of grouped objects at peak memory usage \
+          (HALO's specialised allocator)")
+    ~headers:
+      [ "benchmark"; "frag % (paper)"; "frag % (measured)"; "frag bytes (paper)";
+        "frag bytes (measured)" ]
+    (List.filter_map
+       (fun (bench, ppct, pbytes) ->
+         match Workloads.find bench with
+         | Some w when w.Workload.in_frag_table ->
+             let c = cell w Runner.Halo in
+             Some
+               [
+                 text bench;
+                 text (pct ppct);
+                 halo_detail c (fun h -> pct h.Runner.frag.Group_alloc.frag_pct);
+                 text (Table.fmt_bytes pbytes);
+                 halo_detail c (fun h -> Table.fmt_bytes h.Runner.frag.Group_alloc.frag_bytes);
+               ]
+         | _ -> None)
+       Paper_data.table1)
+
+let hds_diagnostics =
+  table "diag"
+    ~title:
+      (text
+         "Section 5.2 — model sizes: hot-data-stream candidates vs affinity \
+          graph nodes (paper's roms: >150,000 streams vs 31 nodes)")
+    ~headers:
+      [ "benchmark"; "candidate streams"; "selected"; "coverage"; "HDS pools";
+        "HALO graph nodes"; "HALO groups" ]
+    (List.map
+       (fun w ->
+         let hds = cell w Runner.Hds and halo = cell w Runner.Halo in
+         [
+           text w.Workload.name;
+           hds_detail hds (fun h -> string_of_int h.Runner.stream_count);
+           hds_detail hds (fun h -> string_of_int h.Runner.selected_streams);
+           hds_detail hds (fun h -> Printf.sprintf "%.0f%%" (100.0 *. h.Runner.hds_coverage));
+           hds_detail hds (fun h -> string_of_int h.Runner.pools);
+           halo_detail halo (fun a -> string_of_int a.Runner.graph_nodes);
+           halo_detail halo (fun a -> string_of_int a.Runner.groups);
+         ])
+       Workloads.all)
 
 let fig12 =
   let w = Option.get (Workloads.find "omnetpp") in
@@ -637,8 +570,7 @@ let ablation_backend =
                text label;
                miss_red ~base:(baseline w) c;
                speedup ~base:(baseline w) c;
-               halo_detail c (fun h ->
-                   Printf.sprintf "%.2f%%" (100.0 *. h.Runner.frag.Group_alloc.frag_pct));
+               halo_detail c (fun h -> pct h.Runner.frag.Group_alloc.frag_pct);
                halo_detail c (fun h -> Table.fmt_bytes h.Runner.frag.Group_alloc.frag_bytes);
              ])
            [ ("bump", Group_alloc.Bump_only); ("sharded", Group_alloc.Sharded_free_lists) ])
@@ -716,13 +648,9 @@ let drift_study =
   }
 
 let all =
-  List.map
-    (fun (name, table) -> suite_section name table)
-    [ ("fig13", fig13); ("fig14", fig14); ("fig15", fig15); ("tab1", tab1);
-      ("diag", hds_diagnostics) ]
-  @ [ fig12; selection_criterion; sec51_baseline; overhead_control;
-      ablation_grouping; ablation_packing; ablation_identification;
-      ablation_backend; ablation_sampling; drift_study ]
+  [ fig13; fig14; fig15; tab1; hds_diagnostics; fig12; selection_criterion;
+    sec51_baseline; overhead_control; ablation_grouping; ablation_packing;
+    ablation_identification; ablation_backend; ablation_sampling; drift_study ]
 
 let print ?jobs ?obs ?plan_source sections =
   let progress line = Printf.eprintf "  [cells] %s\n%!" line in

@@ -3,79 +3,17 @@
     Each table holds the reproduction's measured values next to the paper's reported values
     (exact for Table 1, approximate visual reads for the bar charts; see
     {!Paper_data}). The measurement harness is deterministic, so one run
-    per configuration suffices — a suite optionally takes several seeds
-    to exercise input variation, reporting medians as §5.1 does.
+    per configuration suffices; {!trials} measures Figures 13-15 at
+    several input seeds and reports medians, as §5.1 does.
 
     Every figure is a {!section}: the cells it measures, as data, and a
     table rendered from their results. {!print} runs the union of the
     sections' cells once each, with every distinct plan, on one domain
     pool. *)
 
-type suite = {
-  workloads : Workload.t list;
-  seeds : int list;
-  data : (string * (Runner.kind * Runner.measurement list) list) list;
-      (** workload name → kind → one measurement per seed (same order as
-          [seeds]). Exposed so suites can be composed or filtered
-          dynamically; the table renderers degrade gracefully (printing
-          ["-"]) when a bench/kind cell is missing or short. *)
-}
-(** All per-benchmark measurements needed by Figures 13–15 and Table 1. *)
-
 val suite_kinds : Runner.kind list
-(** The four configurations a suite measures: jemalloc, HALO, HDS and the
-    random 4-pool strawman. *)
-
-val run_suite :
-  ?seeds:int list ->
-  ?workloads:Workload.t list ->
-  ?progress:(string -> unit) ->
-  ?jobs:int ->
-  ?obs:Obs.t ->
-  ?plan_source:Pipeline.plan_source ->
-  unit ->
-  suite
-(** Run jemalloc / HALO / HDS / random-4 over the workloads (default: all
-    11) for each seed (default [[2]]) through {!run_cells}: each HALO and
-    HDS plan is made once per workload, whatever the seeds. *)
-
-val runs_of : suite -> string -> Runner.kind -> Runner.measurement list
-(** [runs_of suite bench kind] is the per-seed measurement list, or [[]]
-    when the suite holds no such cell. *)
-
-val metric_values :
-  suite ->
-  string ->
-  Runner.kind ->
-  (baseline:Runner.measurement -> Runner.measurement -> float) ->
-  float array
-(** Per-seed metric derived from (jemalloc baseline, run) pairs, zipping
-    only the common prefix when the lists differ in length. *)
-
-val metric_cell :
-  suite ->
-  string ->
-  Runner.kind ->
-  (baseline:Runner.measurement -> Runner.measurement -> float) ->
-  string
-(** §5.1 presentation of {!metric_values}: ["-"] when empty, the value
-    for one seed, median with \[p25, p75\] error bars for several. *)
-
-val fig13 : suite -> Table.t
-(** Fig. 13: L1 D-cache miss reduction, HDS and HALO vs jemalloc. *)
-
-val fig14 : suite -> Table.t
-(** Fig. 14: speedup, HDS and HALO vs jemalloc. *)
-
-val fig15 : suite -> Table.t
-(** Fig. 15: speedup of the random 4-pool allocator vs jemalloc. *)
-
-val tab1 : suite -> Table.t
-(** Table 1: fragmentation of grouped objects at peak usage under HALO. *)
-
-val hds_diagnostics : suite -> Table.t
-(** The §5.2 roms analysis: candidate stream counts vs affinity graph
-    sizes per benchmark (paper: >150,000 streams vs 31 nodes). *)
+(** The four configurations Figures 13-15 measure: jemalloc, HALO, HDS
+    and the random 4-pool strawman. *)
 
 (** {1 The cell grid} *)
 
@@ -145,9 +83,25 @@ type section = {
 }
 (** A figure as data: its cells and how its table renders from them. *)
 
-val suite_section : ?seeds:int list -> string -> (suite -> Table.t) -> section
-(** [suite_section name table] renders [table] (e.g. {!fig13}) over the
-    suite of all 11 workloads at [seeds] (default [[2]]). *)
+val fig13 : section
+(** Fig. 13: L1 D-cache miss reduction, HDS and HALO vs jemalloc. *)
+
+val fig14 : section
+(** Fig. 14: speedup, HDS and HALO vs jemalloc. *)
+
+val fig15 : section
+(** Fig. 15: speedup of the random 4-pool allocator vs jemalloc. *)
+
+val trials : section list
+(** Figures 13-15 over input seeds 2, 5, 8, 11 and 14, each value the
+    median with \[p25, p75\] error bars, as §5.1 presents them. *)
+
+val tab1 : section
+(** Table 1: fragmentation of grouped objects at peak usage under HALO. *)
+
+val hds_diagnostics : section
+(** The §5.2 roms analysis: candidate stream counts vs affinity graph
+    sizes per benchmark (paper: >150,000 streams vs 31 nodes). *)
 
 val fig12 : section
 (** Fig. 12: omnetpp execution time across affinity distances 2^3 ..

@@ -64,7 +64,7 @@ val load_stats : string -> stats option
 
 val source : t -> Pipeline.plan_source
 (** The cache as a pipeline plan source — pass to [Pipeline.plan],
-    [Runner.run], [Figures.run_suite] or the fuzz harness. A lookup
+    [Runner.run], [Figures.run_cells] or the fuzz harness. A lookup
     trusts an entry only when {!Store.read_plan} accepts it — magic,
     version, payload checksum, program and config digests, every record,
     and a plan derivable from its profile — and {!Store.check_sites}

@@ -115,21 +115,20 @@ let fig12_sweep_runs () =
            (Runner.speedup_vs ~baseline:(get (Figures.cell ow Runner.Jemalloc)) (get (at a))))
        [ 8; 128 ])
 
-let suite_tables_render () =
-  let suite = Figures.run_suite ~workloads:[ w "ft" ] () in
-  List.iter
-    (fun t -> checkb "renders" true (String.length (Table.render t) > 100))
-    [ Figures.fig13 suite; Figures.fig14 suite; Figures.fig15 suite;
-      Figures.hds_diagnostics suite ]
-
-let tab1_renders_for_frag_workload () =
-  let suite = Figures.run_suite ~workloads:[ w "ft" ] () in
-  let s = Table.render (Figures.tab1 suite) in
-  checkb "ft appears" true
-    (String.split_on_char '\n' s
-    |> List.exists (fun l ->
-           String.length l > 2 && String.index_opt l 'f' <> None
-           && String.index_opt l 't' <> None))
+(* Figures 13-15, Table 1 and the diagnostics, rendered from one grid
+   run, are the first five tables of [figures all]. *)
+let suite_figures_match_golden () =
+  let sections = Figures.[ fig13; fig14; fig15; tab1; hds_diagnostics ] in
+  let results = Figures.run_cells (List.concat_map (fun s -> s.Figures.cells) sections) in
+  let got =
+    String.concat "\n"
+      (List.map (fun s -> Table.render (s.Figures.render results)) sections)
+  in
+  let golden = In_channel.with_open_bin "golden/all.txt" In_channel.input_all in
+  Alcotest.check Alcotest.string "the first five blocks of all.txt"
+    (String.sub golden 0 (String.length got))
+    got;
+  Alcotest.check Alcotest.char "a block ends there" '\n' golden.[String.length got]
 
 let identification_granularity_ordering () =
   (* §2.2.3 / §3: immediate site < xor-4 < full context, with xor-4 dying
@@ -176,65 +175,20 @@ let sharded_backend_shapes () =
 
 let suite_parallel_equivalence () =
   (* The tentpole invariant: every suite cell is an independent
-     simulation, so fanning the workload×kind×seed grid over a domain
-     pool must not perturb a single measurement. *)
-  let workloads = [ w "ft"; w "health" ] in
-  let seq = Figures.run_suite ~workloads ~jobs:1 () in
-  let par = Figures.run_suite ~workloads ~jobs:4 () in
+     simulation, so fanning the workload×kind grid over a domain pool
+     must not perturb a single measurement. *)
+  let cells =
+    List.concat_map
+      (fun name -> List.map (Figures.cell (w name)) Figures.suite_kinds)
+      [ "ft"; "health" ]
+  in
+  let seq = Figures.measurement (Figures.run_cells ~jobs:1 cells) in
+  let par = Figures.measurement (Figures.run_cells ~jobs:4 cells) in
   List.iter
-    (fun (wl : Workload.t) ->
-      List.iter
-        (fun kind ->
-          let json s =
-            List.map
-              (fun m -> Json.to_string (Runner.to_json m))
-              (Figures.runs_of s wl.Workload.name kind)
-          in
-          Alcotest.check
-            (Alcotest.list Alcotest.string)
-            (wl.Workload.name ^ " cell identical across jobs")
-            (json seq) (json par))
-        Figures.suite_kinds)
-    workloads
-
-let degenerate_suite_degrades_gracefully () =
-  (* Regression for the List.map2 crash: a suite whose kind cells differ
-     in length (fewer HALO runs than baseline seeds) must zip the common
-     prefix, and a missing kind must render as "-", not raise. *)
-  let hw = w "ft" in
-  let base1 = Runner.run ~seed:2 hw Runner.Jemalloc in
-  let base2 = Runner.run ~seed:3 hw Runner.Jemalloc in
-  let halo1 = Runner.run ~seed:2 hw Runner.Halo in
-  let degenerate =
-    {
-      Figures.workloads = [ hw ];
-      seeds = [ 2; 3 ];
-      data =
-        [
-          ( "ft",
-            [ (Runner.Jemalloc, [ base1; base2 ]); (Runner.Halo, [ halo1 ]) ]
-          );
-        ];
-    }
-  in
-  let vals =
-    Figures.metric_values degenerate "ft" Runner.Halo
-      (fun ~baseline m -> Runner.miss_reduction_vs ~baseline m)
-  in
-  Alcotest.check Alcotest.int "common prefix only" 1 (Array.length vals);
-  let cell =
-    Figures.metric_cell degenerate "ft" Runner.Halo (fun ~baseline m ->
-        Runner.miss_reduction_vs ~baseline m)
-  in
-  checkb "short cell still renders a value" true (cell <> "-");
-  Alcotest.check Alcotest.string "missing kind renders as dash" "-"
-    (Figures.metric_cell degenerate "ft" Runner.Hds (fun ~baseline m ->
-         Runner.miss_reduction_vs ~baseline m));
-  (* The table renderers must survive the ragged suite end to end. *)
-  List.iter
-    (fun t -> checkb "renders" true (String.length (Table.render t) > 0))
-    [ Figures.fig13 degenerate; Figures.fig14 degenerate;
-      Figures.fig15 degenerate; Figures.tab1 degenerate ]
+    (fun c ->
+      Alcotest.check Alcotest.string "cell identical across jobs" (run_json (seq c))
+        (run_json (par c)))
+    cells
 
 (* A traced measurement with the hierarchy on a helper (when a core is
    spare) and inline (every spare core held): the same measurement and the
@@ -402,12 +356,10 @@ let suite =
     tc "halo run details populated" halo_details_populated;
     tc "hds run details populated" hds_details_populated;
     tc "figure 12 sweep runs" fig12_sweep_runs;
-    tc "suite tables render" suite_tables_render;
-    tc "table 1 renders" tab1_renders_for_frag_workload;
+    tc "suite figures match the golden" suite_figures_match_golden;
     tc "identification granularity ordering" identification_granularity_ordering;
     tc "sharded backend shapes" sharded_backend_shapes;
     tc "suite parallel equivalence" suite_parallel_equivalence;
-    tc "degenerate suite degrades gracefully" degenerate_suite_degrades_gracefully;
     tc "helper measurement unchanged" helper_measurement_unchanged;
     tc "grid: a repeated cell runs once" grid_runs_a_repeated_cell_once;
     tc "grid: one plan per program across seeds" grid_plans_once_per_program;

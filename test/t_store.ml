@@ -1388,28 +1388,26 @@ let retired_plan_records_are_misses () =
     retired_records
 
 let suite_warmed_equivalence () =
-  (* The acceptance bar: a warmed cache runs the whole figure suite with
+  (* The acceptance bar: a warmed cache runs the figure suite's cells with
      zero profiler invocations and unchanged measurements. *)
-  let workloads = [ w "ft" ] in
-  let plain = Figures.run_suite ~workloads ~jobs:1 () in
+  let cells = List.map (Figures.cell (w "ft")) Figures.suite_kinds in
+  let plain = Figures.measurement (Figures.run_cells ~jobs:1 cells) in
   let cache = Plan_cache.create (tmp_dir ()) in
   let plan_source = Plan_cache.source cache in
-  ignore (Figures.run_suite ~workloads ~jobs:1 ~plan_source () : Figures.suite);
+  ignore (Figures.run_cells ~jobs:1 ~plan_source cells : Figures.results);
   let obs = Obs.create () in
-  let warmed = Figures.run_suite ~workloads ~jobs:1 ~obs ~plan_source () in
+  let warmed = Figures.measurement (Figures.run_cells ~jobs:1 ~obs ~plan_source cells) in
   checki "warmed suite never profiles" 0 (profile_runs obs);
   checkb "warmed suite had no misses" true
     (let s = Plan_cache.stats cache in
      s.Plan_cache.hits > 0
      && s.Plan_cache.misses = (* cold pass only *) s.Plan_cache.stores);
-  List.iter
-    (fun kind ->
-      Alcotest.check
-        (Alcotest.list Alcotest.string)
+  List.iter2
+    (fun kind c ->
+      Alcotest.check Alcotest.string
         (Runner.kind_name kind ^ " cell identical with warmed cache")
-        (List.map run_json (Figures.runs_of plain "ft" kind))
-        (List.map run_json (Figures.runs_of warmed "ft" kind)))
-    Figures.suite_kinds
+        (run_json (plain c)) (run_json (warmed c)))
+    Figures.suite_kinds cells
 
 (* Json.of_string's contract on hostile text: [Ok] or [Error], never
    another exception. Seeds: a store header (the JSON after the magic,
