@@ -116,19 +116,29 @@ let fig12_sweep_runs () =
        [ 8; 128 ])
 
 (* Figures 13-15, Table 1 and the diagnostics, rendered from one grid
-   run, are the first five tables of [figures all]. *)
-let suite_figures_match_golden () =
-  let sections = Figures.[ fig13; fig14; fig15; tab1; hds_diagnostics ] in
-  let results = Figures.run_cells (List.concat_map (fun s -> s.Figures.cells) sections) in
-  let got =
-    String.concat "\n"
-      (List.map (fun s -> Table.render (s.Figures.render results)) sections)
-  in
-  let golden = In_channel.with_open_bin "golden/all.txt" In_channel.input_all in
-  Alcotest.check Alcotest.string "the first five blocks of all.txt"
-    (String.sub golden 0 (String.length got))
-    got;
-  Alcotest.check Alcotest.char "a block ends there" '\n' golden.[String.length got]
+   run, are the first five blocks of [figures all]: each rendered section
+   paired with the golden bytes at its offset and the byte after them. *)
+let suite_blocks =
+  lazy
+    (let sections = Figures.[ fig13; fig14; fig15; tab1; hds_diagnostics ] in
+     let results = Figures.run_cells (List.concat_map (fun s -> s.Figures.cells) sections) in
+     let golden = In_channel.with_open_bin "golden/all.txt" In_channel.input_all in
+     snd
+       (List.fold_left_map
+          (fun off s ->
+            let got = Table.render (s.Figures.render results) in
+            let len = String.length got in
+            (off + len + 1, (got, String.sub golden off len, golden.[off + len])))
+          0 sections))
+
+let check_block i =
+  let got, want, next = List.nth (Lazy.force suite_blocks) i in
+  Alcotest.check Alcotest.string "the block of all.txt" want got;
+  Alcotest.check Alcotest.char "a block ends there" '\n' next
+
+let suite_tables_render () = List.iter check_block [ 0; 1; 2; 4 ]
+
+let tab1_renders_for_frag_workload () = check_block 3
 
 let identification_granularity_ordering () =
   (* §2.2.3 / §3: immediate site < xor-4 < full context, with xor-4 dying
@@ -356,7 +366,8 @@ let suite =
     tc "halo run details populated" halo_details_populated;
     tc "hds run details populated" hds_details_populated;
     tc "figure 12 sweep runs" fig12_sweep_runs;
-    tc "suite figures match the golden" suite_figures_match_golden;
+    tc "suite tables render" suite_tables_render;
+    tc "table 1 renders" tab1_renders_for_frag_workload;
     tc "identification granularity ordering" identification_granularity_ordering;
     tc "sharded backend shapes" sharded_backend_shapes;
     tc "suite parallel equivalence" suite_parallel_equivalence;
