@@ -281,11 +281,11 @@ let report_cache = function
   | None -> ()
   | Some cache ->
       let s = Plan_cache.stats cache in
-      Printf.printf
-        "plan cache (%s): %d hits, %d misses, %d stores (hit rate %.0f%%)\n"
+      Printf.printf "plan cache (%s): %d hits, %d misses, %d stores (%s)\n"
         (Plan_cache.dir cache) s.Plan_cache.hits s.Plan_cache.misses
         s.Plan_cache.stores
-        (100.0 *. Plan_cache.hit_rate s)
+        (if s.Plan_cache.hits + s.Plan_cache.misses = 0 then "no lookups"
+         else Printf.sprintf "hit rate %.0f%%" (100.0 *. Plan_cache.hit_rate s))
 
 let profile_out_arg =
   Arg.(
@@ -541,7 +541,7 @@ let profile_apply_cmd =
       Workload.pipeline_config w
         { pc with Pipeline.profiler = artifact.Store.config }
     in
-    let plan = or_die (Store.derive_plan ~config artifact.Store.result) in
+    let plan = Pipeline.derive ~config artifact.Store.result in
     or_die (Store.check_sites program plan);
     let baseline = Runner.run ~seed w Runner.Jemalloc in
     let m = Runner.run ~seed ~plan:(Runner.Halo_plan plan) w Runner.Halo in

@@ -6,6 +6,6 @@
     as the simplest possible placement policy: objects are laid out exactly
     in allocation order, regardless of size. *)
 
-val create : ?slab_size:int -> ?min_align:int -> Vmem.t -> Alloc_iface.t
-(** [create vmem] builds a bump allocator drawing [slab_size] (default
-    1 MiB) slabs. All blocks are aligned to [min_align] (default 8). *)
+val create : Vmem.t -> Alloc_iface.t
+(** [create vmem] builds a bump allocator drawing 1 MiB slabs. All blocks
+    are aligned to 8 bytes. *)

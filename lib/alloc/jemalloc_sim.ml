@@ -4,9 +4,11 @@ type class_state = {
   mutable free_list : Addr.t list; (* LIFO reuse, like a tcache bin *)
 }
 
+(* Arena chunks are 2 MiB, jemalloc's default chunk size. *)
+let chunk_size = 2 lsl 20
+
 type state = {
   vmem : Vmem.t;
-  chunk_size : int;
   classes : class_state array;
   mutable chunk_cursor : Addr.t; (* next free byte in the current arena chunk *)
   mutable chunk_limit : Addr.t;
@@ -19,9 +21,9 @@ let run_objects = 64
    land contiguously, small enough that runs stay page-scale. *)
 
 let fresh_chunk st =
-  let base = Vmem.mmap st.vmem ~size:st.chunk_size ~align:Vmem.page_size in
+  let base = Vmem.mmap st.vmem ~size:chunk_size ~align:Vmem.page_size in
   st.chunk_cursor <- base;
-  st.chunk_limit <- base + st.chunk_size
+  st.chunk_limit <- base + chunk_size
 
 let carve_run st bytes =
   let bytes = Addr.align_up bytes Vmem.page_size in
@@ -82,13 +84,10 @@ let free st addr =
               ~addr "corrupt size metadata")
   end
 
-let create ?(chunk_size = 2 lsl 20) vmem =
-  if chunk_size < Vmem.page_size then
-    invalid_arg "Jemalloc_sim.create: chunk_size below page size";
+let create vmem =
   let st =
     {
       vmem;
-      chunk_size;
       classes =
         Array.init Size_class.nclasses (fun _ ->
             { run_cursor = Addr.null; run_limit = Addr.null; free_list = [] });

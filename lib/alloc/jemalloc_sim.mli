@@ -17,6 +17,6 @@
     out of scope: the paper's workloads are single-threaded and those
     mechanisms do not change placement within a run. *)
 
-val create : ?chunk_size:int -> Vmem.t -> Alloc_iface.t
-(** [create vmem] builds a fresh simulated jemalloc arena drawing
-    [chunk_size] (default 2 MiB) chunks from [vmem]. *)
+val create : Vmem.t -> Alloc_iface.t
+(** [create vmem] builds a fresh simulated jemalloc arena drawing 2 MiB
+    chunks from [vmem]. *)

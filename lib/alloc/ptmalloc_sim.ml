@@ -12,7 +12,6 @@ end)
 type chunk = { size : int; free : bool }
 
 type state = {
-  heap_base : Addr.t;
   heap_limit : Addr.t;
   mutable top : Addr.t; (* first byte never yet carved into a chunk *)
   mutable chunks : chunk Chunk_map.t; (* base address -> chunk *)
@@ -99,11 +98,12 @@ let free st payload =
     else add_free st base size
   end
 
-let create ?(heap_size = 256 lsl 20) vmem =
+let heap_size = 256 lsl 20
+
+let create vmem =
   let heap_base = Vmem.mmap vmem ~size:heap_size ~align:Vmem.page_size in
   let st =
     {
-      heap_base;
       heap_limit = heap_base + heap_size;
       top = heap_base;
       chunks = Chunk_map.empty;
@@ -111,7 +111,6 @@ let create ?(heap_size = 256 lsl 20) vmem =
       table = Alloc_iface.Live_table.create ~name:"ptmalloc-sim" ();
     }
   in
-  ignore st.heap_base;
   let reserved_size addr =
     Option.map snd (Alloc_iface.Live_table.find st.table addr)
   in

@@ -16,6 +16,6 @@
     Fastbins/tcache (which would restore some LIFO locality for tiny sizes)
     are modelled by exact-fit preference in the best-fit search. *)
 
-val create : ?heap_size:int -> Vmem.t -> Alloc_iface.t
-(** [create vmem] reserves a contiguous demand-paged heap of [heap_size]
-    bytes (default 256 MiB) and serves all requests from it. *)
+val create : Vmem.t -> Alloc_iface.t
+(** [create vmem] reserves a contiguous demand-paged heap of 256 MiB and
+    serves all requests from it. *)

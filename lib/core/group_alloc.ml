@@ -45,7 +45,6 @@ type gobs = {
   m_freelist : Metrics.counter; (* alloc.freelist.reuses *)
   g_spare : Metrics.gauge; (* alloc.chunks.spare *)
   h_occupancy : Metrics.histogram; (* alloc.pool.occupancy *)
-  sample_every : int;
   mutable until_sample : int;
 }
 
@@ -155,9 +154,12 @@ let shard st group reserved =
       Hashtbl.replace st.shards key l;
       l
 
-(* One series point per group's current chunk: live regions, bump
-   utilisation. Sampled every [sample_every] grouped mallocs so trace
+(* Pools are sampled every [sample_every] grouped mallocs so trace
    volume stays bounded on allocation-heavy runs. *)
+let sample_every = 256
+
+(* One series point per group's current chunk: live regions, bump
+   utilisation. *)
 let sample_pools st g =
   Hashtbl.iter
     (fun group chunk ->
@@ -181,7 +183,7 @@ let gobs_on_malloc st =
       Metrics.incr g.m_grouped;
       g.until_sample <- g.until_sample - 1;
       if g.until_sample = 0 then begin
-        g.until_sample <- g.sample_every;
+        g.until_sample <- sample_every;
         sample_pools st g
       end
 
@@ -346,10 +348,7 @@ let config_error config =
     Some "slab_size must be a multiple of chunk_size"
   else None
 
-let create ?(config = default_config) ?obs ?(sample_every = 256) ~classify
-    ~fallback vmem =
-  if sample_every < 1 then
-    invalid_arg "Group_alloc.create: sample_every must be >= 1";
+let create ?(config = default_config) ?obs ~classify ~fallback vmem =
   Option.iter
     (fun e -> invalid_arg ("Group_alloc.create: " ^ e))
     (config_error config);
@@ -377,7 +376,6 @@ let create ?(config = default_config) ?obs ?(sample_every = 256) ~classify
               m_freelist = Metrics.counter m "alloc.freelist.reuses";
               g_spare = Metrics.gauge m "alloc.chunks.spare";
               h_occupancy = Metrics.histogram m "alloc.pool.occupancy";
-              sample_every;
               until_sample = sample_every;
             })
           obs;

@@ -68,7 +68,6 @@ type t
 val create :
   ?config:config ->
   ?obs:Obs.t ->
-  ?sample_every:int ->
   classify:(size:int -> int option) ->
   fallback:Alloc_iface.t ->
   Vmem.t ->
@@ -80,8 +79,8 @@ val create :
     [alloc.grouped_mallocs] / [alloc.fallback_mallocs] /
     [alloc.chunks.carved] / [alloc.chunks.reused] / [alloc.chunks.purged] /
     [alloc.freelist.reuses], the [alloc.chunks.spare] gauge, the
-    [alloc.pool.occupancy] histogram, and — every [sample_every]
-    (default 256) grouped mallocs — one [alloc.pool.occupancy] trace
+    [alloc.pool.occupancy] histogram, and — every 256 grouped
+    mallocs — one [alloc.pool.occupancy] trace
     series point per active pool (live regions, bump utilisation) plus an
     [alloc.chunks.spare] point. Handles are resolved once here; without
     [obs] the malloc/free paths match the seed allocator exactly. *)

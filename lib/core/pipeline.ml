@@ -29,33 +29,51 @@ let grouping_params (config : config) (profile : Profiler.result) =
   in
   { config.grouping with Grouping.min_edge_weight }
 
+(* How many leading selectors fit in the group-state vector together. *)
+let fitting_prefix selectors =
+  let sites = Hashtbl.create 32 in
+  List.to_seq selectors
+  |> Seq.take_while (fun (sel : Identify.selector) ->
+         List.iter (List.iter (fun s -> Hashtbl.replace sites s ())) sel.disjuncts;
+         Hashtbl.length sites <= Rewrite.max_bits)
+  |> Seq.length
+
 let derive ?obs ?(config = default_config) ?(group_fn = Grouping.group)
     (profile : Profiler.result) =
-  let gparams = grouping_params config profile in
-  let grouping =
-    Obs.span obs "grouping" ~attrs:[ ("stage", Json.String "grouping") ]
-      (fun () ->
-        let g = group_fn profile.Profiler.graph gparams in
-        Obs.add_attrs obs
-          [
-            ("groups", Json.Int (Array.length g.Grouping.groups));
-            ("min_edge_weight", Json.Int gparams.Grouping.min_edge_weight);
-          ];
-        g)
+  let rec select gparams =
+    let grouping =
+      Obs.span obs "grouping" ~attrs:[ ("stage", Json.String "grouping") ]
+        (fun () ->
+          let g = group_fn profile.Profiler.graph gparams in
+          Obs.add_attrs obs
+            [
+              ("groups", Json.Int (Array.length g.Grouping.groups));
+              ("min_edge_weight", Json.Int gparams.Grouping.min_edge_weight);
+            ];
+          g)
+    in
+    let selectors =
+      Obs.span obs "identification"
+        ~attrs:[ ("stage", Json.String "identification") ]
+        (fun () ->
+          let sels = Identify.build ~contexts:profile.Profiler.contexts ~grouping in
+          Obs.add_attrs obs
+            [
+              ("selectors", Json.Int (List.length sels));
+              ( "monitored_sites",
+                Json.Int (List.length (Identify.monitored_sites sels)) );
+            ];
+          sels)
+    in
+    (* The group-state vector is a budget: keep the most popular groups
+       whose selectors fit. Group i's selector is built against the
+       contexts outside groups 0..i, which capping later groups leaves
+       alone, so one re-derivation yields exactly that prefix. *)
+    let k = fitting_prefix selectors in
+    if k = List.length selectors then (grouping, selectors)
+    else select { gparams with Grouping.max_groups = Some k }
   in
-  let selectors =
-    Obs.span obs "identification"
-      ~attrs:[ ("stage", Json.String "identification") ]
-      (fun () ->
-        let sels = Identify.build ~contexts:profile.Profiler.contexts ~grouping in
-        Obs.add_attrs obs
-          [
-            ("selectors", Json.Int (List.length sels));
-            ( "monitored_sites",
-              Json.Int (List.length (Identify.monitored_sites sels)) );
-          ];
-        sels)
-  in
+  let grouping, selectors = select (grouping_params config profile) in
   let rewrite =
     Obs.span obs "rewrite" ~attrs:[ ("stage", Json.String "rewrite") ]
       (fun () ->

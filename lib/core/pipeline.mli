@@ -55,9 +55,15 @@ val derive :
     runs, or just produced by {!Profiler.profile}. [group_fn] substitutes
     an alternative clustering algorithm (see {!Clustering}) for Figure
     6's — the grouping-ablation hook; default is {!Grouping.group}.
-    Either clusters under {!grouping_params}. [obs] records the
-    [grouping], [identification] and [rewrite] spans with stage-shape
-    attributes. *)
+    Either clusters under {!grouping_params}. Derivation is total: when
+    the selectors need more than {!Rewrite.max_bits} monitored sites, the
+    plan is the derivation under [max_groups] of the longest prefix of
+    groups (most popular first) whose sites fit, the dropped groups'
+    contexts {!Grouping.ungrouped}, and [config] still the caller's.
+    Raises [Invalid_argument] only on a grouping Figure 6 rejects
+    ([max_group_members] below 1, [merge_tol] outside \[0, 1)). [obs]
+    records the [grouping], [identification] and [rewrite] spans with
+    stage-shape attributes (the first two again when groups are dropped). *)
 
 val plan :
   ?obs:Obs.t -> ?source:plan_source -> ?config:config -> Ir.program -> plan

@@ -18,7 +18,7 @@ and compiled = { group : int; conjs : int list list (** bit indices *) }
 
 val plan : Identify.selector list -> t
 (** Raises [Invalid_argument] if more sites are monitored than
-    {!max_bits}. *)
+    {!max_bits}; {!Pipeline.derive} drops groups until they fit. *)
 
 val max_bits : int
 (** Capacity of the group-state vector (64, a single machine word in the

@@ -9,9 +9,9 @@ type t = {
   mutable mmap_calls : int;
 }
 
-let create ?(base = 0x7f00_0000_0000) () =
+let create () =
   {
-    cursor = Addr.align_up base page_size;
+    cursor = 0x7f00_0000_0000;
     mappings = Hashtbl.create 64;
     resident = Hashtbl.create 4096;
     mmap_calls = 0;

@@ -16,9 +16,9 @@ type t
 val page_size : int
 (** 4096, as on the paper's x86-64 testbed. *)
 
-val create : ?base:Addr.t -> unit -> t
-(** Fresh address space. [base] (default [0x7f00_0000_0000]) is where the
-    first mapping is placed; allocations grow upward. *)
+val create : unit -> t
+(** Fresh address space. The first mapping is placed at
+    [0x7f00_0000_0000]; allocations grow upward. *)
 
 val mmap : t -> size:int -> align:int -> Addr.t
 (** Reserve a mapping of [size] bytes whose base is aligned to [align]

@@ -211,40 +211,35 @@ let save_aggregates t =
              (fun saved (digest, agg) ->
                if Store.merge_count agg.agg_merge = 0 then saved
                else
-                 match Store.merge_result agg.agg_merge with
-                 | Error _ -> saved
-                 | Ok (config, result) -> (
-                     let extra_meta =
-                       [
-                         ("workload", Json.String agg.agg_workload);
-                         ( "mass",
-                           Json.Float (Store.merge_total_weight agg.agg_merge)
-                         );
-                         ("profiles", Json.Int (Store.merge_count agg.agg_merge));
-                       ]
-                     in
-                     let path = Filename.concat dir (digest ^ aggregate_suffix) in
-                     match Filename.temp_file ~temp_dir:dir "agg-" ".tmp" with
-                     | exception Sys_error _ -> saved
-                     | tmp -> (
-                         let drop () =
-                           try Sys.remove tmp with Sys_error _ -> ()
-                         in
-                         match
-                           Store.write_profile ?obs:t.obs ~created:0.0 ~producer:"halo-serve" ~extra_meta
-                             ~path:tmp ~program_digest:digest ~config result
-                         with
-                         | Error _ ->
+                 let config, result = Store.merge_result agg.agg_merge in
+                 let extra_meta =
+                   [
+                     ("workload", Json.String agg.agg_workload);
+                     ("mass", Json.Float (Store.merge_total_weight agg.agg_merge));
+                     ("profiles", Json.Int (Store.merge_count agg.agg_merge));
+                   ]
+                 in
+                 let path = Filename.concat dir (digest ^ aggregate_suffix) in
+                 match Filename.temp_file ~temp_dir:dir "agg-" ".tmp" with
+                 | exception Sys_error _ -> saved
+                 | tmp -> (
+                     let drop () = try Sys.remove tmp with Sys_error _ -> () in
+                     match
+                       Store.write_profile ?obs:t.obs ~created:0.0
+                         ~producer:"halo-serve" ~extra_meta ~path:tmp
+                         ~program_digest:digest ~config result
+                     with
+                     | Error _ ->
+                         drop ();
+                         saved
+                     | Ok () -> (
+                         match Sys.rename tmp path with
+                         | () ->
+                             Obs.count t.obs "serve.aggregates.saved" 1;
+                             saved + 1
+                         | exception Sys_error _ ->
                              drop ();
-                             saved
-                         | Ok () -> (
-                             match Sys.rename tmp path with
-                             | () ->
-                                 Obs.count t.obs "serve.aggregates.saved" 1;
-                                 saved + 1
-                             | exception Sys_error _ ->
-                                 drop ();
-                                 saved))))
+                             saved)))
              0
 
 let load_aggregates t =
@@ -535,24 +530,16 @@ let apply_plan_request t ~id workload =
           | Some agg when Store.merge_count agg.agg_merge > 0 -> (
               (* The aggregate outranks any disk entry: a memo miss with
                  live mass means no current plan exists for that mass. *)
-              match
-                Result.bind (Store.merge_result agg.agg_merge)
-                  (fun (_, merged) ->
-                    Store.derive_plan ?obs:t.obs ~config:r.r_config merged)
-              with
-              | Error e ->
-                  t.n_errors <- t.n_errors + 1;
-                  Serve_proto.error_response ~id:(Some id)
-                    (Store.error_to_string e)
-              | Ok plan ->
-                  miss ();
-                  t.derived_aggregate <- t.derived_aggregate + 1;
-                  (match t.source with
-                  | Some s -> s.Pipeline.store t.obs r.r_program r.r_config plan
-                  | None -> ());
-                  adopt ~source:"aggregate"
-                    ~at_mass:(Store.merge_total_weight agg.agg_merge)
-                    plan)
+              let _, merged = Store.merge_result agg.agg_merge in
+              let plan = Pipeline.derive ?obs:t.obs ~config:r.r_config merged in
+              miss ();
+              t.derived_aggregate <- t.derived_aggregate + 1;
+              (match t.source with
+              | Some s -> s.Pipeline.store t.obs r.r_program r.r_config plan
+              | None -> ());
+              adopt ~source:"aggregate"
+                ~at_mass:(Store.merge_total_weight agg.agg_merge)
+                plan)
           | _ -> (
               let cached =
                 match t.source with

@@ -67,5 +67,5 @@ val source : t -> Pipeline.plan_source
     [Runner.run], [Figures.run_cells] or the fuzz harness. A lookup
     trusts an entry only when {!Store.read_plan} accepts it — magic,
     version, payload checksum, program and config digests, every record,
-    and a plan derivable from its profile — and {!Store.check_sites}
+    a grouping config derivation accepts — and {!Store.check_sites}
     finds every patch site in the program; anything else is a miss. *)

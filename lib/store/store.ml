@@ -89,6 +89,17 @@ let check_profiler_config ~line (c : Profiler.config) =
   if c.Profiler.max_tracked_size < 0 then
     fail line (Printf.sprintf "max_tracked_size %d is negative" c.Profiler.max_tracked_size)
 
+(* A grouping config derivation never raises on: Figure 6 refuses a
+   member cap below 1 and a merge tolerance outside [0, 1). *)
+let check_pipeline_config ~line (c : Pipeline.config) =
+  let g = c.Pipeline.grouping in
+  if g.Grouping.max_group_members < 1 then
+    fail line
+      (Printf.sprintf "max_group_members %d is below 1" g.Grouping.max_group_members);
+  let tol = g.Grouping.merge_tol in
+  if not (tol >= 0.0 && tol < 1.0) then
+    fail line (Printf.sprintf "merge_tol %g is outside [0, 1)" tol)
+
 let profiler_config_of_json ~line j =
   let c =
     {
@@ -183,12 +194,16 @@ let pipeline_config_of_json ~line j =
     | Some v -> v
     | None -> fail line (Printf.sprintf "missing field %S" k)
   in
-  {
-    Pipeline.profiler = profiler_config_of_json ~line (field "profiler");
-    grouping = grouping_params_of_json ~line (field "grouping");
-    min_edge_frac = jfloat ~line "min_edge_frac" j;
-    allocator = alloc_config_of_json ~line (field "allocator");
-  }
+  let c =
+    {
+      Pipeline.profiler = profiler_config_of_json ~line (field "profiler");
+      grouping = grouping_params_of_json ~line (field "grouping");
+      min_edge_frac = jfloat ~line "min_edge_frac" j;
+      allocator = alloc_config_of_json ~line (field "allocator");
+    }
+  in
+  check_pipeline_config ~line c;
+  c
 
 (* {1 Digests} *)
 
@@ -770,28 +785,28 @@ let copy_contexts tbl =
   done;
   c
 
+(* Total once the state is non-empty: [fold_artifact] checked the
+   coverage [filter_top] runs at. *)
 let merge_result_internal ~snapshot st =
   match st.m_first with
   | None -> invalid_arg "Store.merge_result: empty merge state"
   | Some (_, _, config) ->
-      wrap (fun () ->
-          let raw = if snapshot then copy_graph st.m_raw else st.m_raw in
-          let contexts =
-            if snapshot then copy_contexts st.m_contexts else st.m_contexts
-          in
-          let filtered =
-            Affinity_graph.filter_top raw
-              ~coverage:config.Profiler.node_coverage
-          in
-          ( config,
-            {
-              Profiler.graph = filtered;
-              raw_graph = raw;
-              contexts;
-              total_accesses = st.m_ta;
-              tracked_allocs = st.m_tr;
-              instructions = st.m_ins;
-            } ))
+      let raw = if snapshot then copy_graph st.m_raw else st.m_raw in
+      let contexts =
+        if snapshot then copy_contexts st.m_contexts else st.m_contexts
+      in
+      let filtered =
+        Affinity_graph.filter_top raw ~coverage:config.Profiler.node_coverage
+      in
+      ( config,
+        {
+          Profiler.graph = filtered;
+          raw_graph = raw;
+          contexts;
+          total_accesses = st.m_ta;
+          tracked_allocs = st.m_tr;
+          instructions = st.m_ins;
+        } )
 
 let merge_result st = merge_result_internal ~snapshot:true st
 
@@ -800,7 +815,7 @@ let merge_profiles inputs =
   List.iter (fun (_, w) -> check_weight ~who:"Store.merge_profiles" w) inputs;
   let st = merge_create () in
   let rec go = function
-    | [] -> merge_result_internal ~snapshot:false st
+    | [] -> Ok (merge_result_internal ~snapshot:false st)
     | input :: rest -> Result.bind (merge_add st input) (fun () -> go rest)
   in
   go inputs
@@ -808,7 +823,7 @@ let merge_profiles inputs =
 (* {1 Plans} *)
 
 let write_plan ?obs ?format:(_ : format option) ?created ?(producer = "halo")
-    ?(extra_meta = []) ~path ~program_digest (plan : Pipeline.plan) =
+    ~path ~program_digest (plan : Pipeline.plan) =
   let created =
     match created with Some t -> t | None -> Unix.gettimeofday ()
   in
@@ -820,7 +835,7 @@ let write_plan ?obs ?format:(_ : format option) ?created ?(producer = "halo")
       config_digest = plan_config_digest plan.Pipeline.config;
       created;
       producer;
-      meta = extra_meta;
+      meta = [];
     }
   in
   with_artifact ?obs ~path ~header (fun w ->
@@ -830,16 +845,6 @@ let write_plan ?obs ?format:(_ : format option) ?created ?(producer = "halo")
             (Json.to_string ~pretty:false
                (json_of_pipeline_config plan.Pipeline.config)));
       emit_profile w plan.Pipeline.profile)
-
-(* A profile that decodes cleanly can still be one no plan fits: more
-   monitored sites than the group-state vector holds, or a grouping
-   config Figure 6 rejects. *)
-let derive_exn ?obs ~config profile =
-  try Pipeline.derive ?obs ~config profile
-  with Invalid_argument m -> fail 0 m
-
-let derive_plan ?obs ~config profile =
-  wrap (fun () -> derive_exn ?obs ~config profile)
 
 let check_sites program (plan : Pipeline.plan) =
   let known = Ir.sites program in
@@ -902,7 +907,7 @@ let read_plan ?obs ?expect_program ?expect_config path =
                       found = header.config_digest;
                       expected = self;
                     }));
-          (header, derive_exn ~config (finish_profile st))))
+          (header, Pipeline.derive ~config (finish_profile st))))
 
 (* {1 Inspection} *)
 

@@ -158,14 +158,13 @@ val merge_total_weight : merge_state -> float
 (** Sum of the folded weights — the serve loop's "profile mass", which
     its plan-staleness policy thresholds against. *)
 
-val merge_result :
-  merge_state -> (Profiler.config * Profiler.result, error) result
-(** The merged profile as of now: the noise filter runs over the
-    accumulated raw graph at the shared config's [node_coverage]. The
-    returned result is a {e snapshot} — graphs and contexts are copied,
-    so later {!merge_add} calls do not mutate it. Raises
-    [Invalid_argument] on an empty state, mirroring {!merge_profiles} on
-    an empty list. *)
+val merge_result : merge_state -> Profiler.config * Profiler.result
+(** The shared config and the merged profile as of now: the noise filter
+    runs over the accumulated raw graph at the shared config's
+    [node_coverage], which {!merge_add} has checked. The returned result
+    is a {e snapshot} — graphs and contexts are copied, so later
+    {!merge_add} calls do not mutate it. Raises [Invalid_argument] on an
+    empty state, mirroring {!merge_profiles} on an empty list. *)
 
 val merge_adopt :
   merge_state ->
@@ -193,7 +192,6 @@ val write_plan :
   ?format:format ->
   ?created:float ->
   ?producer:string ->
-  ?extra_meta:(string * Json.t) list ->
   path:string ->
   program_digest:string ->
   Pipeline.plan ->
@@ -210,25 +208,16 @@ val read_plan :
   ?expect_config:string ->
   string ->
   (header * Pipeline.plan, error) result
-(** Decode a plan artifact and return {!derive_plan} of its config and
-    profile: the stock Figure 6 derivation. [expect_config] compares
-    against the header's config digest (the cache's key check). The
-    decoded config is re-digested and verified against the header — a
-    tampered config body is a [Digest_mismatch], not a silently
-    different plan. A profile no plan can be derived from is
-    [Malformed] at line 0, as in {!derive_plan}. The plan's patch sites
-    are not checked against any program; see {!check_sites}. *)
-
-val derive_plan :
-  ?obs:Obs.t ->
-  config:Pipeline.config ->
-  Profiler.result ->
-  (Pipeline.plan, error) result
-(** {!Pipeline.derive} under Figure 6's grouping as a typed result: a
-    profile whose derivation raises [Invalid_argument] — more monitored
-    sites than {!Rewrite.max_bits}, or a grouping config the grouping
-    rejects — is [Malformed] at line 0. For profiles read from outside
-    (a decoded artifact, a served aggregate). *)
+(** Decode a plan artifact and return {!Pipeline.derive} of its config
+    and profile: the stock Figure 6 derivation, which is total, so any
+    profile that decodes yields a plan of at most {!Rewrite.max_bits}
+    monitored sites. [expect_config] compares against the header's config
+    digest (the cache's key check). The decoded config is re-digested and
+    verified against the header — a tampered config body is a
+    [Digest_mismatch], not a silently different plan. A config whose
+    grouping Figure 6 rejects ([max_group_members] below 1, [merge_tol]
+    outside \[0, 1)) is [Malformed] at its record. The plan's patch
+    sites are not checked against any program; see {!check_sites}. *)
 
 val check_sites : Ir.program -> Pipeline.plan -> (unit, error) result
 (** [Malformed] at line 0 naming the first site the plan patches that

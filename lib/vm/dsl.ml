@@ -39,4 +39,4 @@ let for_ x ~from ~below body =
 let return_ e = Return e
 let compute n = Compute n
 let func fname params body = { fname; params; body }
-let program ?site_base ~main fns = finalize ?site_base ~main fns
+let program ~main fns = finalize ~main fns

@@ -56,4 +56,4 @@ val compute : int -> Ir.stmt
 (** {1 Programs} *)
 
 val func : string -> string list -> Ir.stmt list -> Ir.func
-val program : ?site_base:int -> main:string -> Ir.func list -> Ir.program
+val program : main:string -> Ir.func list -> Ir.program

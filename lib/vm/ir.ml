@@ -79,7 +79,7 @@ let site_label p s =
       in
       Printf.sprintf "%s:%d(%s)" info.in_func info.ordinal target
 
-let finalize ?(site_base = 0x400000) ~main:main_name fns =
+let finalize ~main:main_name fns =
   let by_name = Hashtbl.create 64 in
   List.iter
     (fun f ->
@@ -90,7 +90,7 @@ let finalize ?(site_base = 0x400000) ~main:main_name fns =
   if not (Hashtbl.mem by_name main_name) then
     invalid_arg (Printf.sprintf "Ir.finalize: main function %S not defined" main_name);
   let site_infos = Hashtbl.create 256 in
-  let next = ref site_base in
+  let next = ref 0x400000 in
   let used = Hashtbl.create 256 in
   let claim s =
     if Hashtbl.mem used s then

@@ -72,9 +72,9 @@ type func = { fname : string; params : string list; body : stmt list }
 type program
 (** A finalized program: validated, with all sites assigned. *)
 
-val finalize : ?site_base:int -> main:string -> func list -> program
+val finalize : main:string -> func list -> program
 (** Assigns a unique address to every call/allocation site (starting at
-    [site_base], default [0x400000], spaced 16 bytes apart, in textual
+    [0x400000], spaced 16 bytes apart, in textual
     order — mimicking code addresses in a linked binary), and validates:
     [main] exists, function names are unique, every called function is
     defined and invoked with the right arity, and any pre-set (non-zero)

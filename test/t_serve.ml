@@ -204,10 +204,10 @@ let handle_line_hostile_artifact () =
     (Json.get_bool "ok" r = Ok false);
   checkb "id recovered" true (Json.get_int "id" r = Ok 1)
 
-let handle_line_underivable_profile () =
-  (* A well-formed profile no plan fits (more monitored sites than the
-     group-state vector holds): recording it succeeds, the plan request
-     is an error response, and the engine keeps serving. *)
+let handle_line_over_budget_profile () =
+  (* A well-formed profile whose groups need more monitored sites than the
+     group-state vector holds: recording it succeeds, and the plan request
+     answers with the groups that fit in the 64 bits. *)
   let path = T_store.crafted_profile ~n:80 ~base:1000 in
   let engine = Serve.create (config ()) in
   let recorded =
@@ -219,11 +219,11 @@ let handle_line_underivable_profile () =
   let planned =
     Serve.handle_line engine {|{"job":"plan-request","id":2,"workload":"ft"}|}
   in
-  checkb "plan request is an error response" true
-    (Json.get_bool "ok" planned = Ok false);
-  checkb "id recovered" true (Json.get_int "id" planned = Ok 2);
-  let later = Serve.handle_line engine {|{"job":"stats","id":3}|} in
-  checkb "still serving" true (Json.get_bool "ok" later = Ok true)
+  checkb "plan request is ok" true (Json.get_bool "ok" planned = Ok true);
+  checkb "planned from the aggregate" true
+    (Json.get_string "source" planned = Ok "aggregate");
+  checkb "the sites fill the group-state vector" true
+    (Json.get_int "monitored_sites" planned = Ok Rewrite.max_bits)
 
 (* ---------------- fleet simulator ---------------- *)
 
@@ -731,7 +731,7 @@ let suite =
     tc "shutdown: later jobs refused" shutdown_semantics;
     tc "lines: parse failures become error responses" handle_line_recovers;
     tc "lines: a hostile artifact is an error response" handle_line_hostile_artifact;
-    tc "lines: an underivable profile is an error response" handle_line_underivable_profile;
+    tc "lines: an over-budget profile still plans" handle_line_over_budget_profile;
     tc "sim: schedule is deterministic" sim_stream_deterministic;
     slow "sim: small fleet smoke" sim_run_smoke;
     tc "line reader: one-byte short reads" line_reader_one_byte_reads;

@@ -582,7 +582,7 @@ let merge_incremental_matches_batch () =
   checki "merge_count follows the fold" 2 (Store.merge_count st);
   checkb "merge_total_weight sums the weights" true
     (Store.merge_total_weight st = 3.5);
-  let ic, inc = ok (Store.merge_result st) in
+  let ic, inc = Store.merge_result st in
   checks "fold and batch agree on the config digest"
     (Store.profile_config_digest bc)
     (Store.profile_config_digest ic);
@@ -602,11 +602,11 @@ let merge_result_is_a_snapshot () =
   let a = artifact_of "ft" in
   let st = Store.merge_create () in
   ok (Store.merge_add st (a, 1.0));
-  let _, r1 = ok (Store.merge_result st) in
+  let _, r1 = Store.merge_result st in
   let edges_before = sorted_edges r1.Profiler.raw_graph in
   let contexts_before = Context.count r1.Profiler.contexts in
   ok (Store.merge_add st (a, 3.0));
-  let _, r2 = ok (Store.merge_result st) in
+  let _, r2 = Store.merge_result st in
   checkb "later merges don't mutate earlier snapshots" true
     (sorted_edges r1.Profiler.raw_graph = edges_before
     && Context.count r1.Profiler.contexts = contexts_before);
@@ -957,7 +957,7 @@ let batch_merge_byte_identity () =
   (* The reference: the public one-artifact-at-a-time fold. *)
   let st = Store.merge_create () in
   List.iter (fun input -> ok (Store.merge_add st input)) inputs;
-  let reference = merged_bytes digest (ok (Store.merge_result st)) in
+  let reference = merged_bytes digest (Store.merge_result st) in
   checks "batch merge is byte-identical to the fold" reference
     (merged_bytes digest (ok (Store.merge_profiles inputs)))
 
@@ -984,7 +984,7 @@ let merge_adopt_resumes () =
   ok (Store.merge_add st (a, 1.5));
   ok (Store.merge_add st (b, 1.0));
   let digest = a.Store.header.Store.program_digest in
-  let config, result = ok (Store.merge_result st) in
+  let config, result = Store.merge_result st in
   let path = tmp ".bin" in
   ok
     (Store.write_profile ~created:0.0 ~producer:"t" ~path
@@ -1000,14 +1000,14 @@ let merge_adopt_resumes () =
     (Float.equal (Store.merge_total_weight st) (Store.merge_total_weight st2));
   checks "adopted state merges to the same bytes"
     (merged_bytes digest (config, result))
-    (merged_bytes digest (ok (Store.merge_result st2)));
+    (merged_bytes digest (Store.merge_result st2));
   (* Folding on after the adoption is folding on from the original. *)
   let c = artifact_seeded "ft" 3 in
   ok (Store.merge_add st (c, 2.0));
   ok (Store.merge_add st2 (c, 2.0));
   checks "a fold continued after adoption matches the uninterrupted one"
-    (merged_bytes digest (ok (Store.merge_result st)))
-    (merged_bytes digest (ok (Store.merge_result st2)));
+    (merged_bytes digest (Store.merge_result st))
+    (merged_bytes digest (Store.merge_result st2));
   (* A foreign aggregate is refused without touching the state. *)
   let foreign = artifact_seeded "health" 1 in
   (match
@@ -1263,25 +1263,32 @@ let cache_ignores_stray_jsonl () =
 let ft_program () = (w "ft").Workload.make Workload.Test
 let ft_plan = lazy (Pipeline.plan (ft_program ()))
 
-(* A profile whose [n] contexts each hold one site of their own,
-   [base + i], linked as an affinity chain. Eighty of them group into
-   more monitored sites than the 64-bit group-state vector holds; ten
-   from [base] 1000 (0x3e8) name sites ft lacks. *)
-let crafted_result ~n ~base =
+(* A profile of single-site contexts, the [i]th holding site [base + i]
+   with the [i]th (accesses, edge weight) pair of [weights], linked to
+   context [i - 1] ([star]: to context 0) by that edge weight. *)
+let shaped_result ?(star = false) ~base weights =
   let contexts = Context.create () and graph = Affinity_graph.create () in
-  for i = 0 to n - 1 do
-    let id = Context.intern contexts [| base + i |] in
-    Affinity_graph.add_access_n graph id 1000;
-    if i > 0 then Affinity_graph.add_affinity_n graph (id - 1) id 1000
-  done;
+  List.iteri
+    (fun i (accesses, edge) ->
+      let id = Context.intern contexts [| base + i |] in
+      Affinity_graph.add_access_n graph id accesses;
+      if i > 0 then
+        Affinity_graph.add_affinity_n graph (if star then 0 else id - 1) id edge)
+    weights;
+  let total = List.fold_left (fun acc (a, _) -> acc + a) 0 weights in
   {
     Profiler.graph;
     raw_graph = graph;
     contexts;
-    total_accesses = 1000 * n;
-    tracked_allocs = n;
-    instructions = 1000 * n;
+    total_accesses = total;
+    tracked_allocs = List.length weights;
+    instructions = total;
   }
+
+(* [n] contexts in an affinity chain of equal weights. Eighty of them
+   group into more monitored sites than the 64-bit group-state vector
+   holds; ten from [base] 1000 (0x3e8) name sites ft lacks. *)
+let crafted_result ~n ~base = shaped_result ~base (List.init n (fun _ -> (1000, 1000)))
 
 (* The same as a checksum-valid profile artifact under ft's digest. *)
 let crafted_profile ~n ~base =
@@ -1327,19 +1334,103 @@ let malformed_at_0 what ?sub r =
       ()
   | e -> Alcotest.fail (what ^ ": wanted Malformed at line 0, got " ^ Store.error_to_string e)
 
-let underivable_profile_is_malformed () =
+(* The fields derivation decides; a plan also carries its profile. *)
+let same_derivation (a : Pipeline.plan) (b : Pipeline.plan) =
+  a.Pipeline.grouping = b.Pipeline.grouping
+  && a.Pipeline.selectors = b.Pipeline.selectors
+  && a.Pipeline.rewrite = b.Pipeline.rewrite
+
+let capped_derivation (plan : Pipeline.plan) =
+  let c = plan.Pipeline.config in
+  let groups = Array.length plan.Pipeline.grouping.Grouping.groups in
+  Pipeline.derive
+    ~config:
+      {
+        c with
+        Pipeline.grouping =
+          { c.Pipeline.grouping with Grouping.max_groups = Some groups };
+      }
+    plan.Pipeline.profile
+
+(* Eighty chained contexts group in pairs into 80 monitored sites; the
+   budget keeps the 32 most popular pairs, and the rest is ungrouped. *)
+let over_budget_profile_fits () =
   let profile = crafted_result ~n:80 ~base:1000 in
-  malformed_at_0 "derive_plan" ~sub:"exceed"
-    (Store.derive_plan ~config:Pipeline.default_config profile);
-  let cache = Plan_cache.create (tmp_dir ()) in
-  let path = plan_entry ~dir:(Plan_cache.dir cache) profile in
-  malformed_at_0 "read_plan" ~sub:"exceed" (Store.read_plan path);
-  cache_recovers "underivable entry" cache
+  let plan = Pipeline.derive ~config:Pipeline.default_config profile in
+  checki "32 groups fit" 32 (Array.length plan.Pipeline.grouping.Grouping.groups);
+  checki "64 bits" Rewrite.max_bits plan.Pipeline.rewrite.Rewrite.nbits;
+  checki "64 monitored sites" 64
+    (List.length (Identify.monitored_sites plan.Pipeline.selectors));
+  checki "16 contexts ungrouped" 16
+    (List.length plan.Pipeline.grouping.Grouping.ungrouped);
+  checkb "the caller's config" true (plan.Pipeline.config = Pipeline.default_config);
+  checkb "the derivation under that group cap" true
+    (same_derivation plan (capped_derivation plan));
+  let path = tmp ".bin" in
+  ok (Store.write_plan ~created:1.0 ~producer:"t" ~path ~program_digest:"p" plan);
+  let _, read = ok (Store.read_plan path) in
+  Sys.remove path;
+  checkb "a plan artifact reads back as the same plan" true
+    (same_derivation plan read)
+
+(* Derivation is total over chain and star profiles of up to 100
+   single-site contexts: it never raises, its plan fits the group-state
+   vector, and it is the derivation capped at its own group count. Sizes
+   lean past 64, where a chain can group more sites than fit. *)
+let budget_prop =
+  QCheck2.Test.make ~name:"plan: derivation fits the group-state budget"
+    ~count:60
+    ~print:(fun (star, ws) ->
+      Printf.sprintf "%s of %d: %s" (if star then "star" else "chain")
+        (List.length ws)
+        (String.concat " " (List.map (fun (a, e) -> Printf.sprintf "%d/%d" a e) ws)))
+    (* Unshrunk: each shrink step re-derives a profile of up to 100
+       contexts, so shrinking a failure would take minutes. *)
+    QCheck2.Gen.(
+      no_shrink
+        (pair bool
+           (list_size
+              (oneof [ int_range 1 100; int_range 65 100 ])
+              (pair (int_range 1 10_000) (int_range 1 10_000)))))
+    (fun (star, weights) ->
+      match Pipeline.derive (shaped_result ~star ~base:1000 weights) with
+      | exception e ->
+          QCheck2.Test.fail_reportf "derive raised %s" (Printexc.to_string e)
+      | plan ->
+          plan.Pipeline.rewrite.Rewrite.nbits <= Rewrite.max_bits
+          && same_derivation plan (capped_derivation plan))
+
+(* A grouping config Figure 6 rejects is [Malformed] at the config
+   record of a plan artifact, before derivation could raise on it. *)
+let reject_bad_grouping_config () =
+  let plan = Lazy.force ft_plan in
+  let c = plan.Pipeline.config in
+  let g = c.Pipeline.grouping in
+  List.iter
+    (fun (what, field, bad) ->
+      let path = tmp ".bin" in
+      ok
+        (Store.write_plan ~created:1.0 ~producer:"t" ~path ~program_digest:"p"
+           { plan with Pipeline.config = { c with Pipeline.grouping = bad } });
+      (match err what (Store.read_plan path) with
+      | Store.Malformed { line = 2; reason } when contains ~sub:field reason -> ()
+      | e ->
+          Alcotest.fail
+            (what ^ ": wanted Malformed at the config record, got "
+           ^ Store.error_to_string e));
+      Sys.remove path)
+    [
+      ("max_group_members = 0", "max_group_members", { g with Grouping.max_group_members = 0 });
+      ("max_group_members = -3", "max_group_members", { g with Grouping.max_group_members = -3 });
+      ("merge_tol = -0.05", "merge_tol", { g with Grouping.merge_tol = -0.05 });
+      ("merge_tol = 1", "merge_tol", { g with Grouping.merge_tol = 1.0 });
+      ("merge_tol = 2.5", "merge_tol", { g with Grouping.merge_tol = 2.5 });
+    ]
 
 let foreign_sites_are_refused () =
   let program = ft_program () in
   let profile = crafted_result ~n:10 ~base:1000 in
-  let plan = ok (Store.derive_plan ~config:Pipeline.default_config profile) in
+  let plan = Pipeline.derive ~config:Pipeline.default_config profile in
   checkb "the crafted plan patches sites" true
     (plan.Pipeline.rewrite.Rewrite.patches <> []);
   malformed_at_0 "check_sites" ~sub:"which the program lacks"
@@ -1483,9 +1574,10 @@ let suite =
     slow "cache: eviction ties break on entry name" cache_eviction_name_tie_break;
     slow "cache: stray .plan.jsonl is ignored" cache_ignores_stray_jsonl;
     slow "suite: warmed-cache equivalence" suite_warmed_equivalence;
-    tc "plan: an underivable profile is malformed" underivable_profile_is_malformed;
+    tc "plan: an over-budget profile keeps the groups that fit" over_budget_profile_fits;
+    tc "plan: rejected grouping configs are malformed" reject_bad_grouping_config;
     tc "plan: patch sites the program lacks are refused" foreign_sites_are_refused;
     tc "plan: retired record tags are cache misses" retired_plan_records_are_misses;
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ plan_round_trip_prop; decoder_mutation_prop; json_mutation_prop ]
+      [ plan_round_trip_prop; decoder_mutation_prop; json_mutation_prop; budget_prop ]
